@@ -4,9 +4,9 @@ The serving layer's claim is architectural: a prepared-cache hit skips
 parse/adorn/transform/plan/compile entirely, so repeated queries against
 a long-lived server should cost only fixpoint execution.  This bench
 measures that claim end to end — real :class:`ThreadingHTTPServer`, real
-``urllib`` clients, wall-clock request latency — at 1, 4, and 16
-concurrent clients on the T1 (ancestor chain) and T3 (same-generation)
-workloads:
+:class:`ServeClient` connections, wall-clock request latency — at 1, 4,
+and 16 concurrent clients on the T1 (ancestor chain) and T3
+(same-generation) workloads:
 
 * **cold** — the prepared cache is cleared, then every client fires the
   query shape at once: each request pays the full pipeline (concurrent
@@ -153,13 +153,13 @@ def _latency_stats(seconds: list[float]) -> dict:
 
 def _fire(base_url: str, dataset: str, goal: str, requests: int) -> list[float]:
     """One client's request loop; returns per-request latencies."""
-    client = ServeClient(base_url, timeout=120.0)
     latencies = []
-    for _ in range(requests):
-        started = time.perf_counter()
-        payload = client.query(dataset, goal, strategy=STRATEGY)
-        latencies.append(time.perf_counter() - started)
-        assert payload["complete"], payload
+    with ServeClient(base_url, timeout=120.0) as client:
+        for _ in range(requests):
+            started = time.perf_counter()
+            payload = client.query(dataset, goal, strategy=STRATEGY)
+            latencies.append(time.perf_counter() - started)
+            assert payload["complete"], payload
     return latencies
 
 
@@ -174,7 +174,8 @@ def run_latency_series():
     base_url = f"http://127.0.0.1:{server.port}"
     entries = []
     try:
-        ServeClient(base_url).wait_healthy(15.0)
+        with ServeClient(base_url) as probe:
+            probe.wait_healthy(15.0)
         for label, scenario, query in serving_workloads():
             service.load(label, scenario_text(scenario))
             goal = f"{query}?"

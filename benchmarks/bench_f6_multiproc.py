@@ -8,8 +8,8 @@ into its own interpreter — N cores of real parallelism behind the same
 HTTP surface.
 
 This bench measures that end to end — real HTTP servers, 16 concurrent
-``urllib`` clients hammering prepared (cache-hot) F1/F3 goals — across
-four server configurations: the single-process threaded
+:class:`ServeClient` connections hammering prepared (cache-hot) F1/F3
+goals — across four server configurations: the single-process threaded
 :class:`~repro.serve.service.QueryService` and a
 :class:`~repro.serve.pool.PooledService` at 1, 2, and 4 worker
 processes.  Every response is checked **in-bench** against the direct
@@ -191,16 +191,16 @@ def _percentile(sorted_values: list[float], fraction: float) -> float:
 def _fire(base_url: str, dataset: str, goal: str, expected_rows) -> list[float]:
     """One client's request loop; every answer is checked against the
     direct-engine rows before its latency counts."""
-    client = ServeClient(base_url, timeout=300.0)
     latencies = []
-    for _ in range(REQUESTS_PER_CLIENT):
-        started = time.perf_counter()
-        payload = client.query(dataset, goal, strategy=STRATEGY)
-        latencies.append(time.perf_counter() - started)
-        assert payload["complete"], payload
-        assert payload["answers"]["rows"] == expected_rows, (
-            f"{dataset}: served answers diverged from the direct engine"
-        )
+    with ServeClient(base_url, timeout=300.0) as client:
+        for _ in range(REQUESTS_PER_CLIENT):
+            started = time.perf_counter()
+            payload = client.query(dataset, goal, strategy=STRATEGY)
+            latencies.append(time.perf_counter() - started)
+            assert payload["complete"], payload
+            assert payload["answers"]["rows"] == expected_rows, (
+                f"{dataset}: served answers diverged from the direct engine"
+            )
     return latencies
 
 
@@ -225,8 +225,8 @@ def _measure_config(config, processes, workloads, expected) -> list[dict]:
     thread.start()
     base_url = f"http://127.0.0.1:{server.port}"
     entries = []
+    warm_client = ServeClient(base_url, timeout=300.0)
     try:
-        warm_client = ServeClient(base_url, timeout=300.0)
         warm_client.wait_healthy(60.0)
         for label, scenario, query in workloads:
             warm_client.load(label, scenario_text(scenario))
@@ -263,6 +263,7 @@ def _measure_config(config, processes, workloads, expected) -> list[dict]:
                 }
             )
     finally:
+        warm_client.close()
         server.shutdown()
         server.server_close()
         service.close()

@@ -472,8 +472,8 @@ def _cmd_update(args) -> int:
 
     if not args.add and not args.remove:
         raise ReproError("update requires at least one --add or --remove")
-    client = ServeClient(args.url, timeout=args.timeout)
-    info = client.update(args.dataset, add=args.add, remove=args.remove)
+    with ServeClient(args.url, timeout=args.timeout) as client:
+        info = client.update(args.dataset, add=args.add, remove=args.remove)
     print(
         f"dataset {info['name']!r} now version {info['version']}: "
         f"+{info['added']} -{info['removed']} facts "

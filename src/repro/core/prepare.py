@@ -54,16 +54,15 @@ and constants by ``tests/test_prepare.py``).
 
 from __future__ import annotations
 
-import hashlib
 import threading
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Constant
-from ..datalog.unify import match_atom
 from ..engine.budget import Checkpoint, EvaluationBudget
 from ..engine.columnar import DEFAULT_STORAGE, as_storage, resolve_storage
 from ..engine.counters import EvaluationStats
@@ -113,8 +112,7 @@ def program_fingerprint(program: Program) -> str:
     rules in the same order always collide, which is exactly the reuse
     the prepared-query cache wants.
     """
-    text = "\n".join(str(rule) for rule in program.rules)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return program.fingerprint
 
 
 def _sips_label(sips: "Sips | str | None") -> str:
@@ -294,7 +292,13 @@ class PreparedQuery:
                     "interrupted update left its materialisation "
                     "inconsistent); drop the shape and re-prepare"
                 )
-            answers = self._matching(self.base, goal)
+            # The lookup probes (and lazily builds) column indexes of
+            # relations apply_update mutates in place: read under the
+            # shape's lock, so an index is never built from a relation
+            # mid-mutation and answers come from the model before or
+            # after an update, never from DRed's over-deleted middle.
+            with self._update_lock:
+                answers = self._matching(self.base, goal)
             stats.answers = len(answers)
             return QueryResult(
                 strategy=self.strategy, query=goal, answers=answers,
@@ -311,17 +315,15 @@ class PreparedQuery:
         )
         answers = self._matching(completed, goal, transformed_goal)
         stats.answers = len(answers)
-        calls, answer_facts = _transform_call_summary(
-            self.transformed, completed
-        )
         return QueryResult(
             strategy=self.strategy,
             query=goal,
             answers=answers,
             stats=stats,
-            calls=calls,
-            answer_facts=answer_facts,
             transformed=self.transformed,
+            call_summary=partial(
+                _transform_call_summary, self.transformed, completed
+            ),
         )
 
     def partial_answers(self, partial: "Database | None", goal: "Atom | str | None" = None) -> tuple[Atom, ...]:
@@ -384,15 +386,9 @@ class PreparedQuery:
     def _matching(
         database: Database, goal: Atom, pattern: "Atom | None" = None
     ) -> tuple[Atom, ...]:
-        pattern = pattern if pattern is not None else goal
-        if pattern.predicate not in database:
-            return ()
-        matching = (
-            atom
-            for atom in database.atoms(pattern.predicate)
-            if match_atom(pattern, atom) is not None
+        return _sorted_answers(
+            goal, database.match(pattern if pattern is not None else goal)
         )
-        return _sorted_answers(goal, matching)
 
 
 def prepare_query(

@@ -22,12 +22,12 @@ program is rewritten — the classical setting of the paper.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 from typing import Callable, Mapping
 
 from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
-from ..datalog.unify import match_atom
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.columnar import DEFAULT_STORAGE, as_storage
 from ..engine.counters import EvaluationStats
@@ -60,27 +60,46 @@ class QueryResult:
         answers: ground instances of the query atom, deduplicated, in a
             deterministic (sorted) order.
         stats: the shared counter record.
-        calls: for strategies with a call concept, the set of generated
-            subqueries as ``(predicate, adornment, bound-args)`` triples.
-        answer_facts: for those strategies, all derived answers per
-            ``(predicate, adornment)``.
         transformed: the transformed program, when one was built.
+        call_summary: for strategies with a call concept, a zero-argument
+            callable producing ``(calls, answer_facts)`` from the
+            evaluation's final state.  It runs once, on first access of
+            either property below — the serving layer never reads them,
+            so a served query never pays for the summary.
+
+    ``calls`` is the set of generated subqueries as ``(predicate,
+    adornment, bound-args)`` triples and ``answer_facts`` all derived
+    answers per ``(predicate, adornment)``; both are empty for strategies
+    without a call concept.
     """
 
     strategy: str
     query: Atom
     answers: tuple[Atom, ...]
     stats: EvaluationStats
-    calls: frozenset[tuple] = frozenset()
-    answer_facts: Mapping[tuple[str, str], frozenset[tuple]] = field(
-        default_factory=dict
-    )
     transformed: TransformedProgram | None = None
+    call_summary: "Callable[[], tuple] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def answer_rows(self) -> frozenset[tuple]:
         """Answers as plain value tuples (order = query argument order)."""
         return frozenset(atom.ground_key() for atom in self.answers)
+
+    @cached_property
+    def _summary(self) -> tuple:
+        if self.call_summary is None:
+            return frozenset(), {}
+        return self.call_summary()
+
+    @property
+    def calls(self) -> frozenset[tuple]:
+        return self._summary[0]
+
+    @property
+    def answer_facts(self) -> Mapping[tuple[str, str], frozenset[tuple]]:
+        return self._summary[1]
 
 
 def _sorted_answers(query: Atom, atoms) -> tuple[Atom, ...]:
@@ -117,12 +136,7 @@ def _bottom_up(engine: str):
             storage=storage,
             workers=workers,
         )
-        matching = (
-            atom
-            for atom in completed.atoms(query.predicate)
-            if match_atom(query, atom) is not None
-        )
-        answers = _sorted_answers(query, matching)
+        answers = _sorted_answers(query, completed.match(query))
         stats.answers = len(answers)
         return QueryResult(
             strategy=engine, query=query, answers=answers, stats=stats
@@ -166,14 +180,12 @@ def _oldt(
     engine = OLDTEngine(program, database, planner=planner, budget=budget)
     raw = engine.query(query)
     answers = _sorted_answers(query, raw)
-    calls, answer_facts = _oldt_call_summary(engine)
     return QueryResult(
         strategy="oldt",
         query=query,
         answers=answers,
         stats=engine.stats,
-        calls=calls,
-        answer_facts=answer_facts,
+        call_summary=partial(_oldt_call_summary, engine),
     )
 
 
@@ -245,12 +257,7 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
 
         if query.predicate not in rules_only.idb_predicates:
             # Purely extensional query: answer by lookup.
-            matching = (
-                atom
-                for atom in working.atoms(query.predicate)
-                if match_atom(query, atom) is not None
-            ) if query.predicate in working else ()
-            answers = _sorted_answers(query, matching)
+            answers = _sorted_answers(query, working.match(query))
             stats.answers = len(answers)
             return QueryResult(
                 strategy=name, query=query, answers=answers, stats=stats
@@ -305,23 +312,15 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
             workers=workers,
         )
 
-        goal = transformed.goal
-        matching = (
-            atom
-            for atom in completed.atoms(goal.predicate)
-            if match_atom(goal, atom) is not None
-        )
-        answers = _sorted_answers(query, matching)
+        answers = _sorted_answers(query, completed.match(transformed.goal))
         stats.answers = len(answers)
-        calls, answer_facts = _transform_call_summary(transformed, completed)
         return QueryResult(
             strategy=name,
             query=query,
             answers=answers,
             stats=stats,
-            calls=calls,
-            answer_facts=answer_facts,
             transformed=transformed,
+            call_summary=partial(_transform_call_summary, transformed, completed),
         )
 
     return run

@@ -10,6 +10,7 @@ accept both.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping
@@ -115,6 +116,16 @@ class Program:
 
     def __hash__(self) -> int:
         return hash(self._rules)
+
+    @cached_property
+    def fingerprint(self) -> str:
+        """SHA-256 hex digest of the canonical rule text, in rule order.
+
+        Hashed once per program object: the serving layer keys its
+        prepared-query cache on it for every request.
+        """
+        text = "\n".join(str(rule) for rule in self._rules)
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
     @cached_property
     def proper_rules(self) -> tuple[Rule, ...]:

@@ -21,8 +21,8 @@ under the columnar backend every row-level method of
 :class:`ColumnarRelation` (``add``, ``lookup``, ``probe``, membership,
 iteration, ``rows()``) speaks tuples of *ids*.  Translation to and from
 raw constant values happens only at the atom boundary of
-:class:`ColumnarDatabase` (``add_atom``, ``atoms``, ``has_fact``) — plus
-one deliberate exception: :meth:`ColumnarRelation.postings_size` accepts a
+:class:`ColumnarDatabase` (``add_atom``, ``atoms``, ``match``,
+``has_fact``) — plus one deliberate exception: :meth:`ColumnarRelation.postings_size` accepts a
 **raw** value, because its only caller is the join planner, which probes
 with constants straight out of the rule text.  The planner therefore sees
 identical statistics (sizes, distinct counts, posting sizes) under both
@@ -43,7 +43,6 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping
 
-from ..datalog.atoms import Atom
 from ..datalog.intern import ConstantInterner
 from ..facts.database import Database
 from ..facts.relation import Relation
@@ -550,20 +549,17 @@ class ColumnarDatabase(Database):
     def decode_row(self, row: tuple) -> tuple:
         return self.interner.extern_row(row)
 
-    def has_fact(self, atom: Atom) -> bool:
-        relation = self._relations.get(atom.predicate)
-        if relation is None:
-            return False
-        # Encode without growing the table: an atom over constants the
+    def probe_row(self, row: tuple) -> "tuple | None":
+        # Encode without growing the table: a row over constants the
         # database never stored cannot be a fact of it.
         id_of = self.interner.id_of
         encoded = []
-        for value in atom.ground_key():
+        for value in row:
             ident = id_of(value)
             if ident is None:
-                return False
+                return None
             encoded.append(ident)
-        return tuple(encoded) in relation
+        return tuple(encoded)
 
     # --- relation management ----------------------------------------------------
     def relation(self, predicate: str, arity: int | None = None) -> ColumnarRelation:

@@ -50,7 +50,6 @@ from typing import Iterable
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
-from ..datalog.unify import match_atom
 from ..errors import BudgetExceededError, ProgramError
 from ..facts.database import Database
 from ..facts.relation import Relation
@@ -330,16 +329,7 @@ class IncrementalEngine:
         self._ensure_usable()
         if isinstance(goal, str):
             goal = parse_query(goal)
-        return sorted(
-            (
-                atom
-                for atom in self._working.atoms(goal.predicate)
-                if match_atom(goal, atom) is not None
-            )
-            if goal.predicate in self._working
-            else [],
-            key=str,
-        )
+        return sorted(self._working.match(goal), key=str)
 
     def support(self, atom: Atom | str) -> int | None:
         """Counting mode: a fact's maintained support (external +

@@ -12,6 +12,7 @@ from typing import Iterable, Iterator, Mapping
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
 from ..datalog.terms import Constant
+from ..datalog.unify import match_atom
 from .relation import Relation
 
 __all__ = ["Database"]
@@ -84,6 +85,13 @@ class Database:
         """Translate a stored row back to raw values (see :meth:`encode_row`)."""
         return row
 
+    def probe_row(self, row: tuple) -> "tuple | None":
+        """:meth:`encode_row` for read-only probes: never grows the
+        backend's encoding, ``None`` when *row* holds a value the
+        database has never stored (so nothing stored can equal it).
+        """
+        return row
+
     def add(self, predicate: str, row: tuple) -> bool:
         """Insert a value tuple; returns True iff it was new.
 
@@ -109,7 +117,8 @@ class Database:
         relation = self._relations.get(atom.predicate)
         if relation is None:
             return False
-        return atom.ground_key() in relation
+        row = self.probe_row(atom.ground_key())
+        return row is not None and row in relation
 
     def predicates(self) -> frozenset[str]:
         return frozenset(self._relations)
@@ -134,6 +143,39 @@ class Database:
         decode = self.decode_row
         for row in relation.scan():
             yield Atom(predicate, tuple(Constant(value) for value in decode(row)))
+
+    def match(self, pattern: Atom) -> Iterator[Atom]:
+        """Yield the stored facts that are instances of *pattern*.
+
+        The pattern's constants are probed through the relation's column
+        indexes (:meth:`Relation.lookup`), so only the hits are decoded
+        — a bound goal costs its answers, not the relation.  Repeated
+        variables (``p(X, X)``) are checked per hit.  Atoms come out in
+        the relation's enumeration order, decoded to raw values; an
+        unknown predicate, an arity mismatch, or a constant the database
+        never stored yields nothing.
+        """
+        relation = self._relations.get(pattern.predicate)
+        if relation is None or relation.arity != pattern.arity:
+            return
+        columns = [
+            column
+            for column, arg in enumerate(pattern.args)
+            if isinstance(arg, Constant)
+        ]
+        probe = self.probe_row(
+            tuple(pattern.args[column].value for column in columns)
+        )
+        if probe is None:
+            return
+        free = pattern.arity - len(columns)
+        repeated = len(set(pattern.variables())) < free
+        predicate = pattern.predicate
+        decode = self.decode_row
+        for row in relation.lookup(dict(zip(columns, probe))):
+            atom = Atom(predicate, tuple(Constant(value) for value in decode(row)))
+            if not repeated or match_atom(pattern, atom) is not None:
+                yield atom
 
     def all_atoms(self) -> Iterator[Atom]:
         for predicate in sorted(self._relations):

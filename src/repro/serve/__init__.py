@@ -18,8 +18,9 @@ the dependency set.  Four layers:
   wiring (``/health``, ``/metrics``, ``/load``, ``/prepare``,
   ``/query``), exposed to the CLI as ``repro serve``.
 * :mod:`repro.serve.client` — :class:`ServeClient`, a thin
-  ``urllib``-based client the tests, benchmarks, and smoke job share,
-  with bounded retry across worker-restart windows.
+  ``http.client``-based client the tests, benchmarks, and smoke job
+  share: one persistent connection per calling thread, with bounded
+  retry across worker-restart windows.
 * :mod:`repro.serve.registry` — :class:`ShapeRegistry`, the on-disk
   store of serialized prepared shapes shared across processes and
   server restarts.

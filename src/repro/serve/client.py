@@ -1,16 +1,22 @@
-"""A thin ``urllib`` client for the query service.
+"""A thin ``http.client`` client for the query service.
 
 Shared by the tests, the serving benchmark, and the CI smoke job so they
 all speak the endpoint contract through one place.  Strictly standard
 library, like the server.
+
+Connections are persistent: each calling thread keeps one
+:class:`http.client.HTTPConnection` to the server and reuses it across
+requests, so a request costs one round trip on an open socket instead of
+a TCP handshake plus a fresh server thread.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from ..errors import ReproError
 
@@ -38,12 +44,10 @@ class ServeError(ReproError):
         self.transient = transient
 
 
-_TRANSIENT_REASONS = (
-    ConnectionResetError,
-    ConnectionRefusedError,
-    ConnectionAbortedError,
-    BrokenPipeError,
-)
+# How a peer that closed the socket before answering shows up
+# (http.client.RemoteDisconnected is a ConnectionResetError).
+_STALE_REASONS = (ConnectionResetError, ConnectionAbortedError, BrokenPipeError)
+_TRANSIENT_REASONS = _STALE_REASONS + (ConnectionRefusedError,)
 
 
 class ServeClient:
@@ -77,6 +81,32 @@ class ServeClient:
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff = backoff
+        url = urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if url.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = url.netloc
+        self._path_prefix = url.path
+        # One connection per calling thread: a socket carries one
+        # request/response at a time, so threads sharing a client must
+        # never share a socket.
+        self._local = threading.local()
+
+    # --- lifecycle ------------------------------------------------------------
+    def close(self) -> None:
+        """Close the calling thread's connection (idempotent; the next
+        request simply opens a new one)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is not None:
+            connection.close()
+
+    def __enter__(self) -> "ServeClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # --- transport ------------------------------------------------------------
     def _request(self, path: str, payload: "dict | None" = None) -> dict:
@@ -90,43 +120,86 @@ class ServeClient:
             time.sleep(self.backoff * (2 ** attempt))
             attempt += 1
 
-    def _request_once(self, path: str, payload: "dict | None" = None) -> dict:
+    def _exchange(
+        self, method: str, path: str, body: "bytes | None", headers: dict
+    ) -> tuple[int, bytes]:
+        """One request/response on the calling thread's connection.
+
+        A *reused* socket may have been closed by the server since its
+        last response (idle timeout, restart).  That shows as a peer
+        reset before a single response byte arrived — the request was
+        never answered, so it is sent once more on a fresh connection,
+        invisibly to the caller and to the ``retries`` budget.  A fresh
+        connection failing the same way, and any failure after response
+        bytes were read, is raised.
+        """
         url = f"{self.base_url}{path}"
-        data = None
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._local.connection = self._connection_class(
+                self._netloc, timeout=self.timeout
+            )
+        reused = connection.sock is not None
+        try:
+            while True:
+                if connection.sock is None:
+                    try:
+                        connection.connect()
+                    except OSError as exc:
+                        raise ServeError(
+                            f"cannot reach {url}: {exc}",
+                            transient=isinstance(exc, _TRANSIENT_REASONS),
+                        )
+                try:
+                    connection.request(
+                        method, self._path_prefix + path, body=body,
+                        headers=headers,
+                    )
+                    response = connection.getresponse()
+                    break
+                except _STALE_REASONS:
+                    # RemoteDisconnected is raised only when the status
+                    # line read hit EOF at its first byte.
+                    connection.close()
+                    if not reused:
+                        raise
+                    reused = False
+            return response.status, response.read()
+        except (OSError, http.client.HTTPException) as exc:
+            # Timeouts, resets and truncated bodies alike leave the
+            # connection in an unknown state: never reuse it.
+            connection.close()
+            raise ServeError(
+                f"connection lost to {url}: {exc}",
+                transient=isinstance(
+                    exc, _TRANSIENT_REASONS + (http.client.IncompleteRead,)
+                ),
+            )
+
+    def _request_once(self, path: str, payload: "dict | None" = None) -> dict:
+        body = None
         headers = {"Accept": "application/json"}
         if payload is not None:
-            data = json.dumps(payload).encode("utf-8")
+            body = json.dumps(payload).encode("utf-8")
             headers["Content-Type"] = "application/json"
-        request = urllib.request.Request(url, data=data, headers=headers)
+        status, raw = self._exchange(
+            "GET" if body is None else "POST", path, body, headers
+        )
         try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as resp:
-                body = resp.read()
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            try:
-                decoded = json.loads(raw.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                decoded = None
+            decoded = json.loads(raw.decode("utf-8"))
+        except (ValueError, UnicodeDecodeError) as exc:
+            if status < 400:
+                raise ServeError(f"non-JSON response from {path}: {exc}")
+            decoded = None
+        if status >= 400:
             message = (
                 decoded.get("error") if isinstance(decoded, dict) else None
-            ) or f"HTTP {exc.code} from {path}"
+            ) or f"HTTP {status} from {path}"
             raise ServeError(
-                message, status=exc.code, payload=decoded,
-                transient=exc.code == 503,
+                message, status=status, payload=decoded,
+                transient=status == 503,
             )
-        except urllib.error.URLError as exc:
-            raise ServeError(
-                f"cannot reach {url}: {exc.reason}",
-                transient=isinstance(exc.reason, _TRANSIENT_REASONS),
-            )
-        except _TRANSIENT_REASONS as exc:
-            # urllib can also surface a mid-body reset as the raw OS
-            # error (the response started, then the worker died).
-            raise ServeError(f"connection lost to {url}: {exc}", transient=True)
-        try:
-            return json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise ServeError(f"non-JSON response from {path}: {exc}")
+        return decoded
 
     # --- endpoints ------------------------------------------------------------
     def health(self) -> dict:

@@ -1,9 +1,12 @@
 """The HTTP face of the query service — standard library only.
 
-A :class:`~http.server.ThreadingHTTPServer` (one thread per connection,
-daemon threads) wraps a :class:`~repro.serve.service.QueryService`.
+A :class:`~http.server.ThreadingHTTPServer` (one daemon thread per
+connection) wraps a :class:`~repro.serve.service.QueryService`.
 JSON in, JSON out; no framework, no non-stdlib dependency, because the
-service must run anywhere the engine runs.
+service must run anywhere the engine runs.  Connections are HTTP/1.1
+persistent: a keep-alive client's requests all run on its connection's
+thread, each response leaves in one send with Nagle disabled, and an
+idle connection is closed after ``_Handler.timeout`` seconds.
 
 Endpoints::
 
@@ -90,25 +93,53 @@ class ReproServer(ThreadingHTTPServer):
 
     def handle_error(self, request, client_address):
         # A client that vanished mid-response (killed worker, SIGTERM
-        # during an in-flight query) is not a server error; the smoke
-        # job fails on any traceback, so swallow connection aborts when
-        # quiet and defer to the stdlib printer otherwise.
+        # during an in-flight query) or went silent on a persistent
+        # connection is not a server error; the smoke job fails on any
+        # traceback, so swallow connection aborts and socket timeouts
+        # when quiet and defer to the stdlib printer otherwise.
         if self.quiet:
             import sys
 
             exc = sys.exc_info()[1]
-            if isinstance(exc, (ConnectionError, BrokenPipeError)):
+            if isinstance(exc, (ConnectionError, TimeoutError)):
                 return
         super().handle_error(request, client_address)
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """Request dispatch.  One instance per request, on its own thread."""
+    """Request dispatch.  One instance per *connection*, on its own
+    thread; HTTP/1.1 keep-alive clients send many requests through it."""
 
     server_version = "repro-serve/1.0"
     protocol_version = "HTTP/1.1"
+    # A response is a few hundred bytes: without TCP_NODELAY a
+    # keep-alive client waits out the Nagle / delayed-ACK stall (~40 ms)
+    # on every request.
+    disable_nagle_algorithm = True
+    # Buffer the response so status line, headers and body leave in one
+    # send (the stdlib flushes once after each request's handler).
+    wbufsize = -1
+    # Socket timeout in seconds: bounds the wait for the next request on
+    # an idle persistent connection (and any stalled read or write), so
+    # a vanished client cannot pin this thread forever.  It never limits
+    # evaluation time, which touches no socket.
+    timeout = 30.0
 
     # --- plumbing -------------------------------------------------------------
+    def setup(self):
+        super().setup()
+        obs = get_metrics()
+        if obs.enabled:
+            obs.incr("serve.connections")
+
+    def handle_expect_100(self):
+        # The interim "100 Continue" must reach the client before it
+        # sends the body this thread is about to read: flush it out of
+        # the response buffer now.
+        proceed = super().handle_expect_100()
+        self.wfile.flush()
+        return proceed
+
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.server.quiet:
             super().log_message(format, *args)
@@ -118,14 +149,30 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
+        # Until the body is consumed, every way out must also give up
+        # the connection: on a persistent one the unread bytes would be
+        # parsed as the next request line.
+        close_after, self.close_connection = self.close_connection, True
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise ReproError(
+                "Content-Length must be a non-negative integer, got "
+                f"{self.headers.get('Content-Length')!r}"
+            )
         if length > MAX_BODY_BYTES:
             raise ReproError(f"request body too large ({length} bytes)")
         raw = self.rfile.read(length) if length else b""
+        if len(raw) == length:
+            self.close_connection = close_after
         if not raw:
             return {}
         try:
@@ -152,6 +199,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     # --- routes ---------------------------------------------------------------
     def do_GET(self):
+        if self.headers.get("Content-Length"):
+            # GET bodies are never read: do not keep the connection.
+            self.close_connection = True
         if self.path == "/health":
             self._dispatch(self._health)
         elif self.path == "/metrics":
@@ -168,6 +218,8 @@ class _Handler(BaseHTTPRequestHandler):
         }
         handler = routes.get(self.path)
         if handler is None:
+            # The body is never read: do not keep the connection.
+            self.close_connection = True
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
             return
         self._dispatch(handler)

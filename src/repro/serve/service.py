@@ -54,7 +54,6 @@ from ..core.strategy import QueryResult, available_strategies, run_strategy
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
-from ..datalog.unify import match_atom
 from ..engine.budget import EvaluationBudget
 from ..engine.columnar import DEFAULT_STORAGE
 from ..engine.kernel import DEFAULT_EXECUTOR
@@ -126,14 +125,9 @@ def _match_answers(database, goal: Atom) -> tuple[Atom, ...]:
     """
     from ..core.strategy import _sorted_answers
 
-    if database is None or goal.predicate not in database:
+    if database is None:
         return ()
-    matching = (
-        atom
-        for atom in database.atoms(goal.predicate)
-        if match_atom(goal, atom) is not None
-    )
-    return _sorted_answers(goal, matching)
+    return _sorted_answers(goal, database.match(goal))
 
 
 def _affected_predicates(

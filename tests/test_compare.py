@@ -4,7 +4,10 @@ Theorem 1 run as an executable property over the workload suite."""
 import pytest
 
 from repro.core.compare import check_correspondence
+from repro.core.prepare import prepare_query
+from repro.core.strategy import _transform_call_summary, run_strategy
 from repro.datalog.parser import parse_program, parse_query
+from repro.engine.seminaive import seminaive_fixpoint
 from repro.facts.database import Database
 from repro.workloads import ancestor, same_generation
 
@@ -127,3 +130,52 @@ class TestCorrespondenceMetrics:
         # One call (the seed), zero answers.
         assert len(correspondence.calls_matched) == 1
         assert len(correspondence.answers_matched) == 0
+
+
+LAZY_SUMMARY_SCENARIOS = [
+    (ancestor(graph="chain", n=24), "anc(0, X)?"),
+    (ancestor(graph="chain", n=12), "anc(X, Y)?"),
+    (ancestor(graph="cycle", n=16), "anc(0, X)?"),
+    (ancestor(graph="chain", variant="nonlinear", n=12), "anc(0, X)?"),
+    (same_generation(depth=4, branching=2), None),
+]
+
+
+class TestLazyCallSummary:
+    """``QueryResult.calls`` / ``answer_facts`` are read from the
+    completed database on first access; the values must be the ones the
+    summary yields when computed eagerly, on the direct and the prepared
+    path alike."""
+
+    @staticmethod
+    def _eager(result, database):
+        completed, _ = seminaive_fixpoint(
+            result.transformed.evaluation_program(), database
+        )
+        return _transform_call_summary(result.transformed, completed)
+
+    @pytest.mark.parametrize("scenario, query_text", LAZY_SUMMARY_SCENARIOS)
+    @pytest.mark.parametrize("path", ["direct", "prepared"])
+    def test_lazy_values_equal_eager_ones(self, scenario, query_text, path):
+        query = parse_query(query_text) if query_text else scenario.query(0)
+        if path == "direct":
+            result = run_strategy(
+                "alexander", scenario.program, query, scenario.database
+            )
+        else:
+            result = prepare_query(
+                scenario.program, query, scenario.database
+            ).execute(query)
+        assert "_summary" not in vars(result)  # nothing computed yet
+        calls, answer_facts = self._eager(result, scenario.database)
+        assert result.calls == calls and calls
+        assert dict(result.answer_facts) == answer_facts
+        assert result.calls is result.calls  # computed once, then kept
+
+    def test_strategies_without_calls_report_empty_summaries(self):
+        scenario = ancestor(graph="chain", n=6)
+        result = run_strategy(
+            "seminaive", scenario.program, scenario.query(0), scenario.database
+        )
+        assert result.calls == frozenset()
+        assert result.answer_facts == {}

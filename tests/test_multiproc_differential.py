@@ -216,6 +216,7 @@ class TestWorkerDeathFailover:
                 assert victims[0] not in pids
                 assert len(pids) == 2
             finally:
+                client.close()
                 server.shutdown()
                 server.server_close()
                 service.close()
@@ -259,6 +260,7 @@ class TestClientRetry:
                 assert excinfo.value.status == 400
                 assert not excinfo.value.transient
             finally:
+                client.close()
                 server.shutdown()
                 server.server_close()
                 thread.join(timeout=5.0)

@@ -518,6 +518,7 @@ def live_server():
         try:
             yield server, client
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             thread.join(timeout=5.0)
@@ -604,9 +605,11 @@ class TestHttpEndpoints:
 
         def fire(job):
             dataset, goal, strategy, budget = job
-            own = ServeClient(client.base_url, timeout=60.0)
-            barrier.wait()  # genuinely simultaneous
-            return own.query(dataset, goal, strategy=strategy, budget=budget)
+            with ServeClient(client.base_url, timeout=60.0) as own:
+                barrier.wait()  # genuinely simultaneous
+                return own.query(
+                    dataset, goal, strategy=strategy, budget=budget
+                )
 
         with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
             responses = list(pool.map(fire, jobs))

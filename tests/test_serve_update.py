@@ -8,6 +8,7 @@ unaffected shapes migrated, affected shapes dropped), the ``/update``
 HTTP endpoint, and the ``repro-datalog update`` CLI client.
 """
 
+import sys
 import threading
 
 import pytest
@@ -131,6 +132,70 @@ class TestMaintainedPreparedQuery:
         assert prepared.mode == "maintained"
         prepared.apply_update(remove=[parse_query("edge(a, b)")])
         assert prepared.execute("path(a, X)?").answers == ()
+
+    @pytest.mark.parametrize("storage", ["tuples", "columnar"])
+    def test_concurrent_lookups_during_updates_see_before_or_after(
+        self, storage
+    ):
+        """Readers probe (and lazily build) the column indexes of the very
+        relations ``apply_update`` mutates.  A lookup must see the model
+        before or after an update — never DRed's over-deleted middle, and
+        never an index built from a relation mid-mutation, which would
+        stay short of a row for good."""
+        length = 40
+        edges = [f"edge({i}, {i + 1})." for i in range(length)]
+        rules = "path(X, Y) :- edge(X, Y).\npath(X, Y) :- edge(X, Z), path(Z, Y)."
+        source = "\n".join(edges) + "\n" + rules
+        cut = parse_query(f"edge({length // 2}, {length // 2 + 1})")
+        prepared = prepare_query(
+            parse_program(source), "path(0, X)?", strategy="seminaive",
+            maintain="dred", storage=storage,
+        )
+        # Bound on either column, so both indexes get built under fire.
+        goals = ["path(0, X)?", f"path(X, {length})?", "path(5, X)?"]
+        whole = Engine(parse_program(source))
+        severed = Engine(parse_program(source.replace(f"{cut}.\n", "", 1)))
+        allowed = {
+            goal: {whole.query(goal).answers, severed.query(goal).answers}
+            for goal in goals
+        }
+        assert all(len(pair) == 2 for pair in allowed.values())
+
+        stop = threading.Event()
+        failures = []
+
+        def read(goal):
+            try:
+                while not stop.is_set():
+                    answers = prepared.execute(goal).answers
+                    if answers not in allowed[goal]:
+                        failures.append((goal, len(answers)))
+                        return
+            except Exception as exc:  # surfaced through the assertion below
+                failures.append((goal, exc))
+
+        readers = [
+            threading.Thread(target=read, args=(goal,))
+            for goal in goals for _ in range(2)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for reader in readers:
+                reader.start()
+            for _ in range(40):
+                prepared.apply_update(remove=[cut])
+                prepared.apply_update(add=[cut])
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for reader in readers:
+                reader.join(timeout=30.0)
+        assert not any(reader.is_alive() for reader in readers)
+        assert failures == []
+        # Quiescent: every index built along the way kept every row.
+        for goal in goals:
+            assert prepared.execute(goal).answers == whole.query(goal).answers
 
 
 # --- cache migration primitives ----------------------------------------------
@@ -304,6 +369,7 @@ def live_server():
         try:
             yield server, client
         finally:
+            client.close()
             server.shutdown()
             server.server_close()
             thread.join(timeout=5.0)

@@ -18,8 +18,10 @@ serving contract end to end, in two phases.
 5. a maintained shape is prepared, then ``/update`` removes one chain
    edge — the patched shape answers from cache at the new dataset
    version with exactly one answer fewer;
-6. SIGTERM stops the server with exit code 0 and no traceback on
-   stderr.
+6. every request above travelled on one persistent connection —
+   ``serve.connections`` stays below ``serve.requests`` in ``/metrics``;
+7. SIGTERM, sent while that connection is still open and idle, stops
+   the server with exit code 0 and no traceback on stderr.
 
 **Multiprocess phase** (``repro serve --processes 2 --registry DIR``):
 
@@ -208,12 +210,27 @@ def run_threaded_phase() -> "str | None":
             f"{info['cache_entries_patched']} shape patched, "
             f"{before_count} -> {patched['answers']['count']} answers"
         )
+
+        counters = client.metrics()["metrics"]["counters"]
+        connections = counters.get("serve.connections", 0)
+        requests = counters.get("serve.requests", 0)
+        assert 0 < connections < requests, (
+            f"requests did not reuse connections: serve.connections="
+            f"{connections} serve.requests={requests}"
+        )
+        print(
+            f"[threaded] connection reuse verified: {requests} requests "
+            f"over {connections} connection(s)"
+        )
     except (AssertionError, ServeError) as failure:
         err = server.kill_for_diagnosis()
         return f"{failure}\n--- server stderr ---\n{err}" if err else str(failure)
+    # The client's persistent connection is still open and idle here: a
+    # handler thread parked on it must not hold up or dirty the shutdown.
     failure = server.terminate_and_check("[threaded]")
+    client.close()
     if failure is None:
-        print("[threaded] clean shutdown (exit 0, no traceback)")
+        print("[threaded] clean shutdown with an idle connection open")
     return failure
 
 
@@ -268,6 +285,7 @@ def run_multiproc_phase() -> "str | None":
         err = server.kill_for_diagnosis()
         return f"{failure}\n--- server stderr ---\n{err}" if err else str(failure)
     failure = server.terminate_and_check("[multiproc]")
+    client.close()
     if failure is not None:
         return failure
     print("[multiproc] clean shutdown (exit 0, no traceback)")
@@ -295,12 +313,14 @@ def run_multiproc_phase() -> "str | None":
         stop = threading.Event()
 
         def hammer():
-            quiet_client = ServeClient(client.base_url, timeout=5.0, retries=0)
-            while not stop.is_set():
-                try:
-                    quiet_client.query("t1", goal)
-                except ServeError:
-                    return  # the shutdown raced us: expected
+            with ServeClient(
+                client.base_url, timeout=5.0, retries=0
+            ) as quiet_client:
+                while not stop.is_set():
+                    try:
+                        quiet_client.query("t1", goal)
+                    except ServeError:
+                        return  # the shutdown raced us: expected
 
         thread = threading.Thread(target=hammer, daemon=True)
         thread.start()
@@ -312,6 +332,7 @@ def run_multiproc_phase() -> "str | None":
     failure = server.terminate_and_check("[multiproc:inflight]")
     stop.set()
     thread.join(timeout=5.0)
+    client.close()
     if failure is not None:
         return failure
     print("[multiproc] SIGTERM during in-flight queries: clean shutdown")
