@@ -4,13 +4,19 @@ Both backends derive the same model with the same counters in the same
 enumeration order (the storage contract, pinned bit-exactly by
 ``tests/test_storage_differential.py``); the ablation quantifies what
 dictionary encoding, posting-list probes, and block-at-a-time batch
-kernels buy in wall-clock on the recursive F1/F3 workloads.  The
+kernels buy in wall-clock on the recursive F1/F3 workloads.  Since the
+tuple backend runs generated per-rule kernels (``repro.engine.codegen``)
+the answer on this suite is "nothing": the per-row generated code beats
+the columnar batch path on every workload, so the ratios are recorded,
+not gated — whether columnar storage and ``execute_batch`` stay is
+ROADMAP item 2's decision, to be taken from this artifact.  The
 metrics snapshot of the columnar runs doubles as the structural
 evidence: the batch path actually executed (``kernel.batch_executions``)
 over interned data (``intern.misses``), and conversion happened exactly
 once per run (``storage.convert``).
 """
 
+import os
 import time
 
 from repro.bench.reporting import render_series
@@ -21,10 +27,6 @@ from repro.workloads import ancestor, same_generation
 
 CHAIN_SIZES = (64, 128, 256)
 ROUNDS = 3
-# Gated only on the largest workloads; thinner than A8's kernel floor
-# because the tuple oracle already runs compiled kernels — this ablation
-# isolates the storage layer alone.
-SPEEDUP_FLOOR = 1.0
 
 
 def _workloads():
@@ -115,15 +117,5 @@ def test_a10_columnar_ablation(benchmark, report):
         "a10",
         "\n".join(lines),
         entries=entries,
-        meta={"speedup_floor": SPEEDUP_FLOOR},
+        meta={"cpus": os.cpu_count()},
     )
-    # Columnar must win outright on the largest F1 chain closure and the
-    # F3 nonlinear closure.  Small sizes are dominated by interning
-    # setup cost, and same-generation's profile is insert-bound (batch
-    # joins buy little there) — both stay advisory, recorded but not
-    # gated.
-    for label in ("chain256", "nltc48"):
-        assert speedups[label] > SPEEDUP_FLOOR, (label, speedups[label])
-    # The nonlinear closure is the batch kernels' best case: deltas are
-    # re-joined against the growing full relation every round.
-    assert speedups["nltc48"] >= 1.3, speedups["nltc48"]

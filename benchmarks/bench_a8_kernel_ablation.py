@@ -9,6 +9,7 @@ structural evidence: rounds use stamped old views (no per-round
 old-snapshot rebuild timer exists at all).
 """
 
+import os
 import time
 
 from repro.bench.reporting import render_series
@@ -109,7 +110,7 @@ def test_a8_kernel_ablation(benchmark, report):
         "a8_kernel_ablation",
         "\n".join(lines),
         entries=entries,
-        meta={"speedup_floor": SPEEDUP_FLOOR},
+        meta={"speedup_floor": SPEEDUP_FLOOR, "cpus": os.cpu_count()},
     )
     # The kernel must clear the floor on the largest recursive workloads
     # (small sizes are dominated by fixed setup cost and stay advisory).

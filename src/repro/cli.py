@@ -7,6 +7,7 @@ Usage examples::
     repro-datalog query program.dl "anc(a, X)?" --strategy oldt --stats
     repro-datalog query rules.dl "anc(a, X)?" --facts data.dl
     repro-datalog explain program.dl "anc(a, X)?"
+    repro-datalog explain program.dl "anc(a, X)?" --show-kernels
     repro-datalog check program.dl "anc(a, X)?"       # Alexander vs OLDT
     repro-datalog transform program.dl "anc(a, X)?" --kind alexander
     repro-datalog lint program.dl
@@ -167,6 +168,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     explain.add_argument("file")
     explain.add_argument("goal")
+    explain.add_argument(
+        "--show-kernels",
+        action="store_true",
+        help=(
+            "also print, per rule of the Alexander-transformed program, "
+            "the join order and the Python source its kernel runs"
+        ),
+    )
     add_facts_option(explain)
     add_budget_options(explain)
 
@@ -358,7 +367,23 @@ def _cmd_explain(args) -> int:
             f"{stats.inferences:>10}  {stats.attempts:>8}  "
             f"{stats.facts_derived:>5}  {stats.calls:>5}"
         )
+    if args.show_kernels:
+        _print_kernels(engine, goal)
     return 0
+
+
+def _print_kernels(engine: Engine, goal) -> None:
+    """What a prepared (served) *goal* executes: each transformed rule,
+    its planned body order, and the generated kernel with the values its
+    factory arguments are bound to."""
+    prepared = engine.prepare(goal)
+    for component in prepared.fixpoint.components:
+        for compiled, kernel in component.executors:
+            print(f"\n{compiled.rule}")
+            print("  plan: " + ", ".join(str(literal.source) for literal in compiled.body))
+            for number, value in enumerate(kernel.arguments):
+                print(f"  A{number} = {value!r}")
+            print(kernel.source, end="")
 
 
 def _cmd_check(args) -> int:

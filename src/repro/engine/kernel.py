@@ -1,4 +1,4 @@
-"""Compiled rule kernels: slot-based, non-recursive body execution.
+"""Compiled rule kernels: slot-based rule bodies run as generated code.
 
 :func:`repro.engine.matching.match_body` enumerates rule-body matches with
 recursive generators over ``dict[Variable, value]`` bindings, copying the
@@ -8,33 +8,33 @@ or without a planner), which variables are bound at each position is known
 *statically*.  This module lowers a :class:`~repro.engine.matching.CompiledRule`
 into a :class:`RuleKernel`:
 
-* bindings become one fixed-size **slot array** (a plain list indexed by a
-  per-rule variable numbering computed at compile time);
+* bindings become numbered **slots** (a per-rule variable numbering
+  computed at compile time);
 * each positive literal becomes a :class:`SlotScan` — a precomputed probe
   program of ``(column, value)`` constants and ``(column, slot)`` reads,
   plus the slot writes and within-row equality checks to run per row;
 * each test literal (negative or built-in) becomes a :class:`SlotTest` —
-  an inline argument template evaluated against the slots;
+  an argument template evaluated against the slots;
 * the head becomes a template that builds the derived tuple straight from
   the slots, so no binding dict ever exists.
 
-:func:`execute_kernel` then runs the body as a flat iterator stack — no
-recursion, no per-row allocation beyond the probe dict — and yields head
-tuples directly.
+:mod:`repro.engine.codegen` then turns that slot form into the source of
+one Python generator function per rule *shape* — nested ``for`` loops,
+slots as locals — which is what :func:`head_rows` runs
+(``RuleKernel.run``; the text is kept on ``RuleKernel.source``).
 
 The kernel is an *executor*, not a new semantics: it enumerates exactly
 the rows :func:`match_body` enumerates, in the same order, charging
 ``stats.attempts`` and polling the budget checkpoint at exactly the same
-points.  The interpreted matcher is kept as the differential-testing
-oracle (``tests/test_kernel_differential.py`` pins bit-identical fact
-sets, counters, and budget-trip behaviour), and every engine accepts
-``executor="interpreted"`` to fall back to it.  See
+points.  The interpreted matcher (``executor="interpreted"``, accepted by
+every engine) is the differential-testing oracle:
+``tests/test_kernel_differential.py`` and ``tests/test_codegen.py`` pin
+bit-identical fact sets, counters, and budget-trip behaviour.  See
 ``docs/ARCHITECTURE.md``, "The rule-kernel compiler".
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -44,8 +44,8 @@ from itertools import repeat
 from ..datalog.builtins import evaluate_builtin
 from ..datalog.intern import ConstantInterner
 from ..errors import SafetyError
-from ..facts.relation import Relation
 from ..obs import get_metrics
+from .codegen import generate
 from .columnar import ColumnarPrefix, ColumnarRelation
 from .counters import EvaluationStats
 from .matching import CompiledLiteral, CompiledRule, RelationView, match_body
@@ -66,9 +66,6 @@ __all__ = [
 
 EXECUTORS = ("kernel", "interpreted")
 DEFAULT_EXECUTOR = "kernel"
-
-# Sentinel distinguishing "iterator exhausted" from any row value.
-_DONE = object()
 
 
 @dataclass(frozen=True, slots=True)
@@ -111,7 +108,7 @@ class SlotTest:
 
 @dataclass(frozen=True, slots=True)
 class RuleKernel:
-    """A rule lowered to slot form, ready for flat execution.
+    """A rule lowered to slot form, with the code generated from it.
 
     Attributes:
         compiled: the source compiled rule (diagnostics, oracle runs).
@@ -122,8 +119,12 @@ class RuleKernel:
         levels: one ``(scan, trailing tests)`` pair per positive literal,
             in body order.
         head: ``(is_const, payload)`` template building the head tuple.
-        head_builder: the template compiled to a ``slots -> tuple``
-            callable (an ``itemgetter`` for all-variable heads).
+        run: the generated executor, ``run(view, stats, checkpoint)``
+            returning the iterator of head tuples.
+        source: the Python text *run* was compiled from (shared by every
+            kernel of the same shape).
+        arguments: the predicate names and constants bound to the
+            ``A0, A1, ...`` of *source* — they are never part of its text.
         interner: the constant table the kernel was compiled against, or
             ``None`` for the tuple backend.  When set, every relation
             constant in the probe programs, negative tests, and the head
@@ -138,7 +139,9 @@ class RuleKernel:
     prelude: tuple[SlotTest, ...]
     levels: tuple[tuple[SlotScan, tuple[SlotTest, ...]], ...]
     head: tuple[tuple[bool, object], ...]
-    head_builder: Callable[[list], tuple]
+    run: Callable[..., Iterator[tuple]]
+    source: str
+    arguments: tuple
     interner: ConstantInterner | None = None
 
 
@@ -204,33 +207,6 @@ def _compile_scan(
     )
 
 
-def _head_builder(
-    head: tuple[tuple[bool, object], ...]
-) -> Callable[[list], tuple]:
-    """Compile the head template to one callable per shape.
-
-    All-variable heads — the overwhelmingly common case — become a bare
-    ``operator.itemgetter`` over the slot array (C-speed, no generator
-    frame per derived tuple); constant-only heads a preallocated tuple;
-    mixed heads keep the generic comprehension.
-    """
-    if not head:
-        empty = ()
-        return lambda slots: empty
-    if all(not is_const for is_const, _ in head):
-        indices = tuple(payload for _, payload in head)
-        if len(indices) == 1:
-            index = indices[0]
-            return lambda slots: (slots[index],)
-        return operator.itemgetter(*indices)
-    if all(is_const for is_const, _ in head):
-        row = tuple(payload for _, payload in head)
-        return lambda slots: row
-    return lambda slots: tuple(
-        payload if is_const else slots[payload] for is_const, payload in head
-    )
-
-
 def compile_kernel(
     compiled: CompiledRule, interner: ConstantInterner | None = None
 ) -> RuleKernel:
@@ -264,20 +240,24 @@ def compile_kernel(
             head.append((True, value))
         else:
             head.append((False, slots[payload]))
-    head_pattern = tuple(head)
+    nest = tuple((scan, tuple(tests)) for scan, tests in levels)
+    run, source, arguments, fresh = generate(prelude, nest, head, interner)
     kernel = RuleKernel(
         compiled=compiled,
         head_predicate=compiled.head_predicate,
         slot_count=len(slots),
         prelude=tuple(prelude),
-        levels=tuple((scan, tuple(tests)) for scan, tests in levels),
-        head=head_pattern,
-        head_builder=_head_builder(head_pattern),
+        levels=nest,
+        head=tuple(head),
+        run=run,
+        source=source,
+        arguments=arguments,
         interner=interner,
     )
     obs = get_metrics()
     if obs.enabled:
         obs.incr("kernel.rules_compiled")
+        obs.incr("kernel.shapes_compiled" if fresh else "kernel.shape_cache_hits")
         obs.observe("kernel.slots", kernel.slot_count)
     return kernel
 
@@ -316,39 +296,6 @@ def _check_test(
     return values not in relation
 
 
-def _scan_rows(scan: SlotScan, slots: list, view: RelationView):
-    """The row iterator of one scan level under the current slots."""
-    relation = view(scan.position, scan.predicate)
-    if relation is None:
-        return iter(())
-    const_probe = scan.const_probe
-    bound_probe = scan.bound_probe
-    rtype = type(relation)
-    if rtype is Relation or rtype is ColumnarRelation:
-        # Concrete relations expose snapshot tuples for the two probe
-        # shapes that dominate rule bodies (full scan, single column);
-        # the shape is static per scan, so no probe dict is built at all.
-        # Contents and order match lookup() exactly (pinned by the
-        # differential tests), so attempts charging is unchanged.
-        if not const_probe:
-            if not bound_probe:
-                return iter(relation.scan())
-            if len(bound_probe) == 1:
-                column, slot = bound_probe[0]
-                return iter(relation.probe(column, slots[slot]))
-        elif not bound_probe and len(const_probe) == 1:
-            column, value = const_probe[0]
-            return iter(relation.probe(column, value))
-    # Probe construction mirrors the interpreted matcher exactly —
-    # constants first, then bound variables in binder order — so the
-    # lookup's cheapest-posting tie-breaking (and with it the enumeration
-    # order and attempt count) is identical under both executors.
-    probe: dict[int, object] = dict(const_probe)
-    for column, slot in bound_probe:
-        probe[column] = slots[slot]
-    return relation.lookup(probe)
-
-
 def execute_kernel(
     kernel: RuleKernel,
     view: RelationView,
@@ -359,82 +306,12 @@ def execute_kernel(
 
     Charging contract (identical to :func:`match_body` +
     ``CompiledRule.head_tuple``): one ``stats.attempts`` per probed row
-    and per test evaluation, one ``checkpoint.poll()`` per probed row.
-    The caller charges ``stats.inferences`` per yielded head tuple, as it
-    did per yielded binding.
+    and per test evaluation, one ``checkpoint.poll()`` per probed row;
+    the caller charges ``stats.inferences`` per yielded head tuple.
+    *view* must honour the :data:`~repro.engine.matching.RelationView`
+    contract: each body position is resolved once, before the first row.
     """
-    slots: list = [None] * kernel.slot_count
-    interner = kernel.interner
-    for test in kernel.prelude:
-        stats.attempts += 1
-        if not _check_test(test, slots, view, interner):
-            return
-    levels = kernel.levels
-    build = kernel.head_builder
-    if not levels:
-        yield build(slots)
-        return
-    poll = checkpoint.poll if checkpoint is not None else None
-    if len(levels) == 1:
-        # Single-literal bodies (the common delta-variant shape) run as a
-        # flat loop: no iterator stack, no next() indirection per row.
-        scan, tests = levels[0]
-        writes = scan.writes
-        checks = scan.checks
-        for row in _scan_rows(scan, slots, view):
-            stats.attempts += 1
-            if poll is not None:
-                poll()
-            for column, slot in writes:
-                slots[slot] = row[column]
-            ok = True
-            for column, slot in checks:
-                if slots[slot] != row[column]:
-                    ok = False
-                    break
-            if ok:
-                for test in tests:
-                    stats.attempts += 1
-                    if not _check_test(test, slots, view, interner):
-                        ok = False
-                        break
-            if ok:
-                yield build(slots)
-        return
-    last = len(levels) - 1
-    iters: list = [None] * len(levels)
-    iters[0] = _scan_rows(levels[0][0], slots, view)
-    depth = 0
-    while depth >= 0:
-        row = next(iters[depth], _DONE)
-        if row is _DONE:
-            iters[depth] = None
-            depth -= 1
-            continue
-        scan, tests = levels[depth]
-        stats.attempts += 1
-        if poll is not None:
-            poll()
-        for column, slot in scan.writes:
-            slots[slot] = row[column]
-        ok = True
-        for column, slot in scan.checks:
-            if slots[slot] != row[column]:
-                ok = False
-                break
-        if ok:
-            for test in tests:
-                stats.attempts += 1
-                if not _check_test(test, slots, view, interner):
-                    ok = False
-                    break
-        if not ok:
-            continue
-        if depth == last:
-            yield build(slots)
-        else:
-            depth += 1
-            iters[depth] = _scan_rows(levels[depth][0], slots, view)
+    return kernel.run(view, stats, checkpoint)
 
 
 def _batch_compress(slot_vals: list, keep: list[int]) -> None:
@@ -485,7 +362,7 @@ def execute_batch(
     """Enumerate *kernel*'s head tuples block-at-a-time over columnar data.
 
     The batch counterpart of :func:`execute_kernel` for kernels compiled
-    against an interner: instead of walking an iterator stack row by row,
+    against an interner: instead of looping over probed rows one by one,
     each scan level joins the *whole* block of partial matches against the
     relation's postings at once — per-block column reads build the slot
     columns, repeated-variable checks and trailing tests are vectorized
@@ -526,7 +403,8 @@ def execute_batch(
         if not _check_test(test, init, view, interner):
             return []
     if not levels:
-        return [kernel.head_builder(init)]
+        # No scan binds a slot, so the head template is all constants.
+        return [tuple(payload for _, payload in kernel.head)]
     slot_vals: list = [None] * kernel.slot_count
     n = 0
     first = True
@@ -727,29 +605,21 @@ def head_rows(
 
     The single place the executor knob is dispatched: engines call this
     in their match loops and stay executor-agnostic.  Returns the
-    executor's iterator directly (no wrapper generator frame), or — when
-    *batch* is requested, the kernel was compiled against an interner,
-    and no checkpoint governs the run — the fully materialised block
-    from :func:`execute_batch`.  Callers may only pass ``batch=True``
-    when they collect head rows before inserting them (the batch
-    materialises every row up front, so a rule that could observe its
-    own inserts mid-enumeration must stay on the per-row path).
+    executor's iterator, or — when *batch* is requested, the kernel was
+    compiled against an interner, and no checkpoint governs the run —
+    the fully materialised block from :func:`execute_batch`.  Callers
+    may only pass ``batch=True`` when they collect head rows before
+    inserting them (a rule that could observe its own inserts
+    mid-enumeration must stay on the per-row path).
     """
     if kernel is not None:
         if batch and checkpoint is None and kernel.interner is not None:
             rows = execute_batch(kernel, view, stats)
             if rows is not None:
                 return rows
-        return execute_kernel(kernel, view, stats, checkpoint)
-    return _interpreted_rows(compiled, view, stats, checkpoint)
-
-
-def _interpreted_rows(
-    compiled: CompiledRule,
-    view: RelationView,
-    stats: EvaluationStats,
-    checkpoint=None,
-) -> Iterator[tuple]:
+        return kernel.run(view, stats, checkpoint)
     head_tuple = compiled.head_tuple
-    for binding in match_body(compiled, view, stats, checkpoint=checkpoint):
-        yield head_tuple(binding)
+    return (
+        head_tuple(binding)
+        for binding in match_body(compiled, view, stats, checkpoint=checkpoint)
+    )

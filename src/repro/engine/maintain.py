@@ -251,6 +251,12 @@ def _lost_heads(
     enumerated exactly once (see the module docstring), charged one
     ``inferences`` event.
     """
+    # One survivors view per deleted-from predicate for the whole round:
+    # a view must hand out the same relation every time it is asked.
+    survivors = {
+        predicate: SubtractView(working.relation(predicate), rows)
+        for predicate, rows in excluded.items()
+    }
     for compiled, kernel in executors:
         positions = [
             index
@@ -263,13 +269,12 @@ def _lost_heads(
             def view(pos: int, predicate: str) -> "Relation | None":
                 if pos == position:
                     return delta_relation
+                if pos < position and predicate in survivors:
+                    return survivors[predicate]
                 try:
-                    relation = working.relation(predicate)
+                    return working.relation(predicate)
                 except KeyError:
                     return None
-                if pos < position and predicate in excluded:
-                    return SubtractView(relation, excluded[predicate])
-                return relation
 
             # Deletions stay on the per-row path: SubtractView is not a
             # columnar relation, so batch mode would decline anyway.

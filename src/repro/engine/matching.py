@@ -49,6 +49,19 @@ __all__ = [
 # position should read, or None when the relation is empty/unknown.  The
 # position argument lets the semi-naive engine give the distinguished delta
 # occurrence a different relation than the full/old occurrences.
+#
+# Contract: for the duration of one rule execution (one match_body /
+# kernel run, until its iterator is exhausted or dropped) a view is a pure
+# function of its arguments — every call with the same (position,
+# predicate) returns the same object, and calling it has no effect.  The
+# generated kernels (repro.engine.codegen) rely on it: they resolve each
+# body position once, before the first row, where the interpreted matcher
+# asks again for every probe.  One change is tolerated: a position that
+# answered None may later answer an *empty* relation (maintain.propagate
+# creates head relations while it enumerates) — both mean "no rows".  The
+# relation's *contents* may change during the execution; each probe reads
+# them afresh.  Between executions a view may be re-pointed freely (the
+# schedulers reuse one _RoundView per delta variant across rounds).
 RelationView = Callable[[int, str], "Relation | None"]
 
 

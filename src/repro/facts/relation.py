@@ -240,10 +240,24 @@ class Relation:
         """Rows holding *value* in *column*, as a snapshot tuple.
 
         Identical contents and order to ``lookup({column: value})`` (a
-        single-column lookup yields its posting list unfiltered), again
-        for generator-free iteration in the kernels.
+        single-column lookup yields its posting list unfiltered).  The
+        generated kernels inline this through :meth:`probe_plan`.
         """
         return tuple(self._index_for(column).get(value, ()))
+
+    def probe_plan(self, column: int) -> tuple:
+        """``(posting getter, stamp getter, cutoff)`` for probes of *column*.
+
+        What a generated rule kernel (:mod:`repro.engine.codegen`)
+        resolves once per execution so that every probe is
+        ``tuple(getter(value, ()))`` with no call into this class.  The
+        getter reads the live column index (built here if needed,
+        maintained in place by :meth:`add` and :meth:`discard`), so each
+        probe sees exactly what :meth:`probe` would return at that
+        moment.  A plain relation filters nothing: its stamp getter is
+        ``None``.
+        """
+        return self._index_for(column).get, None, 0
 
     def lookup(self, bound: Mapping[int, object]) -> Iterator[tuple]:
         """Yield tuples matching the bound columns.
@@ -407,6 +421,13 @@ class StampedView:
         for row in self._relation.lookup(bound):
             if stamps.get(row, 0) < cutoff:
                 yield row
+
+    def probe_plan(self, column: int) -> tuple:
+        """:meth:`Relation.probe_plan` for the view: the base relation's
+        posting getter plus the stamp filter ``stamps(row, 0) < cutoff``
+        that :meth:`lookup` applies row by row."""
+        base = self._relation
+        return base._index_for(column).get, base._stamps.get, self._cutoff
 
     def __contains__(self, row: tuple) -> bool:
         return row in self._relation and self._relation.stamp_of(row) < self._cutoff

@@ -1,0 +1,596 @@
+"""Tests for the kernel code generator (repro.engine.codegen).
+
+The generated function is an executor swap under the interpreted
+matcher's contract, so most of this file is differential: rows, order,
+``attempts`` and budget-trip points must equal ``match_body``'s.  The
+rest pins what is particular to generating code: no rule text reaches
+the source, the shape memo stays bounded, views are resolved once per
+execution, and the source stays reachable for debugging.
+"""
+
+from __future__ import annotations
+
+import re
+import sys
+import threading
+import traceback
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.engine.incremental as incremental_module
+import repro.engine.maintain as maintain_module
+import repro.engine.naive as naive_module
+import repro.engine.parallel as parallel_module
+import repro.engine.scheduler as scheduler_module
+import repro.engine.seminaive as seminaive_module
+import repro.engine.wellfounded as wellfounded_module
+from repro import Engine
+from repro.cli import main as cli_main
+from repro.core.prepare import prepare_query
+from repro.core.snapshot import dump_prepared, load_prepared
+from repro.datalog.atoms import Atom, Literal
+from repro.datalog.builtins import is_builtin
+from repro.datalog.parser import parse_program
+from repro.datalog.rules import Program, Rule
+from repro.datalog.terms import Constant, Variable
+from repro.engine import codegen
+from repro.engine.budget import EvaluationBudget
+from repro.engine.columnar import ColumnarDatabase
+from repro.engine.counters import EvaluationStats
+from repro.engine.incremental import IncrementalEngine
+from repro.engine.kernel import compile_kernel, head_rows
+from repro.engine.matching import compile_rule, match_body
+from repro.engine.naive import naive_fixpoint
+from repro.engine.seminaive import seminaive_fixpoint
+from repro.engine.wellfounded import alternating_fixpoint
+from repro.errors import BudgetExceededError, EvaluationError, ReproError
+from repro.facts.database import Database
+from repro.obs import collect
+from repro.serve import QueryService
+from repro.workloads import programs as scenarios
+
+from .test_kernel_differential import SEEDS, _facts, random_source
+
+# Everything generated source may consist of: identifiers, digits, and
+# the punctuation of the templates.  No quotes, no '#', no ';', no '\'.
+SOURCE_ALPHABET = re.compile(r"[A-Za-z0-9_ \n(),.:=+<!\[\]{}]*")
+
+
+def _kernels(program: Program, interner=None):
+    return [
+        compile_kernel(compile_rule(rule), interner)
+        for rule in program.proper_rules
+    ]
+
+
+# --- no user text in generated source -----------------------------------------
+
+HOSTILE = '"); __import__("os").system("x") #'
+
+
+def _hostile_twin(program: Program) -> tuple[Program, dict]:
+    """*program* with every predicate and constant replaced by text that
+    would break out of a string literal or a call if it were ever pasted
+    into source.  Built through the AST: the parser admits no quoted
+    predicate names, the library API does."""
+    names: dict = {}
+
+    def rename(value, kind: str):
+        return names.setdefault((kind, value), f"{HOSTILE}{kind}{len(names)}\n\\")
+
+    def atom(source: Atom) -> Atom:
+        predicate = source.predicate
+        if not is_builtin(predicate):
+            predicate = rename(predicate, "p")
+        return Atom(predicate, tuple(
+            Constant(rename(arg.value, "c")) if isinstance(arg, Constant) else arg
+            for arg in source.args
+        ))
+
+    rules = tuple(
+        Rule(atom(rule.head), tuple(
+            Literal(atom(literal.atom), literal.positive) for literal in rule.body
+        ))
+        for rule in program.rules
+    )
+    return Program(rules), names
+
+
+class TestNoUserText:
+    SOURCE = """
+        edge(a, b). edge(b, c). edge(c, d). marked(c).
+        reach(X, Y) :- edge(X, Y).
+        reach(X, Y) :- edge(X, Z), reach(Z, Y).
+        hit(X, yes) :- reach(a, X), not marked(X), X != b.
+        flag(on) :- not marked(a).
+    """
+
+    def test_names_and_constants_are_arguments_not_text(self):
+        plain = parse_program(self.SOURCE)
+        hostile, names = _hostile_twin(plain)
+        for ours, theirs in zip(_kernels(plain), _kernels(hostile)):
+            assert ours.run.__code__ is theirs.run.__code__
+            assert ours.source is theirs.source
+            assert SOURCE_ALPHABET.fullmatch(theirs.source), theirs.source
+        plain_db, plain_stats = seminaive_fixpoint(plain)
+        hostile_db, hostile_stats = seminaive_fixpoint(hostile)
+        assert plain_stats.as_dict() == hostile_stats.as_dict()
+        expected = {
+            names[("p", predicate)]: frozenset(
+                tuple(names[("c", value)] for value in row) for row in rows
+            )
+            for predicate, rows in _facts(plain_db).items()
+        }
+        assert _facts(hostile_db) == expected
+        assert expected[names[("p", "hit")]] == {
+            (names[("c", "d")], names[("c", "yes")])
+        }
+
+    def test_parsed_hostile_constant_round_trips(self):
+        quoted = HOSTILE.replace("\\", "\\\\").replace('"', '\\"')
+        engine = Engine.from_source(
+            f'owner(root, "{quoted}").\n'
+            f'leak(X) :- owner(X, "{quoted}").\n'
+        )
+        assert [str(a) for a in engine.query("leak(X)?").answers] == ["leak(root)"]
+        (kernel,) = _kernels(engine.program)
+        assert SOURCE_ALPHABET.fullmatch(kernel.source)
+
+    def test_shape_memo_is_bounded_and_stops_growing(self):
+        before = codegen.shape_count()
+        suite = [
+            scenarios.ancestor(n=12),
+            scenarios.ancestor(variant="left", n=12),
+            scenarios.ancestor(variant="double", n=12),
+            scenarios.nonlinear_tc(graph="cycle", n=8),
+            scenarios.same_generation(depth=3),
+            scenarios.unreachable(),
+            scenarios.bill_of_materials(depth=3),
+            scenarios.bounded_reachability(),
+            scenarios.win_game(),
+        ]
+        for scenario in suite:
+            engine = Engine(scenario.program, scenario.database)
+            for strategy in ("seminaive", "magic", "supplementary", "alexander"):
+                try:
+                    engine.query(scenario.query(), strategy)
+                except ReproError:
+                    pass  # win_game is not stratified: only some strategies apply
+        service = QueryService()
+        chain = "".join(f"edge({i}, {i + 1}).\n" for i in range(240))
+        service.load("g", "tc(X,Y) :- edge(X,Y).\ntc(X,Y) :- edge(X,Z), tc(Z,Y).\n" + chain)
+
+        def serve(start: int, stop: int) -> None:
+            for node in range(start, stop):
+                # A fresh constant per request; "magic" on odd ones so
+                # both the cached shape and fresh prepares are exercised.
+                strategy = "magic" if node % 2 else "alexander"
+                reply = service.query("g", f"tc({node}, X)?", strategy=strategy)
+                assert reply["answers"]["count"] == 240 - node
+
+        serve(0, 20)
+        settled = codegen.shape_count()
+        serve(20, 220)
+        assert codegen.shape_count() == settled < before + 64
+
+
+# --- the RelationView contract --------------------------------------------------
+
+ENGINE_MODULES = (
+    scheduler_module, seminaive_module, naive_module, parallel_module,
+    maintain_module, incremental_module, wellfounded_module,
+)
+
+
+@pytest.fixture
+def recorded_views(monkeypatch):
+    """Route every engine's ``head_rows`` through a view recorder.
+
+    Per kernel execution the recorder asserts the contract the generated
+    code relies on: each relation-reading body position is resolved
+    exactly once, and asking again returns the very same object."""
+    executions = Counter()
+
+    def recording_head_rows(compiled, kernel, view, stats, checkpoint=None, batch=False):
+        if kernel is None:
+            return head_rows(compiled, kernel, view, stats, checkpoint, batch)
+        calls = Counter()
+
+        def recorder(position, predicate):
+            calls[position] += 1
+            first = view(position, predicate)
+            assert view(position, predicate) is first
+            return first
+
+        expected = {
+            position: 1
+            for position, literal in enumerate(compiled.body)
+            if not literal.builtin
+        }
+
+        def checked():
+            yield from kernel.run(recorder, stats, checkpoint)
+            assert calls == expected, (str(compiled.rule), calls)
+            executions[str(compiled.rule)] += 1
+
+        return checked()
+
+    for module in ENGINE_MODULES:
+        monkeypatch.setattr(module, "head_rows", recording_head_rows)
+    return executions
+
+
+class TestViewContract:
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    @pytest.mark.parametrize("scheduler", ("scc", "global", "parallel"))
+    def test_fixpoint_engines_resolve_each_position_once(
+        self, recorded_views, seed, scheduler
+    ):
+        program = parse_program(random_source(seed))
+        for fixpoint in (seminaive_fixpoint, naive_fixpoint):
+            recorded, _ = fixpoint(program, scheduler=scheduler, workers=2)
+            oracle, _ = fixpoint(program, scheduler=scheduler, executor="interpreted")
+            assert _facts(recorded) == _facts(oracle)
+        assert recorded_views
+
+    @pytest.mark.parametrize("seed", SEEDS[:4])
+    def test_wellfounded_and_prepared(self, recorded_views, seed):
+        program = parse_program(random_source(seed))
+        model = alternating_fixpoint(program)
+        oracle = alternating_fixpoint(program, executor="interpreted")
+        assert _facts(model.true) == _facts(oracle.true)
+        prepared = prepare_query(program, "p0(c0, Y)?", strategy="alexander")
+        expected = Engine(program).query("p0(c0, Y)?", "seminaive").answers
+        assert prepared.execute("p0(c0, Y)?").answers == expected
+        assert recorded_views
+
+    @pytest.mark.parametrize("maintenance", ("dred", "counting"))
+    def test_maintenance_views_and_deletion_work(self, recorded_views, maintenance):
+        source = (
+            "path(X,Y) :- edge(X,Y).\n"
+            + ("path(X,Z) :- path(X,Y), edge(Y,Z).\n" if maintenance == "dred"
+               else "two(X,Z) :- path(X,Y), path(Y,Z).\n")
+            + "".join(f"edge({i}, {i + 1}).\n" for i in range(12))
+        )
+        program = parse_program(source)
+        outcomes = {}
+        for executor in ("kernel", "interpreted"):
+            engine = IncrementalEngine(
+                program, maintenance=maintenance, executor=executor
+            )
+            engine.add("edge(12, 13)")
+            before = engine.stats.as_dict()
+            engine.remove("edge(5, 6)")
+            spent = {
+                name: value - before[name]
+                for name, value in engine.stats.as_dict().items()
+            }
+            outcomes[executor] = (_facts(engine.database), spent)
+        # The deletion costs what it cost under the interpreter, and
+        # leaves what a recompute from the surviving facts derives.
+        assert outcomes["kernel"] == outcomes["interpreted"]
+        survivors = parse_program(
+            source.replace("edge(5, 6).\n", "") + "edge(12, 13).\n"
+        )
+        recomputed, _ = seminaive_fixpoint(survivors)
+        assert outcomes["kernel"][0] == _facts(recomputed)
+        assert any("path" in rule for rule in recorded_views)
+
+
+# --- differential coverage of the generator -------------------------------------
+
+ARITIES = {"u": 1, "e": 2, "f": 2, "t": 3}
+VALUES = (0, 1, 2, "a", "b")
+VARIABLES = tuple(Variable(name) for name in "XYZW")
+KINDS = ("relation", "stamped", "columnar", "prefix")
+
+constants = st.sampled_from(VALUES).map(Constant)
+
+
+@st.composite
+def rules(draw) -> Rule:
+    """One safe rule: 0-4 scan levels, any mix of constants and (repeated)
+    variables, negative and built-in tests over bound variables or
+    constants only (so ground tests occur too), any head."""
+    body: list[Literal] = []
+    bound: list[Variable] = []
+    for _ in range(draw(st.integers(0, 4))):
+        predicate = draw(st.sampled_from(sorted(ARITIES)))
+        args = tuple(
+            draw(st.one_of(st.sampled_from(VARIABLES), constants))
+            for _ in range(ARITIES[predicate])
+        )
+        body.append(Literal(Atom(predicate, args)))
+        bound.extend(arg for arg in args if isinstance(arg, Variable))
+    terms = st.one_of(st.sampled_from(bound), constants) if bound else constants
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            predicate = draw(st.sampled_from(sorted(ARITIES)))
+            args = tuple(draw(terms) for _ in range(ARITIES[predicate]))
+            body.append(Literal(Atom(predicate, args), positive=False))
+        else:
+            predicate = draw(st.sampled_from(("lt", "leq", "eq", "neq")))
+            body.append(
+                Literal(Atom(predicate, (draw(terms), draw(terms))), draw(st.booleans()))
+            )
+    head = tuple(draw(terms) for _ in range(draw(st.integers(0, 3))))
+    return Rule(Atom("h", head), tuple(draw(st.permutations(body))))
+
+
+@st.composite
+def relation_rows(draw) -> dict:
+    """Per predicate, three chunks of rows (inserted at rounds 0, 1, 2)."""
+    return {
+        predicate: draw(st.lists(
+            st.tuples(*[st.sampled_from(VALUES)] * arity), max_size=9, unique=True
+        ))
+        for predicate, arity in ARITIES.items()
+    }
+
+
+def _fill(database: Database, rows: dict) -> None:
+    for predicate, arity in ARITIES.items():
+        relation = database.relation(predicate, arity)
+        for index, row in enumerate(rows[predicate]):
+            relation.mark_round(index * 3 // max(len(rows[predicate]), 1))
+            relation.add(database.encode_row(row))
+
+
+def _outcome(rows_iter, stats, decode=None):
+    rows = []
+    try:
+        for row in rows_iter:
+            rows.append(decode(row) if decode else row)
+        error = None
+    except EvaluationError as exc:
+        error = str(exc)
+    return rows, stats.attempts, error
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=120, deadline=None)
+@given(rule=rules(), rows=relation_rows(), absent=st.frozensets(st.integers(0, 6)))
+def test_generated_kernel_matches_interpreted(kind, rule, rows, absent):
+    compiled = compile_rule(rule)
+    database = Database()
+    _fill(database, rows)
+    old = kind in ("stamped", "prefix")
+
+    def make_view(source: Database, calls: "Counter | None" = None):
+        def view(position, predicate):
+            if calls is not None:
+                calls[position] += 1
+            if position in absent:
+                return None
+            relation = source.relation(predicate)
+            return relation.rows_before(2) if old else relation
+
+        return view
+
+    oracle_stats = EvaluationStats()
+    head_tuple = compiled.head_tuple
+    expected = _outcome(
+        (head_tuple(b) for b in match_body(compiled, make_view(database), oracle_stats)),
+        oracle_stats,
+    )
+
+    decode = None
+    if kind in ("columnar", "prefix"):
+        database = ColumnarDatabase()
+        _fill(database, rows)
+        decode = database.decode_row
+    kernel = compile_kernel(compiled, getattr(database, "interner", None))
+    calls = Counter()
+    stats = EvaluationStats()
+    got = _outcome(kernel.run(make_view(database, calls), stats, None), stats, decode)
+    assert got == expected, kernel.source
+    assert calls == {
+        position: 1
+        for position, literal in enumerate(compiled.body)
+        if not literal.builtin
+    }
+
+
+def test_bodies_deeper_than_the_block_nesting_limit():
+    """CPython refuses more than 20 statically nested blocks in one
+    function; a 40-literal body must still compile and agree."""
+    hops = 40
+    body = ", ".join(f"e(X{i}, X{i + 1})" for i in range(hops))
+    source = f"far(X0, X{hops}) :- {body}, X0 != X{hops}.\n" + "".join(
+        f"e({i}, {i + 1}).\n" for i in range(hops + 3)
+    )
+    program = parse_program(source)
+    (kernel,) = _kernels(program)
+    assert "yield from tail16()" in kernel.source and "tail32" in kernel.source
+    results = {}
+    for executor in ("kernel", "interpreted"):
+        database, stats = seminaive_fixpoint(program, executor=executor)
+        results[executor] = (_facts(database), stats.as_dict())
+    assert results["kernel"] == results["interpreted"]
+    assert results["kernel"][0]["far"] == {(0, 40), (1, 41), (2, 42), (3, 43)}
+
+
+def test_incomparable_builtin_raises_the_interpreter_message():
+    program = parse_program('e(1, "x"). p(X) :- e(X, Y), X < Y.')
+    messages = []
+    for executor in ("kernel", "interpreted"):
+        with pytest.raises(EvaluationError) as caught:
+            seminaive_fixpoint(program, executor=executor)
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1] and "cannot order" in messages[0]
+
+
+# --- budgets ----------------------------------------------------------------------
+
+class TestBudgetSweep:
+    SOURCE = (
+        "tc(X,Y) :- edge(X,Y).\n"
+        "tc(X,Y) :- tc(X,Z), tc(Z,Y).\n"
+        + "".join(f"edge({i}, {i + 1}).\n" for i in range(9))
+    )
+
+    @staticmethod
+    def _trip(run, limit: int):
+        try:
+            run(EvaluationBudget(max_attempts=limit))
+        except BudgetExceededError as error:
+            partial = None if error.partial is None else _facts(error.partial)
+            return error.limit, str(error), error.stats.as_dict(), partial
+        return "completed"
+
+    def test_every_attempt_limit_trips_where_the_interpreter_trips(self, monkeypatch):
+        # Stride 1 makes every probed row a possible trip point, so the
+        # sweep covers mid-loop trips at each level of each kernel.
+        monkeypatch.setattr("repro.engine.budget.POLL_STRIDE", 1)
+        program = parse_program(self.SOURCE)
+        _, full = seminaive_fixpoint(program)
+        assert 100 < full.attempts < 2000
+        prepared = {
+            executor: prepare_query(
+                program, "tc(0, Y)?", strategy="alexander", executor=executor
+            )
+            for executor in ("kernel", "interpreted")
+        }
+        answers = prepared["interpreted"].execute("tc(0, Y)?").answers
+        assert len(answers) == 9
+        tripped = 0
+        for limit in range(1, full.attempts + 1):
+            outcomes = [
+                self._trip(
+                    lambda budget: seminaive_fixpoint(
+                        program, budget=budget, executor=executor
+                    ),
+                    limit,
+                )
+                for executor in ("kernel", "interpreted")
+            ]
+            assert outcomes[0] == outcomes[1], limit
+            served = [
+                self._trip(
+                    lambda budget: prepared[executor].execute("tc(0, Y)?", budget=budget),
+                    limit,
+                )
+                for executor in ("kernel", "interpreted")
+            ]
+            assert served[0] == served[1], limit
+            tripped += served[0] != "completed"
+            # A kernel abandoned mid-loop leaves nothing behind.
+            assert prepared["kernel"].execute("tc(0, Y)?").answers == answers
+        assert tripped > 50
+
+
+# --- threads ----------------------------------------------------------------------
+
+def test_concurrent_prepares_share_one_code_object_per_shape():
+    # Shapes no other test compiles (five-column heads with a constant
+    # at a thread-independent position), prepared by 8 threads at once.
+    def source(tag: int) -> str:
+        return (
+            f"row{tag}(1, 2, 3). row{tag}(2, 3, 4). stop{tag}(4).\n"
+            f"wide{tag}(A, k{tag}, B, C, A) :- row{tag}(A, B, C), not stop{tag}(A).\n"
+            f"join{tag}(A, D, k{tag}, A, D) :- row{tag}(A, B, C), row{tag}(B, C, D).\n"
+        )
+
+    results: dict = {}
+    barrier = threading.Barrier(8)
+
+    def work(tag: int) -> None:
+        program = parse_program(source(tag))
+        barrier.wait(timeout=30)
+        kernels = _kernels(program)
+        database, _ = seminaive_fixpoint(program)
+        results[tag] = ([k.run.__code__ for k in kernels], _facts(database))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(tag,)) for tag in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert sorted(results) == list(range(8))
+    for tag, (codes, facts) in results.items():
+        assert [id(code) for code in codes] == [id(code) for code in results[0][0]]
+        assert facts[f"wide{tag}"] == {
+            (1, f"k{tag}", 2, 3, 1), (2, f"k{tag}", 3, 4, 2)
+        }
+        assert facts[f"join{tag}"] == {(1, 4, f"k{tag}", 1, 4)}
+
+
+# --- debuggability and observability -----------------------------------------------
+
+class TestDebuggability:
+    def test_traceback_shows_the_generated_line(self):
+        program = parse_program('e(1, "x"). p(X) :- e(X, Y), X < Y.')
+        (kernel,) = _kernels(program)
+        database = Database()
+        database.add_atoms(program.facts)
+        with pytest.raises(EvaluationError) as caught:
+            list(kernel.run(lambda _, name: database.relation(name), EvaluationStats(), None))
+        frames = traceback.extract_tb(caught.value.__traceback__)
+        (generated,) = [f for f in frames if f.filename.startswith("<repro-kernel ")]
+        assert "evaluate_builtin(" in generated.line
+        assert generated.line == kernel.source.splitlines()[generated.lineno - 1].strip()
+
+    def test_shape_counters(self):
+        program = parse_program("p(X, Y) :- e(X, Z), e(Z, Y), not e(Y, X).")
+        compiled = compile_rule(program.proper_rules[0])
+        with collect() as first:
+            compile_kernel(compiled)
+        with collect() as second:
+            compile_kernel(compiled)
+        counters = first.counters
+        assert (
+            counters.get("kernel.shapes_compiled", 0)
+            + counters.get("kernel.shape_cache_hits", 0)
+        ) == counters["kernel.rules_compiled"] == 1
+        assert second.counters["kernel.shape_cache_hits"] == 1
+        assert "kernel.shapes_compiled" not in second.counters
+
+    @pytest.mark.parametrize("storage", ("tuples", "columnar"))
+    def test_snapshot_stores_plans_and_reload_regenerates(self, storage):
+        program = parse_program(random_source(3))
+        prepared = prepare_query(
+            program, "p0(c0, Y)?", strategy="alexander", storage=storage
+        )
+        data = dump_prepared(prepared)
+        assert b"def factory" not in data and b"stats.attempts" not in data
+        with collect() as metrics:
+            restored = load_prepared(data)
+        assert metrics.counters["kernel.rules_compiled"] == (
+            metrics.counters["kernel.shape_cache_hits"]
+        )
+        assert dump_prepared(restored) == data
+
+        def kernels(shape):
+            return [
+                kernel for cc in shape.fixpoint.components
+                for _, kernel in cc.executors
+            ]
+
+        for ours, theirs in zip(kernels(prepared), kernels(restored)):
+            assert ours.run.__code__ is theirs.run.__code__
+            assert ours.source == theirs.source
+        goal = "p0(c1, Y)?"
+        assert restored.execute(goal).answers == prepared.execute(goal).answers
+
+    def test_explain_show_kernels(self, tmp_path, capsys):
+        path = tmp_path / "anc.dl"
+        path.write_text(
+            "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(X,Z), anc(Z,Y).\n"
+            "par(a, b). par(b, c).\n"
+        )
+        assert cli_main(["explain", str(path), "anc(a, X)?", "--show-kernels"]) == 0
+        out = capsys.readouterr().out
+        assert "alexander" in out  # the comparison table is still printed
+        assert "ans__anc__bf(X, Y) :- cont_1_1__anc__bf(X, Z), ans__anc__bf(Z, Y)." in out
+        assert "plan: cont_1_1__anc__bf(X, Z), ans__anc__bf(Z, Y)" in out
+        assert "A0 = 'cont_1_1__anc__bf'" in out
+        assert "def kernel(view, stats, checkpoint):" in out
