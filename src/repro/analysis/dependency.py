@@ -42,26 +42,31 @@ class DependencyGraph:
     """Predicate dependency structure of a program."""
 
     def __init__(self, program: Program):
-        self._program = program
-        edges: dict[tuple[str, str], bool] = {}
-        for rule in program.proper_rules:
+        # The rules, not the program: ``Program.dependency_graph`` caches
+        # this object, and a reference back would make every program a
+        # reference cycle for the collector to find.
+        self._rules = program.proper_rules
+        # (body predicate, head predicate) -> some occurrence is negated
+        polarity: dict[tuple[str, str], bool] = {}
+        for rule in self._rules:
             head = rule.head.predicate
             for literal in rule.body:
-                key = (literal.predicate, head)
-                edges[key] = edges.get(key, False) or literal.negative
-        self._edges = tuple(
-            _Edge(source, target, negative)
-            for (source, target), negative in sorted(edges.items())
-        )
-        self._nodes = frozenset(program.predicates)
-
-    @property
-    def program(self) -> Program:
-        return self._program
+                key = (literal.atom.predicate, head)
+                if not polarity.get(key):
+                    polarity[key] = not literal.positive
+        self._polarity = polarity
+        self._nodes = program.predicates
 
     @property
     def nodes(self) -> frozenset[str]:
         return self._nodes
+
+    @cached_property
+    def _edges(self) -> tuple[_Edge, ...]:
+        return tuple(
+            _Edge(source, target, negative)
+            for (source, target), negative in sorted(self._polarity.items())
+        )
 
     def edges(self) -> Sequence[_Edge]:
         return self._edges
@@ -70,24 +75,21 @@ class DependencyGraph:
     def successors(self) -> Mapping[str, frozenset[str]]:
         """``successors[q]`` = head predicates depending directly on ``q``."""
         result: dict[str, set[str]] = {node: set() for node in self._nodes}
-        for edge in self._edges:
-            result[edge.source].add(edge.target)
+        for source, target in self._polarity:
+            result[source].add(target)
         return {node: frozenset(out) for node, out in result.items()}
 
     @cached_property
     def predecessors(self) -> Mapping[str, frozenset[str]]:
         """``predecessors[p]`` = body predicates ``p`` depends on directly."""
         result: dict[str, set[str]] = {node: set() for node in self._nodes}
-        for edge in self._edges:
-            result[edge.target].add(edge.source)
+        for source, target in self._polarity:
+            result[target].add(source)
         return {node: frozenset(incoming) for node, incoming in result.items()}
 
     def depends_negatively(self, head: str, body: str) -> bool:
         """True iff some rule for *head* contains ``not body(...)``."""
-        return any(
-            edge.negative and edge.target == head and edge.source == body
-            for edge in self._edges
-        )
+        return self._polarity.get((body, head), False)
 
     # --- strongly connected components -------------------------------------
     @cached_property
@@ -173,15 +175,19 @@ class DependencyGraph:
         """
         if not self.is_recursive_predicate(predicate):
             return RecursionKind.NON_RECURSIVE
-        component = self.scc_of[predicate]
-        for member in component:
-            for rule in self._program.rules_for(member):
-                within = sum(
-                    1 for literal in rule.body if literal.predicate in component
-                )
-                if within > 1:
-                    return RecursionKind.NON_LINEAR
+        if self.scc_of[predicate] & self._nonlinear_heads:
+            return RecursionKind.NON_LINEAR
         return RecursionKind.LINEAR
+
+    @cached_property
+    def _nonlinear_heads(self) -> frozenset[str]:
+        """Heads of rules with two or more body literals of the head's SCC."""
+        heads: set[str] = set()
+        for rule in self._rules:
+            component = self.scc_of[rule.head.predicate]
+            if sum(literal.predicate in component for literal in rule.body) > 1:
+                heads.add(rule.head.predicate)
+        return frozenset(heads)
 
     def condensation_order(self) -> tuple[frozenset[str], ...]:
         """SCCs in dependency order: every SCC after all it depends on.

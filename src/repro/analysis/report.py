@@ -15,7 +15,6 @@ from typing import Mapping
 
 from ..datalog.rules import Program
 from ..errors import StratificationError
-from .dependency import DependencyGraph
 from .loose import is_loosely_stratified
 from .safety import SafetyViolation, check_program_safety
 from .stratify import stratify
@@ -64,7 +63,7 @@ class ProgramReport:
 
     @classmethod
     def build(cls, program: Program) -> "ProgramReport":
-        graph = DependencyGraph(program)
+        graph = program.dependency_graph
         violations = tuple(check_program_safety(program))
         try:
             stratification = stratify(program)

@@ -15,7 +15,6 @@ from typing import Mapping
 
 from ..datalog.rules import Program, Rule
 from ..errors import StratificationError
-from .dependency import DependencyGraph
 
 __all__ = ["Stratification", "stratify", "is_stratifiable"]
 
@@ -43,7 +42,7 @@ class Stratification:
         return self.stratum_of.get(predicate, 0)
 
 
-def _stratum_numbers(graph: DependencyGraph) -> dict[str, int]:
+def _stratum_numbers(program: Program) -> dict[str, int]:
     """Assign stratum numbers by fixpoint; raise if not stratifiable.
 
     The classical iteration: ``stratum(p) >= stratum(q)`` for positive
@@ -51,7 +50,6 @@ def _stratum_numbers(graph: DependencyGraph) -> dict[str, int]:
     edges.  The number of predicates bounds the stratum, so exceeding it
     means a negative cycle.
     """
-    program = graph.program
     numbers: dict[str, int] = {pred: 0 for pred in program.predicates}
     limit = len(numbers) + 1
     changed = True
@@ -78,8 +76,7 @@ def stratify(program: Program) -> Stratification:
     Raises:
         StratificationError: when the program has a cycle through negation.
     """
-    graph = DependencyGraph(program)
-    numbers = _stratum_numbers(graph)
+    numbers = _stratum_numbers(program)
     # Compact stratum numbers of predicates that actually head rules.
     used = sorted({numbers[rule.head.predicate] for rule in program.proper_rules})
     remap = {old: new for new, old in enumerate(used)}

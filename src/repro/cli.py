@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .analysis.dependency import DependencyGraph
 from .analysis.safety import check_program_safety
 from .analysis.stratify import is_stratifiable
 from .core.compare import check_correspondence
@@ -423,7 +422,7 @@ def _cmd_lint(args) -> int:
     if not is_stratifiable(program):
         print("not stratifiable: the program has a cycle through negation")
         problems += 1
-    graph = DependencyGraph(program)
+    graph = program.dependency_graph
     for predicate in sorted(program.idb_predicates):
         kind = graph.recursion_kind(predicate)
         print(f"info: {predicate} is {kind}")

@@ -18,8 +18,9 @@ double-quoted strings are constants.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NoReturn
 
 from ..errors import ParseError
 from .atoms import Atom, Literal
@@ -29,7 +30,22 @@ from .terms import Constant, Term, Variable
 
 __all__ = ["parse_program", "parse_rule", "parse_atom", "parse_query", "tokenize"]
 
-_PUNCTUATION = {
+# The scanner: skipped text (whitespace, line comments), then one token
+# in the group.  The group cannot fail after a maximal skip -- ``\S``
+# catches whatever the grammar has no token for, ``\Z`` the end of input
+# -- so the skip is never backtracked into and comment text never leaks
+# into a token.  A string's closing quote is optional here: an
+# unterminated one is a single token up to its line end, not re-scanned
+# (the scan stays linear), and _STRING tells the two apart.  Integers
+# are ASCII; ``\w`` is ``str.isalnum()`` or ``_``.
+_STRING = re.compile(r'"(?:[^"\\\n]|\\[\s\S])*"')
+_SCAN = re.compile(
+    r"(?:\s+|[%#][^\n]*)*"
+    rf"(-?[0-9]+|\w+|{_STRING.pattern}?|:-|\\\+|[<>!]=|\S|\Z)"
+)
+_ESCAPE = re.compile(r"\\([\s\S])")
+
+_FIXED_KINDS = {
     ":-": "IMPLIES",
     "(": "LPAREN",
     ")": "RPAREN",
@@ -37,7 +53,32 @@ _PUNCTUATION = {
     ".": "DOT",
     "?": "QUESTION",
     "\\+": "NOT",
+    "not": "NOT",
+    **dict.fromkeys(INFIX_OPERATORS, "OP"),
 }
+
+
+def _kind(token: str) -> str | None:
+    """The kind of a scanned token; ``None`` for one the grammar lacks
+    and for the empty end-of-input token."""
+    kind = _FIXED_KINDS.get(token)
+    if kind is not None or not token:
+        return kind
+    first = token[0]
+    if first.isalpha():
+        return "VARIABLE" if first.isupper() else "IDENT"
+    if first == "_":
+        return "VARIABLE"
+    if first in "0123456789" or (first == "-" and len(token) > 1):
+        return "INTEGER"
+    if first == '"' and _STRING.fullmatch(token):
+        return "STRING"
+    return None
+
+
+def _unquote(token: str) -> str:
+    inner = token[1:-1]
+    return _ESCAPE.sub(r"\1", inner) if "\\" in inner else inner
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,202 +91,152 @@ class _Token:
 
 def tokenize(text: str) -> Iterator[_Token]:
     """Yield tokens with 1-based line/column positions."""
-    line, column = 1, 1
-    index, length = 0, len(text)
-    while index < length:
-        char = text[index]
-        if char == "\n":
-            line += 1
-            column = 1
-            index += 1
-            continue
-        if char.isspace():
-            index += 1
-            column += 1
-            continue
-        if char in "%#":
-            while index < length and text[index] != "\n":
-                index += 1
-            continue
-        if text.startswith(":-", index):
-            yield _Token("IMPLIES", ":-", line, column)
-            index += 2
-            column += 2
-            continue
-        if text.startswith("\\+", index):
-            yield _Token("NOT", "\\+", line, column)
-            index += 2
-            column += 2
-            continue
-        if text[index : index + 2] in ("<=", ">=", "!="):
-            yield _Token("OP", text[index : index + 2], line, column)
-            index += 2
-            column += 2
-            continue
-        if char in "<>=":
-            yield _Token("OP", char, line, column)
-            index += 1
-            column += 1
-            continue
-        if char in "(),.?":
-            yield _Token(_PUNCTUATION[char], char, line, column)
-            index += 1
-            column += 1
-            continue
-        if char == '"':
-            start_line, start_column = line, column
-            index += 1
-            column += 1
-            chunks: list[str] = []
-            while index < length and text[index] != '"':
-                if text[index] == "\\" and index + 1 < length:
-                    chunks.append(text[index + 1])
-                    index += 2
-                    column += 2
-                    continue
-                if text[index] == "\n":
-                    raise ParseError("unterminated string", start_line, start_column)
-                chunks.append(text[index])
-                index += 1
-                column += 1
-            if index >= length:
-                raise ParseError("unterminated string", start_line, start_column)
-            index += 1  # closing quote
-            column += 1
-            yield _Token("STRING", "".join(chunks), start_line, start_column)
-            continue
-        if char.isdigit() or (char == "-" and index + 1 < length and text[index + 1].isdigit()):
-            start = index
-            start_column = column
-            index += 1
-            column += 1
-            while index < length and text[index].isdigit():
-                index += 1
-                column += 1
-            yield _Token("INTEGER", text[start:index], line, start_column)
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            start_column = column
-            while index < length and (text[index].isalnum() or text[index] == "_"):
-                index += 1
-                column += 1
-            word = text[start:index]
-            if word == "not":
-                yield _Token("NOT", word, line, start_column)
-            elif word[0].isupper() or word[0] == "_":
-                yield _Token("VARIABLE", word, line, start_column)
-            else:
-                yield _Token("IDENT", word, line, start_column)
-            continue
-        raise ParseError(f"unexpected character {char!r}", line, column)
+    line, line_start, seen = 1, 0, 0
+    for match in _SCAN.finditer(text):
+        token = match.group(1)
+        if not token:
+            return
+        start = match.start(1)
+        newlines = text.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", seen, start) + 1
+        seen = start
+        column = start - line_start + 1
+        kind = _kind(token)
+        if kind is None:
+            if token[0] == '"':
+                raise ParseError("unterminated string", line, column)
+            raise ParseError(f"unexpected character {token[0]!r}", line, column)
+        yield _Token(kind, _unquote(token) if kind == "STRING" else token, line, column)
 
 
 class _Parser:
-    """Token-stream cursor with the usual expect/accept helpers."""
+    """Index cursor over the scanned token texts.
+
+    The token list ends with the scanner's empty end-of-input match, so
+    the productions never test a bound.  Positions are not kept: the
+    first error re-scans with :func:`tokenize`, which also reports a
+    lexical error anywhere in the text ahead of a syntax error, as
+    scanning the whole text before parsing always did.
+    """
 
     def __init__(self, text: str):
-        self._tokens = list(tokenize(text))
+        self._text = text
+        self._tokens = _SCAN.findall(text)
         self._position = 0
+        # token -> the term it denotes: a repeated token costs one lookup.
+        # Per text; nothing is remembered between calls.
+        self._terms: dict[str, Term] = {}
         self._anon_counter = 0
 
-    def _peek(self) -> _Token | None:
-        if self._position < len(self._tokens):
-            return self._tokens[self._position]
-        return None
+    def _fail(self, message: str, position: int | None = None) -> NoReturn:
+        """Raise *message*, ``{}`` standing for the token at *position*."""
+        tokens = list(tokenize(self._text))
+        if position is None:
+            raise ParseError(message)
+        token = tokens[position]
+        raise ParseError(message.format(repr(token.text)), token.line, token.column)
 
-    def _advance(self) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError("unexpected end of input")
-        self._position += 1
-        return token
-
-    def _expect(self, kind: str) -> _Token:
-        token = self._peek()
-        if token is None:
-            raise ParseError(f"expected {kind}, found end of input")
-        if token.kind != kind:
-            raise ParseError(
-                f"expected {kind}, found {token.text!r}", token.line, token.column
-            )
-        return self._advance()
-
-    def _accept(self, kind: str) -> _Token | None:
-        token = self._peek()
-        if token is not None and token.kind == kind:
-            return self._advance()
-        return None
+    def _expected(self, kind: str, position: int) -> NoReturn:
+        if self._tokens[position]:
+            self._fail(f"expected {kind}, found {{}}", position)
+        self._fail(f"expected {kind}, found end of input")
 
     @property
     def exhausted(self) -> bool:
-        return self._position >= len(self._tokens)
+        return not self._tokens[self._position]
+
+    def require_exhausted(self, what: str) -> None:
+        if not self.exhausted:
+            self._fail(f"trailing input after {what}: {{}}", self._position)
+
+    def accept(self, token: str) -> bool:
+        if self._tokens[self._position] == token:
+            self._position += 1
+            return True
+        return False
 
     # --- grammar productions ------------------------------------------------
+    def _new_term(self, token: str, position: int) -> Term:
+        if not token:
+            self._fail("unexpected end of input")
+        if token == "_":
+            # Each anonymous variable is distinct, as in Prolog.
+            self._anon_counter += 1
+            return Variable(f"_anon#{self._anon_counter}")
+        kind = _kind(token)
+        if kind == "VARIABLE":
+            term: Term = Variable(token)
+        elif kind == "IDENT":
+            term = Constant(token)
+        elif kind == "INTEGER":
+            term = Constant(int(token))
+        elif kind == "STRING":
+            term = Constant(_unquote(token))
+        else:
+            self._fail("expected a term, found {}", position)
+        self._terms[token] = term
+        return term
+
     def parse_term(self) -> Term:
-        token = self._advance()
-        if token.kind == "VARIABLE":
-            if token.text == "_":
-                # Each anonymous variable is distinct, as in Prolog.
-                self._anon_counter += 1
-                return Variable(f"_anon#{self._anon_counter}")
-            return Variable(token.text)
-        if token.kind == "IDENT":
-            return Constant(token.text)
-        if token.kind == "INTEGER":
-            return Constant(int(token.text))
-        if token.kind == "STRING":
-            return Constant(token.text)
-        raise ParseError(f"expected a term, found {token.text!r}", token.line, token.column)
+        token = self._tokens[self._position]
+        term = self._terms.get(token) or self._new_term(token, self._position)
+        self._position += 1
+        return term
 
     def parse_atom(self) -> Atom:
-        token = self._expect("IDENT")
-        predicate = token.text
+        tokens = self._tokens
+        position = self._position
+        predicate = tokens[position]
+        if _kind(predicate) != "IDENT":
+            self._expected("IDENT", position)
+        position += 1
+        if tokens[position] != "(":
+            self._position = position
+            return Atom(predicate)
+        terms = self._terms
         args: list[Term] = []
-        if self._accept("LPAREN"):
-            args.append(self.parse_term())
-            while self._accept("COMMA"):
-                args.append(self.parse_term())
-            self._expect("RPAREN")
+        while True:
+            position += 1
+            token = tokens[position]
+            args.append(terms.get(token) or self._new_term(token, position))
+            position += 1
+            if tokens[position] != ",":
+                break
+        if tokens[position] != ")":
+            self._expected("RPAREN", position)
+        self._position = position + 1
         return Atom(predicate, tuple(args))
-
-    def _peek_second(self) -> _Token | None:
-        if self._position + 1 < len(self._tokens):
-            return self._tokens[self._position + 1]
-        return None
-
-    def _at_comparison(self) -> bool:
-        """True when the cursor starts an infix comparison (``X < Y``)."""
-        first = self._peek()
-        if first is None:
-            return False
-        if first.kind in ("VARIABLE", "INTEGER", "STRING"):
-            return True
-        if first.kind == "IDENT":
-            second = self._peek_second()
-            return second is not None and second.kind == "OP"
-        return False
 
     def parse_comparison(self) -> Atom:
         left = self.parse_term()
-        operator = self._expect("OP")
-        right = self.parse_term()
-        return Atom(INFIX_OPERATORS[operator.text], (left, right))
+        operator = self._tokens[self._position]
+        if operator not in INFIX_OPERATORS:
+            self._expected("OP", self._position)
+        self._position += 1
+        return Atom(INFIX_OPERATORS[operator], (left, self.parse_term()))
 
     def parse_literal(self) -> Literal:
-        positive = not self._accept("NOT")
-        if self._at_comparison():
-            return Literal(self.parse_comparison(), positive=positive)
-        return Literal(self.parse_atom(), positive=positive)
+        positive = not (self.accept("not") or self.accept("\\+"))
+        kind = _kind(self._tokens[self._position])
+        # An infix comparison starts with a non-identifier term, or with
+        # an identifier directly followed by an operator.
+        if kind in ("VARIABLE", "INTEGER", "STRING") or (
+            kind == "IDENT" and self._tokens[self._position + 1] in INFIX_OPERATORS
+        ):
+            return Literal(self.parse_comparison(), positive)
+        return Literal(self.parse_atom(), positive)
 
     def parse_rule(self) -> Rule:
         head = self.parse_atom()
         body: list[Literal] = []
-        if self._accept("IMPLIES"):
+        if self.accept(":-"):
             body.append(self.parse_literal())
-            while self._accept("COMMA"):
+            while self.accept(","):
                 body.append(self.parse_literal())
-        self._expect("DOT")
+        if not self.accept("."):
+            self._expected("DOT", self._position)
         return Rule(head, tuple(body))
 
     def parse_program(self) -> Program:
@@ -264,11 +255,7 @@ def parse_rule(text: str) -> Rule:
     """Parse a single rule (or fact), which must consume the whole input."""
     parser = _Parser(text)
     rule = parser.parse_rule()
-    if not parser.exhausted:
-        token = parser._peek()
-        raise ParseError(
-            f"trailing input after rule: {token.text!r}", token.line, token.column
-        )
+    parser.require_exhausted("rule")
     return rule
 
 
@@ -276,11 +263,7 @@ def parse_atom(text: str) -> Atom:
     """Parse a single atom, which must consume the whole input."""
     parser = _Parser(text)
     atom = parser.parse_atom()
-    if not parser.exhausted:
-        token = parser._peek()
-        raise ParseError(
-            f"trailing input after atom: {token.text!r}", token.line, token.column
-        )
+    parser.require_exhausted("atom")
     return atom
 
 
@@ -288,11 +271,7 @@ def parse_query(text: str) -> Atom:
     """Parse a query: an atom with an optional trailing ``?`` or ``.``."""
     parser = _Parser(text)
     atom = parser.parse_atom()
-    if not parser.exhausted and parser._accept("QUESTION") is None:
-        parser._accept("DOT")
-    if not parser.exhausted:
-        token = parser._peek()
-        raise ParseError(
-            f"trailing input after query: {token.text!r}", token.line, token.column
-        )
+    if not parser.accept("?"):
+        parser.accept(".")
+    parser.require_exhausted("query")
     return atom

@@ -13,11 +13,14 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 from ..errors import ProgramError
 from .atoms import Atom, Literal
 from .terms import Constant, Term, Variable
+
+if TYPE_CHECKING:  # pragma: no cover
+    from ..analysis.dependency import DependencyGraph
 
 __all__ = ["Rule", "Program"]
 
@@ -126,6 +129,15 @@ class Program:
         """
         text = "\n".join(str(rule) for rule in self._rules)
         return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @cached_property
+    def dependency_graph(self) -> "DependencyGraph":
+        """The program's :class:`~repro.analysis.dependency.DependencyGraph`,
+        built once per program object: stratification reports, the
+        component schedule and the parallel scheduler all read it."""
+        from ..analysis.dependency import DependencyGraph
+
+        return DependencyGraph(self)
 
     @cached_property
     def proper_rules(self) -> tuple[Rule, ...]:

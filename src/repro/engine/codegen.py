@@ -1,7 +1,8 @@
 """Generated rule kernels: slot IR -> Python source -> shape memo.
 
-:func:`generate` turns the slot form :func:`repro.engine.kernel.compile_kernel`
-lowers a rule to (``prelude`` / ``levels`` / ``head``) into one Python
+:func:`generate` turns the *shape* of the slot form
+:func:`repro.engine.kernel.compile_kernel` lowers a rule to (``prelude`` /
+``levels`` / ``head``, with names and constants taken out) into one Python
 generator function: a ``for`` loop per scan level, slots as locals,
 writes, checks, tests and the head tuple inlined.  Each body position's
 relation is resolved through the :data:`~repro.engine.matching.RelationView`
@@ -68,40 +69,6 @@ _shapes_lock = threading.Lock()
 def shape_count() -> int:
     """Number of distinct kernel shapes compiled by this process."""
     return len(_shapes)
-
-
-def _flatten(prelude, levels, head, interned: bool) -> tuple[tuple, list]:
-    """Split a kernel into its shape (integers and booleans only) and the
-    factory arguments in rendering order: per test its predicate then its
-    constants; per level the scan's, then its tests'; then the head's."""
-    args: list = []
-
-    def template(values) -> tuple:
-        slots = []
-        for is_const, payload in values:
-            if is_const:
-                args.append(payload)
-            slots.append(None if is_const else payload)
-        return tuple(slots)
-
-    def test_shape(test) -> tuple:
-        args.append(test.predicate)
-        return test.position, test.builtin, test.positive, template(test.values)
-
-    before = tuple(test_shape(test) for test in prelude)
-    nest = []
-    for scan, tests in levels:
-        args.append(scan.predicate)
-        args.extend(value for _, value in scan.const_probe)
-        nest.append((
-            scan.position,
-            tuple(column for column, _ in scan.const_probe),
-            scan.bound_probe,
-            scan.writes,
-            scan.checks,
-            tuple(test_shape(test) for test in tests),
-        ))
-    return (interned, before, tuple(nest), template(head)), args
 
 
 def _render(shape: tuple) -> str:
@@ -200,15 +167,16 @@ def _render(shape: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate(prelude, levels, head, interner) -> tuple:
-    """``(run, source, arguments, compiled)`` for one kernel's slot form.
+def generate(shape: tuple, args: list, interner) -> tuple:
+    """``(run, source, compiled)`` for one kernel's *shape* and the
+    values *args* of its ``A0, A1, ...`` (both from
+    :func:`repro.engine.kernel.compile_kernel`).
 
     *run* is ``run(view, stats, checkpoint) -> iterator of head tuples``,
     *source* its text (one per shape, in :mod:`linecache` so tracebacks
-    show the generated line), *arguments* the values of ``A0, A1, ...``;
-    *compiled* is true when this call had to render and compile the shape.
+    show the generated line); *compiled* is true when this call had to
+    render and compile the shape.
     """
-    shape, args = _flatten(prelude, levels, head, interner is not None)
     entry = _shapes.get(shape)
     compiled = False
     if entry is None:
@@ -226,4 +194,4 @@ def generate(prelude, levels, head, interner) -> tuple:
                 compiled = True
     factory, source = entry
     value_of = interner.value_of if interner is not None else None
-    return factory(*args, value_of), source, tuple(args), compiled
+    return factory(*args, value_of), source, compiled

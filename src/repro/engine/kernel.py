@@ -148,11 +148,12 @@ class RuleKernel:
 def _compile_test(
     position: int,
     literal: CompiledLiteral,
-    slots: dict,
+    slots: dict[str, int],
     interner: ConstantInterner | None,
-) -> SlotTest:
-    arity = len(literal.source.args)
-    values: list[tuple[bool, object] | None] = [None] * arity
+    args: list,
+) -> tuple[SlotTest, tuple]:
+    """The test and its shape; its predicate and constants join *args*."""
+    values: list[tuple[bool, object] | None] = [None] * len(literal.source.args)
     for column, value in literal.constants:
         if interner is not None and not literal.builtin:
             # Negative tests probe id-encoded relations; built-ins
@@ -160,51 +161,64 @@ def _compile_test(
             value = interner.intern(value)
         values[column] = (True, value)
     for column, var in literal.binders + literal.filters:
-        slot = slots.get(var)
+        slot = slots.get(var.name)
         if slot is None:
             raise SafetyError(
                 f"test literal {literal.source} reached the kernel compiler "
                 f"with unbound variable {var.name}"
             )
         values[column] = (False, slot)
-    return SlotTest(
+    test = SlotTest(
         position=position,
         predicate=literal.predicate,
         positive=literal.positive,
         builtin=literal.builtin,
         values=tuple(values),  # type: ignore[arg-type]
     )
+    args.append(literal.predicate)
+    args.extend([payload for is_const, payload in test.values if is_const])
+    # The shape of an argument row: the slot per column, None for a constant.
+    template = tuple([None if is_const else slot for is_const, slot in test.values])
+    return test, (position, literal.builtin, literal.positive, template)
 
 
 def _compile_scan(
     position: int,
     literal: CompiledLiteral,
-    slots: dict,
+    slots: dict[str, int],
     interner: ConstantInterner | None,
-) -> SlotScan:
+    args: list,
+) -> tuple[SlotScan, tuple]:
+    """The scan and its shape (all but the trailing tests); its predicate
+    and probe constants join *args*."""
     bound_probe: list[tuple[int, int]] = []
     writes: list[tuple[int, int]] = []
     for column, var in literal.binders:
-        slot = slots.get(var)
+        slot = slots.get(var.name)
         if slot is None:
-            slots[var] = slot = len(slots)
+            slots[var.name] = slot = len(slots)
             writes.append((column, slot))
         else:
             bound_probe.append((column, slot))
-    checks = tuple((column, slots[var]) for column, var in literal.filters)
+    # Most scans have neither repeated variables nor constants.
+    checks: tuple[tuple[int, int], ...] = ()
+    if literal.filters:
+        checks = tuple([(column, slots[var.name]) for column, var in literal.filters])
+    args.append(literal.predicate)
     const_probe = literal.constants
-    if interner is not None:
-        const_probe = tuple(
-            (column, interner.intern(value)) for column, value in const_probe
-        )
-    return SlotScan(
-        position=position,
-        predicate=literal.predicate,
-        const_probe=const_probe,
-        bound_probe=tuple(bound_probe),
-        writes=tuple(writes),
-        checks=checks,
+    columns: tuple[int, ...] = ()
+    if const_probe:
+        if interner is not None:
+            const_probe = tuple(
+                [(column, interner.intern(value)) for column, value in const_probe]
+            )
+        args.extend([value for _, value in const_probe])
+        columns = tuple([column for column, _ in const_probe])
+    scan = SlotScan(
+        position, literal.predicate, const_probe,
+        tuple(bound_probe), tuple(writes), checks,
     )
+    return scan, (position, columns, scan.bound_probe, scan.writes, checks)
 
 
 def compile_kernel(
@@ -215,44 +229,58 @@ def compile_kernel(
     The body order is taken as-is (the planner already ran, if any), so
     which variables are bound at each position — the information
     :func:`~repro.engine.matching.match_body` rediscovers per row with
-    ``var in binding`` — is resolved here, once.
+    ``var in binding`` — is resolved here, once.  The same pass over the
+    body yields the kernel's *shape* (positions, columns and slots: what
+    :mod:`repro.engine.codegen` renders source from) and the factory
+    arguments in rendering order: per test its predicate then its
+    constants; per level the scan's, then its tests'; then the head's.
 
     With *interner* (the columnar backend), relation constants in probe
     programs, negative tests, and the head template are id-encoded at
     compile time, so execution never translates per row.
     """
-    slots: dict = {}
+    slots: dict[str, int] = {}  # variable name -> slot
+    args: list = []
     prelude: list[SlotTest] = []
     levels: list[tuple[SlotScan, list[SlotTest]]] = []
+    before: list[tuple] = []  # the shapes of prelude
+    nest: list[tuple[tuple, list[tuple]]] = []  # ... and of levels
+    tests, test_shapes = prelude, before
     for position, literal in enumerate(compiled.body):
-        if literal.is_test:
-            test = _compile_test(position, literal, slots, interner)
-            if levels:
-                levels[-1][1].append(test)
-            else:
-                prelude.append(test)
+        if literal.builtin or not literal.positive:
+            test, shape = _compile_test(position, literal, slots, interner, args)
+            tests.append(test)
+            test_shapes.append(shape)
         else:
-            levels.append((_compile_scan(position, literal, slots, interner), []))
+            scan, shape = _compile_scan(position, literal, slots, interner, args)
+            tests, test_shapes = [], []
+            levels.append((scan, tests))
+            nest.append((shape, test_shapes))
     head: list[tuple[bool, object]] = []
+    head_shape: list[int | None] = []
     for kind, payload in compiled.head_pattern:
         if kind == "c":
             value = payload if interner is None else interner.intern(payload)
             head.append((True, value))
+            head_shape.append(None)
+            args.append(value)
         else:
-            head.append((False, slots[payload]))
-    nest = tuple((scan, tuple(tests)) for scan, tests in levels)
-    run, source, arguments, fresh = generate(prelude, nest, head, interner)
+            slot = slots[payload.name]
+            head.append((False, slot))
+            head_shape.append(slot)
+    shape = (
+        interner is not None,
+        tuple(before),
+        tuple([(*scan, tuple(tests)) for scan, tests in nest]),
+        tuple(head_shape),
+    )
+    run, source, fresh = generate(shape, args, interner)
     kernel = RuleKernel(
-        compiled=compiled,
-        head_predicate=compiled.head_predicate,
-        slot_count=len(slots),
-        prelude=tuple(prelude),
-        levels=nest,
-        head=tuple(head),
-        run=run,
-        source=source,
-        arguments=arguments,
-        interner=interner,
+        compiled, compiled.head_predicate, len(slots),
+        tuple(prelude),
+        tuple([(scan, tuple(tests)) for scan, tests in levels]),
+        tuple(head),
+        run, source, tuple(args), interner,
     )
     obs = get_metrics()
     if obs.enabled:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
 
 from ..datalog.atoms import Literal
-from ..datalog.builtins import evaluate_builtin, is_builtin
+from ..datalog.builtins import BUILTIN_PREDICATES, evaluate_builtin, is_builtin
 from ..datalog.rules import Rule
 from ..datalog.terms import Constant, Variable
 from ..errors import SafetyError
@@ -119,27 +119,30 @@ class CompiledRule:
         )
 
 
-def _compile_literal(literal: Literal) -> CompiledLiteral:
-    constants: list[tuple[int, object]] = []
+def _compile_literal(literal: Literal, bound: set[str]) -> CompiledLiteral:
+    """Classify the literal's columns; a positive literal's variable
+    names are added to *bound*."""
+    atom = literal.atom
     binders: list[tuple[int, Variable]] = []
-    filters: list[tuple[int, Variable]] = []
-    seen_here: set[Variable] = set()
-    for column, arg in enumerate(literal.args):
+    # Constants and repeated variables are the rare cases.
+    constants: tuple[tuple[int, object], ...] = ()
+    filters: tuple[tuple[int, Variable], ...] = ()
+    seen_here: set[str] = set()  # names: str hashes without a Python call
+    for column, arg in enumerate(atom.args):
         if isinstance(arg, Constant):
-            constants.append((column, arg.value))
-        elif arg in seen_here:
-            filters.append((column, arg))
+            constants += ((column, arg.value),)
+        elif arg.name in seen_here:
+            filters += ((column, arg),)
         else:
-            seen_here.add(arg)
+            seen_here.add(arg.name)
             binders.append((column, arg))
+    if literal.positive:
+        bound |= seen_here
+    # Positional, as for the other per-literal and per-rule records of
+    # the lowering: a keyword call costs a third more per object.
     return CompiledLiteral(
-        predicate=literal.predicate,
-        positive=literal.positive,
-        constants=tuple(constants),
-        binders=tuple(binders),
-        filters=tuple(filters),
-        source=literal,
-        builtin=is_builtin(literal.predicate),
+        atom.predicate, literal.positive, constants, tuple(binders), filters,
+        literal, atom.predicate in BUILTIN_PREDICATES,
     )
 
 
@@ -166,13 +169,17 @@ def order_body(
         SafetyError: when some test literal has a variable that occurs
             in no binding literal.
     """
+    negatives = [
+        lit
+        for lit in body
+        if not lit.positive or lit.atom.predicate in BUILTIN_PREDICATES
+    ]
+    if not negatives:
+        return tuple(body if positives is None else positives)
     if positives is None:
         positives = [
             lit for lit in body if lit.positive and not is_builtin(lit.predicate)
         ]
-    negatives = [
-        lit for lit in body if lit.negative or is_builtin(lit.predicate)
-    ]
     available: set[Variable] = set()
     ordered: list[Literal] = []
     pending = list(negatives)
@@ -220,32 +227,8 @@ def compile_rule(rule: Rule, planner: "JoinPlanner | None" = None) -> CompiledRu
             only the enumeration work changes.
     """
     if planner is not None:
-        ordered = planner.order_body(rule)
-    else:
-        ordered = order_body(rule.body, rule)
-    bound: set[Variable] = set()
-    compiled: list[CompiledLiteral] = []
-    for literal in ordered:
-        compiled.append(_compile_literal(literal))
-        if literal.positive:
-            bound.update(literal.variables())
-    head_pattern: list[tuple[str, object]] = []
-    for arg in rule.head.args:
-        if isinstance(arg, Constant):
-            head_pattern.append(("c", arg.value))
-        else:
-            if arg not in bound:
-                raise SafetyError(
-                    f"head variable {arg} of rule {rule} does not occur "
-                    "in any positive body literal"
-                )
-            head_pattern.append(("v", arg))
-    return CompiledRule(
-        rule=rule,
-        head_predicate=rule.head.predicate,
-        head_pattern=tuple(head_pattern),
-        body=tuple(compiled),
-    )
+        return compile_rule_ordered(rule, planner.order_body(rule))
+    return compile_rule_ordered(rule, order_body(rule.body, rule))
 
 
 def compile_rule_ordered(
@@ -263,29 +246,20 @@ def compile_rule_ordered(
     order :func:`compile_rule` ever produced, which is the only source
     of serialized plans).
     """
-    bound: set[Variable] = set()
-    compiled: list[CompiledLiteral] = []
-    for literal in ordered:
-        compiled.append(_compile_literal(literal))
-        if literal.positive:
-            bound.update(literal.variables())
+    bound: set[str] = set()
+    body = tuple([_compile_literal(literal, bound) for literal in ordered])
     head_pattern: list[tuple[str, object]] = []
     for arg in rule.head.args:
         if isinstance(arg, Constant):
             head_pattern.append(("c", arg.value))
         else:
-            if arg not in bound:
+            if arg.name not in bound:
                 raise SafetyError(
                     f"head variable {arg} of rule {rule} does not occur "
                     "in any positive body literal"
                 )
             head_pattern.append(("v", arg))
-    return CompiledRule(
-        rule=rule,
-        head_predicate=rule.head.predicate,
-        head_pattern=tuple(head_pattern),
-        body=tuple(compiled),
-    )
+    return CompiledRule(rule, rule.head.predicate, tuple(head_pattern), body)
 
 
 def _match_positive(

@@ -60,7 +60,6 @@ from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from contextlib import nullcontext
 
-from ..analysis.dependency import DependencyGraph
 from ..datalog.rules import Program
 from ..errors import BudgetExceededError
 from ..facts.database import Database
@@ -125,7 +124,7 @@ def component_dependencies(
     for index, component in enumerate(components):
         for predicate in component.derived:
             owner[predicate] = index
-    predecessors = DependencyGraph(program).predecessors
+    predecessors = program.dependency_graph.predecessors
     deps: list[set[int]] = []
     for index, component in enumerate(components):
         wanted: set[int] = set()

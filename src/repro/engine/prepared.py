@@ -163,9 +163,13 @@ def compile_fixpoint(
     )
     obs = get_metrics()
     # Planner statistics read the base facts as every run will see them
-    # at round zero: database plus the program's embedded facts.
-    stats_db = database.copy() if database is not None else Database()
-    stats_db.add_atoms(program.facts)
+    # at round zero: database plus the program's embedded facts.  Without
+    # a planner nothing reads them, and the copy is skipped.
+    stats_db = Database()
+    if planner is not None and planner is not False:
+        if database is not None:
+            stats_db = database.copy()
+        stats_db.add_atoms(program.facts)
     with obs.timer("compile_fixpoint"):
         if mode != "global":
             components = []

@@ -54,7 +54,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from ..analysis.dependency import DependencyGraph
 from ..datalog.rules import Program, Rule
 from ..facts.database import Database
 from ..facts.relation import Relation, StampedView
@@ -141,27 +140,26 @@ def build_schedule(program: Program) -> Schedule:
     Components are :meth:`DependencyGraph.condensation_order` filtered to
     those defining at least one rule (pure-EDB singletons have nothing to
     evaluate); every proper rule lands in exactly one component — the one
-    holding its head predicate.
+    holding its head predicate — in program order.
     """
-    graph = DependencyGraph(program)
+    graph = program.dependency_graph
+    scc_of = graph.scc_of
+    rules_of: dict[frozenset[str], list[Rule]] = {}  # SCC -> rules, program order
+    for rule in program.proper_rules:
+        rules_of.setdefault(scc_of[rule.head.predicate], []).append(rule)
     idb = program.idb_predicates
     successors = graph.successors
     components: list[Component] = []
     for scc in graph.condensation_order():
-        derived = scc & idb
-        if not derived:
+        rules = rules_of.get(scc)
+        if rules is None:
             continue
-        rules = tuple(
-            rule
-            for rule in program.proper_rules
-            if rule.head.predicate in derived
-        )
         if len(scc) > 1:
             recursive = True
         else:
             (predicate,) = scc
-            recursive = predicate in successors.get(predicate, frozenset())
-        components.append(Component(scc, frozenset(derived), recursive, rules))
+            recursive = predicate in successors[predicate]
+        components.append(Component(scc, scc & idb, recursive, tuple(rules)))
     return Schedule(tuple(components))
 
 

@@ -15,6 +15,7 @@ All functions accept paths or open text handles.
 
 from __future__ import annotations
 
+import re
 from typing import TextIO
 
 from ..datalog.parser import parse_program
@@ -79,13 +80,14 @@ def save_facts(database: Database, target) -> int:
     return count
 
 
+# The Datalog scanner's integer class: ASCII only (``"²".isdigit()`` is
+# true, ``int("²")`` raises).
+_INTEGER = re.compile(r"-?[0-9]+")
+
+
 def _parse_value(text: str) -> object:
     stripped = text.strip()
-    if stripped and (
-        stripped.isdigit() or (stripped[0] == "-" and stripped[1:].isdigit())
-    ):
-        return int(stripped)
-    return stripped
+    return int(stripped) if _INTEGER.fullmatch(stripped) else stripped
 
 
 def load_delimited(

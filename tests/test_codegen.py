@@ -14,7 +14,7 @@ import re
 import sys
 import threading
 import traceback
-from collections import Counter
+from collections import Counter, OrderedDict, deque
 
 import pytest
 from hypothesis import given, settings
@@ -175,6 +175,78 @@ class TestNoUserText:
         settled = codegen.shape_count()
         serve(20, 220)
         assert codegen.shape_count() == settled < before + 64
+
+
+# --- nothing process-wide is keyed on content ------------------------------------
+
+def _tagged_rulebase(tag: str, recursion: int) -> tuple[str, str]:
+    """A two-stratum rule base (recursion, negation, a built-in, string
+    and integer constants) whose every predicate name and constant
+    carries *tag*; *recursion* picks right-linear, left-linear or
+    non-linear.  Returns ``(source, goal)``."""
+    e, a, b, top = (f"{name}_{tag}" for name in ("e", "a", "b", "top"))
+    recursive = (
+        f"{e}(X, Z), {a}(Z, Y)", f"{a}(X, Z), {e}(Z, Y)", f"{a}(X, Z), {a}(Z, Y)"
+    )[recursion % 3]
+    nodes = [f"n{tag}x{k}" for k in range(5)] + [f'"N {tag}"', str(7000 + int(tag))]
+    lines = [
+        f"{a}(X, Y) :- {e}(X, Y).",
+        f"{a}(X, Y) :- {recursive}.",
+        f"{b}(X, Y) :- {a}(X, Y), not {e}(X, Y), X != {nodes[-1]}.",
+        f"{top}(X, Y) :- {b}(X, Y).",
+        f"{top}(X, Y) :- {e}(X, Z), {top}(Z, Y).",
+        f"{top}({nodes[0]}, Y) :- {e}(Y, {nodes[-2]}).",
+    ]
+    lines += [f"{e}({x}, {y})." for x, y in zip(nodes, nodes[1:])]
+    return "\n".join(lines) + "\n", f"{top}({nodes[0]}, Y)?"
+
+
+def _process_wide_sizes() -> dict:
+    """``len`` of every container (and every ``lru_cache``) bound at
+    module or class level anywhere in the ``repro`` package."""
+    sizes = {}
+    for module_name, module in list(sys.modules.items()):
+        if module_name != "repro" and not module_name.startswith("repro."):
+            continue
+        scopes = [(module_name, vars(module))]
+        scopes += [
+            (f"{module_name}.{name}", vars(value))
+            for name, value in vars(module).items()
+            if isinstance(value, type) and value.__module__ == module_name
+        ]
+        for scope, namespace in scopes:
+            for name, value in namespace.items():
+                if isinstance(value, (dict, list, set, OrderedDict, deque)):
+                    sizes[scope, name] = len(value)
+                elif hasattr(value, "cache_info"):
+                    sizes[scope, name] = value.cache_info().currsize
+    return sizes
+
+
+def test_nothing_process_wide_is_keyed_on_content():
+    # A never-seen rule base must cost what a repeated one costs: no
+    # module-level state may remember source text, programs, rules,
+    # predicate names or constants.  Only the kernel *shape* memo may
+    # grow, and only by the number of distinct shapes.
+    def lower(tags) -> int:
+        answers = 0
+        for tag in tags:
+            source, goal = _tagged_rulebase(str(tag), tag)
+            answers += len(Engine.from_source(source).query(goal).answers)
+        return answers
+
+    before = _process_wide_sizes()
+    with collect() as metrics:
+        assert lower(range(50)) == 50 * 5
+    first = _process_wide_sizes()
+    grown = {key for key, size in first.items() if size > before.get(key, 0)}
+    assert grown <= {("repro.engine.codegen", "_shapes")}
+    kernels = metrics.snapshot()["counters"]["kernel.rules_compiled"]
+    shapes = first["repro.engine.codegen", "_shapes"] - before["repro.engine.codegen", "_shapes"]
+    assert shapes <= 16 and kernels >= 50 * 10
+    # The same three structures under 50 fresh vocabularies: nothing grows.
+    assert lower(range(50, 100)) == 50 * 5
+    assert _process_wide_sizes() == first
 
 
 # --- the RelationView contract --------------------------------------------------

@@ -72,6 +72,12 @@ class TestDelimitedFormat:
         loaded = load_delimited(io.StringIO("1\t-2\n3\t4\n"), "e")
         assert loaded.rows("e") == {(1, -2), (3, 4)}
 
+    def test_only_ascii_digits_are_integers(self):
+        # "²".isdigit() is true and int("²") raises; such cells are text,
+        # exactly as the Datalog scanner reads them.
+        loaded = load_delimited(io.StringIO("²\t-²\n٣\t-\n"), "e")
+        assert loaded.rows("e") == {("²", "-²"), ("٣", "-")}
+
     def test_strings_preserved(self):
         loaded = load_delimited(io.StringIO("alice\tbob\n"), "knows")
         assert loaded.rows("knows") == {("alice", "bob")}

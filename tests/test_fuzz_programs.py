@@ -173,3 +173,16 @@ def test_optimizer_preserves_answers_on_random_programs(
     optimized_db, _ = seminaive_fixpoint(optimized, database)
     goal = transformed.goal.predicate
     assert plain_db.rows(goal) == optimized_db.rows(goal), str(program)
+
+
+@settings(max_examples=100, deadline=None)
+@given(programs(), databases(), queries())
+def test_printed_programs_reparse_identically(program, database, query):
+    # The printer and the scanner are inverses on everything the library
+    # itself prints: rules, the facts of a database, a query.
+    from repro.datalog.parser import parse_program, parse_query
+
+    assert parse_program(str(program)) == program
+    facts = Program(Rule(atom) for atom in database.all_atoms())
+    assert parse_program(str(facts)) == facts
+    assert parse_query(f"{query}?") == query

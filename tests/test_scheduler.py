@@ -6,10 +6,15 @@ the schedule itself, the obs metrics, budget prefix soundness, and the
 facade/CLI plumbing.
 """
 
+import importlib.util
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.dependency import DependencyGraph
+from repro.analysis.stratify import stratify
 from repro.core.compare import check_correspondence
 from repro.core.engine import Engine
 from repro.core.strategy import run_strategy
@@ -19,13 +24,16 @@ from repro.engine.counters import EvaluationStats
 from repro.engine.scheduler import (
     DEFAULT_SCHEDULER,
     SCHEDULERS,
+    Component,
     build_schedule,
     resolve_scheduler,
 )
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.errors import BudgetExceededError
 from repro.obs import collect
+from repro.transform.alexander import alexander_templates
 from repro.workloads import ancestor
+from repro.workloads import programs as scenarios
 
 STRATIFIED = parse_program(
     """
@@ -115,6 +123,133 @@ class TestBuildSchedule:
         assert all(
             len(component.predicates) <= 3 for component in schedule.components
         )
+
+
+# --- the schedule is pinned ---------------------------------------------------
+# Rule order inside a component decides enumeration order and therefore
+# ``attempts``; component order decides what is materialised when.
+
+MIXED = parse_program(
+    """
+    top(X,Y) :- b1(X,Y).
+    odd(X) :- succ(Y,X), even(Y).
+    b1(X,Y) :- x0(X,Z), b0(Z,Y).
+    b0(X,Y) :- x0(X,Y).
+    top(X,Y) :- e0(X,Y).
+    even(X) :- zero(X).
+    b0(X,Y) :- b0(X,Z), b1(Z,Y).
+    x0(X,Y) :- a1(X,Y), not a0(X,Y).
+    a1(X,Y) :- e1(X,Z), a1(Z,Y).
+    even(X) :- succ(Y,X), odd(Y).
+    a1(X,Y) :- e1(X,Y).
+    a0(X,Y) :- e0(X,Z), e2(Z,Y).
+    """
+)
+
+
+def _filtering_schedule(program):
+    """The schedule as it was built before rules were grouped in one pass:
+    one scan of every rule per component."""
+    graph = DependencyGraph(program)
+    components = []
+    for scc in graph.condensation_order():
+        derived = scc & program.idb_predicates
+        if derived:
+            rules = tuple(
+                rule for rule in program.proper_rules
+                if rule.head.predicate in derived
+            )
+            recursive = len(scc) > 1 or scc <= graph.successors[min(scc)]
+            components.append(Component(scc, derived, recursive, rules))
+    return tuple(components)
+
+
+def _benchmark_rulebases():
+    """The 13 generated rule bases of the ``cold-rulebase`` workload."""
+    path = Path(__file__).resolve().parent.parent / "benchmarks/e2e/rulebases.py"
+    spec = importlib.util.spec_from_file_location("e2e_rulebases", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclass looks the module up
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module.generate_suite(1)
+
+
+def _with_transformed(program, goal):
+    """*program*'s rules, and the Alexander rewriting of the goal's stratum."""
+    rules = program.without_facts()
+    target = next(
+        stratum for stratum in stratify(rules).strata
+        if goal.predicate in stratum.idb_predicates
+    )
+    edb = frozenset(program.predicates - target.idb_predicates)
+    transformed = alexander_templates(target, goal, edb_predicates=edb)
+    return [rules, transformed.evaluation_program()]
+
+
+def _pinned_programs():
+    programs = [MIXED, STRATIFIED]
+    for base in _benchmark_rulebases():
+        programs += _with_transformed(
+            parse_program(base.text), parse_query(base.goal_text)
+        )
+    for scenario in (
+        scenarios.ancestor(n=12),
+        scenarios.ancestor(variant="left", n=12),
+        scenarios.ancestor(variant="double", n=12),
+        scenarios.nonlinear_tc(graph="cycle", n=8),
+        scenarios.same_generation(depth=3),
+        scenarios.unreachable(),
+        scenarios.bill_of_materials(depth=3),
+        scenarios.bounded_reachability(),
+    ):
+        programs += _with_transformed(scenario.program, scenario.query())
+    programs.append(scenarios.win_game().program)  # unstratified: rules only
+    return programs
+
+
+class TestScheduleIsPinned:
+    def test_component_and_rule_order_of_a_fixed_program(self):
+        index = {rule: number for number, rule in enumerate(MIXED.rules)}
+        assert [
+            (sorted(c.predicates), c.recursive, [index[rule] for rule in c.rules])
+            for c in build_schedule(MIXED).components
+        ] == [
+            (["even", "odd"], True, [1, 5, 9]),
+            (["a1"], True, [8, 10]),
+            (["a0"], False, [11]),
+            (["x0"], False, [7]),
+            (["b0", "b1"], True, [2, 3, 6]),
+            (["top"], False, [0, 4]),
+        ]
+
+    def test_same_components_and_rule_order_as_per_component_filtering(self):
+        programs = _pinned_programs()
+        assert len(programs) == 2 + 2 * 13 + 2 * 8 + 1
+        for program in programs:
+            assert build_schedule(program).components == _filtering_schedule(program)
+
+    def test_one_dependency_graph_per_program(self, monkeypatch):
+        analysed = []
+        construct = DependencyGraph.__init__
+
+        def counting(graph, program):
+            analysed.append(program)
+            construct(graph, program)
+
+        monkeypatch.setattr(DependencyGraph, "__init__", counting)
+        base = _benchmark_rulebases()[4]
+        result = Engine.from_source(base.text).query(base.goal_text)
+        assert result.answers
+        # The lower stratum and the rewritten goal stratum are scheduled;
+        # nothing is analysed twice, whether compared by identity or by rules.
+        assert len(analysed) == len(set(analysed)) == 2
+        program = parse_program(base.text)
+        assert program.dependency_graph is program.dependency_graph
+        build_schedule(program), build_schedule(program), stratify(program)
+        assert analysed.count(program) == 1
 
 
 class TestSchedulerMetrics:

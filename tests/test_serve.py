@@ -413,6 +413,16 @@ class TestQueryService:
             service.load("blank", program_text="", facts_text="  ")
         assert service.datasets() == []  # nothing was installed
 
+    def test_load_with_non_ascii_digit_is_a_client_error(self):
+        # Used to escape as int()'s bare ValueError: a 500, not a 400.
+        service = QueryService()
+        for text in ("p(²).", "q(a).\nr(X) :- q(X), X < ٣."):
+            with pytest.raises(ReproError, match="unexpected character"):
+                service.load("digits", program_text=text)
+            with pytest.raises(ReproError, match="unexpected character"):
+                service.load("digits", program_text="q(a).", facts_text=text)
+        assert service.datasets() == []
+
     def test_extend_without_text_rejected(self, service):
         # A no-text extend used to bump the version and flush the cache
         # while changing nothing; it must be rejected before either.
