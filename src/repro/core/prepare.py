@@ -50,11 +50,21 @@ Answer sets are identical to the direct path by construction: the
 rewriting is adornment-determined, so rebinding constants only moves the
 seed fact, exactly as re-transforming would (pinned across strategies
 and constants by ``tests/test_prepare.py``).
+
+A transform shape also keeps a :class:`CallTable` of its *completed
+top-level calls*.  By Seki's Theorem 1 the ``call_*``/``ans_*``
+relations of a finished run are OLDT's call and answer tables, and a
+completed table answers every later variant of the same call: a
+repeated goal is a lookup that returns the first run's answers and
+counters, not a second fixpoint.  The table lives and dies with the
+shape, so it is exactly as fresh as the base the shape was prepared
+against (``tests/test_call_tables.py``).
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -84,6 +94,8 @@ from ..transform.supplementary import supplementary_magic_sets
 from .strategy import QueryResult, _sorted_answers, _transform_call_summary
 
 __all__ = [
+    "CallTable",
+    "CALL_TABLE_MAX_ROWS",
     "PreparedQuery",
     "prepare_query",
     "prepared_cache_key",
@@ -102,6 +114,80 @@ _TRANSFORMS = {
     "magic": magic_sets,
     "supplementary": supplementary_magic_sets,
 }
+
+
+# Most answer rows (plus one per entry) a shape's call table may hold.
+CALL_TABLE_MAX_ROWS = 65_536
+
+
+class CallTable:
+    """The completed top-level calls of one transform shape.
+
+    Maps a goal *up to variable renaming* (:meth:`key`) to the sorted
+    answer rows of its completed run, as plain value tuples, and the
+    run's :class:`EvaluationStats`.  Least recently used entries are
+    evicted once rows plus entries exceed :data:`CALL_TABLE_MAX_ROWS`.
+    The lock guards the bookkeeping only, never an evaluation: two
+    threads missing on one goal both evaluate and store the same value.
+    Per process and never serialised — a loaded shape starts empty.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._entries: "OrderedDict[tuple, tuple[tuple, EvaluationStats]]" = (
+            OrderedDict()
+        )
+        self._rows = 0
+
+    @staticmethod
+    def key(goal: Atom) -> tuple:
+        """Constants by value, variables by order of first occurrence:
+        ``anc(5, X)`` and ``anc(5, Y)`` agree, ``p(X, X)`` and
+        ``p(X, Y)`` do not.  Which positions hold constants is fixed by
+        the shape's adornment, so the two kinds cannot be confused."""
+        seen: dict = {}
+        return tuple(
+            arg.value if isinstance(arg, Constant)
+            else seen.setdefault(arg, len(seen))
+            for arg in goal.args
+        )
+
+    def get(self, key: tuple) -> "tuple[tuple, EvaluationStats] | None":
+        """The ``(rows, stats)`` stored under *key*, marked recently used."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+        obs = get_metrics()
+        if obs.enabled:
+            obs.incr(
+                "prepare.table_misses" if entry is None else "prepare.table_hits"
+            )
+        return entry
+
+    def put(self, key: tuple, rows: tuple, stats: EvaluationStats) -> None:
+        """Store a completed call (the caller hands over *stats*)."""
+        if len(rows) >= CALL_TABLE_MAX_ROWS:
+            return  # would evict the whole table and then itself
+        evicted = 0
+        with self._lock:
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self._rows -= len(old[0])
+            self._entries[key] = (rows, stats)
+            self._rows += len(rows)
+            while self._rows + len(self._entries) > CALL_TABLE_MAX_ROWS:
+                _, (gone, _) = self._entries.popitem(last=False)
+                self._rows -= len(gone)
+                evicted += 1
+        obs = get_metrics()
+        if evicted and obs.enabled:
+            obs.incr("prepare.table_evictions", evicted)
+
+    def size(self) -> tuple[int, int]:
+        """``(entries, rows)`` currently stored."""
+        with self._lock:
+            return len(self._entries), self._rows
 
 
 def program_fingerprint(program: Program) -> str:
@@ -183,6 +269,8 @@ class PreparedQuery:
             (transform mode only).
         engine: the live incremental engine (maintained mode only);
             ``base`` aliases its materialised database.
+        table: the completed top-level calls (used in transform mode
+            only; the other modes already answer by lookup).
         key: the :func:`prepared_cache_key` tuple.
         prepare_stats: counters accumulated while preparing (lower-strata
             or full materialisation); execution stats never include them.
@@ -198,6 +286,9 @@ class PreparedQuery:
     fixpoint: "CompiledFixpoint | None" = None
     engine: "IncrementalEngine | None" = None
     prepare_stats: EvaluationStats = field(default_factory=EvaluationStats)
+    table: CallTable = field(
+        default_factory=CallTable, repr=False, compare=False
+    )
     _update_lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
@@ -281,7 +372,6 @@ class PreparedQuery:
         obs = get_metrics()
         if obs.enabled:
             obs.incr("prepare.executions")
-        stats = EvaluationStats()
         if self.mode != "transform":
             if self.engine is not None and self.engine.poisoned:
                 # An interrupted apply_update left the maintained
@@ -299,12 +389,30 @@ class PreparedQuery:
             # after an update, never from DRed's over-deleted middle.
             with self._update_lock:
                 answers = self._matching(self.base, goal)
-            stats.answers = len(answers)
             return QueryResult(
                 strategy=self.strategy, query=goal, answers=answers,
-                stats=stats,
+                stats=EvaluationStats(answers=len(answers)),
             )
         seeds, transformed_goal = self._rebind(goal)
+        key = self.table.key(goal)
+        # A budget asks to bound *this* evaluation: it never reads the
+        # table, though a run it lets complete fills it like any other.
+        entry = self.table.get(key) if budget is None else None
+        if entry is not None:
+            rows, stored = entry
+            return QueryResult(
+                strategy=self.strategy,
+                query=goal,
+                answers=tuple(
+                    Atom(goal.predicate, tuple(map(Constant, row)))
+                    for row in rows
+                ),
+                stats=stored.copy(),
+                transformed=self.transformed,
+                call_summary=partial(self._replayed_call_summary, seeds),
+                table_hit=True,
+            )
+        stats = EvaluationStats()
         completed, _ = run_fixpoint(
             self.fixpoint,
             self.base,
@@ -315,6 +423,9 @@ class PreparedQuery:
         )
         answers = self._matching(completed, goal, transformed_goal)
         stats.answers = len(answers)
+        self.table.put(
+            key, tuple(atom.ground_key() for atom in answers), stats.copy()
+        )
         return QueryResult(
             strategy=self.strategy,
             query=goal,
@@ -325,6 +436,14 @@ class PreparedQuery:
                 _transform_call_summary, self.transformed, completed
             ),
         )
+
+    def _replayed_call_summary(self, seeds: tuple[Atom, ...]):
+        """A table hit kept no completed database: whoever reads
+        ``.calls`` / ``.answer_facts`` of one pays for the run then."""
+        completed, _ = run_fixpoint(
+            self.fixpoint, self.base, extra_facts=seeds
+        )
+        return _transform_call_summary(self.transformed, completed)
 
     def partial_answers(self, partial: "Database | None", goal: "Atom | str | None" = None) -> tuple[Atom, ...]:
         """The goal's answers present in a budget-trip *partial* database.

@@ -66,6 +66,10 @@ class QueryResult:
             evaluation's final state.  It runs once, on first access of
             either property below — the serving layer never reads them,
             so a served query never pays for the summary.
+        table_hit: True when a prepared shape answered from its table of
+            completed calls instead of evaluating (informational: not
+            part of equality, every other field is what a fresh run
+            returns).
 
     ``calls`` is the set of generated subqueries as ``(predicate,
     adornment, bound-args)`` triples and ``answer_facts`` all derived
@@ -81,6 +85,7 @@ class QueryResult:
     call_summary: "Callable[[], tuple] | None" = field(
         default=None, repr=False, compare=False
     )
+    table_hit: bool = field(default=False, repr=False, compare=False)
 
     @property
     def answer_rows(self) -> frozenset[tuple]:

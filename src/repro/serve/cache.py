@@ -268,3 +268,17 @@ class PreparedQueryCache:
                 "evictions": self.evictions,
                 "drops": self.drops,
             }
+
+    def metrics(self) -> dict[str, int]:
+        """The ``/metrics`` ``cache`` block: :meth:`stats` plus what the
+        cached shapes' tables of completed calls
+        (:class:`~repro.core.prepare.CallTable`) hold right now."""
+        with self._lock:
+            tables = [
+                entry.prepared.table.size() for entry in self._entries.values()
+            ]
+        return {
+            **self.stats(),
+            "table_entries": sum(entries for entries, _ in tables),
+            "table_rows": sum(rows for _, rows in tables),
+        }

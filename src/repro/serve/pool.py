@@ -139,7 +139,7 @@ def _worker_main(conn, index: int, config: dict) -> None:
                     "result": {
                         "pid": os.getpid(),
                         "metrics": get_metrics().snapshot(),
-                        "cache": service.cache.stats(),
+                        "cache": service.cache.metrics(),
                     },
                 }
             elif op in ("query", "prepare", "sync"):
@@ -614,6 +614,9 @@ class PooledService:
                 "pids": self.pool.worker_pids(),
                 "responding": len(caches),
                 "restarts": self.pool.restarts(),
+                # Call tables are per process: under round-robin each
+                # worker warms its own (the totals are in "cache").
+                "table_entries": [stats["table_entries"] for stats in caches],
             },
         }
         if self.registry is not None and hasattr(self.registry, "stats"):

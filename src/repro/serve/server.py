@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import json
 import signal
+import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -67,6 +68,7 @@ class ReproServer(ThreadingHTTPServer):
         self.quiet = quiet
         self._inflight = 0
         self._inflight_lock = threading.Lock()
+        self._connections: set = set()  # open handler sockets
 
     # --- in-flight gauge ------------------------------------------------------
     def request_started(self) -> None:
@@ -90,6 +92,19 @@ class ReproServer(ThreadingHTTPServer):
     @property
     def port(self) -> int:
         return self.server_address[1]
+
+    def server_close(self):
+        """Stop listening *and* hang up every open connection: a
+        keep-alive client of a closed server must see a dead socket now,
+        not an answer from a handler thread that outlived its server."""
+        super().server_close()
+        with self._inflight_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # the peer hung up first
 
     def handle_error(self, request, client_address):
         # A client that vanished mid-response (killed worker, SIGTERM
@@ -128,9 +143,16 @@ class _Handler(BaseHTTPRequestHandler):
     # --- plumbing -------------------------------------------------------------
     def setup(self):
         super().setup()
+        with self.server._inflight_lock:
+            self.server._connections.add(self.connection)
         obs = get_metrics()
         if obs.enabled:
             obs.incr("serve.connections")
+
+    def finish(self):
+        with self.server._inflight_lock:
+            self.server._connections.discard(self.connection)
+        super().finish()
 
     def handle_expect_100(self):
         # The interim "100 Continue" must reach the client before it
@@ -234,13 +256,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _load(self):
         payload = self._read_json()
-        name = payload.get("dataset")
-        if not name:
-            raise ReproError('load requires a "dataset" name')
         info = self.server.service.load(
-            name,
-            program_text=payload.get("program"),
-            facts_text=payload.get("facts"),
+            self._required(payload, "dataset"),
+            program_text=self._string(payload, "program"),
+            facts_text=self._string(payload, "facts"),
             extend=bool(payload.get("extend", False)),
         )
         return 200, info
@@ -279,21 +298,32 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     @staticmethod
-    def _required(payload: dict, field: str) -> str:
+    def _string(payload: dict, field: str) -> "str | None":
+        """The optional string *field* (absent and ``null`` → ``None``);
+        any other JSON type is rejected here, before it can surface as a
+        ``TypeError``/``AttributeError`` deep inside the service."""
         value = payload.get(field)
+        if value is not None and not isinstance(value, str):
+            raise ReproError(f'"{field}" must be a string, got {value!r}')
+        return value
+
+    @classmethod
+    def _required(cls, payload: dict, field: str) -> str:
+        value = cls._string(payload, field)
         if not value:
             raise ReproError(f'request requires a "{field}" field')
         return value
 
-    @staticmethod
-    def _config(payload: dict) -> dict:
+    @classmethod
+    def _config(cls, payload: dict) -> dict:
         config = {}
         for field in (
             "strategy", "sips", "planner", "executor", "scheduler", "storage",
             "maintain",
         ):
-            if payload.get(field) is not None:
-                config[field] = payload[field]
+            value = cls._string(payload, field)
+            if value is not None:
+                config[field] = value
         workers = payload.get("workers")
         if workers is not None:
             # Validated at the boundary: the pool size must be a positive

@@ -55,12 +55,14 @@ from ..datalog.atoms import Atom
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
 from ..engine.budget import EvaluationBudget
-from ..engine.columnar import DEFAULT_STORAGE
-from ..engine.kernel import DEFAULT_EXECUTOR
-from ..engine.scheduler import DEFAULT_SCHEDULER
+from ..engine.columnar import DEFAULT_STORAGE, resolve_storage
+from ..engine.kernel import DEFAULT_EXECUTOR, resolve_executor
+from ..engine.planner import resolve_planner
+from ..engine.scheduler import DEFAULT_SCHEDULER, resolve_scheduler
 from ..errors import BudgetExceededError, ReproError, UnpreparableStrategyError
 from ..facts.database import Database
 from ..obs import get_metrics
+from ..transform.sips import named_sips
 from .cache import DEFAULT_MAX_ENTRIES, PreparedQueryCache
 
 __all__ = ["Dataset", "QueryService", "budget_from_payload"]
@@ -128,6 +130,22 @@ def _match_answers(database, goal: Atom) -> tuple[Atom, ...]:
     if database is None:
         return ()
     return _sorted_answers(goal, database.match(goal))
+
+
+def _check_config(
+    dataset: "Dataset", sips, planner, executor, scheduler, storage
+) -> None:
+    """An unknown option *value* is the client's error (a 400), not the
+    ``ValueError`` the engine layers raise for it (a 500)."""
+    try:
+        if isinstance(sips, str):
+            named_sips(sips)
+        resolve_planner(planner, dataset.database, dataset.program)
+        resolve_executor(executor)
+        resolve_scheduler(scheduler)
+        resolve_storage(storage)
+    except ValueError as exc:
+        raise ReproError(str(exc)) from None
 
 
 def _affected_predicates(
@@ -576,6 +594,7 @@ class QueryService:
         dataset = self.dataset(dataset_name)
         if isinstance(goal, str):
             goal = parse_query(goal)
+        _check_config(dataset, sips, planner, executor, scheduler, storage)
         key = self._cache_key(
             dataset, goal, strategy, sips, planner, executor, scheduler,
             storage, maintain,
@@ -643,6 +662,7 @@ class QueryService:
                 f"unknown strategy {strategy!r}; choose from "
                 f"{available_strategies()}"
             )
+        _check_config(dataset, sips, planner, executor, scheduler, storage)
         if obs.enabled:
             obs.incr("serve.queries")
             obs.incr(f"serve.strategy.{strategy}")
@@ -768,6 +788,7 @@ class QueryService:
             "sound": True,
             "complete": True,
             "stats": result.stats.as_dict(),
+            "table_hit": result.table_hit,
         }
         return payload
 
@@ -780,7 +801,7 @@ class QueryService:
         """
         payload = {
             "metrics": get_metrics().snapshot(),
-            "cache": self.cache.stats(),
+            "cache": self.cache.metrics(),
         }
         if self.registry is not None and hasattr(self.registry, "stats"):
             payload["registry"] = self.registry.stats()
@@ -817,4 +838,5 @@ class QueryService:
             "stats": stats,
             "prepared": prepared,
             "cache_hit": cache_hit,
+            "table_hit": False,
         }

@@ -128,6 +128,50 @@ class TestPooledDifferential:
         assert payload["metrics"]["counters"].get("serve.queries", 0) >= 1
 
 
+    def test_each_worker_warms_its_own_call_table(self, pooled):
+        pooled.load("tab", program_text=CHAIN)
+        expected = direct_rows(CHAIN, "anc(0, X)?")
+        before = pooled.metrics_payload()
+        replies = [pooled.query("tab", "anc(0, X)?") for _ in range(5)]
+        # Round-robin over two workers: each evaluates the goal once.
+        assert [r["table_hit"] for r in replies] == [
+            False, False, True, True, True,
+        ]
+        for reply in replies:
+            assert reply["answers"]["rows"] == expected
+            assert reply["stats"] == replies[0]["stats"]
+        after = pooled.metrics_payload()
+
+        def delta(block, name):
+            return after[block].get(name, 0) - before[block].get(name, 0)
+
+        assert delta("cache", "table_entries") == 2
+        assert delta("cache", "table_rows") == 2 * len(expected)
+        counters = {
+            name: after["metrics"]["counters"].get(name, 0)
+            - before["metrics"]["counters"].get(name, 0)
+            for name in ("prepare.table_hits", "prepare.table_misses",
+                         "seminaive.runs")
+        }
+        assert counters == {
+            "prepare.table_hits": 3, "prepare.table_misses": 2,
+            "seminaive.runs": 2,
+        }
+        per_worker = after["workers"]["table_entries"]
+        assert len(per_worker) == 2 and sum(per_worker) == (
+            after["cache"]["table_entries"]
+        )
+
+    def test_unknown_option_value_is_a_client_error(self, pooled):
+        from repro.errors import ReproError
+
+        pooled.load("bad", program_text=CHAIN)
+        with pytest.raises(ReproError, match="unknown planner 'bogus'"):
+            pooled.query("bad", "anc(0, X)?", planner="bogus")
+        with pytest.raises(ReproError, match="unknown executor 'bogus'"):
+            pooled.prepare("bad", "anc(0, X)?", executor="bogus")
+
+
 class TestRegistryWarmsAcrossProcesses:
     def test_second_worker_first_request_is_cold_start_free(self, tmp_path):
         """Round-robin sends one request to each worker; the second
@@ -221,6 +265,30 @@ class TestWorkerDeathFailover:
                 server.server_close()
                 service.close()
                 thread.join(timeout=5.0)
+
+    def test_a_respawned_worker_starts_with_an_empty_call_table(self):
+        with collect(ThreadSafeMetrics()):
+            service = PooledService(processes=2)
+            try:
+                service.load("chain", program_text=CHAIN)
+                expected = direct_rows(CHAIN, "anc(0, X)?")
+                warm = [service.query("chain", "anc(0, X)?") for _ in range(4)]
+                assert [r["table_hit"] for r in warm] == [
+                    False, False, True, True,
+                ]
+                os.kill(service.pool.worker_pids()[0], signal.SIGKILL)
+                # One request per slot: the dead slot's is retried on a
+                # fresh process, which has to evaluate it.
+                after = [service.query("chain", "anc(0, X)?") for _ in range(2)]
+                assert sorted(r["table_hit"] for r in after) == [False, True]
+                for reply in after:
+                    assert reply["answers"]["rows"] == expected
+                    assert reply["stats"] == warm[0]["stats"]
+                assert service.pool.restarts() == 1
+                again = [service.query("chain", "anc(0, X)?") for _ in range(2)]
+                assert all(r["table_hit"] for r in again)
+            finally:
+                service.close()
 
 
 class TestClientRetry:

@@ -644,3 +644,157 @@ class TestHttpEndpoints:
         assert client.counter("serve.prepared.hits") >= 4
         assert client.counter("serve.queries") == len(jobs) + 1
         assert server.inflight == 0
+
+
+# --- completed-call tables over HTTP -------------------------------------------
+class TestCallTableOverHttp:
+    def test_second_identical_query_is_a_table_hit(self, live_server):
+        _, client = live_server
+        client.load("chain", chain_source())
+        first = client.query("chain", "anc(0, X)?")
+        runs = client.counter("seminaive.runs")
+        second = client.query("chain", "anc(0, X)?")
+        assert (first["table_hit"], second["table_hit"]) == (False, True)
+        assert (first["cache_hit"], second["cache_hit"]) == (False, True)
+        assert second["answers"] == first["answers"]  # rows, atoms, count
+        assert second["stats"] == first["stats"]
+        assert second["stats"]["inferences"] > 0
+        assert client.counter("seminaive.runs") == runs  # no fixpoint ran
+        metrics = client.metrics()
+        assert metrics["cache"]["table_entries"] == 1
+        assert metrics["cache"]["table_rows"] == CHAIN_LENGTH
+        counters = metrics["metrics"]["counters"]
+        assert counters["prepare.table_hits"] == 1
+        assert counters["prepare.table_misses"] == 1
+
+    def test_a_renamed_goal_hits_and_another_constant_misses(self, live_server):
+        _, client = live_server
+        client.load("chain", chain_source())
+        client.query("chain", "anc(3, X)?")
+        renamed = client.query("chain", "anc(3, Who)?")
+        assert renamed["table_hit"] and renamed["goal"] == "anc(3, Who)"
+        other = client.query("chain", "anc(4, X)?")
+        assert other["cache_hit"] and not other["table_hit"]
+        assert other["answers"]["rows"] == direct_rows(
+            chain_source(), "anc(4, X)?"
+        )
+
+    def test_load_clears_the_table(self, live_server):
+        _, client = live_server
+        client.load("chain", chain_source())
+        client.query("chain", "anc(0, X)?")
+        assert client.query("chain", "anc(0, X)?")["table_hit"]
+        client.load("chain", chain_source(5))
+        assert client.metrics()["cache"]["table_entries"] == 0
+        reloaded = client.query("chain", "anc(0, X)?")
+        assert not reloaded["table_hit"] and not reloaded["cache_hit"]
+        assert reloaded["answers"]["rows"] == direct_rows(
+            chain_source(5), "anc(0, X)?"
+        )
+
+    def test_a_budgeted_request_bypasses_the_table(self, live_server):
+        _, client = live_server
+        client.load("chain", chain_source())
+        client.query("chain", "anc(0, X)?")
+        roomy = client.query(
+            "chain", "anc(0, X)?", budget={"max_iterations": 10_000}
+        )
+        assert roomy["complete"] and not roomy["table_hit"]
+        tripped = client.query(
+            "chain", "anc(0, X)?", budget={"max_iterations": 2}
+        )
+        assert tripped["partial"] and not tripped["table_hit"]
+        assert client.query("chain", "anc(0, X)?")["table_hit"]
+
+    def test_direct_strategies_never_report_a_table_hit(self, live_server):
+        _, client = live_server
+        client.load("chain", chain_source())
+        for _ in range(2):
+            assert not client.query(
+                "chain", "anc(0, X)?", strategy="oldt"
+            )["table_hit"]
+
+
+# --- bad input must not 500 ---------------------------------------------------
+class TestBadInputIsA400:
+    @pytest.mark.parametrize("path", ["/query", "/prepare"])
+    @pytest.mark.parametrize(
+        "field, said",
+        [
+            ("planner", "unknown planner 'bogus'"),
+            ("executor", "unknown executor 'bogus'; choose from"),
+            ("scheduler", "unknown scheduler 'bogus'; choose from"),
+            ("storage", "unknown storage 'bogus'; choose from"),
+            ("sips", "unknown SIPS 'bogus'; choose from"),
+        ],
+    )
+    def test_unknown_option_value(self, live_server, path, field, said):
+        _, client = live_server
+        client.load("chain", chain_source())
+        with pytest.raises(ServeError) as bad:
+            client._request(
+                path, {"dataset": "chain", "goal": "anc(0, X)?", field: "bogus"}
+            )
+        assert bad.value.status == 400
+        assert said in str(bad.value)
+
+    def test_unknown_option_value_on_the_direct_path(self, live_server):
+        _, client = live_server
+        client.load("chain", chain_source())
+        with pytest.raises(ServeError) as bad:
+            client.query(
+                "chain", "anc(0, X)?", strategy="oldt", planner="bogus"
+            )
+        assert bad.value.status == 400
+
+    @pytest.mark.parametrize("path", ["/query", "/prepare"])
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("goal", 123),
+            ("goal", ["anc(0, X)?"]),
+            ("dataset", ["chain"]),
+            ("dataset", 7),
+            ("sips", 5),
+            ("planner", {"greedy": True}),
+            ("strategy", 1),
+            ("executor", ["kernel"]),
+        ],
+    )
+    def test_non_string_field(self, live_server, path, field, value):
+        _, client = live_server
+        client.load("chain", chain_source())
+        payload = {"dataset": "chain", "goal": "anc(0, X)?", field: value}
+        with pytest.raises(ServeError) as bad:
+            client._request(path, payload)
+        assert bad.value.status == 400
+        assert f'"{field}" must be a string' in str(bad.value)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"dataset": 7, "program": "p(a)."},
+            {"dataset": ["d"], "program": "p(a)."},
+            {"dataset": "d", "program": 123},
+            {"dataset": "d", "facts": ["p(a)."]},
+        ],
+    )
+    def test_load_takes_strings_only(self, live_server, payload):
+        _, client = live_server
+        with pytest.raises(ServeError) as bad:
+            client._request("/load", payload)
+        assert bad.value.status == 400
+        assert "must be a string" in str(bad.value)
+        assert client.health()["datasets"] == []
+
+    def test_update_dataset_must_be_a_string(self, live_server):
+        _, client = live_server
+        with pytest.raises(ServeError) as bad:
+            client._request("/update", {"dataset": ["d"], "add": ["p(a)."]})
+        assert bad.value.status == 400
+
+    def test_the_service_rejects_unknown_values_too(self, service):
+        with pytest.raises(ReproError, match="unknown executor"):
+            service.query("chain", "anc(0, X)?", executor="bogus")
+        with pytest.raises(ReproError, match="unknown SIPS"):
+            service.prepare("chain", "anc(0, X)?", sips="bogus")

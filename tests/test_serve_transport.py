@@ -141,6 +141,30 @@ class TestConnectionReuse:
                 finally:
                     stop(new, thread)
 
+    def test_a_closed_server_hangs_up_its_open_connections(self):
+        # Without a short idle timeout: server_close() itself must end
+        # the keep-alive connection, not the 30 s handler timeout.
+        with collect(ThreadSafeMetrics()):
+            server = create_server(port=0, install_metrics=False)
+            thread = start(server)
+            with ServeClient(
+                f"http://127.0.0.1:{server.port}", retries=0
+            ) as client:
+                client.load("chain", chain_source())
+                client.query("chain", "anc(0, X)?")
+                assert len(server._connections) == 1
+                stop(server, thread)
+                started = time.monotonic()
+                with pytest.raises(ServeError) as gone:
+                    client.query("chain", "anc(0, X)?")
+                assert time.monotonic() - started < 1.0
+                assert gone.value.transient
+                assert gone.value.status is None
+            deadline = time.monotonic() + 5.0
+            while server._connections and time.monotonic() < deadline:
+                time.sleep(0.01)  # the handler thread notices and finishes
+            assert not server._connections
+
     def test_refused_connect_is_transient_and_never_resent(self):
         with socket.socket() as placeholder:
             placeholder.bind(("127.0.0.1", 0))

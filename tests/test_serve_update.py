@@ -286,6 +286,28 @@ class TestServiceUpdate:
         assert service.query("g", "hue(X)?")["cache_hit"]
         assert not service.query("g", "path(a, X)?")["cache_hit"]
 
+    def test_update_inside_the_cone_drops_the_table_outside_keeps_it(
+        self, service
+    ):
+        for goal in ("path(a, X)?", "hue(X)?"):
+            service.query("g", goal)
+            assert service.query("g", goal)["table_hit"]
+        old_hue = service.query("g", "hue(X)?")
+        service.update("g", add=["edge(d, e)"], remove=["edge(a, b)"])
+        path = service.query("g", "path(a, X)?")
+        assert not path["table_hit"] and not path["cache_hit"]
+        assert rows(path) == []  # the new answers, not the stored ones
+        hue = service.query("g", "hue(X)?")
+        assert hue["table_hit"] and hue["cache_hit"]
+        assert hue["version"] == 2
+        assert hue["answers"] == old_hue["answers"]
+        assert hue["stats"] == old_hue["stats"]
+        # ... until an update reaches its own cone.
+        service.update("g", add=["colour(c, red)"])
+        hue = service.query("g", "hue(X)?")
+        assert not hue["table_hit"]
+        assert rows(hue) == [["a"], ["c"]]
+
     def test_update_drops_maintained_shape_missed_by_patch_loop(
         self, service, monkeypatch
     ):

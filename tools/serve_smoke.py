@@ -13,8 +13,10 @@ serving contract end to end, in two phases.
    ``/metrics`` the ``serve.prepared.hits`` counter rising while
    ``transform.rewritings`` / ``prepare.fixpoints_compiled`` /
    ``kernel.rules_compiled`` stay **flat** (the hit path did zero
-   parse/adorn/transform/plan/compile work);
-4. answers on the hit are identical to the miss;
+   parse/adorn/transform/plan/compile work) — and a *table* hit too:
+   ``table_hit`` in the payload, ``seminaive.runs`` flat (the repeated
+   goal was answered from the shape's completed calls, no fixpoint);
+4. answers and ``stats`` on the hit are identical to the miss;
 5. a maintained shape is prepared, then ``/update`` removes one chain
    edge — the patched shape answers from cache at the new dataset
    version with exactly one answer fewer;
@@ -31,7 +33,10 @@ serving contract end to end, in two phases.
    ``prepare.compiles`` — the second worker's first request loaded the
    first worker's serialized shape from the cross-process registry
    (``serve.registry.hits`` ≥ 1) instead of re-transforming;
-3. answers are identical across workers (and to the threaded phase's);
+3. answers are identical across workers (and to the threaded phase's):
+   the same goal sent 2 × workers + 1 times is a ``table_hit`` at least
+   once, and every reply carries the same ``rows`` — each worker's own
+   call table never disagrees with another's;
 4. a **restarted** server on the same registry directory serves its
    first request with **zero** transform/compile work (warm start);
 5. SIGTERM lands while queries are in flight — the server still exits
@@ -74,6 +79,8 @@ FLAT_ON_HIT = (
     "prepare.fixpoints_compiled",
     "kernel.rules_compiled",
     "planner.rules_planned",
+    # ... and the repeated goal is a table hit: no fixpoint either.
+    "seminaive.runs",
 )
 
 
@@ -171,14 +178,18 @@ def run_threaded_phase() -> "str | None":
 
         second = client.query("t1", goal)
         assert second["cache_hit"] is True, "second request must hit the cache"
+        assert first["table_hit"] is False and second["table_hit"] is True, (
+            "the repeated goal must be answered from the call table"
+        )
         assert second["answers"] == first["answers"], "hit answers must match"
+        assert second["stats"] == first["stats"], "hit stats must match"
         after = counters_of_interest(client)
         assert after["serve.prepared.hits"] == 1, after
         for name in FLAT_ON_HIT:
             assert after[name] == before[name], (
                 f"{name} moved on the hit path: {before[name]} -> {after[name]}"
             )
-        print("[threaded] prepared-cache hit verified; pipeline counters flat:")
+        print("[threaded] prepared-cache and table hit verified; counters flat:")
         for name in FLAT_ON_HIT:
             print(f"  {name} = {after[name]}")
 
@@ -280,6 +291,23 @@ def run_multiproc_phase() -> "str | None":
             "[multiproc] cross-process cache hit verified: "
             f"prepare.transforms={transforms} prepare.compiles={compiles} "
             f"serve.registry.hits={registry_hits}"
+        )
+
+        # Call tables are per worker: 2 x workers + 1 sends of one goal
+        # reach every worker at least twice.
+        replies = [first, second] + [
+            client.query("t1", goal) for _ in range(2 * len(pids) - 1)
+        ]
+        hits = sum(reply["table_hit"] for reply in replies)
+        assert hits >= 1, "a repeated goal never hit a worker's call table"
+        for reply in replies:
+            assert reply["answers"]["rows"] == first["answers"]["rows"], (
+                "per-worker call tables disagree"
+            )
+        tables = client.metrics()["workers"]["table_entries"]
+        print(
+            f"[multiproc] per-worker call tables agree: {hits} table hits in "
+            f"{len(replies)} replies, entries per worker {tables}"
         )
     except (AssertionError, ServeError) as failure:
         err = server.kill_for_diagnosis()
