@@ -56,9 +56,12 @@ top-level calls*.  By Seki's Theorem 1 the ``call_*``/``ans_*``
 relations of a finished run are OLDT's call and answer tables, and a
 completed table answers every later variant of the same call: a
 repeated goal is a lookup that returns the first run's answers and
-counters, not a second fixpoint.  The table lives and dies with the
-shape, so it is exactly as fresh as the base the shape was prepared
-against (``tests/test_call_tables.py``).
+counters, not a second fixpoint.  Each entry also keeps the run's
+*footprint* — the probe keys its base-predicate occurrences issued — so
+a base-fact update can :meth:`PreparedQuery.patch` the shape instead of
+dropping it: the base is swapped for the updated one and only the
+entries whose footprint matches a changed row are invalidated
+(``tests/test_call_tables.py``, ``tests/test_serve_update.py``).
 """
 
 from __future__ import annotations
@@ -70,6 +73,7 @@ from functools import partial
 
 from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
+from ..datalog.builtins import BUILTIN_PREDICATES
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Constant
@@ -80,6 +84,7 @@ from ..engine.incremental import IncrementalEngine
 from ..engine.kernel import DEFAULT_EXECUTOR, resolve_executor
 from ..engine.maintain import resolve_maintenance
 from ..engine.prepared import CompiledFixpoint, compile_fixpoint, run_fixpoint
+from ..engine.prepared import footprint_touches, record_footprint
 from ..engine.scheduler import DEFAULT_SCHEDULER, resolve_scheduler
 from ..engine.stratified import stratified_fixpoint
 from ..errors import ReproError, TransformError, UnpreparableStrategyError
@@ -124,20 +129,24 @@ class CallTable:
     """The completed top-level calls of one transform shape.
 
     Maps a goal *up to variable renaming* (:meth:`key`) to the sorted
-    answer rows of its completed run, as plain value tuples, and the
-    run's :class:`EvaluationStats`.  Least recently used entries are
-    evicted once rows plus entries exceed :data:`CALL_TABLE_MAX_ROWS`.
-    The lock guards the bookkeeping only, never an evaluation: two
-    threads missing on one goal both evaluate and store the same value.
+    answer rows of its completed run, as plain value tuples, the run's
+    :class:`EvaluationStats` and its footprint
+    (:func:`~repro.engine.prepared.record_footprint`).  Least recently
+    used entries are evicted once rows plus entries exceed
+    :data:`CALL_TABLE_MAX_ROWS`.  The lock guards the bookkeeping only,
+    never an evaluation: two threads missing on one goal both evaluate
+    and store the same value; a run stores only under the
+    ``generation`` (count of :meth:`invalidate` calls) it started in.
     Per process and never serialised — a loaded shape starts empty.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[tuple, EvaluationStats]]" = (
+        self._entries: "OrderedDict[tuple, tuple[tuple, EvaluationStats, dict]]" = (
             OrderedDict()
         )
         self._rows = 0
+        self.generation = 0
 
     @staticmethod
     def key(goal: Atom) -> tuple:
@@ -152,8 +161,9 @@ class CallTable:
             for arg in goal.args
         )
 
-    def get(self, key: tuple) -> "tuple[tuple, EvaluationStats] | None":
-        """The ``(rows, stats)`` stored under *key*, marked recently used."""
+    def get(self, key: tuple) -> "tuple[tuple, EvaluationStats, dict] | None":
+        """The ``(rows, stats, footprint)`` stored under *key*, marked
+        recently used."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -165,24 +175,43 @@ class CallTable:
             )
         return entry
 
-    def put(self, key: tuple, rows: tuple, stats: EvaluationStats) -> None:
-        """Store a completed call (the caller hands over *stats*)."""
+    def put(
+        self, key: tuple, rows: tuple, stats: EvaluationStats,
+        footprint: dict, generation: int,
+    ) -> None:
+        """Store a completed call (the caller hands over *stats*) unless
+        a patch overtook its run: no footprint check covered that."""
         if len(rows) >= CALL_TABLE_MAX_ROWS:
             return  # would evict the whole table and then itself
         evicted = 0
         with self._lock:
+            if generation != self.generation:
+                return
             old = self._entries.pop(key, None)
             if old is not None:
                 self._rows -= len(old[0])
-            self._entries[key] = (rows, stats)
+            self._entries[key] = (rows, stats, footprint)
             self._rows += len(rows)
             while self._rows + len(self._entries) > CALL_TABLE_MAX_ROWS:
-                _, (gone, _) = self._entries.popitem(last=False)
+                _, (gone, _, _) = self._entries.popitem(last=False)
                 self._rows -= len(gone)
                 evicted += 1
         obs = get_metrics()
         if evicted and obs.enabled:
             obs.incr("prepare.table_evictions", evicted)
+
+    def invalidate(self, changed: "dict[str, list[tuple]]") -> tuple[int, int]:
+        """Drop every entry whose footprint matches a changed row and
+        start a new generation; returns ``(kept, invalidated)``."""
+        with self._lock:
+            stale = [
+                key for key, (_, _, footprint) in self._entries.items()
+                if footprint_touches(footprint, changed)
+            ]
+            for key in stale:
+                self._rows -= len(self._entries.pop(key)[0])
+            self.generation += 1
+            return len(self._entries), len(stale)
 
     def size(self) -> tuple[int, int]:
         """``(entries, rows)`` currently stored."""
@@ -263,7 +292,8 @@ class PreparedQuery:
             strata (transform mode) or the full model (materialised and
             maintained modes) already completed.  Shared across
             executions and copied per run; treated as immutable except
-            through :meth:`apply_update`.
+            through :meth:`apply_update` and :meth:`patch`, which swap
+            in a new one.
         transformed: the rewriting (transform mode only).
         fixpoint: the compiled evaluation plan of the rewritten stratum
             (transform mode only).
@@ -274,6 +304,12 @@ class PreparedQuery:
         key: the :func:`prepared_cache_key` tuple.
         prepare_stats: counters accumulated while preparing (lower-strata
             or full materialisation); execution stats never include them.
+        patchable: the base predicates of the source program that the
+            rewritten stratum reads — the ones call-table footprints
+            record and :meth:`patch` may update (transform mode only).
+            ``None`` when the shape cannot be patched: a columnar base
+            (footprints hold raw values) or a join plan cut against base
+            statistics.
     """
 
     strategy: str
@@ -286,6 +322,7 @@ class PreparedQuery:
     fixpoint: "CompiledFixpoint | None" = None
     engine: "IncrementalEngine | None" = None
     prepare_stats: EvaluationStats = field(default_factory=EvaluationStats)
+    patchable: "frozenset[str] | None" = None
     table: CallTable = field(
         default_factory=CallTable, repr=False, compare=False
     )
@@ -399,7 +436,7 @@ class PreparedQuery:
         # table, though a run it lets complete fills it like any other.
         entry = self.table.get(key) if budget is None else None
         if entry is not None:
-            rows, stored = entry
+            rows, stored, _ = entry
             return QueryResult(
                 strategy=self.strategy,
                 query=goal,
@@ -412,10 +449,14 @@ class PreparedQuery:
                 call_summary=partial(self._replayed_call_summary, seeds),
                 table_hit=True,
             )
+        # One snapshot: a patch swaps the base and bumps the generation
+        # together, so a run on a replaced base can never store.
+        with self._update_lock:
+            base, generation = self.base, self.table.generation
         stats = EvaluationStats()
         completed, _ = run_fixpoint(
             self.fixpoint,
-            self.base,
+            base,
             stats=stats,
             budget=budget,
             extra_facts=seeds,
@@ -423,9 +464,9 @@ class PreparedQuery:
         )
         answers = self._matching(completed, goal, transformed_goal)
         stats.answers = len(answers)
-        self.table.put(
-            key, tuple(atom.ground_key() for atom in answers), stats.copy()
-        )
+        footprint = record_footprint(self.fixpoint, completed, self.patchable or frozenset())
+        rows = tuple(atom.ground_key() for atom in answers)
+        self.table.put(key, rows, stats.copy(), footprint, generation)
         return QueryResult(
             strategy=self.strategy,
             query=goal,
@@ -500,6 +541,43 @@ class PreparedQuery:
         if obs.enabled:
             obs.incr("prepare.updates")
         return added, removed
+
+    def patch(
+        self, database: Database, changed: "dict[str, list[tuple]]"
+    ) -> tuple[int, int]:
+        """Carry a transform shape across a base-fact update; returns the
+        call-table ``(kept, invalidated)`` counts.
+
+        *changed* maps each updated predicate to the raw rows the update
+        really added or removed, *database* is the updated dataset.  The
+        new base takes *database*'s copy of each changed relation; table
+        entries whose footprint matches a changed row are invalidated.
+        A kept entry is what a fresh run would return, answers and
+        counters alike: that run issues the same probes and reads the
+        same postings.  The caller guarantees that every changed
+        predicate is a base predicate of the source program feeding no
+        stratum materialised into the base.
+
+        Raises:
+            ReproError: when ``patchable is None``.
+        """
+        if self.patchable is None:
+            raise ReproError(
+                f"prepared shape cannot be patched (mode={self.mode!r}); "
+                "re-prepare against the updated dataset"
+            )
+        relations = {relation.name: relation for relation in self.base.relations()}
+        for predicate in changed:
+            relations[predicate] = database.relation(predicate).copy()
+        with self._update_lock:
+            self.base = Database(relations)
+            kept, invalidated = self.table.invalidate(changed)
+        obs = get_metrics()
+        if obs.enabled:
+            obs.incr("prepare.base_patches")
+            obs.incr("prepare.table_kept", kept)
+            obs.incr("prepare.table_invalidated", invalidated)
+        return kept, invalidated
 
     @staticmethod
     def _matching(
@@ -742,6 +820,16 @@ def _prepare_transform(
         # Re-encode the base into the fixpoint's own interner once, here,
         # so each execute() takes run_fixpoint's same-interner copy path.
         working = as_storage(working, storage, interner=fixpoint.interner)
+    patchable = None
+    if fixpoint.interner is None and not planner:
+        base_predicates = rules_only.edb_predicates
+        patchable = frozenset(
+            literal.predicate
+            for rule in transformed.program.proper_rules
+            for literal in rule.body
+            if literal.predicate in base_predicates
+            and literal.predicate not in BUILTIN_PREDICATES
+        )
     return PreparedQuery(
         strategy=strategy,
         mode="transform",
@@ -752,4 +840,5 @@ def _prepare_transform(
         transformed=transformed,
         fixpoint=fixpoint,
         prepare_stats=prepare_stats,
+        patchable=patchable,
     )

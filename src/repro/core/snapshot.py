@@ -566,6 +566,8 @@ def dump_prepared(prepared) -> bytes:
         "key": list(prepared.key),
         "prepare_stats": prepared.prepare_stats.as_dict(),
     }
+    if prepared.patchable is not None:
+        meta["patchable"] = sorted(prepared.patchable)
     if prepared.transformed is not None:
         transformed = prepared.transformed
         meta["transformed"] = {
@@ -654,6 +656,7 @@ def load_prepared(data):
             interner,
         )
     stats = EvaluationStats(**meta.get("prepare_stats", {}))
+    patchable = meta.get("patchable")
     prepared = PreparedQuery(
         strategy=meta["strategy"],
         mode=meta["mode"],
@@ -664,6 +667,7 @@ def load_prepared(data):
         transformed=transformed,
         fixpoint=fixpoint,
         prepare_stats=stats,
+        patchable=frozenset(patchable) if patchable is not None else None,
     )
     obs = get_metrics()
     if obs.enabled:

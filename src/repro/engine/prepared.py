@@ -38,12 +38,18 @@ facts (the magic/call seed carrying the query's bound constants) without
 recompiling anything: seeds are plain ground atoms, and embedding them
 as body-less rules — as :meth:`TransformedProgram.evaluation_program`
 does — is equivalent to loading them into the working database first.
+
+:func:`record_footprint` and :func:`footprint_touches` are how a
+prepared shape decides whether a base-fact update can change a completed
+run: the footprint is every probe key the run's base-predicate
+occurrences could have issued, and an update that matches none of them
+leaves the run — answers and counters — exactly as it was.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.intern import ConstantInterner
@@ -53,13 +59,14 @@ from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .columnar import DEFAULT_STORAGE, as_storage, resolve_storage
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, RuleKernel, compile_executors, resolve_executor
+from .kernel import DEFAULT_EXECUTOR, RuleKernel, compile_executors, head_rows, resolve_executor
 from .matching import CompiledRule, compile_rule
 from .planner import resolve_planner
 from .scheduler import (
     DEFAULT_SCHEDULER,
     Component,
     _component_seminaive,
+    _full_view,
     _observe_schedule,
     _single_pass,
     build_schedule,
@@ -72,6 +79,8 @@ __all__ = [
     "CompiledComponent",
     "CompiledFixpoint",
     "compile_fixpoint",
+    "footprint_touches",
+    "record_footprint",
     "run_fixpoint",
 ]
 
@@ -119,13 +128,15 @@ class CompiledFixpoint:
         return len(self.program.proper_rules)
 
     @property
+    def pairs(self) -> list[tuple[CompiledRule, "RuleKernel | None"]]:
+        """Every compiled rule with its kernel, whatever the scheduler."""
+        if self.scheduler == "global":
+            return list(self.executors)
+        return [pair for cc in self.components for pair in cc.executors]
+
+    @property
     def kernel_count(self) -> int:
-        pairs = (
-            [pair for cc in self.components for pair in cc.executors]
-            if self.scheduler != "global"
-            else list(self.executors)
-        )
-        return sum(1 for _, kernel in pairs if kernel is not None)
+        return sum(1 for _, kernel in self.pairs if kernel is not None)
 
 
 def compile_fixpoint(
@@ -311,6 +322,80 @@ def run_fixpoint(
         obs.incr("seminaive.runs")
         obs.observe("seminaive.iterations", stats.iterations)
     return working, stats
+
+
+class _ProbeRecorder:
+    """A relation with no rows that records the key of every probe made
+    of it: the bound columns' values — one raw value for one column, a
+    tuple otherwise, ``()`` for a full scan.  Rule executors reach it
+    through ``lookup`` and ``in`` only (the generated kernels fall back
+    to ``lookup`` for a relation without ``scan`` / ``probe_plan``)."""
+
+    __slots__ = ("arity", "columns", "keys")
+
+    def __init__(self, arity: int):
+        self.arity = arity
+        self.columns: tuple[int, ...] = ()  # fixed per body position
+        self.keys: set = set()
+
+    def lookup(self, bound: Mapping[int, object]) -> tuple:
+        self.columns = columns = tuple(sorted(bound))
+        values = tuple([bound[column] for column in columns])
+        self.keys.add(values[0] if len(values) == 1 else values)
+        return ()
+
+    def __contains__(self, row: tuple) -> bool:
+        self.lookup(dict(enumerate(row)))
+        return False
+
+
+def record_footprint(
+    compiled: CompiledFixpoint, completed: Database, predicates: frozenset[str]
+) -> dict:
+    """The probe keys a run of *compiled* issued against *predicates*:
+    ``{(predicate, columns): frozenset of keys}`` (see
+    :class:`_ProbeRecorder`; tuple storage only, keys are raw values).
+
+    Each body occurrence of one of *predicates* has its rule run once
+    over *completed*, the run's final database, with a recorder at that
+    position and the full relations elsewhere.  Every binding that
+    reached the occurrence during the run came from rows the final
+    database holds (evaluation is inflationary, and negated literals of
+    a compiled stratum name lower or base relations, which a run never
+    changes), so the recorded keys cover every probe the run made there.
+    """
+    footprint: dict = {}
+    full = _full_view(completed)
+    scratch = EvaluationStats()
+    for rule, kernel in compiled.pairs if predicates else ():
+        for position, literal in enumerate(rule.body):
+            if literal.builtin or literal.predicate not in predicates:
+                continue
+            recorder = _ProbeRecorder(literal.source.atom.arity)
+
+            def view(at: int, predicate: str, position=position, recorder=recorder):
+                return recorder if at == position else full(at, predicate)
+
+            for _ in head_rows(rule, kernel, view, scratch):
+                pass
+            if recorder.keys:
+                slot = (literal.predicate, recorder.columns)
+                footprint[slot] = footprint.get(slot, frozenset()) | recorder.keys
+    return footprint
+
+
+def footprint_touches(footprint: dict, changed: Mapping[str, "Iterable[tuple]"]) -> bool:
+    """True iff some changed row — *changed* maps a predicate to raw rows
+    added or removed — matches a key of *footprint*."""
+    for (predicate, columns), keys in footprint.items():
+        rows = changed.get(predicate, ())
+        if len(columns) == 1:
+            column = columns[0]
+            if any(row[column] in keys for row in rows):
+                return True
+        elif any(tuple([row[c] for c in columns]) in keys for row in rows):
+            return True
+    return False
 
 
 @dataclass(frozen=True)

@@ -338,15 +338,17 @@ class QueryService:
            shapes patched in step 1 and shapes whose answers cannot
            depend on the updated predicates (outside the affected cone —
            the updated predicates plus their transitive dependents) are
-           re-keyed to the new version; entries inside the cone are
-           dropped, as is any maintained shape that raced into the cache
-           after step 1's snapshot (it was prepared against the
-           pre-update database).
+           re-keyed to the new version, and so are transform shapes
+           inside the cone that can be patched (see ``keep`` below);
+           the other entries inside the cone are dropped, as is any
+           maintained shape that raced into the cache after step 1's
+           snapshot (it was prepared against the pre-update database).
 
-        *add*/*remove* are fact texts (``"edge(a, b)"``).  Removals must
-        target base (non-IDB) predicates; insertions may assert derived
-        facts (they gain external support in maintained shapes).
-        Returns a summary payload with the new dataset info and the
+        *add*/*remove* are fact texts (``"edge(a, b)"``), each of the
+        arity its predicate has in the dataset.  Removals must target
+        base (non-IDB) predicates; insertions may assert derived facts
+        (they gain external support in maintained shapes).  Returns a
+        summary payload with the new dataset info and the
         cache-migration counts.
         """
         obs = get_metrics()
@@ -371,6 +373,17 @@ class QueryService:
                     raise ReproError(
                         f"cannot remove derived fact {atom}; remove base "
                         "facts only"
+                    )
+            arities = dict(dataset.program.arities)
+            for atom in (*add_atoms, *remove_atoms):
+                arity = dataset.database.arity_of(atom.predicate)
+                if arity is None:
+                    arity = arities.setdefault(atom.predicate, atom.arity)
+                if atom.arity != arity:
+                    raise ReproError(
+                        f"{atom} has arity {atom.arity}, but "
+                        f"{atom.predicate} has arity {arity} in dataset "
+                        f"{name!r}"
                     )
             # 1. Patch maintained shapes in place (their per-shape lock
             # serialises against in-flight executions).  A failure
@@ -398,15 +411,18 @@ class QueryService:
             # 2. Publish the patched dataset under a new version.
             database = dataset.database.copy()
             removed = added = 0
+            changed: dict[str, list[tuple]] = {}
             for atom in remove_atoms:
                 if atom.predicate not in database:
                     continue
                 relation = database.relation(atom.predicate)
                 if relation.discard(database.encode_row(atom.ground_key())):
                     removed += 1
+                    changed.setdefault(atom.predicate, []).append(atom.ground_key())
             for atom in add_atoms:
                 if database.add_atom(atom):
                     added += 1
+                    changed.setdefault(atom.predicate, []).append(atom.ground_key())
             version = dataset.version + 1
             self._datasets[name] = Dataset(
                 name=name,
@@ -419,20 +435,35 @@ class QueryService:
             # 3. Migrate the cache: maintained shapes that were actually
             # patched, and frozen shapes outside the affected cone,
             # answer identically against the new version; everything
-            # else is stale.  A maintained shape *not* in the patched
-            # set raced in between the patch snapshot and here — it was
-            # prepared against the pre-update database and must be
-            # dropped, not migrated.
-            affected = _affected_predicates(
-                dataset.program,
-                {atom.predicate for atom in (*add_atoms, *remove_atoms)},
-            )
+            # else is stale unless it is a transform shape that can be
+            # patched.  A maintained shape *not* in the patched set raced
+            # in between the patch snapshot and here — it was prepared
+            # against the pre-update database and must be dropped, not
+            # migrated.
+            updated = {atom.predicate for atom in (*add_atoms, *remove_atoms)}
+            affected = _affected_predicates(dataset.program, updated)
+            # A transform shape's base holds its lower strata, complete:
+            # an update reaching one (or asserting a derived fact) needs
+            # a fresh preparation.
+            lower = affected & idb
+            table_kept = table_invalidated = 0
 
             def keep(key: tuple, prepared: PreparedQuery) -> bool:
+                nonlocal patched, table_kept, table_invalidated
                 if prepared.mode == "maintained":
                     return key in patched_keys
                 if prepared.mode == "transform":
-                    return prepared.query.predicate not in affected
+                    if prepared.query.predicate not in affected:
+                        return True
+                    if prepared.patchable is None or updated & idb or (
+                        lower & prepared.base.predicates()
+                    ):
+                        return False
+                    entries_kept, entries_invalidated = prepared.patch(database, changed)
+                    patched += 1
+                    table_kept += entries_kept
+                    table_invalidated += entries_invalidated
+                    return True
                 # Frozen full-model shapes depend on everything.
                 return not affected
 
@@ -452,6 +483,8 @@ class QueryService:
                 "cache_entries_patched": patched,
                 "cache_entries_kept": kept,
                 "cache_entries_dropped": dropped,
+                "table_entries_kept": table_kept,
+                "table_entries_invalidated": table_invalidated,
                 "elapsed_ms": (time.perf_counter() - started) * 1000.0,
             }
         )

@@ -24,7 +24,9 @@ from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.terms import Constant, Variable
 from repro.engine.budget import EvaluationBudget
-from repro.errors import BudgetExceededError
+from repro.engine.counters import EvaluationStats
+from repro.errors import BudgetExceededError, ReproError
+from repro.facts.database import Database
 from repro.obs import collect
 
 STRATEGIES = sorted(TRANSFORM_STRATEGIES)
@@ -78,11 +80,12 @@ def assert_same_as_fresh(result, fresh, prepared):
     assert result.transformed is not None
 
 
-ANCESTOR = parse_program("""
+ANCESTOR_SOURCE = """
 par(1, 2). par(2, 3). par(3, 4). par(4, 5). par(5, 6).
 anc(X, Y) :- par(X, Y).
 anc(X, Y) :- par(X, Z), anc(Z, Y).
-""")
+"""
+ANCESTOR = parse_program(ANCESTOR_SOURCE)
 
 
 @settings(
@@ -285,6 +288,55 @@ def test_eight_threads_one_shape_overlapping_goals():
     entries, rows = prepared.table.size()
     assert entries == len(goals)
     assert rows == sum(len(fresh.answers) for fresh in oracle.values())
+
+
+class TestPatch:
+    def test_patchable_is_the_base_predicates_the_stratum_reads(self):
+        program = parse_program(
+            "p(1, 2). q(2). r(2, 3).\n"
+            "low(X) :- q(X).\n"
+            "top(X, Y) :- p(X, Z), not low(Z), r(Z, Y).\n"
+            "top(X, Y) :- p(X, Y), lt(X, Y)."
+        )
+        for strategy in STRATEGIES:
+            shape = prepare_query(program, "top(1, X)?", strategy=strategy)
+            # low is materialised into the base: not a base predicate.
+            assert shape.patchable == frozenset({"p", "r"})
+            loaded = load_prepared(dump_prepared(shape))
+            assert loaded.patchable == shape.patchable
+        for config in (
+            {"storage": "columnar"}, {"planner": "greedy"},
+            {"strategy": "seminaive"},
+        ):
+            shape = prepare_query(program, "top(1, X)?", **config)
+            assert shape.patchable is None
+            with pytest.raises(ReproError, match="cannot be patched"):
+                shape.patch(Database(), {})
+
+    def test_a_run_a_patch_overtook_does_not_store(self):
+        table = CallTable()
+        started = table.generation
+        assert table.invalidate({"par": [(1, 2)]}) == (0, 0)
+        table.put((1, 0), ((2,),), EvaluationStats(), {}, started)
+        assert table.size() == (0, 0)
+        table.put((1, 0), ((2,),), EvaluationStats(), {}, table.generation)
+        assert table.size() == (1, 1)
+
+    def test_a_kept_entry_equals_a_fresh_preparation(self):
+        prepared = prepare_query(ANCESTOR, "anc(1, X)?")
+        for k in (1, 4):
+            prepared.execute(f"anc({k}, X)?")
+        patched = parse_program(ANCESTOR_SOURCE + "par(3, 9).")
+        database = Database.from_program(patched)
+        # anc(4, X) probed par(4, _), par(5, _), par(6, _): kept.
+        assert prepared.patch(database, {"par": [(3, 9)]}) == (1, 1)
+        fresh = prepare_query(patched, "anc(1, X)?")
+        for k in (1, 4):
+            result = prepared.execute(f"anc({k}, X)?")
+            assert result.table_hit == (k == 4)
+            expected = fresh.execute(f"anc({k}, X)?")
+            assert result.answers == expected.answers
+            assert result.stats.as_dict() == expected.stats.as_dict()
 
 
 def test_the_table_is_never_serialised():

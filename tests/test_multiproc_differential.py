@@ -102,6 +102,18 @@ class TestPooledDifferential:
             == oracle.query("upd", "anc(0, X)?")["answers"]
         )
 
+    def test_update_arity_mismatch_is_a_client_error(self, pooled):
+        from repro.errors import ReproError
+
+        pooled.load("arity", program_text=CHAIN)
+        before = pooled.query("arity", "anc(0, X)?")
+        for update in ({"add": ["edge(1, 2, 3)."]}, {"remove": ["edge(3)."]}):
+            with pytest.raises(ReproError, match="arity"):
+                pooled.update("arity", **update)
+        after = pooled.query("arity", "anc(0, X)?")
+        assert after["version"] == before["version"] == 1
+        assert after["answers"] == before["answers"]
+
     def test_budget_payload_travels(self, pooled):
         pooled.load("budget", program_text=CHAIN)
         from repro.engine.budget import EvaluationBudget

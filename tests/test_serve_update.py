@@ -4,15 +4,21 @@ Covers maintained prepared shapes (``maintain=`` in ``prepare_query`` /
 ``Engine.prepare`` / the service config), ``PreparedQuery.apply_update``,
 the cache migration primitives (``entries_for`` / ``rekey_dataset``),
 ``QueryService.update`` end to end (maintained shapes patched in place,
-unaffected shapes migrated, affected shapes dropped), the ``/update``
-HTTP endpoint, and the ``repro-datalog update`` CLI client.
+unaffected shapes migrated, transform shapes inside the cone patched
+with their call-table entries kept or invalidated by footprint, the
+rest dropped), the ``/update`` HTTP endpoint, and the ``repro-datalog
+update`` CLI client.  The oracle for the update contract is a fresh
+:class:`QueryService` on the current facts.
 """
 
 import sys
 import threading
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro import workloads
 from repro.cli import main
 from repro.core.engine import Engine
 from repro.core.prepare import prepare_query, prepared_cache_key
@@ -29,6 +35,21 @@ colour(a, red). colour(b, blue).
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 hue(X) :- colour(X, red).
+"""
+# blocked is negated inside the rewritten stratum of r.
+NEGATED_SOURCE = """
+e(1, 2). e(2, 3). e(3, 4). e(4, 5). e(2, 5). blocked(4).
+r(X, Y) :- e(X, Y), not blocked(Y).
+r(X, Y) :- r(X, Z), e(Z, Y), not blocked(Y).
+"""
+# e and bad feed the lower stratum of unsafe; tag is read by ok's only.
+STRATIFIED_SOURCE = """
+e(1, 2). e(2, 3). e(3, 4). e(4, 5). bad(4). tag(3). tag(5).
+reach(X, Y) :- e(X, Y).
+reach(X, Y) :- e(X, Z), reach(Z, Y).
+unsafe(X) :- bad(X).
+unsafe(X) :- e(X, Y), bad(Y).
+ok(X, Y) :- reach(X, Y), tag(Y), not unsafe(Y).
 """
 
 
@@ -277,36 +298,70 @@ class TestServiceUpdate:
         assert second["version"] == 2
         assert rows(second) == [["a", "b"]]
 
-    def test_unaffected_shape_migrates_affected_shape_drops(self, service):
-        service.query("g", "path(a, X)?")  # affected by edge updates
-        service.query("g", "hue(X)?")      # colour cone; unaffected
-        info = service.update("g", add=["edge(d, e)"])
-        assert info["cache_entries_kept"] == 1
-        assert info["cache_entries_dropped"] == 1
-        assert service.query("g", "hue(X)?")["cache_hit"]
-        assert not service.query("g", "path(a, X)?")["cache_hit"]
-
-    def test_update_inside_the_cone_drops_the_table_outside_keeps_it(
+    def test_unaffected_shape_migrates_affected_shape_is_patched(
         self, service
     ):
-        for goal in ("path(a, X)?", "hue(X)?"):
+        service.query("g", "path(a, X)?")  # reads edge: patched
+        service.query("g", "hue(X)?")      # colour cone; migrated as is
+        info = service.update("g", add=["edge(d, e)"])
+        assert info["cache_entries_patched"] == 1
+        assert info["cache_entries_kept"] == 2
+        assert info["cache_entries_dropped"] == 0
+        assert service.query("g", "hue(X)?")["cache_hit"]
+        path = service.query("g", "path(a, X)?")
+        assert path["cache_hit"] and not path["table_hit"]
+        assert rows(path) == [["a", "b"], ["a", "c"], ["a", "d"], ["a", "e"]]
+
+    def test_update_in_a_footprint_invalidates_only_that_entry(
+        self, service
+    ):
+        for goal in ("path(a, X)?", "path(c, X)?", "hue(X)?"):
             service.query("g", goal)
             assert service.query("g", goal)["table_hit"]
-        old_hue = service.query("g", "hue(X)?")
-        service.update("g", add=["edge(d, e)"], remove=["edge(a, b)"])
+        old = {"hue(X)?": service.query("g", "hue(X)?")}
+        info = service.update("g", add=["edge(d, e)"], remove=["edge(a, b)"])
+        # path(a, X) probed edge(a, _); path(c, X) edge(c, _) and edge(d, _).
+        assert info["table_entries_invalidated"] == 2
+        assert info["table_entries_kept"] == 0
+        old["path(c, X)?"] = service.query("g", "path(c, X)?")
+        info = service.update("g", remove=["edge(a, b)"], add=["edge(x, y)"])
+        assert info["removed"] == 0  # already gone: only edge(x, y) changed
+        assert (info["table_entries_kept"], info["table_entries_invalidated"]) == (1, 0)
         path = service.query("g", "path(a, X)?")
-        assert not path["table_hit"] and not path["cache_hit"]
+        assert path["cache_hit"] and not path["table_hit"]
         assert rows(path) == []  # the new answers, not the stored ones
-        hue = service.query("g", "hue(X)?")
-        assert hue["table_hit"] and hue["cache_hit"]
-        assert hue["version"] == 2
-        assert hue["answers"] == old_hue["answers"]
-        assert hue["stats"] == old_hue["stats"]
-        # ... until an update reaches its own cone.
+        for goal in ("path(c, X)?", "hue(X)?"):
+            reply = service.query("g", goal)
+            assert reply["table_hit"] and reply["cache_hit"]
+            assert reply["version"] == 3
+            assert reply["stats"] == old[goal]["stats"]
+        assert rows(service.query("g", "path(c, X)?")) == [
+            ["c", "d"], ["c", "e"],
+        ]
+        # colour(c, green) misses hue's footprint (it probed red only) ...
+        service.update("g", add=["colour(c, green)"])
+        assert service.query("g", "hue(X)?")["table_hit"]
+        # ... colour(c, red) does not.
         service.update("g", add=["colour(c, red)"])
         hue = service.query("g", "hue(X)?")
-        assert not hue["table_hit"]
+        assert hue["cache_hit"] and not hue["table_hit"]
         assert rows(hue) == [["a"], ["c"]]
+
+    @pytest.mark.parametrize("strategy", ["alexander", "magic", "supplementary"])
+    def test_a_negated_occurrence_is_part_of_the_footprint(self, strategy):
+        service = QueryService()
+        service.load("n", NEGATED_SOURCE)
+        assert rows(service.query("n", "r(1, X)?", strategy=strategy)) == [
+            [1, 2], [1, 3], [1, 5],
+        ]
+        # r(1, X) tested blocked(2), blocked(3), blocked(5), never blocked(1).
+        info = service.update("n", add=["blocked(1)"])
+        assert info["table_entries_invalidated"] == 0
+        info = service.update("n", add=["blocked(3)"])
+        assert info["table_entries_invalidated"] == 1
+        after = service.query("n", "r(1, X)?", strategy=strategy)
+        assert after["cache_hit"] and not after["table_hit"]
+        assert rows(after) == [[1, 2], [1, 5]]
 
     def test_update_drops_maintained_shape_missed_by_patch_loop(
         self, service, monkeypatch
@@ -366,6 +421,62 @@ class TestServiceUpdate:
         with pytest.raises(ReproError, match="remove base facts only"):
             service.update("g", remove=["path(a, b)"])
 
+    @pytest.mark.parametrize(
+        "update",
+        [
+            {"add": ["edge(a, b, c)"]},
+            {"remove": ["edge(c)"]},
+            {"add": ["edge(d, e)"], "remove": ["colour(a)"]},
+            {"add": ["path(a)"]},           # arity from the program's rules
+            {"add": ["new(1)", "new(1, 2)"]},  # disagreeing within one batch
+        ],
+    )
+    def test_arity_mismatch_is_a_client_error_and_changes_nothing(
+        self, service, update
+    ):
+        service.query("g", "path(a, X)?", strategy="seminaive", maintain="dred")
+        service.query("g", "path(a, X)?")
+        before = service.cache.stats()
+        with pytest.raises(ReproError, match="arity"):
+            service.update("g", **update)
+        assert service.dataset("g").version == 1
+        assert service.cache.stats() == before
+        for config in ({"strategy": "seminaive", "maintain": "dred"}, {}):
+            reply = service.query("g", "path(a, X)?", **config)
+            assert reply["cache_hit"] and reply["version"] == 1
+            assert rows(reply) == [["a", "b"], ["a", "c"], ["a", "d"]]
+
+    @pytest.mark.parametrize(
+        "source, goal, config, update",
+        [
+            # asserting a derived fact
+            (GRAPH_SOURCE, "path(a, X)?", {}, {"add": ["path(a, z)"]}),
+            # footprints hold raw values; a plan was cut on old statistics
+            (GRAPH_SOURCE, "path(a, X)?", {"storage": "columnar"},
+             {"add": ["edge(d, e)"]}),
+            (GRAPH_SOURCE, "path(a, X)?", {"planner": "greedy"},
+             {"add": ["edge(d, e)"]}),
+            # edge feeds the lower stratum materialised into the base
+            (GRAPH_SOURCE + "far(X) :- node(X), not path(a, X).\nnode(e).",
+             "far(X)?", {}, {"add": ["edge(d, e)"]}),
+        ],
+    )
+    def test_shapes_that_cannot_be_patched_are_dropped(
+        self, source, goal, config, update
+    ):
+        service = QueryService()
+        service.load("g", source)
+        service.query("g", goal, **config)
+        info = service.update("g", **update)
+        assert info["cache_entries_patched"] == 0
+        assert info["cache_entries_dropped"] == 1
+        fresh = QueryService()
+        fresh.load("g", source)
+        fresh.update("g", **update)
+        reply = service.query("g", goal, **config)
+        assert not reply["cache_hit"]
+        assert reply["answers"] == fresh.query("g", goal, **config)["answers"]
+
     def test_update_counters(self, service):
         with collect() as metrics:
             service.update("g", add=["edge(x, y)", "edge(y, z)"],
@@ -374,6 +485,187 @@ class TestServiceUpdate:
         assert counters["serve.updates"] == 1
         assert counters["maintain.update_adds"] == 2
         assert counters["maintain.update_removes"] == 1
+
+    def test_patch_counters(self, service):
+        service.query("g", "path(a, X)?")
+        service.query("g", "path(c, X)?")
+        with collect() as metrics:
+            info = service.update("g", add=["edge(a, e)"])
+        assert (info["table_entries_kept"], info["table_entries_invalidated"]) == (1, 1)
+        counters = metrics.counters
+        assert counters["prepare.base_patches"] == 1
+        assert counters["prepare.table_kept"] == 1
+        assert counters["prepare.table_invalidated"] == 1
+
+
+# --- the update contract against a fresh service -----------------------------
+def _update_scenarios() -> list:
+    """``(rules, facts, goal predicate)`` per program: the
+    :mod:`repro.workloads` programs plus a negated and a stratified one."""
+    scenarios = []
+    for scenario in (
+        workloads.ancestor(graph="chain", variant="right", n=6),
+        workloads.ancestor(graph="cycle", variant="left", n=5),
+        workloads.nonlinear_tc(graph="chain", n=5),
+        workloads.same_generation(depth=2),
+        workloads.bill_of_materials(depth=2),
+    ):
+        database = scenario.database
+        facts = {
+            (predicate, row)
+            for predicate in database.predicates()
+            for row in database.rows(predicate)
+        }
+        rules = "\n".join(str(rule) for rule in scenario.program.rules)
+        scenarios.append((rules, facts, scenario.query(0).predicate))
+    for source, goal in ((NEGATED_SOURCE, "r"), (STRATIFIED_SOURCE, "ok")):
+        program = parse_program(source)
+        facts = {(atom.predicate, atom.ground_key()) for atom in program.facts}
+        rules = "\n".join(str(rule) for rule in program.proper_rules)
+        scenarios.append((rules, facts, goal))
+    return scenarios
+
+
+UPDATE_SCENARIOS = _update_scenarios()
+
+
+def _fact(predicate: str, row: tuple) -> str:
+    return f"{predicate}({', '.join(map(str, row))})"
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    scenario=st.sampled_from(UPDATE_SCENARIOS),
+    strategy=st.sampled_from(["alexander", "magic", "supplementary"]),
+    data=st.data(),
+)
+def test_interleaved_queries_and_updates_equal_a_fresh_service(
+    scenario, strategy, data
+):
+    """Every reply — answers, their order, every stats field — equals a
+    fresh service's on the current facts, whether the live shape was
+    patched, its entry kept, invalidated or dropped.  Updates hit base
+    predicates read directly, negated, or feeding lower strata, assert
+    derived facts, name brand-new predicates and remove absent facts."""
+    rules, facts, goal_predicate = scenario
+    program = parse_program(rules)
+    arities = program.arities
+    base = sorted(program.edb_predicates)
+    domain = sorted({value for _, row in facts for value in row}) + [99]
+    # A few goal constants per run, so goals repeat across updates.
+    constants = data.draw(
+        st.lists(st.sampled_from(domain), min_size=1, max_size=3, unique=True)
+    )
+    facts = set(facts)
+    live = QueryService()
+    live.load("d", rules + "\n" + "".join(_fact(*f) + ".\n" for f in facts))
+
+    def candidate():
+        kind = data.draw(st.sampled_from(["base"] * 6 + ["derived", "new"]))
+        if kind == "new":
+            return ("brand_new", (data.draw(st.sampled_from(domain)),))
+        predicate = (
+            goal_predicate if kind == "derived"
+            else data.draw(st.sampled_from(base))
+        )
+        row = tuple(
+            data.draw(st.sampled_from(domain))
+            for _ in range(arities[predicate])
+        )
+        return predicate, row
+
+    for _ in range(data.draw(st.integers(4, 12))):
+        if data.draw(st.booleans()):
+            add, remove = [], []
+            for _ in range(data.draw(st.integers(1, 3))):
+                fact = candidate()
+                # Derived facts may be asserted, never removed.
+                if fact[0] in program.idb_predicates or data.draw(st.booleans()):
+                    add.append(fact)
+                else:
+                    remove.append(fact)
+            live.update(
+                "d",
+                add=[_fact(*fact) for fact in add],
+                remove=[_fact(*fact) for fact in remove],
+            )
+            facts = (facts - set(remove)) | set(add)
+        constant = data.draw(st.sampled_from(constants))
+        goal = f"{goal_predicate}({constant}, {data.draw(st.sampled_from('XY'))})?"
+        fresh = QueryService()
+        fresh.load(
+            "d", rules + "\n" + "".join(_fact(*f) + ".\n" for f in sorted(facts, key=repr))
+        )
+        served = live.query("d", goal, strategy=strategy)
+        expected = fresh.query("d", goal, strategy=strategy)
+        assert served["answers"] == expected["answers"], goal
+        assert served["stats"] == expected["stats"], goal
+
+
+def test_no_reply_started_after_an_update_carries_older_answers():
+    """Eight query threads against one patched shape while an updater
+    cuts a chain edge by edge: a query that starts after an update
+    returned must see that update — never a call-table entry stored by a
+    run that started on the replaced base."""
+    length, chains = 24, 3
+    edges = [
+        f"edge(c{chain}n{i}, c{chain}n{i + 1})."
+        for chain in range(chains) for i in range(length)
+    ]
+    service = QueryService()
+    service.load("g", "\n".join(edges) + "\n" + (
+        "tc(X, Y) :- edge(X, Y).\ntc(X, Y) :- edge(X, Z), tc(Z, Y)."
+    ))
+    # Cut 0 removes the chain-0 edge nearest its end, so after `done`
+    # cuts chain 0 reaches length - done nodes; the other chains never
+    # change and stay table hits.
+    goals = [f"tc(c{chain}n0, X)?" for chain in range(chains)]
+    for goal in goals:
+        service.query("g", goal)
+    cuts = length - 4
+    done = 0  # updates returned so far (read without a lock: an int)
+    failures: list = []
+    stop = threading.Event()
+
+    def reader(offset: int) -> None:
+        try:
+            step = offset
+            while not stop.is_set():
+                goal = goals[step % chains]
+                step += 1
+                started = done
+                count = service.query("g", goal)["answers"]["count"]
+                if goal == goals[0]:
+                    if count > length - started:
+                        failures.append((started, count))
+                elif count != length:
+                    failures.append((goal, count))
+        except BaseException as exc:  # noqa: BLE001 - reported below
+            failures.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    threads = [threading.Thread(target=reader, args=(i,)) for i in range(8)]
+    try:
+        for thread in threads:
+            thread.start()
+        for cut in range(cuts):
+            i = length - 1 - cut
+            info = service.update("g", remove=[f"edge(c0n{i}, c0n{i + 1})"])
+            assert info["cache_entries_patched"] == 1
+            done = cut + 1
+    finally:
+        stop.set()
+        sys.setswitchinterval(interval)
+        for thread in threads:
+            thread.join(timeout=30.0)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert service.query("g", goals[0])["answers"]["count"] == length - cuts
+    assert service.query("g", goals[1])["table_hit"]
 
 
 # --- HTTP + CLI --------------------------------------------------------------
@@ -424,6 +716,21 @@ class TestHttpUpdate:
         with pytest.raises(ServeError) as empty:
             client.update("g")
         assert empty.value.status == 400
+
+    def test_update_arity_mismatch_is_400(self, live_server):
+        _, client = live_server
+        client.load("g", GRAPH_SOURCE)
+        client.query("g", "path(a, X)?", strategy="seminaive", maintain="dred")
+        for update in ({"add": ["edge(1, 2, 3)."]}, {"remove": ["edge(3)."]}):
+            with pytest.raises(ServeError) as bad:
+                client.update("g", **update)
+            assert bad.value.status == 400
+            assert "arity" in str(bad.value)
+        # Nothing was dropped or bumped: the maintained shape still hits.
+        reply = client.query(
+            "g", "path(a, X)?", strategy="seminaive", maintain="dred"
+        )
+        assert reply["cache_hit"] and reply["version"] == 1
 
     def test_cli_update_client(self, live_server, capsys):
         _, client = live_server

@@ -17,12 +17,18 @@ serving contract end to end, in two phases.
    ``table_hit`` in the payload, ``seminaive.runs`` flat (the repeated
    goal was answered from the shape's completed calls, no fixpoint);
 4. answers and ``stats`` on the hit are identical to the miss;
-5. a maintained shape is prepared, then ``/update`` removes one chain
-   edge — the patched shape answers from cache at the new dataset
-   version with exactly one answer fewer;
-6. every request above travelled on one persistent connection —
+5. an ``/update`` adding an edge on a component the goal never probed
+   patches the shape and keeps its call-table entry: the next reply is
+   still a ``table_hit`` with the same ``stats`` and ``seminaive.runs``
+   flat;
+6. a maintained shape is prepared, then ``/update`` removes one chain
+   edge inside the goal's footprint — both shapes are patched, the
+   maintained one answers from cache at the new dataset version with
+   exactly one answer fewer, and the transform one re-evaluates the goal
+   (``cache_hit: true, table_hit: false``) to the new answers;
+7. every request above travelled on one persistent connection —
    ``serve.connections`` stays below ``serve.requests`` in ``/metrics``;
-7. SIGTERM, sent while that connection is still open and idle, stops
+8. SIGTERM, sent while that connection is still open and idle, stops
    the server with exit code 0 and no traceback on stderr.
 
 **Multiprocess phase** (``repro serve --processes 2 --registry DIR``):
@@ -36,7 +42,8 @@ serving contract end to end, in two phases.
 3. answers are identical across workers (and to the threaded phase's):
    the same goal sent 2 × workers + 1 times is a ``table_hit`` at least
    once, and every reply carries the same ``rows`` — each worker's own
-   call table never disagrees with another's;
+   call table never disagrees with another's — and so does every reply
+   after an ``/update`` (workers re-prepare against the new snapshot);
 4. a **restarted** server on the same registry directory serves its
    first request with **zero** transform/compile work (warm start);
 5. SIGTERM lands while queries are in flight — the server still exits
@@ -197,28 +204,53 @@ def run_threaded_phase() -> "str | None":
         assert cache["hits"] == 1 and cache["misses"] == 1, cache
         print(f"[threaded] cache totals: {cache}")
 
-        # Incremental /update: a maintained shape is patched in place
-        # and stays cache-hot at the bumped dataset version.
+        # An /update on a component the goal never probed patches the
+        # shape and keeps the goal's call-table entry.
+        runs = after["seminaive.runs"]
+        info = client.update(
+            "t1", add=[f"par({CHAIN_LENGTH + 10}, {CHAIN_LENGTH + 11})."]
+        )
+        assert info["cache_entries_patched"] == 1, info
+        assert info["table_entries_kept"] == 1, info
+        assert info["table_entries_invalidated"] == 0, info
+        kept = client.query("t1", goal)
+        assert kept["cache_hit"] is True and kept["table_hit"] is True, (
+            "an update outside the goal's footprint must keep its entry"
+        )
+        assert kept["answers"] == first["answers"], "kept answers must match"
+        assert kept["stats"] == first["stats"], "kept stats must match"
+        assert counters_of_interest(client)["seminaive.runs"] == runs
+        print("[threaded] disjoint /update kept the call-table entry")
+
+        # Incremental /update inside the footprint: the maintained shape
+        # is patched in place and stays cache-hot at the bumped dataset
+        # version; the transform shape is patched and re-evaluates.
         maintained = client.query(
             "t1", goal, strategy="seminaive", maintain="dred"
         )
         assert maintained["cache_hit"] is False
         before_count = maintained["answers"]["count"]
         info = client.update("t1", remove=[f"par({CHAIN_LENGTH - 2}, {CHAIN_LENGTH - 1})."])
-        assert info["version"] == 2, info
+        assert info["version"] == 3, info
         assert info["removed"] == 1, info
-        assert info["cache_entries_patched"] == 1, info
+        assert info["cache_entries_patched"] == 2, info
+        assert info["table_entries_invalidated"] == 1, info
         patched = client.query(
             "t1", goal, strategy="seminaive", maintain="dred"
         )
         assert patched["cache_hit"] is True, "maintained shape must stay warm"
-        assert patched["version"] == 2, patched
+        assert patched["version"] == 3, patched
         assert patched["answers"]["count"] == before_count - 1, (
             before_count, patched["answers"]["count"]
         )
+        cut = client.query("t1", goal)
+        assert cut["cache_hit"] is True and cut["table_hit"] is False, cut
+        assert cut["answers"]["count"] == first["answers"]["count"] - 1, (
+            cut["answers"]["count"]
+        )
         print(
             f"[threaded] incremental /update verified: version {info['version']}, "
-            f"{info['cache_entries_patched']} shape patched, "
+            f"{info['cache_entries_patched']} shapes patched, "
             f"{before_count} -> {patched['answers']['count']} answers"
         )
 
@@ -308,6 +340,23 @@ def run_multiproc_phase() -> "str | None":
         print(
             f"[multiproc] per-worker call tables agree: {hits} table hits in "
             f"{len(replies)} replies, entries per worker {tables}"
+        )
+
+        info = client.update(
+            "t1", remove=[f"par({CHAIN_LENGTH - 2}, {CHAIN_LENGTH - 1})."]
+        )
+        replies = [client.query("t1", goal) for _ in range(2 * len(pids) + 1)]
+        for reply in replies:
+            assert reply["version"] == info["version"], reply["version"]
+            assert reply["answers"]["rows"] == replies[0]["answers"]["rows"], (
+                "workers disagree after an update"
+            )
+        assert replies[0]["answers"]["count"] == CHAIN_LENGTH - 2, (
+            replies[0]["answers"]["count"]
+        )
+        print(
+            f"[multiproc] every worker agrees after /update: "
+            f"{replies[0]['answers']['count']} answers at version {info['version']}"
         )
     except (AssertionError, ServeError) as failure:
         err = server.kill_for_diagnosis()
