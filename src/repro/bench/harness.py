@@ -85,7 +85,6 @@ def measure(
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
     storage: str = DEFAULT_STORAGE,
-    workers: "int | None" = None,
 ) -> Measurement:
     """Run one strategy on one scenario query; divergence becomes a row.
 
@@ -109,8 +108,6 @@ def measure(
             A9 ablation flips this between ``"scc"`` and ``"global"``).
         storage: relation backend for the bottom-up fixpoints (the A10
             ablation flips this between ``"columnar"`` and ``"tuples"``).
-        workers: worker-pool size for ``scheduler="parallel"`` (the A11
-            benchmark sweeps this; ``None`` = one per CPU core).
     """
     query = scenario.query(query_index)
     start = time.perf_counter()
@@ -125,7 +122,6 @@ def measure(
             executor=executor,
             scheduler=scheduler,
             storage=storage,
-            workers=workers,
         )
     except BudgetExceededError:
         return Measurement(

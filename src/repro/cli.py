@@ -35,13 +35,21 @@ from .datalog.pretty import format_bindings, format_program
 from .engine.budget import EvaluationBudget
 from .engine.columnar import DEFAULT_STORAGE, STORAGES
 from .engine.kernel import DEFAULT_EXECUTOR, EXECUTORS
-from .engine.scheduler import DEFAULT_SCHEDULER, SCHEDULERS
+from .engine.scheduler import DEFAULT_SCHEDULER, PARALLEL_REMOVED, SCHEDULERS
 from .errors import BudgetExceededError, ReproError
 from .transform.alexander import alexander_templates
 from .transform.magic import magic_sets
 from .transform.supplementary import supplementary_magic_sets
 
 __all__ = ["main", "build_parser"]
+
+
+def _scheduler(value: str) -> str:
+    """``--scheduler`` values; the removed one is an error that names its
+    replacement rather than a bare invalid-choice listing."""
+    if value == "parallel":
+        raise argparse.ArgumentTypeError(PARALLEL_REMOVED)
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,21 +137,11 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--scheduler",
         default=DEFAULT_SCHEDULER,
+        type=_scheduler,
         choices=SCHEDULERS,
         help=(
             "fixpoint scheduling for bottom-up evaluation: component-wise "
-            "SCC order (default), a worker-pool parallel variant, or one "
-            "global loop; identical answers"
-        ),
-    )
-    query.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker-pool size for --scheduler parallel "
-            "(default: one per CPU core); serial schedulers ignore it"
+            "SCC order (default) or one global loop; identical answers"
         ),
     )
     query.add_argument(
@@ -341,7 +339,6 @@ def _cmd_query(args) -> int:
         executor=args.executor,
         scheduler=args.scheduler,
         storage=args.storage,
-        workers=args.workers,
     )
     print(format_bindings(goal, result.answers, limit=args.limit))
     if args.stats:

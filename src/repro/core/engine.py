@@ -148,7 +148,6 @@ class Engine:
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
         storage: str = DEFAULT_STORAGE,
-        workers: "int | None" = None,
     ) -> QueryResult:
         """Evaluate *goal* under *strategy*.
 
@@ -167,18 +166,14 @@ class Engine:
             executor: ``"kernel"`` (default) or ``"interpreted"``, the
                 rule-body executor of the bottom-up fixpoints involved;
                 answers and counters are identical either way.
-            scheduler: ``"scc"`` (default), ``"parallel"``, or
-                ``"global"``, the fixpoint scheduling of the bottom-up
-                evaluations involved (:mod:`repro.engine.scheduler`,
-                :mod:`repro.engine.parallel`); answers are identical in
-                every mode.
+            scheduler: ``"scc"`` (default) or ``"global"``, the fixpoint
+                scheduling of the bottom-up evaluations involved
+                (:mod:`repro.engine.scheduler`); answers are identical in
+                both modes.
             storage: ``"tuples"`` (default) or ``"columnar"``, the
                 relation backend of the bottom-up evaluations involved
                 (:mod:`repro.engine.columnar`); answers and counters are
                 identical either way.
-            workers: worker-pool size for ``scheduler="parallel"``
-                (``None`` = one per CPU core); ignored by the serial
-                schedulers.
         """
         if isinstance(goal, str):
             goal = parse_query(goal)
@@ -195,7 +190,6 @@ class Engine:
             executor=executor,
             scheduler=scheduler,
             storage=storage,
-            workers=workers,
         )
 
     def prepare(
@@ -208,7 +202,6 @@ class Engine:
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
         storage: str = DEFAULT_STORAGE,
-        workers: "int | None" = None,
         maintain: "str | None" = None,
     ):
         """Prepare *goal*'s shape for repeated execution.
@@ -242,7 +235,6 @@ class Engine:
             executor=executor,
             scheduler=scheduler,
             storage=storage,
-            workers=workers,
             maintain=maintain,
         )
 

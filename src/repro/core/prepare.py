@@ -378,18 +378,12 @@ class PreparedQuery:
         self,
         goal: "Atom | str | None" = None,
         budget: "EvaluationBudget | Checkpoint | None" = None,
-        workers: "int | None" = None,
     ) -> QueryResult:
         """Evaluate *goal* (default: the template) with zero re-preparation.
 
         Args:
             goal: atom or source text; defaults to the template goal.
             budget: optional per-execution budget.
-            workers: worker-pool size when the shape was prepared with
-                ``scheduler="parallel"`` (``None`` = one per CPU core);
-                an execution-time knob, deliberately *not* part of the
-                cache key — any worker count reuses the same compiled
-                fixpoint and produces the same answers.
 
         Raises:
             ReproError: when *goal* does not match the prepared shape, or
@@ -460,7 +454,6 @@ class PreparedQuery:
             stats=stats,
             budget=budget,
             extra_facts=seeds,
-            workers=workers,
         )
         answers = self._matching(completed, goal, transformed_goal)
         stats.answers = len(answers)
@@ -599,7 +592,6 @@ def prepare_query(
     scheduler: str = DEFAULT_SCHEDULER,
     budget: "EvaluationBudget | Checkpoint | None" = None,
     storage: str = DEFAULT_STORAGE,
-    workers: "int | None" = None,
     maintain: "str | None" = None,
 ) -> PreparedQuery:
     """Prepare *goal*'s shape on *program* + *database* for reuse.
@@ -624,9 +616,6 @@ def prepare_query(
         budget: optional budget bounding *preparation itself* (the
             lower-strata or full materialisation); execution budgets are
             passed to :meth:`PreparedQuery.execute` per run.
-        workers: worker-pool size used by the *preparation* evaluations
-            when ``scheduler="parallel"``; not part of the cache key
-            (execution worker counts are passed to ``execute`` per run).
         maintain: when set (``"counting"``, ``"dred"``, or
             ``"recompute"``), the shape is prepared **maintained**: the
             model lives in an incremental engine and
@@ -711,7 +700,6 @@ def prepare_query(
                     executor=executor,
                     scheduler=scheduler,
                     storage=storage,
-                    workers=workers,
                 )
             prepared = PreparedQuery(
                 strategy=strategy,
@@ -737,7 +725,7 @@ def prepare_query(
             prepared = _prepare_transform(
                 strategy, rules_only, goal, working, sips_fn, planner,
                 executor, scheduler, storage, budget, key, prepare_stats,
-                edb_extra=program.predicates, workers=workers,
+                edb_extra=program.predicates,
             )
     if obs.enabled:
         obs.incr("prepare.builds")
@@ -759,7 +747,6 @@ def _prepare_transform(
     key: tuple,
     prepare_stats: EvaluationStats,
     edb_extra: frozenset[str],
-    workers: "int | None" = None,
 ) -> PreparedQuery:
     """The structured transform pipeline, stopped just short of running.
 
@@ -795,7 +782,6 @@ def _prepare_transform(
             executor=executor,
             scheduler=scheduler,
             storage=storage,
-            workers=workers,
         )
     target = stratification.strata[query_stratum]
     edb = frozenset(

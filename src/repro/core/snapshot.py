@@ -475,8 +475,11 @@ def _rehydrate_fixpoint(
     :func:`~repro.engine.prepared.compile_fixpoint` — the
     ``prepare.transforms`` / ``prepare.compiles`` counters stay flat.
     """
-    resolve_executor(executor)
-    mode = resolve_scheduler(scheduler)
+    try:
+        resolve_executor(executor)
+        mode = resolve_scheduler(scheduler)
+    except ValueError as exc:
+        raise SnapshotFormatError(f"snapshot fixpoint meta: {exc}") from None
     if len(plans) != len(program.rules):
         raise SnapshotFormatError(
             f"snapshot carries {len(plans)} join plans for "

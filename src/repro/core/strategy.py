@@ -126,7 +126,6 @@ def _bottom_up(engine: str):
         executor=DEFAULT_EXECUTOR,
         scheduler=DEFAULT_SCHEDULER,
         storage=DEFAULT_STORAGE,
-        workers=None,
     ) -> QueryResult:
         stats = EvaluationStats()
         completed, _ = stratified_fixpoint(
@@ -139,7 +138,6 @@ def _bottom_up(engine: str):
             executor=executor,
             scheduler=scheduler,
             storage=storage,
-            workers=workers,
         )
         answers = _sorted_answers(query, completed.match(query))
         stats.answers = len(answers)
@@ -159,7 +157,6 @@ def _sld(
     executor=DEFAULT_EXECUTOR,
     scheduler=DEFAULT_SCHEDULER,
     storage=DEFAULT_STORAGE,
-    workers=None,
 ) -> QueryResult:
     # Plain SLD resolves one tuple at a time in clause-text order; there is
     # no set-oriented join to plan, so `planner` (and `executor`/
@@ -180,7 +177,6 @@ def _oldt(
     executor=DEFAULT_EXECUTOR,
     scheduler=DEFAULT_SCHEDULER,
     storage=DEFAULT_STORAGE,
-    workers=None,
 ) -> QueryResult:
     engine = OLDTEngine(program, database, planner=planner, budget=budget)
     raw = engine.query(query)
@@ -226,7 +222,6 @@ def _qsqr(
     executor=DEFAULT_EXECUTOR,
     scheduler=DEFAULT_SCHEDULER,
     storage=DEFAULT_STORAGE,
-    workers=None,
 ) -> QueryResult:
     engine = QSQREngine(program, database, planner=planner, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
@@ -245,7 +240,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
         executor=DEFAULT_EXECUTOR,
         scheduler=DEFAULT_SCHEDULER,
         storage=DEFAULT_STORAGE,
-        workers=None,
     ) -> QueryResult:
         stats = EvaluationStats()
         # One checkpoint spans the whole pipeline (lower-strata
@@ -297,7 +291,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
                 executor=executor,
                 scheduler=scheduler,
                 storage=storage,
-                workers=workers,
             )
         target = stratification.strata[query_stratum]
         edb = frozenset(
@@ -314,7 +307,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
             executor=executor,
             scheduler=scheduler,
             storage=storage,
-            workers=workers,
         )
 
         answers = _sorted_answers(query, completed.match(transformed.goal))
@@ -385,7 +377,6 @@ def run_strategy(
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
     storage: str = DEFAULT_STORAGE,
-    workers: "int | None" = None,
 ) -> QueryResult:
     """Evaluate *query* on *program* + *database* under strategy *name*.
 
@@ -404,22 +395,16 @@ def run_strategy(
             the rule-body executor of every bottom-up fixpoint involved
             (:mod:`repro.engine.kernel`); the top-down strategies accept
             and ignore it.  Answers and counters are identical either way.
-        scheduler: ``"scc"`` (default), ``"parallel"``, or ``"global"``,
-            selecting component-wise, worker-pool
-            (:mod:`repro.engine.parallel`), or monolithic fixpoint
-            scheduling in every bottom-up fixpoint involved; the
-            top-down strategies accept and ignore it.  Answers are
-            identical in every mode.
+        scheduler: ``"scc"`` (default) or ``"global"``, selecting
+            component-wise or monolithic fixpoint scheduling in every
+            bottom-up fixpoint involved; the top-down strategies accept
+            and ignore it.  Answers are identical in both modes.
         storage: ``"tuples"`` (default) or ``"columnar"``, selecting the
             working-database backend
             (:mod:`repro.engine.columnar`) of every bottom-up fixpoint
             involved; the top-down strategies accept and ignore it.
             Answers, counters, and call summaries are identical either
             way (answers and summaries are always raw values).
-        workers: worker-pool size for ``scheduler="parallel"``
-            (``None`` = one per CPU core); forwarded to every bottom-up
-            fixpoint involved and ignored by the serial schedulers and
-            the top-down strategies.
     """
     if name not in _STRATEGIES:
         raise ReproError(
@@ -433,9 +418,9 @@ def run_strategy(
         }[name]
         return _transform_strategy(name, transform, sips)(
             program, query, database, planner, budget, executor, scheduler,
-            storage, workers,
+            storage,
         )
     return _STRATEGIES[name](
         program, query, database, planner, budget, executor, scheduler,
-        storage, workers,
+        storage,
     )

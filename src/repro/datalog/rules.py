@@ -133,8 +133,8 @@ class Program:
     @cached_property
     def dependency_graph(self) -> "DependencyGraph":
         """The program's :class:`~repro.analysis.dependency.DependencyGraph`,
-        built once per program object: stratification reports, the
-        component schedule and the parallel scheduler all read it."""
+        built once per program object: stratification reports and the
+        component schedule both read it."""
         from ..analysis.dependency import DependencyGraph
 
         return DependencyGraph(self)

@@ -36,7 +36,6 @@ derived fact sets are bit-identical to ungoverned evaluation (pinned by
 
 from __future__ import annotations
 
-import threading
 import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
@@ -106,25 +105,6 @@ class EvaluationBudget:
         return Checkpoint(self, stats)
 
 
-class _TripGate:
-    """The once-only trip latch a checkpoint shares with its worker views.
-
-    Parallel evaluation polls one logical budget from many threads.  The
-    gate makes the trip a single event: the first worker to exhaust a
-    limit wins the lock, builds the :class:`BudgetExceededError` (and
-    counts ``budget.exceeded`` exactly once); every later tripper — and
-    every subsequent :meth:`Checkpoint.poll` on any sibling view — raises
-    the *stored* error and unwinds cooperatively, so the partial database
-    keeps its prefix property.
-    """
-
-    __slots__ = ("lock", "error")
-
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.error: BudgetExceededError | None = None
-
-
 class Checkpoint:
     """The live monitor one governed evaluation polls.
 
@@ -133,23 +113,9 @@ class Checkpoint:
     the single :class:`EvaluationStats` record the evaluation accumulates
     into.  Engines :meth:`bind` the working database (or a callable
     producing one) so a trip can carry the partial result out.
-
-    Parallel evaluation adds one wrinkle: the default ``Metrics`` stack
-    and the poll stride are single-threaded by design, so concurrent
-    workers must not share one checkpoint instance.  Each worker instead
-    polls a :meth:`worker_view` — its own poll stride and its own
-    worker-local stats, sharing the parent's budget, clock, partial
-    binding, and a single :class:`_TripGate` so the whole evaluation
-    trips at most once.  A view checks limits against
-    ``root stats + worker-local stats``; sibling workers' in-flight
-    counts are invisible until merged, so parallel trip *points* are
-    approximate (never early — completed runs are unaffected), while the
-    trip itself stays exact and single.
     """
 
-    __slots__ = (
-        "budget", "stats", "_deadline", "_polls", "_partial", "_gate", "_root",
-    )
+    __slots__ = ("budget", "stats", "_deadline", "_polls", "_partial")
 
     def __init__(self, budget: EvaluationBudget, stats: "EvaluationStats"):
         self.budget = budget
@@ -161,8 +127,6 @@ class Checkpoint:
         )
         self._polls = 0
         self._partial: "Database | Callable[[], Database] | None" = None
-        self._gate = _TripGate()
-        self._root: "Checkpoint | None" = None
 
     def bind(self, partial: "Database | Callable[[], Database]") -> "Checkpoint":
         """Attach the evaluation's working database (or a thunk building
@@ -174,36 +138,6 @@ class Checkpoint:
         self._partial = partial
         return self
 
-    def worker_view(self, stats: "EvaluationStats") -> "Checkpoint":
-        """A sibling checkpoint for one parallel worker.
-
-        The view shares this checkpoint's budget, deadline, partial
-        binding, and trip gate, but accumulates its polls against the
-        worker-local *stats* record (merged into the root's stats by the
-        coordinator).  Views of views chain back to the one root.
-        """
-        root = self._root if self._root is not None else self
-        view = Checkpoint.__new__(Checkpoint)
-        view.budget = self.budget
-        view.stats = stats
-        view._deadline = self._deadline
-        view._polls = 0
-        view._partial = None
-        view._gate = self._gate
-        view._root = root
-        return view
-
-    @property
-    def tripped(self) -> "BudgetExceededError | None":
-        """The stored trip error, if any worker already tripped the gate."""
-        return self._gate.error
-
-    def _count(self, name: str) -> int:
-        """A limit counter, including the root's already-merged share."""
-        value = getattr(self.stats, name)
-        root = self._root
-        return value if root is None else value + getattr(root.stats, name)
-
     # --- checks ---------------------------------------------------------------
     def check_round(self) -> None:
         """Full check at a round boundary: every limit, exactly.
@@ -211,26 +145,26 @@ class Checkpoint:
         Raises:
             BudgetExceededError: when any limit is exhausted.
         """
-        error = self._gate.error
-        if error is not None:
-            raise error
         budget = self.budget
-        if budget.max_iterations is not None:
-            iterations = self._count("iterations")
-            if iterations >= budget.max_iterations:
-                self._trip(
-                    "iterations",
-                    f"evaluation reached {iterations} fixpoint "
-                    f"iterations (budget: {budget.max_iterations})",
-                )
-        if budget.max_facts is not None:
-            facts = self._count("facts_derived")
-            if facts >= budget.max_facts:
-                self._trip(
-                    "facts",
-                    f"evaluation derived {facts} facts "
-                    f"(budget: {budget.max_facts})",
-                )
+        stats = self.stats
+        if (
+            budget.max_iterations is not None
+            and stats.iterations >= budget.max_iterations
+        ):
+            self._trip(
+                "iterations",
+                f"evaluation reached {stats.iterations} fixpoint "
+                f"iterations (budget: {budget.max_iterations})",
+            )
+        if (
+            budget.max_facts is not None
+            and stats.facts_derived >= budget.max_facts
+        ):
+            self._trip(
+                "facts",
+                f"evaluation derived {stats.facts_derived} facts "
+                f"(budget: {budget.max_facts})",
+            )
         self._check_work()
 
     def poll(self) -> None:
@@ -239,13 +173,8 @@ class Checkpoint:
         Call once per match attempt; every :data:`POLL_STRIDE` calls the
         wall clock and the attempt count are checked (iterations and facts
         only move at round boundaries, where :meth:`check_round` covers
-        them).  A sibling worker's trip is noticed on *every* call — the
-        gate test is one attribute load — so parallel workers unwind
-        within one attempt of the first trip.
+        them).
         """
-        error = self._gate.error
-        if error is not None:
-            raise error
         self._polls += 1
         if self._polls & (POLL_STRIDE - 1):
             return
@@ -253,14 +182,13 @@ class Checkpoint:
 
     def _check_work(self) -> None:
         budget = self.budget
-        if budget.max_attempts is not None:
-            attempts = self._count("attempts")
-            if attempts >= budget.max_attempts:
-                self._trip(
-                    "attempts",
-                    f"evaluation made {attempts} match attempts "
-                    f"(budget: {budget.max_attempts})",
-                )
+        attempts = self.stats.attempts
+        if budget.max_attempts is not None and attempts >= budget.max_attempts:
+            self._trip(
+                "attempts",
+                f"evaluation made {attempts} match attempts "
+                f"(budget: {budget.max_attempts})",
+            )
         if self._deadline is not None and time.monotonic() >= self._deadline:
             self._trip(
                 "wall_clock",
@@ -270,40 +198,29 @@ class Checkpoint:
 
     # --- tripping -------------------------------------------------------------
     def _partial_database(self) -> "Database | None":
-        owner = self._root if self._root is not None else self
-        partial = owner._partial
+        partial = self._partial
         if partial is None:
             return None
         return partial() if callable(partial) else partial
 
     def _trip(self, limit: str, message: str) -> None:
-        gate = self._gate
-        with gate.lock:
-            if gate.error is None:
-                # First (usually only) tripper: count the trip exactly
-                # once and build the error every sibling will raise.  The
-                # error carries the *root* stats record by reference, so
-                # by the time a parallel coordinator re-raises it the
-                # merged totals are visible to the caller.
-                obs = get_metrics()
-                if obs.enabled:
-                    obs.incr("budget.exceeded")
-                    obs.incr(f"budget.exceeded.{limit}")
-                    if self.budget.wall_clock_seconds is not None:
-                        obs.observe(
-                            "budget.remaining_s",
-                            max(self._deadline - time.monotonic(), 0.0)
-                            if self._deadline is not None
-                            else 0.0,
-                        )
-                owner = self._root if self._root is not None else self
-                gate.error = BudgetExceededError(
-                    message,
-                    stats=owner.stats,
-                    limit=limit,
-                    partial=self._partial_database(),
+        obs = get_metrics()
+        if obs.enabled:
+            obs.incr("budget.exceeded")
+            obs.incr(f"budget.exceeded.{limit}")
+            if self.budget.wall_clock_seconds is not None:
+                obs.observe(
+                    "budget.remaining_s",
+                    max(self._deadline - time.monotonic(), 0.0)
+                    if self._deadline is not None
+                    else 0.0,
                 )
-        raise gate.error
+        raise BudgetExceededError(
+            message,
+            stats=self.stats,
+            limit=limit,
+            partial=self._partial_database(),
+        )
 
 
 def ensure_checkpoint(

@@ -298,14 +298,6 @@ class ColumnarRelation:
         """All rows as a snapshot tuple (cached per :attr:`version`)."""
         return self._scan_snapshot()
 
-    def probe(self, column: int, value: int) -> tuple:
-        """Rows holding id *value* in *column*, as a snapshot tuple."""
-        posting = self._posting_index(column).get(value)
-        if not posting:
-            return ()
-        rowlist = self._rowlist
-        return tuple(rowlist[index] for index in posting)
-
     def lookup(self, bound: Mapping[int, int]) -> Iterator[tuple]:
         """Yield encoded rows matching the bound columns.
 

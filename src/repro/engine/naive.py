@@ -81,7 +81,6 @@ def naive_fixpoint(
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
     storage: str = DEFAULT_STORAGE,
-    workers: "int | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint naively.
 
@@ -113,23 +112,12 @@ def naive_fixpoint(
             database's relation backend (:mod:`repro.engine.columnar`).
             Fact sets and counters are identical either way; columnar
             storage requires ``executor="kernel"``.
-        workers: worker-pool size for ``scheduler="parallel"``
-            (:mod:`repro.engine.parallel`; ``None`` = one per CPU
-            core); accepted and ignored by the serial schedulers.
 
     Returns:
         The completed database (EDB plus all derived IDB facts) and the
         statistics record.
     """
-    mode = resolve_scheduler(scheduler)
-    if mode == "parallel":
-        from .parallel import parallel_naive_fixpoint
-
-        return parallel_naive_fixpoint(
-            program, database, stats, planner=planner, budget=budget,
-            executor=executor, storage=storage, workers=workers,
-        )
-    if mode == "scc":
+    if resolve_scheduler(scheduler) == "scc":
         from .scheduler import scc_naive_fixpoint
 
         return scc_naive_fixpoint(

@@ -100,9 +100,7 @@ class CompiledFixpoint:
     Attributes:
         program: the source rules (facts, if any, are loaded per run).
         executor: ``"kernel"`` or ``"interpreted"`` (fixed at compile).
-        scheduler: ``"scc"``, ``"parallel"``, or ``"global"`` (fixed at
-            compile; ``"parallel"`` compiles exactly like ``"scc"`` —
-            the same component schedule — and differs only at run time).
+        scheduler: ``"scc"`` or ``"global"`` (fixed at compile).
         storage: ``"tuples"`` or ``"columnar"`` (fixed at compile).
         interner: the constant interner shared by every run (columnar
             only).  Kernels bake interned constant ids at compile time,
@@ -159,9 +157,7 @@ def compile_fixpoint(
             predicate unknown — see the module docstring for how this
             differs from the interleaved one-shot scc planning.
         executor: ``"kernel"`` (default) or ``"interpreted"``.
-        scheduler: ``"scc"`` (default), ``"parallel"``, or ``"global"``.
-            ``"parallel"`` compiles the same component schedule as
-            ``"scc"``; the worker pool is a run-time concern.
+        scheduler: ``"scc"`` (default) or ``"global"``.
         storage: ``"tuples"`` (default) or ``"columnar"``.  Columnar
             fixpoints compile against a fresh
             :class:`~repro.datalog.intern.ConstantInterner` that every
@@ -242,7 +238,6 @@ def run_fixpoint(
     stats: "EvaluationStats | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
     extra_facts: Iterable[Atom] = (),
-    workers: "int | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *compiled* to fixpoint against *database*.
 
@@ -257,10 +252,6 @@ def run_fixpoint(
             partial working database, exactly like the one-shot engines.
         extra_facts: ground atoms loaded into the working copy before
             evaluation — the prepared-query seed channel.
-        workers: worker-pool size for ``scheduler="parallel"`` fixpoints
-            (``None`` = one per CPU core); ignored by the serial modes.
-            A run-time knob only — any worker count reuses the same
-            compiled plan and derives the same fact set.
 
     Returns:
         The completed working database and the statistics record.
@@ -290,12 +281,6 @@ def run_fixpoint(
             stats,
             checkpoint,
         )
-        return working, stats
-
-    if compiled.scheduler == "parallel":
-        from .parallel import run_compiled_parallel
-
-        run_compiled_parallel(compiled, working, stats, checkpoint, workers)
         return working, stats
 
     schedule_components = compiled.components

@@ -51,7 +51,6 @@ derivable (the iteration is inflationary).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from ..datalog.rules import Program, Rule
@@ -68,6 +67,7 @@ from .planner import JoinPlanner
 __all__ = [
     "SCHEDULERS",
     "DEFAULT_SCHEDULER",
+    "PARALLEL_REMOVED",
     "resolve_scheduler",
     "Component",
     "Schedule",
@@ -77,23 +77,22 @@ __all__ = [
     "scc_naive_fixpoint",
 ]
 
-SCHEDULERS = ("scc", "global", "parallel")
+SCHEDULERS = ("scc", "global")
 
-# The default is overridable via REPRO_SCHEDULER so a CI leg (or an
-# operator) can route every default-scheduler call through the parallel
-# path without touching call sites; an unknown value fails at import
-# rather than silently falling back.
-DEFAULT_SCHEDULER = os.environ.get("REPRO_SCHEDULER", "scc")
-if DEFAULT_SCHEDULER not in SCHEDULERS:
-    raise ValueError(
-        f"REPRO_SCHEDULER={DEFAULT_SCHEDULER!r} is not one of {SCHEDULERS}"
-    )
+DEFAULT_SCHEDULER = "scc"
+
+PARALLEL_REMOVED = (
+    "scheduler='parallel' was removed; use 'scc' (same answers and "
+    "counts) or `serve --processes N` for multi-core"
+)
 
 
 def resolve_scheduler(scheduler: str) -> str:
     """Validate a ``scheduler=`` argument (every bottom-up engine accepts
     one)."""
     if scheduler not in SCHEDULERS:
+        if scheduler == "parallel":
+            raise ValueError(PARALLEL_REMOVED)
         raise ValueError(
             f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
         )

@@ -98,7 +98,6 @@ def seminaive_fixpoint(
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
     storage: str = DEFAULT_STORAGE,
-    workers: "int | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint with the semi-naive delta discipline.
 
@@ -125,16 +124,12 @@ def seminaive_fixpoint(
         scheduler: ``"scc"`` (default) evaluates the program
             component-by-component in dependency order with local
             fixpoints and a delta agenda
-            (:mod:`repro.engine.scheduler`); ``"parallel"`` runs the
-            same component discipline with independent components on a
-            worker pool and hash-partitioned delta rounds
-            (:mod:`repro.engine.parallel`); ``"global"`` runs the
+            (:mod:`repro.engine.scheduler`); ``"global"`` runs the
             single monolithic loop below, kept as the differential
             oracle.  Fact sets, ``facts_derived``, and ``inferences``
-            are identical in all modes (scc and parallel additionally
-            match on ``attempts`` and ``iterations``); ``iterations``
-            counts local component passes under scc/parallel and global
-            rounds otherwise, so those two are not comparable 1:1.
+            are identical in both modes; ``iterations`` counts local
+            component passes under scc and global rounds otherwise, so
+            those are not comparable 1:1.
         storage: ``"tuples"`` (default) keeps facts as tuples of raw
             values; ``"columnar"`` interns constants and evaluates over
             the dictionary-encoded columnar backend with batch kernels
@@ -142,22 +137,11 @@ def seminaive_fixpoint(
             enumeration order, and budget-trip points are identical
             either way (the tuple backend is the differential oracle).
             Columnar storage requires ``executor="kernel"``.
-        workers: worker-pool size for ``scheduler="parallel"``
-            (``None`` = one per CPU core); accepted and ignored by the
-            serial schedulers.
 
     Returns:
         The completed database and the statistics record.
     """
-    mode = resolve_scheduler(scheduler)
-    if mode == "parallel":
-        from .parallel import parallel_seminaive_fixpoint
-
-        return parallel_seminaive_fixpoint(
-            program, database, stats, planner=planner, budget=budget,
-            executor=executor, storage=storage, workers=workers,
-        )
-    if mode == "scc":
+    if resolve_scheduler(scheduler) == "scc":
         from .scheduler import scc_seminaive_fixpoint
 
         return scc_seminaive_fixpoint(

@@ -41,7 +41,6 @@ def stratified_fixpoint(
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
     storage: str = DEFAULT_STORAGE,
-    workers: "int | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate a stratifiable program, stratum by stratum.
 
@@ -64,15 +63,11 @@ def stratified_fixpoint(
             default, ``"interpreted"`` for the oracle matcher).
         scheduler: forwarded to every per-stratum fixpoint (``"scc"``
             default — each stratum is further condensed into dependency
-            components; ``"parallel"`` for the worker-pool variant;
-            ``"global"`` for the monolithic oracle loop).
+            components; ``"global"`` for the monolithic oracle loop).
         storage: forwarded to every per-stratum fixpoint (``"tuples"``
             default, ``"columnar"`` for the interned backend).  The
             database is converted once up front, so each stratum's
             fixpoint takes the cheap same-backend copy path.
-        workers: forwarded to every per-stratum fixpoint; worker-pool
-            size for ``scheduler="parallel"`` (``None`` = one per CPU
-            core).
 
     Returns:
         The completed database and statistics.
@@ -101,7 +96,6 @@ def stratified_fixpoint(
                     executor=executor,
                     scheduler=scheduler,
                     storage=storage,
-                    workers=workers,
                 )
     if obs.enabled:
         obs.observe("stratified.strata", len(stratification.strata))

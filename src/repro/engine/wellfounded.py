@@ -224,9 +224,6 @@ def alternating_fixpoint(
     base = as_storage(database, storage)
     base.add_atoms(program.facts)
     rules_only = program.without_facts()
-    # Γ's overlay views interleave base and overestimate state, so the
-    # "parallel" mode evaluates here exactly like "scc" (the schedule is
-    # what parallelism would need anyway; Γ itself stays serial).
     schedule = (
         build_schedule(rules_only)
         if resolve_scheduler(scheduler) != "global"

@@ -169,8 +169,7 @@ class Relation:
             ValueError: if *round* is lower than the current round — a
                 regressing stamp would silently corrupt every later
                 :meth:`rows_before` view (rows of the regressed rounds
-                leak into "old"), which is exactly the failure mode a
-                buggy parallel merge produces.
+                leak into "old").
         """
         if round < self._round:
             raise ValueError(
@@ -236,15 +235,6 @@ class Relation:
         """
         return self._scan_snapshot()
 
-    def probe(self, column: int, value: object) -> tuple:
-        """Rows holding *value* in *column*, as a snapshot tuple.
-
-        Identical contents and order to ``lookup({column: value})`` (a
-        single-column lookup yields its posting list unfiltered).  The
-        generated kernels inline this through :meth:`probe_plan`.
-        """
-        return tuple(self._index_for(column).get(value, ()))
-
     def probe_plan(self, column: int) -> tuple:
         """``(posting getter, stamp getter, cutoff)`` for probes of *column*.
 
@@ -253,8 +243,8 @@ class Relation:
         ``tuple(getter(value, ()))`` with no call into this class.  The
         getter reads the live column index (built here if needed,
         maintained in place by :meth:`add` and :meth:`discard`), so each
-        probe sees exactly what :meth:`probe` would return at that
-        moment.  A plain relation filters nothing: its stamp getter is
+        probe sees exactly what ``lookup({column: value})`` would yield
+        at that moment.  A plain relation filters nothing: its stamp getter is
         ``None``.
         """
         return self._index_for(column).get, None, 0

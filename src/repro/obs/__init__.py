@@ -27,7 +27,6 @@ from .metrics import (
     get_metrics,
     merge_snapshots,
     set_metrics,
-    thread_metrics,
 )
 
 __all__ = [
@@ -44,5 +43,4 @@ __all__ = [
     "get_metrics",
     "merge_snapshots",
     "set_metrics",
-    "thread_metrics",
 ]

@@ -51,7 +51,6 @@ __all__ = [
     "get_metrics",
     "set_metrics",
     "collect",
-    "thread_metrics",
     "merge_snapshots",
 ]
 
@@ -240,9 +239,7 @@ class Metrics:
     def merge(self, other: "Metrics") -> None:
         """Fold every aggregate of *other* into this registry.
 
-        Parallel evaluation gives each worker thread its own registry
-        (via :func:`thread_metrics`) and folds them into the parent when
-        the worker completes; callers merge workers in a fixed order so
+        Callers merging several registries do so in a fixed order so
         order-sensitive fields (histogram ``last``) stay deterministic.
         *other* is left untouched and must not be recording concurrently.
         """
@@ -390,21 +387,9 @@ NULL_METRICS = NullMetrics()
 
 _active: Metrics = NULL_METRICS
 
-_tls = threading.local()
-
 
 def get_metrics() -> Metrics:
-    """The registry instrumentation points should record into.
-
-    A thread-local override installed by :func:`thread_metrics` wins over
-    the process-wide registry — that is how parallel evaluation routes
-    each worker thread's instrumentation into a private registry (the
-    default :class:`Metrics` is single-threaded by design) without the
-    workers knowing they are workers.
-    """
-    override = getattr(_tls, "active", None)
-    if override is not None:
-        return override
+    """The registry instrumentation points should record into."""
     return _active
 
 
@@ -434,25 +419,6 @@ def collect(metrics: Metrics | None = None) -> Iterator[Metrics]:
         yield registry
     finally:
         set_metrics(previous)
-
-
-@contextmanager
-def thread_metrics(metrics: Metrics) -> Iterator[Metrics]:
-    """Route the *calling thread's* :func:`get_metrics` to *metrics*.
-
-    Unlike :func:`collect` (which swaps the process-wide registry), this
-    installs a thread-local override, so other threads keep recording
-    into whatever is globally active.  Parallel workers run their
-    component under this and hand the private registry back to the
-    coordinator, which :meth:`Metrics.merge`\\ s the workers in schedule
-    order.  The previous override (usually none) is restored on exit.
-    """
-    previous = getattr(_tls, "active", None)
-    _tls.active = metrics
-    try:
-        yield metrics
-    finally:
-        _tls.active = previous
 
 
 def merge_snapshots(*snapshots: dict) -> dict:

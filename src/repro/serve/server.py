@@ -324,19 +324,11 @@ class _Handler(BaseHTTPRequestHandler):
             value = cls._string(payload, field)
             if value is not None:
                 config[field] = value
-        workers = payload.get("workers")
-        if workers is not None:
-            # Validated at the boundary: the pool size must be a positive
-            # integer (bools are JSON booleans, not worker counts).
-            if (
-                isinstance(workers, bool)
-                or not isinstance(workers, int)
-                or workers < 1
-            ):
-                raise ReproError(
-                    f'"workers" must be a positive integer, got {workers!r}'
-                )
-            config["workers"] = workers
+        if "workers" in payload:
+            raise ReproError(
+                '"workers" was removed with scheduler=\'parallel\'; use '
+                "`serve --processes N` for multi-core"
+            )
         return config
 
 

@@ -559,7 +559,7 @@ class QueryService:
     def _build_prepared(
         self, dataset: Dataset, goal: Atom, key: tuple, strategy: str,
         sips, planner, executor: str, scheduler: str, storage: str,
-        budget=None, workers=None, maintain: "str | None" = None,
+        budget=None, maintain: "str | None" = None,
     ):
         """The cache-miss factory: registry consult, then a real prepare.
 
@@ -591,7 +591,6 @@ class QueryService:
             scheduler=scheduler,
             storage=storage,
             budget=budget,
-            workers=workers,
             maintain=maintain,
         )
         if shareable:
@@ -608,17 +607,13 @@ class QueryService:
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
         storage: str = DEFAULT_STORAGE,
-        workers: "int | None" = None,
         maintain: "str | None" = None,
     ) -> dict:
         """Prepare (or re-use) a query shape; the ``/prepare`` endpoint.
 
-        *workers* sizes the worker pool of ``scheduler="parallel"``
-        preparation work; it is deliberately not part of the cache key
-        (any worker count reuses the same compiled shape).  *maintain*
-        (``"counting"`` / ``"dred"`` / ``"recompute"``) prepares a
-        maintained shape whose materialisation :meth:`update` patches in
-        place instead of dropping.
+        *maintain* (``"counting"`` / ``"dred"`` / ``"recompute"``)
+        prepares a maintained shape whose materialisation :meth:`update`
+        patches in place instead of dropping.
 
         Raises :class:`UnpreparableStrategyError` for the top-down
         strategies — ``/prepare`` reports that as a client error, while
@@ -641,7 +636,7 @@ class QueryService:
             key,
             lambda: self._build_prepared(
                 dataset, goal, key, strategy, sips, planner, executor,
-                scheduler, storage, workers=workers, maintain=maintain,
+                scheduler, storage, maintain=maintain,
             ),
         )
         return {
@@ -673,15 +668,12 @@ class QueryService:
         scheduler: str = DEFAULT_SCHEDULER,
         storage: str = DEFAULT_STORAGE,
         budget: "EvaluationBudget | None" = None,
-        workers: "int | None" = None,
         maintain: "str | None" = None,
     ) -> dict:
         """Answer *goal* against *dataset_name*; the ``/query`` endpoint.
 
         Returns a JSON-ready payload.  Budget trips degrade to a sound
         partial payload (``partial: true``) instead of raising.
-        *workers* sizes the ``scheduler="parallel"`` worker pool
-        (``None`` = one per CPU core); serial schedulers ignore it.
         *maintain* routes the request through a maintained shape (see
         :meth:`prepare`); materialised strategies only.
         """
@@ -704,12 +696,12 @@ class QueryService:
         if strategy in UNPREPARABLE_STRATEGIES:
             payload = self._query_direct(
                 dataset, goal, strategy, sips, planner, executor, scheduler,
-                storage, budget, workers,
+                storage, budget,
             )
         else:
             payload = self._query_prepared(
                 dataset, goal, strategy, sips, planner, executor, scheduler,
-                storage, budget, workers, maintain,
+                storage, budget, maintain,
             )
         elapsed = time.perf_counter() - started
         payload["elapsed_ms"] = elapsed * 1000.0
@@ -719,7 +711,7 @@ class QueryService:
 
     def _query_prepared(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, storage: str, budget, workers=None,
+        executor: str, scheduler: str, storage: str, budget,
         maintain: "str | None" = None,
     ) -> dict:
         key = self._cache_key(
@@ -734,8 +726,7 @@ class QueryService:
                 key,
                 lambda: self._build_prepared(
                     dataset, goal, key, strategy, sips, planner, executor,
-                    scheduler, storage, budget=budget, workers=workers,
-                    maintain=maintain,
+                    scheduler, storage, budget=budget, maintain=maintain,
                 ),
             )
         except BudgetExceededError as exc:
@@ -749,7 +740,7 @@ class QueryService:
                 prepared=False, cache_hit=False,
             )
         try:
-            result = prepared.execute(goal, budget=budget, workers=workers)
+            result = prepared.execute(goal, budget=budget)
         except BudgetExceededError as exc:
             return self._partial_payload(
                 dataset, goal, strategy,
@@ -763,7 +754,7 @@ class QueryService:
 
     def _query_direct(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, storage: str, budget, workers=None,
+        executor: str, scheduler: str, storage: str, budget,
     ) -> dict:
         obs = get_metrics()
         if obs.enabled:
@@ -780,7 +771,6 @@ class QueryService:
                 executor=executor,
                 scheduler=scheduler,
                 storage=storage,
-                workers=workers,
             )
         except BudgetExceededError as exc:
             return self._partial_payload(

@@ -144,7 +144,6 @@ class TestQueryHelpSnapshot:
         "--executor",
         "--scheduler",
         "--storage",
-        "--workers",
         "--stats",
         "--limit",
         "--timeout",
@@ -167,7 +166,7 @@ class TestQueryHelpSnapshot:
         with pytest.raises(SystemExit):
             main(["query", "--help"])
         help_text = capsys.readouterr().out
-        assert "--scheduler {scc,global,parallel}" in help_text
+        assert "--scheduler {scc,global}" in help_text
 
 
 class TestStorageFlag:
@@ -202,3 +201,15 @@ class TestSchedulerFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["query", program_file, "anc(a, X)?", "--scheduler", "zig"])
         assert excinfo.value.code == 2
+
+    def test_removed_parallel_scheduler_names_its_replacement(
+        self, program_file, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["query", program_file, "anc(a, X)?", "--scheduler", "parallel"]
+            )
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "scheduler='parallel' was removed; use 'scc'" in err
+        assert "serve --processes N" in err

@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import repro.engine.incremental as incremental_module
 import repro.engine.maintain as maintain_module
 import repro.engine.naive as naive_module
-import repro.engine.parallel as parallel_module
 import repro.engine.scheduler as scheduler_module
 import repro.engine.seminaive as seminaive_module
 import repro.engine.wellfounded as wellfounded_module
@@ -252,8 +251,8 @@ def test_nothing_process_wide_is_keyed_on_content():
 # --- the RelationView contract --------------------------------------------------
 
 ENGINE_MODULES = (
-    scheduler_module, seminaive_module, naive_module, parallel_module,
-    maintain_module, incremental_module, wellfounded_module,
+    scheduler_module, seminaive_module, naive_module, maintain_module,
+    incremental_module, wellfounded_module,
 )
 
 
@@ -297,13 +296,13 @@ def recorded_views(monkeypatch):
 
 class TestViewContract:
     @pytest.mark.parametrize("seed", SEEDS[:4])
-    @pytest.mark.parametrize("scheduler", ("scc", "global", "parallel"))
+    @pytest.mark.parametrize("scheduler", ("scc", "global"))
     def test_fixpoint_engines_resolve_each_position_once(
         self, recorded_views, seed, scheduler
     ):
         program = parse_program(random_source(seed))
         for fixpoint in (seminaive_fixpoint, naive_fixpoint):
-            recorded, _ = fixpoint(program, scheduler=scheduler, workers=2)
+            recorded, _ = fixpoint(program, scheduler=scheduler)
             oracle, _ = fixpoint(program, scheduler=scheduler, executor="interpreted")
             assert _facts(recorded) == _facts(oracle)
         assert recorded_views

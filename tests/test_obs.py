@@ -1,6 +1,7 @@
 """Tests for the observability layer: metrics registry and bench artifacts."""
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.obs import (
     HistogramStat,
     Metrics,
     NullMetrics,
+    ThreadSafeMetrics,
     TimerStat,
     artifact_filename,
     collect,
@@ -187,6 +189,69 @@ class TestCollect:
             alternating_fixpoint(program)
         assert metrics.timers["wellfounded/gamma"].count >= 2
         assert metrics.histograms["wellfounded.alternations"].count == 1
+
+
+class TestMetricsMerge:
+    def test_timer_merge_sums_and_bounds(self):
+        a, b = TimerStat(), TimerStat()
+        a.record(1.0)
+        a.record(3.0)
+        b.record(0.5)
+        a.merge(b)
+        assert a.count == 3
+        assert a.total == 4.5
+        assert a.minimum == 0.5
+        assert a.maximum == 3.0
+
+    def test_empty_merges_are_noops(self):
+        stat = TimerStat()
+        stat.record(1.0)
+        stat.merge(TimerStat())
+        assert stat.count == 1 and stat.minimum == 1.0
+        hist = HistogramStat()
+        hist.observe(2.0)
+        hist.merge(HistogramStat())
+        assert hist.count == 1 and hist.last == 2.0
+
+    def test_histogram_merge_takes_others_last(self):
+        a, b = HistogramStat(), HistogramStat()
+        a.observe(1.0)
+        b.observe(9.0)
+        a.merge(b)
+        assert a.count == 2
+        assert a.last == 9.0
+        assert a.maximum == 9.0
+
+    def test_registry_merge_folds_everything(self):
+        parent, other = Metrics(), Metrics()
+        parent.incr("shared", 1)
+        other.incr("shared", 2)
+        other.incr("other_only", 5)
+        other.observe("delta", 7.0)
+        with other.timer("span"):
+            pass
+        parent.merge(other)
+        assert parent.counters["shared"] == 3
+        assert parent.counters["other_only"] == 5
+        assert parent.histograms["delta"].count == 1
+        assert parent.timers["span"].count == 1
+
+    def test_null_metrics_merge_is_noop(self):
+        other = Metrics()
+        other.incr("x")
+        NULL_METRICS.merge(other)
+        assert NULL_METRICS.counters == {}  # the singleton stays empty
+
+    def test_threadsafe_merge_under_contention(self):
+        parent = ThreadSafeMetrics()
+        registries = []
+        for i in range(8):
+            registry = Metrics()
+            registry.incr("n", i)
+            registries.append(registry)
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(parent.merge, registries))
+        assert parent.counters["n"] == sum(range(8))
 
 
 class TestBenchArtifact:

@@ -7,7 +7,6 @@ facade/CLI plumbing.
 """
 
 import importlib.util
-import os
 import sys
 from pathlib import Path
 
@@ -72,11 +71,14 @@ class TestResolveScheduler:
             resolve_scheduler("topological")
 
     def test_default_is_scc(self):
-        # REPRO_SCHEDULER overrides the process-wide default (the CI
-        # parallel leg runs the whole suite that way); absent the
-        # override, the default is scc.
-        expected = os.environ.get("REPRO_SCHEDULER", "scc")
-        assert DEFAULT_SCHEDULER == expected
+        assert DEFAULT_SCHEDULER == "scc"
+
+    def test_removed_parallel_names_its_replacement(self):
+        assert "parallel" not in SCHEDULERS
+        with pytest.raises(ValueError, match="was removed; use 'scc'"):
+            resolve_scheduler("parallel")
+        with pytest.raises(ValueError, match="serve --processes N"):
+            Engine(STRATIFIED).query("reach(a, X)?", scheduler="parallel")
 
 
 class TestBuildSchedule:

@@ -749,6 +749,22 @@ class TestBadInputIsA400:
 
     @pytest.mark.parametrize("path", ["/query", "/prepare"])
     @pytest.mark.parametrize(
+        "field, value", [("scheduler", "parallel"), ("workers", 2)]
+    )
+    def test_removed_parallel_options_name_their_replacement(
+        self, live_server, path, field, value
+    ):
+        _, client = live_server
+        client.load("chain", chain_source())
+        payload = {"dataset": "chain", "goal": "anc(0, X)?", field: value}
+        with pytest.raises(ServeError) as bad:
+            client._request(path, payload)
+        assert bad.value.status == 400
+        assert "was removed" in str(bad.value)
+        assert "serve --processes N" in str(bad.value)
+
+    @pytest.mark.parametrize("path", ["/query", "/prepare"])
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("goal", 123),

@@ -346,6 +346,32 @@ class TestShapeRegistry:
         # deserialized into wrong answers.
         assert registry.load(prepared.key, "fp") is None
 
+    def test_removed_scheduler_entry_is_skipped_and_re_prepared(self, tmp_path):
+        from repro.core.snapshot import _assemble, parse_snapshot
+        from repro.serve import QueryService
+
+        with collect(Metrics()):
+            warm = QueryService(registry=tmp_path)
+            warm.load("db", self.PROGRAM)
+            expected = warm.query("db", "p(a, X)?")["answers"]
+        (path,) = tmp_path.glob("*.rpqs")
+        header, payload = parse_snapshot(path.read_bytes())
+        header["prepared"]["fixpoint"]["scheduler"] = "parallel"
+        data = _assemble(header, [bytes(payload)])
+        path.write_bytes(data)
+        with pytest.raises(SnapshotFormatError, match="'parallel' was removed"):
+            load_prepared(data)
+        # A fresh service over the same registry skips the entry and
+        # prepares from scratch, with the same answers.
+        with collect(Metrics()) as metrics:
+            restarted = QueryService(registry=tmp_path)
+            restarted.load("db", self.PROGRAM)
+            assert restarted.query("db", "p(a, X)?")["answers"] == expected
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.registry.rejected"] == 1
+        assert counters.get("serve.registry.hits", 0) == 0
+        assert counters["prepare.transforms"] == 1
+
     def test_maintained_shapes_are_skipped(self, tmp_path):
         from repro.serve.registry import ShapeRegistry
 

@@ -5,8 +5,7 @@ Runs a curated, fast subset of the experiment suite (T1 correspondence,
 T3 magic family, F1 chain scaling, F4 serving prepared-cache parity, F5
 streaming-maintenance parity, A2 naive-vs-seminaive, A7
 planner-vs-textual join order, A8 kernel-vs-interpreted executor, A9
-scc-vs-global fixpoint scheduling, A10 columnar-vs-tuple storage, A11
-parallel-vs-scc scheduling),
+scc-vs-global fixpoint scheduling, A10 columnar-vs-tuple storage),
 cross-checks answers exactly as the full benches do, and compares the
 deterministic inference counts against the committed baseline
 (``benchmarks/baselines/bench_ci_baseline.json``).  Every run writes a
@@ -534,67 +533,6 @@ def _run_a10(failures: list[str], budget=None) -> list[dict]:
     return entries
 
 
-def _run_a11(failures: list[str], budget=None) -> list[dict]:
-    """Scheduler smoke: the parallel scheduler must derive the same
-    model with the same inference, attempt, and fact counts as the
-    serial scc oracle at every worker count.  Wall-clock is recorded
-    but never gated here — the A11 bench owns the (advisory, GIL-bound)
-    speedup claim."""
-    from repro.engine.seminaive import seminaive_fixpoint
-
-    workloads = [
-        ("chain32", ancestor(graph="chain", variant="left", n=32)),
-        ("nltc16", ancestor(graph="chain", variant="nonlinear", n=16)),
-    ]
-    configs = [("scc", None), ("workers2", 2), ("workers4", 4)]
-    entries = []
-    for label, scenario in workloads:
-        results = {}
-        for config, workers in configs:
-            scheduler = "scc" if workers is None else "parallel"
-            start = time.perf_counter()
-            completed, stats = seminaive_fixpoint(
-                scenario.program,
-                scenario.database,
-                budget=budget,
-                scheduler=scheduler,
-                workers=workers,
-            )
-            elapsed = time.perf_counter() - start
-            facts = {
-                relation.name: frozenset(
-                    completed.decode_row(row) for row in relation.rows()
-                )
-                for relation in completed.relations()
-            }
-            results[config] = (facts, stats)
-            entries.append(
-                {
-                    "id": f"a11/{label}/{config}",
-                    "scheduler": scheduler,
-                    "workers": workers,
-                    "inferences": stats.inferences,
-                    "attempts": stats.attempts,
-                    "facts": stats.facts_derived,
-                    "iterations": stats.iterations,
-                    "seconds": elapsed,
-                }
-            )
-        scc_facts, scc_stats = results["scc"]
-        for config, _ in configs[1:]:
-            par_facts, par_stats = results[config]
-            if par_facts != scc_facts:
-                failures.append(
-                    f"a11/{label}/{config}: parallel derived a different model"
-                )
-            if par_stats.as_dict() != scc_stats.as_dict():
-                failures.append(
-                    f"a11/{label}/{config}: parallel counters diverged "
-                    f"({par_stats.as_dict()} != {scc_stats.as_dict()})"
-                )
-    return entries
-
-
 CHECK_GROUPS = {
     "t1": _run_t1,
     "t3": _run_t3,
@@ -607,7 +545,6 @@ CHECK_GROUPS = {
     "a8": _run_a8,
     "a9": _run_a9,
     "a10": _run_a10,
-    "a11": _run_a11,
 }
 
 
