@@ -129,9 +129,10 @@ class CallTable:
     """The completed top-level calls of one transform shape.
 
     Maps a goal *up to variable renaming* (:meth:`key`) to the sorted
-    answer rows of its completed run, as plain value tuples, the run's
-    :class:`EvaluationStats` and its footprint
-    (:func:`~repro.engine.prepared.record_footprint`).  Least recently
+    answer rows of its completed run, as plain value tuples, each
+    answer's ``str(atom)`` text, the run's :class:`EvaluationStats` and
+    its footprint (:func:`~repro.engine.prepared.record_footprint`).
+    No atoms are kept: a hit renders from rows and text.  Least recently
     used entries are evicted once rows plus entries exceed
     :data:`CALL_TABLE_MAX_ROWS`.  The lock guards the bookkeeping only,
     never an evaluation: two threads missing on one goal both evaluate
@@ -142,7 +143,7 @@ class CallTable:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[tuple, EvaluationStats, dict]]" = (
+        self._entries: "OrderedDict[tuple, tuple[tuple, tuple, EvaluationStats, dict]]" = (
             OrderedDict()
         )
         self._rows = 0
@@ -161,9 +162,9 @@ class CallTable:
             for arg in goal.args
         )
 
-    def get(self, key: tuple) -> "tuple[tuple, EvaluationStats, dict] | None":
-        """The ``(rows, stats, footprint)`` stored under *key*, marked
-        recently used."""
+    def get(self, key: tuple) -> "tuple[tuple, tuple, EvaluationStats, dict] | None":
+        """The ``(rows, texts, stats, footprint)`` stored under *key*,
+        marked recently used."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is not None:
@@ -176,7 +177,7 @@ class CallTable:
         return entry
 
     def put(
-        self, key: tuple, rows: tuple, stats: EvaluationStats,
+        self, key: tuple, rows: tuple, texts: tuple, stats: EvaluationStats,
         footprint: dict, generation: int,
     ) -> None:
         """Store a completed call (the caller hands over *stats*) unless
@@ -190,10 +191,10 @@ class CallTable:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._rows -= len(old[0])
-            self._entries[key] = (rows, stats, footprint)
+            self._entries[key] = (rows, texts, stats, footprint)
             self._rows += len(rows)
             while self._rows + len(self._entries) > CALL_TABLE_MAX_ROWS:
-                _, (gone, _, _) = self._entries.popitem(last=False)
+                _, (gone, *_) = self._entries.popitem(last=False)
                 self._rows -= len(gone)
                 evicted += 1
         obs = get_metrics()
@@ -205,7 +206,7 @@ class CallTable:
         start a new generation; returns ``(kept, invalidated)``."""
         with self._lock:
             stale = [
-                key for key, (_, _, footprint) in self._entries.items()
+                key for key, (*_, footprint) in self._entries.items()
                 if footprint_touches(footprint, changed)
             ]
             for key in stale:
@@ -424,25 +425,23 @@ class PreparedQuery:
                 strategy=self.strategy, query=goal, answers=answers,
                 stats=EvaluationStats(answers=len(answers)),
             )
-        seeds, transformed_goal = self._rebind(goal)
         key = self.table.key(goal)
         # A budget asks to bound *this* evaluation: it never reads the
         # table, though a run it lets complete fills it like any other.
         entry = self.table.get(key) if budget is None else None
         if entry is not None:
-            rows, stored, _ = entry
+            rows, texts, stored, _ = entry
             return QueryResult(
                 strategy=self.strategy,
                 query=goal,
-                answers=tuple(
-                    Atom(goal.predicate, tuple(map(Constant, row)))
-                    for row in rows
-                ),
+                answers=None,  # built from the rows if anyone reads them
                 stats=stored.copy(),
                 transformed=self.transformed,
-                call_summary=partial(self._replayed_call_summary, seeds),
+                call_summary=partial(self._replayed_call_summary, goal),
                 table_hit=True,
+                rendered=(rows, texts),
             )
+        seeds, transformed_goal = self._rebind(goal)
         # One snapshot: a patch swaps the base and bumps the generation
         # together, so a run on a replaced base can never store.
         with self._update_lock:
@@ -459,7 +458,8 @@ class PreparedQuery:
         stats.answers = len(answers)
         footprint = record_footprint(self.fixpoint, completed, self.patchable or frozenset())
         rows = tuple(atom.ground_key() for atom in answers)
-        self.table.put(key, rows, stats.copy(), footprint, generation)
+        texts = tuple(map(str, answers))
+        self.table.put(key, rows, texts, stats.copy(), footprint, generation)
         return QueryResult(
             strategy=self.strategy,
             query=goal,
@@ -469,11 +469,13 @@ class PreparedQuery:
             call_summary=partial(
                 _transform_call_summary, self.transformed, completed
             ),
+            rendered=(rows, texts),
         )
 
-    def _replayed_call_summary(self, seeds: tuple[Atom, ...]):
+    def _replayed_call_summary(self, goal: Atom):
         """A table hit kept no completed database: whoever reads
         ``.calls`` / ``.answer_facts`` of one pays for the run then."""
+        seeds, _ = self._rebind(goal)
         completed, _ = run_fixpoint(
             self.fixpoint, self.base, extra_facts=seeds
         )

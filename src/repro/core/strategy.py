@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
+from ..datalog.terms import Constant
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.columnar import DEFAULT_STORAGE, as_storage
 from ..engine.counters import EvaluationStats
@@ -50,6 +51,31 @@ from ..transform.supplementary import supplementary_magic_sets
 __all__ = ["QueryResult", "available_strategies", "run_strategy"]
 
 
+class _Answers:
+    """The ``answers`` field of :class:`QueryResult`.
+
+    A constructor given ``answers=None`` and ``rendered`` builds the
+    atoms from the rendered rows on first read, so a caller that only
+    renders (the serving layer, on a call-table hit) never makes one.
+    """
+
+    def __get__(self, result, owner=None):
+        if result is None:
+            raise AttributeError("answers")  # a required field: no default
+        answers = result.__dict__["_answers"]
+        if answers is None:
+            predicate = result.query.predicate
+            answers = tuple(
+                Atom(predicate, tuple(map(Constant, row)))
+                for row in result.rendered[0]
+            )
+            result.__dict__["_answers"] = answers
+        return answers
+
+    def __set__(self, result, answers) -> None:
+        result.__dict__["_answers"] = answers
+
+
 @dataclass
 class QueryResult:
     """The outcome of evaluating one query under one strategy.
@@ -58,7 +84,8 @@ class QueryResult:
         strategy: strategy name.
         query: the original query atom.
         answers: ground instances of the query atom, deduplicated, in a
-            deterministic (sorted) order.
+            deterministic (sorted) order.  Built lazily from ``rendered``
+            when the constructor was given ``None``.
         stats: the shared counter record.
         transformed: the transformed program, when one was built.
         call_summary: for strategies with a call concept, a zero-argument
@@ -70,6 +97,10 @@ class QueryResult:
             completed calls instead of evaluating (informational: not
             part of equality, every other field is what a fresh run
             returns).
+        rendered: ``(rows, texts)`` — each answer's value tuple and its
+            ``str(atom)`` source text, in answer order — when a prepared
+            transform shape already holds them; the serving layer
+            renders replies from these (not part of equality).
 
     ``calls`` is the set of generated subqueries as ``(predicate,
     adornment, bound-args)`` triples and ``answer_facts`` all derived
@@ -79,13 +110,16 @@ class QueryResult:
 
     strategy: str
     query: Atom
-    answers: tuple[Atom, ...]
+    answers: tuple[Atom, ...] = _Answers()
     stats: EvaluationStats
     transformed: TransformedProgram | None = None
     call_summary: "Callable[[], tuple] | None" = field(
         default=None, repr=False, compare=False
     )
     table_hit: bool = field(default=False, repr=False, compare=False)
+    rendered: "tuple[tuple[tuple, ...], tuple[str, ...]] | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     @property
     def answer_rows(self) -> frozenset[tuple]:

@@ -43,12 +43,12 @@ class EvaluationStats:
 
     def merge(self, other: "EvaluationStats") -> "EvaluationStats":
         """Accumulate *other* into self (used for nested sub-evaluations)."""
-        for spec in fields(self):
-            setattr(self, spec.name, getattr(self, spec.name) + getattr(other, spec.name))
+        for name in _FIELD_NAMES:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         return self
 
     def as_dict(self) -> dict[str, int]:
-        return {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        return {name: getattr(self, name) for name in _FIELD_NAMES}
 
     def copy(self) -> "EvaluationStats":
         return EvaluationStats(**self.as_dict())
@@ -56,3 +56,7 @@ class EvaluationStats:
     def __str__(self) -> str:
         parts = ", ".join(f"{key}={value}" for key, value in self.as_dict().items())
         return f"EvaluationStats({parts})"
+
+
+# A table hit copies and renders stats per request: look the names up once.
+_FIELD_NAMES = tuple(spec.name for spec in fields(EvaluationStats))

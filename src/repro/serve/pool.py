@@ -16,17 +16,21 @@ connect.  This module scales ``repro.serve`` across cores with
   the single-process ones), publishes every dataset version as a
   shared-memory snapshot (:func:`~repro.core.snapshot.freeze_database`),
   and routes ``/query`` / ``/prepare`` round-robin to the workers;
+* there is no dispatcher thread: the HTTP request thread itself takes
+  its slot's lock, sends on the worker's pipe and waits for the reply
+  there, so a request crosses no thread handoff on its way;
 * dataset propagation is **pull-based**: every dispatched request
   carries a spec ``{name, version, shm, size}`` resolved at send time;
   a worker seeing an unknown version attaches the named block,
   decodes the database straight out of shared memory (the serialized
-  bytes are never copied between processes), and installs it.  A
-  fire-and-forget ``sync`` broadcast after each mutation warms workers
-  eagerly, but correctness never depends on it;
+  bytes are never copied between processes), and installs it;
 * workers that die (OOM-killed, crashed, ``kill -9`` in the tests) are
   detected at the pipe, respawned, and the in-flight request is retried
   once on the fresh worker — counted under ``serve.workers.crashed`` /
-  ``serve.workers.restarts`` / ``serve.workers.retries``;
+  ``serve.workers.restarts`` / ``serve.workers.retries``.  A worker that
+  stays alive but does not answer within the request's timeout (stopped,
+  livelocked) is killed and respawned too, and that request fails with
+  a 503: its late reply must never answer the slot's next request;
 * ``/metrics`` broadcasts to every worker and folds the per-process
   registries into one view with
   :func:`~repro.obs.metrics.merge_snapshots` (dispatcher first, then
@@ -55,8 +59,8 @@ from __future__ import annotations
 import itertools
 import multiprocessing
 import os
-import queue
 import threading
+import time
 
 from ..core.snapshot import SharedSnapshot, freeze_database, load_database
 from ..datalog.parser import parse_program
@@ -69,12 +73,13 @@ __all__ = ["WorkerPool", "PooledService", "WorkerPoolError"]
 
 DEFAULT_PROCESSES = 2
 
-_STOP = object()
+_SHUTTING_DOWN = {"ok": False, "status": 503, "error": "server shutting down"}
 
 
 class WorkerPoolError(ReproError):
-    """A request could not be served by any worker (pool shut down, or
-    the worker died and the one retry died too)."""
+    """A request could not be served by any worker (pool shut down, the
+    worker did not answer in time, or it died and the one retry died
+    too); the HTTP layer answers 503."""
 
 
 # --- worker side --------------------------------------------------------------
@@ -113,7 +118,7 @@ def _worker_main(conn, index: int, config: dict) -> None:
     Messages are ``{"op", "payload", "spec"}`` dicts; every message gets
     exactly one reply (``{"ok": True, "result"}`` or ``{"ok": False,
     "status", "error"}``), which is what keeps the pipe protocol in
-    lock-step with the parent's slot thread.
+    lock-step with the parent's locked round trip.
     """
     set_metrics(ThreadSafeMetrics())
     service = QueryService(
@@ -142,12 +147,10 @@ def _worker_main(conn, index: int, config: dict) -> None:
                         "cache": service.cache.metrics(),
                     },
                 }
-            elif op in ("query", "prepare", "sync"):
+            elif op in ("query", "prepare"):
                 _ensure_dataset(service, installed, message.get("spec"))
                 payload = message.get("payload") or {}
-                if op == "sync":
-                    result = {"pid": os.getpid(), "installed": dict(installed)}
-                elif op == "prepare":
+                if op == "prepare":
                     result = service.prepare(
                         message["spec"]["name"],
                         payload["goal"],
@@ -182,51 +185,28 @@ def _worker_main(conn, index: int, config: dict) -> None:
 
 # --- parent side --------------------------------------------------------------
 
-class _Task:
-    """One queued request: resolved by the slot thread, awaited by the
-    submitting request thread (``event is None`` → fire-and-forget)."""
-
-    __slots__ = ("op", "payload", "dataset", "event", "reply", "attempts")
-
-    def __init__(self, op, payload=None, dataset=None, wait=True):
-        self.op = op
-        self.payload = payload
-        self.dataset = dataset
-        self.event = threading.Event() if wait else None
-        self.reply = None
-        self.attempts = 0
-
-    def resolve(self, reply) -> None:
-        self.reply = reply
-        if self.event is not None:
-            self.event.set()
-
-
-class _WorkerDied(Exception):
-    """Internal: the slot's worker process died mid-request."""
-
-
 class _Slot:
-    """One worker process + its pipe + its task queue + its feeder thread."""
+    """One worker process, its pipe, and the lock that keeps one round
+    trip at a time on that pipe."""
 
-    __slots__ = ("index", "process", "conn", "queue", "thread", "restarts")
+    __slots__ = ("index", "process", "conn", "lock", "restarts")
 
     def __init__(self, index: int):
         self.index = index
         self.process = None
         self.conn = None
-        self.queue: "queue.Queue" = queue.Queue()
-        self.thread = None
+        self.lock = threading.Lock()
         self.restarts = 0
 
 
 class WorkerPool:
-    """``processes`` worker processes behind per-slot task queues.
+    """``processes`` worker processes, one pipe each, no feeder threads.
 
-    *spec_provider* maps a dataset name to the shared-memory spec sent
-    with every dataset-bound request; it is called at **send time** so a
-    request retried after a worker death (or sitting in the queue across
-    a ``/load``) always names the current snapshot.
+    The calling thread does each round trip itself under the slot's
+    lock.  *spec_provider* maps a dataset name to the shared-memory spec
+    sent with every dataset-bound request; it is called at **send time**
+    so a request retried after a worker death (or waiting for its slot
+    across a ``/load``) always names the current snapshot.
     """
 
     def __init__(
@@ -250,11 +230,6 @@ class WorkerPool:
         self._slots = [_Slot(i) for i in range(processes)]
         for slot in self._slots:
             self._spawn(slot)
-            slot.thread = threading.Thread(
-                target=self._slot_loop, args=(slot,),
-                name=f"repro-serve-slot-{slot.index}", daemon=True,
-            )
-            slot.thread.start()
 
     # --- lifecycle ------------------------------------------------------------
     def _spawn(self, slot: _Slot) -> None:
@@ -270,152 +245,122 @@ class WorkerPool:
         slot.process = process
         slot.conn = parent_conn
 
-    def _respawn(self, slot: _Slot) -> None:
+    def _respawn(self, slot: _Slot, crashed: bool = True) -> None:
+        """Replace the slot's worker (the caller holds ``slot.lock``);
+        a live one — hung, not crashed — is killed first."""
         obs = get_metrics()
         if obs.enabled:
-            obs.incr("serve.workers.crashed")
+            if crashed:
+                obs.incr("serve.workers.crashed")
             obs.incr("serve.workers.restarts")
         try:
             slot.conn.close()
         except OSError:
             pass
-        if slot.process.is_alive():  # pragma: no cover - pipe died first
-            slot.process.terminate()
+        if slot.process.is_alive():
+            slot.process.kill()  # SIGKILL also ends a stopped process
         slot.process.join(timeout=2.0)
         slot.restarts += 1
         self._spawn(slot)
 
     def shutdown(self) -> None:
-        """Stop feeders, reap every worker, resolve stranded tasks."""
+        """Reap every worker; requests from now on fail fast."""
         with self._lock:
             if self._stop:
                 return
             self._stop = True
         for slot in self._slots:
-            slot.queue.put(_STOP)
-        for slot in self._slots:
-            if slot.thread is not None:
-                slot.thread.join(timeout=5.0)
-        for slot in self._slots:
-            # Anything still queued behind the stop sentinel (or raced
-            # in after it) fails fast rather than hanging its waiter.
-            while True:
-                try:
-                    task = slot.queue.get_nowait()
-                except queue.Empty:
-                    break
-                if task is not _STOP:
-                    task.resolve({
-                        "ok": False, "status": 503,
-                        "error": "server shutting down",
-                    })
+            # Let an in-flight round trip finish (bounded); a slot still
+            # busy after that has its worker killed under the request,
+            # which then sees the pipe close and answers 503.
+            held = slot.lock.acquire(timeout=5.0)
             try:
-                slot.conn.send({"op": "exit"})
-                if slot.conn.poll(1.0):
-                    slot.conn.recv()
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            slot.process.join(timeout=2.0)
-            if slot.process.is_alive():  # pragma: no cover - stuck worker
-                slot.process.terminate()
-                slot.process.join(timeout=1.0)
+                if held:
+                    try:
+                        slot.conn.send({"op": "exit"})
+                        if slot.conn.poll(1.0):
+                            slot.conn.recv()
+                    except (EOFError, OSError):
+                        pass
+                    slot.process.join(timeout=2.0)
                 if slot.process.is_alive():
                     slot.process.kill()
                     slot.process.join(timeout=1.0)
-            try:
-                slot.conn.close()
-            except OSError:
-                pass
+                if held:
+                    slot.conn.close()
+            finally:
+                if held:
+                    slot.lock.release()
 
     # --- dispatch -------------------------------------------------------------
-    def _slot_loop(self, slot: _Slot) -> None:
-        while True:
-            try:
-                task = slot.queue.get(timeout=0.1)
-            except queue.Empty:
+    def _round_trip(self, slot: _Slot, op: str, payload, dataset, timeout):
+        """Send one message on *slot*'s pipe and return the worker's
+        reply dict, holding the slot's lock throughout; failures come
+        back as error replies.
+
+        A worker that dies is respawned and the message is sent once
+        more.  One that stays silent until *timeout* is killed and
+        respawned — its late reply would otherwise answer the next
+        request on this slot — and the request fails.
+        """
+        deadline = time.monotonic() + timeout
+        if not slot.lock.acquire(timeout=timeout):
+            return {
+                "ok": False, "status": 503,
+                "error": f"worker {slot.index} stayed busy for {timeout}s",
+            }
+        try:
+            for attempt in range(2):
                 if self._stop:
-                    return
-                continue
-            if task is _STOP:
-                return
-            message = {"op": task.op, "payload": task.payload, "spec": None}
-            if task.dataset is not None and self._spec_provider is not None:
-                try:
-                    # Resolved now, not at submit time: a retry or a
-                    # queued request must name the snapshot that is
-                    # current when the worker actually sees it.
-                    message["spec"] = self._spec_provider(task.dataset)
-                except ReproError as exc:
-                    task.resolve(
-                        {"ok": False, "status": 400, "error": str(exc)}
-                    )
-                    continue
-            try:
+                    return _SHUTTING_DOWN
+                message = {"op": op, "payload": payload, "spec": None}
+                if dataset is not None and self._spec_provider is not None:
+                    try:
+                        message["spec"] = self._spec_provider(dataset)
+                    except ReproError as exc:
+                        return {"ok": False, "status": 400, "error": str(exc)}
                 try:
                     slot.conn.send(message)
-                except (BrokenPipeError, OSError):
-                    # The worker died between requests; same failover
-                    # path as dying mid-request.
-                    raise _WorkerDied()
-                task.resolve(self._await_reply(slot))
-            except _WorkerDied:
-                if self._stop:
-                    task.resolve({
-                        "ok": False, "status": 503,
-                        "error": "server shutting down",
-                    })
-                    return
-                self._respawn(slot)
-                if task.attempts < 1:
-                    task.attempts += 1
-                    obs = get_metrics()
-                    if obs.enabled:
-                        obs.incr("serve.workers.retries")
-                    slot.queue.put(task)
-                else:
-                    task.resolve({
-                        "ok": False, "status": 503,
-                        "error": "worker died twice serving this request",
-                    })
-
-    def _await_reply(self, slot: _Slot):
-        while True:
-            try:
-                if slot.conn.poll(0.05):
-                    return slot.conn.recv()
-            except (EOFError, OSError):
-                raise _WorkerDied()
-            if not slot.process.is_alive():
-                # Drain a reply that landed between the poll and the
-                # death check before declaring the request lost.
-                try:
-                    if slot.conn.poll(0):
+                    # A dead worker's pipe reads EOF: poll wakes up.
+                    if slot.conn.poll(max(0.0, deadline - time.monotonic())):
                         return slot.conn.recv()
-                except (EOFError, OSError):
-                    pass
-                raise _WorkerDied()
+                except (EOFError, OSError):  # the worker died
+                    if self._stop:
+                        return _SHUTTING_DOWN
+                    self._respawn(slot)
+                    if attempt == 0:
+                        obs = get_metrics()
+                        if obs.enabled:
+                            obs.incr("serve.workers.retries")
+                    continue
+                self._respawn(slot, crashed=False)
+                return {
+                    "ok": False, "status": 503,
+                    "error": f"worker {slot.index} did not answer within "
+                    f"{timeout}s and was restarted",
+                }
+            return {
+                "ok": False, "status": 503,
+                "error": "worker died twice serving this request",
+            }
+        finally:
+            slot.lock.release()
 
     def submit(self, op: str, payload=None, dataset=None, timeout=60.0):
         """Route one request to the next worker (round-robin) and wait.
 
         Raises the worker-reported error class: :class:`ReproError` for
         client errors (400), :class:`WorkerPoolError` when no worker
-        could serve it (503), ``RuntimeError`` for worker-internal
-        failures (500).
+        could serve it in *timeout* seconds (503), ``RuntimeError`` for
+        worker-internal failures (500).
         """
         if self._stop:
             raise WorkerPoolError("worker pool is shut down")
         obs = get_metrics()
         if obs.enabled:
             obs.incr("serve.workers.dispatched")
-        task = _Task(op, payload=payload, dataset=dataset, wait=True)
         slot = self._slots[next(self._rr) % self.processes]
-        slot.queue.put(task)
-        if not task.event.wait(timeout):
-            raise WorkerPoolError(
-                f"worker {slot.index} did not answer within {timeout}s"
-            )
-        reply = task.reply
+        reply = self._round_trip(slot, op, payload, dataset, timeout)
         if reply.get("ok"):
             return reply["result"]
         status, error = reply.get("status", 500), reply.get("error", "")
@@ -426,27 +371,13 @@ class WorkerPool:
         raise RuntimeError(error)
 
     def broadcast(self, op: str, payload=None, dataset=None, timeout=5.0):
-        """Send *op* to every worker; a worker that misses *timeout*
-        contributes ``None`` (the pool stays responsive around one stuck
-        worker)."""
-        tasks = []
-        for slot in self._slots:
-            task = _Task(op, payload=payload, dataset=dataset, wait=True)
-            slot.queue.put(task)
-            tasks.append(task)
+        """Run *op* on every worker, one locked round trip each; a worker
+        that misses *timeout* contributes ``None``."""
         replies = []
-        for task in tasks:
-            if task.event.wait(timeout) and task.reply.get("ok"):
-                replies.append(task.reply["result"])
-            else:
-                replies.append(None)
-        return replies
-
-    def notify(self, op: str, dataset=None) -> None:
-        """Fire-and-forget *op* to every worker (e.g. eager dataset
-        sync); nobody waits on the replies."""
         for slot in self._slots:
-            slot.queue.put(_Task(op, dataset=dataset, wait=False))
+            reply = self._round_trip(slot, op, payload, dataset, timeout)
+            replies.append(reply["result"] if reply.get("ok") else None)
+        return replies
 
     # --- introspection --------------------------------------------------------
     def worker_pids(self) -> list:
@@ -553,7 +484,6 @@ class PooledService:
                 _, retired = history.pop(0)
                 retired.close()
                 retired.unlink()
-        self.pool.notify("sync", dataset=name)
 
     def _spec(self, name: str) -> dict:
         dataset = self._service.dataset(name)

@@ -24,9 +24,11 @@ entries migrate to the new dataset version instead of being dropped —
 see :meth:`repro.serve.service.QueryService.update`.
 
 Error contract: malformed requests and library errors
-(:class:`~repro.errors.ReproError`) are 400 with ``{"error": ...}``;
-unknown paths are 404; **budget trips are 200** with a sound-partial
-payload (``partial: true`` — see :mod:`repro.serve.service`).
+(:class:`~repro.errors.ReproError`) are 400 with ``{"error": ...}``; a
+worker pool that cannot serve a request
+(:class:`~repro.serve.pool.WorkerPoolError`) is 503; unknown paths are
+404; **budget trips are 200** with a sound-partial payload
+(``partial: true`` — see :mod:`repro.serve.service`).
 
 Booting installs a :class:`~repro.obs.ThreadSafeMetrics` registry as the
 process-wide active registry (request threads record concurrently), and
@@ -44,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ReproError
 from ..obs import ThreadSafeMetrics, get_metrics, set_metrics
+from .pool import WorkerPoolError
 from .service import QueryService, budget_from_payload
 
 __all__ = ["ReproServer", "create_server", "run_server", "DEFAULT_HOST"]
@@ -209,6 +212,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.server.request_started()
         try:
             status, payload = handler()
+        except WorkerPoolError as exc:
+            status, payload = 503, {"error": str(exc)}
         except ReproError as exc:
             status, payload = 400, {"error": str(exc)}
         except Exception as exc:  # pragma: no cover - defensive

@@ -41,6 +41,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 from ..core.prepare import (
     UNPREPARABLE_STRATEGIES,
@@ -132,6 +133,15 @@ def _match_answers(database, goal: Atom) -> tuple[Atom, ...]:
     return _sorted_answers(goal, database.match(goal))
 
 
+def _rendered(rows, texts) -> dict:
+    """The ``answers`` object of a reply: value rows and source texts."""
+    return {
+        "rows": [list(row) for row in rows],
+        "atoms": list(texts),
+        "count": len(rows),
+    }
+
+
 def _check_config(
     dataset: "Dataset", sips, planner, executor, scheduler, storage
 ) -> None:
@@ -190,10 +200,6 @@ class Dataset:
             name; part of every prepared-cache key.
         fingerprint: the program's rule fingerprint, reported by
             ``/health`` and ``/metrics`` for cache-debugging.
-        data_fingerprint: order-independent digest of the fact set
-            (:func:`~repro.core.snapshot.database_fingerprint`); keys
-            the cross-process shape registry, where the in-memory
-            version counter means nothing to other processes.
     """
 
     name: str
@@ -201,7 +207,14 @@ class Dataset:
     database: Database
     version: int
     fingerprint: str
-    data_fingerprint: str = ""
+
+    @cached_property
+    def data_fingerprint(self) -> str:
+        """Order-independent digest of the fact set
+        (:func:`~repro.core.snapshot.database_fingerprint`), computed on
+        first read; keys the cross-process shape registry, where the
+        in-memory version counter means nothing to other processes."""
+        return database_fingerprint(self.database)
 
     def info(self) -> dict:
         return {
@@ -209,9 +222,7 @@ class Dataset:
             "version": self.version,
             "rules": len(self.program.proper_rules),
             "predicates": sorted(self.database.predicates()),
-            "facts": sum(
-                len(self.database.rows(p)) for p in self.database.predicates()
-            ),
+            "facts": sum(map(len, self.database.relations())),
             "fingerprint": self.fingerprint[:16],
         }
 
@@ -305,7 +316,6 @@ class QueryService:
                 database=database,
                 version=version,
                 fingerprint=program_fingerprint(program),
-                data_fingerprint=database_fingerprint(database),
             )
             self._datasets[name] = dataset
         dropped = self.cache.drop_dataset(name)
@@ -430,7 +440,6 @@ class QueryService:
                 database=database,
                 version=version,
                 fingerprint=dataset.fingerprint,
-                data_fingerprint=database_fingerprint(database),
             )
             # 3. Migrate the cache: maintained shapes that were actually
             # patched, and frozen shapes outside the affected cone,
@@ -515,12 +524,9 @@ class QueryService:
             database=database,
             version=version,
             fingerprint=program_fingerprint(program),
-            data_fingerprint=(
-                data_fingerprint
-                if data_fingerprint is not None
-                else database_fingerprint(database)
-            ),
         )
+        if data_fingerprint is not None:
+            dataset.data_fingerprint = data_fingerprint
         with self._lock:
             self._datasets[name] = dataset
         self.cache.drop_dataset(name)
@@ -792,21 +798,26 @@ class QueryService:
         the same answers as source text.  The bit-identity tests compare
         these fields against a direct :meth:`repro.core.engine.Engine.query`.
         """
-        return {
-            "rows": [list(atom.ground_key()) for atom in answers],
-            "atoms": [str(atom) for atom in answers],
-            "count": len(answers),
-        }
+        return _rendered(
+            [atom.ground_key() for atom in answers],
+            [str(atom) for atom in answers],
+        )
 
     def _result_payload(
         self, dataset: Dataset, goal: Atom, result: QueryResult
     ) -> dict:
+        # A prepared transform shape hands over rows and text it already
+        # holds (on a call-table hit, no atom exists at all).
+        rendered = result.rendered
         payload = {
             "dataset": dataset.name,
             "version": dataset.version,
             "goal": str(goal),
             "strategy": result.strategy,
-            "answers": self.render_answers(result.answers),
+            "answers": (
+                self.render_answers(result.answers) if rendered is None
+                else _rendered(*rendered)
+            ),
             "partial": False,
             "sound": True,
             "complete": True,

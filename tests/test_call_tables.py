@@ -317,9 +317,11 @@ class TestPatch:
         table = CallTable()
         started = table.generation
         assert table.invalidate({"par": [(1, 2)]}) == (0, 0)
-        table.put((1, 0), ((2,),), EvaluationStats(), {}, started)
+        table.put((1, 0), ((2,),), ("anc(1, 2)",), EvaluationStats(), {}, started)
         assert table.size() == (0, 0)
-        table.put((1, 0), ((2,),), EvaluationStats(), {}, table.generation)
+        table.put(
+            (1, 0), ((2,),), ("anc(1, 2)",), EvaluationStats(), {}, table.generation
+        )
         assert table.size() == (1, 1)
 
     def test_a_kept_entry_equals_a_fresh_preparation(self):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
 import threading
 import time
 
@@ -301,6 +302,140 @@ class TestWorkerDeathFailover:
                 assert all(r["table_hit"] for r in again)
             finally:
                 service.close()
+
+
+def _counters(service) -> dict:
+    return service.metrics_payload()["metrics"]["counters"]
+
+
+class TestLockedRoundTrips:
+    """The request thread does its own round trip on the worker's pipe:
+    no feeder thread, so nothing may wedge a slot for later requests."""
+
+    def test_hung_worker_is_restarted_and_its_slot_recovers(self):
+        from repro.serve import WorkerPoolError
+
+        with collect(ThreadSafeMetrics()):
+            service = PooledService(processes=1)
+            try:
+                service.load("chain", program_text=CHAIN)
+                expected = service.query("chain", "anc(0, X)?")["answers"]
+                hung = service.pool.worker_pids()[0]
+                os.kill(hung, signal.SIGSTOP)
+                try:
+                    started = time.monotonic()
+                    with pytest.raises(WorkerPoolError, match="did not answer"):
+                        service.pool.submit(
+                            "query", {"goal": "anc(0, X)?"}, dataset="chain",
+                            timeout=1.0,
+                        )
+                    assert time.monotonic() - started < 5.0
+                finally:
+                    try:
+                        os.kill(hung, signal.SIGCONT)
+                    except ProcessLookupError:
+                        pass
+                # The stopped worker was killed and reaped, not left behind.
+                with pytest.raises(ProcessLookupError):
+                    os.kill(hung, 0)
+                assert service.pool.worker_pids()[0] != hung
+                after = service.query("chain", "anc(0, X)?")
+                assert after["answers"] == expected
+                counters = _counters(service)
+                assert counters.get("serve.workers.restarts") == 1
+                assert counters.get("serve.workers.crashed", 0) == 0
+                assert counters.get("serve.workers.retries", 0) == 0
+            finally:
+                service.close()
+
+    def test_threads_through_a_worker_kill(self):
+        """4 threads × 50 queries, one worker SIGKILLed mid-stream: every
+        reply is right, the one request that met the dead worker is
+        retried (and counted once), ``/metrics`` answers while requests
+        are in flight, and a request after ``close()`` fails fast."""
+        from repro.serve import WorkerPoolError
+
+        goals = [f"anc({k}, X)?" for k in range(8)]
+        expected = {goal: direct_rows(CHAIN, goal) for goal in goals}
+        with collect(ThreadSafeMetrics()):
+            service = PooledService(processes=2)
+            try:
+                service.load("chain", program_text=CHAIN)
+                victim = service.pool.worker_pids()[0]
+                done = []
+                wrong = []
+                lock = threading.Lock()
+                halfway = threading.Event()
+
+                def client(offset: int) -> None:
+                    for i in range(50):
+                        goal = goals[(offset + i) % len(goals)]
+                        reply = service.query("chain", goal)
+                        with lock:
+                            if reply["answers"]["rows"] != expected[goal]:
+                                wrong.append((goal, reply["answers"]))
+                            done.append(goal)
+                            if len(done) == 60:
+                                halfway.set()
+
+                threads = [
+                    threading.Thread(target=client, args=(n,)) for n in range(4)
+                ]
+                interval = sys.getswitchinterval()
+                sys.setswitchinterval(1e-5)
+                try:
+                    for thread in threads:
+                        thread.start()
+                    assert halfway.wait(30.0)
+                    os.kill(victim, signal.SIGKILL)
+                    metrics = service.metrics_payload()
+                    assert metrics["workers"]["processes"] == 2
+                    for thread in threads:
+                        thread.join(timeout=60.0)
+                        assert not thread.is_alive()
+                finally:
+                    sys.setswitchinterval(interval)
+                assert wrong == []
+                assert len(done) == 200
+                counters = _counters(service)
+                assert counters.get("serve.workers.crashed") == 1
+                assert counters.get("serve.workers.restarts") == 1
+                assert counters.get("serve.workers.retries") == 1
+                assert victim not in service.pool.worker_pids()
+            finally:
+                service.close()
+            started = time.monotonic()
+            with pytest.raises(WorkerPoolError, match="shut down"):
+                service.query("chain", "anc(0, X)?")
+            assert time.monotonic() - started < 1.0
+
+    def test_a_closed_pool_is_a_503_over_http(self):
+        with collect(ThreadSafeMetrics()):
+            service = PooledService(processes=1)
+            server = create_server(
+                port=0, service=service, install_metrics=False
+            )
+            thread = threading.Thread(
+                target=server.serve_forever,
+                kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            thread.start()
+            client = ServeClient(f"http://127.0.0.1:{server.port}", retries=0)
+            try:
+                client.wait_healthy(15.0)
+                client.load("chain", CHAIN)
+                service.close()
+                with pytest.raises(ServeError) as excinfo:
+                    client.query("chain", "anc(0, X)?")
+                assert excinfo.value.status == 503
+                assert excinfo.value.transient
+            finally:
+                client.close()
+                server.shutdown()
+                server.server_close()
+                service.close()
+                thread.join(timeout=5.0)
 
 
 class TestClientRetry:

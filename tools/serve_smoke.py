@@ -16,7 +16,10 @@ serving contract end to end, in two phases.
    parse/adorn/transform/plan/compile work) — and a *table* hit too:
    ``table_hit`` in the payload, ``seminaive.runs`` flat (the repeated
    goal was answered from the shape's completed calls, no fixpoint);
-4. answers and ``stats`` on the hit are identical to the miss;
+4. answers and ``stats`` on the hit are identical to the miss, and the
+   hit's ``answers`` serialise byte-identically
+   (``json.dumps(sort_keys=True)``) — a hit renders stored text, never
+   the atoms the miss rendered;
 5. an ``/update`` adding an edge on a component the goal never probed
    patches the shape and keeps its call-table entry: the next reply is
    still a ``table_hit`` with the same ``stats`` and ``seminaive.runs``
@@ -41,9 +44,10 @@ serving contract end to end, in two phases.
    (``serve.registry.hits`` ≥ 1) instead of re-transforming;
 3. answers are identical across workers (and to the threaded phase's):
    the same goal sent 2 × workers + 1 times is a ``table_hit`` at least
-   once, and every reply carries the same ``rows`` — each worker's own
-   call table never disagrees with another's — and so does every reply
-   after an ``/update`` (workers re-prepare against the new snapshot);
+   once, and every reply's ``answers`` serialise byte-identically to the
+   first (miss) reply's — each worker's own call table never disagrees
+   with another's — and every reply carries the same ``rows`` after an
+   ``/update`` (workers re-prepare against the new snapshot);
 4. a **restarted** server on the same registry directory serves its
    first request with **zero** transform/compile work (warm start);
 5. SIGTERM lands while queries are in flight — the server still exits
@@ -58,6 +62,7 @@ locally with ``python tools/serve_smoke.py``.
 from __future__ import annotations
 
 import glob
+import json
 import os
 import signal
 import subprocess
@@ -100,6 +105,11 @@ def scenario_source() -> tuple[str, str]:
             args = ", ".join(str(value) for value in row)
             lines.append(f"{predicate}({args}).")
     return "\n".join(lines), "anc(0, X)?"
+
+
+def serialised(answers: dict) -> str:
+    """A reply's ``answers`` object as canonical JSON text."""
+    return json.dumps(answers, sort_keys=True)
 
 
 def counters_of_interest(client: ServeClient) -> dict[str, int]:
@@ -189,6 +199,9 @@ def run_threaded_phase() -> "str | None":
             "the repeated goal must be answered from the call table"
         )
         assert second["answers"] == first["answers"], "hit answers must match"
+        assert serialised(second["answers"]) == serialised(first["answers"]), (
+            "a table hit's answers must serialise byte-identically to the miss's"
+        )
         assert second["stats"] == first["stats"], "hit stats must match"
         after = counters_of_interest(client)
         assert after["serve.prepared.hits"] == 1, after
@@ -332,9 +345,11 @@ def run_multiproc_phase() -> "str | None":
         ]
         hits = sum(reply["table_hit"] for reply in replies)
         assert hits >= 1, "a repeated goal never hit a worker's call table"
+        assert not first["table_hit"], "the first request cannot be a table hit"
         for reply in replies:
-            assert reply["answers"]["rows"] == first["answers"]["rows"], (
-                "per-worker call tables disagree"
+            assert serialised(reply["answers"]) == serialised(first["answers"]), (
+                "a table hit's answers must serialise byte-identically to the "
+                "miss's; per-worker call tables must not disagree"
             )
         tables = client.metrics()["workers"]["table_entries"]
         print(
