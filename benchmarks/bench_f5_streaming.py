@@ -31,6 +31,7 @@ gated by ``tools/bench_ci.py`` as group ``f5`` via
 
 from __future__ import annotations
 
+import os
 import random
 import time
 
@@ -325,7 +326,7 @@ def render_table(entries: list[dict]) -> str:
     )
     lines = [
         "F5: streaming maintenance, per-operation latency (ms) "
-        f"({STREAM_LENGTH} ops, {DELETE_RATE:.0%} deletes)",
+        f"({STREAM_LENGTH} ops, {DELETE_RATE:.0%} deletes, cpus={os.cpu_count()})",
         header,
         "-" * len(header),
     ]
@@ -356,7 +357,7 @@ def test_f5_streaming(benchmark, report):
     )
     table = render_table(entries)
     assert not failures, (failures, table)
-    report("f5", table, entries=entries)
+    report("f5", table, entries=entries, meta={"cpus": os.cpu_count()})
     speedups = [entry for entry in entries if "wall_speedup" in entry]
     assert len(speedups) == len(streaming_workloads())
     for entry in speedups:

@@ -96,7 +96,9 @@ from ..transform.common import TransformedProgram, bound_args
 from ..transform.magic import magic_sets
 from ..transform.sips import Sips, left_to_right, named_sips
 from ..transform.supplementary import supplementary_magic_sets
-from .strategy import QueryResult, _sorted_answers, _transform_call_summary
+from .strategy import (
+    QueryResult, _bridge_stored_facts, _sorted_answers, _transform_call_summary,
+)
 
 __all__ = [
     "CallTable",
@@ -657,6 +659,9 @@ def prepare_query(
         program, goal, strategy, sips, planner, executor, scheduler, storage,
         maintain,
     )
+    if maintain is None:
+        # A maintained engine keeps asserted derived facts itself.
+        program, database = _bridge_stored_facts(program, database)
     obs = get_metrics()
     prepare_stats = EvaluationStats()
     with obs.timer("prepare"):

@@ -26,9 +26,9 @@ from functools import cached_property, partial
 from typing import Callable, Mapping
 
 from ..analysis.stratify import stratify
-from ..datalog.atoms import Atom
-from ..datalog.rules import Program
-from ..datalog.terms import Constant
+from ..datalog.atoms import Atom, Literal
+from ..datalog.rules import Program, Rule
+from ..datalog.terms import Constant, Variable
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.columnar import DEFAULT_STORAGE, as_storage
 from ..engine.counters import EvaluationStats
@@ -43,7 +43,7 @@ from ..topdown.qsqr import QSQREngine
 from ..topdown.sld import SLDEngine
 from ..transform.adorn import query_adornment
 from ..transform.alexander import alexander_templates
-from ..transform.common import TransformedProgram
+from ..transform.common import TransformedProgram, prefixed_name
 from ..transform.magic import magic_sets
 from ..transform.sips import Sips, left_to_right
 from ..transform.supplementary import supplementary_magic_sets
@@ -139,6 +139,47 @@ class QueryResult:
     @property
     def answer_facts(self) -> Mapping[tuple[str, str], frozenset[tuple]]:
         return self._summary[1]
+
+
+def _bridge_stored_facts(
+    program: Program, database: "Database | None"
+) -> tuple[Program, "Database | None"]:
+    """*program* and *database* with no stored fact of a derived predicate.
+
+    A rewriting renames the derived predicates it rewrites, and QSQ-R
+    resolves derived goals against rules only, so a fact of a derived
+    ``p`` stored in *database* or embedded in *program* would go unseen.
+    Each such ``p`` gets a fresh base predicate ``stored__p`` holding
+    those facts and one bridge rule ``p(X0, ...) :- stored__p(X0, ...)``,
+    so every strategy evaluates the same program.  Returns the arguments
+    themselves when there is nothing to move.
+    """
+    idb = program.idb_predicates
+    held = {atom.predicate for atom in program.facts if atom.predicate in idb}
+    present = database.predicates() if database is not None else frozenset()
+    held.update(p for p in present & idb if len(database.relation(p)))
+    if not held:
+        return program, database
+    stored = {
+        p: prefixed_name("stored", p, program.predicates | present)
+        for p in sorted(held)
+    }
+    rules = [
+        Rule(Atom(stored[rule.head.predicate], rule.head.args))
+        if not rule.body and rule.head.predicate in stored else rule
+        for rule in program.rules
+    ]
+    for p, name in stored.items():
+        args = tuple(Variable(f"X{i}") for i in range(program.arities[p]))
+        rules.append(Rule(Atom(p, args), (Literal(Atom(name, args)),)))
+    if database is not None:
+        moved = database.restrict(present - stored.keys())
+        for p, name in stored.items():
+            if p in database:
+                relation = database.relation(p)
+                moved.relation(name, relation.arity).add_all(relation)
+        database = moved
+    return Program(tuple(rules)), database
 
 
 def _sorted_answers(query: Atom, atoms) -> tuple[Atom, ...]:
@@ -444,6 +485,7 @@ def run_strategy(
         raise ReproError(
             f"unknown strategy {name!r}; choose from {available_strategies()}"
         )
+    program, database = _bridge_stored_facts(program, database)
     if sips is not None and name in ("magic", "supplementary", "alexander"):
         transform = {
             "magic": magic_sets,

@@ -10,7 +10,9 @@ once per execution, and a one-column probe — the join shape that
 dominates rule bodies — runs without a call into the relation class when
 the relation offers ``probe_plan`` (:class:`~repro.facts.relation.Relation`:
 a snapshot of the posting; :class:`~repro.facts.relation.StampedView`: the
-posting filtered by stamp).  Everything else goes through ``lookup(dict)``.
+posting filtered by stamp).  A literal with every column bound is a
+membership probe, ``key in relation``: it can match one row at most.
+Everything else goes through ``lookup(dict)``.
 
 Source is rendered from the rule's *shape* alone — body positions,
 columns and slot numbers.  Predicate names and constants never reach the
@@ -49,6 +51,11 @@ def _lookup_of(relation):
     return _no_rows if relation is None else relation.lookup
 
 
+def _members_of(relation):
+    """What a membership probe tests ``key in``: nothing when absent."""
+    return () if relation is None else relation
+
+
 def _probe_of(relation, column: int) -> tuple:
     """``(posting getter, stamp getter, cutoff, lookup)``: the relation's
     ``probe_plan`` when it has one (*lookup* is then ``None``)."""
@@ -60,7 +67,7 @@ def _probe_of(relation, column: int) -> tuple:
 
 # The names generated source may use besides its own locals and arguments.
 _RUNTIME = {"scan_of": _scan_of, "lookup_of": _lookup_of, "probe_of": _probe_of,
-            "evaluate_builtin": evaluate_builtin}
+            "members_of": _members_of, "evaluate_builtin": evaluate_builtin}
 
 _shapes: dict[tuple, tuple] = {}  # shape -> (factory, source); append-only
 _shapes_lock = threading.Lock()
@@ -110,6 +117,7 @@ def _render(shape: tuple) -> str:
     for test in prelude:
         emit_test(test, "", "return")
     pad = ""
+    fail = "return"  # a failed check: "continue" inside a loop, "return" outside
     tails: list[str] = []
     for i, (position, consts, bound, writes, checks, tests) in enumerate(levels):
         if i and i % 16 == 0:
@@ -118,11 +126,25 @@ def _render(shape: tuple) -> str:
             body.append(f"{pad}def tail{i}():")
             tails.append(f"{pad}yield from tail{i}()")
             pad += "    "
+            fail = "return"
         relation = f"view({position}, {arg()})"
         # Constants first, then bound variables in binder order: the
         # key order lookup() breaks cheapest-posting ties by.
         keys = [(column, arg()) for column in consts]
         keys += [(column, f"s{slot}") for column, slot in bound]
+        if keys and not writes and not checks:
+            # Every column bound: at most one row, and it is the key.
+            # No loop, so a miss leaves like a failed test.
+            setup.append(f"m{i} = members_of({relation})")
+            key = "(" + ", ".join(value for _, value in sorted(keys))
+            body += [
+                f"{pad}if {key}{',' if len(keys) == 1 else ''}) not in m{i}: {fail}",
+                f"{pad}stats.attempts += 1",
+                f"{pad}if poll is not None: poll()",
+            ]
+            for test in tests:
+                emit_test(test, pad, fail)
+            continue
         if not keys:
             setup.append(f"scan{i} = scan_of({relation})")
             rows = f"scan{i}()"
@@ -147,6 +169,7 @@ def _render(shape: tuple) -> str:
             rows = f"look{i}({{{probe}}})"
         body.append(f"{pad}for row{i} in {rows}:")
         pad += "    "
+        fail = "continue"
         body.append(f"{pad}stats.attempts += 1")
         body.append(f"{pad}if poll is not None: poll()")
         body += [f"{pad}s{slot} = row{i}[{column}]" for column, slot in writes]

@@ -57,15 +57,17 @@ from ..obs import get_metrics
 from .budget import EvaluationBudget, ensure_checkpoint
 from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, RuleKernel, compile_executors, head_rows
+from .kernel import DEFAULT_EXECUTOR, head_rows
 from .maintain import (
     DEFAULT_MAINTENANCE,
+    MaintainedRule,
+    compile_maintenance,
     delete_counting,
     delete_dred,
     propagate,
     resolve_maintenance,
 )
-from .matching import CompiledRule, compile_rule
+from .matching import compile_rule
 from .planner import JoinPlanner
 from .scheduler import build_schedule
 from .seminaive import seminaive_fixpoint
@@ -166,42 +168,42 @@ class IncrementalEngine:
             if relation.name in idb
             for row in relation
         }
-        if maintenance == "counting":
-            self._counting_build(initial, self.stats)
+        self._materialise(initial, self.stats)
+
+    def _materialise(self, base: Database, op_stats: EvaluationStats) -> None:
+        """The model of *base* built anew, the asserted ledger
+        re-encoded against it, and the executors compiled for it."""
+        if self._maintenance == "counting":
+            self._counting_build(base, op_stats)
         else:
             self._working, _ = seminaive_fixpoint(
                 self._program,
-                initial,
-                self.stats,
-                planner=planner,
-                budget=budget,
-                executor=executor,
-                storage=storage,
+                base,
+                op_stats,
+                planner=self._planner_spec,
+                budget=self._budget,
+                executor=self._executor,
+                storage=self._storage,
             )
-        self._asserted: set[Fact] = {
+        self._asserted = {
             (predicate, self._working.encode_row(raw))
             for predicate, raw in self._asserted_raw
         }
-        self._executors: list[tuple[CompiledRule, RuleKernel | None]] = (
-            self._compile_rules()
-        )
+        self._rules = self._compile_for(self._working)
 
-    def _compile_rules(self) -> list[tuple[CompiledRule, RuleKernel | None]]:
-        spec = self._planner_spec
-        if isinstance(spec, JoinPlanner):
-            active: JoinPlanner | None = spec
-        elif spec is None or spec is False:
-            active = None
-        else:
-            # No ``unknown`` set: after materialisation every IDB relation
-            # has its real cardinality, so the statistics are trustworthy.
-            active = JoinPlanner(self._working)
-        compiled = [
-            compile_rule(rule, active) for rule in self._program.proper_rules
-        ]
-        return compile_executors(
-            compiled, self._executor, getattr(self._working, "interner", None)
-        )
+    def _rematerialise(self) -> None:
+        """:meth:`_materialise` the current base facts, poisoning the
+        engine if that fails part way."""
+        op_stats = EvaluationStats()
+        try:
+            self._materialise(self._base_database(), op_stats)
+        except BaseException:
+            # A failed build may have replaced part of the state; stay
+            # (or become) poisoned rather than reporting a usable engine.
+            self._poisoned = True
+            raise
+        finally:
+            self.stats.merge(op_stats)
 
     def _counting_build(
         self, initial: Database, op_stats: EvaluationStats
@@ -238,8 +240,9 @@ class IncrementalEngine:
             seeds[relation.name] = bucket
         # Rules without a positive relation literal (constant heads
         # guarded by built-ins only) never join a delta; fire them once.
-        executors = self._compile_for(working)
-        for compiled, kernel in executors:
+        rules = self._compile_for(working)
+        for rule in rules:
+            compiled, kernel = rule.compiled, rule.kernel
             if any(
                 literal.positive and not literal.builtin
                 for literal in compiled.body
@@ -272,16 +275,16 @@ class IncrementalEngine:
         self._working = working
         self._counts = counts
         propagate(
-            working, executors, arities,
+            working, rules, arities,
             {p: bucket for p, bucket in seeds.items() if bucket},
             1, op_stats, checkpoint, counts=counts,
         )
 
-    def _compile_for(
-        self, working: Database
-    ) -> list[tuple[CompiledRule, RuleKernel | None]]:
-        """Executors planned against an arbitrary (possibly still
-        unmaterialised) database — the counting build's bootstrap."""
+    def _compile_for(self, working: Database) -> list[MaintainedRule]:
+        """The maintenance executors, planned against *working*: the
+        materialised database, or the counting build's still empty one.
+        With a planner spec there is no ``unknown`` set: once
+        materialised, every IDB relation has its real cardinality."""
         spec = self._planner_spec
         if isinstance(spec, JoinPlanner):
             active: JoinPlanner | None = spec
@@ -292,7 +295,7 @@ class IncrementalEngine:
         compiled = [
             compile_rule(rule, active) for rule in self._program.proper_rules
         ]
-        return compile_executors(
+        return compile_maintenance(
             compiled, self._executor, getattr(working, "interner", None)
         )
 
@@ -424,7 +427,7 @@ class IncrementalEngine:
             checkpoint.bind(self._working)
         try:
             propagate(
-                self._working, self._executors, arities, seeds, stamp,
+                self._working, self._rules, arities, seeds, stamp,
                 op_stats, checkpoint, counts=self._counts,
                 new_facts=new_facts,
             )
@@ -502,12 +505,12 @@ class IncrementalEngine:
             if self._maintenance == "counting":
                 assert self._counts is not None
                 delete_counting(
-                    self._working, self._executors, self._counts, seeds,
+                    self._working, self._rules, self._counts, seeds,
                     op_stats, checkpoint,
                 )
             else:
                 delete_dred(
-                    self._working, self._executors, arities, seeds,
+                    self._working, self._rules, arities, seeds,
                     self._asserted, op_stats, checkpoint,
                 )
         except BaseException:
@@ -523,28 +526,7 @@ class IncrementalEngine:
             relation = self._working.relation(predicate)
             for row in rows:
                 relation.discard(row)
-        base = self._base_database()
-        op_stats = EvaluationStats()
-        try:
-            self._working, _ = seminaive_fixpoint(
-                self._program,
-                base,
-                op_stats,
-                planner=self._planner_spec,
-                budget=self._budget,
-                executor=self._executor,
-                storage=self._storage,
-            )
-        except BaseException:
-            self._poisoned = True
-            raise
-        finally:
-            self.stats.merge(op_stats)
-        self._asserted = {
-            (predicate, self._working.encode_row(raw))
-            for predicate, raw in self._asserted_raw
-        }
-        self._executors = self._compile_rules()
+        self._rematerialise()
 
     def _base_database(self) -> Database:
         """Current base facts: EDB relations plus asserted IDB facts."""
@@ -571,33 +553,7 @@ class IncrementalEngine:
         """
         if budget is not _UNSET:
             self._budget = budget  # type: ignore[assignment]
-        base = self._base_database()
-        op_stats = EvaluationStats()
-        try:
-            if self._maintenance == "counting":
-                self._counting_build(base, op_stats)
-            else:
-                self._working, _ = seminaive_fixpoint(
-                    self._program,
-                    base,
-                    op_stats,
-                    planner=self._planner_spec,
-                    budget=self._budget,
-                    executor=self._executor,
-                    storage=self._storage,
-                )
-        except BaseException:
-            # A failed rebuild may have replaced part of the state; stay
-            # (or become) poisoned rather than reporting a usable engine.
-            self._poisoned = True
-            raise
-        finally:
-            self.stats.merge(op_stats)
-        self._asserted = {
-            (predicate, self._working.encode_row(raw))
-            for predicate, raw in self._asserted_raw
-        }
-        self._executors = self._compile_rules()
+        self._rematerialise()
         self._poisoned = False
         obs = get_metrics()
         if obs.enabled:

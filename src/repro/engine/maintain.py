@@ -22,11 +22,23 @@ insertion path:
 * **DRed** (delete and re-derive, Gupta–Mumick–Subrahmanian / Staudt–
   Jarke) — over-delete the whole cone reachable from the deleted facts
   (anything with *some* lost derivation), then re-derive survivors: each
-  over-deleted fact is checked for a one-step derivation from the
-  surviving database (a backward head-bound probe), and the facts that
-  pass are re-inserted and propagated forward with the ordinary
-  semi-naive continuation.  Sound and complete for any negation-free
-  program, recursion included.
+  rule's *guarded* executor — the rule behind a leading literal on its
+  own head atom, which reads the over-deleted facts — runs once over the
+  surviving database and yields exactly the candidates with a one-step
+  derivation; those are re-inserted and propagated forward with the
+  ordinary semi-naive continuation.  Sound and complete for any
+  negation-free program, recursion included.
+
+Delta-first join order
+----------------------
+A round costs what its delta costs only if the join starts from the
+delta.  Every rule is therefore compiled once per engine into one
+executor per positive body position (:class:`MaintainedRule`): the rule
+with that literal first (:func:`~repro.engine.matching.delta_first`),
+so ``tc(X,Y) :- edge(X,Z), tc(Z,Y)`` with ``tc`` in the delta probes
+``edge`` by ``Z`` instead of scanning it.  The views below still answer
+in the rule's *fixpoint* body positions — each executor carries the map
+back — so the delta discipline is unchanged by the join order.
 
 Deletion enumeration — the inverse delta discipline
 ---------------------------------------------------
@@ -50,31 +62,38 @@ checkpoint governs the operation, exactly like ``add``.
 ``EvaluationStats`` semantics (documented contract): maintenance
 operations charge ``inferences`` for every *enumerated derivation
 event* — new instantiations on insert, lost instantiations on delete —
-``attempts`` per probed row as always, ``iterations`` per delta round
-(insert rounds, cascade rounds, and re-derivation rounds each count),
-and ``facts_derived`` for every fact entering the working database
-(including DRed re-insertions).  Fact sets are bit-identical to the
+``attempts`` per probed row and per test as always, ``iterations`` per
+delta round (insert rounds, cascade rounds, and re-derivation rounds
+each count), and ``facts_derived`` for every fact entering the working
+database (including DRed re-insertions).  The re-derivation check
+charges ``attempts`` only.  Inferences, iterations, facts derived and
+fact sets do not depend on join order; ``attempts`` does, and counts the
+probes of the delta-first executors.  Fact sets are bit-identical to the
 full-recompute oracle; the counters measure the *maintenance* work,
 which is the whole point of the fast path.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass
+from typing import Iterator, Mapping, Sequence
 
+from ..datalog.intern import ConstantInterner
 from ..engine.budget import Checkpoint
 from ..errors import ProgramError
 from ..facts.database import Database
 from ..facts.relation import Relation
 from ..obs import get_metrics
 from .counters import EvaluationStats
-from .kernel import RuleKernel, head_rows
-from .matching import CompiledRule
+from .kernel import RuleKernel, compile_executors, compile_kernel, head_rows
+from .matching import CompiledRule, delta_first
 
 __all__ = [
     "MAINTENANCE_MODES",
     "DEFAULT_MAINTENANCE",
     "resolve_maintenance",
+    "MaintainedRule",
+    "compile_maintenance",
     "SubtractView",
     "propagate",
     "delete_counting",
@@ -84,8 +103,10 @@ __all__ = [
 MAINTENANCE_MODES = ("recompute", "counting", "dred")
 DEFAULT_MAINTENANCE = "recompute"
 
-Executors = "list[tuple[CompiledRule, RuleKernel | None]]"
 EncodedFact = tuple[str, tuple]
+# (compiled, kernel or None, origin): origin[i] is the fixpoint body
+# position of the executor's position i (-1: the guard literal).
+Executor = tuple[CompiledRule, "RuleKernel | None", tuple[int, ...]]
 
 
 def resolve_maintenance(mode: str) -> str:
@@ -98,6 +119,53 @@ def resolve_maintenance(mode: str) -> str:
     return mode
 
 
+@dataclass(frozen=True, slots=True)
+class MaintainedRule:
+    """One rule as the maintenance passes run it.
+
+    Attributes:
+        compiled: the rule in its fixpoint body order; every view answers
+            in these positions, whatever order an executor joins in.
+        kernel: its generated executor (``None`` when interpreted).
+        deltas: ``(position, predicate, executor)`` per positive body
+            position: what runs when that position reads the delta.
+        guarded: what DRed's re-derivation runs.
+    """
+
+    compiled: CompiledRule
+    kernel: "RuleKernel | None"
+    deltas: tuple[tuple[int, str, Executor], ...]
+    guarded: Executor
+
+
+def compile_maintenance(
+    compiled_rules: Sequence[CompiledRule],
+    executor: str,
+    interner: "ConstantInterner | None" = None,
+) -> list[MaintainedRule]:
+    """Each rule with its delta-first and guarded executors.
+
+    A position whose literal already leads the body runs the rule's own
+    executor; every other positive position, and the guard, get their
+    own (see :func:`~repro.engine.matching.delta_first`).
+    """
+    rules = []
+    for compiled, kernel in compile_executors(compiled_rules, executor, interner):
+
+        def lower(variant: CompiledRule, origin: tuple[int, ...]) -> Executor:
+            return variant, None if kernel is None else compile_kernel(variant, interner), origin
+
+        own = (compiled, kernel, tuple(range(len(compiled.body))))
+        positions = [i for i, literal in enumerate(compiled.body) if not literal.is_test]
+        deltas = tuple(
+            (i, compiled.body[i].predicate,
+             own if i == positions[0] else lower(*delta_first(compiled, i)))
+            for i in positions
+        )
+        rules.append(MaintainedRule(compiled, kernel, deltas, lower(*delta_first(compiled))))
+    return rules
+
+
 class SubtractView:
     """A relation minus an in-flight deletion delta, zero-copy.
 
@@ -105,7 +173,7 @@ class SubtractView:
     removing the delta rows, so "the survivors" is the stored relation
     filtered against the (small) delta set.  Supports exactly the
     surface the per-row executors touch: :meth:`lookup` for probes and
-    ``in`` for negative tests.
+    ``in`` for fully bound literals and negative tests.
     """
 
     __slots__ = ("_relation", "_excluded")
@@ -136,7 +204,7 @@ class SubtractView:
 
 def propagate(
     working: Database,
-    executors: "list[tuple[CompiledRule, RuleKernel | None]]",
+    rules: "list[MaintainedRule]",
     arities: dict[str, int],
     delta: dict[str, Relation],
     stamp: int,
@@ -175,47 +243,21 @@ def propagate(
             for predicate in delta
         }
         new_delta: dict[str, Relation] = {}
-        for compiled, kernel in executors:
-            positions = [
-                index
-                for index, literal in enumerate(compiled.body)
-                if literal.positive and literal.predicate in delta
-            ]
-            for position in positions:
-                delta_relation = delta[compiled.body[position].predicate]
-
-                def view(pos: int, predicate: str) -> "Relation | None":
-                    if pos == position:
-                        return delta_relation
-                    if pos > position and predicate in old:
-                        return old[predicate]
-                    try:
-                        return working.relation(predicate)
-                    except KeyError:
-                        return None
-
-                # batch=True is sound: heads land in new_delta buckets,
-                # so the working set is unchanged while a batch
-                # enumerates.
-                for head_row in head_rows(
-                    compiled, kernel, view, op_stats, checkpoint,
-                    batch=True,
-                ):
-                    op_stats.inferences += 1
-                    head_pred = compiled.head_predicate
-                    if counts is not None:
-                        table = counts.setdefault(head_pred, {})
-                        table[head_row] = table.get(head_row, 0) + 1
-                    relation = working.relation(
-                        head_pred, arities.get(head_pred)
-                    )
-                    if head_row in relation:
-                        continue
-                    bucket = new_delta.setdefault(
-                        head_pred,
-                        working.spawn(head_pred, len(head_row)),
-                    )
-                    bucket.add(head_row)
+        # batch=True is sound: heads land in new_delta buckets, so the
+        # working set is unchanged while a batch enumerates.
+        for head_pred, head_row in _delta_heads(
+            working, rules, delta, {}, old, op_stats, checkpoint, batch=True
+        ):
+            if counts is not None:
+                table = counts.setdefault(head_pred, {})
+                table[head_row] = table.get(head_row, 0) + 1
+            relation = working.relation(head_pred, arities.get(head_pred))
+            if head_row in relation:
+                continue
+            bucket = new_delta.setdefault(
+                head_pred, working.spawn(head_pred, len(head_row))
+            )
+            bucket.add(head_row)
         stamp += 1
         for predicate, bucket in new_delta.items():
             target = working.relation(predicate, arities.get(predicate))
@@ -235,73 +277,81 @@ def propagate(
         delta = {p: r for p, r in new_delta.items() if r}
 
 
-def _lost_heads(
+def _delta_heads(
     working: Database,
-    executors: "list[tuple[CompiledRule, RuleKernel | None]]",
+    rules: "list[MaintainedRule]",
     delta: dict[str, Relation],
-    excluded: dict[str, set],
+    earlier: Mapping[str, object],
+    later: Mapping[str, object],
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
+    batch: bool = False,
 ) -> Iterator[EncodedFact]:
-    """Enumerate the head of every derivation lost to this deletion round.
-
-    *delta* holds the facts leaving the database this round (still
-    physically present in *working*); *excluded* is the same row sets for
-    the :class:`SubtractView` filters.  Each lost instantiation is
-    enumerated exactly once (see the module docstring), charged one
-    ``inferences`` event.
-    """
-    # One survivors view per deleted-from predicate for the whole round:
-    # a view must hand out the same relation every time it is asked.
-    survivors = {
-        predicate: SubtractView(working.relation(predicate), rows)
-        for predicate, rows in excluded.items()
-    }
-    for compiled, kernel in executors:
-        positions = [
-            index
-            for index, literal in enumerate(compiled.body)
-            if literal.positive and literal.predicate in delta
-        ]
-        for position in positions:
-            delta_relation = delta[compiled.body[position].predicate]
+    """The head of every instantiation with a *delta* fact at some body
+    position, once per (instantiation, position), each charged one
+    ``inferences`` event.  That position reads the delta; a position
+    before it reads *earlier*'s relation for its predicate, one after it
+    *later*'s, and *working*'s where they name none."""
+    for rule in rules:
+        for position, name, (compiled, kernel, origin) in rule.deltas:
+            delta_relation = delta.get(name)
+            if delta_relation is None:
+                continue
 
             def view(pos: int, predicate: str) -> "Relation | None":
+                pos = origin[pos]
                 if pos == position:
                     return delta_relation
-                if pos < position and predicate in survivors:
-                    return survivors[predicate]
+                chosen = (earlier if pos < position else later).get(predicate)
+                if chosen is not None:
+                    return chosen
                 try:
                     return working.relation(predicate)
                 except KeyError:
                     return None
 
-            # Deletions stay on the per-row path: SubtractView is not a
-            # columnar relation, so batch mode would decline anyway.
             for head_row in head_rows(
-                compiled, kernel, view, op_stats, checkpoint
+                compiled, kernel, view, op_stats, checkpoint, batch
             ):
                 op_stats.inferences += 1
                 yield compiled.head_predicate, head_row
 
 
-def _spawn_delta(
-    working: Database, rows_by_predicate: dict[str, set]
-) -> dict[str, Relation]:
-    """Backend-matched scratch relations holding the deletion rows."""
-    delta: dict[str, Relation] = {}
-    for predicate, rows in rows_by_predicate.items():
-        relation = working.relation(predicate)
-        bucket = working.spawn(predicate, relation.arity)
-        for row in rows:
-            bucket.add(row)
-        delta[predicate] = bucket
-    return delta
+def _lost_heads(
+    working: Database,
+    rules: "list[MaintainedRule]",
+    delta: dict[str, set],
+    op_stats: EvaluationStats,
+    checkpoint: "Checkpoint | None",
+) -> Iterator[EncodedFact]:
+    """The head of every derivation lost to this deletion round.
+
+    *delta* holds the rows leaving the database this round, still
+    physically present in *working*; positions before the delta's read
+    the survivors.  Each lost instantiation is enumerated exactly once
+    (see the module docstring).  Deletions stay on the per-row path:
+    :class:`SubtractView` is not columnar, so a batch would decline.
+    """
+    spawned = {}
+    for predicate, rows in delta.items():
+        bucket = spawned[predicate] = working.spawn(
+            predicate, working.relation(predicate).arity
+        )
+        bucket.add_all(rows)
+    # One survivors view per deleted-from predicate for the whole round:
+    # a view must hand out the same relation every time it is asked.
+    survivors = {
+        predicate: SubtractView(working.relation(predicate), rows)
+        for predicate, rows in delta.items()
+    }
+    return _delta_heads(
+        working, rules, spawned, survivors, {}, op_stats, checkpoint
+    )
 
 
 def delete_counting(
     working: Database,
-    executors: "list[tuple[CompiledRule, RuleKernel | None]]",
+    rules: "list[MaintainedRule]",
     counts: dict[str, dict[tuple, int]],
     seeds: dict[str, set],
     op_stats: EvaluationStats,
@@ -321,10 +371,7 @@ def delete_counting(
             checkpoint.check_round()
         op_stats.iterations += 1
         decrements: dict[EncodedFact, int] = {}
-        spawned = _spawn_delta(working, delta)
-        for head in _lost_heads(
-            working, executors, spawned, delta, op_stats, checkpoint
-        ):
+        for head in _lost_heads(working, rules, delta, op_stats, checkpoint):
             decrements[head] = decrements.get(head, 0) + 1
         # The round's enumeration is done: physically remove the delta.
         for predicate, rows in delta.items():
@@ -358,175 +405,53 @@ def delete_counting(
     return removed
 
 
-def _builtin_holds(
-    working: Database, literal, binding: dict, op_stats: EvaluationStats
-) -> bool:
-    """Evaluate a built-in test on raw values (slots decode per backend)."""
-    from ..datalog.builtins import evaluate_builtin
-
-    op_stats.attempts += 1
-    arity = len(literal.source.args)
-    values: list = [None] * arity
-    for column, value in literal.constants:
-        values[column] = value
-    bound = [
-        (column, binding[var])
-        for column, var in literal.binders + literal.filters
-    ]
-    if bound:
-        decoded = working.decode_row(tuple(value for _, value in bound))
-        for (column, _), raw in zip(bound, decoded):
-            values[column] = raw
-    holds = evaluate_builtin(literal.predicate, tuple(values))
-    return holds if literal.positive else not holds
-
-
-def _body_holds(
+def _rederivable(
     working: Database,
-    compiled: CompiledRule,
-    index: int,
-    binding: dict,
+    rules: "list[MaintainedRule]",
+    candidates: list[EncodedFact],
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-) -> bool:
-    """True iff the body from *index* on has a match in *working*.
+) -> set[EncodedFact]:
+    """The *candidates* some rule derives in one step from *working*.
 
-    The backward half of DRed's re-derivation check: a boolean
-    index-nested-loop walk in the backend's native row space, with the
-    head variables pre-bound by the candidate fact.  Charges one
-    ``attempts`` per probed row and per test, mirroring the forward
-    matchers.
+    One run per rule of its guarded executor, whose leading literal reads
+    the candidates of the rule's head predicate: the run yields a
+    candidate once per derivation, and nothing else.  Charges
+    ``attempts`` only.
     """
-    if index == len(compiled.body):
-        return True
-    literal = compiled.body[index]
-    if literal.builtin:
-        if not _builtin_holds(working, literal, binding, op_stats):
-            return False
-        return _body_holds(
-            working, compiled, index + 1, binding, op_stats, checkpoint
-        )
-    try:
-        relation = working.relation(literal.predicate)
-    except KeyError:
-        relation = None
-    if not literal.positive:
-        # Unreachable for the negation-free engine, kept for safety: a
-        # fully bound absence check, exactly like the forward matchers.
-        op_stats.attempts += 1
-        if relation is not None:
-            encoded_consts = (
-                working.encode_row(
-                    tuple(value for _, value in literal.constants)
-                )
-                if literal.constants
-                else ()
-            )
-            row: dict[int, object] = {
-                column: encoded
-                for (column, _), encoded in zip(
-                    literal.constants, encoded_consts
-                )
-            }
-            for column, var in literal.binders + literal.filters:
-                row[column] = binding[var]
-            probe = tuple(row[column] for column in range(relation.arity))
-            if probe in relation:
-                return False
-        return _body_holds(
-            working, compiled, index + 1, binding, op_stats, checkpoint
-        )
-    if relation is None:
-        return False
-    bound: dict[int, object] = {}
-    if literal.constants:
-        encoded_consts = working.encode_row(
-            tuple(value for _, value in literal.constants)
-        )
-        for (column, _), encoded in zip(literal.constants, encoded_consts):
-            bound[column] = encoded
-    unbound: list = []
-    for column, var in literal.binders:
-        if var in binding:
-            bound[column] = binding[var]
-        else:
-            unbound.append((column, var))
-    for row in relation.lookup(bound):
-        op_stats.attempts += 1
-        if checkpoint is not None:
-            checkpoint.poll()
-        extended = dict(binding)
-        for column, var in unbound:
-            extended[var] = row[column]
-        ok = True
-        for column, var in literal.filters:
-            if extended.get(var) != row[column]:
-                ok = False
-                break
-        if ok and _body_holds(
-            working, compiled, index + 1, extended, op_stats, checkpoint
+    guards: dict[str, Relation] = {}
+    for predicate, row in candidates:
+        guard = guards.get(predicate)
+        if guard is None:
+            guard = guards[predicate] = working.spawn(predicate, len(row))
+        guard.add(row)
+    derivable: set[EncodedFact] = set()
+    for rule in rules:
+        predicate = rule.compiled.head_predicate
+        guard = guards.get(predicate)
+        if guard is None:
+            continue
+        compiled, kernel, origin = rule.guarded
+
+        def view(pos: int, name: str) -> "Relation | None":
+            if origin[pos] < 0:
+                return guard
+            try:
+                return working.relation(name)
+            except KeyError:
+                return None
+
+        # batch=True is sound: nothing is inserted while the run enumerates.
+        for row in head_rows(
+            compiled, kernel, view, op_stats, checkpoint, batch=True
         ):
-            return True
-    return False
-
-
-def _derivable(
-    working: Database,
-    executors: "list[tuple[CompiledRule, RuleKernel | None]]",
-    predicate: str,
-    row: tuple,
-    op_stats: EvaluationStats,
-    checkpoint: "Checkpoint | None",
-) -> bool:
-    """One-step derivability of ``predicate(row)`` from *working*.
-
-    The boundary check seeding DRed's re-derivation: the candidate's
-    values pre-bind each rule's head variables, so the body walk is a
-    head-bound probe proportional to the candidate's support, not the
-    model.
-    """
-    for compiled, _kernel in executors:
-        if compiled.head_predicate != predicate:
-            continue
-        binding: dict = {}
-        consts = [
-            (column, payload)
-            for column, (kind, payload) in enumerate(compiled.head_pattern)
-            if kind == "c"
-        ]
-        ok = True
-        if consts:
-            encoded = working.encode_row(
-                tuple(payload for _, payload in consts)
-            )
-            for (column, _), value in zip(consts, encoded):
-                if row[column] != value:
-                    ok = False
-                    break
-        if not ok:
-            continue
-        for column, (kind, payload) in enumerate(compiled.head_pattern):
-            if kind != "v":
-                continue
-            current = binding.get(payload, _MISSING)
-            if current is _MISSING:
-                binding[payload] = row[column]
-            elif current != row[column]:
-                ok = False
-                break
-        if not ok:
-            continue
-        if _body_holds(working, compiled, 0, binding, op_stats, checkpoint):
-            return True
-    return False
-
-
-_MISSING = object()
+            derivable.add((predicate, row))
+    return derivable
 
 
 def delete_dred(
     working: Database,
-    executors: "list[tuple[CompiledRule, RuleKernel | None]]",
+    rules: "list[MaintainedRule]",
     arities: dict[str, int],
     seeds: dict[str, set],
     asserted: "set[EncodedFact]",
@@ -549,12 +474,7 @@ def delete_dred(
         if checkpoint is not None:
             checkpoint.check_round()
         op_stats.iterations += 1
-        lost: set[EncodedFact] = set()
-        spawned = _spawn_delta(working, delta)
-        for head in _lost_heads(
-            working, executors, spawned, delta, op_stats, checkpoint
-        ):
-            lost.add(head)
+        lost = set(_lost_heads(working, rules, delta, op_stats, checkpoint))
         for predicate, rows in delta.items():
             relation = working.relation(predicate)
             for row in rows:
@@ -574,11 +494,10 @@ def delete_dred(
         # database; survivors re-enter as one batched delta and the
         # ordinary semi-naive continuation restores everything reachable
         # from them.
+        derivable = _rederivable(working, rules, candidates, op_stats, checkpoint)
         rederive: dict[str, list] = {}
         for predicate, row in candidates:
-            if _derivable(
-                working, executors, predicate, row, op_stats, checkpoint
-            ):
+            if (predicate, row) in derivable:
                 rederive.setdefault(predicate, []).append(row)
         if rederive:
             stamp = 1 + max(
@@ -599,7 +518,7 @@ def delete_dred(
                     delta2[predicate] = bucket
             reinserted: set = set()
             propagate(
-                working, executors, arities, delta2, stamp, op_stats,
+                working, rules, arities, delta2, stamp, op_stats,
                 checkpoint, new_facts=reinserted, decode=False,
             )
             restored |= reinserted

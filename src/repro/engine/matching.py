@@ -262,6 +262,55 @@ def compile_rule_ordered(
     return CompiledRule(rule, rule.head.predicate, tuple(head_pattern), body)
 
 
+def delta_first(
+    compiled: CompiledRule, position: "int | None" = None
+) -> tuple[CompiledRule, tuple[int, ...]]:
+    """*compiled* re-ordered to start from one literal, and the body
+    position in *compiled* of each of its own positions.
+
+    With *position*, the positive literal there leads: the variant
+    maintenance runs when that position reads the delta.  Without, a
+    literal on the rule's own head atom leads (the *guarded* rule, which
+    derives only the head rows that literal reads); its position maps to
+    ``-1``.  The other positives keep their order, except that one with
+    variables, none of them bound yet, waits until some later literal
+    binds one; tests are re-placed by :func:`order_body`.
+    """
+    body = compiled.body
+    rule = compiled.rule
+    if position is None:
+        lead = Literal(rule.head)
+        rule = Rule(rule.head, (lead,) + rule.body)
+    else:
+        lead = body[position].source
+    pending = [i for i, literal in enumerate(body) if not literal.is_test and i != position]
+    order = [-1 if position is None else position]
+    bound = set(lead.variable_set())
+    while pending:
+        index = next(
+            (i for i in pending if not body[i].variables or body[i].variables & bound),
+            pending[0],
+        )
+        pending.remove(index)
+        order.append(index)
+        bound |= body[index].variables
+    tests = [index for index, literal in enumerate(body) if literal.is_test]
+    positives = [lead] + [body[index].source for index in order[1:]]
+    ordered = order_body([body[index].source for index in tests], rule, positives)
+    # Positives come back in the order given; each test is matched back to
+    # its position by identity, so repeated literals stay distinguishable.
+    leads = iter(order)
+    origin = []
+    for literal in ordered:
+        if literal.positive and not is_builtin(literal.predicate):
+            origin.append(next(leads))
+        else:
+            index = next(i for i in tests if body[i].source is literal)
+            tests.remove(index)
+            origin.append(index)
+    return compile_rule_ordered(rule, ordered), tuple(origin)
+
+
 def _match_positive(
     literal: CompiledLiteral,
     relation: Relation,

@@ -32,17 +32,19 @@ from repro.core.prepare import prepare_query
 from repro.core.snapshot import dump_prepared, load_prepared
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.builtins import is_builtin
-from repro.datalog.parser import parse_program
+from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Constant, Variable
 from repro.engine import codegen
-from repro.engine.budget import EvaluationBudget
+from repro.engine.budget import EvaluationBudget, ensure_checkpoint
 from repro.engine.columnar import ColumnarDatabase
 from repro.engine.counters import EvaluationStats
 from repro.engine.incremental import IncrementalEngine
 from repro.engine.kernel import compile_kernel, head_rows
+from repro.engine.maintain import SubtractView
 from repro.engine.matching import compile_rule, match_body
 from repro.engine.naive import naive_fixpoint
+from repro.engine.prepared import _ProbeRecorder
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.wellfounded import alternating_fixpoint
 from repro.errors import BudgetExceededError, EvaluationError, ReproError
@@ -463,6 +465,107 @@ def test_generated_kernel_matches_interpreted(kind, rule, rows, absent):
         for position, literal in enumerate(compiled.body)
         if not literal.builtin
     }
+
+
+# --- membership probes ------------------------------------------------------------
+
+# f(Y, X), u(1) and u(Y) have every column bound where they are probed;
+# g's u(1) is bound before any scan.
+MEMBERSHIP = parse_program(
+    "h(X, Y) :- e(X, Y), f(Y, X), u(1).\n"
+    "h(X, Y) :- e(X, Z), e(Z, Y), u(Y), X != Y.\n"
+    "g(X) :- u(1), e(X, X).\n"
+)
+MEMBERSHIP_ROWS = {
+    "e": [(0, 1), (1, 2), (2, 0), (1, 1), (2, 2), (0, 2)],
+    "f": [(1, 0), (0, 2), (2, 1), (1, 1)],
+    "u": [(1,), (2,), (0,)],
+}
+MEMBER_KINDS = ("relation", "stamped", "subtract", "columnar", "prefix", "recorder")
+
+
+def _membership_view(database: Database, kind: str, recorders: dict):
+    """Each relation as *kind* presents it; ``recorder`` puts a
+    :class:`_ProbeRecorder` at every fully bound occurrence."""
+    def view(position, predicate):
+        relation = database.relation(predicate)
+        if kind in ("stamped", "prefix"):
+            return relation.rows_before(2)
+        if kind == "subtract":
+            return SubtractView(relation, {database.encode_row(MEMBERSHIP_ROWS[predicate][0])})
+        if kind == "recorder" and (position, predicate) in recorders:
+            return recorders[position, predicate]
+        return relation
+
+    return view
+
+
+def _membership_run(rule, kind: str, executor: str, limit: "int | None"):
+    """Rows (raw values), attempts and trip message of one execution, and
+    the keys each recorder saw."""
+    columnar = kind in ("columnar", "prefix") and executor == "kernel"
+    database = ColumnarDatabase() if columnar else Database()
+    for predicate, rows in MEMBERSHIP_ROWS.items():
+        relation = database.relation(predicate, len(rows[0]))
+        for index, row in enumerate(rows):
+            relation.mark_round(index * 3 // len(rows))
+            relation.add(database.encode_row(row))
+    compiled = compile_rule(rule)
+    kernel = compile_kernel(compiled, getattr(database, "interner", None))
+    recorders = {
+        (scan.position, scan.predicate): _ProbeRecorder(database.relation(scan.predicate).arity)
+        for scan, _ in kernel.levels
+        if not scan.writes and not scan.checks
+    }
+    stats = EvaluationStats()
+    checkpoint = ensure_checkpoint(
+        None if limit is None else EvaluationBudget(max_attempts=limit), stats
+    )
+    rows = head_rows(
+        compiled, kernel if executor == "kernel" else None,
+        _membership_view(database, kind, recorders), stats, checkpoint,
+    )
+    outcome = _outcome(rows, stats, database.decode_row)
+    keys = {where: (r.columns, r.keys) for where, r in recorders.items() if r.keys}
+    return outcome, keys
+
+
+@pytest.mark.parametrize("kind", MEMBER_KINDS)
+def test_membership_probes_match_the_interpreter(kind, monkeypatch):
+    monkeypatch.setattr("repro.engine.budget.POLL_STRIDE", 1)
+    for rule in MEMBERSHIP.proper_rules:
+        source = compile_kernel(compile_rule(rule)).source
+        assert " not in m" in source, source
+        full, keys = _membership_run(rule, kind, "kernel", None)
+        assert (full, keys) == _membership_run(rule, kind, "interpreted", None)
+        assert (kind == "recorder") == bool(keys)
+        # Every attempt is a possible trip point at stride 1.
+        for limit in range(1, full[1] + 2):
+            assert _membership_run(rule, kind, "kernel", limit) == _membership_run(
+                rule, kind, "interpreted", limit
+            ), (str(rule), limit)
+
+
+def test_membership_probes_keep_footprint_keys():
+    """A fully bound base literal records the keys a ``lookup`` of all its
+    columns recorded: one tuple per probe over every column, one raw
+    value for a one-column relation."""
+    program = parse_program(
+        "t(X, Y) :- q(X, Y), r(Y, X), u(1).\n"
+        "t(X, Y) :- q(X, Z), t(Z, Y), u(Y).\n"
+        "q(1, 2). q(1, 3). q(2, 3). q(3, 4). r(2, 1). r(3, 1). r(4, 3). u(1). u(4).\n"
+    )
+    expected = {
+        ("q", (0,)): frozenset({1, 2, 3, 4}),
+        ("r", (0, 1)): frozenset({(2, 1), (3, 1), (3, 2), (4, 3)}),
+        ("u", (0,)): frozenset({1, 4}),
+    }
+    for executor in ("kernel", "interpreted"):
+        prepared = prepare_query(program, "t(1, Y)?", executor=executor)
+        answers = prepared.execute("t(1, Y)?").answers
+        assert [str(atom) for atom in answers] == ["t(1, 2)", "t(1, 3)", "t(1, 4)"]
+        (_, _, _, footprint) = prepared.table.get(prepared.table.key(parse_query("t(1, Y)?")))
+        assert footprint == expected, executor
 
 
 def test_bodies_deeper_than_the_block_nesting_limit():

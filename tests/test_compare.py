@@ -77,6 +77,60 @@ class TestCorrespondenceExactness:
         assert correspondence.exact, correspondence.summary()
 
 
+class TestStoredDerivedFacts:
+    """Facts stored for a derived predicate are facts of the program:
+    every strategy sees them, and the correspondence stays exact."""
+
+    SOURCE = (
+        "edge(1,2). tc(7,8). tc(2,7).\n"
+        "tc(X,Y) :- edge(X,Y).\n"
+        "tc(X,Y) :- edge(X,Z), tc(Z,Y).\n"
+    )
+    EXPECTED = {
+        "tc(7, X)?": ["tc(7, 8)"],
+        "tc(1, X)?": ["tc(1, 2)", "tc(1, 7)"],
+        "tc(X, Y)?": ["tc(1, 2)", "tc(1, 7)", "tc(2, 7)", "tc(7, 8)"],
+    }
+
+    @pytest.mark.parametrize("goal", sorted(EXPECTED))
+    @pytest.mark.parametrize("where", ["program", "database"])
+    def test_all_strategies_agree(self, goal, where):
+        from repro.core.strategy import available_strategies
+
+        program = parse_program(self.SOURCE)
+        database = None
+        if where == "database":
+            database = Database()
+            database.add_atoms(program.facts)
+            program = program.without_facts()
+        for strategy in available_strategies():
+            result = run_strategy(strategy, program, parse_query(goal), database)
+            assert [str(a) for a in result.answers] == self.EXPECTED[goal], strategy
+        correspondence = check_correspondence(program, parse_query(goal), database)
+        assert correspondence.exact, correspondence.summary()
+        assert correspondence.answers_matched
+
+    def test_caller_inputs_are_untouched(self):
+        program = parse_program(self.SOURCE).without_facts()
+        database = Database()
+        database.add_atoms(parse_program(self.SOURCE).facts)
+        before = {p: database.rows(p) for p in database.predicates()}
+        run_strategy("alexander", program, parse_query("tc(7, X)?"), database)
+        assert {p: database.rows(p) for p in database.predicates()} == before
+        assert program.idb_predicates == {"tc"} and len(program.rules) == 2
+
+    def test_prepared_shapes_see_them(self):
+        program = parse_program(self.SOURCE)
+        for strategy in ("alexander", "magic", "supplementary", "seminaive"):
+            prepared = prepare_query(program, "tc(7, X)?", strategy=strategy)
+            assert [str(a) for a in prepared.execute("tc(7, X)?").answers] == (
+                self.EXPECTED["tc(7, X)?"]
+            ), strategy
+            assert [str(a) for a in prepared.execute("tc(1, X)?").answers] == (
+                self.EXPECTED["tc(1, X)?"]
+            ), strategy
+
+
 class TestCorrespondenceMetrics:
     def test_inference_ratio_is_bounded_constant(self):
         # Theorem 2's practical form: the ratio stays within a small

@@ -11,7 +11,9 @@ Counting is exact for non-recursive programs only, so its streams run
 over a dedicated non-recursive generator (p0 over EDB, p1 over EDB∪{p0});
 DRed runs over the shared recursive generator from the kernel
 differential suite (negation disabled — the incremental engine is
-positive-only; built-in ``!=`` tests still occur).
+positive-only; built-in ``!=`` tests still occur), and over a generator
+of the rule forms DRed's guarded re-derivation must handle.  Beyond the
+facts, every operation's counters must be identical across the axes.
 """
 
 import random
@@ -22,6 +24,7 @@ from repro.datalog.parser import parse_program
 from repro.engine.incremental import IncrementalEngine
 from repro.engine.scheduler import build_schedule
 from repro.errors import ProgramError
+from repro.obs import collect
 
 from .test_kernel_differential import CONSTANTS, EDB, SEEDS, VARS, random_source
 from .test_storage_differential import _decoded_facts
@@ -68,6 +71,37 @@ def nonrecursive_source(seed: int) -> str:
                 f"{head_pred}({head_args[0]}, {head_args[1]}) :- "
                 f"{', '.join(body)}."
             )
+    return "\n".join(lines)
+
+
+def guarded_source(seed: int) -> str:
+    """A random recursive program built from the rule forms DRed's
+    guarded re-derivation reads candidates through: constant heads,
+    repeated head variables (``p(X, X)``), built-in tests and
+    cross-product bodies, beside a recursive closure."""
+    rng = random.Random(seed * 6151 + 3)
+    lines = [
+        f"{predicate}({first}, {second})."
+        for predicate in EDB
+        for first, second in (
+            rng.choices(CONSTANTS, k=2) for _ in range(rng.randint(5, 9))
+        )
+    ]
+    const = rng.choice(CONSTANTS)
+    forms = [
+        f"p1({const}, Y) :- p0(Y, Z).",
+        "p1(X, X) :- e1(X, Y), p0(Y, X).",
+        "p1(X, Y) :- p0(X, Y), X != Y.",
+        "p1(X, Y) :- e0(X, Z), e1(Y, W).",
+        f"p0(X, Y) :- p1(X, Z), e1(Z, Y), Y != {const}.",
+        f"p1(X, X) :- p0(X, {const}), e0(Y, X).",
+        "p0(X, Y) :- p1(Y, X), e0(X, Z), Z != X.",
+    ]
+    lines += [
+        "p0(X, Y) :- e0(X, Y).",
+        "p0(X, Y) :- e0(X, Z), p0(Z, Y).",
+        *rng.sample(forms, k=rng.randint(3, len(forms))),
+    ]
     return "\n".join(lines)
 
 
@@ -132,6 +166,70 @@ def _run_lockstep(source: str, stream, maintenance: str, storage: str,
         assert _decoded_facts(fast.database) == _decoded_facts(
             oracle.database
         ), (maintenance, storage, executor, step, op)
+
+
+def _apply(engine: IncrementalEngine, op: str, atoms: list[str]):
+    return getattr(engine, op)(atoms if op.endswith("_many") else atoms[0])
+
+
+def _run_axes(source: str, stream, maintenance: str) -> None:
+    """Run *stream* on every axis and the recompute oracle in lockstep:
+    each operation's returned facts, resulting fact set and counters
+    (every ``EvaluationStats`` field) are identical across the axes, and
+    the facts equal the oracle's."""
+    program = parse_program(source)
+    engines = {
+        axis: IncrementalEngine(
+            program, storage=axis[0], executor=axis[1], maintenance=maintenance
+        )
+        for axis in AXES
+    }
+    oracle = IncrementalEngine(program, maintenance="recompute")
+    builds = {axis: engine.stats.as_dict() for axis, engine in engines.items()}
+    assert all(build == builds[AXES[0]] for build in builds.values()), builds
+    for step, (op, atoms) in enumerate(stream):
+        expected = _apply(oracle, op, atoms)
+        outcomes = {}
+        for axis, engine in engines.items():
+            before = engine.stats.as_dict()
+            got = _apply(engine, op, atoms)
+            spent = {
+                name: value - before[name]
+                for name, value in engine.stats.as_dict().items()
+            }
+            outcomes[axis] = (got, _decoded_facts(engine.database), spent)
+        reference = outcomes[AXES[0]]
+        assert reference[:2] == (expected, _decoded_facts(oracle.database)), (
+            maintenance, step, op,
+        )
+        for axis, outcome in outcomes.items():
+            assert outcome == reference, (maintenance, axis, step, op)
+
+
+@pytest.mark.parametrize(
+    "maintenance,generator",
+    [
+        ("dred", lambda seed: random_source(seed, negation=False)),
+        ("dred", guarded_source),
+        ("counting", nonrecursive_source),
+    ],
+    ids=["dred-random", "dred-guarded", "counting"],
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_counters_per_operation_match_across_axes(seed, maintenance, generator):
+    _run_axes(generator(seed), random_stream(seed, length=18), maintenance)
+
+
+def test_guarded_generator_rederives():
+    """The generator must exercise what it is for: deletions whose
+    over-deleted facts the guarded executors bring back."""
+    with collect() as metrics:
+        for seed in SEEDS:
+            _run_lockstep(
+                guarded_source(seed), random_stream(seed, length=18), "dred",
+                "tuples", "kernel",
+            )
+    assert metrics.counters["maintain.dred.rederived"] > 0
 
 
 @pytest.mark.parametrize("storage,executor", AXES)

@@ -631,6 +631,26 @@ def test_interleaved_queries_and_updates_equal_a_fresh_service(
         assert served["stats"] == expected["stats"], goal
 
 
+def test_asserted_derived_facts_reach_every_strategy():
+    """After ``/update`` asserts derived facts, every strategy answers
+    what the maintained model holds."""
+    from repro.core.strategy import available_strategies
+
+    service = QueryService()
+    service.load("d", "edge(1, 2).\ntc(X, Y) :- edge(X, Y).\ntc(X, Y) :- edge(X, Z), tc(Z, Y).\n")
+    maintained = {"strategy": "seminaive", "maintain": "dred"}
+    assert rows(service.query("d", "tc(X, Y)?", **maintained)) == [[1, 2]]
+    service.update("d", add=["tc(7, 8)", "tc(2, 7)"])
+    expected = rows(service.query("d", "tc(X, Y)?", **maintained))
+    assert expected == [[1, 2], [1, 7], [2, 7], [7, 8]]
+    for strategy in available_strategies():
+        for goal, answers in (("tc(X, Y)?", expected), ("tc(7, X)?", [[7, 8]])):
+            assert rows(service.query("d", goal, strategy=strategy)) == answers, strategy
+    assert rows(service.query("d", "tc(7, X)?")) == rows(
+        service.query("d", "tc(7, X)?", **maintained)
+    )
+
+
 def test_no_reply_started_after_an_update_carries_older_answers():
     """Eight query threads against one patched shape while an updater
     cuts a chain edge by edge: a query that starts after an update
