@@ -147,7 +147,7 @@ def decoded_facts(database) -> frozenset:
     """The database as raw (predicate, values) pairs — the bit-identity
     currency shared with the differential suite."""
     return frozenset(
-        (relation.name, database.decode_row(row))
+        (relation.name, row)
         for relation in database.relations()
         for row in relation.rows()
     )

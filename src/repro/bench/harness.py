@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core.strategy import QueryResult, run_strategy
-from ..engine.columnar import DEFAULT_STORAGE
 from ..engine.kernel import DEFAULT_EXECUTOR
 from ..engine.scheduler import DEFAULT_SCHEDULER
 from ..errors import BudgetExceededError
@@ -84,7 +83,6 @@ def measure(
     budget=None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> Measurement:
     """Run one strategy on one scenario query; divergence becomes a row.
 
@@ -106,8 +104,6 @@ def measure(
             ``"interpreted"``).
         scheduler: fixpoint scheduling for the bottom-up fixpoints (the
             A9 ablation flips this between ``"scc"`` and ``"global"``).
-        storage: relation backend for the bottom-up fixpoints (the A10
-            ablation flips this between ``"columnar"`` and ``"tuples"``).
     """
     query = scenario.query(query_index)
     start = time.perf_counter()
@@ -121,7 +117,6 @@ def measure(
             budget=budget,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
         )
     except BudgetExceededError:
         return Measurement(

@@ -33,10 +33,10 @@ from .core.strategy import available_strategies
 from .datalog.parser import parse_program, parse_query
 from .datalog.pretty import format_bindings, format_program
 from .engine.budget import EvaluationBudget
-from .engine.columnar import DEFAULT_STORAGE, STORAGES
 from .engine.kernel import DEFAULT_EXECUTOR, EXECUTORS
 from .engine.scheduler import DEFAULT_SCHEDULER, PARALLEL_REMOVED, SCHEDULERS
 from .errors import BudgetExceededError, ReproError
+from .facts.relation import STORAGE_REMOVED
 from .transform.alexander import alexander_templates
 from .transform.magic import magic_sets
 from .transform.supplementary import supplementary_magic_sets
@@ -50,6 +50,13 @@ def _scheduler(value: str) -> str:
     if value == "parallel":
         raise argparse.ArgumentTypeError(PARALLEL_REMOVED)
     return value
+
+
+class _StorageRemoved(argparse.Action):
+    """``--storage`` in any form: an error naming what to do instead."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        parser.error(STORAGE_REMOVED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -145,14 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     query.add_argument(
-        "--storage",
-        default=DEFAULT_STORAGE,
-        choices=STORAGES,
-        help=(
-            "relation backend for bottom-up evaluation: raw value tuples "
-            "(default) or interned columnar arrays with batch kernels; "
-            "identical answers and counters"
-        ),
+        "--storage", nargs="?", action=_StorageRemoved, help=argparse.SUPPRESS
     )
     query.add_argument("--stats", action="store_true", help="print counters")
     query.add_argument(
@@ -338,7 +338,6 @@ def _cmd_query(args) -> int:
         budget=_budget_from_args(args),
         executor=args.executor,
         scheduler=args.scheduler,
-        storage=args.storage,
     )
     print(format_bindings(goal, result.answers, limit=args.limit))
     if args.stats:

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
-from ..engine.columnar import DEFAULT_STORAGE
 from ..engine.counters import EvaluationStats
 from ..engine.kernel import DEFAULT_EXECUTOR
 from ..engine.scheduler import DEFAULT_SCHEDULER
@@ -109,7 +108,6 @@ def check_correspondence(
     budget=None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> Correspondence:
     """Run Alexander (bottom-up) and OLDT on the same query and compare.
 
@@ -135,11 +133,6 @@ def check_correspondence(
             Scheduling changes *when* facts are derived, never *which*,
             so the call/answer sets are unchanged — running the checker
             with ``scheduler="scc"`` (the default) pins that.
-        storage: relation backend for the Alexander side's bottom-up
-            evaluations (OLDT accepts and ignores it).  Call/answer
-            summaries are always reported in raw values, so the
-            correspondence is backend-independent — running the checker
-            with ``storage="columnar"`` pins that.
     """
     alexander = run_strategy(
         "alexander",
@@ -150,7 +143,6 @@ def check_correspondence(
         budget=budget,
         executor=executor,
         scheduler=scheduler,
-        storage=storage,
     )
     oldt = run_strategy(
         "oldt",

@@ -25,7 +25,6 @@ from ..analysis.safety import require_safe
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
-from ..engine.columnar import DEFAULT_STORAGE
 from ..engine.kernel import DEFAULT_EXECUTOR
 from ..engine.scheduler import DEFAULT_SCHEDULER
 from ..facts.database import Database
@@ -105,14 +104,13 @@ class Engine:
         if atom.predicate not in self._database:
             return False
         relation = self._database.relation(atom.predicate)
-        return relation.discard(self._database.encode_row(atom.ground_key()))
+        return relation.discard(atom.ground_key())
 
     def incremental(
         self,
         planner: "str | None" = None,
         budget=None,
         executor: str = DEFAULT_EXECUTOR,
-        storage: str = DEFAULT_STORAGE,
         maintenance: str = "recompute",
     ):
         """A continuously materialised view of this engine's program.
@@ -133,7 +131,6 @@ class Engine:
             planner=planner,
             budget=budget,
             executor=executor,
-            storage=storage,
             maintenance=maintenance,
         )
 
@@ -147,7 +144,6 @@ class Engine:
         budget=None,
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
-        storage: str = DEFAULT_STORAGE,
     ) -> QueryResult:
         """Evaluate *goal* under *strategy*.
 
@@ -170,10 +166,6 @@ class Engine:
                 scheduling of the bottom-up evaluations involved
                 (:mod:`repro.engine.scheduler`); answers are identical in
                 both modes.
-            storage: ``"tuples"`` (default) or ``"columnar"``, the
-                relation backend of the bottom-up evaluations involved
-                (:mod:`repro.engine.columnar`); answers and counters are
-                identical either way.
         """
         if isinstance(goal, str):
             goal = parse_query(goal)
@@ -189,7 +181,6 @@ class Engine:
             budget=budget,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
         )
 
     def prepare(
@@ -201,7 +192,6 @@ class Engine:
         budget=None,
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
-        storage: str = DEFAULT_STORAGE,
         maintain: "str | None" = None,
     ):
         """Prepare *goal*'s shape for repeated execution.
@@ -234,7 +224,6 @@ class Engine:
             budget=budget,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
             maintain=maintain,
         )
 

@@ -17,7 +17,7 @@ its constants.  This module is the pure "prepare" half of that pipeline:
   ``kernel.*`` counters across executions.
 * :func:`prepared_cache_key` canonicalises the identity the query
   service caches on: (program fingerprint, strategy, SIPS, planner,
-  executor, scheduler, storage, goal predicate, goal adornment).
+  executor, scheduler, maintain, goal predicate, goal adornment).
 
 Three preparation modes cover the strategy spectrum:
 
@@ -78,7 +78,6 @@ from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Constant
 from ..engine.budget import Checkpoint, EvaluationBudget
-from ..engine.columnar import DEFAULT_STORAGE, as_storage, resolve_storage
 from ..engine.counters import EvaluationStats
 from ..engine.incremental import IncrementalEngine
 from ..engine.kernel import DEFAULT_EXECUTOR, resolve_executor
@@ -249,7 +248,6 @@ def prepared_cache_key(
     planner: "str | None" = None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
     maintain: "str | None" = None,
 ) -> tuple:
     """The identity a prepared query is reusable under.
@@ -273,7 +271,6 @@ def prepared_cache_key(
         planner or "",
         executor,
         scheduler,
-        storage,
         maintain or "",
         predicate,
         adornment,
@@ -310,9 +307,8 @@ class PreparedQuery:
         patchable: the base predicates of the source program that the
             rewritten stratum reads — the ones call-table footprints
             record and :meth:`patch` may update (transform mode only).
-            ``None`` when the shape cannot be patched: a columnar base
-            (footprints hold raw values) or a join plan cut against base
-            statistics.
+            ``None`` when the shape cannot be patched: a join plan cut
+            against base statistics.
     """
 
     strategy: str
@@ -595,7 +591,6 @@ def prepare_query(
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
     budget: "EvaluationBudget | Checkpoint | None" = None,
-    storage: str = DEFAULT_STORAGE,
     maintain: "str | None" = None,
 ) -> PreparedQuery:
     """Prepare *goal*'s shape on *program* + *database* for reuse.
@@ -611,12 +606,9 @@ def prepare_query(
             names raise :class:`UnpreparableStrategyError`.
         sips: optional SIPS name or function for the transform
             strategies.
-        planner / executor / scheduler / storage: the evaluation
-            configuration the compiled plan is specialised to (all four
-            are part of the cache key).  With ``storage="columnar"`` the
-            execution base is converted into the compiled fixpoint's
-            interner at prepare time, so executions take the cheap
-            same-interner copy path.
+        planner / executor / scheduler: the evaluation configuration
+            the compiled plan is specialised to (all three are part of
+            the cache key).
         budget: optional budget bounding *preparation itself* (the
             lower-strata or full materialisation); execution budgets are
             passed to :meth:`PreparedQuery.execute` per run.
@@ -653,11 +645,9 @@ def prepare_query(
         sips_fn = sips if sips is not None else left_to_right
     resolve_executor(executor)
     resolve_scheduler(scheduler)
-    resolve_storage(storage)
 
     key = prepared_cache_key(
-        program, goal, strategy, sips, planner, executor, scheduler, storage,
-        maintain,
+        program, goal, strategy, sips, planner, executor, scheduler, maintain,
     )
     if maintain is None:
         # A maintained engine keeps asserted derived facts itself.
@@ -681,7 +671,6 @@ def prepare_query(
                 planner=planner,
                 budget=budget,
                 executor=executor,
-                storage=storage,
                 maintenance=maintain,
             )
             prepare_stats.merge(engine.stats)
@@ -706,7 +695,6 @@ def prepare_query(
                     budget=budget,
                     executor=executor,
                     scheduler=scheduler,
-                    storage=storage,
                 )
             prepared = PreparedQuery(
                 strategy=strategy,
@@ -731,7 +719,7 @@ def prepare_query(
         else:
             prepared = _prepare_transform(
                 strategy, rules_only, goal, working, sips_fn, planner,
-                executor, scheduler, storage, budget, key, prepare_stats,
+                executor, scheduler, budget, key, prepare_stats,
                 edb_extra=program.predicates,
             )
     if obs.enabled:
@@ -749,7 +737,6 @@ def _prepare_transform(
     planner,
     executor: str,
     scheduler: str,
-    storage: str,
     budget,
     key: tuple,
     prepare_stats: EvaluationStats,
@@ -788,7 +775,6 @@ def _prepare_transform(
             budget=budget,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
         )
     target = stratification.strata[query_stratum]
     edb = frozenset(
@@ -807,14 +793,9 @@ def _prepare_transform(
         planner=planner,
         executor=executor,
         scheduler=scheduler,
-        storage=storage,
     )
-    if fixpoint.interner is not None:
-        # Re-encode the base into the fixpoint's own interner once, here,
-        # so each execute() takes run_fixpoint's same-interner copy path.
-        working = as_storage(working, storage, interner=fixpoint.interner)
     patchable = None
-    if fixpoint.interner is None and not planner:
+    if not planner:
         base_predicates = rules_only.edb_predicates
         patchable = frozenset(
             literal.predicate

@@ -18,14 +18,15 @@ Three design rules govern the format:
   loading never constructs anything but the library's own value types.
 * **Bit-identity, not equivalence.**  A reloaded shape must answer
   byte-for-byte like the original: same answers, same enumeration order,
-  same inference counters.  That is why the interner's value table is
-  serialized *in id order* (rebuilt kernels re-intern rule constants to
-  the identical ids), why relation rows are written in insertion order
-  (enumeration order survives the trip), and why join plans are stored
-  as explicit body permutations (reloading never re-runs the planner —
-  ``planner.rules_planned`` and ``transform.rewritings`` stay flat).
+  same inference counters.  That is why every constant reloads as the
+  value *and type* that was stored (``1``, ``1.0`` and ``True`` keep
+  separate value-table entries), why relation rows are written in
+  insertion order (enumeration order survives the trip), and why join
+  plans are stored as explicit body permutations (reloading never
+  re-runs the planner — ``planner.rules_planned`` and
+  ``transform.rewritings`` stay flat).
 * **Versioned, rejected loudly.**  The header carries a format version
-  and an interner-encoding version; a mismatch on either — or a byte
+  and a value-table encoding version; a mismatch on either — or a byte
   order / item size the reader cannot honour — raises
   :class:`SnapshotFormatError` with a clear message.  Garbage answers
   from a silently misread snapshot are the one failure mode this module
@@ -33,15 +34,16 @@ Three design rules govern the format:
 
 Binary layout::
 
-    b"RPQS" | u16 format | u16 interner-format | u32 header-length
+    b"RPQS" | u16 format | u16 value-table-format | u32 header-length
     | header (UTF-8 JSON) | column blocks (array('q') bytes, in the
     order of the header's "blocks" manifest)
 
-Column blocks are dumped and loaded through the buffer protocol —
-``array.tobytes()`` on the way out, ``memoryview.cast("q")`` on the way
-in — so a relation column never passes through per-value Python
-encoding.  :func:`freeze_database` places the entire serialized image in
-one :class:`multiprocessing.shared_memory.SharedMemory` block; workers
+Rows are dictionary-encoded: the header's ``"values"`` table lists every
+distinct constant once, and each relation column is one block of
+``array('q')`` indices into it — ``array.tobytes()`` on the way out,
+``memoryview.cast("q")`` on the way in.  :func:`freeze_database` places
+the entire serialized image in one
+:class:`multiprocessing.shared_memory.SharedMemory` block; workers
 attach by name and decode straight out of the shared buffer.
 
 Observability: ``snapshot.dumps`` / ``snapshot.loads`` /
@@ -64,11 +66,8 @@ import threading
 from array import array
 from contextlib import contextmanager
 
-from ..datalog.atoms import Atom
-from ..datalog.intern import ConstantInterner
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
-from ..engine.columnar import ColumnarDatabase, ColumnarRelation, resolve_storage
 from ..engine.counters import EvaluationStats
 from ..engine.kernel import compile_executors, resolve_executor
 from ..engine.matching import compile_rule_ordered
@@ -83,7 +82,7 @@ from ..transform.common import TransformedProgram
 __all__ = [
     "SNAPSHOT_MAGIC",
     "SNAPSHOT_FORMAT_VERSION",
-    "INTERNER_FORMAT_VERSION",
+    "VALUE_TABLE_FORMAT_VERSION",
     "SnapshotError",
     "SnapshotFormatError",
     "dump_database",
@@ -96,8 +95,8 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"RPQS"
-SNAPSHOT_FORMAT_VERSION = 1
-INTERNER_FORMAT_VERSION = 1
+SNAPSHOT_FORMAT_VERSION = 2
+VALUE_TABLE_FORMAT_VERSION = 1
 
 _ITEMSIZE = array("q").itemsize  # 8 on every supported platform
 _PREFIX = struct.Struct("<4sHHI")
@@ -110,15 +109,14 @@ class SnapshotError(ReproError):
 
 class SnapshotFormatError(SnapshotError):
     """Bytes that are not a loadable snapshot: wrong magic, a bumped
-    format or interner version, a foreign byte order, or truncation."""
+    format or value-table version, a foreign byte order, or truncation."""
 
 
-# --- the interner value table ------------------------------------------------
+# --- the value table ---------------------------------------------------------
 #
 # Constants are serialized as (tag, payload) pairs so the reader rebuilds
-# *exactly* the value that was interned — JSON alone would collapse
-# 1 / 1.0 / True into one number and lose the distinction the interner's
-# dict equality already handled.  Floats go through repr() for exact
+# *exactly* the value that was stored — JSON alone would collapse
+# 1 / 1.0 / True into one number.  Floats go through repr() for exact
 # round-tripping (including inf/-inf, which JSON cannot carry).
 
 def _encode_value(value) -> list:
@@ -153,19 +151,52 @@ def _decode_value(entry: list):
     raise SnapshotFormatError(f"unknown constant tag {tag!r} in snapshot")
 
 
-def _interner_table(interner: ConstantInterner) -> list:
-    return [_encode_value(value) for value in interner.table()]
+def _encode_relations(database: Database) -> tuple[list, list]:
+    """``(values, columns)``: the value table (encoded, in first-seen
+    order) and, per relation, ``(relation, id blocks)`` with one
+    ``array('q')`` per column, rows in insertion order.
+
+    The table is keyed on ``(type, value)``: ``1``, ``1.0`` and ``True``
+    are one dict key but three constants, and each must reload as itself.
+    """
+    ids: dict = {}
+    values: list = []
+    columns = []
+    for relation in database.relations():
+        blocks = [array("q") for _ in range(relation.arity)]
+        for row in relation:
+            for block, value in zip(blocks, row):
+                key = (type(value), value)
+                ident = ids.get(key)
+                if ident is None:
+                    ident = ids[key] = len(values)
+                    values.append(value)
+                block.append(ident)
+        columns.append((relation, blocks))
+    return [_encode_value(value) for value in values], columns
 
 
-def _restore_interner(table: list) -> ConstantInterner:
-    try:
-        return ConstantInterner.from_table(
-            _decode_value(entry) for entry in table
-        )
-    except ValueError as exc:
-        # Two table entries decoded to equal values — the writer could
-        # never have produced that; the bytes are corrupt.
-        raise SnapshotFormatError(f"snapshot interner table: {exc}")
+def _decode_values(table: list) -> list:
+    """The id -> value list of a serialized value table.
+
+    Raises:
+        SnapshotFormatError: when two entries decode to the same typed
+            value — the writer never repeats one, so the bytes are
+            corrupt.
+    """
+    values = []
+    seen = set()
+    for entry in table:
+        value = _decode_value(entry)
+        key = (type(value), value)
+        if key in seen:
+            raise SnapshotFormatError(
+                f"snapshot value table repeats {value!r} "
+                f"({type(value).__name__})"
+            )
+        seen.add(key)
+        values.append(value)
+    return values
 
 
 def database_fingerprint(database: "Database | None") -> str:
@@ -181,7 +212,7 @@ def database_fingerprint(database: "Database | None") -> str:
     for name in sorted(database.predicates()):
         relation = database.relation(name)
         digest.update(f"{name}/{relation.arity}\x00".encode("utf-8"))
-        for row in sorted(repr(database.decode_row(row)) for row in relation):
+        for row in sorted(repr(row) for row in relation):
             digest.update(row.encode("utf-8"))
             digest.update(b"\x01")
     return digest.hexdigest()
@@ -189,64 +220,21 @@ def database_fingerprint(database: "Database | None") -> str:
 
 # --- databases ---------------------------------------------------------------
 
-def _relation_columns(
-    relation, arity: int, intern_row
-) -> "tuple[list[array], int]":
-    """The live rows of *relation* as per-column ``array('q')`` blocks.
-
-    A columnar relation with no dead rows hands its column arrays over
-    directly (the buffer-protocol fast path — no per-row work at all);
-    otherwise rows are re-encoded in insertion order, which both
-    compacts dead cells away and translates tuple-backend rows into the
-    snapshot's interner.
-    """
-    if (
-        isinstance(relation, ColumnarRelation)
-        and intern_row is None
-        and relation._dead == 0
-    ):
-        return list(relation._columns), len(relation)
-    columns = [array("q") for _ in range(arity)]
-    count = 0
-    for row in relation:
-        encoded = row if intern_row is None else intern_row(row)
-        for column, value in zip(columns, encoded):
-            column.append(value)
-        count += 1
-    return columns, count
-
-
 def _database_header(database: Database) -> tuple[dict, list[bytes]]:
     """The header fields and ordered column blocks describing *database*."""
-    if isinstance(database, ColumnarDatabase):
-        storage = "columnar"
-        interner = database.interner
-        intern_row = None
-    else:
-        storage = "tuples"
-        # A transient interner dictionary-encodes the tuple backend's raw
-        # rows so both backends share one block format; the reader
-        # decodes straight back to raw values.
-        interner = ConstantInterner()
-        intern_row = interner.intern_row
+    values, columns = _encode_relations(database)
     relations = []
     blocks: list[bytes] = []
     manifest = []
-    for relation in database.relations():
-        columns, rows = _relation_columns(relation, relation.arity, intern_row)
+    for relation, relation_blocks in columns:
         relations.append(
-            {"name": relation.name, "arity": relation.arity, "rows": rows}
+            {"name": relation.name, "arity": relation.arity, "rows": len(relation)}
         )
-        for column_index, column in enumerate(columns):
+        for column_index, column in enumerate(relation_blocks):
             data = column.tobytes()
             manifest.append([relation.name, column_index, len(data)])
             blocks.append(data)
-    header = {
-        "storage": storage,
-        "interner": _interner_table(interner),
-        "relations": relations,
-        "blocks": manifest,
-    }
+    header = {"values": values, "relations": relations, "blocks": manifest}
     return header, blocks
 
 
@@ -255,7 +243,7 @@ def _assemble(header: dict, blocks: list[bytes]) -> bytes:
     prefix = _PREFIX.pack(
         SNAPSHOT_MAGIC,
         SNAPSHOT_FORMAT_VERSION,
-        INTERNER_FORMAT_VERSION,
+        VALUE_TABLE_FORMAT_VERSION,
         len(header_bytes),
     )
     payload = b"".join([prefix, header_bytes, *blocks])
@@ -279,7 +267,7 @@ def parse_snapshot(data) -> tuple[dict, memoryview]:
             f"snapshot truncated: {len(view)} bytes is shorter than the "
             f"{_PREFIX.size}-byte prefix"
         )
-    magic, fmt, interner_fmt, header_len = _PREFIX.unpack_from(view, 0)
+    magic, fmt, table_fmt, header_len = _PREFIX.unpack_from(view, 0)
     if magic != SNAPSHOT_MAGIC:
         raise SnapshotFormatError(
             f"not a snapshot: expected magic {SNAPSHOT_MAGIC!r}, "
@@ -291,11 +279,11 @@ def parse_snapshot(data) -> tuple[dict, memoryview]:
             f"reads version {SNAPSHOT_FORMAT_VERSION}); re-prepare and "
             "re-save the shape"
         )
-    if interner_fmt != INTERNER_FORMAT_VERSION:
+    if table_fmt != VALUE_TABLE_FORMAT_VERSION:
         raise SnapshotFormatError(
-            f"snapshot interner encoding version {interner_fmt} is not "
+            f"snapshot value-table encoding version {table_fmt} is not "
             f"supported (this build reads version "
-            f"{INTERNER_FORMAT_VERSION}); re-prepare and re-save the shape"
+            f"{VALUE_TABLE_FORMAT_VERSION}); re-prepare and re-save the shape"
         )
     body_start = _PREFIX.size + header_len
     if len(view) < body_start:
@@ -328,22 +316,11 @@ def parse_snapshot(data) -> tuple[dict, memoryview]:
     return header, view[body_start:]
 
 
-def _decode_relations(
-    header: dict, payload: memoryview, interner: "ConstantInterner | None"
-) -> Database:
-    """Rebuild the database described by *header* from *payload* blocks.
-
-    With *interner* the result is columnar over that table (rows stay
-    id-encoded); without, rows decode to raw values in a tuple-backend
-    database.  Either way rows land in their original insertion order.
-    """
-    if interner is not None:
-        database: Database = ColumnarDatabase(interner=interner)
-    else:
-        database = Database()
-        values = [
-            _decode_value(entry) for entry in header.get("interner", ())
-        ]
+def _decode_relations(header: dict, payload: memoryview) -> Database:
+    """Rebuild the database described by *header* from *payload* blocks,
+    rows in their original insertion order."""
+    database = Database()
+    values = _decode_values(header.get("values", ()))
     arities = {
         spec["name"]: spec["arity"] for spec in header.get("relations", ())
     }
@@ -376,17 +353,13 @@ def _decode_relations(
             )
         if arity == 0:
             continue
-        if interner is not None:
-            for row in zip(*columns):
-                relation.add(row)
-        else:
-            for row in zip(*columns):
-                relation.add(tuple(values[ident] for ident in row))
+        for row in zip(*columns):
+            relation.add(tuple([values[ident] for ident in row]))
     return database
 
 
 def dump_database(database: Database, extra: "dict | None" = None) -> bytes:
-    """Serialize *database* (either backend) to snapshot bytes.
+    """Serialize *database* to snapshot bytes.
 
     *extra* is an arbitrary JSON-able mapping stored under the header's
     ``"extra"`` key — the multiprocess server uses it to ship the
@@ -402,26 +375,14 @@ def dump_database(database: Database, extra: "dict | None" = None) -> bytes:
     return _assemble(header, blocks)
 
 
-def load_database(data, storage: "str | None" = None) -> tuple[Database, dict]:
-    """Decode snapshot *data* back into a database; returns ``(db, header)``.
-
-    *storage* overrides the backend to materialise (``"tuples"`` decodes
-    a columnar dump to raw rows and vice versa); by default the dump's
-    own backend is rebuilt — columnar dumps get a fresh interner holding
-    exactly the serialized table, in the serialized id order.
-    """
+def load_database(data) -> tuple[Database, dict]:
+    """Decode snapshot *data* back into a database; returns ``(db, header)``."""
     header, payload = parse_snapshot(data)
     if header.get("kind") not in ("database", "prepared"):
         raise SnapshotFormatError(
             f"snapshot kind {header.get('kind')!r} is not a database dump"
         )
-    target = resolve_storage(storage or header.get("storage", "tuples"))
-    interner = (
-        _restore_interner(header.get("interner", []))
-        if target == "columnar"
-        else None
-    )
-    database = _decode_relations(header, payload, interner)
+    database = _decode_relations(header, payload)
     obs = get_metrics()
     if obs.enabled:
         obs.incr("snapshot.loads")
@@ -463,15 +424,12 @@ def _rehydrate_fixpoint(
     plans: list[list[int]],
     executor: str,
     scheduler: str,
-    storage: str,
-    interner: "ConstantInterner | None",
 ) -> CompiledFixpoint:
     """Rebuild a :class:`CompiledFixpoint` from serialized plans.
 
-    Kernels are re-lowered (their closures cannot be serialized) against
-    the restored interner, whose id assignments match the original
-    table, so baked constant ids — and therefore every probe — are
-    bit-identical.  No planner, no transform, no
+    Kernels are re-lowered (their closures cannot be serialized) in the
+    stored body orders, so every probe is bit-identical.  No planner, no
+    transform, no
     :func:`~repro.engine.prepared.compile_fixpoint` — the
     ``prepare.transforms`` / ``prepare.compiles`` counters stay flat.
     """
@@ -503,23 +461,19 @@ def _rehydrate_fixpoint(
             components.append(
                 CompiledComponent(
                     component,
-                    tuple(
-                        compile_executors(compiled_rules, executor, interner)
-                    ),
+                    tuple(compile_executors(compiled_rules, executor)),
                 )
             )
         return CompiledFixpoint(
             program=program,
             executor=executor,
             scheduler=mode,
-            storage=storage,
-            interner=interner,
             components=tuple(components),
         )
     compiled_rules = [
         compiled_by_rule[rule] for rule in program.proper_rules
     ]
-    executors = tuple(compile_executors(compiled_rules, executor, interner))
+    executors = tuple(compile_executors(compiled_rules, executor))
     derived = program.idb_predicates
     variants = tuple(
         (pair[0], pair[1], _variant_positions(pair[0], derived))
@@ -529,8 +483,6 @@ def _rehydrate_fixpoint(
         program=program,
         executor=executor,
         scheduler=mode,
-        storage=storage,
-        interner=interner,
         executors=executors,
         variants=variants,
     )
@@ -556,11 +508,6 @@ def dump_prepared(prepared) -> bytes:
         )
     header, blocks = _database_header(prepared.base)
     fixpoint = prepared.fixpoint
-    if fixpoint is not None and fixpoint.interner is not None:
-        # The base was re-encoded into the fixpoint's interner at prepare
-        # time, so _database_header already serialized that exact table;
-        # rebuilding from it re-creates both in one pass.
-        assert prepared.base.interner is fixpoint.interner
     meta = {
         "strategy": prepared.strategy,
         "mode": prepared.mode,
@@ -587,7 +534,6 @@ def dump_prepared(prepared) -> bytes:
         meta["fixpoint"] = {
             "executor": fixpoint.executor,
             "scheduler": fixpoint.scheduler,
-            "storage": fixpoint.storage,
             "plans": _plan_permutations(fixpoint),
         }
     header["kind"] = "prepared"
@@ -601,8 +547,7 @@ def load_prepared(data):
     """Rebuild a :class:`~repro.core.prepare.PreparedQuery` from bytes.
 
     The result is bit-identical to the shape that was dumped: same base
-    fact set in the same insertion order, same interner id assignments,
-    same join plans, same cache key — so ``execute()`` returns the same
+    fact set in the same insertion order, same join plans, same cache key — so ``execute()`` returns the same
     answers with the same counters (pinned over seeded random programs
     by ``tests/test_snapshot.py``).
     """
@@ -617,13 +562,7 @@ def load_prepared(data):
     if not isinstance(meta, dict):
         raise SnapshotFormatError("prepared snapshot is missing its metadata")
     fixpoint_meta = meta.get("fixpoint")
-    storage = header.get("storage", "tuples")
-    interner = (
-        _restore_interner(header.get("interner", []))
-        if storage == "columnar"
-        else None
-    )
-    base = _decode_relations(header, payload, interner)
+    base = _decode_relations(header, payload)
     transformed = None
     if meta.get("transformed") is not None:
         spec = meta["transformed"]
@@ -655,8 +594,6 @@ def load_prepared(data):
             fixpoint_meta["plans"],
             fixpoint_meta["executor"],
             fixpoint_meta["scheduler"],
-            fixpoint_meta["storage"],
-            interner,
         )
     stats = EvaluationStats(**meta.get("prepare_stats", {}))
     patchable = meta.get("patchable")

@@ -30,7 +30,6 @@ from ..datalog.atoms import Atom, Literal
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from ..engine.columnar import DEFAULT_STORAGE, as_storage
 from ..engine.counters import EvaluationStats
 from ..engine.kernel import DEFAULT_EXECUTOR
 from ..engine.scheduler import DEFAULT_SCHEDULER
@@ -200,7 +199,6 @@ def _bottom_up(engine: str):
         budget=None,
         executor=DEFAULT_EXECUTOR,
         scheduler=DEFAULT_SCHEDULER,
-        storage=DEFAULT_STORAGE,
     ) -> QueryResult:
         stats = EvaluationStats()
         completed, _ = stratified_fixpoint(
@@ -212,7 +210,6 @@ def _bottom_up(engine: str):
             budget=budget,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
         )
         answers = _sorted_answers(query, completed.match(query))
         stats.answers = len(answers)
@@ -231,11 +228,10 @@ def _sld(
     budget=None,
     executor=DEFAULT_EXECUTOR,
     scheduler=DEFAULT_SCHEDULER,
-    storage=DEFAULT_STORAGE,
 ) -> QueryResult:
     # Plain SLD resolves one tuple at a time in clause-text order; there is
     # no set-oriented join to plan, so `planner` (and `executor`/
-    # `scheduler`/`storage` — bottom-up concepts) is accepted and ignored.
+    # `scheduler` — bottom-up concepts) is accepted and ignored.
     engine = SLDEngine(program, database, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
     return QueryResult(
@@ -251,7 +247,6 @@ def _oldt(
     budget=None,
     executor=DEFAULT_EXECUTOR,
     scheduler=DEFAULT_SCHEDULER,
-    storage=DEFAULT_STORAGE,
 ) -> QueryResult:
     engine = OLDTEngine(program, database, planner=planner, budget=budget)
     raw = engine.query(query)
@@ -296,7 +291,6 @@ def _qsqr(
     budget=None,
     executor=DEFAULT_EXECUTOR,
     scheduler=DEFAULT_SCHEDULER,
-    storage=DEFAULT_STORAGE,
 ) -> QueryResult:
     engine = QSQREngine(program, database, planner=planner, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
@@ -314,7 +308,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
         budget=None,
         executor=DEFAULT_EXECUTOR,
         scheduler=DEFAULT_SCHEDULER,
-        storage=DEFAULT_STORAGE,
     ) -> QueryResult:
         stats = EvaluationStats()
         # One checkpoint spans the whole pipeline (lower-strata
@@ -322,10 +315,7 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
         # wall-clock budget covers the run end to end rather than being
         # restarted per phase.
         checkpoint = ensure_checkpoint(budget, stats)
-        # Convert once up front: lower strata then materialise straight
-        # into the requested backend and the fixpoints below take the
-        # cheap same-backend copy path.
-        working = as_storage(database, storage)
+        working = database.copy() if database is not None else Database()
         working.add_atoms(program.facts)
         rules_only = program.without_facts()
 
@@ -365,7 +355,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
                 budget=checkpoint,
                 executor=executor,
                 scheduler=scheduler,
-                storage=storage,
             )
         target = stratification.strata[query_stratum]
         edb = frozenset(
@@ -381,7 +370,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
             budget=checkpoint,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
         )
 
         answers = _sorted_answers(query, completed.match(transformed.goal))
@@ -401,21 +389,14 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
 def _transform_call_summary(
     transformed: TransformedProgram, completed: Database
 ):
-    """Summarise call/magic facts and answer facts of a transformed run.
-
-    Rows are decoded to raw values, so the summary is identical across
-    storage backends (stored rows are interned ids under columnar).
-    """
-    decode = completed.decode_row
+    """Summarise call/magic facts and answer facts of a transformed run."""
     calls: set[tuple] = set()
     for call_pred, (predicate, adornment) in transformed.call_predicates.items():
         for row in completed.rows(call_pred):
-            calls.add((predicate, adornment, decode(row)))
+            calls.add((predicate, adornment, row))
     answer_facts: dict[tuple[str, str], frozenset[tuple]] = {}
     for ans_pred, (predicate, adornment) in transformed.answer_predicates.items():
-        answer_facts[(predicate, adornment)] = frozenset(
-            decode(row) for row in completed.rows(ans_pred)
-        )
+        answer_facts[(predicate, adornment)] = completed.rows(ans_pred)
     return frozenset(calls), answer_facts
 
 
@@ -451,7 +432,6 @@ def run_strategy(
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> QueryResult:
     """Evaluate *query* on *program* + *database* under strategy *name*.
 
@@ -474,12 +454,6 @@ def run_strategy(
             component-wise or monolithic fixpoint scheduling in every
             bottom-up fixpoint involved; the top-down strategies accept
             and ignore it.  Answers are identical in both modes.
-        storage: ``"tuples"`` (default) or ``"columnar"``, selecting the
-            working-database backend
-            (:mod:`repro.engine.columnar`) of every bottom-up fixpoint
-            involved; the top-down strategies accept and ignore it.
-            Answers, counters, and call summaries are identical either
-            way (answers and summaries are always raw values).
     """
     if name not in _STRATEGIES:
         raise ReproError(
@@ -494,9 +468,7 @@ def run_strategy(
         }[name]
         return _transform_strategy(name, transform, sips)(
             program, query, database, planner, budget, executor, scheduler,
-            storage,
         )
     return _STRATEGIES[name](
         program, query, database, planner, budget, executor, scheduler,
-        storage,
     )

@@ -79,11 +79,11 @@ def shape_count() -> int:
 
 
 def _render(shape: tuple) -> str:
-    """The source of ``factory(A0, ..., value_of) -> kernel(view, stats,
+    """The source of ``factory(A0, ...) -> kernel(view, stats,
     checkpoint)`` for *shape*.  Charging contract, as the interpreted
     matcher: one ``stats.attempts`` per probed row and per test, one
     ``poll()`` per probed row, in that order."""
-    interned, prelude, levels, head = shape
+    prelude, levels, head = shape
     numbers = count()
     setup: list[str] = []  # once per execution
     body: list[str] = []  # the loop nest
@@ -91,12 +91,8 @@ def _render(shape: tuple) -> str:
     def arg() -> str:
         return f"A{next(numbers)}"
 
-    def row_of(template, decode: bool = False) -> str:
-        items = [
-            arg() if slot is None
-            else f"value_of(s{slot})" if decode else f"s{slot}"
-            for slot in template
-        ]
+    def row_of(template) -> str:
+        items = [arg() if slot is None else f"s{slot}" for slot in template]
         return "(" + ", ".join(items) + ("," if len(items) == 1 else "") + ")"
 
     def emit_test(test, pad: str, fail: str) -> None:
@@ -104,8 +100,7 @@ def _render(shape: tuple) -> str:
         predicate = arg()
         body.append(f"{pad}stats.attempts += 1")
         if builtin:
-            # Built-ins compare raw values: interned slots are decoded.
-            holds = f"evaluate_builtin({predicate}, {row_of(template, interned)})"
+            holds = f"evaluate_builtin({predicate}, {row_of(template)})"
             body.append(f"{pad}if {'not ' if positive else ''}{holds}: {fail}")
         else:
             setup.append(f"n{position} = view({position}, {predicate})")
@@ -181,7 +176,7 @@ def _render(shape: tuple) -> str:
             emit_test(test, pad, "continue")
     body.append(f"{pad}yield {row_of(head)}")
     body += reversed(tails)
-    params = [f"A{n}" for n in range(next(numbers))] + ["value_of"]
+    params = [f"A{n}" for n in range(next(numbers))]
     lines = [f"def factory({', '.join(params)}):"]
     lines.append("    def kernel(view, stats, checkpoint):")
     lines.append("        poll = None if checkpoint is None else checkpoint.poll")
@@ -190,7 +185,7 @@ def _render(shape: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate(shape: tuple, args: list, interner) -> tuple:
+def generate(shape: tuple, args: list) -> tuple:
     """``(run, source, compiled)`` for one kernel's *shape* and the
     values *args* of its ``A0, A1, ...`` (both from
     :func:`repro.engine.kernel.compile_kernel`).
@@ -216,5 +211,4 @@ def generate(shape: tuple, args: list, interner) -> tuple:
                 entry = _shapes[shape] = (namespace["factory"], source)
                 compiled = True
     factory, source = entry
-    value_of = interner.value_of if interner is not None else None
-    return factory(*args, value_of), source, compiled
+    return factory(*args), source, compiled

@@ -55,7 +55,6 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from ..obs import get_metrics
 from .budget import EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR, head_rows
 from .maintain import (
@@ -106,10 +105,6 @@ class IncrementalEngine:
         executor: ``"kernel"`` (default) or ``"interpreted"``; applies to
             the initial materialisation, every delta continuation, and
             every deletion pass.
-        storage: ``"tuples"`` (default) or ``"columnar"`` — the backend
-            of the materialised database (:mod:`repro.engine.columnar`).
-            Mutations take and return raw values either way (encoding
-            happens at the atom boundary).
         maintenance: deletion strategy — ``"recompute"`` (default, the
             differential oracle), ``"counting"`` (non-recursive programs
             only), or ``"dred"``.  See :mod:`repro.engine.maintain`.
@@ -122,7 +117,6 @@ class IncrementalEngine:
         planner: "JoinPlanner | str | None" = None,
         budget: "EvaluationBudget | None" = None,
         executor: str = DEFAULT_EXECUTOR,
-        storage: str = DEFAULT_STORAGE,
         maintenance: str = DEFAULT_MAINTENANCE,
     ):
         for rule in program.proper_rules:
@@ -150,20 +144,17 @@ class IncrementalEngine:
         self._planner_spec = planner
         self._budget = budget
         self._executor = executor
-        self._storage = storage
         self._poisoned = False
         self.stats = EvaluationStats()
         self._counts: "dict[str, dict[tuple, int]] | None" = (
             {} if maintenance == "counting" else None
         )
-        initial = as_storage(database, storage)
+        initial = database.copy() if database is not None else Database()
         initial.add_atoms(program.facts)
-        # Asserted IDB facts carry external support: collected in raw
-        # value space here, re-encoded against whatever working database
-        # each (re)build produces.
+        # Asserted IDB facts carry external support across every rebuild.
         idb = self._program.idb_predicates
-        self._asserted_raw: set[Fact] = {
-            (relation.name, initial.decode_row(row))
+        self._asserted: set[Fact] = {
+            (relation.name, row)
             for relation in initial.relations()
             if relation.name in idb
             for row in relation
@@ -171,8 +162,8 @@ class IncrementalEngine:
         self._materialise(initial, self.stats)
 
     def _materialise(self, base: Database, op_stats: EvaluationStats) -> None:
-        """The model of *base* built anew, the asserted ledger
-        re-encoded against it, and the executors compiled for it."""
+        """The model of *base* built anew and the executors compiled
+        for it."""
         if self._maintenance == "counting":
             self._counting_build(base, op_stats)
         else:
@@ -183,12 +174,7 @@ class IncrementalEngine:
                 planner=self._planner_spec,
                 budget=self._budget,
                 executor=self._executor,
-                storage=self._storage,
             )
-        self._asserted = {
-            (predicate, self._working.encode_row(raw))
-            for predicate, raw in self._asserted_raw
-        }
         self._rules = self._compile_for(self._working)
 
     def _rematerialise(self) -> None:
@@ -231,7 +217,7 @@ class IncrementalEngine:
             arities.setdefault(relation.name, relation.arity)
             target = working.relation(relation.name, relation.arity)
             target.mark_round(1)
-            bucket = working.spawn(relation.name, relation.arity)
+            bucket = Relation(relation.name, relation.arity)
             table = counts.setdefault(relation.name, {})
             for row in relation:
                 target.add(row)
@@ -255,9 +241,7 @@ class IncrementalEngine:
                 except KeyError:
                     return None
 
-            for head_row in head_rows(
-                compiled, kernel, view, op_stats, checkpoint, batch=True
-            ):
+            for head_row in head_rows(compiled, kernel, view, op_stats, checkpoint):
                 op_stats.inferences += 1
                 head_pred = compiled.head_predicate
                 table = counts.setdefault(head_pred, {})
@@ -269,7 +253,7 @@ class IncrementalEngine:
                     target.add(head_row)
                     op_stats.facts_derived += 1
                     bucket = seeds.setdefault(
-                        head_pred, working.spawn(head_pred, len(head_row))
+                        head_pred, Relation(head_pred, len(head_row))
                     )
                     bucket.add(head_row)
         self._working = working
@@ -295,9 +279,7 @@ class IncrementalEngine:
         compiled = [
             compile_rule(rule, active) for rule in self._program.proper_rules
         ]
-        return compile_maintenance(
-            compiled, self._executor, getattr(working, "interner", None)
-        )
+        return compile_maintenance(compiled, self._executor)
 
     def _ensure_usable(self) -> None:
         if self._poisoned:
@@ -344,7 +326,7 @@ class IncrementalEngine:
         table = self._counts.get(atom.predicate)
         if not table:
             return None
-        return table.get(self._working.encode_row(atom.ground_key()))
+        return table.get(atom.ground_key())
 
     # --- mutation ---------------------------------------------------------------
     def add(self, atom: Atom | str) -> frozenset[Fact]:
@@ -387,8 +369,7 @@ class IncrementalEngine:
             if atom.predicate not in marked:
                 relation.mark_round(stamp)
                 marked.add(atom.predicate)
-            raw_row = atom.ground_key()
-            row = self._working.encode_row(raw_row)
+            row = atom.ground_key()
             if (
                 atom.predicate in idb
                 and (atom.predicate, row) not in self._asserted
@@ -401,18 +382,17 @@ class IncrementalEngine:
                 # can skip the row.  Re-assertions are no-ops (the
                 # ledger is a set), so the bump happens exactly once.
                 self._asserted.add((atom.predicate, row))
-                self._asserted_raw.add((atom.predicate, raw_row))
                 if self._counts is not None:
                     table = self._counts.setdefault(atom.predicate, {})
                     table[row] = table.get(row, 0) + 1
             if not self._working.add(atom.predicate, row):
                 continue
-            new_facts.add((atom.predicate, raw_row))
+            new_facts.add((atom.predicate, row))
             if self._counts is not None and atom.predicate not in idb:
                 self._counts.setdefault(atom.predicate, {})[row] = 1
             bucket = seeds.setdefault(
                 atom.predicate,
-                self._working.spawn(atom.predicate, atom.arity),
+                Relation(atom.predicate, atom.arity),
             )
             bucket.add(row)
         if not seeds:
@@ -480,13 +460,12 @@ class IncrementalEngine:
         for atom in parsed:
             if atom.predicate not in self._working:
                 continue
-            raw_row = atom.ground_key()
-            row = self._working.encode_row(raw_row)
+            row = atom.ground_key()
             if row not in self._working.relation(atom.predicate):
                 continue
-            if (atom.predicate, raw_row) in removed:
+            if (atom.predicate, row) in removed:
                 continue
-            removed.add((atom.predicate, raw_row))
+            removed.add((atom.predicate, row))
             seeds.setdefault(atom.predicate, set()).add(row)
         if not seeds:
             return frozenset()
@@ -533,8 +512,8 @@ class IncrementalEngine:
         base = self._working.restrict(
             self._working.predicates() - self._program.idb_predicates
         )
-        for predicate, raw in self._asserted_raw:
-            base.relation(predicate, len(raw)).add(base.encode_row(raw))
+        for predicate, row in self._asserted:
+            base.relation(predicate, len(row)).add(row)
         return base
 
     def rebuild(self, budget: "EvaluationBudget | None | object" = _UNSET) -> None:

@@ -53,12 +53,6 @@ enumerated at exactly one (round, position): the round its first fact is
 deleted, at the first position holding such a fact — the same
 exactly-once guarantee the insertion discipline gives, inverted.
 
-Deletion passes stay on the per-row kernel path (:class:`SubtractView`
-is not a columnar relation, so the batch executor declines and
-:func:`~repro.engine.kernel.head_rows` falls back); the insertion and
-re-derivation propagation uses the batch path whenever no budget
-checkpoint governs the operation, exactly like ``add``.
-
 ``EvaluationStats`` semantics (documented contract): maintenance
 operations charge ``inferences`` for every *enumerated derivation
 event* — new instantiations on insert, lost instantiations on delete —
@@ -78,7 +72,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
-from ..datalog.intern import ConstantInterner
 from ..engine.budget import Checkpoint
 from ..errors import ProgramError
 from ..facts.database import Database
@@ -103,7 +96,7 @@ __all__ = [
 MAINTENANCE_MODES = ("recompute", "counting", "dred")
 DEFAULT_MAINTENANCE = "recompute"
 
-EncodedFact = tuple[str, tuple]
+Fact = tuple[str, tuple]
 # (compiled, kernel or None, origin): origin[i] is the fixpoint body
 # position of the executor's position i (-1: the guard literal).
 Executor = tuple[CompiledRule, "RuleKernel | None", tuple[int, ...]]
@@ -141,7 +134,6 @@ class MaintainedRule:
 def compile_maintenance(
     compiled_rules: Sequence[CompiledRule],
     executor: str,
-    interner: "ConstantInterner | None" = None,
 ) -> list[MaintainedRule]:
     """Each rule with its delta-first and guarded executors.
 
@@ -150,10 +142,10 @@ def compile_maintenance(
     own (see :func:`~repro.engine.matching.delta_first`).
     """
     rules = []
-    for compiled, kernel in compile_executors(compiled_rules, executor, interner):
+    for compiled, kernel in compile_executors(compiled_rules, executor):
 
         def lower(variant: CompiledRule, origin: tuple[int, ...]) -> Executor:
-            return variant, None if kernel is None else compile_kernel(variant, interner), origin
+            return variant, None if kernel is None else compile_kernel(variant), origin
 
         own = (compiled, kernel, tuple(range(len(compiled.body))))
         positions = [i for i, literal in enumerate(compiled.body) if not literal.is_test]
@@ -212,7 +204,6 @@ def propagate(
     checkpoint: "Checkpoint | None",
     counts: "dict[str, dict[tuple, int]] | None" = None,
     new_facts: "set | None" = None,
-    decode: bool = True,
 ) -> None:
     """Continue the semi-naive iteration from *delta* until fixpoint.
 
@@ -228,8 +219,7 @@ def propagate(
             facts already present, which gain support without rejoining
             the delta.
         new_facts: when given, every fact entering *working* is recorded
-            as ``(predicate, row)`` — decoded to raw values when
-            *decode*, in the backend's native row space otherwise.
+            as ``(predicate, row)``.
     """
     while delta:
         if checkpoint is not None:
@@ -243,10 +233,8 @@ def propagate(
             for predicate in delta
         }
         new_delta: dict[str, Relation] = {}
-        # batch=True is sound: heads land in new_delta buckets, so the
-        # working set is unchanged while a batch enumerates.
         for head_pred, head_row in _delta_heads(
-            working, rules, delta, {}, old, op_stats, checkpoint, batch=True
+            working, rules, delta, {}, old, op_stats, checkpoint
         ):
             if counts is not None:
                 table = counts.setdefault(head_pred, {})
@@ -255,7 +243,7 @@ def propagate(
             if head_row in relation:
                 continue
             bucket = new_delta.setdefault(
-                head_pred, working.spawn(head_pred, len(head_row))
+                head_pred, Relation(head_pred, len(head_row))
             )
             bucket.add(head_row)
         stamp += 1
@@ -266,14 +254,7 @@ def propagate(
                 if working.add(predicate, new_row):
                     op_stats.facts_derived += 1
                     if new_facts is not None:
-                        new_facts.add(
-                            (
-                                predicate,
-                                working.decode_row(new_row)
-                                if decode
-                                else new_row,
-                            )
-                        )
+                        new_facts.add((predicate, new_row))
         delta = {p: r for p, r in new_delta.items() if r}
 
 
@@ -285,8 +266,7 @@ def _delta_heads(
     later: Mapping[str, object],
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-    batch: bool = False,
-) -> Iterator[EncodedFact]:
+) -> Iterator[Fact]:
     """The head of every instantiation with a *delta* fact at some body
     position, once per (instantiation, position), each charged one
     ``inferences`` event.  That position reads the delta; a position
@@ -310,9 +290,7 @@ def _delta_heads(
                 except KeyError:
                     return None
 
-            for head_row in head_rows(
-                compiled, kernel, view, op_stats, checkpoint, batch
-            ):
+            for head_row in head_rows(compiled, kernel, view, op_stats, checkpoint):
                 op_stats.inferences += 1
                 yield compiled.head_predicate, head_row
 
@@ -323,18 +301,17 @@ def _lost_heads(
     delta: dict[str, set],
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-) -> Iterator[EncodedFact]:
+) -> Iterator[Fact]:
     """The head of every derivation lost to this deletion round.
 
     *delta* holds the rows leaving the database this round, still
     physically present in *working*; positions before the delta's read
     the survivors.  Each lost instantiation is enumerated exactly once
-    (see the module docstring).  Deletions stay on the per-row path:
-    :class:`SubtractView` is not columnar, so a batch would decline.
+    (see the module docstring).
     """
     spawned = {}
     for predicate, rows in delta.items():
-        bucket = spawned[predicate] = working.spawn(
+        bucket = spawned[predicate] = Relation(
             predicate, working.relation(predicate).arity
         )
         bucket.add_all(rows)
@@ -356,21 +333,21 @@ def delete_counting(
     seeds: dict[str, set],
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-) -> set[EncodedFact]:
+) -> set[Fact]:
     """Counting-mode deletion: decrement, cascade where support hits zero.
 
     *seeds* are base facts (rows currently present) whose external
     support is being withdrawn; their count entries are discarded with
     them.  Returns every ``(predicate, row)`` removed from *working*,
-    seeds included, in the backend's native row space.
+    seeds included.
     """
-    removed: set[EncodedFact] = set()
+    removed: set[Fact] = set()
     delta = {p: set(rows) for p, rows in seeds.items() if rows}
     while delta:
         if checkpoint is not None:
             checkpoint.check_round()
         op_stats.iterations += 1
-        decrements: dict[EncodedFact, int] = {}
+        decrements: dict[Fact, int] = {}
         for head in _lost_heads(working, rules, delta, op_stats, checkpoint):
             decrements[head] = decrements.get(head, 0) + 1
         # The round's enumeration is done: physically remove the delta.
@@ -408,10 +385,10 @@ def delete_counting(
 def _rederivable(
     working: Database,
     rules: "list[MaintainedRule]",
-    candidates: list[EncodedFact],
+    candidates: list[Fact],
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-) -> set[EncodedFact]:
+) -> set[Fact]:
     """The *candidates* some rule derives in one step from *working*.
 
     One run per rule of its guarded executor, whose leading literal reads
@@ -423,9 +400,9 @@ def _rederivable(
     for predicate, row in candidates:
         guard = guards.get(predicate)
         if guard is None:
-            guard = guards[predicate] = working.spawn(predicate, len(row))
+            guard = guards[predicate] = Relation(predicate, len(row))
         guard.add(row)
-    derivable: set[EncodedFact] = set()
+    derivable: set[Fact] = set()
     for rule in rules:
         predicate = rule.compiled.head_predicate
         guard = guards.get(predicate)
@@ -441,10 +418,7 @@ def _rederivable(
             except KeyError:
                 return None
 
-        # batch=True is sound: nothing is inserted while the run enumerates.
-        for row in head_rows(
-            compiled, kernel, view, op_stats, checkpoint, batch=True
-        ):
+        for row in head_rows(compiled, kernel, view, op_stats, checkpoint):
             derivable.add((predicate, row))
     return derivable
 
@@ -454,21 +428,21 @@ def delete_dred(
     rules: "list[MaintainedRule]",
     arities: dict[str, int],
     seeds: dict[str, set],
-    asserted: "set[EncodedFact]",
+    asserted: "set[Fact]",
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-) -> tuple[set[EncodedFact], set[EncodedFact]]:
+) -> tuple[set[Fact], set[Fact]]:
     """DRed deletion: over-delete the cone, re-derive the survivors.
 
     *seeds* are base facts (rows currently present) losing their
     extensional support; *asserted* facts carry external support and are
-    never over-deleted.  Returns ``(removed, restored)`` in the backend's
-    native row space: every fact physically removed during over-deletion
-    and every fact the re-derivation pass brought back — the net deletion
-    is their difference.
+    never over-deleted.  Returns ``(removed, restored)``: every fact
+    physically removed during over-deletion and every fact the
+    re-derivation pass brought back — the net deletion is their
+    difference.
     """
-    removed: set[EncodedFact] = set()
-    candidates: list[EncodedFact] = []
+    removed: set[Fact] = set()
+    candidates: list[Fact] = []
     delta = {p: set(rows) for p, rows in seeds.items() if rows}
     while delta:
         if checkpoint is not None:
@@ -487,7 +461,7 @@ def delete_dred(
             new_delta.setdefault(predicate, set()).add(row)
             candidates.append((predicate, row))
         delta = new_delta
-    restored: set[EncodedFact] = set()
+    restored: set[Fact] = set()
     if candidates:
         # Re-derivation, seeded from the boundary: an over-deleted fact
         # survives iff some rule body holds entirely in the surviving
@@ -508,7 +482,7 @@ def delete_dred(
             for predicate, rows in rederive.items():
                 target = working.relation(predicate, arities.get(predicate))
                 target.mark_round(stamp)
-                bucket = working.spawn(predicate, target.arity)
+                bucket = Relation(predicate, target.arity)
                 for row in rows:
                     if working.add(predicate, row):
                         op_stats.facts_derived += 1
@@ -519,7 +493,7 @@ def delete_dred(
             reinserted: set = set()
             propagate(
                 working, rules, arities, delta2, stamp, op_stats,
-                checkpoint, new_facts=reinserted, decode=False,
+                checkpoint, new_facts=reinserted,
             )
             restored |= reinserted
     obs = get_metrics()

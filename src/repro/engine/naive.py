@@ -20,7 +20,6 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR, RuleKernel, compile_executors, head_rows
 from .matching import CompiledRule, compile_rule
@@ -64,9 +63,7 @@ def apply_rules_once(
     produced: list[tuple[str, tuple]] = []
     for index, compiled in enumerate(compiled_rules):
         kernel = kernels[index] if kernels is not None else None
-        # batch=True is sound: rows are collected here, not inserted, so
-        # no relation changes while a batch is being enumerated.
-        for row in head_rows(compiled, kernel, view, stats, checkpoint, batch=True):
+        for row in head_rows(compiled, kernel, view, stats, checkpoint):
             stats.inferences += 1
             produced.append((compiled.head_predicate, row))
     return produced
@@ -80,7 +77,6 @@ def naive_fixpoint(
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint naively.
 
@@ -108,10 +104,6 @@ def naive_fixpoint(
             the whole database each round, so ``inferences``/
             ``attempts``/``iterations`` legitimately differ between
             schedulers (unlike semi-naive, where they match).
-        storage: ``"tuples"`` (default) or ``"columnar"`` — the working
-            database's relation backend (:mod:`repro.engine.columnar`).
-            Fact sets and counters are identical either way; columnar
-            storage requires ``executor="kernel"``.
 
     Returns:
         The completed database (EDB plus all derived IDB facts) and the
@@ -122,10 +114,10 @@ def naive_fixpoint(
 
         return scc_naive_fixpoint(
             program, database, stats, planner=planner, budget=budget,
-            executor=executor, storage=storage,
+            executor=executor,
         )
     stats = stats if stats is not None else EvaluationStats()
-    working = as_storage(database, storage)
+    working = database.copy() if database is not None else Database()
     working.add_atoms(program.facts)
     # Ensure every IDB predicate has a (possibly empty) relation, so
     # negative literals over IDB predicates probe an empty relation rather
@@ -136,9 +128,7 @@ def naive_fixpoint(
     compiled_rules = [
         compile_rule(rule, active_planner) for rule in program.proper_rules
     ]
-    executors = compile_executors(
-        compiled_rules, executor, getattr(working, "interner", None)
-    )
+    executors = compile_executors(compiled_rules, executor)
     kernels = [kernel for _, kernel in executors]
     checkpoint = ensure_checkpoint(budget, stats)
     if checkpoint is not None:

@@ -52,12 +52,10 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from ..datalog.atoms import Atom
-from ..datalog.intern import ConstantInterner
 from ..datalog.rules import Program
 from ..facts.database import Database
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage, resolve_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR, RuleKernel, compile_executors, head_rows, resolve_executor
 from .matching import CompiledRule, compile_rule
@@ -101,12 +99,6 @@ class CompiledFixpoint:
         program: the source rules (facts, if any, are loaded per run).
         executor: ``"kernel"`` or ``"interpreted"`` (fixed at compile).
         scheduler: ``"scc"`` or ``"global"`` (fixed at compile).
-        storage: ``"tuples"`` or ``"columnar"`` (fixed at compile).
-        interner: the constant interner shared by every run (columnar
-            only).  Kernels bake interned constant ids at compile time,
-            so all working databases of this fixpoint must encode
-            through this one interner; it is append-only, so reuse
-            across concurrent runs is safe.
         components: the compiled schedule (scc mode; empty otherwise).
         executors: the compiled rule list (global mode; empty otherwise).
         variants: per-executor delta-variant positions (global mode).
@@ -115,8 +107,6 @@ class CompiledFixpoint:
     program: Program
     executor: str
     scheduler: str
-    storage: str = DEFAULT_STORAGE
-    interner: "ConstantInterner | None" = None
     components: tuple[CompiledComponent, ...] = ()
     executors: tuple[tuple[CompiledRule, "RuleKernel | None"], ...] = ()
     variants: tuple[tuple, ...] = ()
@@ -143,7 +133,6 @@ def compile_fixpoint(
     planner=None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> CompiledFixpoint:
     """Compile *program* for repeated semi-naive evaluation.
 
@@ -158,16 +147,9 @@ def compile_fixpoint(
             differs from the interleaved one-shot scc planning.
         executor: ``"kernel"`` (default) or ``"interpreted"``.
         scheduler: ``"scc"`` (default) or ``"global"``.
-        storage: ``"tuples"`` (default) or ``"columnar"``.  Columnar
-            fixpoints compile against a fresh
-            :class:`~repro.datalog.intern.ConstantInterner` that every
-            run then shares (see :class:`CompiledFixpoint`).
     """
     resolve_executor(executor)
     mode = resolve_scheduler(scheduler)
-    interner = (
-        ConstantInterner() if resolve_storage(storage) == "columnar" else None
-    )
     obs = get_metrics()
     # Planner statistics read the base facts as every run will see them
     # at round zero: database plus the program's embedded facts.  Without
@@ -188,17 +170,13 @@ def compile_fixpoint(
                 components.append(
                     CompiledComponent(
                         component,
-                        tuple(
-                            compile_executors(compiled_rules, executor, interner)
-                        ),
+                        tuple(compile_executors(compiled_rules, executor)),
                     )
                 )
             compiled = CompiledFixpoint(
                 program=program,
                 executor=executor,
                 scheduler=mode,
-                storage=storage,
-                interner=interner,
                 components=tuple(components),
             )
         else:
@@ -206,9 +184,7 @@ def compile_fixpoint(
             compiled_rules = [
                 compile_rule(rule, active) for rule in program.proper_rules
             ]
-            executors = tuple(
-                compile_executors(compiled_rules, executor, interner)
-            )
+            executors = tuple(compile_executors(compiled_rules, executor))
             derived = program.idb_predicates
             variants = tuple(
                 (pair[0], pair[1], _variant_positions(pair[0], derived))
@@ -218,8 +194,6 @@ def compile_fixpoint(
                 program=program,
                 executor=executor,
                 scheduler=mode,
-                storage=storage,
-                interner=interner,
                 executors=executors,
                 variants=variants,
             )
@@ -259,9 +233,7 @@ def run_fixpoint(
     stats = stats if stats is not None else EvaluationStats()
     obs = get_metrics()
     program = compiled.program
-    # Every run must encode through the fixpoint's own interner — its
-    # kernels carry interned constant ids (no-op for tuple storage).
-    working = as_storage(database, compiled.storage, interner=compiled.interner)
+    working = database.copy() if database is not None else Database()
     working.add_atoms(program.facts)
     working.add_atoms(extra_facts)
     arities = program.arities
@@ -339,7 +311,7 @@ def record_footprint(
 ) -> dict:
     """The probe keys a run of *compiled* issued against *predicates*:
     ``{(predicate, columns): frozenset of keys}`` (see
-    :class:`_ProbeRecorder`; tuple storage only, keys are raw values).
+    :class:`_ProbeRecorder`).
 
     Each body occurrence of one of *predicates* has its rule run once
     over *completed*, the run's final database, with a recorder at that

@@ -58,7 +58,6 @@ from ..facts.database import Database
 from ..facts.relation import Relation, StampedView
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR, compile_executors, head_rows
 from .matching import compile_rule
@@ -221,12 +220,7 @@ def _single_pass(
     view = _full_view(working)
     for compiled, kernel in executors:
         target = working.relation(compiled.head_predicate)
-        # batch=True is sound here despite the direct inserts: the
-        # component is non-recursive, so no rule body scans the relation
-        # being inserted into.
-        for row in head_rows(
-            compiled, kernel, view, stats, checkpoint, batch=True
-        ):
+        for row in head_rows(compiled, kernel, view, stats, checkpoint):
             stats.inferences += 1
             if target.add(row):
                 stats.facts_derived += 1
@@ -278,7 +272,7 @@ def _component_seminaive(
         checkpoint.check_round()
     stats.iterations += 1
     delta: dict[str, Relation] = {
-        predicate: working.spawn(predicate, arities[predicate])
+        predicate: Relation(predicate, arities[predicate])
         for predicate in derived
     }
     stamp = 1
@@ -287,9 +281,7 @@ def _component_seminaive(
         for compiled, kernel in executors:
             target = relations[compiled.head_predicate]
             bucket = delta[compiled.head_predicate]
-            for row in head_rows(
-                compiled, kernel, view, stats, checkpoint, batch=True
-            ):
+            for row in head_rows(compiled, kernel, view, stats, checkpoint):
                 stats.inferences += 1
                 if row not in target:
                     bucket.add(row)
@@ -317,7 +309,7 @@ def _component_seminaive(
             for predicate in derived:
                 old[predicate] = relations[predicate].rows_before(stamp)
             new_delta: dict[str, Relation] = {
-                predicate: working.spawn(predicate, arities[predicate])
+                predicate: Relation(predicate, arities[predicate])
                 for predicate in derived
             }
             for predicate, entries in agenda:
@@ -329,8 +321,7 @@ def _component_seminaive(
                     round_view.delta_relation = delta_relation
                     bucket = new_delta[compiled.head_predicate]
                     for row in head_rows(
-                        compiled, kernel, round_view, stats, checkpoint,
-                        batch=True,
+                        compiled, kernel, round_view, stats, checkpoint
                     ):
                         stats.inferences += 1
                         if row not in target:
@@ -361,7 +352,6 @@ def scc_seminaive_fixpoint(
     planner: "JoinPlanner | str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
-    storage: str = DEFAULT_STORAGE,
 ) -> tuple[Database, EvaluationStats]:
     """Component-wise semi-naive evaluation of *program* (see module
     docstring).  Called through
@@ -369,7 +359,7 @@ def scc_seminaive_fixpoint(
     ``scheduler="scc"`` (the default)."""
     stats = stats if stats is not None else EvaluationStats()
     obs = get_metrics()
-    working = as_storage(database, storage)
+    working = database.copy() if database is not None else Database()
     working.add_atoms(program.facts)
     arities = program.arities
     for predicate in program.idb_predicates:
@@ -385,9 +375,7 @@ def scc_seminaive_fixpoint(
             compiled_rules = [
                 compile_rule(rule, active_planner) for rule in component.rules
             ]
-            executors = compile_executors(
-                compiled_rules, executor, getattr(working, "interner", None)
-            )
+            executors = compile_executors(compiled_rules, executor)
             if not component.recursive:
                 if checkpoint is not None:
                     checkpoint.check_round()
@@ -414,7 +402,6 @@ def scc_naive_fixpoint(
     planner: "JoinPlanner | str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
-    storage: str = DEFAULT_STORAGE,
 ) -> tuple[Database, EvaluationStats]:
     """Component-wise naive evaluation: non-recursive components get one
     pass, recursive components iterate their own rules to a local
@@ -424,7 +411,7 @@ def scc_naive_fixpoint(
 
     stats = stats if stats is not None else EvaluationStats()
     obs = get_metrics()
-    working = as_storage(database, storage)
+    working = database.copy() if database is not None else Database()
     working.add_atoms(program.facts)
     arities = program.arities
     for predicate in program.idb_predicates:
@@ -440,9 +427,7 @@ def scc_naive_fixpoint(
             compiled_rules = [
                 compile_rule(rule, active_planner) for rule in component.rules
             ]
-            executors = compile_executors(
-                compiled_rules, executor, getattr(working, "interner", None)
-            )
+            executors = compile_executors(compiled_rules, executor)
             kernels = [kernel for _, kernel in executors]
             if not component.recursive:
                 if checkpoint is not None:

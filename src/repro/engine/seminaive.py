@@ -40,7 +40,6 @@ from ..facts.database import Database
 from ..facts.relation import Relation, StampedView
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR, compile_executors, head_rows
 from .matching import CompiledRule, compile_rule
@@ -97,7 +96,6 @@ def seminaive_fixpoint(
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint with the semi-naive delta discipline.
 
@@ -130,13 +128,6 @@ def seminaive_fixpoint(
             are identical in both modes; ``iterations`` counts local
             component passes under scc and global rounds otherwise, so
             those are not comparable 1:1.
-        storage: ``"tuples"`` (default) keeps facts as tuples of raw
-            values; ``"columnar"`` interns constants and evaluates over
-            the dictionary-encoded columnar backend with batch kernels
-            (:mod:`repro.engine.columnar`).  Fact sets, counters,
-            enumeration order, and budget-trip points are identical
-            either way (the tuple backend is the differential oracle).
-            Columnar storage requires ``executor="kernel"``.
 
     Returns:
         The completed database and the statistics record.
@@ -146,10 +137,10 @@ def seminaive_fixpoint(
 
         return scc_seminaive_fixpoint(
             program, database, stats, planner=planner, budget=budget,
-            executor=executor, storage=storage,
+            executor=executor,
         )
     stats = stats if stats is not None else EvaluationStats()
-    working = as_storage(database, storage)
+    working = database.copy() if database is not None else Database()
     working.add_atoms(program.facts)
     derived = program.idb_predicates
     arities = program.arities
@@ -159,9 +150,7 @@ def seminaive_fixpoint(
     compiled_rules = [
         compile_rule(rule, active_planner) for rule in program.proper_rules
     ]
-    executors = compile_executors(
-        compiled_rules, executor, getattr(working, "interner", None)
-    )
+    executors = compile_executors(compiled_rules, executor)
     # Variant positions are a static property of the compiled body;
     # compute them once rather than per rule per round.
     variants = [
@@ -211,10 +200,8 @@ def run_global_rounds(
         if checkpoint is not None:
             checkpoint.check_round()
         stats.iterations += 1
-        # Deltas are spawned from the working database so they share its
-        # storage backend (columnar deltas for a columnar working set).
         delta: dict[str, Relation] = {
-            predicate: working.spawn(predicate, arities[predicate])
+            predicate: Relation(predicate, arities[predicate])
             for predicate in derived
         }
         # Rows merged at the end of round k carry stamp k+1; the "old"
@@ -224,9 +211,7 @@ def run_global_rounds(
         with obs.timer("round"):
             for compiled, kernel in executors:
                 target = working.relation(compiled.head_predicate)
-                for row in head_rows(
-                    compiled, kernel, full_view, stats, checkpoint, batch=True
-                ):
+                for row in head_rows(compiled, kernel, full_view, stats, checkpoint):
                     stats.inferences += 1
                     if row not in target:
                         delta[compiled.head_predicate].add(row)
@@ -254,7 +239,7 @@ def run_global_rounds(
                     for predicate in derived
                 }
                 new_delta: dict[str, Relation] = {
-                    predicate: working.spawn(predicate, arities[predicate])
+                    predicate: Relation(predicate, arities[predicate])
                     for predicate in derived
                 }
                 for compiled, kernel, positions in variants:
@@ -266,8 +251,7 @@ def run_global_rounds(
                         view = _RoundView(working, position, delta_relation, old, derived)
                         target = working.relation(compiled.head_predicate)
                         for row in head_rows(
-                            compiled, kernel, view, stats, checkpoint,
-                            batch=True,
+                            compiled, kernel, view, stats, checkpoint
                         ):
                             stats.inferences += 1
                             if row not in target:

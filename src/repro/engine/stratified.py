@@ -16,7 +16,6 @@ from ..datalog.rules import Program
 from ..facts.database import Database
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR
 from .naive import naive_fixpoint
@@ -40,7 +39,6 @@ def stratified_fixpoint(
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate a stratifiable program, stratum by stratum.
 
@@ -64,10 +62,6 @@ def stratified_fixpoint(
         scheduler: forwarded to every per-stratum fixpoint (``"scc"``
             default — each stratum is further condensed into dependency
             components; ``"global"`` for the monolithic oracle loop).
-        storage: forwarded to every per-stratum fixpoint (``"tuples"``
-            default, ``"columnar"`` for the interned backend).  The
-            database is converted once up front, so each stratum's
-            fixpoint takes the cheap same-backend copy path.
 
     Returns:
         The completed database and statistics.
@@ -80,7 +74,7 @@ def stratified_fixpoint(
     stats = stats if stats is not None else EvaluationStats()
     obs = get_metrics()
     fixpoint = seminaive_fixpoint if engine == "seminaive" else naive_fixpoint
-    working = as_storage(database, storage)
+    working = database.copy() if database is not None else Database()
     working.add_atoms(program.facts)
     stratification = stratify(program)
     checkpoint = ensure_checkpoint(budget, stats)
@@ -95,7 +89,6 @@ def stratified_fixpoint(
                     budget=checkpoint,
                     executor=executor,
                     scheduler=scheduler,
-                    storage=storage,
                 )
     if obs.enabled:
         obs.observe("stratified.strata", len(stratification.strata))

@@ -30,7 +30,6 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
-from .columnar import DEFAULT_STORAGE, as_storage
 from .counters import EvaluationStats
 from .kernel import DEFAULT_EXECUTOR, compile_executors, head_rows
 from .matching import compile_rule
@@ -104,7 +103,6 @@ def _gamma(
     depends on the round structure).
     """
     working = base.copy()
-    interner = getattr(working, "interner", None)
     arities = program.arities
     derived = program.idb_predicates
     for predicate in derived:
@@ -136,7 +134,7 @@ def _gamma(
             compiled_rules = [
                 compile_rule(rule, active_planner) for rule in component.rules
             ]
-            executors = compile_executors(compiled_rules, executor, interner)
+            executors = compile_executors(compiled_rules, executor)
             changed = True
             while changed:
                 if checkpoint is not None:
@@ -160,11 +158,9 @@ def _gamma(
     compiled_rules = [
         compile_rule(rule, active_planner) for rule in program.proper_rules
     ]
-    executors = compile_executors(compiled_rules, executor, interner)
+    executors = compile_executors(compiled_rules, executor)
     # Plain inflationary rounds (naive); adequate because Γ is called a
     # bounded number of times and each round is cheap at these scales.
-    # Both Γ loops stay on the per-row path (no batch=True): heads are
-    # inserted mid-enumeration, so a batch could observe its own output.
     changed = True
     while changed:
         if checkpoint is not None:
@@ -188,7 +184,6 @@ def alternating_fixpoint(
     budget: "EvaluationBudget | Checkpoint | None" = None,
     executor: str = DEFAULT_EXECUTOR,
     scheduler: str = DEFAULT_SCHEDULER,
-    storage: str = DEFAULT_STORAGE,
 ) -> WellFoundedModel:
     """Compute the well-founded model of *program* over *database*.
 
@@ -214,14 +209,10 @@ def alternating_fixpoint(
             rounds are naive-style (re-enumerating), so ``inferences``/
             ``attempts``/``iterations`` legitimately differ between
             schedulers.
-        storage: ``"tuples"`` (default) or ``"columnar"`` — the backend
-            of every Γ working database (:mod:`repro.engine.columnar`).
-            The model and every counter are identical either way; the
-            ``undefined`` set is always reported in raw values.
     """
     stats = EvaluationStats()
     obs = get_metrics()
-    base = as_storage(database, storage)
+    base = database.copy() if database is not None else Database()
     base.add_atoms(program.facts)
     rules_only = program.without_facts()
     schedule = (
@@ -266,16 +257,12 @@ def alternating_fixpoint(
     if obs.enabled:
         obs.observe("wellfounded.alternations", alternations)
 
-    # Undefined facts are reported in raw-value space so value_of() and
-    # undefined_atoms() are backend-independent (stored rows are interned
-    # ids under columnar storage; both databases share one interner, so
-    # the encoded comparison below is exact).
     undefined: set[Fact] = set()
     for relation in overestimate.relations():
         true_rows = underestimate.rows(relation.name)
         for row in relation:
             if row not in true_rows:
-                undefined.add((relation.name, overestimate.decode_row(row)))
+                undefined.add((relation.name, row))
     return WellFoundedModel(
         true=underestimate, undefined=frozenset(undefined), stats=stats
     )

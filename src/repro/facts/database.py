@@ -61,49 +61,13 @@ class Database:
         self._relations[predicate] = created
         return created
 
-    def spawn(self, name: str, arity: int) -> Relation:
-        """A free-standing relation of this database's storage backend.
-
-        Engines use this instead of constructing :class:`Relation`
-        directly when they build deltas and other scratch relations, so
-        a columnar working database yields columnar deltas.  The relation
-        is *not* registered in the database.
-        """
-        return Relation(name, arity)
-
-    def encode_row(self, row: tuple) -> tuple:
-        """Translate a raw value tuple into this backend's row space.
-
-        The identity for the tuple backend; the columnar backend interns.
-        Atom-level methods (:meth:`add_atom`, :meth:`atoms`,
-        :meth:`has_fact`) translate here so relation-level methods can
-        stay in the backend's native row space.
-        """
-        return row
-
-    def decode_row(self, row: tuple) -> tuple:
-        """Translate a stored row back to raw values (see :meth:`encode_row`)."""
-        return row
-
-    def probe_row(self, row: tuple) -> "tuple | None":
-        """:meth:`encode_row` for read-only probes: never grows the
-        backend's encoding, ``None`` when *row* holds a value the
-        database has never stored (so nothing stored can equal it).
-        """
-        return row
-
     def add(self, predicate: str, row: tuple) -> bool:
-        """Insert a value tuple; returns True iff it was new.
-
-        *row* is in the backend's native row space (raw values for the
-        tuple backend, interned ids for the columnar one) — this is the
-        engines' entry point, and engines shuttle stored rows opaquely.
-        """
+        """Insert a value tuple; returns True iff it was new."""
         return self.relation(predicate, len(row)).add(row)
 
     def add_atom(self, atom: Atom) -> bool:
         """Insert a ground atom; returns True iff it was new."""
-        return self.add(atom.predicate, self.encode_row(atom.ground_key()))
+        return self.add(atom.predicate, atom.ground_key())
 
     def add_atoms(self, atoms: Iterable[Atom]) -> int:
         return sum(1 for atom in atoms if self.add_atom(atom))
@@ -117,8 +81,7 @@ class Database:
         relation = self._relations.get(atom.predicate)
         if relation is None:
             return False
-        row = self.probe_row(atom.ground_key())
-        return row is not None and row in relation
+        return atom.ground_key() in relation
 
     def predicates(self) -> frozenset[str]:
         return frozenset(self._relations)
@@ -134,26 +97,23 @@ class Database:
     def atoms(self, predicate: str) -> Iterator[Atom]:
         """Yield the stored facts of *predicate* as ground atoms.
 
-        Atoms come out in insertion order (the backends' shared
-        enumeration order), decoded to raw values.
+        Atoms come out in insertion order.
         """
         relation = self._relations.get(predicate)
         if relation is None:
             return
-        decode = self.decode_row
         for row in relation.scan():
-            yield Atom(predicate, tuple(Constant(value) for value in decode(row)))
+            yield Atom(predicate, tuple(Constant(value) for value in row))
 
     def match(self, pattern: Atom) -> Iterator[Atom]:
         """Yield the stored facts that are instances of *pattern*.
 
         The pattern's constants are probed through the relation's column
-        indexes (:meth:`Relation.lookup`), so only the hits are decoded
+        indexes (:meth:`Relation.lookup`), so only the hits become atoms
         — a bound goal costs its answers, not the relation.  Repeated
         variables (``p(X, X)``) are checked per hit.  Atoms come out in
-        the relation's enumeration order, decoded to raw values; an
-        unknown predicate, an arity mismatch, or a constant the database
-        never stored yields nothing.
+        the relation's enumeration order; an unknown predicate or an
+        arity mismatch yields nothing.
         """
         relation = self._relations.get(pattern.predicate)
         if relation is None or relation.arity != pattern.arity:
@@ -163,17 +123,12 @@ class Database:
             for column, arg in enumerate(pattern.args)
             if isinstance(arg, Constant)
         ]
-        probe = self.probe_row(
-            tuple(pattern.args[column].value for column in columns)
-        )
-        if probe is None:
-            return
+        probe = [pattern.args[column].value for column in columns]
         free = pattern.arity - len(columns)
         repeated = len(set(pattern.variables())) < free
         predicate = pattern.predicate
-        decode = self.decode_row
         for row in relation.lookup(dict(zip(columns, probe))):
-            atom = Atom(predicate, tuple(Constant(value) for value in decode(row)))
+            atom = Atom(predicate, tuple(Constant(value) for value in row))
             if not repeated or match_atom(pattern, atom) is not None:
                 yield atom
 

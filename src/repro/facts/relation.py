@@ -33,7 +33,12 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-__all__ = ["Relation", "StampedView"]
+__all__ = ["Relation", "StampedView", "STORAGE_REMOVED"]
+
+STORAGE_REMOVED = (
+    "storage was removed: relations are always tuple-backed (same answers "
+    "and counts); omit the setting"
+)
 
 
 class Relation:
@@ -57,9 +62,8 @@ class Relation:
         self.arity = arity
         # Insertion-ordered: a dict used as an ordered set.  Enumeration
         # order (scan, iteration, snapshots) is therefore *insertion*
-        # order, not hash order — the property the columnar backend
-        # (repro.engine.columnar) reproduces exactly, making enumeration
-        # order part of the cross-backend bit-identity contract.
+        # order, not hash order, so answers and counters do not depend
+        # on string hashing.
         self._tuples: dict[tuple, None] = {}
         # column -> value -> list of tuples having that value in the column.
         self._indexes: dict[int, dict[object, list[tuple]]] = {}

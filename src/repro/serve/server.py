@@ -45,6 +45,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import ReproError
+from ..facts.relation import STORAGE_REMOVED
 from ..obs import ThreadSafeMetrics, get_metrics, set_metrics
 from .pool import WorkerPoolError
 from .service import QueryService, budget_from_payload
@@ -323,8 +324,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _config(cls, payload: dict) -> dict:
         config = {}
         for field in (
-            "strategy", "sips", "planner", "executor", "scheduler", "storage",
-            "maintain",
+            "strategy", "sips", "planner", "executor", "scheduler", "maintain",
         ):
             value = cls._string(payload, field)
             if value is not None:
@@ -334,6 +334,8 @@ class _Handler(BaseHTTPRequestHandler):
                 '"workers" was removed with scheduler=\'parallel\'; use '
                 "`serve --processes N` for multi-core"
             )
+        if "storage" in payload:
+            raise ReproError(STORAGE_REMOVED)
         return config
 
 

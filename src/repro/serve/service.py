@@ -56,7 +56,6 @@ from ..datalog.atoms import Atom
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
 from ..engine.budget import EvaluationBudget
-from ..engine.columnar import DEFAULT_STORAGE, resolve_storage
 from ..engine.kernel import DEFAULT_EXECUTOR, resolve_executor
 from ..engine.planner import resolve_planner
 from ..engine.scheduler import DEFAULT_SCHEDULER, resolve_scheduler
@@ -142,9 +141,7 @@ def _rendered(rows, texts) -> dict:
     }
 
 
-def _check_config(
-    dataset: "Dataset", sips, planner, executor, scheduler, storage
-) -> None:
+def _check_config(dataset: "Dataset", sips, planner, executor, scheduler) -> None:
     """An unknown option *value* is the client's error (a 400), not the
     ``ValueError`` the engine layers raise for it (a 500)."""
     try:
@@ -153,7 +150,6 @@ def _check_config(
         resolve_planner(planner, dataset.database, dataset.program)
         resolve_executor(executor)
         resolve_scheduler(scheduler)
-        resolve_storage(storage)
     except ValueError as exc:
         raise ReproError(str(exc)) from None
 
@@ -426,7 +422,7 @@ class QueryService:
                 if atom.predicate not in database:
                     continue
                 relation = database.relation(atom.predicate)
-                if relation.discard(database.encode_row(atom.ground_key())):
+                if relation.discard(atom.ground_key()):
                     removed += 1
                     changed.setdefault(atom.predicate, []).append(atom.ground_key())
             for atom in add_atoms:
@@ -554,17 +550,16 @@ class QueryService:
     # --- preparation ----------------------------------------------------------
     def _cache_key(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, storage: str,
-        maintain: "str | None" = None,
+        executor: str, scheduler: str, maintain: "str | None" = None,
     ) -> tuple:
         return (dataset.name, dataset.version) + prepared_cache_key(
             dataset.program, goal, strategy, sips, planner, executor,
-            scheduler, storage, maintain,
+            scheduler, maintain,
         )
 
     def _build_prepared(
         self, dataset: Dataset, goal: Atom, key: tuple, strategy: str,
-        sips, planner, executor: str, scheduler: str, storage: str,
+        sips, planner, executor: str, scheduler: str,
         budget=None, maintain: "str | None" = None,
     ):
         """The cache-miss factory: registry consult, then a real prepare.
@@ -595,7 +590,6 @@ class QueryService:
             planner=planner,
             executor=executor,
             scheduler=scheduler,
-            storage=storage,
             budget=budget,
             maintain=maintain,
         )
@@ -612,7 +606,6 @@ class QueryService:
         planner: "str | None" = None,
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
-        storage: str = DEFAULT_STORAGE,
         maintain: "str | None" = None,
     ) -> dict:
         """Prepare (or re-use) a query shape; the ``/prepare`` endpoint.
@@ -628,10 +621,10 @@ class QueryService:
         dataset = self.dataset(dataset_name)
         if isinstance(goal, str):
             goal = parse_query(goal)
-        _check_config(dataset, sips, planner, executor, scheduler, storage)
+        _check_config(dataset, sips, planner, executor, scheduler)
         key = self._cache_key(
             dataset, goal, strategy, sips, planner, executor, scheduler,
-            storage, maintain,
+            maintain,
         )
         if strategy in UNPREPARABLE_STRATEGIES:
             # Surface the library error without caching anything.
@@ -642,7 +635,7 @@ class QueryService:
             key,
             lambda: self._build_prepared(
                 dataset, goal, key, strategy, sips, planner, executor,
-                scheduler, storage, maintain=maintain,
+                scheduler, maintain=maintain,
             ),
         )
         return {
@@ -672,7 +665,6 @@ class QueryService:
         planner: "str | None" = None,
         executor: str = DEFAULT_EXECUTOR,
         scheduler: str = DEFAULT_SCHEDULER,
-        storage: str = DEFAULT_STORAGE,
         budget: "EvaluationBudget | None" = None,
         maintain: "str | None" = None,
     ) -> dict:
@@ -693,7 +685,7 @@ class QueryService:
                 f"unknown strategy {strategy!r}; choose from "
                 f"{available_strategies()}"
             )
-        _check_config(dataset, sips, planner, executor, scheduler, storage)
+        _check_config(dataset, sips, planner, executor, scheduler)
         if obs.enabled:
             obs.incr("serve.queries")
             obs.incr(f"serve.strategy.{strategy}")
@@ -702,12 +694,12 @@ class QueryService:
         if strategy in UNPREPARABLE_STRATEGIES:
             payload = self._query_direct(
                 dataset, goal, strategy, sips, planner, executor, scheduler,
-                storage, budget,
+                budget,
             )
         else:
             payload = self._query_prepared(
                 dataset, goal, strategy, sips, planner, executor, scheduler,
-                storage, budget, maintain,
+                budget, maintain,
             )
         elapsed = time.perf_counter() - started
         payload["elapsed_ms"] = elapsed * 1000.0
@@ -717,12 +709,12 @@ class QueryService:
 
     def _query_prepared(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, storage: str, budget,
+        executor: str, scheduler: str, budget,
         maintain: "str | None" = None,
     ) -> dict:
         key = self._cache_key(
             dataset, goal, strategy, sips, planner, executor, scheduler,
-            storage, maintain,
+            maintain,
         )
         try:
             # The request budget governs whatever work this request
@@ -732,7 +724,7 @@ class QueryService:
                 key,
                 lambda: self._build_prepared(
                     dataset, goal, key, strategy, sips, planner, executor,
-                    scheduler, storage, budget=budget, maintain=maintain,
+                    scheduler, budget=budget, maintain=maintain,
                 ),
             )
         except BudgetExceededError as exc:
@@ -760,7 +752,7 @@ class QueryService:
 
     def _query_direct(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, storage: str, budget,
+        executor: str, scheduler: str, budget,
     ) -> dict:
         obs = get_metrics()
         if obs.enabled:
@@ -776,7 +768,6 @@ class QueryService:
                 budget=budget,
                 executor=executor,
                 scheduler=scheduler,
-                storage=storage,
             )
         except BudgetExceededError as exc:
             return self._partial_payload(

@@ -48,7 +48,7 @@ def _constants(scenario) -> list:
         value
         for predicate in database.predicates()
         for row in database.rows(predicate)
-        for value in database.decode_row(row)
+        for value in row
     }
     return sorted(values, key=repr) + [987654]
 
@@ -304,10 +304,7 @@ class TestPatch:
             assert shape.patchable == frozenset({"p", "r"})
             loaded = load_prepared(dump_prepared(shape))
             assert loaded.patchable == shape.patchable
-        for config in (
-            {"storage": "columnar"}, {"planner": "greedy"},
-            {"strategy": "seminaive"},
-        ):
+        for config in ({"planner": "greedy"}, {"strategy": "seminaive"}):
             shape = prepare_query(program, "top(1, X)?", **config)
             assert shape.patchable is None
             with pytest.raises(ReproError, match="cannot be patched"):

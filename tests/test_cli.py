@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.facts.relation import STORAGE_REMOVED
 
 SOURCE = """
 par(a,b). par(b,c). par(c,d).
@@ -143,7 +144,6 @@ class TestQueryHelpSnapshot:
         "--planner",
         "--executor",
         "--scheduler",
-        "--storage",
         "--stats",
         "--limit",
         "--timeout",
@@ -170,20 +170,20 @@ class TestQueryHelpSnapshot:
 
 
 class TestStorageFlag:
-    def test_storage_values_give_identical_answers(self, program_file, capsys):
-        outputs = {}
-        for storage in ("tuples", "columnar"):
-            code = main(
-                ["query", program_file, "anc(a, X)?", "--storage", storage]
-            )
-            assert code == 0
-            outputs[storage] = capsys.readouterr().out
-        assert outputs["tuples"] == outputs["columnar"]
+    @pytest.mark.parametrize(
+        "flag", [["--storage", "tuples"], ["--storage", "columnar"], ["--storage"]]
+    )
+    def test_removed_storage_flag_says_to_omit_it(self, program_file, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", program_file, "anc(a, X)?", *flag])
+        assert excinfo.value.code == 2
+        assert STORAGE_REMOVED in capsys.readouterr().err
 
     def test_unknown_storage_is_rejected_by_argparse(self, program_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["query", program_file, "anc(a, X)?", "--storage", "arrow"])
         assert excinfo.value.code == 2
+        assert STORAGE_REMOVED in capsys.readouterr().err
 
 
 class TestSchedulerFlag:

@@ -37,7 +37,6 @@ from repro.datalog.rules import Program, Rule
 from repro.datalog.terms import Constant, Variable
 from repro.engine import codegen
 from repro.engine.budget import EvaluationBudget, ensure_checkpoint
-from repro.engine.columnar import ColumnarDatabase
 from repro.engine.counters import EvaluationStats
 from repro.engine.incremental import IncrementalEngine
 from repro.engine.kernel import compile_kernel, head_rows
@@ -60,11 +59,8 @@ from .test_kernel_differential import SEEDS, _facts, random_source
 SOURCE_ALPHABET = re.compile(r"[A-Za-z0-9_ \n(),.:=+<!\[\]{}]*")
 
 
-def _kernels(program: Program, interner=None):
-    return [
-        compile_kernel(compile_rule(rule), interner)
-        for rule in program.proper_rules
-    ]
+def _kernels(program: Program):
+    return [compile_kernel(compile_rule(rule)) for rule in program.proper_rules]
 
 
 # --- no user text in generated source -----------------------------------------
@@ -267,9 +263,9 @@ def recorded_views(monkeypatch):
     exactly once, and asking again returns the very same object."""
     executions = Counter()
 
-    def recording_head_rows(compiled, kernel, view, stats, checkpoint=None, batch=False):
+    def recording_head_rows(compiled, kernel, view, stats, checkpoint=None):
         if kernel is None:
-            return head_rows(compiled, kernel, view, stats, checkpoint, batch)
+            return head_rows(compiled, kernel, view, stats, checkpoint)
         calls = Counter()
 
         def recorder(position, predicate):
@@ -358,7 +354,7 @@ class TestViewContract:
 ARITIES = {"u": 1, "e": 2, "f": 2, "t": 3}
 VALUES = (0, 1, 2, "a", "b")
 VARIABLES = tuple(Variable(name) for name in "XYZW")
-KINDS = ("relation", "stamped", "columnar", "prefix")
+KINDS = ("relation", "stamped")
 
 constants = st.sampled_from(VALUES).map(Constant)
 
@@ -409,14 +405,14 @@ def _fill(database: Database, rows: dict) -> None:
         relation = database.relation(predicate, arity)
         for index, row in enumerate(rows[predicate]):
             relation.mark_round(index * 3 // max(len(rows[predicate]), 1))
-            relation.add(database.encode_row(row))
+            relation.add(row)
 
 
-def _outcome(rows_iter, stats, decode=None):
+def _outcome(rows_iter, stats):
     rows = []
     try:
         for row in rows_iter:
-            rows.append(decode(row) if decode else row)
+            rows.append(row)
         error = None
     except EvaluationError as exc:
         error = str(exc)
@@ -430,7 +426,7 @@ def test_generated_kernel_matches_interpreted(kind, rule, rows, absent):
     compiled = compile_rule(rule)
     database = Database()
     _fill(database, rows)
-    old = kind in ("stamped", "prefix")
+    old = kind == "stamped"
 
     def make_view(source: Database, calls: "Counter | None" = None):
         def view(position, predicate):
@@ -450,15 +446,10 @@ def test_generated_kernel_matches_interpreted(kind, rule, rows, absent):
         oracle_stats,
     )
 
-    decode = None
-    if kind in ("columnar", "prefix"):
-        database = ColumnarDatabase()
-        _fill(database, rows)
-        decode = database.decode_row
-    kernel = compile_kernel(compiled, getattr(database, "interner", None))
+    kernel = compile_kernel(compiled)
     calls = Counter()
     stats = EvaluationStats()
-    got = _outcome(kernel.run(make_view(database, calls), stats, None), stats, decode)
+    got = _outcome(kernel.run(make_view(database, calls), stats, None), stats)
     assert got == expected, kernel.source
     assert calls == {
         position: 1
@@ -481,7 +472,7 @@ MEMBERSHIP_ROWS = {
     "f": [(1, 0), (0, 2), (2, 1), (1, 1)],
     "u": [(1,), (2,), (0,)],
 }
-MEMBER_KINDS = ("relation", "stamped", "subtract", "columnar", "prefix", "recorder")
+MEMBER_KINDS = ("relation", "stamped", "subtract", "recorder")
 
 
 def _membership_view(database: Database, kind: str, recorders: dict):
@@ -489,10 +480,10 @@ def _membership_view(database: Database, kind: str, recorders: dict):
     :class:`_ProbeRecorder` at every fully bound occurrence."""
     def view(position, predicate):
         relation = database.relation(predicate)
-        if kind in ("stamped", "prefix"):
+        if kind == "stamped":
             return relation.rows_before(2)
         if kind == "subtract":
-            return SubtractView(relation, {database.encode_row(MEMBERSHIP_ROWS[predicate][0])})
+            return SubtractView(relation, {MEMBERSHIP_ROWS[predicate][0]})
         if kind == "recorder" and (position, predicate) in recorders:
             return recorders[position, predicate]
         return relation
@@ -501,17 +492,16 @@ def _membership_view(database: Database, kind: str, recorders: dict):
 
 
 def _membership_run(rule, kind: str, executor: str, limit: "int | None"):
-    """Rows (raw values), attempts and trip message of one execution, and
-    the keys each recorder saw."""
-    columnar = kind in ("columnar", "prefix") and executor == "kernel"
-    database = ColumnarDatabase() if columnar else Database()
+    """Rows, attempts and trip message of one execution, and the keys
+    each recorder saw."""
+    database = Database()
     for predicate, rows in MEMBERSHIP_ROWS.items():
         relation = database.relation(predicate, len(rows[0]))
         for index, row in enumerate(rows):
             relation.mark_round(index * 3 // len(rows))
-            relation.add(database.encode_row(row))
+            relation.add(row)
     compiled = compile_rule(rule)
-    kernel = compile_kernel(compiled, getattr(database, "interner", None))
+    kernel = compile_kernel(compiled)
     recorders = {
         (scan.position, scan.predicate): _ProbeRecorder(database.relation(scan.predicate).arity)
         for scan, _ in kernel.levels
@@ -525,7 +515,7 @@ def _membership_run(rule, kind: str, executor: str, limit: "int | None"):
         compiled, kernel if executor == "kernel" else None,
         _membership_view(database, kind, recorders), stats, checkpoint,
     )
-    outcome = _outcome(rows, stats, database.decode_row)
+    outcome = _outcome(rows, stats)
     keys = {where: (r.columns, r.keys) for where, r in recorders.items() if r.keys}
     return outcome, keys
 
@@ -728,12 +718,9 @@ class TestDebuggability:
         assert second.counters["kernel.shape_cache_hits"] == 1
         assert "kernel.shapes_compiled" not in second.counters
 
-    @pytest.mark.parametrize("storage", ("tuples", "columnar"))
-    def test_snapshot_stores_plans_and_reload_regenerates(self, storage):
+    def test_snapshot_stores_plans_and_reload_regenerates(self):
         program = parse_program(random_source(3))
-        prepared = prepare_query(
-            program, "p0(c0, Y)?", strategy="alexander", storage=storage
-        )
+        prepared = prepare_query(program, "p0(c0, Y)?", strategy="alexander")
         data = dump_prepared(prepared)
         assert b"def factory" not in data and b"stats.attempts" not in data
         with collect() as metrics:

@@ -120,7 +120,7 @@ class TestRepositoryDocs:
             "API",
             "OBSERVABILITY",
             "SERVING",
-            "STORAGE",
+            "MAINTENANCE",
         ):
             assert f"docs/{name}.md" in readme, f"README lacks docs/{name}.md"
 

@@ -9,7 +9,7 @@ from repro.engine.incremental import IncrementalEngine
 from repro.errors import BudgetExceededError, ProgramError
 from repro.obs import Metrics, get_metrics, set_metrics
 
-from .test_storage_differential import _decoded_facts
+from .test_maintenance_differential import _facts
 
 TC = parse_program(
     "path(X, Y) :- edge(X, Y)."
@@ -67,7 +67,7 @@ def test_counting_asserted_fact_already_derivable_survives():
         engine.remove("p(a)")
         assert engine.holds("q(a)"), mode
         assert not engine.holds("p(a)")
-        results[mode] = _decoded_facts(engine.database)
+        results[mode] = _facts(engine.database)
     assert results["counting"] == results["recompute"]
     assert results["dred"] == results["recompute"]
 
@@ -156,7 +156,7 @@ def test_add_many_batches_one_continuation():
     got = batched.add_many(batch)
     expected = frozenset().union(*(looped.add(atom) for atom in batch))
     assert got == expected
-    assert _decoded_facts(batched.database) == _decoded_facts(looped.database)
+    assert _facts(batched.database) == _facts(looped.database)
     assert batched.stats.iterations < looped.stats.iterations
 
 
@@ -203,7 +203,7 @@ def test_rebuild_clears_poisoning_and_completes_the_mutation():
     # their consequences — same state as an untripped engine.
     oracle = IncrementalEngine(TC)
     oracle.add_many([f"edge(c{i}, c{i + 1})" for i in range(12)])
-    assert _decoded_facts(engine.database) == _decoded_facts(oracle.database)
+    assert _facts(engine.database) == _facts(oracle.database)
     assert engine.holds("path(c0, c11)")
     assert engine.add("edge(z, c0)")  # usable again
 
@@ -250,9 +250,9 @@ def test_failed_rebuild_stays_poisoned(monkeypatch):
 
 def test_rebuild_on_healthy_engine_is_idempotent():
     engine = IncrementalEngine(UNION, maintenance="counting")
-    before = _decoded_facts(engine.database)
+    before = _facts(engine.database)
     engine.rebuild()
-    assert _decoded_facts(engine.database) == before
+    assert _facts(engine.database) == before
     assert engine.support("t(a, b)") == 2
 
 

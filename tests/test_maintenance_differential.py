@@ -4,8 +4,7 @@
 **bit-identical** to the full-recompute oracle: after every operation of
 any interleaved add/remove stream, the decoded fact sets match exactly.
 These tests pin that claim on seeded random programs and seeded random
-streams, at *every* interleaving point, across the storage × executor
-axes (``columnar`` requires the kernel executor, so three axes).
+streams, at *every* interleaving point, under both rule executors.
 
 Counting is exact for non-recursive programs only, so its streams run
 over a dedicated non-recursive generator (p0 over EDB, p1 over EDB∪{p0});
@@ -13,7 +12,7 @@ DRed runs over the shared recursive generator from the kernel
 differential suite (negation disabled — the incremental engine is
 positive-only; built-in ``!=`` tests still occur), and over a generator
 of the rule forms DRed's guarded re-derivation must handle.  Beyond the
-facts, every operation's counters must be identical across the axes.
+facts, every operation's counters must be identical across the executors.
 """
 
 import random
@@ -27,13 +26,23 @@ from repro.errors import ProgramError
 from repro.obs import collect
 
 from .test_kernel_differential import CONSTANTS, EDB, SEEDS, VARS, random_source
-from .test_storage_differential import _decoded_facts
 
-AXES = (
-    ("tuples", "kernel"),
-    ("tuples", "interpreted"),
-    ("columnar", "kernel"),
-)
+EXECUTORS = ("kernel", "interpreted")
+
+
+def _executor_id(executor: str) -> str:
+    """Test id of one executor leg; ``tuples`` names the relation backend
+    every leg runs on, so the ids stay those of the storage × executor grid."""
+    return f"tuples-{executor}"
+
+
+def _facts(database) -> dict[str, frozenset]:
+    """The non-empty relations' fact sets, per predicate."""
+    return {
+        relation.name: relation.rows()
+        for relation in database.relations()
+        if len(relation)
+    }
 
 
 def nonrecursive_source(seed: int) -> str:
@@ -137,18 +146,13 @@ def random_stream(seed: int, length: int = 14) -> list[tuple[str, list[str]]]:
     return stream
 
 
-def _run_lockstep(source: str, stream, maintenance: str, storage: str,
-                  executor: str) -> None:
+def _run_lockstep(source: str, stream, maintenance: str, executor: str) -> None:
     """Run *stream* against a fast engine and the recompute oracle in
     lockstep, asserting bit-identity at every interleaving point."""
     program = parse_program(source)
-    fast = IncrementalEngine(
-        program, storage=storage, executor=executor, maintenance=maintenance
-    )
-    oracle = IncrementalEngine(
-        program, storage=storage, executor=executor, maintenance="recompute"
-    )
-    assert _decoded_facts(fast.database) == _decoded_facts(oracle.database)
+    fast = IncrementalEngine(program, executor=executor, maintenance=maintenance)
+    oracle = IncrementalEngine(program, executor=executor, maintenance="recompute")
+    assert _facts(fast.database) == _facts(oracle.database)
     for step, (op, atoms) in enumerate(stream):
         if op == "add":
             got = fast.add(atoms[0])
@@ -162,10 +166,10 @@ def _run_lockstep(source: str, stream, maintenance: str, storage: str,
         else:
             got = fast.remove_many(atoms)
             expected = oracle.remove_many(atoms)
-        assert got == expected, (maintenance, storage, executor, step, op)
-        assert _decoded_facts(fast.database) == _decoded_facts(
+        assert got == expected, (maintenance, executor, step, op)
+        assert _facts(fast.database) == _facts(
             oracle.database
-        ), (maintenance, storage, executor, step, op)
+        ), (maintenance, executor, step, op)
 
 
 def _apply(engine: IncrementalEngine, op: str, atoms: list[str]):
@@ -173,20 +177,20 @@ def _apply(engine: IncrementalEngine, op: str, atoms: list[str]):
 
 
 def _run_axes(source: str, stream, maintenance: str) -> None:
-    """Run *stream* on every axis and the recompute oracle in lockstep:
-    each operation's returned facts, resulting fact set and counters
-    (every ``EvaluationStats`` field) are identical across the axes, and
-    the facts equal the oracle's."""
+    """Run *stream* under every executor and the recompute oracle in
+    lockstep: each operation's returned facts, resulting fact set and
+    counters (every ``EvaluationStats`` field) are identical across the
+    executors, and the facts equal the oracle's."""
     program = parse_program(source)
     engines = {
-        axis: IncrementalEngine(
-            program, storage=axis[0], executor=axis[1], maintenance=maintenance
+        executor: IncrementalEngine(
+            program, executor=executor, maintenance=maintenance
         )
-        for axis in AXES
+        for executor in EXECUTORS
     }
     oracle = IncrementalEngine(program, maintenance="recompute")
     builds = {axis: engine.stats.as_dict() for axis, engine in engines.items()}
-    assert all(build == builds[AXES[0]] for build in builds.values()), builds
+    assert all(build == builds[EXECUTORS[0]] for build in builds.values()), builds
     for step, (op, atoms) in enumerate(stream):
         expected = _apply(oracle, op, atoms)
         outcomes = {}
@@ -197,9 +201,9 @@ def _run_axes(source: str, stream, maintenance: str) -> None:
                 name: value - before[name]
                 for name, value in engine.stats.as_dict().items()
             }
-            outcomes[axis] = (got, _decoded_facts(engine.database), spent)
-        reference = outcomes[AXES[0]]
-        assert reference[:2] == (expected, _decoded_facts(oracle.database)), (
+            outcomes[axis] = (got, _facts(engine.database), spent)
+        reference = outcomes[EXECUTORS[0]]
+        assert reference[:2] == (expected, _facts(oracle.database)), (
             maintenance, step, op,
         )
         for axis, outcome in outcomes.items():
@@ -227,36 +231,34 @@ def test_guarded_generator_rederives():
         for seed in SEEDS:
             _run_lockstep(
                 guarded_source(seed), random_stream(seed, length=18), "dred",
-                "tuples", "kernel",
+                "kernel",
             )
     assert metrics.counters["maintain.dred.rederived"] > 0
 
 
-@pytest.mark.parametrize("storage,executor", AXES)
+@pytest.mark.parametrize("executor", EXECUTORS, ids=_executor_id)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_counting_matches_recompute(seed, storage, executor):
+def test_counting_matches_recompute(seed, executor):
     _run_lockstep(
-        nonrecursive_source(seed), random_stream(seed), "counting",
-        storage, executor,
+        nonrecursive_source(seed), random_stream(seed), "counting", executor
     )
 
 
-@pytest.mark.parametrize("storage,executor", AXES)
+@pytest.mark.parametrize("executor", EXECUTORS, ids=_executor_id)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dred_matches_recompute(seed, storage, executor):
+def test_dred_matches_recompute(seed, executor):
     _run_lockstep(
         random_source(seed, negation=False), random_stream(seed), "dred",
-        storage, executor,
+        executor,
     )
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_dred_matches_recompute_on_nonrecursive(seed):
     """DRed is not restricted to recursive programs; pin it on the
-    counting generator too (kernel/tuples axis)."""
+    counting generator too (kernel executor)."""
     _run_lockstep(
-        nonrecursive_source(seed), random_stream(seed), "dred",
-        "tuples", "kernel",
+        nonrecursive_source(seed), random_stream(seed), "dred", "kernel"
     )
 
 
@@ -289,7 +291,7 @@ def test_asserted_idb_facts_survive_streams(seed, mode):
         assert got == expected
         for engine in engines.values():
             assert engine.holds(asserted)
-        assert _decoded_facts(engines[mode].database) == _decoded_facts(
+        assert _facts(engines[mode].database) == _facts(
             engines["recompute"].database
         )
 

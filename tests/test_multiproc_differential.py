@@ -79,9 +79,9 @@ class TestPooledDifferential:
         name = f"rand-{seed}"
         pooled.load(name, program_text=source)
         for goal in ("p(X, Y)?", "q(X, Y)?", "p(c0, Y)?"):
-            served = pooled.query(name, goal, storage="columnar")
+            served = pooled.query(name, goal)
             assert served["answers"]["rows"] == direct_rows(
-                source, goal, "alexander", storage="columnar"
+                source, goal, "alexander"
             ), f"seed {seed} goal {goal}"
 
     def test_update_propagates_to_workers(self, pooled):

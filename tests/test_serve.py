@@ -12,6 +12,7 @@ response flagged as a sound partial.
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,8 +20,10 @@ from repro.core.engine import Engine
 from repro.core.prepare import prepare_query
 from repro.datalog.parser import parse_program
 from repro.errors import ReproError
+from repro.facts.relation import STORAGE_REMOVED
 from repro.obs import ThreadSafeMetrics, collect
 from repro.serve import (
+    PooledService,
     PreparedQueryCache,
     QueryService,
     ServeClient,
@@ -354,19 +357,6 @@ class TestQueryService:
             chain_source(), "edge(0, X)?", strategy="seminaive"
         )
 
-    def test_storage_is_part_of_the_cache_key(self, service):
-        tuples = service.query("chain", "anc(0, X)?", storage="tuples")
-        columnar = service.query("chain", "anc(0, X)?", storage="columnar")
-        # Different storage => different prepared entry, never a false hit.
-        assert not tuples["cache_hit"] and not columnar["cache_hit"]
-        assert service.cache.stats()["entries"] == 2
-        # Same payload either way: answers, counters, soundness flags.
-        assert columnar["answers"] == tuples["answers"]
-        assert columnar["stats"] == tuples["stats"]
-        again = service.query("chain", "anc(0, X)?", storage="columnar")
-        assert again["cache_hit"]
-        assert again["answers"] == columnar["answers"]
-
     def test_unpreparable_strategy_falls_back_to_direct(self, service):
         payload = service.query("chain", "anc(0, X)?", strategy="oldt")
         assert not payload["prepared"] and not payload["cache_hit"]
@@ -512,12 +502,13 @@ class TestThreadSafeMetrics:
 
 
 # --- the live HTTP server -------------------------------------------------
-@pytest.fixture
-def live_server():
-    """A real ThreadingHTTPServer on an ephemeral port, with its own
-    thread-safe registry active for the duration."""
+@contextmanager
+def serving(service=None):
+    """A real ThreadingHTTPServer on an ephemeral port over *service*
+    (a fresh :class:`QueryService` by default), with its own thread-safe
+    registry active for the duration."""
     with collect(ThreadSafeMetrics()):
-        server = create_server(port=0, install_metrics=False)
+        server = create_server(port=0, service=service, install_metrics=False)
         thread = threading.Thread(
             target=server.serve_forever, kwargs={"poll_interval": 0.05},
             daemon=True,
@@ -532,6 +523,12 @@ def live_server():
             server.shutdown()
             server.server_close()
             thread.join(timeout=5.0)
+
+
+@pytest.fixture
+def live_server():
+    with serving() as live:
+        yield live
 
 
 class TestHttpEndpoints:
@@ -724,7 +721,6 @@ class TestBadInputIsA400:
             ("planner", "unknown planner 'bogus'"),
             ("executor", "unknown executor 'bogus'; choose from"),
             ("scheduler", "unknown scheduler 'bogus'; choose from"),
-            ("storage", "unknown storage 'bogus'; choose from"),
             ("sips", "unknown SIPS 'bogus'; choose from"),
         ],
     )
@@ -762,6 +758,31 @@ class TestBadInputIsA400:
         assert bad.value.status == 400
         assert "was removed" in str(bad.value)
         assert "serve --processes N" in str(bad.value)
+
+    @pytest.mark.parametrize("processes", [0, 1], ids=["threaded", "pooled"])
+    def test_removed_storage_option_says_to_omit_it(self, processes):
+        service = PooledService(processes=processes) if processes else None
+        try:
+            with serving(service) as (_, client):
+                client.load("chain", chain_source())
+                for path in ("/query", "/prepare"):
+                    for value in ("tuples", "columnar", None):
+                        payload = {
+                            "dataset": "chain", "goal": "anc(0, X)?",
+                            "storage": value,
+                        }
+                        with pytest.raises(ServeError) as bad:
+                            client._request(path, payload)
+                        assert bad.value.status == 400
+                        assert STORAGE_REMOVED in str(bad.value)
+                assert client.query("chain", "anc(0, X)?")["complete"]
+        finally:
+            if service is not None:
+                service.close()
+
+    def test_library_storage_keyword_is_gone(self, service):
+        with pytest.raises(TypeError, match="storage"):
+            service.query("chain", "anc(0, X)?", storage="tuples")
 
     @pytest.mark.parametrize("path", ["/query", "/prepare"])
     @pytest.mark.parametrize(

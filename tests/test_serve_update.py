@@ -154,10 +154,7 @@ class TestMaintainedPreparedQuery:
         prepared.apply_update(remove=[parse_query("edge(a, b)")])
         assert prepared.execute("path(a, X)?").answers == ()
 
-    @pytest.mark.parametrize("storage", ["tuples", "columnar"])
-    def test_concurrent_lookups_during_updates_see_before_or_after(
-        self, storage
-    ):
+    def test_concurrent_lookups_during_updates_see_before_or_after(self):
         """Readers probe (and lazily build) the column indexes of the very
         relations ``apply_update`` mutates.  A lookup must see the model
         before or after an update — never DRed's over-deleted middle, and
@@ -170,7 +167,7 @@ class TestMaintainedPreparedQuery:
         cut = parse_query(f"edge({length // 2}, {length // 2 + 1})")
         prepared = prepare_query(
             parse_program(source), "path(0, X)?", strategy="seminaive",
-            maintain="dred", storage=storage,
+            maintain="dred",
         )
         # Bound on either column, so both indexes get built under fire.
         goals = ["path(0, X)?", f"path(X, {length})?", "path(5, X)?"]
@@ -477,9 +474,7 @@ class TestServiceUpdate:
         [
             # asserting a derived fact
             (GRAPH_SOURCE, "path(a, X)?", {}, {"add": ["path(a, z)"]}),
-            # footprints hold raw values; a plan was cut on old statistics
-            (GRAPH_SOURCE, "path(a, X)?", {"storage": "columnar"},
-             {"add": ["edge(d, e)"]}),
+            # a plan was cut on old statistics
             (GRAPH_SOURCE, "path(a, X)?", {"planner": "greedy"},
              {"add": ["edge(d, e)"]}),
             # edge feeds the lower stratum materialised into the base

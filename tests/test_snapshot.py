@@ -5,11 +5,11 @@ shared-memory dataset snapshots and the on-disk cross-process shape
 registry, so two properties are load-bearing:
 
 * **bit-identity** — a round-tripped database holds exactly the
-  original decoded fact set (and, columnar, the exact interner table in
-  the exact id order); a round-tripped prepared shape answers exactly
-  like the original with identical compiled join plans, doing zero
-  transform / planning / fixpoint-compilation work on load;
-* **fail-closed versioning** — a bumped format or interner version, a
+  original fact set, every constant with its original type, in the
+  original insertion order; a round-tripped prepared shape answers
+  exactly like the original with identical compiled join plans, doing
+  zero transform / planning / fixpoint-compilation work on load;
+* **fail-closed versioning** — a bumped format or value-table version, a
   corrupt header, or a truncated payload raises
   :class:`~repro.core.snapshot.SnapshotFormatError` with a clear
   message.  Never garbage answers.
@@ -17,14 +17,15 @@ registry, so two properties are load-bearing:
 
 from __future__ import annotations
 
+import json
 import struct
 
 import pytest
 
 from repro.core.prepare import prepare_query
 from repro.core.snapshot import (
-    INTERNER_FORMAT_VERSION,
     SNAPSHOT_FORMAT_VERSION,
+    VALUE_TABLE_FORMAT_VERSION,
     SharedSnapshot,
     SnapshotError,
     SnapshotFormatError,
@@ -34,31 +35,52 @@ from repro.core.snapshot import (
     freeze_database,
     load_database,
     load_prepared,
+    parse_snapshot,
 )
-from repro.datalog.intern import ConstantInterner
 from repro.datalog.parser import parse_program
-from repro.engine.columnar import as_storage
 from repro.facts.database import Database
 from repro.obs import Metrics, collect
 
 from .test_kernel_differential import SEEDS, random_source
 
 TRANSFORMS = ("alexander", "magic", "supplementary")
-STORAGES = ("tuples", "columnar")
 
 
-def _decoded_facts(database) -> dict[str, frozenset]:
+def _facts(database) -> dict[str, frozenset]:
     return {
         predicate: frozenset(database.rows(predicate))
         for predicate in database.predicates()
     }
 
 
-def _database(storage: str, source: str) -> Database:
-    program = parse_program(source)
+def _typed_rows(database) -> dict[str, list]:
+    """Rows per predicate in enumeration order, each value with its type
+    (``1 == 1.0 == True``, so plain row equality cannot see a change)."""
+    return {
+        relation.name: [
+            tuple((type(value), value) for value in row) for row in relation
+        ]
+        for relation in database.relations()
+    }
+
+
+def _database(source: str) -> Database:
     database = Database()
-    database.add_atoms(program.facts)
-    return as_storage(database, storage)
+    database.add_atoms(parse_program(source).facts)
+    return database
+
+
+def _mixed_types() -> Database:
+    """Values equal as dict keys but of different types, across relations
+    and within one relation."""
+    database = Database()
+    database.relation("p", 1).add((1,))
+    database.relation("q", 1).add((1.0,))
+    database.relation("r", 1).add((True,))
+    mixed = database.relation("m", 2)
+    mixed.add((1, "a"))
+    mixed.add((1.0, "b"))
+    return database
 
 
 def _answers(prepared, goal):
@@ -69,52 +91,75 @@ def _answers(prepared, goal):
 # --- database round-trips -----------------------------------------------------
 
 class TestDatabaseRoundTrip:
-    @pytest.mark.parametrize("storage", STORAGES)
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_random_programs_round_trip(self, seed, storage):
-        database = _database(storage, random_source(seed))
+    # Ids keep the ``tuples`` segment: it names the relation backend the
+    # dump is taken from and loaded into.
+    @pytest.mark.parametrize("seed", SEEDS, ids=lambda seed: f"{seed}-tuples")
+    def test_random_programs_round_trip(self, seed):
+        database = _database(random_source(seed))
         restored, header = load_database(dump_database(database))
-        assert header["storage"] == storage
-        assert _decoded_facts(restored) == _decoded_facts(database)
+        assert "storage" not in header
+        assert _typed_rows(restored) == _typed_rows(database)
         assert database_fingerprint(restored) == database_fingerprint(database)
 
-    def test_columnar_interner_table_preserved(self):
-        database = _database("columnar", "e(a, b). e(b, c). f(c, a).")
-        restored, header = load_database(dump_database(database))
-        assert restored.interner.table() == database.interner.table()
-
     def test_insertion_order_preserved(self):
-        database = _database("columnar", "e(z, y). e(a, b). e(m, n).")
+        database = _database("e(z, y). e(a, b). e(m, n).")
         restored, _ = load_database(dump_database(database))
-        assert list(restored.rows("e")) == list(database.rows("e"))
+        assert list(restored.relation("e")) == list(database.relation("e"))
+
+    def test_equal_values_of_different_types_keep_their_types(self):
+        database = _mixed_types()
+        restored, _ = load_database(dump_database(database))
+        assert _typed_rows(restored) == _typed_rows(database)
+        snapshot = freeze_database(database)
+        try:
+            frozen, _ = load_database(snapshot.data)
+            assert _typed_rows(frozen) == _typed_rows(database)
+        finally:
+            snapshot.close()
+            snapshot.unlink()
+
+    def test_value_table_lists_each_typed_constant_once(self):
+        database = _mixed_types()
+        database.relation("e", 2).add(("a", 1))
+        _, header = load_database(dump_database(database))
+        assert header["values"] == [
+            ["i", 1], ["f", "1.0"], ["b", True], ["s", "a"], ["s", "b"],
+        ]
+
+    def test_non_string_constants_round_trip(self):
+        database = Database()
+        values = (None, False, 0, -7, 2**40, 0.5, float("inf"), "", "x y")
+        database.relation("v", 1).add_all((value,) for value in values)
+        restored, _ = load_database(dump_database(database))
+        assert _typed_rows(restored) == _typed_rows(database)
 
     def test_extra_header_round_trips(self):
-        database = _database("tuples", "e(a, b).")
+        database = _database("e(a, b).")
         extra = {"program": "p(X) :- e(X, Y).", "version": 3}
         _, header = load_database(dump_database(database, extra=extra))
         assert header["extra"] == extra
 
     def test_fingerprint_is_order_independent(self):
-        left = _database("tuples", "e(a, b). e(c, d).")
-        right = _database("tuples", "e(c, d). e(a, b).")
+        left = _database("e(a, b). e(c, d).")
+        right = _database("e(c, d). e(a, b).")
         assert database_fingerprint(left) == database_fingerprint(right)
 
     def test_fingerprint_sees_fact_changes(self):
-        left = _database("tuples", "e(a, b).")
-        right = _database("tuples", "e(a, c).")
+        left = _database("e(a, b).")
+        right = _database("e(a, c).")
         assert database_fingerprint(left) != database_fingerprint(right)
 
 
 # --- prepared round-trips -----------------------------------------------------
 
 class TestPreparedRoundTrip:
-    @pytest.mark.parametrize("strategy", TRANSFORMS + ("seminaive",))
-    @pytest.mark.parametrize("storage", STORAGES)
-    def test_answers_and_identity(self, strategy, storage):
+    @pytest.mark.parametrize(
+        "strategy", TRANSFORMS + ("seminaive",),
+        ids=lambda strategy: f"tuples-{strategy}",
+    )
+    def test_answers_and_identity(self, strategy):
         program = parse_program(random_source(3))
-        prepared = prepare_query(
-            program, "p(X, Y)?", strategy=strategy, storage=storage
-        )
+        prepared = prepare_query(program, "p(X, Y)?", strategy=strategy)
         restored = load_prepared(dump_prepared(prepared))
         assert restored.strategy == prepared.strategy
         assert restored.mode == prepared.mode
@@ -128,9 +173,7 @@ class TestPreparedRoundTrip:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_programs_bit_identical(self, seed):
         program = parse_program(random_source(seed))
-        prepared = prepare_query(
-            program, "q(X, Y)?", strategy="alexander", storage="columnar"
-        )
+        prepared = prepare_query(program, "q(X, Y)?", strategy="alexander")
         restored = load_prepared(dump_prepared(prepared))
         assert _answers(restored, "q(X, Y)?") == _answers(prepared, "q(X, Y)?")
         assert _answers(restored, "q(c0, Y)?") == _answers(
@@ -181,6 +224,17 @@ class TestPreparedRoundTrip:
         assert counters.get("planner.rules_planned", 0) == 0
         assert counters.get("snapshot.loads", 0) >= 1
 
+    def test_equal_values_of_different_types_keep_their_types(self):
+        program = parse_program("t(X, Y) :- m(X, Y).")
+        prepared = prepare_query(
+            program, "t(X, Y)?", database=_mixed_types(), strategy="alexander"
+        )
+        restored = load_prepared(dump_prepared(prepared))
+        assert _typed_rows(restored.base) == _typed_rows(prepared.base)
+        answers = restored.execute("t(X, Y)?").answers
+        assert [type(atom.args[0].value) for atom in answers] == [int, float]
+        assert answers == prepared.execute("t(X, Y)?").answers
+
     def test_maintained_shapes_are_not_serializable(self):
         program = parse_program("e(a, b). p(X, Y) :- e(X, Y).")
         prepared = prepare_query(
@@ -188,6 +242,14 @@ class TestPreparedRoundTrip:
         )
         with pytest.raises(SnapshotError, match="maintained"):
             dump_prepared(prepared)
+
+
+def _version_1(header: dict, payload: bytes) -> bytes:
+    """*header* and *payload* framed as a format-version-1 snapshot."""
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    return b"".join(
+        [struct.pack("<4sHHI", b"RPQS", 1, 1, len(text)), text, payload]
+    )
 
 
 def _executors(fixpoint):
@@ -207,7 +269,7 @@ def _rule_of(fixpoint, rule_id):
 
 class TestVersionGating:
     def _dump(self) -> bytes:
-        return dump_database(_database("columnar", "e(a, b). e(b, c)."))
+        return dump_database(_database("e(a, b). e(b, c)."))
 
     def test_bad_magic_rejected(self):
         data = bytearray(self._dump())
@@ -222,12 +284,21 @@ class TestVersionGating:
             load_database(bytes(data))
         assert str(SNAPSHOT_FORMAT_VERSION + 1) in str(excinfo.value)
 
-    def test_bumped_interner_version_rejected(self):
+    def test_bumped_value_table_version_rejected(self):
         data = bytearray(self._dump())
-        data[6:8] = struct.pack("<H", INTERNER_FORMAT_VERSION + 1)
+        data[6:8] = struct.pack("<H", VALUE_TABLE_FORMAT_VERSION + 1)
         with pytest.raises(SnapshotFormatError) as excinfo:
             load_database(bytes(data))
-        assert str(INTERNER_FORMAT_VERSION + 1) in str(excinfo.value)
+        assert str(VALUE_TABLE_FORMAT_VERSION + 1) in str(excinfo.value)
+
+    def test_version_1_dump_rejected(self):
+        header, payload = parse_snapshot(self._dump())
+        header["interner"] = header.pop("values")
+        for storage in ("tuples", "columnar"):
+            header["storage"] = storage
+            data = _version_1(header, bytes(payload))
+            with pytest.raises(SnapshotFormatError, match="version 1"):
+                load_database(data)
 
     def test_truncated_payload_rejected(self):
         data = self._dump()
@@ -243,9 +314,15 @@ class TestVersionGating:
         with pytest.raises(SnapshotFormatError, match="kind"):
             load_prepared(self._dump())
 
-    def test_interner_table_must_be_bijective(self):
-        with pytest.raises(ValueError, match="bijection"):
-            ConstantInterner.from_table(["a", 1, "a"])
+    def test_value_table_must_not_repeat_a_typed_value(self):
+        from repro.core.snapshot import _assemble
+
+        header, payload = parse_snapshot(self._dump())
+        header["values"] = [["i", 1], ["f", "1.0"], ["b", True], ["s", "a"]]
+        load_database(_assemble(header, [bytes(payload)]))  # all distinct
+        header["values"].append(["f", "1.0"])
+        with pytest.raises(SnapshotFormatError, match="repeats 1.0"):
+            load_database(_assemble(header, [bytes(payload)]))
 
     def test_prepared_tamper_never_garbage(self):
         program = parse_program("e(a, b). p(X, Y) :- e(X, Y).")
@@ -259,13 +336,13 @@ class TestVersionGating:
 
 class TestSharedSnapshot:
     def test_freeze_attach_round_trip(self):
-        database = _database("columnar", random_source(1))
+        database = _database(random_source(1))
         snapshot = freeze_database(database, extra={"dataset": "d"})
         try:
             attached = SharedSnapshot.attach(snapshot.name, snapshot.size)
             restored, header = load_database(attached.data)
             assert header["extra"] == {"dataset": "d"}
-            assert _decoded_facts(restored) == _decoded_facts(database)
+            assert _facts(restored) == _facts(database)
             attached.close()
         finally:
             snapshot.close()
@@ -276,7 +353,7 @@ class TestSharedSnapshot:
             SharedSnapshot.attach("repro-does-not-exist", 128)
 
     def test_attacher_cannot_unlink(self):
-        database = _database("tuples", "e(a, b).")
+        database = _database("e(a, b).")
         snapshot = freeze_database(database)
         try:
             attached = SharedSnapshot.attach(snapshot.name, snapshot.size)
@@ -360,6 +437,33 @@ class TestShapeRegistry:
         data = _assemble(header, [bytes(payload)])
         path.write_bytes(data)
         with pytest.raises(SnapshotFormatError, match="'parallel' was removed"):
+            load_prepared(data)
+        # A fresh service over the same registry skips the entry and
+        # prepares from scratch, with the same answers.
+        with collect(Metrics()) as metrics:
+            restarted = QueryService(registry=tmp_path)
+            restarted.load("db", self.PROGRAM)
+            assert restarted.query("db", "p(a, X)?")["answers"] == expected
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.registry.rejected"] == 1
+        assert counters.get("serve.registry.hits", 0) == 0
+        assert counters["prepare.transforms"] == 1
+
+    def test_version_1_entry_is_skipped_and_re_prepared(self, tmp_path):
+        from repro.serve import QueryService
+
+        with collect(Metrics()):
+            warm = QueryService(registry=tmp_path)
+            warm.load("db", self.PROGRAM)
+            expected = warm.query("db", "p(a, X)?")["answers"]
+        (path,) = tmp_path.glob("*.rpqs")
+        header, payload = parse_snapshot(path.read_bytes())
+        header["interner"] = header.pop("values")
+        header["storage"] = "columnar"
+        header["prepared"]["fixpoint"]["storage"] = "columnar"
+        data = _version_1(header, bytes(payload))
+        path.write_bytes(data)
+        with pytest.raises(SnapshotFormatError, match="version 1"):
             load_prepared(data)
         # A fresh service over the same registry skips the entry and
         # prepares from scratch, with the same answers.

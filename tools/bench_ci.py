@@ -5,7 +5,7 @@ Runs a curated, fast subset of the experiment suite (T1 correspondence,
 T3 magic family, F1 chain scaling, F4 serving prepared-cache parity, F5
 streaming-maintenance parity, A2 naive-vs-seminaive, A7
 planner-vs-textual join order, A8 kernel-vs-interpreted executor, A9
-scc-vs-global fixpoint scheduling, A10 columnar-vs-tuple storage),
+scc-vs-global fixpoint scheduling),
 cross-checks answers exactly as the full benches do, and compares the
 deterministic inference counts against the committed baseline
 (``benchmarks/baselines/bench_ci_baseline.json``).  Every run writes a
@@ -468,71 +468,6 @@ def _run_f6(failures: list[str], budget=None) -> list[dict]:
     return module.multiproc_parity_entries(failures, budget)
 
 
-def _run_a10(failures: list[str], budget=None) -> list[dict]:
-    """Storage smoke: the columnar backend must derive the same model
-    (compared in raw value space) with the same inference and fact
-    counts as the tuple backend (the in-run oracle) on every gated
-    workload.  Wall-clock is recorded but never gated here — the A10
-    bench owns the speedup claim."""
-    from repro.engine.seminaive import seminaive_fixpoint
-
-    workloads = [
-        ("chain32", ancestor(graph="chain", n=32)),
-        ("nltc24", ancestor(graph="chain", variant="nonlinear", n=24)),
-        ("sg-d4", same_generation(depth=4, branching=2)),
-    ]
-    entries = []
-    for label, scenario in workloads:
-        results = {}
-        for storage in ("columnar", "tuples"):
-            start = time.perf_counter()
-            completed, stats = seminaive_fixpoint(
-                scenario.program,
-                scenario.database,
-                budget=budget,
-                storage=storage,
-            )
-            elapsed = time.perf_counter() - start
-            facts = {
-                relation.name: frozenset(
-                    completed.decode_row(row) for row in relation.rows()
-                )
-                for relation in completed.relations()
-            }
-            results[storage] = (facts, stats)
-            entries.append(
-                {
-                    "id": f"a10/{label}/{storage}",
-                    "storage": storage,
-                    "inferences": stats.inferences,
-                    "attempts": stats.attempts,
-                    "facts": stats.facts_derived,
-                    "iterations": stats.iterations,
-                    "seconds": elapsed,
-                }
-            )
-        col_facts, col_stats = results["columnar"]
-        tup_facts, tup_stats = results["tuples"]
-        if col_facts != tup_facts:
-            failures.append(f"a10/{label}: columnar derived a different model")
-        if col_stats.inferences != tup_stats.inferences:
-            failures.append(
-                f"a10/{label}: columnar inference count diverged "
-                f"({col_stats.inferences} != {tup_stats.inferences})"
-            )
-        if col_stats.facts_derived != tup_stats.facts_derived:
-            failures.append(
-                f"a10/{label}: columnar fact count diverged "
-                f"({col_stats.facts_derived} != {tup_stats.facts_derived})"
-            )
-        if col_stats.attempts != tup_stats.attempts:
-            failures.append(
-                f"a10/{label}: columnar attempt count diverged "
-                f"({col_stats.attempts} != {tup_stats.attempts})"
-            )
-    return entries
-
-
 CHECK_GROUPS = {
     "t1": _run_t1,
     "t3": _run_t3,
@@ -544,7 +479,6 @@ CHECK_GROUPS = {
     "a7": _run_a7,
     "a8": _run_a8,
     "a9": _run_a9,
-    "a10": _run_a10,
 }
 
 
