@@ -14,8 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core.strategy import QueryResult, run_strategy
-from ..engine.kernel import DEFAULT_EXECUTOR
-from ..engine.scheduler import DEFAULT_SCHEDULER
 from ..errors import BudgetExceededError
 from ..workloads.programs import Scenario
 
@@ -81,8 +79,6 @@ def measure(
     query_index: int = 0,
     planner=None,
     budget=None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> Measurement:
     """Run one strategy on one scenario query; divergence becomes a row.
 
@@ -99,11 +95,6 @@ def measure(
             lets one wall clock bound a whole sweep — the CI gate does
             this).  Exhaustion is reported like any other divergence: a
             DIVERGED row, never an exception.
-        executor: rule-body executor for the bottom-up fixpoints (the A8
-            ablation flips this between ``"kernel"`` and
-            ``"interpreted"``).
-        scheduler: fixpoint scheduling for the bottom-up fixpoints (the
-            A9 ablation flips this between ``"scc"`` and ``"global"``).
     """
     query = scenario.query(query_index)
     start = time.perf_counter()
@@ -115,8 +106,6 @@ def measure(
             scenario.database,
             planner=planner,
             budget=budget,
-            executor=executor,
-            scheduler=scheduler,
         )
     except BudgetExceededError:
         return Measurement(

@@ -33,10 +33,7 @@ from .core.strategy import available_strategies
 from .datalog.parser import parse_program, parse_query
 from .datalog.pretty import format_bindings, format_program
 from .engine.budget import EvaluationBudget
-from .engine.kernel import DEFAULT_EXECUTOR, EXECUTORS
-from .engine.scheduler import DEFAULT_SCHEDULER, PARALLEL_REMOVED, SCHEDULERS
-from .errors import BudgetExceededError, ReproError
-from .facts.relation import STORAGE_REMOVED
+from .errors import REMOVED_SETTINGS, BudgetExceededError, ReproError
 from .transform.alexander import alexander_templates
 from .transform.magic import magic_sets
 from .transform.supplementary import supplementary_magic_sets
@@ -44,19 +41,12 @@ from .transform.supplementary import supplementary_magic_sets
 __all__ = ["main", "build_parser"]
 
 
-def _scheduler(value: str) -> str:
-    """``--scheduler`` values; the removed one is an error that names its
-    replacement rather than a bare invalid-choice listing."""
-    if value == "parallel":
-        raise argparse.ArgumentTypeError(PARALLEL_REMOVED)
-    return value
-
-
-class _StorageRemoved(argparse.Action):
-    """``--storage`` in any form: an error naming what to do instead."""
+class _Removed(argparse.Action):
+    """A removed setting's flag, in any form: an error naming what to do
+    instead (:data:`repro.errors.REMOVED_SETTINGS`)."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        parser.error(STORAGE_REMOVED)
+        parser.error(REMOVED_SETTINGS[self.dest])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -131,29 +121,10 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="enable cost-based join planning (same answers, fewer joins)",
     )
-    query.add_argument(
-        "--executor",
-        default=DEFAULT_EXECUTOR,
-        choices=EXECUTORS,
-        help=(
-            "rule-body executor for bottom-up fixpoints: compiled slot "
-            "kernels (default) or the interpreted matcher; identical "
-            "answers and counters"
-        ),
-    )
-    query.add_argument(
-        "--scheduler",
-        default=DEFAULT_SCHEDULER,
-        type=_scheduler,
-        choices=SCHEDULERS,
-        help=(
-            "fixpoint scheduling for bottom-up evaluation: component-wise "
-            "SCC order (default) or one global loop; identical answers"
-        ),
-    )
-    query.add_argument(
-        "--storage", nargs="?", action=_StorageRemoved, help=argparse.SUPPRESS
-    )
+    for setting in REMOVED_SETTINGS:
+        query.add_argument(
+            f"--{setting}", nargs="?", action=_Removed, help=argparse.SUPPRESS
+        )
     query.add_argument("--stats", action="store_true", help="print counters")
     query.add_argument(
         "--limit", type=int, default=None, help="print at most N answers"
@@ -336,8 +307,6 @@ def _cmd_query(args) -> int:
         sips=args.sips,
         planner=args.planner,
         budget=_budget_from_args(args),
-        executor=args.executor,
-        scheduler=args.scheduler,
     )
     print(format_bindings(goal, result.answers, limit=args.limit))
     if args.stats:
@@ -372,13 +341,13 @@ def _print_kernels(engine: Engine, goal) -> None:
     its planned body order, and the generated kernel with the values its
     factory arguments are bound to."""
     prepared = engine.prepare(goal)
-    for component in prepared.fixpoint.components:
-        for compiled, kernel in component.executors:
-            print(f"\n{compiled.rule}")
-            print("  plan: " + ", ".join(str(literal.source) for literal in compiled.body))
-            for number, value in enumerate(kernel.arguments):
-                print(f"  A{number} = {value!r}")
-            print(kernel.source, end="")
+    for kernel in prepared.fixpoint.kernels:
+        compiled = kernel.compiled
+        print(f"\n{compiled.rule}")
+        print("  plan: " + ", ".join(str(literal.source) for literal in compiled.body))
+        for number, value in enumerate(kernel.arguments):
+            print(f"  A{number} = {value!r}")
+        print(kernel.source, end="")
 
 
 def _cmd_check(args) -> int:

@@ -24,8 +24,6 @@ from dataclasses import dataclass
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
 from ..engine.counters import EvaluationStats
-from ..engine.kernel import DEFAULT_EXECUTOR
-from ..engine.scheduler import DEFAULT_SCHEDULER
 from ..facts.database import Database
 from .strategy import QueryResult, run_strategy
 
@@ -106,8 +104,6 @@ def check_correspondence(
     database: Database | None = None,
     planner=None,
     budget=None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> Correspondence:
     """Run Alexander (bottom-up) and OLDT on the same query and compare.
 
@@ -123,16 +119,6 @@ def check_correspondence(
             budget's full allowance, so all four limits stay meaningful
             (a shared clock would leave the counter limits watching the
             wrong side's statistics).
-        executor: rule-body executor for the Alexander side's bottom-up
-            fixpoints (OLDT ignores it).  The kernel/interpreted choice
-            must not disturb the correspondence either — both enumerate
-            the same matches — and running the checker with
-            ``executor="kernel"`` pins that.
-        scheduler: fixpoint scheduling for the Alexander side's
-            bottom-up evaluations (OLDT accepts and ignores it).
-            Scheduling changes *when* facts are derived, never *which*,
-            so the call/answer sets are unchanged — running the checker
-            with ``scheduler="scc"`` (the default) pins that.
     """
     alexander = run_strategy(
         "alexander",
@@ -141,8 +127,6 @@ def check_correspondence(
         database,
         planner=planner,
         budget=budget,
-        executor=executor,
-        scheduler=scheduler,
     )
     oldt = run_strategy(
         "oldt",
@@ -151,7 +135,6 @@ def check_correspondence(
         database,
         planner=planner,
         budget=budget,
-        scheduler=scheduler,
     )
 
     alexander_calls = alexander.calls

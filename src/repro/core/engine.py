@@ -25,8 +25,6 @@ from ..analysis.safety import require_safe
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
-from ..engine.kernel import DEFAULT_EXECUTOR
-from ..engine.scheduler import DEFAULT_SCHEDULER
 from ..facts.database import Database
 from ..transform.sips import Sips, named_sips
 from .strategy import QueryResult, available_strategies, run_strategy
@@ -110,7 +108,6 @@ class Engine:
         self,
         planner: "str | None" = None,
         budget=None,
-        executor: str = DEFAULT_EXECUTOR,
         maintenance: str = "recompute",
     ):
         """A continuously materialised view of this engine's program.
@@ -130,7 +127,6 @@ class Engine:
             self._database,
             planner=planner,
             budget=budget,
-            executor=executor,
             maintenance=maintenance,
         )
 
@@ -142,8 +138,6 @@ class Engine:
         sips: "Sips | str | None" = None,
         planner: "str | None" = None,
         budget=None,
-        executor: str = DEFAULT_EXECUTOR,
-        scheduler: str = DEFAULT_SCHEDULER,
     ) -> QueryResult:
         """Evaluate *goal* under *strategy*.
 
@@ -159,13 +153,6 @@ class Engine:
                 bounding the evaluation; exhaustion raises
                 :class:`repro.errors.BudgetExceededError` carrying the
                 partial result computed so far.
-            executor: ``"kernel"`` (default) or ``"interpreted"``, the
-                rule-body executor of the bottom-up fixpoints involved;
-                answers and counters are identical either way.
-            scheduler: ``"scc"`` (default) or ``"global"``, the fixpoint
-                scheduling of the bottom-up evaluations involved
-                (:mod:`repro.engine.scheduler`); answers are identical in
-                both modes.
         """
         if isinstance(goal, str):
             goal = parse_query(goal)
@@ -179,8 +166,6 @@ class Engine:
             sips,
             planner=planner,
             budget=budget,
-            executor=executor,
-            scheduler=scheduler,
         )
 
     def prepare(
@@ -190,8 +175,6 @@ class Engine:
         sips: "Sips | str | None" = None,
         planner: "str | None" = None,
         budget=None,
-        executor: str = DEFAULT_EXECUTOR,
-        scheduler: str = DEFAULT_SCHEDULER,
         maintain: "str | None" = None,
     ):
         """Prepare *goal*'s shape for repeated execution.
@@ -222,8 +205,6 @@ class Engine:
             sips=sips,
             planner=planner,
             budget=budget,
-            executor=executor,
-            scheduler=scheduler,
             maintain=maintain,
         )
 

@@ -17,7 +17,7 @@ its constants.  This module is the pure "prepare" half of that pipeline:
   ``kernel.*`` counters across executions.
 * :func:`prepared_cache_key` canonicalises the identity the query
   service caches on: (program fingerprint, strategy, SIPS, planner,
-  executor, scheduler, maintain, goal predicate, goal adornment).
+  maintain, goal predicate, goal adornment).
 
 Three preparation modes cover the strategy spectrum:
 
@@ -80,11 +80,9 @@ from ..datalog.terms import Constant
 from ..engine.budget import Checkpoint, EvaluationBudget
 from ..engine.counters import EvaluationStats
 from ..engine.incremental import IncrementalEngine
-from ..engine.kernel import DEFAULT_EXECUTOR, resolve_executor
 from ..engine.maintain import resolve_maintenance
 from ..engine.prepared import CompiledFixpoint, compile_fixpoint, run_fixpoint
 from ..engine.prepared import footprint_touches, record_footprint
-from ..engine.scheduler import DEFAULT_SCHEDULER, resolve_scheduler
 from ..engine.stratified import stratified_fixpoint
 from ..errors import ReproError, TransformError, UnpreparableStrategyError
 from ..facts.database import Database
@@ -246,8 +244,6 @@ def prepared_cache_key(
     strategy: str,
     sips: "Sips | str | None" = None,
     planner: "str | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
     maintain: "str | None" = None,
 ) -> tuple:
     """The identity a prepared query is reusable under.
@@ -269,8 +265,6 @@ def prepared_cache_key(
         strategy,
         _sips_label(sips),
         planner or "",
-        executor,
-        scheduler,
         maintain or "",
         predicate,
         adornment,
@@ -588,8 +582,6 @@ def prepare_query(
     strategy: str = "alexander",
     sips: "Sips | str | None" = None,
     planner: "str | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
     budget: "EvaluationBudget | Checkpoint | None" = None,
     maintain: "str | None" = None,
 ) -> PreparedQuery:
@@ -606,9 +598,8 @@ def prepare_query(
             names raise :class:`UnpreparableStrategyError`.
         sips: optional SIPS name or function for the transform
             strategies.
-        planner / executor / scheduler: the evaluation configuration
-            the compiled plan is specialised to (all three are part of
-            the cache key).
+        planner: optional join-planner spec the compiled plan is
+            specialised to (part of the cache key).
         budget: optional budget bounding *preparation itself* (the
             lower-strata or full materialisation); execution budgets are
             passed to :meth:`PreparedQuery.execute` per run.
@@ -643,12 +634,8 @@ def prepare_query(
         sips_fn = named_sips(sips)
     else:
         sips_fn = sips if sips is not None else left_to_right
-    resolve_executor(executor)
-    resolve_scheduler(scheduler)
 
-    key = prepared_cache_key(
-        program, goal, strategy, sips, planner, executor, scheduler, maintain,
-    )
+    key = prepared_cache_key(program, goal, strategy, sips, planner, maintain)
     if maintain is None:
         # A maintained engine keeps asserted derived facts itself.
         program, database = _bridge_stored_facts(program, database)
@@ -670,7 +657,6 @@ def prepare_query(
                 database,
                 planner=planner,
                 budget=budget,
-                executor=executor,
                 maintenance=maintain,
             )
             prepare_stats.merge(engine.stats)
@@ -693,8 +679,6 @@ def prepare_query(
                     engine=strategy,
                     planner=planner,
                     budget=budget,
-                    executor=executor,
-                    scheduler=scheduler,
                 )
             prepared = PreparedQuery(
                 strategy=strategy,
@@ -719,7 +703,7 @@ def prepare_query(
         else:
             prepared = _prepare_transform(
                 strategy, rules_only, goal, working, sips_fn, planner,
-                executor, scheduler, budget, key, prepare_stats,
+                budget, key, prepare_stats,
                 edb_extra=program.predicates,
             )
     if obs.enabled:
@@ -735,8 +719,6 @@ def _prepare_transform(
     working: Database,
     sips_fn: Sips,
     planner,
-    executor: str,
-    scheduler: str,
     budget,
     key: tuple,
     prepare_stats: EvaluationStats,
@@ -773,8 +755,6 @@ def _prepare_transform(
             prepare_stats,
             planner=planner,
             budget=budget,
-            executor=executor,
-            scheduler=scheduler,
         )
     target = stratification.strata[query_stratum]
     edb = frozenset(
@@ -787,13 +767,7 @@ def _prepare_transform(
         # registry loads of serialized shapes (snapshot rehydration
         # reuses the serialized rewriting instead of re-transforming).
         obs.incr("prepare.transforms")
-    fixpoint = compile_fixpoint(
-        transformed.program,
-        working,
-        planner=planner,
-        executor=executor,
-        scheduler=scheduler,
-    )
+    fixpoint = compile_fixpoint(transformed.program, working, planner=planner)
     patchable = None
     if not planner:
         base_predicates = rules_only.edb_predicates

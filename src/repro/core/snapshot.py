@@ -69,11 +69,10 @@ from contextlib import contextmanager
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
 from ..engine.counters import EvaluationStats
-from ..engine.kernel import compile_executors, resolve_executor
+from ..engine.kernel import compile_kernel
 from ..engine.matching import compile_rule_ordered
 from ..engine.prepared import CompiledComponent, CompiledFixpoint
-from ..engine.scheduler import build_schedule, resolve_scheduler
-from ..engine.seminaive import _variant_positions
+from ..engine.scheduler import build_schedule
 from ..errors import ReproError
 from ..facts.database import Database
 from ..obs import get_metrics
@@ -95,7 +94,7 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"RPQS"
-SNAPSHOT_FORMAT_VERSION = 2
+SNAPSHOT_FORMAT_VERSION = 3
 VALUE_TABLE_FORMAT_VERSION = 1
 
 _ITEMSIZE = array("q").itemsize  # 8 on every supported platform
@@ -400,12 +399,9 @@ def _plan_permutations(fixpoint: CompiledFixpoint) -> list[list[int]]:
     Storing the order explicitly is what lets :func:`load_prepared`
     rebuild identical join plans without re-running the planner.
     """
-    pairs = (
-        [pair for cc in fixpoint.components for pair in cc.executors]
-        if fixpoint.scheduler != "global"
-        else list(fixpoint.executors)
-    )
-    compiled_by_rule = {id(cr.rule): cr for cr, _ in pairs}
+    compiled_by_rule = {
+        id(kernel.compiled.rule): kernel.compiled for kernel in fixpoint.kernels
+    }
     permutations = []
     for rule in fixpoint.program.rules:
         compiled = compiled_by_rule.get(id(rule))
@@ -419,12 +415,7 @@ def _plan_permutations(fixpoint: CompiledFixpoint) -> list[list[int]]:
     return permutations
 
 
-def _rehydrate_fixpoint(
-    program: Program,
-    plans: list[list[int]],
-    executor: str,
-    scheduler: str,
-) -> CompiledFixpoint:
+def _rehydrate_fixpoint(program: Program, plans) -> CompiledFixpoint:
     """Rebuild a :class:`CompiledFixpoint` from serialized plans.
 
     Kernels are re-lowered (their closures cannot be serialized) in the
@@ -433,11 +424,6 @@ def _rehydrate_fixpoint(
     :func:`~repro.engine.prepared.compile_fixpoint` — the
     ``prepare.transforms`` / ``prepare.compiles`` counters stay flat.
     """
-    try:
-        resolve_executor(executor)
-        mode = resolve_scheduler(scheduler)
-    except ValueError as exc:
-        raise SnapshotFormatError(f"snapshot fixpoint meta: {exc}") from None
     if len(plans) != len(program.rules):
         raise SnapshotFormatError(
             f"snapshot carries {len(plans)} join plans for "
@@ -452,40 +438,12 @@ def _rehydrate_fixpoint(
             )
         ordered = tuple(rule.body[index] for index in permutation)
         compiled_by_rule[rule] = compile_rule_ordered(rule, ordered)
-    if mode != "global":
-        components = []
-        for component in build_schedule(program).components:
-            compiled_rules = [
-                compiled_by_rule[rule] for rule in component.rules
-            ]
-            components.append(
-                CompiledComponent(
-                    component,
-                    tuple(compile_executors(compiled_rules, executor)),
-                )
-            )
-        return CompiledFixpoint(
-            program=program,
-            executor=executor,
-            scheduler=mode,
-            components=tuple(components),
-        )
-    compiled_rules = [
-        compiled_by_rule[rule] for rule in program.proper_rules
-    ]
-    executors = tuple(compile_executors(compiled_rules, executor))
-    derived = program.idb_predicates
-    variants = tuple(
-        (pair[0], pair[1], _variant_positions(pair[0], derived))
-        for pair in executors
-    )
-    return CompiledFixpoint(
-        program=program,
-        executor=executor,
-        scheduler=mode,
-        executors=executors,
-        variants=variants,
-    )
+    return CompiledFixpoint(program, tuple(
+        CompiledComponent(component, tuple(
+            compile_kernel(compiled_by_rule[rule]) for rule in component.rules
+        ))
+        for component in build_schedule(program).components
+    ))
 
 
 def _predicate_map(mapping) -> dict:
@@ -531,11 +489,7 @@ def dump_prepared(prepared) -> bytes:
             "original_query": str(transformed.original_query),
         }
     if fixpoint is not None:
-        meta["fixpoint"] = {
-            "executor": fixpoint.executor,
-            "scheduler": fixpoint.scheduler,
-            "plans": _plan_permutations(fixpoint),
-        }
+        meta["fixpoint"] = {"plans": _plan_permutations(fixpoint)}
     header["kind"] = "prepared"
     header["byteorder"] = sys.byteorder
     header["itemsize"] = _ITEMSIZE
@@ -543,26 +497,12 @@ def dump_prepared(prepared) -> bytes:
     return _assemble(header, blocks)
 
 
-def load_prepared(data):
-    """Rebuild a :class:`~repro.core.prepare.PreparedQuery` from bytes.
-
-    The result is bit-identical to the shape that was dumped: same base
-    fact set in the same insertion order, same join plans, same cache key — so ``execute()`` returns the same
-    answers with the same counters (pinned over seeded random programs
-    by ``tests/test_snapshot.py``).
-    """
+def _decode_prepared(meta: dict, base: Database):
+    """The :class:`~repro.core.prepare.PreparedQuery` *meta* describes,
+    over the decoded *base*."""
     from .prepare import PreparedQuery  # local: prepare imports engine layers
 
-    header, payload = parse_snapshot(data)
-    if header.get("kind") != "prepared":
-        raise SnapshotFormatError(
-            f"snapshot kind {header.get('kind')!r} is not a prepared shape"
-        )
-    meta = header.get("prepared")
-    if not isinstance(meta, dict):
-        raise SnapshotFormatError("prepared snapshot is missing its metadata")
     fixpoint_meta = meta.get("fixpoint")
-    base = _decode_relations(header, payload)
     transformed = None
     if meta.get("transformed") is not None:
         spec = meta["transformed"]
@@ -590,14 +530,11 @@ def load_prepared(data):
                 "prepared snapshot has a fixpoint but no transformed program"
             )
         fixpoint = _rehydrate_fixpoint(
-            transformed.program,
-            fixpoint_meta["plans"],
-            fixpoint_meta["executor"],
-            fixpoint_meta["scheduler"],
+            transformed.program, fixpoint_meta["plans"]
         )
     stats = EvaluationStats(**meta.get("prepare_stats", {}))
     patchable = meta.get("patchable")
-    prepared = PreparedQuery(
+    return PreparedQuery(
         strategy=meta["strategy"],
         mode=meta["mode"],
         query=parse_query(meta["query"]),
@@ -609,6 +546,35 @@ def load_prepared(data):
         prepare_stats=stats,
         patchable=frozenset(patchable) if patchable is not None else None,
     )
+
+
+def load_prepared(data):
+    """Rebuild a :class:`~repro.core.prepare.PreparedQuery` from bytes.
+
+    The result is bit-identical to the shape that was dumped: same base
+    fact set in the same insertion order, same join plans, same cache key — so ``execute()`` returns the same
+    answers with the same counters (pinned over seeded random programs
+    by ``tests/test_snapshot.py``).
+    """
+    header, payload = parse_snapshot(data)
+    if header.get("kind") != "prepared":
+        raise SnapshotFormatError(
+            f"snapshot kind {header.get('kind')!r} is not a prepared shape"
+        )
+    meta = header.get("prepared")
+    if not isinstance(meta, dict):
+        raise SnapshotFormatError("prepared snapshot is missing its metadata")
+    base = _decode_relations(header, payload)
+    try:
+        prepared = _decode_prepared(meta, base)
+    except SnapshotError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError, ReproError) as exc:
+        # A header that parses but whose metadata lacks a field or holds
+        # the wrong type: as unloadable as a truncated file.
+        raise SnapshotFormatError(
+            f"prepared snapshot metadata is malformed: {exc!r}"
+        ) from None
     obs = get_metrics()
     if obs.enabled:
         obs.incr("snapshot.loads")

@@ -31,8 +31,6 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.counters import EvaluationStats
-from ..engine.kernel import DEFAULT_EXECUTOR
-from ..engine.scheduler import DEFAULT_SCHEDULER
 from ..engine.seminaive import seminaive_fixpoint
 from ..engine.stratified import stratified_fixpoint
 from ..errors import ReproError, TransformError
@@ -197,8 +195,6 @@ def _bottom_up(engine: str):
         database: Database | None,
         planner=None,
         budget=None,
-        executor=DEFAULT_EXECUTOR,
-        scheduler=DEFAULT_SCHEDULER,
     ) -> QueryResult:
         stats = EvaluationStats()
         completed, _ = stratified_fixpoint(
@@ -208,8 +204,6 @@ def _bottom_up(engine: str):
             engine=engine,
             planner=planner,
             budget=budget,
-            executor=executor,
-            scheduler=scheduler,
         )
         answers = _sorted_answers(query, completed.match(query))
         stats.answers = len(answers)
@@ -226,12 +220,9 @@ def _sld(
     database: Database | None,
     planner=None,
     budget=None,
-    executor=DEFAULT_EXECUTOR,
-    scheduler=DEFAULT_SCHEDULER,
 ) -> QueryResult:
     # Plain SLD resolves one tuple at a time in clause-text order; there is
-    # no set-oriented join to plan, so `planner` (and `executor`/
-    # `scheduler` — bottom-up concepts) is accepted and ignored.
+    # no set-oriented join to plan, so `planner` is accepted and ignored.
     engine = SLDEngine(program, database, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
     return QueryResult(
@@ -245,8 +236,6 @@ def _oldt(
     database: Database | None,
     planner=None,
     budget=None,
-    executor=DEFAULT_EXECUTOR,
-    scheduler=DEFAULT_SCHEDULER,
 ) -> QueryResult:
     engine = OLDTEngine(program, database, planner=planner, budget=budget)
     raw = engine.query(query)
@@ -289,8 +278,6 @@ def _qsqr(
     database: Database | None,
     planner=None,
     budget=None,
-    executor=DEFAULT_EXECUTOR,
-    scheduler=DEFAULT_SCHEDULER,
 ) -> QueryResult:
     engine = QSQREngine(program, database, planner=planner, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
@@ -306,8 +293,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
         database: Database | None,
         planner=None,
         budget=None,
-        executor=DEFAULT_EXECUTOR,
-        scheduler=DEFAULT_SCHEDULER,
     ) -> QueryResult:
         stats = EvaluationStats()
         # One checkpoint spans the whole pipeline (lower-strata
@@ -353,8 +338,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
                 stats,
                 planner=planner,
                 budget=checkpoint,
-                executor=executor,
-                scheduler=scheduler,
             )
         target = stratification.strata[query_stratum]
         edb = frozenset(
@@ -368,8 +351,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
             stats,
             planner=planner,
             budget=checkpoint,
-            executor=executor,
-            scheduler=scheduler,
         )
 
         answers = _sorted_answers(query, completed.match(transformed.goal))
@@ -403,7 +384,7 @@ def _transform_call_summary(
 _STRATEGIES: dict[
     str,
     Callable[
-        [Program, Atom, "Database | None", object, object, str], QueryResult
+        [Program, Atom, "Database | None", object, object], QueryResult
     ],
 ] = {
     "naive": _bottom_up("naive"),
@@ -430,8 +411,6 @@ def run_strategy(
     sips: Sips | None = None,
     planner=None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> QueryResult:
     """Evaluate *query* on *program* + *database* under strategy *name*.
 
@@ -446,14 +425,6 @@ def run_strategy(
             running :class:`~repro.engine.budget.Checkpoint` instead makes
             several strategy runs share one wall clock (the CI bench gate
             does this to bound its whole check suite).
-        executor: ``"kernel"`` (default) or ``"interpreted"``, selecting
-            the rule-body executor of every bottom-up fixpoint involved
-            (:mod:`repro.engine.kernel`); the top-down strategies accept
-            and ignore it.  Answers and counters are identical either way.
-        scheduler: ``"scc"`` (default) or ``"global"``, selecting
-            component-wise or monolithic fixpoint scheduling in every
-            bottom-up fixpoint involved; the top-down strategies accept
-            and ignore it.  Answers are identical in both modes.
     """
     if name not in _STRATEGIES:
         raise ReproError(
@@ -467,8 +438,8 @@ def run_strategy(
             "alexander": alexander_templates,
         }[name]
         return _transform_strategy(name, transform, sips)(
-            program, query, database, planner, budget, executor, scheduler,
+            program, query, database, planner, budget,
         )
     return _STRATEGIES[name](
-        program, query, database, planner, budget, executor, scheduler,
+        program, query, database, planner, budget,
     )

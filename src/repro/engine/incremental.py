@@ -22,7 +22,7 @@ fact.  Deletion has three modes, selected at construction:
   any negation-free program, recursion included.
 
 The algorithms live in :mod:`repro.engine.maintain`; this module owns
-the engine state (the working database, the compiled executors, the
+the engine state (the working database, the compiled kernels, the
 count tables, the asserted-fact ledger, and the poison flag).
 
 Every operation runs under the per-operation
@@ -56,7 +56,6 @@ from ..facts.relation import Relation
 from ..obs import get_metrics
 from .budget import EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, head_rows
 from .maintain import (
     DEFAULT_MAINTENANCE,
     MaintainedRule,
@@ -102,9 +101,6 @@ class IncrementalEngine:
             engine flags itself :attr:`poisoned` (as it does for *any*
             exception interrupting a mutation), and every call except
             :meth:`rebuild` raises until the state is rebuilt.
-        executor: ``"kernel"`` (default) or ``"interpreted"``; applies to
-            the initial materialisation, every delta continuation, and
-            every deletion pass.
         maintenance: deletion strategy — ``"recompute"`` (default, the
             differential oracle), ``"counting"`` (non-recursive programs
             only), or ``"dred"``.  See :mod:`repro.engine.maintain`.
@@ -116,7 +112,6 @@ class IncrementalEngine:
         database: Database | None = None,
         planner: "JoinPlanner | str | None" = None,
         budget: "EvaluationBudget | None" = None,
-        executor: str = DEFAULT_EXECUTOR,
         maintenance: str = DEFAULT_MAINTENANCE,
     ):
         for rule in program.proper_rules:
@@ -143,7 +138,6 @@ class IncrementalEngine:
                 )
         self._planner_spec = planner
         self._budget = budget
-        self._executor = executor
         self._poisoned = False
         self.stats = EvaluationStats()
         self._counts: "dict[str, dict[tuple, int]] | None" = (
@@ -173,7 +167,6 @@ class IncrementalEngine:
                 op_stats,
                 planner=self._planner_spec,
                 budget=self._budget,
-                executor=self._executor,
             )
         self._rules = self._compile_for(self._working)
 
@@ -228,10 +221,10 @@ class IncrementalEngine:
         # guarded by built-ins only) never join a delta; fire them once.
         rules = self._compile_for(working)
         for rule in rules:
-            compiled, kernel = rule.compiled, rule.kernel
+            kernel = rule.kernel
             if any(
                 literal.positive and not literal.builtin
-                for literal in compiled.body
+                for literal in rule.compiled.body
             ):
                 continue
 
@@ -241,9 +234,9 @@ class IncrementalEngine:
                 except KeyError:
                     return None
 
-            for head_row in head_rows(compiled, kernel, view, op_stats, checkpoint):
+            for head_row in kernel.run(view, op_stats, checkpoint):
                 op_stats.inferences += 1
-                head_pred = compiled.head_predicate
+                head_pred = kernel.head_predicate
                 table = counts.setdefault(head_pred, {})
                 table[head_row] = table.get(head_row, 0) + 1
                 target = working.relation(head_pred, arities.get(head_pred))
@@ -279,7 +272,7 @@ class IncrementalEngine:
         compiled = [
             compile_rule(rule, active) for rule in self._program.proper_rules
         ]
-        return compile_maintenance(compiled, self._executor)
+        return compile_maintenance(compiled)
 
     def _ensure_usable(self) -> None:
         if self._poisoned:

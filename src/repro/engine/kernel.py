@@ -20,45 +20,35 @@ into a :class:`RuleKernel`:
 
 :mod:`repro.engine.codegen` then turns that slot form into the source of
 one Python generator function per rule *shape* — nested ``for`` loops,
-slots as locals — which is what :func:`head_rows` runs
-(``RuleKernel.run``; the text is kept on ``RuleKernel.source``).
+slots as locals — which every bottom-up engine runs as ``RuleKernel.run``
+(the text is kept on ``RuleKernel.source``).
 
 The kernel is an *executor*, not a new semantics: it enumerates exactly
-the rows :func:`match_body` enumerates, in the same order, charging
-``stats.attempts`` and polling the budget checkpoint at exactly the same
-points.  The interpreted matcher (``executor="interpreted"``, accepted by
-every engine) is the differential-testing oracle:
-``tests/test_kernel_differential.py`` and ``tests/test_codegen.py`` pin
-bit-identical fact sets, counters, and budget-trip behaviour.  See
+the rows :func:`~repro.engine.matching.match_body` enumerates, in the
+same order, charging ``stats.attempts`` and polling the budget checkpoint
+at exactly the same points.  ``tests/test_codegen.py`` pins that per rule
+against ``match_body``; ``tests/test_reference.py`` pins whole fixpoints
+against the interpreted reference evaluator
+(:func:`repro.engine.reference.reference_model`).  See
 ``docs/ARCHITECTURE.md``, "The rule-kernel compiler".
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 from ..errors import SafetyError
 from ..obs import get_metrics
 from .codegen import generate
-from .counters import EvaluationStats
-from .matching import CompiledLiteral, CompiledRule, RelationView, match_body
+from .matching import CompiledLiteral, CompiledRule
 
 __all__ = [
-    "EXECUTORS",
-    "DEFAULT_EXECUTOR",
     "SlotScan",
     "SlotTest",
     "RuleKernel",
     "compile_kernel",
-    "execute_kernel",
-    "compile_executors",
-    "head_rows",
-    "resolve_executor",
 ]
-
-EXECUTORS = ("kernel", "interpreted")
-DEFAULT_EXECUTOR = "kernel"
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,7 +103,14 @@ class RuleKernel:
             in body order.
         head: ``(is_const, payload)`` template building the head tuple.
         run: the generated executor, ``run(view, stats, checkpoint)``
-            returning the iterator of head tuples.
+            returning the iterator of head tuples.  Charging contract
+            (identical to :func:`~repro.engine.matching.match_body`): one
+            ``stats.attempts`` per probed row and per test evaluation,
+            one ``checkpoint.poll()`` per probed row; the caller charges
+            ``stats.inferences`` per yielded head tuple.  *view* must
+            honour the :data:`~repro.engine.matching.RelationView`
+            contract: each body position is resolved once, before the
+            first row.
         source: the Python text *run* was compiled from (shared by every
             kernel of the same shape).
         arguments: the predicate names and constants bound to the
@@ -256,67 +253,3 @@ def compile_kernel(compiled: CompiledRule) -> RuleKernel:
         obs.incr("kernel.shapes_compiled" if fresh else "kernel.shape_cache_hits")
         obs.observe("kernel.slots", kernel.slot_count)
     return kernel
-
-
-def execute_kernel(
-    kernel: RuleKernel,
-    view: RelationView,
-    stats: EvaluationStats,
-    checkpoint=None,
-) -> Iterator[tuple]:
-    """Enumerate the head tuples *kernel* derives under *view*.
-
-    Charging contract (identical to :func:`match_body` +
-    ``CompiledRule.head_tuple``): one ``stats.attempts`` per probed row
-    and per test evaluation, one ``checkpoint.poll()`` per probed row;
-    the caller charges ``stats.inferences`` per yielded head tuple.
-    *view* must honour the :data:`~repro.engine.matching.RelationView`
-    contract: each body position is resolved once, before the first row.
-    """
-    return kernel.run(view, stats, checkpoint)
-
-
-def resolve_executor(executor: str) -> str:
-    """Validate an ``executor=`` argument (every engine accepts one)."""
-    if executor not in EXECUTORS:
-        raise ValueError(
-            f"unknown executor {executor!r}; choose from {EXECUTORS}"
-        )
-    return executor
-
-
-def compile_executors(
-    compiled_rules: Sequence[CompiledRule],
-    executor: str,
-) -> list[tuple[CompiledRule, RuleKernel | None]]:
-    """Pair each compiled rule with its kernel (or ``None``, interpreted).
-
-    The pair list is what the bottom-up engines iterate: the compiled
-    rule keeps serving the structural queries (delta-variant positions,
-    head predicate), the kernel — when present — does the enumeration.
-    """
-    resolve_executor(executor)
-    if executor == "interpreted":
-        return [(compiled, None) for compiled in compiled_rules]
-    return [(compiled, compile_kernel(compiled)) for compiled in compiled_rules]
-
-
-def head_rows(
-    compiled: CompiledRule,
-    kernel: RuleKernel | None,
-    view: RelationView,
-    stats: EvaluationStats,
-    checkpoint=None,
-) -> Iterator[tuple]:
-    """Head tuples of one rule under either executor.
-
-    The single place the executor knob is dispatched: engines call this
-    in their match loops and stay executor-agnostic.
-    """
-    if kernel is not None:
-        return kernel.run(view, stats, checkpoint)
-    head_tuple = compiled.head_tuple
-    return (
-        head_tuple(binding)
-        for binding in match_body(compiled, view, stats, checkpoint=checkpoint)
-    )

@@ -78,7 +78,7 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from ..obs import get_metrics
 from .counters import EvaluationStats
-from .kernel import RuleKernel, compile_executors, compile_kernel, head_rows
+from .kernel import RuleKernel, compile_kernel
 from .matching import CompiledRule, delta_first
 
 __all__ = [
@@ -97,9 +97,9 @@ MAINTENANCE_MODES = ("recompute", "counting", "dred")
 DEFAULT_MAINTENANCE = "recompute"
 
 Fact = tuple[str, tuple]
-# (compiled, kernel or None, origin): origin[i] is the fixpoint body
-# position of the executor's position i (-1: the guard literal).
-Executor = tuple[CompiledRule, "RuleKernel | None", tuple[int, ...]]
+# (kernel, origin): origin[i] is the fixpoint body position of the
+# kernel's position i (-1: the guard literal).
+Executor = tuple[RuleKernel, tuple[int, ...]]
 
 
 def resolve_maintenance(mode: str) -> str:
@@ -119,21 +119,20 @@ class MaintainedRule:
     Attributes:
         compiled: the rule in its fixpoint body order; every view answers
             in these positions, whatever order an executor joins in.
-        kernel: its generated executor (``None`` when interpreted).
+        kernel: its generated executor.
         deltas: ``(position, predicate, executor)`` per positive body
             position: what runs when that position reads the delta.
         guarded: what DRed's re-derivation runs.
     """
 
     compiled: CompiledRule
-    kernel: "RuleKernel | None"
+    kernel: RuleKernel
     deltas: tuple[tuple[int, str, Executor], ...]
     guarded: Executor
 
 
 def compile_maintenance(
     compiled_rules: Sequence[CompiledRule],
-    executor: str,
 ) -> list[MaintainedRule]:
     """Each rule with its delta-first and guarded executors.
 
@@ -142,20 +141,21 @@ def compile_maintenance(
     own (see :func:`~repro.engine.matching.delta_first`).
     """
     rules = []
-    for compiled, kernel in compile_executors(compiled_rules, executor):
-
-        def lower(variant: CompiledRule, origin: tuple[int, ...]) -> Executor:
-            return variant, None if kernel is None else compile_kernel(variant), origin
-
-        own = (compiled, kernel, tuple(range(len(compiled.body))))
+    for compiled in compiled_rules:
+        kernel = compile_kernel(compiled)
+        own = (kernel, tuple(range(len(compiled.body))))
         positions = [i for i, literal in enumerate(compiled.body) if not literal.is_test]
         deltas = tuple(
             (i, compiled.body[i].predicate,
-             own if i == positions[0] else lower(*delta_first(compiled, i)))
+             own if i == positions[0] else _lower(*delta_first(compiled, i)))
             for i in positions
         )
-        rules.append(MaintainedRule(compiled, kernel, deltas, lower(*delta_first(compiled))))
+        rules.append(MaintainedRule(compiled, kernel, deltas, _lower(*delta_first(compiled))))
     return rules
+
+
+def _lower(variant: CompiledRule, origin: tuple[int, ...]) -> Executor:
+    return compile_kernel(variant), origin
 
 
 class SubtractView:
@@ -273,7 +273,7 @@ def _delta_heads(
     before it reads *earlier*'s relation for its predicate, one after it
     *later*'s, and *working*'s where they name none."""
     for rule in rules:
-        for position, name, (compiled, kernel, origin) in rule.deltas:
+        for position, name, (kernel, origin) in rule.deltas:
             delta_relation = delta.get(name)
             if delta_relation is None:
                 continue
@@ -290,9 +290,9 @@ def _delta_heads(
                 except KeyError:
                     return None
 
-            for head_row in head_rows(compiled, kernel, view, op_stats, checkpoint):
+            for head_row in kernel.run(view, op_stats, checkpoint):
                 op_stats.inferences += 1
-                yield compiled.head_predicate, head_row
+                yield kernel.head_predicate, head_row
 
 
 def _lost_heads(
@@ -408,7 +408,7 @@ def _rederivable(
         guard = guards.get(predicate)
         if guard is None:
             continue
-        compiled, kernel, origin = rule.guarded
+        kernel, origin = rule.guarded
 
         def view(pos: int, name: str) -> "Relation | None":
             if origin[pos] < 0:
@@ -418,7 +418,7 @@ def _rederivable(
             except KeyError:
                 return None
 
-        for row in head_rows(compiled, kernel, view, op_stats, checkpoint):
+        for row in kernel.run(view, op_stats, checkpoint):
             derivable.add((predicate, row))
     return derivable
 

@@ -20,14 +20,12 @@ This module splits evaluation into its two natural halves:
   :class:`~repro.engine.counters.EvaluationStats`, and budget
   checkpoint.  Nothing is re-planned or re-compiled.
 
-The run discipline is byte-for-byte the one-shot engines' own: the scc
-mode drives :func:`repro.engine.scheduler._single_pass` /
-``_component_seminaive`` and the global mode drives
-:func:`repro.engine.seminaive.run_global_rounds`, so derived fact sets
-and counters are identical to calling
+The run discipline is byte-for-byte the one-shot engine's own: both
+drive :func:`repro.engine.seminaive.run_components`, so derived fact
+sets and counters are identical to calling
 :func:`~repro.engine.seminaive.seminaive_fixpoint` directly (pinned by
 ``tests/test_prepare.py``).  One deliberate difference: with a planner
-spec, the one-shot scc path plans each component against the relation
+spec, the one-shot path plans each component against the relation
 statistics *after* lower components materialised, while a compiled
 fixpoint plans every component up front against base statistics only
 (the IDB sizes are unknowable before the first run).  Plans may differ;
@@ -55,23 +53,19 @@ from ..datalog.atoms import Atom
 from ..datalog.rules import Program
 from ..facts.database import Database
 from ..obs import get_metrics
-from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
+from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, RuleKernel, compile_executors, head_rows, resolve_executor
-from .matching import CompiledRule, compile_rule
-from .planner import resolve_planner
+from .kernel import RuleKernel, compile_kernel
+from .matching import compile_rule
 from .scheduler import (
-    DEFAULT_SCHEDULER,
     Component,
-    _component_seminaive,
-    _full_view,
-    _observe_schedule,
-    _single_pass,
     build_schedule,
     component_planner,
-    resolve_scheduler,
+    full_view,
+    observe_schedule,
+    start_run,
 )
-from .seminaive import _variant_positions, run_global_rounds
+from .seminaive import run_components
 
 __all__ = [
     "CompiledComponent",
@@ -88,7 +82,7 @@ class CompiledComponent:
     """One schedule component with its rules compiled and lowered."""
 
     component: Component
-    executors: tuple[tuple[CompiledRule, "RuleKernel | None"], ...]
+    kernels: tuple[RuleKernel, ...]
 
 
 @dataclass(frozen=True)
@@ -97,42 +91,30 @@ class CompiledFixpoint:
 
     Attributes:
         program: the source rules (facts, if any, are loaded per run).
-        executor: ``"kernel"`` or ``"interpreted"`` (fixed at compile).
-        scheduler: ``"scc"`` or ``"global"`` (fixed at compile).
-        components: the compiled schedule (scc mode; empty otherwise).
-        executors: the compiled rule list (global mode; empty otherwise).
-        variants: per-executor delta-variant positions (global mode).
+        components: the compiled schedule, dependencies first.
     """
 
     program: Program
-    executor: str
-    scheduler: str
-    components: tuple[CompiledComponent, ...] = ()
-    executors: tuple[tuple[CompiledRule, "RuleKernel | None"], ...] = ()
-    variants: tuple[tuple, ...] = ()
+    components: tuple[CompiledComponent, ...]
 
     @property
     def rule_count(self) -> int:
         return len(self.program.proper_rules)
 
     @property
-    def pairs(self) -> list[tuple[CompiledRule, "RuleKernel | None"]]:
-        """Every compiled rule with its kernel, whatever the scheduler."""
-        if self.scheduler == "global":
-            return list(self.executors)
-        return [pair for cc in self.components for pair in cc.executors]
+    def kernels(self) -> list[RuleKernel]:
+        """Every rule's kernel, in schedule order."""
+        return [kernel for cc in self.components for kernel in cc.kernels]
 
     @property
     def kernel_count(self) -> int:
-        return sum(1 for _, kernel in self.pairs if kernel is not None)
+        return len(self.kernels)
 
 
 def compile_fixpoint(
     program: Program,
     database: "Database | None" = None,
     planner=None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> CompiledFixpoint:
     """Compile *program* for repeated semi-naive evaluation.
 
@@ -144,12 +126,8 @@ def compile_fixpoint(
         planner: optional join-planner spec (``"greedy"``).  Plans are
             cut against *database*'s base statistics with every IDB
             predicate unknown — see the module docstring for how this
-            differs from the interleaved one-shot scc planning.
-        executor: ``"kernel"`` (default) or ``"interpreted"``.
-        scheduler: ``"scc"`` (default) or ``"global"``.
+            differs from the interleaved one-shot planning.
     """
-    resolve_executor(executor)
-    mode = resolve_scheduler(scheduler)
     obs = get_metrics()
     # Planner statistics read the base facts as every run will see them
     # at round zero: database plus the program's embedded facts.  Without
@@ -160,43 +138,14 @@ def compile_fixpoint(
             stats_db = database.copy()
         stats_db.add_atoms(program.facts)
     with obs.timer("compile_fixpoint"):
-        if mode != "global":
-            components = []
-            for component in build_schedule(program).components:
-                active = component_planner(planner, stats_db, component)
-                compiled_rules = [
-                    compile_rule(rule, active) for rule in component.rules
-                ]
-                components.append(
-                    CompiledComponent(
-                        component,
-                        tuple(compile_executors(compiled_rules, executor)),
-                    )
-                )
-            compiled = CompiledFixpoint(
-                program=program,
-                executor=executor,
-                scheduler=mode,
-                components=tuple(components),
-            )
-        else:
-            active = resolve_planner(planner, stats_db, program)
-            compiled_rules = [
-                compile_rule(rule, active) for rule in program.proper_rules
-            ]
-            executors = tuple(compile_executors(compiled_rules, executor))
-            derived = program.idb_predicates
-            variants = tuple(
-                (pair[0], pair[1], _variant_positions(pair[0], derived))
-                for pair in executors
-            )
-            compiled = CompiledFixpoint(
-                program=program,
-                executor=executor,
-                scheduler=mode,
-                executors=executors,
-                variants=variants,
-            )
+        components = []
+        for component in build_schedule(program).components:
+            active = component_planner(planner, stats_db, component)
+            components.append(CompiledComponent(component, tuple(
+                compile_kernel(compile_rule(rule, active))
+                for rule in component.rules
+            )))
+        compiled = CompiledFixpoint(program, tuple(components))
     if obs.enabled:
         obs.incr("prepare.fixpoints_compiled")
         # The canonical "compilation actually ran" counter the
@@ -231,53 +180,14 @@ def run_fixpoint(
         The completed working database and the statistics record.
     """
     stats = stats if stats is not None else EvaluationStats()
-    obs = get_metrics()
     program = compiled.program
-    working = database.copy() if database is not None else Database()
-    working.add_atoms(program.facts)
-    working.add_atoms(extra_facts)
-    arities = program.arities
-    for predicate in program.idb_predicates:
-        working.relation(predicate, arities[predicate])
-    checkpoint = ensure_checkpoint(budget, stats)
-    if checkpoint is not None:
-        checkpoint.bind(working)
-
-    if compiled.scheduler == "global":
-        run_global_rounds(
-            compiled.executors,
-            compiled.variants,
-            program.idb_predicates,
-            arities,
-            working,
-            stats,
-            checkpoint,
-        )
-        return working, stats
-
-    schedule_components = compiled.components
-    _observe_schedule(
-        obs,
-        _ScheduleView(tuple(cc.component for cc in schedule_components)),
+    working, checkpoint = start_run(program, database, stats, budget, extra_facts)
+    components = compiled.components
+    observe_schedule(get_metrics(), [cc.component for cc in components])
+    run_components(
+        ((cc.component, cc.kernels) for cc in components),
+        working, program.arities, stats, checkpoint,
     )
-    with obs.timer("seminaive"):
-        for cc in schedule_components:
-            if not cc.component.recursive:
-                if checkpoint is not None:
-                    checkpoint.check_round()
-                stats.iterations += 1
-                with obs.timer("round"):
-                    _single_pass(cc.executors, working, stats, checkpoint)
-            else:
-                rounds = _component_seminaive(
-                    cc.component, cc.executors, working, arities, stats,
-                    checkpoint, obs,
-                )
-                if obs.enabled:
-                    obs.observe("scheduler.component_rounds", rounds)
-    if obs.enabled:
-        obs.incr("seminaive.runs")
-        obs.observe("seminaive.iterations", stats.iterations)
     return working, stats
 
 
@@ -322,10 +232,10 @@ def record_footprint(
     changes), so the recorded keys cover every probe the run made there.
     """
     footprint: dict = {}
-    full = _full_view(completed)
+    full = full_view(completed)
     scratch = EvaluationStats()
-    for rule, kernel in compiled.pairs if predicates else ():
-        for position, literal in enumerate(rule.body):
+    for kernel in compiled.kernels if predicates else ():
+        for position, literal in enumerate(kernel.compiled.body):
             if literal.builtin or literal.predicate not in predicates:
                 continue
             recorder = _ProbeRecorder(literal.source.atom.arity)
@@ -333,7 +243,7 @@ def record_footprint(
             def view(at: int, predicate: str, position=position, recorder=recorder):
                 return recorder if at == position else full(at, predicate)
 
-            for _ in head_rows(rule, kernel, view, scratch):
+            for _ in kernel.run(view, scratch, None):
                 pass
             if recorder.keys:
                 slot = (literal.predicate, recorder.columns)
@@ -353,15 +263,3 @@ def footprint_touches(footprint: dict, changed: Mapping[str, "Iterable[tuple]"])
         elif any(tuple([row[c] for c in columns]) in keys for row in rows):
             return True
     return False
-
-
-@dataclass(frozen=True)
-class _ScheduleView:
-    """Just enough of a :class:`~repro.engine.scheduler.Schedule` for
-    :func:`~repro.engine.scheduler._observe_schedule`."""
-
-    components: tuple[Component, ...]
-
-    @property
-    def recursive_count(self) -> int:
-        return sum(1 for component in self.components if component.recursive)

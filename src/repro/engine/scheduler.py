@@ -32,13 +32,13 @@ by ``scheduler.agenda_skipped``).
 
 The scheduler changes *when* instantiations are enumerated, never *which*
 ones: every rule-body instantiation that holds in the final model is
-enumerated exactly once under both schedulers, so derived fact sets,
-``facts_derived``, and ``inferences`` are identical to the global loop
-(pinned by ``tests/test_scheduler_differential.py``; the global loop is
-kept as the differential oracle, mirroring the ``executor=`` convention).
-``iterations`` counts evaluation passes — one per non-recursive
-component plus one per local round of each recursive component — and is
-**not** comparable 1:1 to global round counts.
+enumerated exactly once, so ``inferences`` equals the number of
+rule-body matches over the final model and ``facts_derived`` the number
+of derived rows (pinned against the interpreted reference evaluator,
+:func:`repro.engine.reference.reference_model`, by
+``tests/test_reference.py``).  ``iterations`` counts evaluation passes —
+one per non-recursive component plus one per local round of each
+recursive component.
 
 Budget semantics are preserved: one
 :class:`~repro.engine.budget.Checkpoint` spans all components, checked at
@@ -52,50 +52,22 @@ derivable (the iteration is inflationary).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
+from ..datalog.atoms import Atom
 from ..datalog.rules import Program, Rule
 from ..facts.database import Database
-from ..facts.relation import Relation, StampedView
-from ..obs import get_metrics
+from ..facts.relation import Relation
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, compile_executors, head_rows
-from .matching import compile_rule
 from .planner import JoinPlanner
 
 __all__ = [
-    "SCHEDULERS",
-    "DEFAULT_SCHEDULER",
-    "PARALLEL_REMOVED",
-    "resolve_scheduler",
     "Component",
     "Schedule",
     "build_schedule",
     "component_planner",
-    "scc_seminaive_fixpoint",
-    "scc_naive_fixpoint",
 ]
-
-SCHEDULERS = ("scc", "global")
-
-DEFAULT_SCHEDULER = "scc"
-
-PARALLEL_REMOVED = (
-    "scheduler='parallel' was removed; use 'scc' (same answers and "
-    "counts) or `serve --processes N` for multi-core"
-)
-
-
-def resolve_scheduler(scheduler: str) -> str:
-    """Validate a ``scheduler=`` argument (every bottom-up engine accepts
-    one)."""
-    if scheduler not in SCHEDULERS:
-        if scheduler == "parallel":
-            raise ValueError(PARALLEL_REMOVED)
-        raise ValueError(
-            f"unknown scheduler {scheduler!r}; choose from {SCHEDULERS}"
-        )
-    return scheduler
 
 
 @dataclass(frozen=True)
@@ -187,7 +159,7 @@ def component_planner(
     )
 
 
-def _full_view(database: Database):
+def full_view(database: Database):
     """A RelationView reading every position from *database*."""
 
     def view(position: int, predicate: str) -> Relation | None:
@@ -199,14 +171,43 @@ def _full_view(database: Database):
     return view
 
 
-def _observe_schedule(obs, schedule: Schedule) -> None:
+def start_run(
+    program: Program,
+    database: Database | None,
+    stats: EvaluationStats,
+    budget: "EvaluationBudget | Checkpoint | None",
+    extra_facts: Iterable[Atom] = (),
+) -> tuple[Database, "Checkpoint | None"]:
+    """The working copy a fixpoint run mutates, and its checkpoint.
+
+    The copy holds *database*, the program's embedded facts, *extra_facts*
+    and an empty relation per IDB predicate (so negative literals over
+    IDB predicates probe an empty relation rather than "unknown"); the
+    checkpoint, if any, is bound to it.
+    """
+    working = database.copy() if database is not None else Database()
+    working.add_atoms(program.facts)
+    working.add_atoms(extra_facts)
+    arities = program.arities
+    for predicate in program.idb_predicates:
+        working.relation(predicate, arities[predicate])
+    checkpoint = ensure_checkpoint(budget, stats)
+    if checkpoint is not None:
+        checkpoint.bind(working)
+    return working, checkpoint
+
+
+def observe_schedule(obs, components: Sequence[Component]) -> None:
     if obs.enabled:
-        obs.observe("scheduler.components", len(schedule.components))
-        obs.observe("scheduler.recursive_components", schedule.recursive_count)
+        obs.observe("scheduler.components", len(components))
+        obs.observe(
+            "scheduler.recursive_components",
+            sum(1 for component in components if component.recursive),
+        )
 
 
-def _single_pass(
-    executors,
+def single_pass(
+    kernels,
     working: Database,
     stats: EvaluationStats,
     checkpoint: Checkpoint | None,
@@ -217,247 +218,10 @@ def _single_pass(
     (that would make it recursive), so inserting heads directly as they
     are enumerated is equivalent to the collect-then-merge discipline.
     """
-    view = _full_view(working)
-    for compiled, kernel in executors:
-        target = working.relation(compiled.head_predicate)
-        for row in head_rows(compiled, kernel, view, stats, checkpoint):
+    view = full_view(working)
+    for kernel in kernels:
+        target = working.relation(kernel.head_predicate)
+        for row in kernel.run(view, stats, checkpoint):
             stats.inferences += 1
             if target.add(row):
                 stats.facts_derived += 1
-
-
-def _component_seminaive(
-    component: Component,
-    executors,
-    working: Database,
-    arities,
-    stats: EvaluationStats,
-    checkpoint: Checkpoint | None,
-    obs,
-) -> int:
-    """Local semi-naive fixpoint of one recursive component.
-
-    Identical round discipline to the global loop
-    (:func:`repro.engine.seminaive.seminaive_fixpoint`), restricted to
-    ``component.derived``; lower-component predicates read full concrete
-    relations at every position.  Returns the number of local rounds.
-    """
-    from .seminaive import _RoundView, _variant_positions
-
-    derived = component.derived
-    relations = {predicate: working.relation(predicate) for predicate in derived}
-
-    # The delta agenda: delta predicate -> the (rule, kernel, position)
-    # variants a non-empty delta of that predicate can fire.  Computed
-    # once; rounds iterate only the agenda buckets with work to do.  Each
-    # entry carries its head relation and a reusable round view — rounds
-    # update the view's delta/old bindings in place instead of
-    # re-allocating per variant per round.
-    old: dict[str, StampedView] = {}
-    agenda_map: dict[str, list] = {}
-    for compiled, kernel in executors:
-        target = working.relation(compiled.head_predicate)
-        for position in _variant_positions(compiled, derived):
-            view = _RoundView(working, position, None, old, derived)
-            agenda_map.setdefault(
-                compiled.body[position].predicate, []
-            ).append((compiled, kernel, target, view))
-    agenda = tuple(
-        (predicate, tuple(agenda_map[predicate]))
-        for predicate in sorted(agenda_map)
-    )
-
-    # --- local round 0: one application against the full database -------
-    if checkpoint is not None:
-        checkpoint.check_round()
-    stats.iterations += 1
-    delta: dict[str, Relation] = {
-        predicate: Relation(predicate, arities[predicate])
-        for predicate in derived
-    }
-    stamp = 1
-    view = _full_view(working)
-    with obs.timer("round"):
-        for compiled, kernel in executors:
-            target = relations[compiled.head_predicate]
-            bucket = delta[compiled.head_predicate]
-            for row in head_rows(compiled, kernel, view, stats, checkpoint):
-                stats.inferences += 1
-                if row not in target:
-                    bucket.add(row)
-        for predicate in derived:
-            relation = relations[predicate]
-            relation.mark_round(stamp)
-            for row in delta[predicate]:
-                if relation.add(row):
-                    stats.facts_derived += 1
-    if obs.enabled:
-        obs.observe(
-            "seminaive.delta_rows",
-            sum(len(delta[predicate]) for predicate in derived),
-        )
-
-    # --- local delta rounds ---------------------------------------------
-    rounds = 1
-    while any(delta[predicate] for predicate in derived):
-        if checkpoint is not None:
-            checkpoint.check_round()
-        stats.iterations += 1
-        rounds += 1
-        skipped = 0
-        with obs.timer("round"):
-            for predicate in derived:
-                old[predicate] = relations[predicate].rows_before(stamp)
-            new_delta: dict[str, Relation] = {
-                predicate: Relation(predicate, arities[predicate])
-                for predicate in derived
-            }
-            for predicate, entries in agenda:
-                delta_relation = delta[predicate]
-                if not delta_relation:
-                    skipped += len(entries)
-                    continue
-                for compiled, kernel, target, round_view in entries:
-                    round_view.delta_relation = delta_relation
-                    bucket = new_delta[compiled.head_predicate]
-                    for row in head_rows(
-                        compiled, kernel, round_view, stats, checkpoint
-                    ):
-                        stats.inferences += 1
-                        if row not in target:
-                            bucket.add(row)
-            stamp += 1
-            for predicate in derived:
-                relation = relations[predicate]
-                relation.mark_round(stamp)
-                for row in new_delta[predicate]:
-                    if relation.add(row):
-                        stats.facts_derived += 1
-        if obs.enabled:
-            obs.incr("seminaive.stamped_rounds")
-            if skipped:
-                obs.incr("scheduler.agenda_skipped", skipped)
-            obs.observe(
-                "seminaive.delta_rows",
-                sum(len(new_delta[predicate]) for predicate in derived),
-            )
-        delta = new_delta
-    return rounds
-
-
-def scc_seminaive_fixpoint(
-    program: Program,
-    database: Database | None = None,
-    stats: EvaluationStats | None = None,
-    planner: "JoinPlanner | str | None" = None,
-    budget: "EvaluationBudget | Checkpoint | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-) -> tuple[Database, EvaluationStats]:
-    """Component-wise semi-naive evaluation of *program* (see module
-    docstring).  Called through
-    :func:`repro.engine.seminaive.seminaive_fixpoint` with
-    ``scheduler="scc"`` (the default)."""
-    stats = stats if stats is not None else EvaluationStats()
-    obs = get_metrics()
-    working = database.copy() if database is not None else Database()
-    working.add_atoms(program.facts)
-    arities = program.arities
-    for predicate in program.idb_predicates:
-        working.relation(predicate, arities[predicate])
-    schedule = build_schedule(program)
-    checkpoint = ensure_checkpoint(budget, stats)
-    if checkpoint is not None:
-        checkpoint.bind(working)
-    _observe_schedule(obs, schedule)
-    with obs.timer("seminaive"):
-        for component in schedule.components:
-            active_planner = component_planner(planner, working, component)
-            compiled_rules = [
-                compile_rule(rule, active_planner) for rule in component.rules
-            ]
-            executors = compile_executors(compiled_rules, executor)
-            if not component.recursive:
-                if checkpoint is not None:
-                    checkpoint.check_round()
-                stats.iterations += 1
-                with obs.timer("round"):
-                    _single_pass(executors, working, stats, checkpoint)
-            else:
-                rounds = _component_seminaive(
-                    component, executors, working, arities, stats,
-                    checkpoint, obs,
-                )
-                if obs.enabled:
-                    obs.observe("scheduler.component_rounds", rounds)
-    if obs.enabled:
-        obs.incr("seminaive.runs")
-        obs.observe("seminaive.iterations", stats.iterations)
-    return working, stats
-
-
-def scc_naive_fixpoint(
-    program: Program,
-    database: Database | None = None,
-    stats: EvaluationStats | None = None,
-    planner: "JoinPlanner | str | None" = None,
-    budget: "EvaluationBudget | Checkpoint | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-) -> tuple[Database, EvaluationStats]:
-    """Component-wise naive evaluation: non-recursive components get one
-    pass, recursive components iterate their own rules to a local
-    fixpoint.  Called through
-    :func:`repro.engine.naive.naive_fixpoint` with ``scheduler="scc"``."""
-    from .naive import apply_rules_once
-
-    stats = stats if stats is not None else EvaluationStats()
-    obs = get_metrics()
-    working = database.copy() if database is not None else Database()
-    working.add_atoms(program.facts)
-    arities = program.arities
-    for predicate in program.idb_predicates:
-        working.relation(predicate, arities[predicate])
-    schedule = build_schedule(program)
-    checkpoint = ensure_checkpoint(budget, stats)
-    if checkpoint is not None:
-        checkpoint.bind(working)
-    _observe_schedule(obs, schedule)
-    with obs.timer("naive"):
-        for component in schedule.components:
-            active_planner = component_planner(planner, working, component)
-            compiled_rules = [
-                compile_rule(rule, active_planner) for rule in component.rules
-            ]
-            executors = compile_executors(compiled_rules, executor)
-            kernels = [kernel for _, kernel in executors]
-            if not component.recursive:
-                if checkpoint is not None:
-                    checkpoint.check_round()
-                stats.iterations += 1
-                with obs.timer("round"):
-                    _single_pass(executors, working, stats, checkpoint)
-                continue
-            rounds = 0
-            changed = True
-            while changed:
-                if checkpoint is not None:
-                    checkpoint.check_round()
-                stats.iterations += 1
-                rounds += 1
-                changed = False
-                new_rows = 0
-                with obs.timer("round"):
-                    for predicate, row in apply_rules_once(
-                        compiled_rules, working, stats, checkpoint, kernels
-                    ):
-                        if working.add(predicate, row):
-                            stats.facts_derived += 1
-                            new_rows += 1
-                            changed = True
-                if obs.enabled:
-                    obs.observe("naive.delta_rows", new_rows)
-            if obs.enabled:
-                obs.observe("scheduler.component_rounds", rounds)
-    if obs.enabled:
-        obs.incr("naive.runs")
-        obs.observe("naive.iterations", stats.iterations)
-    return working, stats

@@ -29,24 +29,45 @@ discipline exists for.  Per-round overhead is now O(|delta|).
 Negative literals read the full view: within a stratum they only mention
 relations completed by earlier strata, so their contents never change
 during the fixpoint (enforced by :mod:`repro.engine.stratified`).
+
+Evaluation is SCC-scheduled (:mod:`repro.engine.scheduler`): the program
+is condensed into dependency components, each non-recursive component
+gets one rule pass, and each recursive component runs the delta
+discipline above *locally*, with only its own predicates counting as
+derived.  Lower-component IDB relations are complete by then, so they
+are read as plain full relations: rules get fewer delta variants, and
+probes hit the concrete :class:`~repro.facts.relation.Relation` fast
+paths.  Inside a local fixpoint the per-round ``for rule: for
+position:`` sweep is replaced by a precomputed **delta agenda** — an
+index from each delta predicate to the ``(kernel, position)`` variants
+it can fire — so a round touches only the rules a non-empty delta can
+feed (the rest are counted by ``scheduler.agenda_skipped``).
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping, Sequence
 
 from ..datalog.rules import Program
 from ..facts.database import Database
 from ..facts.relation import Relation, StampedView
 from ..obs import get_metrics
-from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
+from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, compile_executors, head_rows
+from .kernel import RuleKernel, compile_kernel
 from .matching import CompiledRule, compile_rule
-from .planner import JoinPlanner, resolve_planner
-from .scheduler import DEFAULT_SCHEDULER, resolve_scheduler
+from .planner import JoinPlanner
+from .scheduler import (
+    Component,
+    build_schedule,
+    component_planner,
+    full_view,
+    observe_schedule,
+    single_pass,
+    start_run,
+)
 
-__all__ = ["seminaive_fixpoint", "run_global_rounds"]
+__all__ = ["seminaive_fixpoint", "run_components"]
 
 
 def _variant_positions(compiled: CompiledRule, derived: frozenset[str]) -> list[int]:
@@ -94,8 +115,6 @@ def seminaive_fixpoint(
     stats: EvaluationStats | None = None,
     planner: "JoinPlanner | str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint with the semi-naive delta discipline.
 
@@ -105,172 +124,195 @@ def seminaive_fixpoint(
         stats: optional counter record to accumulate into.
         planner: optional join planner (``"greedy"`` or a
             :class:`repro.engine.planner.JoinPlanner`); rule bodies are
-            compiled in its cost-based order.  Delta variants are built
-            over the *planned* body positions, so the discipline's
-            exactly-once guarantee is unaffected.
+            compiled in its cost-based order, each component planned
+            against the relation statistics after the components below
+            it materialised.  Delta variants are built over the
+            *planned* body positions, so the discipline's exactly-once
+            guarantee is unaffected.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             (or an already-running checkpoint, for nested evaluation);
-            checked at every round boundary and inside match loops.
-            Exhaustion raises
+            checked at every component boundary and local round and
+            inside match loops.  Exhaustion raises
             :class:`repro.errors.BudgetExceededError` carrying the
             partial database, whose facts are a sound prefix of the full
-            model (the iteration is inflationary).
-        executor: ``"kernel"`` (default) runs rule bodies as compiled
-            slot kernels (:mod:`repro.engine.kernel`); ``"interpreted"``
-            uses the recursive matcher.  Fact sets and counters are
-            identical either way.
-        scheduler: ``"scc"`` (default) evaluates the program
-            component-by-component in dependency order with local
-            fixpoints and a delta agenda
-            (:mod:`repro.engine.scheduler`); ``"global"`` runs the
-            single monolithic loop below, kept as the differential
-            oracle.  Fact sets, ``facts_derived``, and ``inferences``
-            are identical in both modes; ``iterations`` counts local
-            component passes under scc and global rounds otherwise, so
-            those are not comparable 1:1.
+            model (the iteration is inflationary): components earlier in
+            the schedule are closed, the tripped one is partial, later
+            ones are untouched.
 
     Returns:
         The completed database and the statistics record.
     """
-    if resolve_scheduler(scheduler) == "scc":
-        from .scheduler import scc_seminaive_fixpoint
-
-        return scc_seminaive_fixpoint(
-            program, database, stats, planner=planner, budget=budget,
-            executor=executor,
-        )
     stats = stats if stats is not None else EvaluationStats()
-    working = database.copy() if database is not None else Database()
-    working.add_atoms(program.facts)
-    derived = program.idb_predicates
-    arities = program.arities
-    for predicate in derived:
-        working.relation(predicate, arities[predicate])
-    active_planner = resolve_planner(planner, working, program)
-    compiled_rules = [
-        compile_rule(rule, active_planner) for rule in program.proper_rules
-    ]
-    executors = compile_executors(compiled_rules, executor)
-    # Variant positions are a static property of the compiled body;
-    # compute them once rather than per rule per round.
-    variants = [
-        (compiled, kernel, _variant_positions(compiled, derived))
-        for compiled, kernel in executors
-    ]
-    checkpoint = ensure_checkpoint(budget, stats)
-    if checkpoint is not None:
-        checkpoint.bind(working)
-    run_global_rounds(
-        executors, variants, derived, arities, working, stats, checkpoint
-    )
+    working, checkpoint = start_run(program, database, stats, budget)
+    schedule = build_schedule(program)
+    observe_schedule(get_metrics(), schedule.components)
+
+    def compiled():
+        # Lazily, so each component plans against the materialised
+        # relations of the components below it.
+        for component in schedule.components:
+            active = component_planner(planner, working, component)
+            yield component, [
+                compile_kernel(compile_rule(rule, active))
+                for rule in component.rules
+            ]
+
+    run_components(compiled(), working, program.arities, stats, checkpoint)
     return working, stats
 
 
-def run_global_rounds(
-    executors,
-    variants,
-    derived: frozenset[str],
-    arities: Mapping[str, int],
+def run_components(
+    components: Iterable[tuple[Component, Sequence[RuleKernel]]],
     working: Database,
+    arities: Mapping[str, int],
     stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
 ) -> None:
-    """The global-loop round discipline over already-compiled rules.
+    """Close each ``(component, kernels)`` in turn, in schedule order.
 
-    This is the run half of the compile/run split: everything
-    query-shape-specific (planning, rule compilation, kernel lowering,
-    variant positions) happened before this call, so a prepared query
-    (:mod:`repro.engine.prepared`) can execute it repeatedly against
-    fresh working databases with zero recompilation.  *working* is
-    mutated in place and must already hold every derived relation.
+    This is the run half of the compile/run split: a prepared query
+    (:mod:`repro.engine.prepared`) passes its precompiled components and
+    runs them repeatedly against fresh working databases with zero
+    recompilation.  *working* is mutated in place and must already hold
+    every derived relation (:func:`~repro.engine.scheduler.start_run`).
     """
     obs = get_metrics()
-
-    def full_view(position: int, predicate: str) -> Relation | None:
-        try:
-            return working.relation(predicate)
-        except KeyError:
-            return None
-
     with obs.timer("seminaive"):
-        # --- round 0: one T_P application on the initial database ----------
-        # Facts are merged only at the round boundary; merging mid-round
-        # would let later rules consume this round's facts and then
-        # recompute the same instantiation from the delta in round 1.
-        if checkpoint is not None:
-            checkpoint.check_round()
-        stats.iterations += 1
-        delta: dict[str, Relation] = {
-            predicate: Relation(predicate, arities[predicate])
-            for predicate in derived
-        }
-        # Rows merged at the end of round k carry stamp k+1; the "old"
-        # view of round k+1 is then exactly the rows stamped <= k, read
-        # through a zero-copy rows_before() filter.
-        stamp = 1
-        with obs.timer("round"):
-            for compiled, kernel in executors:
-                target = working.relation(compiled.head_predicate)
-                for row in head_rows(compiled, kernel, full_view, stats, checkpoint):
-                    stats.inferences += 1
-                    if row not in target:
-                        delta[compiled.head_predicate].add(row)
-            for predicate in derived:
-                working.relation(predicate).mark_round(stamp)
-                for row in delta[predicate]:
-                    if working.add(predicate, row):
-                        stats.facts_derived += 1
-        if obs.enabled:
-            obs.observe(
-                "seminaive.delta_rows",
-                sum(len(delta[predicate]) for predicate in derived),
-            )
-
-        # --- delta rounds ---------------------------------------------------
-        while any(delta[predicate] for predicate in derived):
-            if checkpoint is not None:
-                checkpoint.check_round()
-            stats.iterations += 1
-            with obs.timer("round"):
-                # old = full minus current delta (the state before the last
-                # merge): a stamped view per IDB predicate, O(1) to build.
-                old: dict[str, StampedView] = {
-                    predicate: working.relation(predicate).rows_before(stamp)
-                    for predicate in derived
-                }
-                new_delta: dict[str, Relation] = {
-                    predicate: Relation(predicate, arities[predicate])
-                    for predicate in derived
-                }
-                for compiled, kernel, positions in variants:
-                    for position in positions:
-                        literal = compiled.body[position]
-                        delta_relation = delta[literal.predicate]
-                        if not delta_relation:
-                            continue
-                        view = _RoundView(working, position, delta_relation, old, derived)
-                        target = working.relation(compiled.head_predicate)
-                        for row in head_rows(
-                            compiled, kernel, view, stats, checkpoint
-                        ):
-                            stats.inferences += 1
-                            if row not in target:
-                                new_delta[compiled.head_predicate].add(row)
-                # Merge after the round so all variants of the round read a
-                # consistent full view.
-                stamp += 1
-                for predicate in derived:
-                    working.relation(predicate).mark_round(stamp)
-                    for row in new_delta[predicate]:
-                        if working.add(predicate, row):
-                            stats.facts_derived += 1
-            if obs.enabled:
-                obs.incr("seminaive.stamped_rounds")
-                obs.observe(
-                    "seminaive.delta_rows",
-                    sum(len(new_delta[predicate]) for predicate in derived),
+        for component, kernels in components:
+            if not component.recursive:
+                if checkpoint is not None:
+                    checkpoint.check_round()
+                stats.iterations += 1
+                with obs.timer("round"):
+                    single_pass(kernels, working, stats, checkpoint)
+            else:
+                rounds = _component_seminaive(
+                    component, kernels, working, arities, stats, checkpoint, obs,
                 )
-            delta = new_delta
+                if obs.enabled:
+                    obs.observe("scheduler.component_rounds", rounds)
     if obs.enabled:
         obs.incr("seminaive.runs")
         obs.observe("seminaive.iterations", stats.iterations)
+
+
+def _component_seminaive(
+    component: Component,
+    kernels: Sequence[RuleKernel],
+    working: Database,
+    arities: Mapping[str, int],
+    stats: EvaluationStats,
+    checkpoint: Checkpoint | None,
+    obs,
+) -> int:
+    """Local semi-naive fixpoint of one recursive component, restricted
+    to ``component.derived``; lower-component predicates read full
+    concrete relations at every position.  Returns the number of local
+    rounds.
+    """
+    derived = component.derived
+    relations = {predicate: working.relation(predicate) for predicate in derived}
+
+    # The delta agenda: delta predicate -> the (kernel, position)
+    # variants a non-empty delta of that predicate can fire.  Computed
+    # once; rounds iterate only the agenda buckets with work to do.  Each
+    # entry carries its head relation and a reusable round view — rounds
+    # update the view's delta/old bindings in place instead of
+    # re-allocating per variant per round.
+    old: dict[str, StampedView] = {}
+    agenda_map: dict[str, list] = {}
+    for kernel in kernels:
+        compiled = kernel.compiled
+        target = working.relation(kernel.head_predicate)
+        for position in _variant_positions(compiled, derived):
+            view = _RoundView(working, position, None, old, derived)
+            agenda_map.setdefault(
+                compiled.body[position].predicate, []
+            ).append((kernel, target, view))
+    agenda = tuple(
+        (predicate, tuple(agenda_map[predicate]))
+        for predicate in sorted(agenda_map)
+    )
+
+    # --- local round 0: one application against the full database -------
+    # Facts are merged only at the round boundary; merging mid-round
+    # would let later rules consume this round's facts and then
+    # recompute the same instantiation from the delta in round 1.
+    if checkpoint is not None:
+        checkpoint.check_round()
+    stats.iterations += 1
+    delta: dict[str, Relation] = {
+        predicate: Relation(predicate, arities[predicate])
+        for predicate in derived
+    }
+    # Rows merged at the end of round k carry stamp k+1; the "old" view
+    # of round k+1 is then exactly the rows stamped <= k, read through a
+    # zero-copy rows_before() filter.
+    stamp = 1
+    view = full_view(working)
+    with obs.timer("round"):
+        for kernel in kernels:
+            target = relations[kernel.head_predicate]
+            bucket = delta[kernel.head_predicate]
+            for row in kernel.run(view, stats, checkpoint):
+                stats.inferences += 1
+                if row not in target:
+                    bucket.add(row)
+        for predicate in derived:
+            relation = relations[predicate]
+            relation.mark_round(stamp)
+            for row in delta[predicate]:
+                if relation.add(row):
+                    stats.facts_derived += 1
+    if obs.enabled:
+        obs.observe(
+            "seminaive.delta_rows",
+            sum(len(delta[predicate]) for predicate in derived),
+        )
+
+    # --- local delta rounds ---------------------------------------------
+    rounds = 1
+    while any(delta[predicate] for predicate in derived):
+        if checkpoint is not None:
+            checkpoint.check_round()
+        stats.iterations += 1
+        rounds += 1
+        skipped = 0
+        with obs.timer("round"):
+            for predicate in derived:
+                old[predicate] = relations[predicate].rows_before(stamp)
+            new_delta: dict[str, Relation] = {
+                predicate: Relation(predicate, arities[predicate])
+                for predicate in derived
+            }
+            for predicate, entries in agenda:
+                delta_relation = delta[predicate]
+                if not delta_relation:
+                    skipped += len(entries)
+                    continue
+                for kernel, target, round_view in entries:
+                    round_view.delta_relation = delta_relation
+                    bucket = new_delta[kernel.head_predicate]
+                    for row in kernel.run(round_view, stats, checkpoint):
+                        stats.inferences += 1
+                        if row not in target:
+                            bucket.add(row)
+            # Merge after the round so all variants of the round read a
+            # consistent full view.
+            stamp += 1
+            for predicate in derived:
+                relation = relations[predicate]
+                relation.mark_round(stamp)
+                for row in new_delta[predicate]:
+                    if relation.add(row):
+                        stats.facts_derived += 1
+        if obs.enabled:
+            obs.incr("seminaive.stamped_rounds")
+            if skipped:
+                obs.incr("scheduler.agenda_skipped", skipped)
+            obs.observe(
+                "seminaive.delta_rows",
+                sum(len(new_delta[predicate]) for predicate in derived),
+            )
+        delta = new_delta
+    return rounds

@@ -17,9 +17,7 @@ from ..facts.database import Database
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR
 from .naive import naive_fixpoint
-from .scheduler import DEFAULT_SCHEDULER
 from .seminaive import seminaive_fixpoint
 
 __all__ = ["stratified_fixpoint"]
@@ -37,8 +35,6 @@ def stratified_fixpoint(
     engine: str = "seminaive",
     planner: "str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate a stratifiable program, stratum by stratum.
 
@@ -57,11 +53,6 @@ def stratified_fixpoint(
             (or an already-running checkpoint).  One checkpoint spans all
             strata — the clock and counters accumulate across the whole
             stratified run, not per stratum.
-        executor: forwarded to every per-stratum fixpoint (``"kernel"``
-            default, ``"interpreted"`` for the oracle matcher).
-        scheduler: forwarded to every per-stratum fixpoint (``"scc"``
-            default — each stratum is further condensed into dependency
-            components; ``"global"`` for the monolithic oracle loop).
 
     Returns:
         The completed database and statistics.
@@ -87,8 +78,6 @@ def stratified_fixpoint(
                     stats,
                     planner=planner,
                     budget=checkpoint,
-                    executor=executor,
-                    scheduler=scheduler,
                 )
     if obs.enabled:
         obs.observe("stratified.strata", len(stratification.strata))

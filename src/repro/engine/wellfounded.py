@@ -31,16 +31,10 @@ from ..facts.relation import Relation
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
-from .kernel import DEFAULT_EXECUTOR, compile_executors, head_rows
+from .kernel import compile_kernel
 from .matching import compile_rule
-from .planner import JoinPlanner, resolve_planner
-from .scheduler import (
-    DEFAULT_SCHEDULER,
-    Schedule,
-    build_schedule,
-    component_planner,
-    resolve_scheduler,
-)
+from .planner import JoinPlanner
+from .scheduler import Schedule, build_schedule, component_planner
 
 __all__ = ["WellFoundedModel", "alternating_fixpoint"]
 
@@ -83,29 +77,25 @@ class WellFoundedModel:
 
 def _gamma(
     program: Program,
+    schedule: Schedule,
     base: Database,
     oracle: Database,
     stats: EvaluationStats,
     planner: "JoinPlanner | str | None" = None,
     checkpoint: Checkpoint | None = None,
-    executor: str = DEFAULT_EXECUTOR,
-    schedule: Schedule | None = None,
 ) -> Database:
     """Γ(oracle): least fixpoint with negation decided against *oracle*.
 
     Negative literals are stable within the whole computation (the
-    oracle is fixed), so no stratification is needed.  When *schedule*
-    is given (scc scheduling), components are closed in dependency
-    order — one pass per non-recursive component, a local inflationary
-    loop per recursive one; the least fixpoint is order-independent, so
-    Γ's *output* is identical, but ``inferences`` totals differ from
-    the global loop (naive-style rounds re-enumerate, and how often
-    depends on the round structure).
+    oracle is fixed), so no stratification is needed.  Components of
+    *schedule* are closed in dependency order — one pass per
+    non-recursive component, a local inflationary (naive-style) loop per
+    recursive one; adequate because Γ is called a bounded number of
+    times and each round is cheap at these scales.
     """
     working = base.copy()
     arities = program.arities
-    derived = program.idb_predicates
-    for predicate in derived:
+    for predicate in program.idb_predicates:
         working.relation(predicate, arities[predicate])
 
     def make_view(compiled):
@@ -124,56 +114,31 @@ def _gamma(
 
         return view
 
-    # (In both modes the checkpoint is polled but NOT bound to this
-    # working copy: an intermediate Γ overestimate may hold facts that
-    # are not well-founded-true, so the caller binds its underestimate
-    # instead — the partial result it can stand behind.)
-    if schedule is not None:
-        for component in schedule.components:
-            active_planner = component_planner(planner, working, component)
-            compiled_rules = [
-                compile_rule(rule, active_planner) for rule in component.rules
-            ]
-            executors = compile_executors(compiled_rules, executor)
-            changed = True
-            while changed:
-                if checkpoint is not None:
-                    checkpoint.check_round()
-                stats.iterations += 1
-                changed = False
-                for compiled, kernel in executors:
-                    view = make_view(compiled)
-                    for row in head_rows(
-                        compiled, kernel, view, stats, checkpoint
-                    ):
-                        stats.inferences += 1
-                        if working.add(compiled.head_predicate, row):
-                            stats.facts_derived += 1
-                            changed = True
-                if not component.recursive:
-                    break  # one pass closes a non-recursive component
-        return working
-
-    active_planner = resolve_planner(planner, working, program)
-    compiled_rules = [
-        compile_rule(rule, active_planner) for rule in program.proper_rules
-    ]
-    executors = compile_executors(compiled_rules, executor)
-    # Plain inflationary rounds (naive); adequate because Γ is called a
-    # bounded number of times and each round is cheap at these scales.
-    changed = True
-    while changed:
-        if checkpoint is not None:
-            checkpoint.check_round()
-        stats.iterations += 1
-        changed = False
-        for compiled, kernel in executors:
-            view = make_view(compiled)
-            for row in head_rows(compiled, kernel, view, stats, checkpoint):
-                stats.inferences += 1
-                if working.add(compiled.head_predicate, row):
-                    stats.facts_derived += 1
-                    changed = True
+    # The checkpoint is polled but NOT bound to this working copy: an
+    # intermediate Γ overestimate may hold facts that are not
+    # well-founded-true, so the caller binds its underestimate instead —
+    # the partial result it can stand behind.
+    for component in schedule.components:
+        active_planner = component_planner(planner, working, component)
+        kernels = [
+            compile_kernel(compile_rule(rule, active_planner))
+            for rule in component.rules
+        ]
+        changed = True
+        while changed:
+            if checkpoint is not None:
+                checkpoint.check_round()
+            stats.iterations += 1
+            changed = False
+            for kernel in kernels:
+                view = make_view(kernel.compiled)
+                for row in kernel.run(view, stats, checkpoint):
+                    stats.inferences += 1
+                    if working.add(kernel.head_predicate, row):
+                        stats.facts_derived += 1
+                        changed = True
+            if not component.recursive:
+                break  # one pass closes a non-recursive component
     return working
 
 
@@ -182,8 +147,6 @@ def alternating_fixpoint(
     database: Database | None = None,
     planner: "str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
-    executor: str = DEFAULT_EXECUTOR,
-    scheduler: str = DEFAULT_SCHEDULER,
 ) -> WellFoundedModel:
     """Compute the well-founded model of *program* over *database*.
 
@@ -199,27 +162,16 @@ def alternating_fixpoint(
             latest *underestimate* — every fact in it is well-founded
             true (the underestimates increase monotonically toward the
             true set), so the partial result is sound.
-        executor: forwarded to every Γ computation (``"kernel"`` default,
-            ``"interpreted"`` for the oracle matcher).
-        scheduler: ``"scc"`` (default) closes each Γ component-by-
-            component in dependency order (the schedule is condensed
-            once and reused by every Γ call); ``"global"`` iterates all
-            rules together.  The model — true facts and undefined set —
-            and ``facts_derived`` are identical either way, but Γ's
-            rounds are naive-style (re-enumerating), so ``inferences``/
-            ``attempts``/``iterations`` legitimately differ between
-            schedulers.
+
+    Each Γ closes the program component by component in dependency
+    order; the schedule is condensed once and reused by every Γ call.
     """
     stats = EvaluationStats()
     obs = get_metrics()
     base = database.copy() if database is not None else Database()
     base.add_atoms(program.facts)
     rules_only = program.without_facts()
-    schedule = (
-        build_schedule(rules_only)
-        if resolve_scheduler(scheduler) != "global"
-        else None
-    )
+    schedule = build_schedule(rules_only)
 
     underestimate = base.copy()
     checkpoint = ensure_checkpoint(budget, stats)
@@ -231,25 +183,13 @@ def alternating_fixpoint(
                 checkpoint.bind(underestimate)
             with obs.timer("gamma"):
                 overestimate = _gamma(
-                    rules_only,
-                    base,
-                    underestimate,
-                    stats,
-                    planner=planner,
-                    checkpoint=checkpoint,
-                    executor=executor,
-                    schedule=schedule,
+                    rules_only, schedule, base, underestimate, stats,
+                    planner=planner, checkpoint=checkpoint,
                 )
             with obs.timer("gamma"):
                 next_underestimate = _gamma(
-                    rules_only,
-                    base,
-                    overestimate,
-                    stats,
-                    planner=planner,
-                    checkpoint=checkpoint,
-                    executor=executor,
-                    schedule=schedule,
+                    rules_only, schedule, base, overestimate, stats,
+                    planner=planner, checkpoint=checkpoint,
                 )
             if next_underestimate == underestimate:
                 break

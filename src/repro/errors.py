@@ -7,6 +7,29 @@ accidentally swallowing programming errors such as ``TypeError``.
 
 from __future__ import annotations
 
+# Settings that no longer exist, each with the one message every surface
+# (HTTP /query and /prepare, the CLI) rejects it with.  The library API
+# has no such keyword at all.
+REMOVED_SETTINGS = {
+    "storage": (
+        "storage was removed: relations are always tuple-backed (same "
+        "answers and counts); omit the setting"
+    ),
+    "workers": (
+        "workers was removed with scheduler='parallel': use "
+        "`serve --processes N` for multi-core"
+    ),
+    "executor": (
+        "executor was removed: rule bodies always run as generated kernels "
+        "(same answers and counts); omit the setting"
+    ),
+    "scheduler": (
+        "scheduler was removed: fixpoints are always scheduled by "
+        "dependency component, the former 'scc' (same answers and counts); "
+        "omit the setting, or use `serve --processes N` for multi-core"
+    ),
+}
+
 
 class ReproError(Exception):
     """Base class of all errors raised by the repro library."""

@@ -33,12 +33,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping
 
-__all__ = ["Relation", "StampedView", "STORAGE_REMOVED"]
-
-STORAGE_REMOVED = (
-    "storage was removed: relations are always tuple-backed (same answers "
-    "and counts); omit the setting"
-)
+__all__ = ["Relation", "StampedView"]
 
 
 class Relation:

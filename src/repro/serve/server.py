@@ -44,8 +44,7 @@ import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..errors import ReproError
-from ..facts.relation import STORAGE_REMOVED
+from ..errors import REMOVED_SETTINGS, ReproError
 from ..obs import ThreadSafeMetrics, get_metrics, set_metrics
 from .pool import WorkerPoolError
 from .service import QueryService, budget_from_payload
@@ -323,19 +322,13 @@ class _Handler(BaseHTTPRequestHandler):
     @classmethod
     def _config(cls, payload: dict) -> dict:
         config = {}
-        for field in (
-            "strategy", "sips", "planner", "executor", "scheduler", "maintain",
-        ):
+        for field, message in REMOVED_SETTINGS.items():
+            if field in payload:
+                raise ReproError(message)
+        for field in ("strategy", "sips", "planner", "maintain"):
             value = cls._string(payload, field)
             if value is not None:
                 config[field] = value
-        if "workers" in payload:
-            raise ReproError(
-                '"workers" was removed with scheduler=\'parallel\'; use '
-                "`serve --processes N` for multi-core"
-            )
-        if "storage" in payload:
-            raise ReproError(STORAGE_REMOVED)
         return config
 
 

@@ -56,9 +56,7 @@ from ..datalog.atoms import Atom
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
 from ..engine.budget import EvaluationBudget
-from ..engine.kernel import DEFAULT_EXECUTOR, resolve_executor
 from ..engine.planner import resolve_planner
-from ..engine.scheduler import DEFAULT_SCHEDULER, resolve_scheduler
 from ..errors import BudgetExceededError, ReproError, UnpreparableStrategyError
 from ..facts.database import Database
 from ..obs import get_metrics
@@ -141,15 +139,13 @@ def _rendered(rows, texts) -> dict:
     }
 
 
-def _check_config(dataset: "Dataset", sips, planner, executor, scheduler) -> None:
+def _check_config(dataset: "Dataset", sips, planner) -> None:
     """An unknown option *value* is the client's error (a 400), not the
     ``ValueError`` the engine layers raise for it (a 500)."""
     try:
         if isinstance(sips, str):
             named_sips(sips)
         resolve_planner(planner, dataset.database, dataset.program)
-        resolve_executor(executor)
-        resolve_scheduler(scheduler)
     except ValueError as exc:
         raise ReproError(str(exc)) from None
 
@@ -550,17 +546,15 @@ class QueryService:
     # --- preparation ----------------------------------------------------------
     def _cache_key(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, maintain: "str | None" = None,
+        maintain: "str | None" = None,
     ) -> tuple:
         return (dataset.name, dataset.version) + prepared_cache_key(
-            dataset.program, goal, strategy, sips, planner, executor,
-            scheduler, maintain,
+            dataset.program, goal, strategy, sips, planner, maintain,
         )
 
     def _build_prepared(
         self, dataset: Dataset, goal: Atom, key: tuple, strategy: str,
-        sips, planner, executor: str, scheduler: str,
-        budget=None, maintain: "str | None" = None,
+        sips, planner, budget=None, maintain: "str | None" = None,
     ):
         """The cache-miss factory: registry consult, then a real prepare.
 
@@ -588,8 +582,6 @@ class QueryService:
             strategy=strategy,
             sips=sips,
             planner=planner,
-            executor=executor,
-            scheduler=scheduler,
             budget=budget,
             maintain=maintain,
         )
@@ -604,8 +596,6 @@ class QueryService:
         strategy: str = DEFAULT_STRATEGY,
         sips: "str | None" = None,
         planner: "str | None" = None,
-        executor: str = DEFAULT_EXECUTOR,
-        scheduler: str = DEFAULT_SCHEDULER,
         maintain: "str | None" = None,
     ) -> dict:
         """Prepare (or re-use) a query shape; the ``/prepare`` endpoint.
@@ -621,11 +611,8 @@ class QueryService:
         dataset = self.dataset(dataset_name)
         if isinstance(goal, str):
             goal = parse_query(goal)
-        _check_config(dataset, sips, planner, executor, scheduler)
-        key = self._cache_key(
-            dataset, goal, strategy, sips, planner, executor, scheduler,
-            maintain,
-        )
+        _check_config(dataset, sips, planner)
+        key = self._cache_key(dataset, goal, strategy, sips, planner, maintain)
         if strategy in UNPREPARABLE_STRATEGIES:
             # Surface the library error without caching anything.
             prepare_query(dataset.program, goal, dataset.database, strategy)
@@ -634,8 +621,7 @@ class QueryService:
         prepared, hit = self.cache.get_or_prepare(
             key,
             lambda: self._build_prepared(
-                dataset, goal, key, strategy, sips, planner, executor,
-                scheduler, maintain=maintain,
+                dataset, goal, key, strategy, sips, planner, maintain=maintain,
             ),
         )
         return {
@@ -663,8 +649,6 @@ class QueryService:
         strategy: str = DEFAULT_STRATEGY,
         sips: "str | None" = None,
         planner: "str | None" = None,
-        executor: str = DEFAULT_EXECUTOR,
-        scheduler: str = DEFAULT_SCHEDULER,
         budget: "EvaluationBudget | None" = None,
         maintain: "str | None" = None,
     ) -> dict:
@@ -685,7 +669,7 @@ class QueryService:
                 f"unknown strategy {strategy!r}; choose from "
                 f"{available_strategies()}"
             )
-        _check_config(dataset, sips, planner, executor, scheduler)
+        _check_config(dataset, sips, planner)
         if obs.enabled:
             obs.incr("serve.queries")
             obs.incr(f"serve.strategy.{strategy}")
@@ -693,13 +677,11 @@ class QueryService:
         payload: dict
         if strategy in UNPREPARABLE_STRATEGIES:
             payload = self._query_direct(
-                dataset, goal, strategy, sips, planner, executor, scheduler,
-                budget,
+                dataset, goal, strategy, sips, planner, budget,
             )
         else:
             payload = self._query_prepared(
-                dataset, goal, strategy, sips, planner, executor, scheduler,
-                budget, maintain,
+                dataset, goal, strategy, sips, planner, budget, maintain,
             )
         elapsed = time.perf_counter() - started
         payload["elapsed_ms"] = elapsed * 1000.0
@@ -709,13 +691,9 @@ class QueryService:
 
     def _query_prepared(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, budget,
-        maintain: "str | None" = None,
+        budget, maintain: "str | None" = None,
     ) -> dict:
-        key = self._cache_key(
-            dataset, goal, strategy, sips, planner, executor, scheduler,
-            maintain,
-        )
+        key = self._cache_key(dataset, goal, strategy, sips, planner, maintain)
         try:
             # The request budget governs whatever work this request
             # actually does: on a miss that includes preparation (lower
@@ -723,8 +701,8 @@ class QueryService:
             prepared, hit = self.cache.get_or_prepare(
                 key,
                 lambda: self._build_prepared(
-                    dataset, goal, key, strategy, sips, planner, executor,
-                    scheduler, budget=budget, maintain=maintain,
+                    dataset, goal, key, strategy, sips, planner,
+                    budget=budget, maintain=maintain,
                 ),
             )
         except BudgetExceededError as exc:
@@ -752,7 +730,7 @@ class QueryService:
 
     def _query_direct(
         self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        executor: str, scheduler: str, budget,
+        budget,
     ) -> dict:
         obs = get_metrics()
         if obs.enabled:
@@ -766,8 +744,6 @@ class QueryService:
                 sips=sips,
                 planner=planner,
                 budget=budget,
-                executor=executor,
-                scheduler=scheduler,
             )
         except BudgetExceededError as exc:
             return self._partial_payload(

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cli import main
-from repro.facts.relation import STORAGE_REMOVED
+from repro.errors import REMOVED_SETTINGS
 
 SOURCE = """
 par(a,b). par(b,c). par(c,d).
@@ -142,8 +142,6 @@ class TestQueryHelpSnapshot:
         "--strategy",
         "--sips",
         "--planner",
-        "--executor",
-        "--scheduler",
         "--stats",
         "--limit",
         "--timeout",
@@ -162,11 +160,6 @@ class TestQueryHelpSnapshot:
         options = set(re.findall(r"(?<![\w-])--?[a-z][a-z-]*", help_text))
         assert options == self.EXPECTED_OPTIONS
 
-    def test_scheduler_choices_are_documented(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["query", "--help"])
-        help_text = capsys.readouterr().out
-        assert "--scheduler {scc,global}" in help_text
 
 
 class TestStorageFlag:
@@ -177,26 +170,16 @@ class TestStorageFlag:
         with pytest.raises(SystemExit) as excinfo:
             main(["query", program_file, "anc(a, X)?", *flag])
         assert excinfo.value.code == 2
-        assert STORAGE_REMOVED in capsys.readouterr().err
+        assert REMOVED_SETTINGS["storage"] in capsys.readouterr().err
 
     def test_unknown_storage_is_rejected_by_argparse(self, program_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["query", program_file, "anc(a, X)?", "--storage", "arrow"])
         assert excinfo.value.code == 2
-        assert STORAGE_REMOVED in capsys.readouterr().err
+        assert REMOVED_SETTINGS["storage"] in capsys.readouterr().err
 
 
 class TestSchedulerFlag:
-    def test_scheduler_values_give_identical_answers(self, program_file, capsys):
-        outputs = {}
-        for scheduler in ("scc", "global"):
-            code = main(
-                ["query", program_file, "anc(a, X)?", "--scheduler", scheduler]
-            )
-            assert code == 0
-            outputs[scheduler] = capsys.readouterr().out
-        assert outputs["scc"] == outputs["global"]
-
     def test_unknown_scheduler_is_rejected_by_argparse(self, program_file, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["query", program_file, "anc(a, X)?", "--scheduler", "zig"])
@@ -211,5 +194,17 @@ class TestSchedulerFlag:
             )
         assert excinfo.value.code == 2
         err = capsys.readouterr().err
-        assert "scheduler='parallel' was removed; use 'scc'" in err
-        assert "serve --processes N" in err
+        assert REMOVED_SETTINGS["scheduler"] in err
+        assert "'scc'" in err and "serve --processes N" in err
+
+
+class TestRemovedSettingFlags:
+    @pytest.mark.parametrize("setting", ["executor", "scheduler", "workers"])
+    @pytest.mark.parametrize("value", [["kernel"], ["scc"], ["2"], []])
+    def test_removed_flag_is_an_argparse_error_with_its_message(
+        self, program_file, capsys, setting, value
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["query", program_file, "anc(a, X)?", f"--{setting}", *value])
+        assert excinfo.value.code == 2
+        assert REMOVED_SETTINGS[setting] in capsys.readouterr().err

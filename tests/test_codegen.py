@@ -1,8 +1,10 @@
 """Tests for the kernel code generator (repro.engine.codegen).
 
 The generated function is an executor swap under the interpreted
-matcher's contract, so most of this file is differential: rows, order,
-``attempts`` and budget-trip points must equal ``match_body``'s.  The
+matcher's contract, so most of this file is differential, per rule:
+rows, order, ``attempts`` and budget-trip points must equal
+``match_body``'s.  Whole fixpoints are checked against the reference
+evaluator in ``tests/test_reference.py``.  The
 rest pins what is particular to generating code: no rule text reaches
 the source, the shape memo stays bounded, views are resolved once per
 execution, and the source stays reachable for debugging.
@@ -20,12 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.engine.incremental as incremental_module
-import repro.engine.maintain as maintain_module
-import repro.engine.naive as naive_module
-import repro.engine.scheduler as scheduler_module
-import repro.engine.seminaive as seminaive_module
-import repro.engine.wellfounded as wellfounded_module
+import repro.engine.kernel as kernel_module
 from repro import Engine
 from repro.cli import main as cli_main
 from repro.core.prepare import prepare_query
@@ -39,11 +36,12 @@ from repro.engine import codegen
 from repro.engine.budget import EvaluationBudget, ensure_checkpoint
 from repro.engine.counters import EvaluationStats
 from repro.engine.incremental import IncrementalEngine
-from repro.engine.kernel import compile_kernel, head_rows
+from repro.engine.kernel import compile_kernel
 from repro.engine.maintain import SubtractView
 from repro.engine.matching import compile_rule, match_body
 from repro.engine.naive import naive_fixpoint
 from repro.engine.prepared import _ProbeRecorder
+from repro.engine.reference import reference_model
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.engine.wellfounded import alternating_fixpoint
 from repro.errors import BudgetExceededError, EvaluationError, ReproError
@@ -52,7 +50,7 @@ from repro.obs import collect
 from repro.serve import QueryService
 from repro.workloads import programs as scenarios
 
-from .test_kernel_differential import SEEDS, _facts, random_source
+from .test_reference import SEEDS, _facts, random_source
 
 # Everything generated source may consist of: identifiers, digits, and
 # the punctuation of the templates.  No quotes, no '#', no ';', no '\'.
@@ -248,69 +246,58 @@ def test_nothing_process_wide_is_keyed_on_content():
 
 # --- the RelationView contract --------------------------------------------------
 
-ENGINE_MODULES = (
-    scheduler_module, seminaive_module, naive_module, maintain_module,
-    incremental_module, wellfounded_module,
-)
-
-
 @pytest.fixture
 def recorded_views(monkeypatch):
-    """Route every engine's ``head_rows`` through a view recorder.
+    """Route every kernel compiled from here on through a view recorder.
 
     Per kernel execution the recorder asserts the contract the generated
     code relies on: each relation-reading body position is resolved
     exactly once, and asking again returns the very same object."""
     executions = Counter()
+    generate = kernel_module.generate
 
-    def recording_head_rows(compiled, kernel, view, stats, checkpoint=None):
-        if kernel is None:
-            return head_rows(compiled, kernel, view, stats, checkpoint)
-        calls = Counter()
+    def recording_generate(shape, args):
+        run, source, fresh = generate(shape, args)
+        before, levels, _ = shape
+        expected = {test[0]: 1 for test in before if not test[1]}
+        for level in levels:
+            expected[level[0]] = 1
+            expected.update((test[0], 1) for test in level[-1] if not test[1])
 
-        def recorder(position, predicate):
-            calls[position] += 1
-            first = view(position, predicate)
-            assert view(position, predicate) is first
-            return first
+        def recording_run(view, stats, checkpoint):
+            calls = Counter()
 
-        expected = {
-            position: 1
-            for position, literal in enumerate(compiled.body)
-            if not literal.builtin
-        }
+            def recorder(position, predicate):
+                calls[position] += 1
+                first = view(position, predicate)
+                assert view(position, predicate) is first
+                return first
 
-        def checked():
-            yield from kernel.run(recorder, stats, checkpoint)
-            assert calls == expected, (str(compiled.rule), calls)
-            executions[str(compiled.rule)] += 1
+            yield from run(recorder, stats, checkpoint)
+            assert calls == expected, (source, calls)
+            executions[source] += 1
 
-        return checked()
+        return recording_run, source, fresh
 
-    for module in ENGINE_MODULES:
-        monkeypatch.setattr(module, "head_rows", recording_head_rows)
+    monkeypatch.setattr(kernel_module, "generate", recording_generate)
     return executions
 
 
 class TestViewContract:
     @pytest.mark.parametrize("seed", SEEDS[:4])
-    @pytest.mark.parametrize("scheduler", ("scc", "global"))
-    def test_fixpoint_engines_resolve_each_position_once(
-        self, recorded_views, seed, scheduler
-    ):
+    def test_fixpoint_engines_resolve_each_position_once(self, recorded_views, seed):
         program = parse_program(random_source(seed))
+        expected = _facts(reference_model(program).model)
         for fixpoint in (seminaive_fixpoint, naive_fixpoint):
-            recorded, _ = fixpoint(program, scheduler=scheduler)
-            oracle, _ = fixpoint(program, scheduler=scheduler, executor="interpreted")
-            assert _facts(recorded) == _facts(oracle)
+            recorded, _ = fixpoint(program)
+            assert _facts(recorded) == expected
         assert recorded_views
 
     @pytest.mark.parametrize("seed", SEEDS[:4])
     def test_wellfounded_and_prepared(self, recorded_views, seed):
         program = parse_program(random_source(seed))
         model = alternating_fixpoint(program)
-        oracle = alternating_fixpoint(program, executor="interpreted")
-        assert _facts(model.true) == _facts(oracle.true)
+        assert _facts(model.true) == _facts(reference_model(program).model)
         prepared = prepare_query(program, "p0(c0, Y)?", strategy="alexander")
         expected = Engine(program).query("p0(c0, Y)?", "seminaive").answers
         assert prepared.execute("p0(c0, Y)?").answers == expected
@@ -325,28 +312,17 @@ class TestViewContract:
             + "".join(f"edge({i}, {i + 1}).\n" for i in range(12))
         )
         program = parse_program(source)
-        outcomes = {}
-        for executor in ("kernel", "interpreted"):
-            engine = IncrementalEngine(
-                program, maintenance=maintenance, executor=executor
-            )
-            engine.add("edge(12, 13)")
-            before = engine.stats.as_dict()
-            engine.remove("edge(5, 6)")
-            spent = {
-                name: value - before[name]
-                for name, value in engine.stats.as_dict().items()
-            }
-            outcomes[executor] = (_facts(engine.database), spent)
-        # The deletion costs what it cost under the interpreter, and
-        # leaves what a recompute from the surviving facts derives.
-        assert outcomes["kernel"] == outcomes["interpreted"]
+        engine = IncrementalEngine(program, maintenance=maintenance)
+        engine.add("edge(12, 13)")
+        engine.remove("edge(5, 6)")
+        # The deletion leaves what a recompute from the surviving facts
+        # derives.
         survivors = parse_program(
             source.replace("edge(5, 6).\n", "") + "edge(12, 13).\n"
         )
-        recomputed, _ = seminaive_fixpoint(survivors)
-        assert outcomes["kernel"][0] == _facts(recomputed)
-        assert any("path" in rule for rule in recorded_views)
+        assert _facts(engine.database) == _facts(reference_model(survivors).model)
+        assert recorded_views
+
 
 
 # --- differential coverage of the generator -------------------------------------
@@ -491,9 +467,10 @@ def _membership_view(database: Database, kind: str, recorders: dict):
     return view
 
 
-def _membership_run(rule, kind: str, executor: str, limit: "int | None"):
-    """Rows, attempts and trip message of one execution, and the keys
-    each recorder saw."""
+def _membership_run(rule, kind: str, interpreted: bool, limit: "int | None"):
+    """Rows, attempts and trip message of one execution — of the kernel,
+    or of ``match_body`` when *interpreted* — and the keys each recorder
+    saw."""
     database = Database()
     for predicate, rows in MEMBERSHIP_ROWS.items():
         relation = database.relation(predicate, len(rows[0]))
@@ -511,10 +488,14 @@ def _membership_run(rule, kind: str, executor: str, limit: "int | None"):
     checkpoint = ensure_checkpoint(
         None if limit is None else EvaluationBudget(max_attempts=limit), stats
     )
-    rows = head_rows(
-        compiled, kernel if executor == "kernel" else None,
-        _membership_view(database, kind, recorders), stats, checkpoint,
-    )
+    view = _membership_view(database, kind, recorders)
+    if interpreted:
+        rows = (
+            compiled.head_tuple(binding)
+            for binding in match_body(compiled, view, stats, checkpoint=checkpoint)
+        )
+    else:
+        rows = kernel.run(view, stats, checkpoint)
     outcome = _outcome(rows, stats)
     keys = {where: (r.columns, r.keys) for where, r in recorders.items() if r.keys}
     return outcome, keys
@@ -526,13 +507,13 @@ def test_membership_probes_match_the_interpreter(kind, monkeypatch):
     for rule in MEMBERSHIP.proper_rules:
         source = compile_kernel(compile_rule(rule)).source
         assert " not in m" in source, source
-        full, keys = _membership_run(rule, kind, "kernel", None)
-        assert (full, keys) == _membership_run(rule, kind, "interpreted", None)
+        full, keys = _membership_run(rule, kind, False, None)
+        assert (full, keys) == _membership_run(rule, kind, True, None)
         assert (kind == "recorder") == bool(keys)
         # Every attempt is a possible trip point at stride 1.
         for limit in range(1, full[1] + 2):
-            assert _membership_run(rule, kind, "kernel", limit) == _membership_run(
-                rule, kind, "interpreted", limit
+            assert _membership_run(rule, kind, False, limit) == _membership_run(
+                rule, kind, True, limit
             ), (str(rule), limit)
 
 
@@ -550,12 +531,11 @@ def test_membership_probes_keep_footprint_keys():
         ("r", (0, 1)): frozenset({(2, 1), (3, 1), (3, 2), (4, 3)}),
         ("u", (0,)): frozenset({1, 4}),
     }
-    for executor in ("kernel", "interpreted"):
-        prepared = prepare_query(program, "t(1, Y)?", executor=executor)
-        answers = prepared.execute("t(1, Y)?").answers
-        assert [str(atom) for atom in answers] == ["t(1, 2)", "t(1, 3)", "t(1, 4)"]
-        (_, _, _, footprint) = prepared.table.get(prepared.table.key(parse_query("t(1, Y)?")))
-        assert footprint == expected, executor
+    prepared = prepare_query(program, "t(1, Y)?")
+    answers = prepared.execute("t(1, Y)?").answers
+    assert [str(atom) for atom in answers] == ["t(1, 2)", "t(1, 3)", "t(1, 4)"]
+    (_, _, _, footprint) = prepared.table.get(prepared.table.key(parse_query("t(1, Y)?")))
+    assert footprint == expected
 
 
 def test_bodies_deeper_than_the_block_nesting_limit():
@@ -569,21 +549,22 @@ def test_bodies_deeper_than_the_block_nesting_limit():
     program = parse_program(source)
     (kernel,) = _kernels(program)
     assert "yield from tail16()" in kernel.source and "tail32" in kernel.source
-    results = {}
-    for executor in ("kernel", "interpreted"):
-        database, stats = seminaive_fixpoint(program, executor=executor)
-        results[executor] = (_facts(database), stats.as_dict())
-    assert results["kernel"] == results["interpreted"]
-    assert results["kernel"][0]["far"] == {(0, 40), (1, 41), (2, 42), (3, 43)}
+    database, stats = seminaive_fixpoint(program)
+    reference = reference_model(program)
+    assert _facts(database) == _facts(reference.model)
+    assert stats.inferences == reference.inferences
+    assert _facts(database)["far"] == {(0, 40), (1, 41), (2, 42), (3, 43)}
 
 
 def test_incomparable_builtin_raises_the_interpreter_message():
     program = parse_program('e(1, "x"). p(X) :- e(X, Y), X < Y.')
     messages = []
-    for executor in ("kernel", "interpreted"):
-        with pytest.raises(EvaluationError) as caught:
-            seminaive_fixpoint(program, executor=executor)
-        messages.append(str(caught.value))
+    with pytest.raises(EvaluationError) as caught:
+        seminaive_fixpoint(program)
+    messages.append(str(caught.value))
+    with pytest.raises(EvaluationError) as caught:
+        reference_model(program)
+    messages.append(str(caught.value))
     assert messages[0] == messages[1] and "cannot order" in messages[0]
 
 
@@ -605,44 +586,61 @@ class TestBudgetSweep:
             return error.limit, str(error), error.stats.as_dict(), partial
         return "completed"
 
+    @staticmethod
+    def _rule_run(compiled, view, limit: int, interpreted: bool):
+        """Rows, attempts and trip message of one rule under *limit*."""
+        stats = EvaluationStats()
+        checkpoint = ensure_checkpoint(EvaluationBudget(max_attempts=limit), stats)
+        if interpreted:
+            rows = (
+                compiled.head_tuple(binding)
+                for binding in match_body(compiled, view, stats, checkpoint=checkpoint)
+            )
+        else:
+            rows = compile_kernel(compiled).run(view, stats, checkpoint)
+        return _outcome(rows, stats)
+
     def test_every_attempt_limit_trips_where_the_interpreter_trips(self, monkeypatch):
         # Stride 1 makes every probed row a possible trip point, so the
         # sweep covers mid-loop trips at each level of each kernel.
         monkeypatch.setattr("repro.engine.budget.POLL_STRIDE", 1)
         program = parse_program(self.SOURCE)
-        _, full = seminaive_fixpoint(program)
+        model, full = seminaive_fixpoint(program)
         assert 100 < full.attempts < 2000
-        prepared = {
-            executor: prepare_query(
-                program, "tc(0, Y)?", strategy="alexander", executor=executor
-            )
-            for executor in ("kernel", "interpreted")
-        }
-        answers = prepared["interpreted"].execute("tc(0, Y)?").answers
+        prepared = prepare_query(program, "tc(0, Y)?", strategy="alexander")
+        answers = prepared.execute("tc(0, Y)?").answers
         assert len(answers) == 9
+        rewritten, _ = seminaive_fixpoint(
+            prepared.transformed.evaluation_program(), prepared.base
+        )
+        # Per rule, over the final model: the kernel trips at the attempt
+        # match_body trips at, with the same rows and message.
+        for rule in prepared.transformed.program.proper_rules + program.proper_rules:
+            compiled = compile_rule(rule)
+            completed = model if rule in program.proper_rules else rewritten
+
+            def view(_, name, completed=completed):
+                return completed.relation(name) if name in completed else None
+
+            attempts = self._rule_run(compiled, view, 10**9, False)[1]
+            for limit in range(1, attempts + 2):
+                assert self._rule_run(compiled, view, limit, False) == self._rule_run(
+                    compiled, view, limit, True
+                ), (str(rule), limit)
         tripped = 0
         for limit in range(1, full.attempts + 1):
-            outcomes = [
-                self._trip(
-                    lambda budget: seminaive_fixpoint(
-                        program, budget=budget, executor=executor
-                    ),
-                    limit,
-                )
-                for executor in ("kernel", "interpreted")
-            ]
-            assert outcomes[0] == outcomes[1], limit
-            served = [
-                self._trip(
-                    lambda budget: prepared[executor].execute("tc(0, Y)?", budget=budget),
-                    limit,
-                )
-                for executor in ("kernel", "interpreted")
-            ]
-            assert served[0] == served[1], limit
-            tripped += served[0] != "completed"
+            outcome = self._trip(
+                lambda budget: seminaive_fixpoint(program, budget=budget), limit
+            )
+            if outcome != "completed":
+                for name, rows in (outcome[3] or {}).items():
+                    assert rows <= _facts(model).get(name, frozenset()), limit
+            served = self._trip(
+                lambda budget: prepared.execute("tc(0, Y)?", budget=budget), limit
+            )
+            tripped += served != "completed"
             # A kernel abandoned mid-loop leaves nothing behind.
-            assert prepared["kernel"].execute("tc(0, Y)?").answers == answers
+            assert prepared.execute("tc(0, Y)?").answers == answers
         assert tripped > 50
 
 
@@ -730,13 +728,7 @@ class TestDebuggability:
         )
         assert dump_prepared(restored) == data
 
-        def kernels(shape):
-            return [
-                kernel for cc in shape.fixpoint.components
-                for _, kernel in cc.executors
-            ]
-
-        for ours, theirs in zip(kernels(prepared), kernels(restored)):
+        for ours, theirs in zip(prepared.fixpoint.kernels, restored.fixpoint.kernels):
             assert ours.run.__code__ is theirs.run.__code__
             assert ours.source == theirs.source
         goal = "p0(c1, Y)?"

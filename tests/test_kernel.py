@@ -5,16 +5,7 @@ import pytest
 from repro.datalog.parser import parse_program
 from repro.datalog.terms import Variable
 from repro.engine.counters import EvaluationStats
-from repro.engine.kernel import (
-    DEFAULT_EXECUTOR,
-    EXECUTORS,
-    RuleKernel,
-    compile_executors,
-    compile_kernel,
-    execute_kernel,
-    head_rows,
-    resolve_executor,
-)
+from repro.engine.kernel import RuleKernel, compile_kernel
 from repro.engine.matching import CompiledLiteral, compile_rule, match_body
 from repro.errors import SafetyError
 from repro.facts.database import Database
@@ -131,7 +122,7 @@ class TestExecution:
             kernel_stats = EvaluationStats()
             interp_stats = EvaluationStats()
             kernel_rows = list(
-                execute_kernel(kernel, _view(database), kernel_stats)
+                kernel.run(_view(database), kernel_stats, None)
             )
             interp_rows = [
                 compiled.head_tuple(binding)
@@ -140,38 +131,8 @@ class TestExecution:
             assert kernel_rows == interp_rows
             assert kernel_stats.as_dict() == interp_stats.as_dict()
 
-    def test_head_rows_dispatches_both_executors(self):
-        program, database = self._program()
-        compiled = compile_rule(program.proper_rules[0], None)
-        kernel = compile_kernel(compiled)
-        via_kernel = list(
-            head_rows(compiled, kernel, _view(database), EvaluationStats())
-        )
-        via_matcher = list(
-            head_rows(compiled, None, _view(database), EvaluationStats())
-        )
-        assert via_kernel == via_matcher
-        assert set(via_kernel) == {("a", "b"), ("b", "c"), ("c", "d")}
-
     def test_missing_relation_yields_nothing(self):
         kernel = _kernel("p(X) :- zz(X).")
-        rows = list(execute_kernel(kernel, _view(Database()), EvaluationStats()))
+        rows = list(kernel.run(_view(Database()), EvaluationStats(), None))
         assert rows == []
 
-
-class TestExecutorKnob:
-    def test_default_is_kernel(self):
-        assert DEFAULT_EXECUTOR == "kernel"
-        assert DEFAULT_EXECUTOR in EXECUTORS
-
-    def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_executor("jit")
-
-    def test_compile_executors(self):
-        program = parse_program("p(X) :- e(X). q(X) :- p(X).")
-        compiled = [compile_rule(rule, None) for rule in program.proper_rules]
-        kernels = compile_executors(compiled, "kernel")
-        assert all(isinstance(kernel, RuleKernel) for _, kernel in kernels)
-        interpreted = compile_executors(compiled, "interpreted")
-        assert all(kernel is None for _, kernel in interpreted)

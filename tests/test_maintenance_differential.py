@@ -4,15 +4,15 @@
 **bit-identical** to the full-recompute oracle: after every operation of
 any interleaved add/remove stream, the decoded fact sets match exactly.
 These tests pin that claim on seeded random programs and seeded random
-streams, at *every* interleaving point, under both rule executors.
+streams, at *every* interleaving point.
 
 Counting is exact for non-recursive programs only, so its streams run
 over a dedicated non-recursive generator (p0 over EDB, p1 over EDB∪{p0});
-DRed runs over the shared recursive generator from the kernel
-differential suite (negation disabled — the incremental engine is
-positive-only; built-in ``!=`` tests still occur), and over a generator
-of the rule forms DRed's guarded re-derivation must handle.  Beyond the
-facts, every operation's counters must be identical across the executors.
+DRed runs over the shared recursive generator from the reference suite
+(negation disabled — the incremental engine is positive-only; built-in
+``!=`` tests still occur), and over a generator of the rule forms DRed's
+guarded re-derivation must handle.  Beyond the facts, every operation's
+counters must be identical with metrics collection on and off.
 """
 
 import random
@@ -25,16 +25,7 @@ from repro.engine.scheduler import build_schedule
 from repro.errors import ProgramError
 from repro.obs import collect
 
-from .test_kernel_differential import CONSTANTS, EDB, SEEDS, VARS, random_source
-
-EXECUTORS = ("kernel", "interpreted")
-
-
-def _executor_id(executor: str) -> str:
-    """Test id of one executor leg; ``tuples`` names the relation backend
-    every leg runs on, so the ids stay those of the storage × executor grid."""
-    return f"tuples-{executor}"
-
+from .test_reference import CONSTANTS, EDB, SEEDS, VARS, random_source
 
 def _facts(database) -> dict[str, frozenset]:
     """The non-empty relations' fact sets, per predicate."""
@@ -146,12 +137,12 @@ def random_stream(seed: int, length: int = 14) -> list[tuple[str, list[str]]]:
     return stream
 
 
-def _run_lockstep(source: str, stream, maintenance: str, executor: str) -> None:
+def _run_lockstep(source: str, stream, maintenance: str) -> None:
     """Run *stream* against a fast engine and the recompute oracle in
     lockstep, asserting bit-identity at every interleaving point."""
     program = parse_program(source)
-    fast = IncrementalEngine(program, executor=executor, maintenance=maintenance)
-    oracle = IncrementalEngine(program, executor=executor, maintenance="recompute")
+    fast = IncrementalEngine(program, maintenance=maintenance)
+    oracle = IncrementalEngine(program, maintenance="recompute")
     assert _facts(fast.database) == _facts(oracle.database)
     for step, (op, atoms) in enumerate(stream):
         if op == "add":
@@ -166,10 +157,10 @@ def _run_lockstep(source: str, stream, maintenance: str, executor: str) -> None:
         else:
             got = fast.remove_many(atoms)
             expected = oracle.remove_many(atoms)
-        assert got == expected, (maintenance, executor, step, op)
+        assert got == expected, (maintenance, step, op)
         assert _facts(fast.database) == _facts(
             oracle.database
-        ), (maintenance, executor, step, op)
+        ), (maintenance, step, op)
 
 
 def _apply(engine: IncrementalEngine, op: str, atoms: list[str]):
@@ -177,37 +168,41 @@ def _apply(engine: IncrementalEngine, op: str, atoms: list[str]):
 
 
 def _run_axes(source: str, stream, maintenance: str) -> None:
-    """Run *stream* under every executor and the recompute oracle in
-    lockstep: each operation's returned facts, resulting fact set and
-    counters (every ``EvaluationStats`` field) are identical across the
-    executors, and the facts equal the oracle's."""
+    """Run *stream* on two engines — one with metrics collection on, one
+    with it off — and the recompute oracle in lockstep: each operation's
+    returned facts, resulting fact set and counters (every
+    ``EvaluationStats`` field) are identical across the two, and the
+    facts equal the oracle's."""
     program = parse_program(source)
+    with collect():
+        observed = IncrementalEngine(program, maintenance=maintenance)
     engines = {
-        executor: IncrementalEngine(
-            program, executor=executor, maintenance=maintenance
-        )
-        for executor in EXECUTORS
+        "plain": IncrementalEngine(program, maintenance=maintenance),
+        "observed": observed,
     }
     oracle = IncrementalEngine(program, maintenance="recompute")
     builds = {axis: engine.stats.as_dict() for axis, engine in engines.items()}
-    assert all(build == builds[EXECUTORS[0]] for build in builds.values()), builds
+    assert builds["plain"] == builds["observed"], builds
     for step, (op, atoms) in enumerate(stream):
         expected = _apply(oracle, op, atoms)
         outcomes = {}
         for axis, engine in engines.items():
             before = engine.stats.as_dict()
-            got = _apply(engine, op, atoms)
+            if axis == "observed":
+                with collect():
+                    got = _apply(engine, op, atoms)
+            else:
+                got = _apply(engine, op, atoms)
             spent = {
                 name: value - before[name]
                 for name, value in engine.stats.as_dict().items()
             }
             outcomes[axis] = (got, _facts(engine.database), spent)
-        reference = outcomes[EXECUTORS[0]]
+        reference = outcomes["plain"]
         assert reference[:2] == (expected, _facts(oracle.database)), (
             maintenance, step, op,
         )
-        for axis, outcome in outcomes.items():
-            assert outcome == reference, (maintenance, axis, step, op)
+        assert outcomes["observed"] == reference, (maintenance, step, op)
 
 
 @pytest.mark.parametrize(
@@ -230,36 +225,28 @@ def test_guarded_generator_rederives():
     with collect() as metrics:
         for seed in SEEDS:
             _run_lockstep(
-                guarded_source(seed), random_stream(seed, length=18), "dred",
-                "kernel",
+                guarded_source(seed), random_stream(seed, length=18), "dred"
             )
     assert metrics.counters["maintain.dred.rederived"] > 0
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, ids=_executor_id)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_counting_matches_recompute(seed, executor):
-    _run_lockstep(
-        nonrecursive_source(seed), random_stream(seed), "counting", executor
-    )
+def test_counting_matches_recompute(seed):
+    _run_lockstep(nonrecursive_source(seed), random_stream(seed), "counting")
 
 
-@pytest.mark.parametrize("executor", EXECUTORS, ids=_executor_id)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_dred_matches_recompute(seed, executor):
+def test_dred_matches_recompute(seed):
     _run_lockstep(
-        random_source(seed, negation=False), random_stream(seed), "dred",
-        executor,
+        random_source(seed, negation=False), random_stream(seed), "dred"
     )
 
 
 @pytest.mark.parametrize("seed", SEEDS[:4])
 def test_dred_matches_recompute_on_nonrecursive(seed):
     """DRed is not restricted to recursive programs; pin it on the
-    counting generator too (kernel executor)."""
-    _run_lockstep(
-        nonrecursive_source(seed), random_stream(seed), "dred", "kernel"
-    )
+    counting generator too."""
+    _run_lockstep(nonrecursive_source(seed), random_stream(seed), "dred")
 
 
 @pytest.mark.parametrize("mode", ["dred", "counting"])

@@ -29,7 +29,7 @@ from repro.obs import ThreadSafeMetrics, collect
 from repro.serve import PooledService, QueryService, create_server
 from repro.serve.client import ServeClient, ServeError
 
-from .test_kernel_differential import SEEDS, random_source
+from .test_reference import SEEDS, random_source
 
 CHAIN = "\n".join(
     [f"edge({i}, {i + 1})." for i in range(30)]
@@ -181,8 +181,8 @@ class TestPooledDifferential:
         pooled.load("bad", program_text=CHAIN)
         with pytest.raises(ReproError, match="unknown planner 'bogus'"):
             pooled.query("bad", "anc(0, X)?", planner="bogus")
-        with pytest.raises(ReproError, match="unknown executor 'bogus'"):
-            pooled.prepare("bad", "anc(0, X)?", executor="bogus")
+        with pytest.raises(ReproError, match="unknown SIPS 'bogus'"):
+            pooled.prepare("bad", "anc(0, X)?", sips="bogus")
 
 
 class TestRegistryWarmsAcrossProcesses:

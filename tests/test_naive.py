@@ -3,6 +3,7 @@
 
 from repro.datalog.parser import parse_program
 from repro.engine.counters import EvaluationStats
+from repro.engine.kernel import compile_kernel
 from repro.engine.naive import apply_rules_once, naive_fixpoint
 from repro.engine.matching import compile_rule
 
@@ -68,18 +69,18 @@ class TestApplyRulesOnce:
     def test_single_step_produces_only_immediate_consequences(
         self, ancestor_program, chain_database
     ):
-        compiled = [compile_rule(r) for r in ancestor_program.proper_rules]
+        kernels = [compile_kernel(compile_rule(r)) for r in ancestor_program.proper_rules]
         database = chain_database.copy()
         database.relation("anc", 2)
         stats = EvaluationStats()
-        produced = apply_rules_once(compiled, database, stats)
+        produced = apply_rules_once(kernels, database, stats)
         assert {row for _, row in produced} == {
             ("a", "b"), ("b", "c"), ("c", "d")
         }
 
     def test_does_not_mutate_database(self, ancestor_program, chain_database):
-        compiled = [compile_rule(r) for r in ancestor_program.proper_rules]
+        kernels = [compile_kernel(compile_rule(r)) for r in ancestor_program.proper_rules]
         database = chain_database.copy()
         database.relation("anc", 2)
-        apply_rules_once(compiled, database, EvaluationStats())
+        apply_rules_once(kernels, database, EvaluationStats())
         assert database.rows("anc") == frozenset()

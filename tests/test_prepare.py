@@ -2,7 +2,7 @@
 
 The contract under test: preparing once and executing many times is
 indistinguishable from running the full pipeline per query — identical
-answers for every strategy and scheduler, identical counters on the
+answers for every strategy, identical counters on the
 default configuration — while the execute path does zero transform /
 plan / compile work.
 """
@@ -54,14 +54,11 @@ def ancestor_program():
 class TestCompiledFixpoint:
     """The engine-level compile/run split underneath prepared queries."""
 
-    @pytest.mark.parametrize("scheduler", ["scc", "global"])
-    def test_run_matches_one_shot_seminaive(self, ancestor_program, scheduler):
+    def test_run_matches_one_shot_seminaive(self, ancestor_program):
         from repro.engine.seminaive import seminaive_fixpoint
 
-        direct_db, direct_stats = seminaive_fixpoint(
-            ancestor_program, scheduler=scheduler
-        )
-        compiled = compile_fixpoint(ancestor_program, scheduler=scheduler)
+        direct_db, direct_stats = seminaive_fixpoint(ancestor_program)
+        compiled = compile_fixpoint(ancestor_program)
         run_db, run_stats = run_fixpoint(compiled)
         assert run_db == direct_db
         assert run_stats.inferences == direct_stats.inferences
@@ -96,15 +93,10 @@ class TestCompiledFixpoint:
 
 class TestPrepareExecuteParity:
     @pytest.mark.parametrize("strategy", PREPARABLE)
-    @pytest.mark.parametrize("scheduler", ["scc", "global"])
-    def test_answers_match_direct(self, ancestor_program, strategy, scheduler):
+    def test_answers_match_direct(self, ancestor_program, strategy):
         goal = parse_query("anc(a, X)?")
-        direct = run_strategy(
-            strategy, ancestor_program, goal, scheduler=scheduler
-        )
-        prepared = prepare_query(
-            ancestor_program, goal, strategy=strategy, scheduler=scheduler
-        )
+        direct = run_strategy(strategy, ancestor_program, goal)
+        prepared = prepare_query(ancestor_program, goal, strategy=strategy)
         result = prepared.execute(goal)
         assert result.answers == direct.answers
         assert result.strategy == direct.strategy
@@ -256,7 +248,7 @@ class TestCacheKey:
             ancestor_program, goal, "alexander", planner="greedy"
         )
         assert base != prepared_cache_key(
-            ancestor_program, goal, "alexander", scheduler="global"
+            ancestor_program, goal, "alexander", maintain="dred"
         )
 
     def test_materialised_strategies_ignore_the_goal(self, ancestor_program):

@@ -1,9 +1,8 @@
 """Tests for SCC-scheduled fixpoint evaluation (repro.engine.scheduler).
 
-The differential suite (tests/test_scheduler_differential.py) pins scc ==
-global on random programs; this file pins the scheduler's *structure*:
-the schedule itself, the obs metrics, budget prefix soundness, and the
-facade/CLI plumbing.
+The reference suite (tests/test_reference.py) pins the models and counts
+on random programs; this file pins the scheduler's *structure*: the
+schedule itself, the obs metrics, and budget prefix soundness.
 """
 
 import importlib.util
@@ -20,13 +19,7 @@ from repro.core.strategy import run_strategy
 from repro.datalog.parser import parse_program, parse_query
 from repro.engine.budget import EvaluationBudget
 from repro.engine.counters import EvaluationStats
-from repro.engine.scheduler import (
-    DEFAULT_SCHEDULER,
-    SCHEDULERS,
-    Component,
-    build_schedule,
-    resolve_scheduler,
-)
+from repro.engine.scheduler import Component, build_schedule
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.errors import BudgetExceededError
 from repro.obs import collect
@@ -59,26 +52,6 @@ def _facts(database):
     return {
         relation.name: relation.rows() for relation in database.relations()
     }
-
-
-class TestResolveScheduler:
-    def test_known_names_pass_through(self):
-        for name in SCHEDULERS:
-            assert resolve_scheduler(name) == name
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            resolve_scheduler("topological")
-
-    def test_default_is_scc(self):
-        assert DEFAULT_SCHEDULER == "scc"
-
-    def test_removed_parallel_names_its_replacement(self):
-        assert "parallel" not in SCHEDULERS
-        with pytest.raises(ValueError, match="was removed; use 'scc'"):
-            resolve_scheduler("parallel")
-        with pytest.raises(ValueError, match="serve --processes N"):
-            Engine(STRATIFIED).query("reach(a, X)?", scheduler="parallel")
 
 
 class TestBuildSchedule:
@@ -258,7 +231,7 @@ class TestSchedulerMetrics:
     def test_scc_emits_scheduler_and_seminaive_parity_metrics(self):
         program, base = _alexander_program()
         with collect() as metrics:
-            seminaive_fixpoint(program, base, scheduler="scc")
+            seminaive_fixpoint(program, base)
         counters = metrics.counters
         histograms = metrics.histograms
         assert histograms["scheduler.components"].count == 1
@@ -285,31 +258,19 @@ class TestSchedulerMetrics:
             """
         )
         with collect() as metrics:
-            seminaive_fixpoint(program, scheduler="scc")
+            seminaive_fixpoint(program)
         assert metrics.counters.get("scheduler.agenda_skipped", 0) > 0
-
-    def test_global_mode_emits_no_scheduler_metrics(self):
-        program, base = _alexander_program()
-        with collect() as metrics:
-            seminaive_fixpoint(program, base, scheduler="global")
-        assert not any(
-            name.startswith("scheduler.") for name in metrics.histograms
-        )
-        assert not any(
-            name.startswith("scheduler.") for name in metrics.counters
-        )
 
 
 class TestBudgetPrefixProperty:
     def test_trip_yields_sound_prefix_of_components(self):
         program, base = _alexander_program(n=24)
-        full, _ = seminaive_fixpoint(program, base, scheduler="scc")
+        full, _ = seminaive_fixpoint(program, base)
         full_facts = _facts(full)
         with pytest.raises(BudgetExceededError) as excinfo:
             seminaive_fixpoint(
                 program,
                 base,
-                scheduler="scc",
                 budget=EvaluationBudget(max_facts=20),
             )
         partial = excinfo.value.partial
@@ -342,7 +303,7 @@ class TestBudgetPrefixProperty:
         # still trips.  (A per-component budget would never fire here.)
         program, base = _alexander_program(n=24)
         stats = EvaluationStats()
-        full, _ = seminaive_fixpoint(program, base, stats, scheduler="scc")
+        full, _ = seminaive_fixpoint(program, base, stats)
         full_facts = _facts(full)
         schedule = build_schedule(program)
         per_component = [
@@ -355,45 +316,15 @@ class TestBudgetPrefixProperty:
             seminaive_fixpoint(
                 program,
                 base,
-                scheduler="scc",
                 budget=EvaluationBudget(max_facts=limit),
             )
         assert excinfo.value.limit == "facts"
 
 
 class TestPlumbing:
-    def test_engine_query_accepts_scheduler(self):
-        engine = Engine.from_source(
-            """
-            par(a,b). par(b,c). par(c,d).
-            anc(X,Y) :- par(X,Y).
-            anc(X,Y) :- par(X,Z), anc(Z,Y).
-            """
-        )
-        goal = parse_query("anc(a, X)?")
-        results = {
-            scheduler: engine.query(goal, scheduler=scheduler)
-            for scheduler in SCHEDULERS
-        }
-        answer_sets = {r.answer_rows for r in results.values()}
-        assert len(answer_sets) == 1
-        assert (
-            results["scc"].stats.inferences == results["global"].stats.inferences
-        )
-
-    def test_unknown_scheduler_raises_everywhere(self):
-        engine = Engine.from_source("p(a). q(X) :- p(X).")
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            engine.query(parse_query("q(X)?"), strategy="seminaive",
-                         scheduler="bogus")
-
-    def test_correspondence_exact_under_both_schedulers(self):
+    def test_correspondence_is_exact(self):
         scenario = ancestor(graph="chain", n=12)
-        for scheduler in SCHEDULERS:
-            corr = check_correspondence(
-                scenario.program,
-                scenario.query(0),
-                scenario.database,
-                scheduler=scheduler,
-            )
-            assert corr.exact, scheduler
+        corr = check_correspondence(
+            scenario.program, scenario.query(0), scenario.database
+        )
+        assert corr.exact

@@ -19,8 +19,7 @@ import pytest
 from repro.core.engine import Engine
 from repro.core.prepare import prepare_query
 from repro.datalog.parser import parse_program
-from repro.errors import ReproError
-from repro.facts.relation import STORAGE_REMOVED
+from repro.errors import REMOVED_SETTINGS, ReproError
 from repro.obs import ThreadSafeMetrics, collect
 from repro.serve import (
     PooledService,
@@ -719,8 +718,6 @@ class TestBadInputIsA400:
         "field, said",
         [
             ("planner", "unknown planner 'bogus'"),
-            ("executor", "unknown executor 'bogus'; choose from"),
-            ("scheduler", "unknown scheduler 'bogus'; choose from"),
             ("sips", "unknown SIPS 'bogus'; choose from"),
         ],
     )
@@ -774,7 +771,29 @@ class TestBadInputIsA400:
                         with pytest.raises(ServeError) as bad:
                             client._request(path, payload)
                         assert bad.value.status == 400
-                        assert STORAGE_REMOVED in str(bad.value)
+                        assert REMOVED_SETTINGS["storage"] in str(bad.value)
+                assert client.query("chain", "anc(0, X)?")["complete"]
+        finally:
+            if service is not None:
+                service.close()
+
+    @pytest.mark.parametrize("processes", [0, 1], ids=["threaded", "pooled"])
+    @pytest.mark.parametrize("setting", ["executor", "scheduler", "workers"])
+    def test_removed_setting_is_a_400_with_its_message(self, processes, setting):
+        service = PooledService(processes=processes) if processes else None
+        try:
+            with serving(service) as (_, client):
+                client.load("chain", chain_source())
+                for path in ("/query", "/prepare"):
+                    for value in ("kernel", "scc", "global", 2, None):
+                        payload = {
+                            "dataset": "chain", "goal": "anc(0, X)?",
+                            setting: value,
+                        }
+                        with pytest.raises(ServeError) as bad:
+                            client._request(path, payload)
+                        assert bad.value.status == 400
+                        assert REMOVED_SETTINGS[setting] in str(bad.value)
                 assert client.query("chain", "anc(0, X)?")["complete"]
         finally:
             if service is not None:
@@ -783,6 +802,13 @@ class TestBadInputIsA400:
     def test_library_storage_keyword_is_gone(self, service):
         with pytest.raises(TypeError, match="storage"):
             service.query("chain", "anc(0, X)?", storage="tuples")
+
+    @pytest.mark.parametrize("setting", ["executor", "scheduler"])
+    def test_library_knob_keywords_are_gone(self, service, setting):
+        with pytest.raises(TypeError, match=setting):
+            service.query("chain", "anc(0, X)?", **{setting: "kernel"})
+        with pytest.raises(TypeError, match=setting):
+            Engine(parse_program(chain_source())).query("anc(0, X)?", **{setting: "scc"})
 
     @pytest.mark.parametrize("path", ["/query", "/prepare"])
     @pytest.mark.parametrize(
@@ -795,7 +821,7 @@ class TestBadInputIsA400:
             ("sips", 5),
             ("planner", {"greedy": True}),
             ("strategy", 1),
-            ("executor", ["kernel"]),
+            ("maintain", ["dred"]),
         ],
     )
     def test_non_string_field(self, live_server, path, field, value):
@@ -831,7 +857,7 @@ class TestBadInputIsA400:
         assert bad.value.status == 400
 
     def test_the_service_rejects_unknown_values_too(self, service):
-        with pytest.raises(ReproError, match="unknown executor"):
-            service.query("chain", "anc(0, X)?", executor="bogus")
+        with pytest.raises(ReproError, match="unknown planner"):
+            service.query("chain", "anc(0, X)?", planner="bogus")
         with pytest.raises(ReproError, match="unknown SIPS"):
             service.prepare("chain", "anc(0, X)?", sips="bogus")

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 
 import pytest
 
@@ -39,9 +40,9 @@ from repro.core.snapshot import (
 )
 from repro.datalog.parser import parse_program
 from repro.facts.database import Database
-from repro.obs import Metrics, collect
+from repro.obs import Metrics, ThreadSafeMetrics, collect
 
-from .test_kernel_differential import SEEDS, random_source
+from .test_reference import SEEDS, random_source
 
 TRANSFORMS = ("alexander", "magic", "supplementary")
 
@@ -193,10 +194,10 @@ class TestPreparedRoundTrip:
         restored = load_prepared(dump_prepared(prepared))
         original = {
             id(rule): [cl.source for cl in compiled.body]
-            for compiled, _ in _executors(prepared.fixpoint)
+            for compiled in _compiled(prepared.fixpoint)
             for rule, compiled in ((compiled.rule, compiled),)
         }
-        for compiled, _ in _executors(restored.fixpoint):
+        for compiled in _compiled(restored.fixpoint):
             sources = [cl.source for cl in compiled.body]
             # Rules re-parsed from text are equal (not identical) objects;
             # match by rule equality, then compare the body permutation.
@@ -252,14 +253,41 @@ def _version_1(header: dict, payload: bytes) -> bytes:
     )
 
 
-def _executors(fixpoint):
-    if fixpoint.scheduler != "global":
-        return [pair for cc in fixpoint.components for pair in cc.executors]
-    return list(fixpoint.executors)
+def _without_plans(meta: dict) -> None:
+    meta["fixpoint"].pop("plans")
+
+
+def _without_strategy(meta: dict) -> None:
+    meta.pop("strategy")
+
+
+def _fixpoint_as_list(meta: dict) -> None:
+    meta["fixpoint"] = [meta["fixpoint"]]
+
+
+MALFORMED_META = {
+    "no-plans": _without_plans,
+    "no-strategy": _without_strategy,
+    "fixpoint-list": _fixpoint_as_list,
+}
+
+
+def _corrupted(data: bytes, corrupt: str) -> bytes:
+    """*data* with its prepared metadata broken by ``MALFORMED_META[corrupt]``;
+    the header still parses."""
+    from repro.core.snapshot import _assemble, parse_snapshot
+
+    header, payload = parse_snapshot(data)
+    MALFORMED_META[corrupt](header["prepared"])
+    return _assemble(header, [bytes(payload)])
+
+
+def _compiled(fixpoint):
+    return [kernel.compiled for kernel in fixpoint.kernels]
 
 
 def _rule_of(fixpoint, rule_id):
-    for compiled, _ in _executors(fixpoint):
+    for compiled in _compiled(fixpoint):
         if id(compiled.rule) == rule_id:
             return compiled.rule
     return None
@@ -424,6 +452,8 @@ class TestShapeRegistry:
         assert registry.load(prepared.key, "fp") is None
 
     def test_removed_scheduler_entry_is_skipped_and_re_prepared(self, tmp_path):
+        """A version-2 entry — whose fixpoint meta still names the removed
+        executor and scheduler — is rejected and prepared afresh."""
         from repro.core.snapshot import _assemble, parse_snapshot
         from repro.serve import QueryService
 
@@ -433,11 +463,12 @@ class TestShapeRegistry:
             expected = warm.query("db", "p(a, X)?")["answers"]
         (path,) = tmp_path.glob("*.rpqs")
         header, payload = parse_snapshot(path.read_bytes())
-        header["prepared"]["fixpoint"]["scheduler"] = "parallel"
-        data = _assemble(header, [bytes(payload)])
-        path.write_bytes(data)
-        with pytest.raises(SnapshotFormatError, match="'parallel' was removed"):
-            load_prepared(data)
+        header["prepared"]["fixpoint"].update(executor="kernel", scheduler="global")
+        data = bytearray(_assemble(header, [bytes(payload)]))
+        data[4:6] = struct.pack("<H", 2)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match="version 2"):
+            load_prepared(bytes(data))
         # A fresh service over the same registry skips the entry and
         # prepares from scratch, with the same answers.
         with collect(Metrics()) as metrics:
@@ -448,6 +479,57 @@ class TestShapeRegistry:
         assert counters["serve.registry.rejected"] == 1
         assert counters.get("serve.registry.hits", 0) == 0
         assert counters["prepare.transforms"] == 1
+
+    @pytest.mark.parametrize(
+        "corrupt", list(MALFORMED_META), ids=list(MALFORMED_META)
+    )
+    def test_malformed_metadata_is_rejected_not_raised(self, tmp_path, corrupt):
+        from repro.serve.registry import ShapeRegistry, shape_digest
+
+        registry = ShapeRegistry(tmp_path)
+        prepared = self._prepared()
+        registry.save(prepared.key, "fp", prepared)
+        path = registry.path(shape_digest(prepared.key, "fp"))
+        path.write_bytes(_corrupted(path.read_bytes(), corrupt))
+        with pytest.raises(SnapshotFormatError, match="malformed"):
+            load_prepared(path.read_bytes())
+        with collect(Metrics()) as metrics:
+            assert registry.load(prepared.key, "fp") is None
+        assert metrics.counters["serve.registry.rejected"] == 1
+
+    @pytest.mark.parametrize(
+        "corrupt", list(MALFORMED_META), ids=list(MALFORMED_META)
+    )
+    def test_malformed_entry_is_re_prepared_over_http(self, tmp_path, corrupt):
+        from repro.serve import QueryService, ServeClient, create_server
+
+        with collect(Metrics()):
+            warm = QueryService(registry=tmp_path)
+            warm.load("db", self.PROGRAM)
+            expected = warm.query("db", "p(a, X)?")["answers"]
+        (path,) = tmp_path.glob("*.rpqs")
+        path.write_bytes(_corrupted(path.read_bytes(), corrupt))
+        with collect(ThreadSafeMetrics()):
+            server = create_server(
+                port=0, service=QueryService(registry=tmp_path),
+                install_metrics=False,
+            )
+            thread = threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            thread.start()
+            try:
+                url = f"http://127.0.0.1:{server.port}"
+                with ServeClient(url, timeout=30.0) as client:
+                    client.load("db", self.PROGRAM)
+                    reply = client.query("db", "p(a, X)?")
+                    assert reply["complete"] and reply["answers"] == expected
+                    assert client.counter("serve.registry.rejected") == 1
+            finally:
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5.0)
 
     def test_version_1_entry_is_skipped_and_re_prepared(self, tmp_path):
         from repro.serve import QueryService

@@ -4,9 +4,7 @@
 Runs a curated, fast subset of the experiment suite (T1 correspondence,
 T3 magic family, F1 chain scaling, F4 serving prepared-cache parity, F5
 streaming-maintenance parity, A2 naive-vs-seminaive, A7
-planner-vs-textual join order, A8 kernel-vs-interpreted executor, A9
-scc-vs-global fixpoint scheduling),
-cross-checks answers exactly as the full benches do, and compares the
+planner-vs-textual join order), cross-checks answers exactly as the full benches do, and compares the
 deterministic inference counts against the committed baseline
 (``benchmarks/baselines/bench_ci_baseline.json``).  Every run writes a
 schema-versioned JSON artifact (``BENCH_ci.json``) with wall-clock
@@ -247,174 +245,6 @@ def _run_a7(failures: list[str], budget=None) -> list[dict]:
     return entries
 
 
-def _run_a8(failures: list[str], budget=None) -> list[dict]:
-    """Executor smoke: the kernel must derive the same model with the same
-    inference count as the interpreted matcher on every gated workload
-    (attempt drift is reported separately, as a baseline-style deviation)."""
-    from repro.engine.seminaive import seminaive_fixpoint
-
-    scenarios = [
-        ("chain32", ancestor(graph="chain", n=32)),
-        ("nltc16", ancestor(graph="chain", variant="nonlinear", n=16)),
-        ("sg-d4", same_generation(depth=4, branching=2)),
-    ]
-    entries = []
-    for label, scenario in scenarios:
-        results = {}
-        for executor in ("kernel", "interpreted"):
-            start = time.perf_counter()
-            completed, stats = seminaive_fixpoint(
-                scenario.program,
-                scenario.database,
-                budget=budget,
-                executor=executor,
-            )
-            elapsed = time.perf_counter() - start
-            results[executor] = (completed, stats)
-            entries.append(
-                {
-                    "id": f"a8/{label}/{executor}",
-                    "executor": executor,
-                    "inferences": stats.inferences,
-                    "attempts": stats.attempts,
-                    "facts": stats.facts_derived,
-                    "iterations": stats.iterations,
-                    "seconds": elapsed,
-                }
-            )
-        kernel_db, kernel_stats = results["kernel"]
-        interp_db, interp_stats = results["interpreted"]
-        if kernel_db != interp_db:
-            failures.append(f"a8/{label}: kernel derived a different model")
-        if kernel_stats.inferences != interp_stats.inferences:
-            failures.append(
-                f"a8/{label}: kernel inference count diverged "
-                f"({kernel_stats.inferences} != {interp_stats.inferences})"
-            )
-    return entries
-
-
-def kernel_attempt_drift(entries: list[dict]) -> list[dict]:
-    """A8 deviations: the kernel attempting *more* rows than the
-    interpreted oracle on any workload means its probe construction no
-    longer mirrors the matcher — a perf/parity regression gated at exit 2
-    like any baseline deviation."""
-    attempts = {
-        entry["id"]: entry["attempts"]
-        for entry in entries
-        if entry["id"].startswith("a8/") and isinstance(entry.get("attempts"), int)
-    }
-    deviations = []
-    for entry_id, kernel_attempts in sorted(attempts.items()):
-        _, label, executor = entry_id.split("/")
-        if executor != "kernel":
-            continue
-        oracle = attempts.get(f"a8/{label}/interpreted")
-        if oracle is not None and kernel_attempts > oracle:
-            deviations.append(
-                {
-                    "id": f"a8/{label}",
-                    "kind": "kernel-attempt-drift",
-                    "kernel_attempts": kernel_attempts,
-                    "interpreted_attempts": oracle,
-                }
-            )
-    return deviations
-
-
-def _run_a9(failures: list[str], budget=None) -> list[dict]:
-    """Scheduler smoke: the scc schedule must derive the same model with
-    the same inference and fact counts as the single global loop (the
-    in-run oracle) on every gated workload; attempt drift is reported
-    separately, as a baseline-style deviation.  ``iterations`` is recorded
-    but never compared: under scc it counts per-component passes, not
-    global rounds."""
-    from repro.core.strategy import run_strategy
-    from repro.engine.seminaive import seminaive_fixpoint
-
-    workloads = []
-    for label, strategy, scenario in [
-        ("alex-chain24", "alexander", ancestor(graph="chain", n=24)),
-        ("magic-chain24", "magic", ancestor(graph="chain", n=24)),
-    ]:
-        result = run_strategy(
-            strategy, scenario.program, scenario.query(0), scenario.database
-        )
-        base = scenario.database.copy()
-        base.add_atoms(scenario.program.facts)
-        workloads.append((label, result.transformed.evaluation_program(), base))
-    sg = same_generation(depth=4, branching=2)
-    workloads.append(("sg-d4", sg.program, sg.database))
-    entries = []
-    for label, program, base in workloads:
-        results = {}
-        for scheduler in ("scc", "global"):
-            start = time.perf_counter()
-            completed, stats = seminaive_fixpoint(
-                program,
-                base,
-                budget=budget,
-                scheduler=scheduler,
-            )
-            elapsed = time.perf_counter() - start
-            results[scheduler] = (completed, stats)
-            entries.append(
-                {
-                    "id": f"a9/{label}/{scheduler}",
-                    "scheduler": scheduler,
-                    "inferences": stats.inferences,
-                    "attempts": stats.attempts,
-                    "facts": stats.facts_derived,
-                    "iterations": stats.iterations,
-                    "seconds": elapsed,
-                }
-            )
-        scc_db, scc_stats = results["scc"]
-        global_db, global_stats = results["global"]
-        if scc_db != global_db:
-            failures.append(f"a9/{label}: scc derived a different model")
-        if scc_stats.inferences != global_stats.inferences:
-            failures.append(
-                f"a9/{label}: scc inference count diverged "
-                f"({scc_stats.inferences} != {global_stats.inferences})"
-            )
-        if scc_stats.facts_derived != global_stats.facts_derived:
-            failures.append(
-                f"a9/{label}: scc fact count diverged "
-                f"({scc_stats.facts_derived} != {global_stats.facts_derived})"
-            )
-    return entries
-
-
-def scheduler_attempt_drift(entries: list[dict]) -> list[dict]:
-    """A9 deviations: the scc schedule attempting *more* rows than the
-    global oracle on any workload means component scheduling stopped
-    paying for itself — reading lower components as full relations must
-    only ever shrink the probe count.  Gated at exit 2 like any baseline
-    deviation."""
-    attempts = {
-        entry["id"]: entry["attempts"]
-        for entry in entries
-        if entry["id"].startswith("a9/") and isinstance(entry.get("attempts"), int)
-    }
-    deviations = []
-    for entry_id, scc_attempts in sorted(attempts.items()):
-        _, label, scheduler = entry_id.split("/")
-        if scheduler != "scc":
-            continue
-        oracle = attempts.get(f"a9/{label}/global")
-        if oracle is not None and scc_attempts > oracle:
-            deviations.append(
-                {
-                    "id": f"a9/{label}",
-                    "kind": "scheduler-attempt-drift",
-                    "scc_attempts": scc_attempts,
-                    "global_attempts": oracle,
-                }
-            )
-    return deviations
-
-
 def load_bench_module(name: str):
     """Import ``benchmarks/<name>.py`` by path.
 
@@ -458,27 +288,14 @@ def _run_f5(failures: list[str], budget=None) -> list[dict]:
     return module.streaming_parity_entries(failures, budget)
 
 
-def _run_f6(failures: list[str], budget=None) -> list[dict]:
-    """Multiprocess serving smoke: a two-worker pool with a shape
-    registry must render answers bit-identical to the direct engine with
-    identical inference counts on both workers, and the second worker's
-    first request must load the registry-cached shape instead of
-    re-transforming (see ``benchmarks/bench_f6_multiproc.py``)."""
-    module = load_bench_module("bench_f6_multiproc")
-    return module.multiproc_parity_entries(failures, budget)
-
-
 CHECK_GROUPS = {
     "t1": _run_t1,
     "t3": _run_t3,
     "f1": _run_f1,
     "f4": _run_f4,
     "f5": _run_f5,
-    "f6": _run_f6,
     "a2": _run_a2,
     "a7": _run_a7,
-    "a8": _run_a8,
-    "a9": _run_a9,
 }
 
 
@@ -670,10 +487,6 @@ def _main(argv: list[str] | None = None) -> int:
             if key.split("/", 1)[0] in (args.only or CHECK_GROUPS)
         }
         deviations = compare_to_baseline(counts, expected, tolerance)
-    # Executor-parity drift needs no committed baseline — the interpreted
-    # run of the same workload is the reference.
-    deviations.extend(kernel_attempt_drift(entries))
-    deviations.extend(scheduler_attempt_drift(entries))
 
     artifact = BenchArtifact(
         bench_id="ci",
