@@ -95,6 +95,7 @@ from ..transform.sips import Sips, left_to_right, named_sips
 from ..transform.supplementary import supplementary_magic_sets
 from .strategy import (
     QueryResult, _bridge_stored_facts, _sorted_answers, _transform_call_summary,
+    check_goal_arity,
 )
 
 __all__ = [
@@ -397,6 +398,8 @@ class PreparedQuery:
         if obs.enabled:
             obs.incr("prepare.executions")
         if self.mode != "transform":
+            # Every goal shares this shape: prepare_query never saw it.
+            check_goal_arity(goal, None, self.base)
             if self.engine is not None and self.engine.poisoned:
                 # An interrupted apply_update left the maintained
                 # materialisation inconsistent; serving lookups from it
@@ -613,6 +616,7 @@ def prepare_query(
     """
     if isinstance(goal, str):
         goal = parse_query(goal)
+    check_goal_arity(goal, program, database)
     if maintain is not None:
         resolve_maintenance(maintain)
         if strategy not in MATERIALISED_STRATEGIES:

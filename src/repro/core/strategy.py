@@ -138,6 +138,22 @@ class QueryResult:
         return self._summary[1]
 
 
+def check_goal_arity(
+    goal: Atom, program: "Program | None", database: "Database | None"
+) -> None:
+    """Raise :class:`ReproError` when *program* (else *database*) knows
+    *goal*'s predicate with another arity: every query entry point checks
+    here, so no strategy answers such a goal its own way."""
+    known = program.arities.get(goal.predicate) if program is not None else None
+    if known is None and database is not None:
+        known = database.arity_of(goal.predicate)
+    if known is not None and known != goal.arity:
+        raise ReproError(
+            f"goal {goal} has arity {goal.arity}, but {goal.predicate} "
+            f"has arity {known}"
+        )
+
+
 def _bridge_stored_facts(
     program: Program, database: "Database | None"
 ) -> tuple[Program, "Database | None"]:
@@ -430,6 +446,7 @@ def run_strategy(
         raise ReproError(
             f"unknown strategy {name!r}; choose from {available_strategies()}"
         )
+    check_goal_arity(query, program, database)
     program, database = _bridge_stored_facts(program, database)
     if sips is not None and name in ("magic", "supplementary", "alexander"):
         transform = {

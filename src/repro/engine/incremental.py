@@ -203,20 +203,14 @@ class IncrementalEngine:
             checkpoint.bind(working)
         # Seeds stamped at round 1 over empty relations, so round 1's
         # pre-delta views are empty, exactly like a first insertion.
-        seeds: dict[str, Relation] = {}
+        heads: dict[str, dict] = {}
         for relation in initial.relations():
             if not len(relation):
                 continue
             arities.setdefault(relation.name, relation.arity)
-            target = working.relation(relation.name, relation.arity)
-            target.mark_round(1)
-            bucket = Relation(relation.name, relation.arity)
-            table = counts.setdefault(relation.name, {})
-            for row in relation:
-                target.add(row)
-                bucket.add(row)
-                table[row] = 1  # external support
-            seeds[relation.name] = bucket
+            rows = heads[relation.name] = dict.fromkeys(relation)
+            working.relation(relation.name, relation.arity).merge(rows, 1)
+            counts[relation.name] = dict.fromkeys(rows, 1)  # external support
         # Rules without a positive relation literal (constant heads
         # guarded by built-ins only) never join a delta; fire them once.
         rules = self._compile_for(working)
@@ -240,21 +234,18 @@ class IncrementalEngine:
                 table = counts.setdefault(head_pred, {})
                 table[head_row] = table.get(head_row, 0) + 1
                 target = working.relation(head_pred, arities.get(head_pred))
-                if head_row not in target:
-                    if target.round < 1:
-                        target.mark_round(1)
-                    target.add(head_row)
+                if target.merge((head_row,), 1):
                     op_stats.facts_derived += 1
-                    bucket = seeds.setdefault(
-                        head_pred, Relation(head_pred, len(head_row))
-                    )
-                    bucket.add(head_row)
+                    heads.setdefault(head_pred, {})[head_row] = None
+        seeds = {
+            predicate: Relation.adopt(predicate, working.relation(predicate).arity, rows)
+            for predicate, rows in heads.items()
+        }
         self._working = working
         self._counts = counts
         propagate(
-            working, rules, arities,
-            {p: bucket for p, bucket in seeds.items() if bucket},
-            1, op_stats, checkpoint, counts=counts,
+            working, rules, arities, seeds, 1, op_stats, checkpoint,
+            counts=counts,
         )
 
     def _compile_for(self, working: Database) -> list[MaintainedRule]:
@@ -354,14 +345,11 @@ class IncrementalEngine:
         idb = self._program.idb_predicates
         arities = dict(self._program.arities)
         new_facts: set[Fact] = set()
-        seeds: dict[str, Relation] = {}
-        marked: set[str] = set()
+        heads: dict[str, dict] = {}
         for atom in parsed:
             arities.setdefault(atom.predicate, atom.arity)
             relation = self._working.relation(atom.predicate, atom.arity)
-            if atom.predicate not in marked:
-                relation.mark_round(stamp)
-                marked.add(atom.predicate)
+            rows = heads.setdefault(atom.predicate, {})
             row = atom.ground_key()
             if (
                 atom.predicate in idb
@@ -378,16 +366,20 @@ class IncrementalEngine:
                 if self._counts is not None:
                     table = self._counts.setdefault(atom.predicate, {})
                     table[row] = table.get(row, 0) + 1
-            if not self._working.add(atom.predicate, row):
+            if row in relation or row in rows:
                 continue
+            rows[row] = None
             new_facts.add((atom.predicate, row))
             if self._counts is not None and atom.predicate not in idb:
                 self._counts.setdefault(atom.predicate, {})[row] = 1
-            bucket = seeds.setdefault(
-                atom.predicate,
-                Relation(atom.predicate, atom.arity),
-            )
-            bucket.add(row)
+        # One merge per predicate; a predicate whose atoms were all
+        # present is still marked, like every relation the batch touched.
+        seeds: dict[str, Relation] = {}
+        for predicate, rows in heads.items():
+            relation = self._working.relation(predicate)
+            relation.merge(rows, stamp)
+            if rows:
+                seeds[predicate] = Relation.adopt(predicate, relation.arity, rows)
         if not seeds:
             return frozenset()
         # Per-operation governance: the checkpoint monitors a fresh

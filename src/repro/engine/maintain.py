@@ -80,6 +80,7 @@ from ..obs import get_metrics
 from .counters import EvaluationStats
 from .kernel import RuleKernel, compile_kernel
 from .matching import CompiledRule, delta_first
+from .seminaive import merge_round
 
 __all__ = [
     "MAINTENANCE_MODES",
@@ -232,7 +233,7 @@ def propagate(
             predicate: working.relation(predicate).rows_before(stamp)
             for predicate in delta
         }
-        new_delta: dict[str, Relation] = {}
+        heads: dict[str, dict] = {}
         for head_pred, head_row in _delta_heads(
             working, rules, delta, {}, old, op_stats, checkpoint
         ):
@@ -242,20 +243,15 @@ def propagate(
             relation = working.relation(head_pred, arities.get(head_pred))
             if head_row in relation:
                 continue
-            bucket = new_delta.setdefault(
-                head_pred, Relation(head_pred, len(head_row))
-            )
-            bucket.add(head_row)
+            bucket = heads.get(head_pred)
+            if bucket is None:
+                bucket = heads[head_pred] = {}
+            bucket[head_row] = None
         stamp += 1
-        for predicate, bucket in new_delta.items():
-            target = working.relation(predicate, arities.get(predicate))
-            target.mark_round(stamp)
-            for new_row in bucket:
-                if working.add(predicate, new_row):
-                    op_stats.facts_derived += 1
-                    if new_facts is not None:
-                        new_facts.add((predicate, new_row))
-        delta = {p: r for p, r in new_delta.items() if r}
+        delta = merge_round(heads, working.relation, stamp, op_stats)
+        if new_facts is not None:
+            for predicate, rows in heads.items():
+                new_facts.update((predicate, row) for row in rows)
 
 
 def _delta_heads(
@@ -469,33 +465,23 @@ def delete_dred(
         # ordinary semi-naive continuation restores everything reachable
         # from them.
         derivable = _rederivable(working, rules, candidates, op_stats, checkpoint)
-        rederive: dict[str, list] = {}
+        rederive: dict[str, dict] = {}
         for predicate, row in candidates:
             if (predicate, row) in derivable:
-                rederive.setdefault(predicate, []).append(row)
+                rederive.setdefault(predicate, {})[row] = None
         if rederive:
+            # Every candidate was over-deleted, so each survivor is new.
             stamp = 1 + max(
                 (relation.round for relation in working.relations()),
                 default=0,
             )
-            delta2: dict[str, Relation] = {}
+            delta2 = merge_round(rederive, working.relation, stamp, op_stats)
             for predicate, rows in rederive.items():
-                target = working.relation(predicate, arities.get(predicate))
-                target.mark_round(stamp)
-                bucket = Relation(predicate, target.arity)
-                for row in rows:
-                    if working.add(predicate, row):
-                        op_stats.facts_derived += 1
-                        restored.add((predicate, row))
-                        bucket.add(row)
-                if bucket:
-                    delta2[predicate] = bucket
-            reinserted: set = set()
+                restored.update((predicate, row) for row in rows)
             propagate(
                 working, rules, arities, delta2, stamp, op_stats,
-                checkpoint, new_facts=reinserted,
+                checkpoint, new_facts=restored,
             )
-            restored |= reinserted
     obs = get_metrics()
     if obs.enabled:
         obs.incr("maintain.dred.deletions")

@@ -186,7 +186,7 @@ def run_fixpoint(
     observe_schedule(get_metrics(), [cc.component for cc in components])
     run_components(
         ((cc.component, cc.kernels) for cc in components),
-        working, program.arities, stats, checkpoint,
+        working, stats, checkpoint,
     )
     return working, stats
 

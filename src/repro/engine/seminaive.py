@@ -18,13 +18,14 @@ of derived literals is produced at exactly one variant (the one whose
 delta position is the *first* literal instantiated by a previous-round
 fact).
 
-The "old" view is **zero-copy**: every merged row carries an insertion
-stamp (:meth:`repro.facts.relation.Relation.mark_round`), and old reads
-are :meth:`~repro.facts.relation.Relation.rows_before` views that filter
-probes by stamp.  Earlier versions rebuilt an ``old`` snapshot relation
-per IDB predicate per round — O(|full|) work that grew with the model,
-not the delta, undercutting the "no recomputation" property the delta
-discipline exists for.  Per-round overhead is now O(|delta|).
+The "old" view is **zero-copy**: a round collects its new heads in plain
+dicts and merges each non-empty one with one
+:meth:`repro.facts.relation.Relation.merge` call, which stamps its rows
+with the round; the same dict, adopted, is the next round's delta.  Old
+reads are one :meth:`~repro.facts.relation.Relation.rows_before` view
+per predicate whose cutoff advances each round.  A round therefore
+allocates nothing for a predicate whose delta is empty and inserts each
+new fact once: per-round overhead is O(|delta|), not O(|full|).
 
 Negative literals read the full view: within a stratum they only mention
 relations completed by earlier strata, so their contents never change
@@ -46,7 +47,7 @@ feed (the rest are counted by ``scheduler.agenda_skipped``).
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from ..datalog.rules import Program
 from ..facts.database import Database
@@ -67,7 +68,7 @@ from .scheduler import (
     start_run,
 )
 
-__all__ = ["seminaive_fixpoint", "run_components"]
+__all__ = ["seminaive_fixpoint", "run_components", "merge_round"]
 
 
 def _variant_positions(compiled: CompiledRule, derived: frozenset[str]) -> list[int]:
@@ -157,14 +158,13 @@ def seminaive_fixpoint(
                 for rule in component.rules
             ]
 
-    run_components(compiled(), working, program.arities, stats, checkpoint)
+    run_components(compiled(), working, stats, checkpoint)
     return working, stats
 
 
 def run_components(
     components: Iterable[tuple[Component, Sequence[RuleKernel]]],
     working: Database,
-    arities: Mapping[str, int],
     stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
 ) -> None:
@@ -187,7 +187,7 @@ def run_components(
                     single_pass(kernels, working, stats, checkpoint)
             else:
                 rounds = _component_seminaive(
-                    component, kernels, working, arities, stats, checkpoint, obs,
+                    component, kernels, working, stats, checkpoint, obs,
                 )
                 if obs.enabled:
                     obs.observe("scheduler.component_rounds", rounds)
@@ -200,7 +200,6 @@ def _component_seminaive(
     component: Component,
     kernels: Sequence[RuleKernel],
     working: Database,
-    arities: Mapping[str, int],
     stats: EvaluationStats,
     checkpoint: Checkpoint | None,
     obs,
@@ -212,23 +211,21 @@ def _component_seminaive(
     """
     derived = component.derived
     relations = {predicate: working.relation(predicate) for predicate in derived}
+    # One old view per predicate; each delta round advances its cutoff.
+    old = {predicate: relations[predicate].rows_before(0) for predicate in derived}
 
     # The delta agenda: delta predicate -> the (kernel, position)
     # variants a non-empty delta of that predicate can fire.  Computed
     # once; rounds iterate only the agenda buckets with work to do.  Each
-    # entry carries its head relation and a reusable round view — rounds
-    # update the view's delta/old bindings in place instead of
-    # re-allocating per variant per round.
-    old: dict[str, StampedView] = {}
+    # entry's round view is reused: rounds rebind its delta in place.
     agenda_map: dict[str, list] = {}
     for kernel in kernels:
         compiled = kernel.compiled
-        target = working.relation(kernel.head_predicate)
         for position in _variant_positions(compiled, derived):
             view = _RoundView(working, position, None, old, derived)
             agenda_map.setdefault(
                 compiled.body[position].predicate, []
-            ).append((kernel, target, view))
+            ).append((kernel, view))
     agenda = tuple(
         (predicate, tuple(agenda_map[predicate]))
         for predicate in sorted(agenda_map)
@@ -241,78 +238,76 @@ def _component_seminaive(
     if checkpoint is not None:
         checkpoint.check_round()
     stats.iterations += 1
-    delta: dict[str, Relation] = {
-        predicate: Relation(predicate, arities[predicate])
-        for predicate in derived
-    }
     # Rows merged at the end of round k carry stamp k+1; the "old" view
     # of round k+1 is then exactly the rows stamped <= k, read through a
     # zero-copy rows_before() filter.
     stamp = 1
     view = full_view(working)
+    heads: dict[str, dict] = {}
     with obs.timer("round"):
         for kernel in kernels:
-            target = relations[kernel.head_predicate]
-            bucket = delta[kernel.head_predicate]
-            for row in kernel.run(view, stats, checkpoint):
-                stats.inferences += 1
-                if row not in target:
-                    bucket.add(row)
-        for predicate in derived:
-            relation = relations[predicate]
-            relation.mark_round(stamp)
-            for row in delta[predicate]:
-                if relation.add(row):
-                    stats.facts_derived += 1
+            _collect(kernel, view, relations, heads, stats, checkpoint)
+        delta = merge_round(heads, relations.__getitem__, stamp, stats)
     if obs.enabled:
-        obs.observe(
-            "seminaive.delta_rows",
-            sum(len(delta[predicate]) for predicate in derived),
-        )
+        obs.observe("seminaive.delta_rows", sum(map(len, delta.values())))
 
-    # --- local delta rounds ---------------------------------------------
+    # --- local delta rounds (an empty delta is absent: it costs nothing) -
     rounds = 1
-    while any(delta[predicate] for predicate in derived):
+    while delta:
         if checkpoint is not None:
             checkpoint.check_round()
         stats.iterations += 1
         rounds += 1
         skipped = 0
         with obs.timer("round"):
-            for predicate in derived:
-                old[predicate] = relations[predicate].rows_before(stamp)
-            new_delta: dict[str, Relation] = {
-                predicate: Relation(predicate, arities[predicate])
-                for predicate in derived
-            }
+            for old_view in old.values():
+                old_view.cutoff = stamp
+            heads = {}
             for predicate, entries in agenda:
-                delta_relation = delta[predicate]
-                if not delta_relation:
+                delta_relation = delta.get(predicate)
+                if delta_relation is None:
                     skipped += len(entries)
                     continue
-                for kernel, target, round_view in entries:
+                for kernel, round_view in entries:
                     round_view.delta_relation = delta_relation
-                    bucket = new_delta[kernel.head_predicate]
-                    for row in kernel.run(round_view, stats, checkpoint):
-                        stats.inferences += 1
-                        if row not in target:
-                            bucket.add(row)
+                    _collect(kernel, round_view, relations, heads, stats, checkpoint)
             # Merge after the round so all variants of the round read a
             # consistent full view.
             stamp += 1
-            for predicate in derived:
-                relation = relations[predicate]
-                relation.mark_round(stamp)
-                for row in new_delta[predicate]:
-                    if relation.add(row):
-                        stats.facts_derived += 1
+            delta = merge_round(heads, relations.__getitem__, stamp, stats)
         if obs.enabled:
             obs.incr("seminaive.stamped_rounds")
             if skipped:
                 obs.incr("scheduler.agenda_skipped", skipped)
-            obs.observe(
-                "seminaive.delta_rows",
-                sum(len(new_delta[predicate]) for predicate in derived),
-            )
-        delta = new_delta
+            obs.observe("seminaive.delta_rows", sum(map(len, delta.values())))
     return rounds
+
+
+def _collect(kernel, view, relations, heads, stats, checkpoint) -> None:
+    """Run *kernel* once, collecting the heads not yet in the full
+    relation into ``heads[predicate]``, a ``{row: None}`` dict."""
+    predicate = kernel.head_predicate
+    target = relations[predicate]
+    bucket = heads.get(predicate)
+    if bucket is None:
+        bucket = heads[predicate] = {}
+    for row in kernel.run(view, stats, checkpoint):
+        stats.inferences += 1
+        if row not in target:
+            bucket[row] = None
+
+
+def merge_round(
+    heads: Mapping[str, dict], relation_of: Callable[[str], Relation],
+    stamp: int, stats: EvaluationStats,
+) -> dict[str, Relation]:
+    """Merge each non-empty ``{row: None}`` dict of *heads* into its
+    relation at *stamp*, charging ``facts_derived`` per new row; returns
+    the next delta, those same dicts adopted, by predicate."""
+    delta = {}
+    for predicate, rows in heads.items():
+        if rows:
+            relation = relation_of(predicate)
+            stats.facts_derived += relation.merge(rows, stamp)
+            delta[predicate] = Relation.adopt(predicate, relation.arity, rows)
+    return delta

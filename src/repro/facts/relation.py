@@ -20,7 +20,8 @@ stale statistics.
 
 For the semi-naive engines every row also carries an **insertion stamp**:
 the *round* the relation was marked with when the row arrived
-(:meth:`Relation.mark_round`).  :meth:`Relation.rows_before` wraps the
+(:meth:`Relation.mark_round`; :meth:`Relation.merge` marks and inserts a
+round's batch in one call).  :meth:`Relation.rows_before` wraps the
 live relation in a :class:`StampedView` that filters probes down to rows
 stamped strictly before a cutoff — the zero-copy replacement for the
 per-round "old = full minus delta" snapshot rebuild (see
@@ -74,14 +75,22 @@ class Relation:
         for row in tuples:
             self.add(row)
 
+    @classmethod
+    def adopt(cls, name: str, arity: int, rows: dict) -> "Relation":
+        """A relation whose row store *is* *rows*, an insertion-ordered
+        ``{row: None}`` dict (not copied, not re-checked, not to be mutated
+        by the caller): a semi-naive round merges its new facts and adopts
+        the same dict as the next delta, so each is inserted once."""
+        relation = cls(name, arity)
+        relation._tuples = rows
+        relation._version = len(rows)
+        return relation
+
     # --- mutation ------------------------------------------------------------
     def add(self, row: tuple) -> bool:
         """Insert *row*; returns True iff it was new."""
         if len(row) != self.arity:
-            raise ValueError(
-                f"relation {self.name}/{self.arity} given a tuple of "
-                f"length {len(row)}: {row!r}"
-            )
+            raise self._arity_error(row)
         if row in self._tuples:
             return False
         self._tuples[row] = None
@@ -94,13 +103,46 @@ class Relation:
         self._version += 1
         return True
 
+    def merge(self, rows: Iterable[tuple], stamp: int) -> int:
+        """``mark_round(stamp)`` plus an :meth:`add` loop over *rows*, in one
+        call: the same rows, posting-list order, distinct sets, stamps and
+        :attr:`version` (also when a wrong-arity row raises part way);
+        returns the number of new rows.  The semi-naive loops merge each
+        round's new facts with it at the round boundary."""
+        self.mark_round(stamp)
+        tuples = self._tuples
+        arity = self.arity
+        indexes = tuple(self._indexes.items())
+        distinct = tuple(self._distinct.items())
+        stamps = self._stamps if stamp else None
+        added = 0
+        try:
+            for row in rows:
+                if len(row) != arity:
+                    raise self._arity_error(row)
+                if row in tuples:
+                    continue
+                tuples[row] = None
+                for column, index in indexes:
+                    index.setdefault(row[column], []).append(row)
+                for column, values in distinct:
+                    values.add(row[column])
+                if stamps is not None:
+                    stamps[row] = stamp
+                added += 1
+        finally:
+            self._version += added
+        return added
+
+    def _arity_error(self, row: tuple) -> ValueError:
+        return ValueError(
+            f"relation {self.name}/{self.arity} given a tuple of "
+            f"length {len(row)}: {row!r}"
+        )
+
     def add_all(self, rows: Iterable[tuple]) -> int:
         """Insert many rows; returns the number that were new."""
-        added = 0
-        for row in rows:
-            if self.add(row):
-                added += 1
-        return added
+        return self.merge(rows, self._round)
 
     def discard(self, row: tuple) -> bool:
         """Remove *row* if present; returns True iff it was present.
@@ -386,11 +428,11 @@ class StampedView:
     the yielded row set is exact.
     """
 
-    __slots__ = ("_relation", "_cutoff")
+    __slots__ = ("_relation", "cutoff")
 
     def __init__(self, relation: Relation, cutoff: int):
         self._relation = relation
-        self._cutoff = cutoff
+        self.cutoff = cutoff  # writable: a semi-naive loop advances it per round
 
     @property
     def name(self) -> str:
@@ -400,13 +442,9 @@ class StampedView:
     def arity(self) -> int:
         return self._relation.arity
 
-    @property
-    def cutoff(self) -> int:
-        return self._cutoff
-
     def lookup(self, bound: Mapping[int, object]) -> Iterator[tuple]:
         stamps = self._relation._stamps
-        cutoff = self._cutoff
+        cutoff = self.cutoff
         for row in self._relation.lookup(bound):
             if stamps.get(row, 0) < cutoff:
                 yield row
@@ -416,10 +454,10 @@ class StampedView:
         posting getter plus the stamp filter ``stamps(row, 0) < cutoff``
         that :meth:`lookup` applies row by row."""
         base = self._relation
-        return base._index_for(column).get, base._stamps.get, self._cutoff
+        return base._index_for(column).get, base._stamps.get, self.cutoff
 
     def __contains__(self, row: tuple) -> bool:
-        return row in self._relation and self._relation.stamp_of(row) < self._cutoff
+        return row in self._relation and self._relation.stamp_of(row) < self.cutoff
 
     def __iter__(self) -> Iterator[tuple]:
         return self.lookup({})
@@ -436,5 +474,5 @@ class StampedView:
     def __repr__(self) -> str:
         return (
             f"StampedView({self._relation.name}/{self._relation.arity}, "
-            f"stamp<{self._cutoff})"
+            f"stamp<{self.cutoff})"
         )

@@ -212,6 +212,26 @@ class TestCompatibilityAndErrors:
         with pytest.raises(ReproError, match="does not fit"):
             prepared.execute("anc(X, Y)?")
 
+    @pytest.mark.parametrize("strategy", ["alexander", "magic", "seminaive"])
+    def test_prepare_rejects_a_mismatched_arity(self, ancestor_program, strategy):
+        with pytest.raises(ReproError, match="has arity 1, but anc has arity 2"):
+            prepare_query(ancestor_program, "anc(a)?", strategy=strategy)
+
+    @pytest.mark.parametrize("maintain", [None, "dred"])
+    def test_whole_model_shapes_reject_a_mismatched_arity(self, maintain):
+        # Materialised and maintained shapes answer every goal from one
+        # shape, so execute() checks the goal, not prepare_query().
+        program = parse_program("tc(X,Y) :- edge(X,Y). edge(1,2).")
+        prepared = prepare_query(
+            program, "tc(1, X)?", strategy="seminaive", maintain=maintain
+        )
+        for goal in ("tc(1)?", "edge(1)?", "tc(1, 2, 3)?"):
+            with pytest.raises(ReproError, match="has arity"):
+                prepared.execute(goal)
+        assert [str(a) for a in prepared.execute("edge(1, X)?").answers] == [
+            "edge(1, 2)"
+        ]
+
     def test_budget_trip_yields_sound_partial_answers(self, ancestor_program):
         prepared = prepare_query(ancestor_program, "anc(a, X)?")
         full = set(prepared.execute().answers)

@@ -1,7 +1,7 @@
 """Unit and property tests for repro.facts.relation."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.facts.relation import Relation, StampedView
@@ -364,3 +364,82 @@ def test_two_column_lookup_matches_filter(data, key0, key1):
         row for row in set(data) if row[0] == key0 and row[1] == key1
     )
     assert via_index == via_scan
+
+
+# --- Relation.merge: the batch form of mark_round + an add loop --------------
+
+def _state(relation):
+    """Everything merge must leave as the add loop does, orders included."""
+    return (
+        list(relation),
+        relation.scan(),
+        {c: list(index.items()) for c, index in relation._indexes.items()},
+        {c: set(values) for c, values in relation._distinct.items()},
+        dict(relation._stamps),
+        relation.version,
+        relation.round,
+    )
+
+
+def _attempt(operation):
+    try:
+        return operation(), None
+    except ValueError as error:
+        return None, str(error)
+
+
+merge_rows = st.tuples(st.integers(0, 4), st.integers(0, 4))
+
+
+@settings(max_examples=200)
+@given(
+    initial=st.lists(merge_rows, max_size=12),
+    start_round=st.integers(0, 3),
+    indexed=st.sets(st.integers(0, 1)),
+    distinct=st.sets(st.integers(0, 1)),
+    advance=st.integers(0, 3),
+    batch=st.lists(
+        st.one_of(merge_rows, merge_rows, merge_rows, st.tuples(st.integers(0, 4))),
+        max_size=15,
+    ),
+)
+def test_merge_equals_mark_round_plus_add_loop(
+    initial, start_round, indexed, distinct, advance, batch
+):
+    def build():
+        relation = Relation("r", 2)
+        relation.mark_round(start_round)
+        relation.add_all(initial)
+        for column in indexed:
+            relation.postings_size(column, 0)
+        for column in distinct:
+            relation.distinct_count(column)
+        return relation
+
+    stamp = start_round + advance
+    merged, by_hand = build(), build()
+
+    def add_loop():
+        by_hand.mark_round(stamp)
+        return sum(1 for row in batch if by_hand.add(row))
+
+    assert _attempt(lambda: merged.merge(batch, stamp)) == _attempt(add_loop)
+    assert _state(merged) == _state(by_hand)
+
+
+class TestMerge:
+    def test_merge_rejects_a_regressing_stamp_and_changes_nothing(self):
+        relation = Relation("p", 1)
+        relation.merge([("a",)], 3)
+        before = _state(relation)
+        with pytest.raises(ValueError, match="must not decrease"):
+            relation.merge([("b",)], 2)
+        assert _state(relation) == before
+
+    def test_adopt_takes_the_dict_over(self):
+        rows = {("a", 1): None, ("b", 2): None}
+        relation = Relation.adopt("p", 2, rows)
+        assert relation._tuples is rows
+        assert relation.scan() == (("a", 1), ("b", 2))
+        assert list(relation.lookup({1: 2})) == [("b", 2)]
+        assert relation.version == Relation("p", 2, rows).version

@@ -10,14 +10,22 @@ The two load-bearing properties:
    equals facts_derived exactly.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.datalog.parser import parse_program
+from repro.engine import seminaive
+from repro.engine.counters import EvaluationStats
 from repro.engine.naive import naive_fixpoint
+from repro.engine.reference import reference_model
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.facts.database import Database
+from repro.transform.alexander import alexander_templates
 from repro.workloads import graphs
+from repro.workloads import programs as scenarios
+
+from .test_reference import _facts, _rewritten
 
 
 def edges_database(edges, predicate="par"):
@@ -153,3 +161,74 @@ def test_seminaive_equals_naive_on_random_graphs(edges, program_index):
     assert naive_db.rows("tc") == semi_db.rows("tc")
     assert semi_stats.facts_derived == naive_stats.facts_derived
     assert semi_stats.inferences <= naive_stats.inferences
+
+
+# --- round discipline: advancing old views, skipped empty deltas ------------
+
+def _mutual():
+    # a and b feed each other; their deltas alternate round by round,
+    # and the last rule reads a after the b delta (an old-view position).
+    program = parse_program(
+        """
+        a(X,Y) :- e(X,Y).
+        b(X,Y) :- a(X,Z), e(Z,Y).
+        a(X,Y) :- b(X,Z), a(Z,Y).
+        """
+    )
+    return program, edges_database(graphs.chain(9), "e")
+
+
+def _alexander_nonlinear_tc():
+    # Calls depend on answers in the rewriting of a non-linear rule, so
+    # its call/cont/ans predicates form one component whose deltas empty
+    # at different rounds.
+    scenario = scenarios.nonlinear_tc(graph="cycle", n=5)
+    transformed, base = _rewritten(
+        scenario, scenario.queries[0], alexander_templates
+    )
+    return transformed.evaluation_program(), base
+
+
+@pytest.mark.parametrize(
+    "case", [_mutual, _alexander_nonlinear_tc], ids=["mutual", "alexander-tc"]
+)
+def test_old_view_is_full_minus_the_current_delta(monkeypatch, case):
+    """At every delta round, every variant's delta position reads the
+    round's (non-empty) delta and every later derived position reads the
+    full relation minus that predicate's current delta."""
+    program, database = case()
+    current: dict[str, frozenset] = {}
+    round_deltas: list[frozenset] = []
+    checked = []
+    merge_round = seminaive.merge_round
+    round_view = seminaive._RoundView.__call__
+
+    def recording_merge(heads, relation_of, stamp, stats):
+        delta = merge_round(heads, relation_of, stamp, stats)
+        current.clear()
+        current.update((p, frozenset(rows)) for p, rows in delta.items())
+        round_deltas.append(frozenset(delta))
+        return delta
+
+    def recording_view(self, position, predicate):
+        relation = round_view(self, position, predicate)
+        if position == self.delta_position:
+            assert relation and frozenset(relation) == current[predicate]
+        elif position > self.delta_position and predicate in self.derived:
+            full = frozenset(self.database.relation(predicate))
+            assert frozenset(relation) == full - current.get(predicate, frozenset())
+            checked.append(predicate)
+        return relation
+
+    monkeypatch.setattr(seminaive, "merge_round", recording_merge)
+    monkeypatch.setattr(seminaive._RoundView, "__call__", recording_view)
+    stats = EvaluationStats()
+    model, _ = seminaive_fixpoint(program, database, stats)
+    assert checked
+    derived_sets = {keys for keys in round_deltas if keys}
+    assert len(derived_sets) > 1, "every round had the same non-empty deltas"
+    reference = reference_model(program, database)
+    assert _facts(model) == _facts(reference.model)
+    assert (stats.inferences, stats.facts_derived) == (
+        reference.inferences, reference.facts_derived
+    )

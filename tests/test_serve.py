@@ -799,6 +799,25 @@ class TestBadInputIsA400:
             if service is not None:
                 service.close()
 
+    @pytest.mark.parametrize("processes", [0, 2], ids=["threaded", "pooled"])
+    def test_goal_arity_mismatch_is_a_400(self, processes):
+        service = PooledService(processes=processes) if processes else None
+        try:
+            with serving(service) as (_, client):
+                client.load("chain", chain_source())
+                for strategy in ("alexander", "seminaive", "qsqr"):
+                    # Warm the shape first: a seminaive shape then answers
+                    # every goal, so only execute() sees the bad ones.
+                    assert client.query("chain", "anc(0, X)?", strategy=strategy)["complete"]
+                    for goal in ("anc(0)?", "edge(0)?", "anc(0, 1, 2)?"):
+                        with pytest.raises(ServeError) as bad:
+                            client.query("chain", goal, strategy=strategy)
+                        assert bad.value.status == 400
+                        assert "has arity" in str(bad.value)
+        finally:
+            if service is not None:
+                service.close()
+
     def test_library_storage_keyword_is_gone(self, service):
         with pytest.raises(TypeError, match="storage"):
             service.query("chain", "anc(0, X)?", storage="tuples")

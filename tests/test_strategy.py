@@ -165,3 +165,31 @@ class TestStrategyLayer:
         for name in ALL:
             result = run_strategy(name, program, query, database)
             assert result.stats.answers == len(result.answers)
+
+
+class TestGoalArity:
+    """A goal whose arity does not match the program is one client error,
+    the same under every strategy (it used to be a prefix match under
+    QSQ-R, an ``IndexError``, a rejected adornment or no answers)."""
+
+    SOURCE = "tc(X,Y) :- edge(X,Y). edge(1,2)."
+
+    @pytest.mark.parametrize("strategy", ALL)
+    @pytest.mark.parametrize(
+        "goal, arity",
+        [("tc(1)?", 1), ("edge(1)?", 1), ("tc(1, 2, 3)?", 3)],
+    )
+    def test_mismatched_arity_is_a_repro_error(self, strategy, goal, arity):
+        program = parse_program(self.SOURCE)
+        with pytest.raises(ReproError, match=f"has arity {arity}, but .* has arity 2"):
+            run_strategy(strategy, program, parse_query(goal))
+
+    @pytest.mark.parametrize("strategy", ALL)
+    def test_arity_known_from_the_database_only(self, strategy):
+        database = Database()
+        database.add("edge", (1, 2))
+        program = parse_program("tc(X,Y) :- edge(X,Y).")
+        with pytest.raises(ReproError, match="has arity 2"):
+            run_strategy(strategy, program, parse_query("edge(1)?"), database)
+        result = run_strategy(strategy, program, parse_query("edge(1, Y)?"), database)
+        assert result.answer_rows == {(1, 2)}
