@@ -4,16 +4,15 @@ The maintenance subsystem's claim is asymptotic: a deletion should cost
 work proportional to the *affected derivations*, not to the whole model
 the full-recompute oracle rebuilds.  This bench streams a seeded mix of
 inserts, deletes (>= 20% of operations), and queries over two F1/F3-
-shaped workloads and measures every operation under the fast mode and
-the recompute oracle side by side:
+shaped workloads and measures every operation under DRed and the
+recompute oracle side by side:
 
 * **tc-chains** — linear transitive closure over several disjoint
-  chains (recursive, so the fast mode is **DRed**; disjointness keeps a
-  delete's cone a small fraction of the model, which is exactly the
-  regime maintenance is for — one cyclic mega-component would make
-  over-delete/re-derive touch everything and hand recompute the win);
-* **hops-chain** — a 4-level non-recursive join pyramid over one chain
-  (the fast mode is **counting**).
+  chains (recursive; disjointness keeps a delete's cone a small fraction
+  of the model, which is exactly the regime maintenance is for — one
+  cyclic mega-component would make over-delete/re-derive touch
+  everything and hand recompute the win);
+* **hops-chain** — a 4-level non-recursive join pyramid over one chain.
 
 After *every* operation the fast engine's decoded fact set is asserted
 bit-identical to the oracle's — the differential suite pins the same
@@ -61,7 +60,7 @@ def multi_chain_edges() -> list[tuple[str, str]]:
 
 
 def tc_source() -> str:
-    """Linear transitive closure over disjoint chains — recursive (DRed)."""
+    """Linear transitive closure over disjoint chains — recursive."""
     lines = [f"edge({u}, {v})." for u, v in multi_chain_edges()]
     lines.append("path(X, Y) :- edge(X, Y).")
     lines.append("path(X, Y) :- edge(X, Z), path(Z, Y).")
@@ -69,7 +68,7 @@ def tc_source() -> str:
 
 
 def hops_source(n: int) -> str:
-    """A non-recursive join pyramid over a chain — counting territory."""
+    """A non-recursive join pyramid over a chain."""
     lines = [f"edge({u}, {v})." for u, v in chain_edges(n)]
     lines.append("hop1(X, Y) :- edge(X, Y).")
     for k in range(2, 5):
@@ -100,7 +99,7 @@ def streaming_workloads():
             multi_chain_edges(), _fresh_tc_edge,
         ),
         (
-            "hops-chain48", hops_source(HOPS_N), "counting", "hop4(X, Y)?",
+            "hops-chain48", hops_source(HOPS_N), "dred", "hop4(X, Y)?",
             chain_edges(HOPS_N), _fresh_hops_edge,
         ),
     ]

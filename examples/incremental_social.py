@@ -50,7 +50,7 @@ def main() -> None:
     print("\nwho does barbara influence?")
     for atom in engine.query("influences(barbara, X)?"):
         print("  ", atom)
-    print("\nremove follows(grace, alan) (recompute fallback):")
+    print("\nremove follows(grace, alan) (DRed: over-delete, re-derive):")
     engine.remove("follows(grace, alan)")
     remaining = engine.query("influences(barbara, X)?")
     print(f"   barbara now influences {len(remaining)} people "

@@ -104,30 +104,19 @@ class Engine:
         relation = self._database.relation(atom.predicate)
         return relation.discard(atom.ground_key())
 
-    def incremental(
-        self,
-        planner: "str | None" = None,
-        budget=None,
-        maintenance: str = "recompute",
-    ):
+    def incremental(self, planner: "str | None" = None, budget=None):
         """A continuously materialised view of this engine's program.
 
         Returns an :class:`repro.engine.incremental.IncrementalEngine`
         snapshot of the current program + database whose ``add_many`` /
-        ``remove_many`` patch the materialised model in place.
-        *maintenance* selects the deletion strategy: ``"recompute"``
-        (default), ``"counting"`` (non-recursive programs), or
-        ``"dred"`` (see :mod:`repro.engine.maintain` and
+        ``remove_many`` patch the materialised model in place, deletions
+        by DRed (see :mod:`repro.engine.maintain` and
         ``docs/MAINTENANCE.md``).  Negation-free programs only.
         """
         from ..engine.incremental import IncrementalEngine
 
         return IncrementalEngine(
-            self._program,
-            self._database,
-            planner=planner,
-            budget=budget,
-            maintenance=maintenance,
+            self._program, self._database, planner=planner, budget=budget
         )
 
     # --- querying ----------------------------------------------------------------
@@ -189,8 +178,8 @@ class Engine:
         tuple-at-a-time strategies (``sld``, ``oldt``, ``qsqr``).
 
         The prepared query snapshots the engine's current database;
-        facts added afterwards are not visible to it.  Pass *maintain*
-        (``"recompute"``, ``"counting"``, or ``"dred"``; materialised
+        facts added afterwards are not visible to it.  Pass
+        ``maintain="dred"`` (the only accepted value; materialised
         strategies only) for a maintained shape whose
         :meth:`~repro.core.prepare.PreparedQuery.apply_update` patches
         the materialisation in place instead (``docs/MAINTENANCE.md``).

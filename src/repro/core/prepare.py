@@ -36,14 +36,14 @@ Three preparation modes cover the strategy spectrum:
   back to direct execution.
 
 A materialised shape can additionally be prepared **maintained**
-(``maintain="counting" | "dred" | "recompute"``): the full model is held
+(``maintain="dred"``, the only accepted value): the full model is held
 by an :class:`repro.engine.incremental.IncrementalEngine` instead of a
 frozen database, and :meth:`PreparedQuery.apply_update` patches it in
 place under base-fact churn (batched removals then insertions, one
 fixpoint continuation each) — so the serving layer can absorb updates
 without re-preparing the world.  Execution is still a lookup; answer
-sets stay identical to a fresh materialisation because the maintenance
-modes are bit-identical to recomputation (``tests/
+sets stay identical to a fresh materialisation because DRed is
+bit-identical to recomputation (``tests/
 test_maintenance_differential.py``).
 
 Answer sets are identical to the direct path by construction: the
@@ -80,11 +80,15 @@ from ..datalog.terms import Constant
 from ..engine.budget import Checkpoint, EvaluationBudget
 from ..engine.counters import EvaluationStats
 from ..engine.incremental import IncrementalEngine
-from ..engine.maintain import resolve_maintenance
 from ..engine.prepared import CompiledFixpoint, compile_fixpoint, run_fixpoint
 from ..engine.prepared import footprint_touches, record_footprint
 from ..engine.stratified import stratified_fixpoint
-from ..errors import ReproError, TransformError, UnpreparableStrategyError
+from ..errors import (
+    MAINTAIN_DRED_ONLY,
+    ReproError,
+    TransformError,
+    UnpreparableStrategyError,
+)
 from ..facts.database import Database
 from ..obs import get_metrics
 from ..transform.adorn import query_adornment
@@ -578,6 +582,13 @@ class PreparedQuery:
         )
 
 
+def check_maintain(maintain: "str | None") -> None:
+    """Reject every *maintain* value but ``None`` and ``"dred"`` with
+    :data:`repro.errors.MAINTAIN_DRED_ONLY`."""
+    if maintain is not None and maintain != "dred":
+        raise ReproError(MAINTAIN_DRED_ONLY)
+
+
 def prepare_query(
     program: Program,
     goal: "Atom | str",
@@ -606,19 +617,19 @@ def prepare_query(
         budget: optional budget bounding *preparation itself* (the
             lower-strata or full materialisation); execution budgets are
             passed to :meth:`PreparedQuery.execute` per run.
-        maintain: when set (``"counting"``, ``"dred"``, or
-            ``"recompute"``), the shape is prepared **maintained**: the
-            model lives in an incremental engine and
-            :meth:`PreparedQuery.apply_update` patches it under
-            base-fact churn.  Materialised strategies only (a transform
-            shape's base is adornment-specialised, not maintainable),
-            negation-free programs only, and part of the cache key.
+        maintain: ``"dred"`` (the only accepted value) prepares the
+            shape **maintained**: the model lives in a DRed incremental
+            engine and :meth:`PreparedQuery.apply_update` patches it
+            under base-fact churn.  Materialised strategies only (a
+            transform shape's base is adornment-specialised, not
+            maintainable), negation-free programs only, and part of the
+            cache key.
     """
     if isinstance(goal, str):
         goal = parse_query(goal)
     check_goal_arity(goal, program, database)
+    check_maintain(maintain)
     if maintain is not None:
-        resolve_maintenance(maintain)
         if strategy not in MATERIALISED_STRATEGIES:
             raise ReproError(
                 f"maintained preparation requires a materialised strategy "
@@ -657,11 +668,7 @@ def prepare_query(
             # keeps the budget as its per-operation allowance, covering
             # the build now and every apply_update later.
             engine = IncrementalEngine(
-                program,
-                database,
-                planner=planner,
-                budget=budget,
-                maintenance=maintain,
+                program, database, planner=planner, budget=budget
             )
             prepare_stats.merge(engine.stats)
             prepared = PreparedQuery(

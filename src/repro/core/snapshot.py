@@ -455,7 +455,7 @@ def dump_prepared(prepared) -> bytes:
 
     Transform and materialised shapes only: a maintained shape holds a
     live :class:`~repro.engine.incremental.IncrementalEngine` whose
-    counting/DRed bookkeeping has no serialized form, so it raises
+    DRed bookkeeping has no serialized form, so it raises
     :class:`SnapshotError` — callers (the shape registry) simply skip
     persisting those.
     """

@@ -5,25 +5,20 @@ patches it as base facts come and go.  Insertion continues the semi-naive
 iteration from a seed delta (sound for any negation-free program by
 monotonicity); all inserted rows of one :meth:`add_many` call seed a
 *single* delta, so a batch costs one fixpoint continuation, not one per
-fact.  Deletion has three modes, selected at construction:
+fact.  Deletion runs DRed, delete-and-re-derive: over-delete the
+affected cone, then re-derive survivors from the boundary.  Sound for
+any negation-free program, recursion included.
 
-* ``maintenance="recompute"`` (default) — discard the base rows and
-  rebuild the fixpoint from the remaining base facts.  Always correct
-  and always the slow path; the other two modes are required to be
-  **bit-identical** to it (same decoded fact sets after every
-  operation), which makes it the differential oracle the maintenance
-  test suite pins against.
-* ``maintenance="counting"`` — per-fact derivation counts; a delete
-  decrements exactly the lost derivations and cascades only where a
-  count reaches zero.  Exact for non-recursive programs only, so
-  recursive programs are rejected at construction (use DRed instead).
-* ``maintenance="dred"`` — delete-and-re-derive: over-delete the
-  affected cone, then re-derive survivors from the boundary.  Sound for
-  any negation-free program, recursion included.
+``maintenance="recompute"`` instead discards the base rows and rebuilds
+the fixpoint from the remaining base facts.  It is always correct and
+always slow: it is the **bit-identity oracle** DRed is checked against
+(same decoded fact sets after every operation) by
+``tests/test_maintenance_differential.py`` and the F5 streaming bench,
+not a mode to serve with.
 
-The algorithms live in :mod:`repro.engine.maintain`; this module owns
+The algorithm lives in :mod:`repro.engine.maintain`; this module owns
 the engine state (the working database, the compiled kernels, the
-count tables, the asserted-fact ledger, and the poison flag).
+asserted-fact ledger, and the poison flag).
 
 Every operation runs under the per-operation
 :class:`~repro.engine.budget.EvaluationBudget`/``Checkpoint`` protocol.
@@ -34,12 +29,12 @@ records it: subsequent calls raise :class:`ProgramError` until
 
 Asserted IDB facts (facts of derived predicates present in the initial
 database or inserted through :meth:`add`) carry *external* support: they
-survive any deletion cascade, and every mode — including the recompute
-oracle — re-seeds them on rebuild.
+survive any deletion cascade, and every rebuild — including the
+recompute oracle's — re-seeds them.
 
 Restricted to negation-free programs: an insertion can only *grow* a
 positive program's model, which is what makes the delta continuation
-sound, and the deletion algorithms assume the same monotone setting.
+sound, and DRed assumes the same monotone setting.
 Stratified programs with negation are rejected at construction.
 """
 
@@ -50,7 +45,7 @@ from typing import Iterable
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
-from ..errors import BudgetExceededError, ProgramError
+from ..errors import ProgramError
 from ..facts.database import Database
 from ..facts.relation import Relation
 from ..obs import get_metrics
@@ -60,14 +55,12 @@ from .maintain import (
     DEFAULT_MAINTENANCE,
     MaintainedRule,
     compile_maintenance,
-    delete_counting,
     delete_dred,
     propagate,
     resolve_maintenance,
 )
 from .matching import compile_rule
 from .planner import JoinPlanner
-from .scheduler import build_schedule
 from .seminaive import seminaive_fixpoint
 
 __all__ = ["IncrementalEngine"]
@@ -101,9 +94,9 @@ class IncrementalEngine:
             engine flags itself :attr:`poisoned` (as it does for *any*
             exception interrupting a mutation), and every call except
             :meth:`rebuild` raises until the state is rebuilt.
-        maintenance: deletion strategy — ``"recompute"`` (default, the
-            differential oracle), ``"counting"`` (non-recursive programs
-            only), or ``"dred"``.  See :mod:`repro.engine.maintain`.
+        maintenance: ``"dred"`` (default; see
+            :mod:`repro.engine.maintain`) or ``"recompute"``, the
+            rebuild-on-delete oracle the tests check DRed against.
     """
 
     def __init__(
@@ -123,26 +116,10 @@ class IncrementalEngine:
                     )
         self._maintenance = resolve_maintenance(maintenance)
         self._program = program.without_facts()
-        if maintenance == "counting":
-            recursive = [
-                predicate
-                for component in build_schedule(self._program).components
-                if component.recursive
-                for predicate in sorted(component.predicates)
-            ]
-            if recursive:
-                raise ProgramError(
-                    "counting maintenance is exact for non-recursive "
-                    f"programs only (recursive: {', '.join(recursive)}); "
-                    "use maintenance='dred'"
-                )
         self._planner_spec = planner
         self._budget = budget
         self._poisoned = False
         self.stats = EvaluationStats()
-        self._counts: "dict[str, dict[tuple, int]] | None" = (
-            {} if maintenance == "counting" else None
-        )
         initial = database.copy() if database is not None else Database()
         initial.add_atoms(program.facts)
         # Asserted IDB facts carry external support across every rebuild.
@@ -158,21 +135,22 @@ class IncrementalEngine:
     def _materialise(self, base: Database, op_stats: EvaluationStats) -> None:
         """The model of *base* built anew and the executors compiled
         for it."""
-        if self._maintenance == "counting":
-            self._counting_build(base, op_stats)
-        else:
-            self._working, _ = seminaive_fixpoint(
-                self._program,
-                base,
-                op_stats,
-                planner=self._planner_spec,
-                budget=self._budget,
-            )
+        self._working, _ = seminaive_fixpoint(
+            self._program,
+            base,
+            op_stats,
+            planner=self._planner_spec,
+            budget=self._budget,
+        )
         self._rules = self._compile_for(self._working)
 
     def _rematerialise(self) -> None:
         """:meth:`_materialise` the current base facts, poisoning the
-        engine if that fails part way."""
+        engine if that fails part way.  Counted as ``maintain.rebuilds``:
+        every :meth:`rebuild` and every recompute-mode delete."""
+        obs = get_metrics()
+        if obs.enabled:
+            obs.incr("maintain.rebuilds")
         op_stats = EvaluationStats()
         try:
             self._materialise(self._base_database(), op_stats)
@@ -184,75 +162,11 @@ class IncrementalEngine:
         finally:
             self.stats.merge(op_stats)
 
-    def _counting_build(
-        self, initial: Database, op_stats: EvaluationStats
-    ) -> None:
-        """Materialise from scratch while recording derivation counts.
-
-        The build *is* an insertion: every base fact enters as one big
-        seed delta over an empty working database, and the ordinary
-        semi-naive continuation (counting every enumerated derivation)
-        runs it to fixpoint — so the counts are exact by the same
-        exactly-once argument that makes :meth:`add_many` sound.
-        """
-        working = initial.restrict(())
-        counts: dict[str, dict[tuple, int]] = {}
-        arities = dict(self._program.arities)
-        checkpoint = ensure_checkpoint(self._budget, op_stats)
-        if checkpoint is not None:
-            checkpoint.bind(working)
-        # Seeds stamped at round 1 over empty relations, so round 1's
-        # pre-delta views are empty, exactly like a first insertion.
-        heads: dict[str, dict] = {}
-        for relation in initial.relations():
-            if not len(relation):
-                continue
-            arities.setdefault(relation.name, relation.arity)
-            rows = heads[relation.name] = dict.fromkeys(relation)
-            working.relation(relation.name, relation.arity).merge(rows, 1)
-            counts[relation.name] = dict.fromkeys(rows, 1)  # external support
-        # Rules without a positive relation literal (constant heads
-        # guarded by built-ins only) never join a delta; fire them once.
-        rules = self._compile_for(working)
-        for rule in rules:
-            kernel = rule.kernel
-            if any(
-                literal.positive and not literal.builtin
-                for literal in rule.compiled.body
-            ):
-                continue
-
-            def view(pos: int, predicate: str) -> "Relation | None":
-                try:
-                    return working.relation(predicate)
-                except KeyError:
-                    return None
-
-            for head_row in kernel.run(view, op_stats, checkpoint):
-                op_stats.inferences += 1
-                head_pred = kernel.head_predicate
-                table = counts.setdefault(head_pred, {})
-                table[head_row] = table.get(head_row, 0) + 1
-                target = working.relation(head_pred, arities.get(head_pred))
-                if target.merge((head_row,), 1):
-                    op_stats.facts_derived += 1
-                    heads.setdefault(head_pred, {})[head_row] = None
-        seeds = {
-            predicate: Relation.adopt(predicate, working.relation(predicate).arity, rows)
-            for predicate, rows in heads.items()
-        }
-        self._working = working
-        self._counts = counts
-        propagate(
-            working, rules, arities, seeds, 1, op_stats, checkpoint,
-            counts=counts,
-        )
-
     def _compile_for(self, working: Database) -> list[MaintainedRule]:
-        """The maintenance executors, planned against *working*: the
-        materialised database, or the counting build's still empty one.
-        With a planner spec there is no ``unknown`` set: once
-        materialised, every IDB relation has its real cardinality."""
+        """The maintenance executors, planned against the materialised
+        *working* database.  With a planner spec there is no ``unknown``
+        set: once materialised, every IDB relation has its real
+        cardinality."""
         spec = self._planner_spec
         if isinstance(spec, JoinPlanner):
             active: JoinPlanner | None = spec
@@ -300,19 +214,32 @@ class IncrementalEngine:
             goal = parse_query(goal)
         return sorted(self._working.match(goal), key=str)
 
-    def support(self, atom: Atom | str) -> int | None:
-        """Counting mode: a fact's maintained support (external +
-        derivation count); ``None`` in other modes or when absent."""
-        if self._counts is None:
-            return None
-        if isinstance(atom, str):
-            atom = parse_query(atom)
-        table = self._counts.get(atom.predicate)
-        if not table:
-            return None
-        return table.get(atom.ground_key())
-
     # --- mutation ---------------------------------------------------------------
+    def _checked(self, atoms: Iterable[Atom | str]) -> list[Atom]:
+        """*atoms* parsed, each checked to be ground and of its
+        predicate's arity — the stored relation's, else the program's,
+        else the batch's first use — before the batch touches anything,
+        so a rejected batch leaves the engine exactly as it was."""
+        arities = dict(self._program.arities)
+        arities.update(
+            (relation.name, relation.arity)
+            for relation in self._working.relations()
+        )
+        parsed = []
+        for atom in atoms:
+            if isinstance(atom, str):
+                atom = parse_query(atom)
+            if not atom.is_ground():
+                raise ProgramError(f"facts must be ground, got {atom}")
+            arity = arities.setdefault(atom.predicate, atom.arity)
+            if atom.arity != arity:
+                raise ProgramError(
+                    f"{atom} has arity {atom.arity}, but {atom.predicate} "
+                    f"has arity {arity}"
+                )
+            parsed.append(atom)
+        return parsed
+
     def add(self, atom: Atom | str) -> frozenset[Fact]:
         """Insert one fact; returns every fact that became newly derivable
         (including the inserted one), empty when it was already present."""
@@ -326,13 +253,12 @@ class IncrementalEngine:
         of *n* facts costs one fixpoint, not *n* — with identical
         resulting fact sets, since the continuation is insensitive to how
         the seed delta is sliced.  Returns the union of the new
-        derivations (inserted facts included).
+        derivations (inserted facts included).  A non-ground or
+        wrong-arity atom rejects the whole batch with
+        :class:`ProgramError` before anything changes.
         """
         self._ensure_usable()
-        parsed = [
-            parse_query(atom) if isinstance(atom, str) else atom
-            for atom in atoms
-        ]
+        parsed = self._checked(atoms)
         if not parsed:
             return frozenset()
         # Stamp this operation past everything already materialised, so
@@ -343,35 +269,22 @@ class IncrementalEngine:
             default=0,
         )
         idb = self._program.idb_predicates
-        arities = dict(self._program.arities)
         new_facts: set[Fact] = set()
         heads: dict[str, dict] = {}
         for atom in parsed:
-            arities.setdefault(atom.predicate, atom.arity)
             relation = self._working.relation(atom.predicate, atom.arity)
             rows = heads.setdefault(atom.predicate, {})
             row = atom.ground_key()
-            if (
-                atom.predicate in idb
-                and (atom.predicate, row) not in self._asserted
-            ):
+            if atom.predicate in idb:
                 # External support: survives any deletion cascade and is
                 # re-seeded by every rebuild.  Recorded even when the row
                 # is already derivable — support is a property of the
-                # assertion, not of who got there first — so counting
-                # mode bumps the count before the presence check below
-                # can skip the row.  Re-assertions are no-ops (the
-                # ledger is a set), so the bump happens exactly once.
+                # assertion, not of who got there first.
                 self._asserted.add((atom.predicate, row))
-                if self._counts is not None:
-                    table = self._counts.setdefault(atom.predicate, {})
-                    table[row] = table.get(row, 0) + 1
             if row in relation or row in rows:
                 continue
             rows[row] = None
             new_facts.add((atom.predicate, row))
-            if self._counts is not None and atom.predicate not in idb:
-                self._counts.setdefault(atom.predicate, {})[row] = 1
         # One merge per predicate; a predicate whose atoms were all
         # present is still marked, like every relation the batch touched.
         seeds: dict[str, Relation] = {}
@@ -392,9 +305,8 @@ class IncrementalEngine:
             checkpoint.bind(self._working)
         try:
             propagate(
-                self._working, self._rules, arities, seeds, stamp,
-                op_stats, checkpoint, counts=self._counts,
-                new_facts=new_facts,
+                self._working, self._rules, self._program.arities, seeds,
+                stamp, op_stats, checkpoint, new_facts=new_facts,
             )
         except BaseException:
             # Not just budget trips: any exception escaping mid-propagate
@@ -413,11 +325,9 @@ class IncrementalEngine:
     def remove(self, atom: Atom | str) -> bool:
         """Delete one base fact; returns True iff it was stored.
 
-        Deleting a derived (IDB) fact is refused.  The deletion strategy
-        is the engine's ``maintenance`` mode: counting and DRed patch the
-        materialisation incrementally; recompute rebuilds the fixpoint
-        from the remaining base facts and is the bit-identity oracle the
-        fast paths are tested against.
+        Deleting a derived (IDB) fact is refused.  DRed patches the
+        materialisation incrementally; the recompute oracle rebuilds the
+        fixpoint from the remaining base facts.
         """
         return bool(self.remove_many([atom]))
 
@@ -425,14 +335,12 @@ class IncrementalEngine:
         """Delete several base facts as one batched operation.
 
         Returns the removed base facts (raw values); facts not currently
-        stored are ignored.  Derived consequences disappear according to
-        the maintenance mode, bit-identically across all three.
+        stored are ignored.  A derived, non-ground or wrong-arity atom
+        rejects the whole batch with :class:`ProgramError` before
+        anything changes.
         """
         self._ensure_usable()
-        parsed = [
-            parse_query(atom) if isinstance(atom, str) else atom
-            for atom in atoms
-        ]
+        parsed = self._checked(atoms)
         idb = self._program.idb_predicates
         for atom in parsed:
             if atom.predicate in idb:
@@ -464,19 +372,11 @@ class IncrementalEngine:
         checkpoint = ensure_checkpoint(self._budget, op_stats)
         if checkpoint is not None:
             checkpoint.bind(self._working)
-        arities = dict(self._program.arities)
         try:
-            if self._maintenance == "counting":
-                assert self._counts is not None
-                delete_counting(
-                    self._working, self._rules, self._counts, seeds,
-                    op_stats, checkpoint,
-                )
-            else:
-                delete_dred(
-                    self._working, self._rules, arities, seeds,
-                    self._asserted, op_stats, checkpoint,
-                )
+            delete_dred(
+                self._working, self._rules, self._program.arities, seeds,
+                self._asserted, op_stats, checkpoint,
+            )
         except BaseException:
             self._poisoned = True
             raise
@@ -519,6 +419,3 @@ class IncrementalEngine:
             self._budget = budget  # type: ignore[assignment]
         self._rematerialise()
         self._poisoned = False
-        obs = get_metrics()
-        if obs.enabled:
-            obs.incr("maintain.rebuilds")

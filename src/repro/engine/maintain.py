@@ -1,33 +1,20 @@
-"""Incremental view maintenance: counting and DRed deletion fast paths.
+"""Incremental view maintenance: DRed, the deletion fast path.
 
 :class:`repro.engine.incremental.IncrementalEngine` materialises a
 positive program's fixpoint and patches it under fact insertion by
 continuing the semi-naive iteration from a seed delta.  This module holds
-the machinery that makes *deletion* incremental too — the two textbook
-algorithms, both driven through the same compiled rule kernels as the
-insertion path:
-
-* **counting** (Gupta–Mumick–Subrahmanian) — every fact carries its
-  derivation count: the number of distinct rule-body instantiations that
-  derive it, plus one *external* support when the fact was asserted
-  directly (EDB facts, or IDB facts inserted through ``add``).  The
-  semi-naive delta discipline enumerates each body instantiation exactly
-  once, so counts fall out of the ordinary insertion loop for free.  A
-  deletion enumerates exactly the instantiations *lost* (those using at
-  least one deleted fact, via the inverse delta discipline below),
-  decrements their heads, and cascades only where a count reaches zero.
-  Exact for **non-recursive** programs; with recursion, cyclically
-  supported facts keep positive counts, so recursive programs are
-  rejected at engine construction.
-* **DRed** (delete and re-derive, Gupta–Mumick–Subrahmanian / Staudt–
-  Jarke) — over-delete the whole cone reachable from the deleted facts
-  (anything with *some* lost derivation), then re-derive survivors: each
-  rule's *guarded* executor — the rule behind a leading literal on its
-  own head atom, which reads the over-deleted facts — runs once over the
-  surviving database and yields exactly the candidates with a one-step
-  derivation; those are re-inserted and propagated forward with the
-  ordinary semi-naive continuation.  Sound and complete for any
-  negation-free program, recursion included.
+the machinery that makes *deletion* incremental too — DRed (delete and
+re-derive, Gupta–Mumick–Subrahmanian / Staudt–Jarke), driven through the
+same compiled rule kernels as the insertion path: over-delete the whole
+cone reachable from the deleted facts (anything with *some* lost
+derivation), then re-derive survivors: each rule's *guarded* executor —
+the rule behind a leading literal on its own head atom, which reads the
+over-deleted facts — runs once over the surviving database and yields
+exactly the candidates with a one-step derivation; those are re-inserted
+and propagated forward with the ordinary semi-naive continuation.  Sound
+and complete for any negation-free program, recursion included — which
+an Alexander-rewritten recursive program always is, through its
+``call_*``/``ans_*`` predicates.
 
 Delta-first join order
 ----------------------
@@ -90,12 +77,13 @@ __all__ = [
     "compile_maintenance",
     "SubtractView",
     "propagate",
-    "delete_counting",
     "delete_dred",
 ]
 
-MAINTENANCE_MODES = ("recompute", "counting", "dred")
-DEFAULT_MAINTENANCE = "recompute"
+# "dred" is the maintenance algorithm; "recompute" rebuilds the fixpoint
+# on every delete and is the bit-identity oracle the tests compare it to.
+MAINTENANCE_MODES = ("dred", "recompute")
+DEFAULT_MAINTENANCE = "dred"
 
 Fact = tuple[str, tuple]
 # (kernel, origin): origin[i] is the fixpoint body position of the
@@ -107,8 +95,8 @@ def resolve_maintenance(mode: str) -> str:
     """Validate a ``maintenance=`` argument."""
     if mode not in MAINTENANCE_MODES:
         raise ProgramError(
-            f"unknown maintenance mode {mode!r}; choose from "
-            f"{MAINTENANCE_MODES}"
+            f"unknown maintenance mode {mode!r}: use 'dred' (the default; "
+            "counting was removed) or 'recompute' (the test oracle)"
         )
     return mode
 
@@ -198,29 +186,21 @@ class SubtractView:
 def propagate(
     working: Database,
     rules: "list[MaintainedRule]",
-    arities: dict[str, int],
+    arities: Mapping[str, int],
     delta: dict[str, Relation],
     stamp: int,
     op_stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
-    counts: "dict[str, dict[tuple, int]] | None" = None,
     new_facts: "set | None" = None,
 ) -> None:
     """Continue the semi-naive iteration from *delta* until fixpoint.
 
-    The single insertion loop behind ``add``, ``add_many``, the counting
-    build, and DRed's re-derivation: *delta* rows are already merged into
-    *working* and stamped at *stamp* (so ``rows_before(stamp)`` is the
-    pre-delta state), and each round enumerates exactly the
-    instantiations using at least one current-delta fact.
-
-    Args:
-        counts: when given (counting mode), every enumerated derivation
-            increments its head fact's count — including derivations of
-            facts already present, which gain support without rejoining
-            the delta.
-        new_facts: when given, every fact entering *working* is recorded
-            as ``(predicate, row)``.
+    The single insertion loop behind ``add``, ``add_many`` and DRed's
+    re-derivation: *delta* rows are already merged into *working* and
+    stamped at *stamp* (so ``rows_before(stamp)`` is the pre-delta
+    state), and each round enumerates exactly the instantiations using
+    at least one current-delta fact.  When *new_facts* is given, every
+    fact entering *working* is recorded in it as ``(predicate, row)``.
     """
     while delta:
         if checkpoint is not None:
@@ -237,9 +217,6 @@ def propagate(
         for head_pred, head_row in _delta_heads(
             working, rules, delta, {}, old, op_stats, checkpoint
         ):
-            if counts is not None:
-                table = counts.setdefault(head_pred, {})
-                table[head_row] = table.get(head_row, 0) + 1
             relation = working.relation(head_pred, arities.get(head_pred))
             if head_row in relation:
                 continue
@@ -322,62 +299,6 @@ def _lost_heads(
     )
 
 
-def delete_counting(
-    working: Database,
-    rules: "list[MaintainedRule]",
-    counts: dict[str, dict[tuple, int]],
-    seeds: dict[str, set],
-    op_stats: EvaluationStats,
-    checkpoint: "Checkpoint | None",
-) -> set[Fact]:
-    """Counting-mode deletion: decrement, cascade where support hits zero.
-
-    *seeds* are base facts (rows currently present) whose external
-    support is being withdrawn; their count entries are discarded with
-    them.  Returns every ``(predicate, row)`` removed from *working*,
-    seeds included.
-    """
-    removed: set[Fact] = set()
-    delta = {p: set(rows) for p, rows in seeds.items() if rows}
-    while delta:
-        if checkpoint is not None:
-            checkpoint.check_round()
-        op_stats.iterations += 1
-        decrements: dict[Fact, int] = {}
-        for head in _lost_heads(working, rules, delta, op_stats, checkpoint):
-            decrements[head] = decrements.get(head, 0) + 1
-        # The round's enumeration is done: physically remove the delta.
-        for predicate, rows in delta.items():
-            relation = working.relation(predicate)
-            table = counts.get(predicate)
-            for row in rows:
-                relation.discard(row)
-                if table is not None:
-                    table.pop(row, None)
-                removed.add((predicate, row))
-        new_delta: dict[str, set] = {}
-        for (predicate, row), lost in decrements.items():
-            table = counts.get(predicate)
-            if table is None:
-                continue
-            current = table.get(row)
-            if current is None:
-                # Already removed (this round's delta or an earlier one).
-                continue
-            current -= lost
-            if current <= 0:
-                table[row] = 0
-                new_delta.setdefault(predicate, set()).add(row)
-            else:
-                table[row] = current
-        delta = new_delta
-    obs = get_metrics()
-    if obs.enabled:
-        obs.incr("maintain.counting.deletions")
-        obs.incr("maintain.counting.removed", len(removed))
-    return removed
-
-
 def _rederivable(
     working: Database,
     rules: "list[MaintainedRule]",
@@ -422,7 +343,7 @@ def _rederivable(
 def delete_dred(
     working: Database,
     rules: "list[MaintainedRule]",
-    arities: dict[str, int],
+    arities: Mapping[str, int],
     seeds: dict[str, set],
     asserted: "set[Fact]",
     op_stats: EvaluationStats,

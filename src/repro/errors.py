@@ -30,6 +30,15 @@ REMOVED_SETTINGS = {
     ),
 }
 
+# The one message every surface (HTTP /query and /prepare, prepare_query,
+# Engine.prepare, QueryService) rejects a ``maintain`` value other than
+# "dred" with.
+MAINTAIN_DRED_ONLY = (
+    'maintain accepts only "dred": counting was removed, and recompute '
+    "is the library's test oracle (IncrementalEngine(maintenance="
+    '"recompute")), not a serving mode'
+)
+
 
 class ReproError(Exception):
     """Base class of all errors raised by the repro library."""

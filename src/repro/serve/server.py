@@ -18,10 +18,10 @@ Endpoints::
     POST /query     {"dataset", "goal", "strategy"?, "budget"?, config...}
 
 ``/update`` is the incremental mutation path: maintained prepared
-shapes (``"maintain": "counting" | "dred" | "recompute"`` in
-``/prepare`` or ``/query``) are patched in place and unaffected cache
-entries migrate to the new dataset version instead of being dropped —
-see :meth:`repro.serve.service.QueryService.update`.
+shapes (``"maintain": "dred"`` in ``/prepare`` or ``/query``; any
+other value is a 400 naming ``"dred"``) are patched in place and
+unaffected cache entries migrate to the new dataset version instead of
+being dropped — see :meth:`repro.serve.service.QueryService.update`.
 
 Error contract: malformed requests and library errors
 (:class:`~repro.errors.ReproError`) are 400 with ``{"error": ...}``; a

@@ -28,7 +28,7 @@ snapshot their base database, so any mutation goes through
 :meth:`QueryService.load` — which bumps the dataset version (changing
 every cache key) and eagerly drops the stale version's entries — or
 through :meth:`QueryService.update`, the incremental path: maintained
-shapes (prepared with ``maintain=``) have the delta applied to their
+shapes (prepared with ``maintain="dred"``) have the delta applied to their
 live materialisation, frozen shapes outside the update's affected cone
 are migrated to the new version untouched, and only shapes the update
 could actually change are dropped.  Sustained update traffic therefore
@@ -46,6 +46,7 @@ from functools import cached_property
 from ..core.prepare import (
     UNPREPARABLE_STRATEGIES,
     PreparedQuery,
+    check_maintain,
     prepare_query,
     prepared_cache_key,
     program_fingerprint,
@@ -139,9 +140,10 @@ def _rendered(rows, texts) -> dict:
     }
 
 
-def _check_config(dataset: "Dataset", sips, planner) -> None:
+def _check_config(dataset: "Dataset", sips, planner, maintain) -> None:
     """An unknown option *value* is the client's error (a 400), not the
     ``ValueError`` the engine layers raise for it (a 500)."""
+    check_maintain(maintain)
     try:
         if isinstance(sips, str):
             named_sips(sips)
@@ -600,9 +602,9 @@ class QueryService:
     ) -> dict:
         """Prepare (or re-use) a query shape; the ``/prepare`` endpoint.
 
-        *maintain* (``"counting"`` / ``"dred"`` / ``"recompute"``)
-        prepares a maintained shape whose materialisation :meth:`update`
-        patches in place instead of dropping.
+        *maintain* (``"dred"``, the only accepted value) prepares a
+        maintained shape whose materialisation :meth:`update` patches in
+        place instead of dropping.
 
         Raises :class:`UnpreparableStrategyError` for the top-down
         strategies — ``/prepare`` reports that as a client error, while
@@ -611,7 +613,7 @@ class QueryService:
         dataset = self.dataset(dataset_name)
         if isinstance(goal, str):
             goal = parse_query(goal)
-        _check_config(dataset, sips, planner)
+        _check_config(dataset, sips, planner, maintain)
         key = self._cache_key(dataset, goal, strategy, sips, planner, maintain)
         if strategy in UNPREPARABLE_STRATEGIES:
             # Surface the library error without caching anything.
@@ -669,7 +671,7 @@ class QueryService:
                 f"unknown strategy {strategy!r}; choose from "
                 f"{available_strategies()}"
             )
-        _check_config(dataset, sips, planner)
+        _check_config(dataset, sips, planner, maintain)
         if obs.enabled:
             obs.incr("serve.queries")
             obs.incr(f"serve.strategy.{strategy}")

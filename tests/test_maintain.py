@@ -1,13 +1,15 @@
-"""Unit tests for the maintenance subsystem: counting, DRed, batched
-insert deltas, and the poisoned-engine protocol."""
+"""Unit tests for the maintenance subsystem: DRed, asserted facts,
+batched insert deltas, rejected batches, and the poisoned-engine
+protocol."""
 
 import pytest
 
+from repro.core.engine import Engine
 from repro.datalog.parser import parse_program
 from repro.engine.budget import EvaluationBudget
 from repro.engine.incremental import IncrementalEngine
 from repro.errors import BudgetExceededError, ProgramError
-from repro.obs import Metrics, get_metrics, set_metrics
+from repro.obs import Metrics, collect, get_metrics, set_metrics
 
 from .test_maintenance_differential import _facts
 
@@ -24,43 +26,26 @@ UNION = parse_program(
 )
 
 
-# --- counting ---------------------------------------------------------------
-def test_counting_tracks_alternate_derivations():
-    """The counting killer case: a fact with two derivations survives the
-    loss of one of them — naive cascading would delete it."""
-    engine = IncrementalEngine(UNION, maintenance="counting")
-    assert engine.support("t(a, b)") == 2
-    assert engine.support("e(a, b)") == 1  # external support only
+# --- asserted facts and alternate derivations -------------------------------
+def test_alternate_derivation_survives():
+    """A fact with two derivations survives the loss of one of them —
+    naive cascading would delete it."""
+    engine = IncrementalEngine(UNION)
     assert engine.remove("e(a, b)")
     assert engine.holds("t(a, b)")
     assert engine.holds("u(a, b)")
-    assert engine.support("t(a, b)") == 1
     assert engine.remove("f(a, b)")
     assert not engine.holds("t(a, b)")
     assert not engine.holds("u(a, b)")
-    assert engine.support("t(a, b)") is None
 
 
-def test_counting_insert_updates_support():
-    engine = IncrementalEngine(UNION, maintenance="counting")
-    engine.add("e(a, b)")  # already present: no change
-    assert engine.support("t(a, b)") == 2
-    engine.add_many(["e(x, y)", "f(x, y)"])
-    assert engine.support("t(x, y)") == 2
-    assert engine.remove("e(x, y)")
-    assert engine.holds("t(x, y)")
-    assert engine.remove("f(x, y)")
-    assert not engine.holds("t(x, y)")
-
-
-def test_counting_asserted_fact_already_derivable_survives():
-    """The review regression: asserting an IDB fact that is *already*
-    derivable must still record its external +1 in counting mode —
-    otherwise deleting the deriving base fact cascades the asserted fact
-    away, diverging from the recompute/DRed oracle."""
+def test_asserted_fact_already_derivable_survives():
+    """Asserting an IDB fact that is *already* derivable still records
+    its external support, so deleting the deriving base fact leaves the
+    asserted fact in place — as the recompute oracle does."""
     source = "p(a). q(X) :- p(X)."
     results = {}
-    for mode in ("recompute", "counting", "dred"):
+    for mode in ("recompute", "dred"):
         engine = IncrementalEngine(parse_program(source), maintenance=mode)
         assert engine.holds("q(a)")
         assert engine.add("q(a)") == frozenset()  # already derivable
@@ -68,42 +53,40 @@ def test_counting_asserted_fact_already_derivable_survives():
         assert engine.holds("q(a)"), mode
         assert not engine.holds("p(a)")
         results[mode] = _facts(engine.database)
-    assert results["counting"] == results["recompute"]
     assert results["dred"] == results["recompute"]
 
 
-def test_counting_reasserting_idb_fact_is_idempotent():
-    """Re-asserting adds no extra support: one withdrawal of the only
-    derivation plus the single external assert leaves support at 1."""
-    engine = IncrementalEngine(
-        parse_program("p(a). q(X) :- p(X)."), maintenance="counting"
-    )
+def test_reasserting_idb_fact_is_idempotent():
+    """A re-assertion is a no-op: the fact keeps its one external
+    support and outlives its only derivation."""
+    engine = IncrementalEngine(parse_program("p(a). q(X) :- p(X)."))
     engine.add("q(a)")
-    engine.add("q(a)")
-    assert engine.support("q(a)") == 2  # one derivation + one external
+    assert engine.add("q(a)") == frozenset()
+    assert engine._asserted == {("q", ("a",))}
     engine.remove("p(a)")
-    assert engine.support("q(a)") == 1
     assert engine.holds("q(a)")
+    assert _facts(engine.database) == {"q": frozenset({("a",)})}
 
 
-def test_counting_support_is_none_in_other_modes():
-    engine = IncrementalEngine(UNION, maintenance="dred")
-    assert engine.support("t(a, b)") is None
-    assert engine.maintenance == "dred"
-
-
-def test_counting_removed_facts_report_base_rows_only():
-    engine = IncrementalEngine(UNION, maintenance="counting")
+def test_removed_facts_report_base_rows_only():
+    engine = IncrementalEngine(UNION)
     removed = engine.remove_many(["e(a, b)", "e(absent, row)"])
     assert removed == frozenset({("e", ("a", "b"))})
     assert engine.remove_many(["e(a, b)"]) == frozenset()
 
 
+def test_dred_is_the_default_and_counting_is_rejected():
+    assert IncrementalEngine(UNION).maintenance == "dred"
+    assert Engine(UNION).incremental().maintenance == "dred"
+    with pytest.raises(ProgramError, match="'dred'"):
+        IncrementalEngine(UNION, maintenance="counting")
+
+
 # --- DRed -------------------------------------------------------------------
 def test_dred_handles_cyclic_support():
     """The DRed killer case: facts supporting each other around a cycle
-    must all die when the external support goes — counting would leave
-    them alive (and refuses recursive programs for exactly that reason)."""
+    must all die when the external support goes — derivation counting
+    would leave them alive."""
     engine = IncrementalEngine(TC, maintenance="dred")
     engine.add_many(["edge(a, b)", "edge(b, c)", "edge(c, a)"])
     assert engine.holds("path(a, a)")
@@ -249,11 +232,12 @@ def test_failed_rebuild_stays_poisoned(monkeypatch):
 
 
 def test_rebuild_on_healthy_engine_is_idempotent():
-    engine = IncrementalEngine(UNION, maintenance="counting")
+    engine = IncrementalEngine(UNION)
     before = _facts(engine.database)
     engine.rebuild()
     assert _facts(engine.database) == before
-    assert engine.support("t(a, b)") == 2
+    assert engine.remove("e(a, b)")
+    assert engine.holds("t(a, b)")
 
 
 # --- observability ----------------------------------------------------------
@@ -262,9 +246,9 @@ def test_maintain_counters_are_recorded():
     previous = get_metrics()
     set_metrics(metrics)
     try:
-        counting = IncrementalEngine(UNION, maintenance="counting")
-        counting.add_many(["e(p, q)", "f(p, q)"])
-        counting.remove("e(p, q)")
+        union = IncrementalEngine(UNION)
+        union.add_many(["e(p, q)", "f(p, q)"])
+        union.remove("e(p, q)")
         dred = IncrementalEngine(TC, maintenance="dred")
         dred.add_many(["edge(a, b)", "edge(b, c)"])
         dred.remove("edge(a, b)")
@@ -275,7 +259,52 @@ def test_maintain_counters_are_recorded():
     assert counters["maintain.insert_batches"] == 2
     assert counters["maintain.inserts"] == 4
     assert counters["maintain.removes"] == 2
-    assert counters["maintain.counting.deletions"] == 1
-    assert counters["maintain.dred.deletions"] == 1
+    assert counters["maintain.dred.deletions"] == 2
     assert counters["maintain.dred.overdeleted"] >= 1
     assert counters["maintain.rebuilds"] == 1
+
+
+def test_rebuilds_count_every_rebuild_and_recompute_delete():
+    """``maintain.rebuilds`` counts full rebuilds: each ``rebuild()`` and
+    each recompute-mode delete, never the initial build."""
+    with collect() as metrics:
+        engine = IncrementalEngine(TC, maintenance="recompute")
+        engine.add_many(["edge(a, b)", "edge(b, c)", "edge(c, d)"])
+        assert metrics.counters.get("maintain.rebuilds", 0) == 0
+        engine.remove("edge(a, b)")
+        engine.remove("edge(b, c)")
+        engine.rebuild()
+    assert metrics.counters["maintain.removes"] == 2
+    assert metrics.counters["maintain.rebuilds"] == 3
+
+
+# --- rejected batches leave the engine unchanged ------------------------------
+RECURSIVE = "e(1,2). e(2,3). tc(X,Y) :- e(X,Y). tc(X,Y) :- e(X,Z), tc(Z,Y)."
+
+
+def _state(engine: IncrementalEngine):
+    return set(engine._asserted), _facts(engine.database), engine.poisoned
+
+
+@pytest.mark.parametrize(
+    "call,atoms,match",
+    [
+        ("add_many", ["tc(7,8)", "tc(9)"], r"tc\(9\) has arity 1, but tc has arity 2"),
+        ("add_many", ["tc(4,5)", "e(Y,1)"], r"must be ground, got e\(Y, 1\)"),
+        ("add_many", ["e(5,6)", "fresh(1)", "fresh(1,2)"], r"fresh has arity 1"),
+        ("remove_many", ["e(X, 2)"], r"must be ground, got e\(X, 2\)"),
+        ("remove_many", ["e(1,2)", "e(2)"], r"e\(2\) has arity 1, but e has arity 2"),
+    ],
+    ids=["add-arity", "add-nonground", "add-batch-arity", "remove-nonground",
+         "remove-arity"],
+)
+def test_rejected_batch_changes_nothing(call, atoms, match):
+    engine = IncrementalEngine(parse_program(RECURSIVE))
+    before = _state(engine)
+    with pytest.raises(ProgramError, match=match):
+        getattr(engine, call)(atoms)
+    assert _state(engine) == before
+    engine.rebuild()
+    assert _state(engine) == before
+    assert not engine.holds("tc(7,8)")
+    assert not engine.holds("tc(4,5)")

@@ -1,18 +1,18 @@
-"""Differential tests: counting and DRed deletion vs the recompute oracle.
+"""Differential tests: DRed deletion vs the recompute oracle.
 
-:mod:`repro.engine.maintain` claims both fast deletion paths are
-**bit-identical** to the full-recompute oracle: after every operation of
-any interleaved add/remove stream, the decoded fact sets match exactly.
-These tests pin that claim on seeded random programs and seeded random
-streams, at *every* interleaving point.
+:mod:`repro.engine.maintain` claims DRed is **bit-identical** to the
+full-recompute oracle: after every operation of any interleaved
+add/remove stream, the decoded fact sets match exactly.  These tests pin
+that claim on seeded random programs and seeded random streams, at
+*every* interleaving point.
 
-Counting is exact for non-recursive programs only, so its streams run
-over a dedicated non-recursive generator (p0 over EDB, p1 over EDB∪{p0});
-DRed runs over the shared recursive generator from the reference suite
-(negation disabled — the incremental engine is positive-only; built-in
-``!=`` tests still occur), and over a generator of the rule forms DRed's
-guarded re-derivation must handle.  Beyond the facts, every operation's
-counters must be identical with metrics collection on and off.
+The streams run over three generators: the shared recursive generator
+from the reference suite (negation disabled — the incremental engine is
+positive-only; built-in ``!=`` tests still occur), a generator of the
+rule forms DRed's guarded re-derivation must handle, and a
+non-recursive generator (p0 over EDB, p1 over EDB∪{p0}).  Beyond the
+facts, every operation's counters must be identical with metrics
+collection on and off.
 """
 
 import random
@@ -210,9 +210,9 @@ def _run_axes(source: str, stream, maintenance: str) -> None:
     [
         ("dred", lambda seed: random_source(seed, negation=False)),
         ("dred", guarded_source),
-        ("counting", nonrecursive_source),
+        ("dred", nonrecursive_source),
     ],
-    ids=["dred-random", "dred-guarded", "counting"],
+    ids=["dred-random", "dred-guarded", "dred-nonrecursive"],
 )
 @pytest.mark.parametrize("seed", SEEDS)
 def test_counters_per_operation_match_across_axes(seed, maintenance, generator):
@@ -231,67 +231,21 @@ def test_guarded_generator_rederives():
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_counting_matches_recompute(seed):
-    _run_lockstep(nonrecursive_source(seed), random_stream(seed), "counting")
-
-
-@pytest.mark.parametrize("seed", SEEDS)
 def test_dred_matches_recompute(seed):
     _run_lockstep(
         random_source(seed, negation=False), random_stream(seed), "dred"
     )
 
 
-@pytest.mark.parametrize("seed", SEEDS[:4])
+@pytest.mark.parametrize("seed", SEEDS)
 def test_dred_matches_recompute_on_nonrecursive(seed):
     """DRed is not restricted to recursive programs; pin it on the
-    counting generator too."""
+    non-recursive generator too."""
     _run_lockstep(nonrecursive_source(seed), random_stream(seed), "dred")
 
 
-@pytest.mark.parametrize("mode", ["dred", "counting"])
-@pytest.mark.parametrize("seed", SEEDS[:4])
-def test_asserted_idb_facts_survive_streams(seed, mode):
-    """Asserted IDB facts carry external support in every mode: they are
-    never cascaded away, and rebuilds re-seed them.  Counting runs over
-    the non-recursive generator it is restricted to; the assertion lands
-    on an IDB fact that may already be derivable, so the external +1
-    must be recorded either way."""
-    source = (
-        nonrecursive_source(seed)
-        if mode == "counting"
-        else random_source(seed, negation=False)
-    )
-    program = parse_program(source)
-    engines = {
-        m: IncrementalEngine(program, maintenance=m)
-        for m in ("recompute", mode)
-    }
-    asserted = "p0(c0, c1)"
-    baseline = {m: engine.add(asserted) for m, engine in engines.items()}
-    assert baseline[mode] == baseline["recompute"]
-    for op, atoms in random_stream(seed, length=8):
-        method = getattr(engines["recompute"], op)
-        expected = method(atoms if op.endswith("_many") else atoms[0])
-        method = getattr(engines[mode], op)
-        got = method(atoms if op.endswith("_many") else atoms[0])
-        assert got == expected
-        for engine in engines.values():
-            assert engine.holds(asserted)
-        assert _facts(engines[mode].database) == _facts(
-            engines["recompute"].database
-        )
-
-
-def test_counting_rejects_recursive_programs():
-    program = parse_program(
-        "edge(a, b). edge(b, c)."
-        "path(X, Y) :- edge(X, Y)."
-        "path(X, Z) :- edge(X, Y), path(Y, Z)."
-    )
-    with pytest.raises(ProgramError, match="non-recursive"):
-        IncrementalEngine(program, maintenance="counting")
-    # The generators must actually exercise what they claim.
+def test_nonrecursive_generator_is_nonrecursive():
+    """The non-recursive leg must actually exercise what it claims."""
     for seed in SEEDS:
         schedule = build_schedule(
             parse_program(nonrecursive_source(seed)).without_facts()
@@ -299,7 +253,37 @@ def test_counting_rejects_recursive_programs():
         assert not any(c.recursive for c in schedule.components)
 
 
+@pytest.mark.parametrize(
+    "generator",
+    [lambda seed: random_source(seed, negation=False), nonrecursive_source],
+    ids=["dred", "dred-nonrecursive"],
+)
+@pytest.mark.parametrize("seed", SEEDS[:4])
+def test_asserted_idb_facts_survive_streams(seed, generator):
+    """Asserted IDB facts carry external support: they are never
+    cascaded away, and rebuilds re-seed them.  The assertion lands on an
+    IDB fact that may already be derivable, so the external support must
+    be recorded either way."""
+    program = parse_program(generator(seed))
+    engines = {
+        mode: IncrementalEngine(program, maintenance=mode)
+        for mode in ("recompute", "dred")
+    }
+    asserted = "p0(c0, c1)"
+    baseline = {mode: engine.add(asserted) for mode, engine in engines.items()}
+    assert baseline["dred"] == baseline["recompute"]
+    for op, atoms in random_stream(seed, length=8):
+        expected = _apply(engines["recompute"], op, atoms)
+        assert _apply(engines["dred"], op, atoms) == expected
+        for engine in engines.values():
+            assert engine.holds(asserted)
+        assert _facts(engines["dred"].database) == _facts(
+            engines["recompute"].database
+        )
+
+
 def test_unknown_maintenance_mode_rejected():
     program = parse_program("edge(a, b). path(X, Y) :- edge(X, Y).")
-    with pytest.raises(ProgramError, match="unknown maintenance mode"):
-        IncrementalEngine(program, maintenance="eager")
+    for mode in ("eager", "counting"):
+        with pytest.raises(ProgramError, match="unknown maintenance mode.*'dred'"):
+            IncrementalEngine(program, maintenance=mode)

@@ -19,7 +19,7 @@ import pytest
 from repro.core.engine import Engine
 from repro.core.prepare import prepare_query
 from repro.datalog.parser import parse_program
-from repro.errors import REMOVED_SETTINGS, ReproError
+from repro.errors import MAINTAIN_DRED_ONLY, REMOVED_SETTINGS, ReproError
 from repro.obs import ThreadSafeMetrics, collect
 from repro.serve import (
     PooledService,
@@ -795,6 +795,31 @@ class TestBadInputIsA400:
                         assert bad.value.status == 400
                         assert REMOVED_SETTINGS[setting] in str(bad.value)
                 assert client.query("chain", "anc(0, X)?")["complete"]
+        finally:
+            if service is not None:
+                service.close()
+
+    @pytest.mark.parametrize("processes", [0, 2], ids=["threaded", "pooled"])
+    def test_maintain_other_than_dred_is_a_400(self, processes):
+        service = PooledService(processes=processes) if processes else None
+        try:
+            with serving(service) as (_, client):
+                client.load("chain", chain_source())
+                for path in ("/query", "/prepare"):
+                    for strategy in ("seminaive", "alexander", "sld"):
+                        for value in ("counting", "recompute"):
+                            payload = {
+                                "dataset": "chain", "goal": "anc(0, X)?",
+                                "strategy": strategy, "maintain": value,
+                            }
+                            with pytest.raises(ServeError) as bad:
+                                client._request(path, payload)
+                            assert bad.value.status == 400
+                            assert MAINTAIN_DRED_ONLY in str(bad.value)
+                reply = client.query(
+                    "chain", "anc(0, X)?", strategy="seminaive", maintain="dred"
+                )
+                assert reply["complete"]
         finally:
             if service is not None:
                 service.close()

@@ -11,6 +11,7 @@ update`` CLI client.  The oracle for the update contract is a fresh
 :class:`QueryService` on the current facts.
 """
 
+import re
 import sys
 import threading
 
@@ -23,7 +24,7 @@ from repro.cli import main
 from repro.core.engine import Engine
 from repro.core.prepare import prepare_query, prepared_cache_key
 from repro.datalog.parser import parse_program, parse_query
-from repro.errors import ReproError
+from repro.errors import MAINTAIN_DRED_ONLY, ReproError
 from repro.obs import ThreadSafeMetrics, collect
 from repro.serve import PreparedQueryCache, QueryService, ServeClient, create_server
 from repro.serve.client import ServeError
@@ -69,7 +70,7 @@ class TestMaintainedPreparedQuery:
     def _program(self):
         return parse_program(GRAPH_SOURCE)
 
-    @pytest.mark.parametrize("maintain", ["recompute", "dred"])
+    @pytest.mark.parametrize("maintain", ["dred"])
     def test_apply_update_matches_fresh_preparation(self, maintain):
         prepared = prepare_query(
             self._program(), "path(a, X)?", strategy="seminaive",
@@ -121,10 +122,23 @@ class TestMaintainedPreparedQuery:
             )
 
     def test_unknown_maintenance_mode_rejected(self):
-        with pytest.raises(ReproError, match="unknown maintenance mode"):
+        with pytest.raises(ReproError, match=re.escape(MAINTAIN_DRED_ONLY)):
             prepare_query(
                 self._program(), "path(a, X)?", strategy="seminaive",
                 maintain="bogus",
+            )
+
+    @pytest.mark.parametrize("maintain", ["counting", "recompute"])
+    def test_only_dred_is_accepted(self, maintain):
+        for strategy in ("seminaive", "alexander"):
+            with pytest.raises(ReproError, match=re.escape(MAINTAIN_DRED_ONLY)):
+                prepare_query(
+                    self._program(), "path(a, X)?", strategy=strategy,
+                    maintain=maintain,
+                )
+        with pytest.raises(ReproError, match=re.escape(MAINTAIN_DRED_ONLY)):
+            Engine(self._program()).prepare(
+                "path(a, X)?", strategy="seminaive", maintain=maintain
             )
 
     def test_maintain_is_part_of_the_cache_key(self):

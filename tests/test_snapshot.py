@@ -239,7 +239,7 @@ class TestPreparedRoundTrip:
     def test_maintained_shapes_are_not_serializable(self):
         program = parse_program("e(a, b). p(X, Y) :- e(X, Y).")
         prepared = prepare_query(
-            program, "p(X, Y)?", strategy="seminaive", maintain="counting"
+            program, "p(X, Y)?", strategy="seminaive", maintain="dred"
         )
         with pytest.raises(SnapshotError, match="maintained"):
             dump_prepared(prepared)

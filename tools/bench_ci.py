@@ -281,9 +281,10 @@ def _run_f4(failures: list[str], budget=None) -> list[dict]:
 
 def _run_f5(failures: list[str], budget=None) -> list[dict]:
     """Maintenance smoke: a short interleaved insert/delete/query stream
-    must keep counting/DRed bit-identical to the recompute oracle at
-    every step, with strictly fewer join attempts on the delete path
-    (see ``benchmarks/bench_f5_streaming.py``)."""
+    over a recursive and a non-recursive program must keep DRed
+    bit-identical to the recompute oracle at every step, with strictly
+    fewer join attempts on the delete path (see
+    ``benchmarks/bench_f5_streaming.py``)."""
     module = load_bench_module("bench_f5_streaming")
     return module.streaming_parity_entries(failures, budget)
 
