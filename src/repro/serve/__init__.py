@@ -1,8 +1,8 @@
 """The long-lived query service: load once, serve prepared queries.
 
-Everything here is standard library only (``http.server`` + ``json``) —
-the service must run wherever the engine runs, with no web framework in
-the dependency set.  Four layers:
+Everything here is standard library only (``http.server``, ``socket``
+and ``json``) — the service must run wherever the engine runs, with no
+web framework in the dependency set.  The layers:
 
 * :mod:`repro.serve.cache` — :class:`PreparedQueryCache`, a locked LRU
   of :class:`repro.core.prepare.PreparedQuery` objects keyed by dataset
@@ -17,10 +17,13 @@ the dependency set.  Four layers:
 * :mod:`repro.serve.server` — the :class:`~http.server.ThreadingHTTPServer`
   wiring (``/health``, ``/metrics``, ``/load``, ``/prepare``,
   ``/query``), exposed to the CLI as ``repro serve``.
-* :mod:`repro.serve.client` — :class:`ServeClient`, a thin
-  ``http.client``-based client the tests, benchmarks, and smoke job
-  share: one persistent connection per calling thread, with bounded
-  retry across worker-restart windows.
+* :mod:`repro.serve.http11` — :func:`~repro.serve.http11.read_headers`,
+  the one header-block reader both ends share (the HTTP/1.1 subset the
+  service speaks; no MIME feed parser per message).
+* :mod:`repro.serve.client` — :class:`ServeClient`, a thin HTTP/1.1
+  socket client the tests, benchmarks, and smoke job share: one
+  persistent connection per calling thread, with bounded retry across
+  worker-restart windows.
 * :mod:`repro.serve.registry` — :class:`ShapeRegistry`, the on-disk
   store of serialized prepared shapes shared across processes and
   server restarts.

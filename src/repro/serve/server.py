@@ -46,6 +46,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import REMOVED_SETTINGS, ReproError
 from ..obs import ThreadSafeMetrics, get_metrics, set_metrics
+from .http11 import MessageError, ends_connection, read_headers
 from .pool import WorkerPoolError
 from .service import QueryService, budget_from_payload
 
@@ -143,7 +144,71 @@ class _Handler(BaseHTTPRequestHandler):
     # evaluation time, which touches no socket.
     timeout = 30.0
 
+    # A request line without a version is answered as HTTP/1.x (a JSON
+    # 400), not as HTTP/0.9, whose replies have no status line.
+    default_request_version = "HTTP/1.0"
+
     # --- plumbing -------------------------------------------------------------
+    def parse_request(self):
+        """Parse the request line and header block into ``command``,
+        ``path``, ``request_version`` and ``headers`` (a dict keyed by
+        lower-cased name, see :func:`~repro.serve.http11.read_headers`).
+
+        The stdlib hook with the stdlib's rules — 400 for a bad request
+        line, 505 for HTTP/2+, ``//`` collapsed, ``Connection`` per
+        version, ``Expect: 100-continue`` — minus its MIME feed parser
+        for the header block.  Two-word (HTTP/0.9) request lines are a 400, and
+        a ``Transfer-Encoding`` body is a 411 before any of it is read.
+        Returns False once an error reply is on its way.
+        """
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) != 3:
+            self.send_error(400, f"Bad request syntax ({self.requestline!r})")
+            return False
+        command, path, version = words
+        number = _version_number(version)
+        if number is None:
+            self.send_error(400, f"Bad request version ({version!r})")
+            return False
+        if number >= (2, 0):
+            self.send_error(505, f"Invalid HTTP version ({version[5:]})")
+            return False
+        self.command, self.request_version = command, version
+        # gh-87389: clients read "//host/x" as a scheme-less absolute URI.
+        self.path = "/" + path.lstrip("/") if path.startswith("//") else path
+        try:
+            self.headers = read_headers(self.rfile)
+        except MessageError as exc:
+            self.send_error(exc.status, str(exc))
+            return False
+        self.close_connection = ends_connection(self.headers, number < (1, 1))
+        if "transfer-encoding" in self.headers:
+            # Only Content-Length bodies are read; a chunked body left on
+            # the connection would be parsed as the next request.
+            self.send_error(411, "Content-Length required")
+            return False
+        if number >= (1, 1) and (
+            self.headers.get("expect", "").lower() == "100-continue"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def send_error(self, code, message=None, explain=None):
+        """A protocol-level error (bad request line, 411, 414, 431, 501,
+        505) keeps the JSON error contract and gives up the connection:
+        what follows on it cannot be trusted to start a request."""
+        if message is None:
+            message = self.responses.get(code, (f"HTTP {code}",))[0]
+        self.log_error("code %d, message %s", code, message)
+        self.close_connection = True
+        self._send_json(code, {"error": message})
+
     def setup(self):
         super().setup()
         with self.server._inflight_lock:
@@ -184,14 +249,20 @@ class _Handler(BaseHTTPRequestHandler):
         # the connection: on a persistent one the unread bytes would be
         # parsed as the next request line.
         close_after, self.close_connection = self.close_connection, True
+        declared = self.headers.get("content-length", "0")
+        # Repeats were joined with commas; equal repeats are one length
+        # (RFC 9112 §6.3), differing ones leave the body's end unknown.
+        lengths = {value.strip() for value in declared.split(",")}
+        if len(lengths) > 1:
+            raise ReproError(f"conflicting Content-Length values {declared!r}")
         try:
-            length = int(self.headers.get("Content-Length") or 0)
+            length = int(lengths.pop())
         except ValueError:
             length = -1
         if length < 0:
             raise ReproError(
                 "Content-Length must be a non-negative integer, got "
-                f"{self.headers.get('Content-Length')!r}"
+                f"{declared!r}"
             )
         if length > MAX_BODY_BYTES:
             raise ReproError(f"request body too large ({length} bytes)")
@@ -226,7 +297,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # --- routes ---------------------------------------------------------------
     def do_GET(self):
-        if self.headers.get("Content-Length"):
+        if self.headers.get("content-length"):
             # GET bodies are never read: do not keep the connection.
             self.close_connection = True
         if self.path == "/health":
@@ -330,6 +401,21 @@ class _Handler(BaseHTTPRequestHandler):
             if value is not None:
                 config[field] = value
         return config
+
+
+def _version_number(version: str) -> "tuple[int, int] | None":
+    """``"HTTP/1.1"`` → ``(1, 1)``; None unless *version* is ``HTTP/``
+    and two dot-separated integers of at most ten digits (RFC 2145 §3.1:
+    each compared as an integer, leading zeros ignored)."""
+    major, dot, minor = version[5:].partition(".")
+    # isdecimal, not isdigit: "²" is a digit int() refuses.
+    if (
+        version.startswith("HTTP/") and dot
+        and major.isdecimal() and minor.isdecimal()
+        and len(major) <= 10 and len(minor) <= 10
+    ):
+        return int(major), int(minor)
+    return None
 
 
 def create_server(

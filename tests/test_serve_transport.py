@@ -1,12 +1,14 @@
 """The serving transport: persistent connections end to end.
 
-Client side — one ``http.client`` connection per calling thread, reused
-across requests, with one transparent reconnect when a *reused* socket
-turns out closed before any response byte arrived.  Server side —
-keep-alive framing (an unread request body must never be parsed as the
-next request), single-send responses with Nagle disabled, an idle
-timeout, and the ``serve.connections`` counter that makes the reuse
-ratio visible in ``/metrics``.
+Client side — one socket per calling thread, reused across requests,
+with one transparent reconnect when a *reused* socket turns out closed
+before any response byte arrived, and replies framed by
+``Content-Length``, ``Connection: close`` or end of stream.  Server
+side — keep-alive framing (an unread request body must never be parsed
+as the next request), the served HTTP subset with a JSON error and a
+hang-up for everything outside it, single-send responses with Nagle
+disabled, an idle timeout, and the ``serve.connections`` counter that
+makes the reuse ratio visible in ``/metrics``.
 """
 
 import http.client
@@ -182,17 +184,21 @@ class ScriptedPeer:
     """A one-connection-at-a-time TCP peer.  Each argument scripts one
     accepted connection: a list of raw replies, one per request read on
     that connection, after which the peer hangs up.  Counts the requests
-    it read."""
+    it read (``requests``; per connection in ``served``) and keeps what
+    the first ``recv`` of each request returned (``first_reads``)."""
 
     OK = (
         b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
         b"Content-Length: 15\r\n\r\n" + b'{"status":"ok"}'
     )
 
-    def __init__(self, *replies):
+    def __init__(self, *replies, host: str = "127.0.0.1"):
         self.replies = list(replies)
         self.requests = 0
-        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.served: list = []
+        self.first_reads: list = []
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self.listener = socket.create_server((host, 0), family=family)
         self.port = self.listener.getsockname()[1]
         self.thread = threading.Thread(target=self._serve, daemon=True)
         self.thread.start()
@@ -200,21 +206,36 @@ class ScriptedPeer:
     def _serve(self):
         for reply in self.replies:
             connection, _ = self.listener.accept()
+            self.served.append(0)
             with connection:
                 for chunk in reply:
                     if not self._read_request(connection):
                         break
                     self.requests += 1
+                    self.served[-1] += 1
                     connection.sendall(chunk)
 
-    @staticmethod
-    def _read_request(connection) -> bool:
-        data = b""
+    def _read_request(self, connection) -> bool:
+        """Read one request, head and ``Content-Length`` body."""
+        data = connection.recv(65536)
+        if data:
+            self.first_reads.append(data)
         while b"\r\n\r\n" not in data:
             received = connection.recv(65536)
             if not received:
                 return False
             data += received
+        head, _, body = data.partition(b"\r\n\r\n")
+        length = 0
+        for line in head.split(b"\r\n")[1:]:
+            name, _, value = line.partition(b":")
+            if name.strip().lower() == b"content-length":
+                length = int(value)
+        while len(body) < length:
+            received = connection.recv(65536)
+            if not received:
+                return False
+            body += received
         return True
 
     def close(self):
@@ -276,6 +297,91 @@ class TestReconnectRule:
                     client.health()
             assert lost.value.transient
             assert peer.requests == 1
+        finally:
+            peer.close()
+
+
+class TestReplyFraming:
+    OK_CLOSE = ScriptedPeer.OK.replace(
+        b"\r\n\r\n", b"\r\nConnection: close\r\n\r\n", 1
+    )
+    TO_EOF = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n"
+        b'{"status":"ok"}'
+    )
+    CHUNKED = (
+        b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n"
+        b"Transfer-Encoding: chunked\r\n\r\n"
+        b'f\r\n{"status":"ok"}\r\n0\r\n\r\n'
+    )
+
+    def test_connection_close_reply_is_not_reused(self):
+        # Connection 1 would answer a second request too: the client must
+        # not send one there, but open connection 2 — the stale-socket
+        # resend never comes into it.
+        peer = ScriptedPeer([self.OK_CLOSE, ScriptedPeer.OK], [ScriptedPeer.OK])
+        try:
+            with ServeClient(f"http://127.0.0.1:{peer.port}", retries=0) as client:
+                assert client.health() == {"status": "ok"}
+                assert client.health() == {"status": "ok"}
+            assert peer.served == [1, 1]
+        finally:
+            peer.close()
+
+    def test_reply_without_content_length_is_read_to_eof(self):
+        peer = ScriptedPeer([self.TO_EOF], [ScriptedPeer.OK])
+        try:
+            with ServeClient(f"http://127.0.0.1:{peer.port}", retries=0) as client:
+                assert client.health() == {"status": "ok"}
+                assert client.health() == {"status": "ok"}
+            assert peer.served == [1, 1]
+        finally:
+            peer.close()
+
+    def test_chunked_reply_is_a_non_transient_error(self):
+        peer = ScriptedPeer([self.CHUNKED])
+        try:
+            with ServeClient(f"http://127.0.0.1:{peer.port}") as client:
+                with pytest.raises(ServeError) as refused:
+                    client.health()
+            assert not refused.value.transient
+            assert refused.value.status is None
+            assert "Transfer-Encoding" in str(refused.value)
+            assert peer.requests == 1  # not retried
+        finally:
+            peer.close()
+
+    def test_ipv6_netloc(self):
+        try:
+            peer = ScriptedPeer([ScriptedPeer.OK], host="::1")
+        except OSError:
+            pytest.skip("no IPv6 loopback")
+        try:
+            with ServeClient(f"http://[::1]:{peer.port}", retries=0) as client:
+                assert client.health() == {"status": "ok"}
+            assert f"\r\nHost: [::1]:{peer.port}\r\n".encode() in peer.first_reads[0]
+        finally:
+            peer.close()
+
+    def test_each_request_is_one_segment(self):
+        peer = ScriptedPeer([ScriptedPeer.OK] * 3)
+        try:
+            with ServeClient(f"http://127.0.0.1:{peer.port}", retries=0) as client:
+                client.health()
+                client.query("chain", "anc(0, X)?")
+                client.load("chain", chain_source())
+            assert peer.requests == 3
+            for request in peer.first_reads:
+                head, _, body = request.partition(b"\r\n\r\n")
+                assert head.count(b"\r\n") >= 2, request  # the whole head
+                declared = [
+                    int(line.split(b":")[1]) for line in head.split(b"\r\n")
+                    if line.lower().startswith(b"content-length:")
+                ]
+                assert len(body) == sum(declared), request  # and the body
+            assert [r.split(b" ", 1)[0] for r in peer.first_reads] == [
+                b"GET", b"POST", b"POST"
+            ]
         finally:
             peer.close()
 
@@ -389,3 +495,143 @@ class TestKeepAliveFraming:
             finally:
                 stop(server, thread)
         assert "Traceback" not in capfd.readouterr().err
+
+    def test_conflicting_content_lengths_are_a_400(self, live_server):
+        server, _ = live_server
+        # With the first length the rest of the body would be read as a
+        # second request on the kept connection.
+        body = b'{"a":1}GET /health HTTP/1.1\r\nHost: t\r\n\r\n'
+        request = post("/load", body, length="7").replace(
+            b"\r\n\r\n", f"\r\nContent-Length: {len(body)}\r\n\r\n".encode(), 1
+        )
+        status, head, error = json_reply(raw_exchange(server.port, request))
+        assert status == 400 and "conflicting Content-Length" in error
+        assert b"connection: close" in head.lower()
+
+    def test_repeated_equal_content_lengths_are_one_length(self, live_server):
+        server, _ = live_server
+        body = json.dumps({"dataset": "chain", "program": chain_source()}).encode()
+        request = post("/load", body).replace(
+            b"\r\n\r\n", f"\r\nContent-Length: {len(body)}\r\n\r\n".encode(), 1
+        )
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(request)
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+    def test_chunked_body_is_a_411_and_a_hang_up(self, live_server):
+        server, client = live_server
+        body = b'{"dataset": "chain"}'
+        request = (
+            b"POST /load HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n"
+            b"Content-Type: application/json\r\n\r\n"
+            + f"{len(body):x}\r\n".encode() + body + b"\r\n0\r\n\r\n"
+        )
+        reply = raw_exchange(server.port, request)
+        status, head, error = json_reply(reply)
+        assert status == 411 and error == "Content-Length required"
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"connection: close" in head.lower()
+        assert client.health()["datasets"] == []
+
+
+def json_reply(reply: bytes) -> tuple:
+    """``(status, head, error)`` of a raw JSON error reply, which must
+    be the only reply in *reply*."""
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert b"content-type: application/json" in head.lower()
+    assert f"content-length: {len(body)}\r\n".encode() in head.lower() + b"\r\n"
+    return int(head.split()[1]), head, json.loads(body)["error"]
+
+
+def get_with(*header_lines: bytes) -> bytes:
+    return b"GET /health HTTP/1.1\r\nHost: t\r\n" + b"".join(
+        line + b"\r\n" for line in header_lines
+    ) + b"\r\n"
+
+
+class TestRequestFraming:
+    def test_header_names_and_values_are_read_leniently(self, live_server):
+        server, client = live_server
+        body = json.dumps({"dataset": "chain", "program": chain_source()}).encode()
+        reply = raw_exchange(server.port, (
+            b"POST /load HTTP/1.1\r\nhOsT: t\r\nCONTENT-TYPE:application/json\r\n"
+            + f"content-LENGTH: \t{len(body)}  \r\n".encode()
+            + b"Connection:   Close \r\n\r\n" + body
+        ))
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200 ")
+        assert b"connection: close" in head.lower()  # honoured, and hung up
+        assert json.loads(payload)["name"] == "chain"
+        assert [d["name"] for d in client.health()["datasets"]] == ["chain"]
+
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET /health\r\n\r\n", 400),  # HTTP/0.9: no status line to give
+            (b"GET /health HTTP/1.1 extra\r\n\r\n", 400),
+            (b"GET /health HTTP/one\r\n\r\n", 400),
+            (b"GET /health HTTP/1.\xb2\r\n\r\n", 400),
+            (b"GET /health HTTP/2.0\r\n\r\n", 505),
+            (b"BREW /health HTTP/1.1\r\nHost: t\r\n\r\n", 501),
+            (b"GET /" + b"a" * 65532, 414),
+            (get_with(b"X-Folded: a", b"  b"), 400),
+            (get_with(b"no colon here"), 400),
+            (get_with(b"X-Space : a"), 400),
+            (get_with(*[b"X-N: %d" % n for n in range(100)]), 431),  # +Host
+            (get_with(b"X-Pad: " + b"a" * (65537 - 9)), 431),
+        ],
+        ids=[
+            "one-word", "http09", "four-words", "bad-version", "non-ascii-digit",
+            "http2", "unknown-method", "long-request-line", "obs-fold",
+            "no-colon", "space-before-colon", "101-headers", "long-header-line",
+        ],
+    )
+    def test_protocol_errors_are_json_and_hang_up(
+        self, live_server, request_bytes, status
+    ):
+        server, client = live_server
+        reply = raw_exchange(server.port, request_bytes)
+        got, head, error = json_reply(reply)
+        assert (got, head[:9]) == (status, b"HTTP/1.1 ")
+        assert error
+        assert b"connection: close" in head.lower()
+        assert client.health()["status"] == "ok"
+
+    @pytest.mark.parametrize(
+        "header_lines",
+        [
+            [b"X-N: %d" % n for n in range(99)],  # 100 with Host
+            [b"X-Pad: " + b"a" * (65536 - 9)],
+        ],
+        ids=["100-headers", "65536-byte-line"],
+    )
+    def test_header_limits_are_inclusive(self, live_server, header_lines):
+        server, _ = live_server
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            sock.sendall(get_with(*header_lines))
+            assert sock.recv(65536).startswith(b"HTTP/1.1 200 ")
+
+    def test_http10_closes_by_default(self, live_server):
+        server, _ = live_server
+        reply = raw_exchange(server.port, b"GET /health HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+
+    def test_http10_keep_alive_stays_open(self, live_server):
+        server, client = live_server
+        request = b"GET /health HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5.0) as sock:
+            for _ in range(2):
+                sock.sendall(request)
+                first = sock.recv(65536)
+                assert first.startswith(b"HTTP/1.1 200 ")
+                assert b"connection: close" not in first.lower()
+        # The fixture client's connection plus this one.
+        assert client.counter("serve.connections") == 2
+
+    def test_http11_honours_connection_close(self, live_server):
+        server, _ = live_server
+        reply = raw_exchange(server.port, get_with(b"Connection: close"))
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert reply.count(b"HTTP/1.1 ") == 1

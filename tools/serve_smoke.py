@@ -31,7 +31,11 @@ serving contract end to end, in two phases.
    (``cache_hit: true, table_hit: false``) to the new answers;
 7. every request above travelled on one persistent connection —
    ``serve.connections`` stays below ``serve.requests`` in ``/metrics``;
-8. SIGTERM, sent while that connection is still open and idle, stops
+8. over raw sockets, a malformed request line (400) and a chunked
+   ``POST`` (411) each get a JSON ``{"error": ...}`` reply with
+   ``Connection: close`` and a hang-up, and ``/health`` still answers
+   afterwards;
+9. SIGTERM, sent while that connection is still open and idle, stops
    the server with exit code 0 and no traceback on stderr.
 
 **Multiprocess phase** (``repro serve --processes 2 --registry DIR``):
@@ -65,6 +69,7 @@ import glob
 import json
 import os
 import signal
+import socket
 import subprocess
 import sys
 import tempfile
@@ -142,7 +147,7 @@ class ServerProcess:
             if self.process.poll() is not None or time.monotonic() > deadline:
                 raise AssertionError("server never wrote its port file")
             time.sleep(0.05)
-        port = int(self.port_file.read_text().strip())
+        self.port = port = int(self.port_file.read_text().strip())
         client = ServeClient(f"http://127.0.0.1:{port}", timeout=timeout)
         client.wait_healthy(BOOT_DEADLINE_SECONDS)
         return client
@@ -172,6 +177,36 @@ class ServerProcess:
                 f"--- server stderr ---\n{err}"
             )
         return None
+
+
+# Raw requests the server must refuse with a JSON error and a hang-up.
+PROTOCOL_ERRORS = (
+    ("malformed request line", b"NOT A REQUEST LINE\r\n\r\n", 400),
+    (
+        "chunked POST",
+        b"POST /load HTTP/1.1\r\nHost: smoke\r\nTransfer-Encoding: chunked\r\n"
+        b"Content-Type: application/json\r\n\r\n"
+        b'14\r\n{"dataset": "smoke"}\r\n0\r\n\r\n',
+        411,
+    ),
+)
+
+
+def check_protocol_errors(port: int) -> None:
+    """Each of :data:`PROTOCOL_ERRORS` on its own raw connection: one
+    JSON error reply with ``Connection: close``, then the server hangs
+    up (the ``recv`` loop ends only when it does)."""
+    for label, request, status in PROTOCOL_ERRORS:
+        with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+            sock.sendall(request)
+            reply = b""
+            while chunk := sock.recv(65536):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 %d " % status), (label, reply)
+        assert b"connection: close" in head.lower(), (label, reply)
+        assert b"content-type: application/json" in head.lower(), (label, reply)
+        assert isinstance(json.loads(body).get("error"), str), (label, reply)
 
 
 def run_threaded_phase() -> "str | None":
@@ -278,7 +313,14 @@ def run_threaded_phase() -> "str | None":
             f"[threaded] connection reuse verified: {requests} requests "
             f"over {connections} connection(s)"
         )
-    except (AssertionError, ServeError) as failure:
+
+        check_protocol_errors(server.port)
+        assert client.health()["status"] == "ok"
+        print(
+            "[threaded] malformed request line and chunked POST: JSON "
+            "errors with Connection: close; /health still answers"
+        )
+    except (AssertionError, ServeError, OSError) as failure:
         err = server.kill_for_diagnosis()
         return f"{failure}\n--- server stderr ---\n{err}" if err else str(failure)
     # The client's persistent connection is still open and idle here: a
