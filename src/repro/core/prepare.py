@@ -66,6 +66,7 @@ entries whose footprint matches a changed row are invalidated
 
 from __future__ import annotations
 
+import json
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -129,6 +130,24 @@ _TRANSFORMS = {
 CALL_TABLE_MAX_ROWS = 65_536
 
 
+def answers_object(rows, texts) -> dict:
+    """The ``answers`` object of a served reply: value rows and source
+    texts, in answer order, and their count."""
+    return {
+        "rows": list(map(list, rows)),
+        "atoms": list(texts),
+        "count": len(rows),
+    }
+
+
+class _Entry(tuple):
+    """One completed call: the ``(rows, texts, stats, footprint)`` tuple
+    :meth:`CallTable.get` returns, plus the JSON text of its
+    :func:`answers_object` once a hit has rendered it."""
+
+    answers_json: "str | None" = None
+
+
 class CallTable:
     """The completed top-level calls of one transform shape.
 
@@ -136,7 +155,9 @@ class CallTable:
     answer rows of its completed run, as plain value tuples, each
     answer's ``str(atom)`` text, the run's :class:`EvaluationStats` and
     its footprint (:func:`~repro.engine.prepared.record_footprint`).
-    No atoms are kept: a hit renders from rows and text.  Least recently
+    No atoms are kept: a hit renders from rows and text, and the first
+    hit on an entry also keeps its answers' JSON text
+    (:meth:`answers_json`), which goes when the entry goes.  Least recently
     used entries are evicted once rows plus entries exceed
     :data:`CALL_TABLE_MAX_ROWS`.  The lock guards the bookkeeping only,
     never an evaluation: two threads missing on one goal both evaluate
@@ -147,9 +168,7 @@ class CallTable:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, tuple[tuple, tuple, EvaluationStats, dict]]" = (
-            OrderedDict()
-        )
+        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
         self._rows = 0
         self.generation = 0
 
@@ -195,7 +214,7 @@ class CallTable:
             old = self._entries.pop(key, None)
             if old is not None:
                 self._rows -= len(old[0])
-            self._entries[key] = (rows, texts, stats, footprint)
+            self._entries[key] = _Entry((rows, texts, stats, footprint))
             self._rows += len(rows)
             while self._rows + len(self._entries) > CALL_TABLE_MAX_ROWS:
                 _, (gone, *_) = self._entries.popitem(last=False)
@@ -204,6 +223,17 @@ class CallTable:
         obs = get_metrics()
         if evicted and obs.enabled:
             obs.incr("prepare.table_evictions", evicted)
+
+    def answers_json(self, entry: _Entry) -> str:
+        """The JSON text of *entry*'s :func:`answers_object`, rendered
+        with ``sort_keys=True`` on the first call and kept on the entry:
+        replacing, invalidating or evicting the entry drops it too."""
+        text = entry.answers_json
+        if text is None:
+            text = json.dumps(answers_object(entry[0], entry[1]), sort_keys=True)
+            with self._lock:
+                entry.answers_json = text
+        return text
 
     def invalidate(self, changed: "dict[str, list[tuple]]") -> tuple[int, int]:
         """Drop every entry whose footprint matches a changed row and
@@ -439,6 +469,7 @@ class PreparedQuery:
                 call_summary=partial(self._replayed_call_summary, goal),
                 table_hit=True,
                 rendered=(rows, texts),
+                answers_json=self.table.answers_json(entry),
             )
         seeds, transformed_goal = self._rebind(goal)
         # One snapshot: a patch swaps the base and bumps the generation

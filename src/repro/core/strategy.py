@@ -98,6 +98,11 @@ class QueryResult:
             ``str(atom)`` source text, in answer order — when a prepared
             transform shape already holds them; the serving layer
             renders replies from these (not part of equality).
+        answers_json: on a call-table hit, the JSON text of the reply's
+            ``answers`` object for these rows and texts, kept with the
+            table entry (:meth:`repro.core.prepare.CallTable.answers_json`);
+            the serving layer splices it into the reply (not part of
+            equality).
 
     ``calls`` is the set of generated subqueries as ``(predicate,
     adornment, bound-args)`` triples and ``answer_facts`` all derived
@@ -117,6 +122,7 @@ class QueryResult:
     rendered: "tuple[tuple[tuple, ...], tuple[str, ...]] | None" = field(
         default=None, repr=False, compare=False
     )
+    answers_json: "str | None" = field(default=None, repr=False, compare=False)
 
     @property
     def answer_rows(self) -> frozenset[tuple]:

@@ -42,13 +42,15 @@ import json
 import signal
 import socket
 import threading
+import time
+from email.utils import formatdate
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..errors import REMOVED_SETTINGS, ReproError
 from ..obs import ThreadSafeMetrics, get_metrics, set_metrics
 from .http11 import MessageError, ends_connection, read_headers
 from .pool import WorkerPoolError
-from .service import QueryService, budget_from_payload
+from .service import QueryService, budget_from_payload, encode_reply
 
 __all__ = ["ReproServer", "create_server", "run_server", "DEFAULT_HOST"]
 
@@ -73,6 +75,17 @@ class ReproServer(ThreadingHTTPServer):
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._connections: set = set()  # open handler sockets
+        self._date = (0, "")  # (second, its Date header text)
+
+    def http_date(self) -> str:
+        """The ``Date`` header value for now (an IMF-fixdate), formatted
+        once per second; request threads share it."""
+        now = time.time()
+        second, text = self._date
+        if int(now) != second:
+            text = formatdate(now, usegmt=True)
+            self._date = (int(now), text)
+        return text
 
     # --- in-flight gauge ------------------------------------------------------
     def request_started(self) -> None:
@@ -172,6 +185,9 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_error(400, f"Bad request syntax ({self.requestline!r})")
             return False
         command, path, version = words
+        # Set before the version checks: a HEAD gets no body even when
+        # its error reply comes from them.
+        self.command = command
         number = _version_number(version)
         if number is None:
             self.send_error(400, f"Bad request version ({version!r})")
@@ -179,7 +195,7 @@ class _Handler(BaseHTTPRequestHandler):
         if number >= (2, 0):
             self.send_error(505, f"Invalid HTTP version ({version[5:]})")
             return False
-        self.command, self.request_version = command, version
+        self.request_version = version
         # gh-87389: clients read "//host/x" as a scheme-less absolute URI.
         self.path = "/" + path.lstrip("/") if path.startswith("//") else path
         try:
@@ -235,14 +251,24 @@ class _Handler(BaseHTTPRequestHandler):
             super().log_message(format, *args)
 
     def _send_json(self, status: int, payload: dict) -> None:
-        body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+        """The one reply writer: the status line and the stdlib's headers
+        (``Server``, ``Date``, ``Content-Type``, ``Content-Length``, and
+        ``Connection: close`` when closing) formatted as one block, then
+        the :func:`~repro.serve.service.encode_reply` body — except to a
+        ``HEAD``, whose reply has no content (RFC 9110 §9.3.2)."""
+        body = encode_reply(payload)
+        if not self.server.quiet:
+            self.log_request(status)
+        reason = self.responses.get(status, ("",))[0]
+        close = "Connection: close\r\n" if self.close_connection else ""
+        head = (
+            f"{self.protocol_version} {status} {reason}\r\n"
+            f"Server: {self.version_string()}\r\n"
+            f"Date: {self.server.http_date()}\r\n"
+            "Content-Type: application/json\r\n"
+            f"Content-Length: {len(body)}\r\n{close}\r\n"
+        ).encode("latin-1")
+        self.wfile.write(head if self.command == "HEAD" else head + body)
 
     def _read_json(self) -> dict:
         # Until the body is consumed, every way out must also give up
@@ -296,13 +322,23 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(status, payload)
 
     # --- routes ---------------------------------------------------------------
+    @property
+    def route(self) -> str:
+        """The request target's path: a query string routes nowhere."""
+        return self.path.partition("?")[0]
+
     def do_GET(self):
-        if self.headers.get("content-length"):
+        declared = self.headers.get("content-length", "0")
+        if any(
+            not value.strip().isdecimal() or int(value)
+            for value in declared.split(",")
+        ):
             # GET bodies are never read: do not keep the connection.
             self.close_connection = True
-        if self.path == "/health":
+        route = self.route
+        if route == "/health":
             self._dispatch(self._health)
-        elif self.path == "/metrics":
+        elif route == "/metrics":
             self._dispatch(self._metrics)
         else:
             self._send_json(404, {"error": f"unknown path {self.path!r}"})
@@ -314,7 +350,7 @@ class _Handler(BaseHTTPRequestHandler):
             "/prepare": self._prepare,
             "/query": self._query,
         }
-        handler = routes.get(self.path)
+        handler = routes.get(self.route)
         if handler is None:
             # The body is never read: do not keep the connection.
             self.close_connection = True

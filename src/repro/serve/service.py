@@ -38,6 +38,7 @@ mutation.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from dataclasses import dataclass
@@ -46,6 +47,7 @@ from functools import cached_property
 from ..core.prepare import (
     UNPREPARABLE_STRATEGIES,
     PreparedQuery,
+    answers_object,
     check_maintain,
     prepare_query,
     prepared_cache_key,
@@ -64,7 +66,10 @@ from ..obs import get_metrics
 from ..transform.sips import named_sips
 from .cache import DEFAULT_MAX_ENTRIES, PreparedQueryCache
 
-__all__ = ["Dataset", "QueryService", "budget_from_payload"]
+__all__ = [
+    "Dataset", "QueryService", "RenderedAnswers", "budget_from_payload",
+    "encode_reply",
+]
 
 DEFAULT_STRATEGY = "alexander"
 
@@ -131,13 +136,41 @@ def _match_answers(database, goal: Atom) -> tuple[Atom, ...]:
     return _sorted_answers(goal, database.match(goal))
 
 
-def _rendered(rows, texts) -> dict:
-    """The ``answers`` object of a reply: value rows and source texts."""
-    return {
-        "rows": [list(row) for row in rows],
-        "atoms": list(texts),
-        "count": len(rows),
-    }
+class RenderedAnswers(dict):
+    """A reply's ``answers`` object that also carries its own JSON text.
+
+    Equal to the plain dict and encoded like it by :func:`json.dumps`;
+    :func:`encode_reply` splices :attr:`json` in instead of encoding the
+    rows again.  The text comes from a call-table entry
+    (:meth:`repro.core.prepare.CallTable.answers_json`) holding the same
+    rows and texts the dict was built from.
+    """
+
+    __slots__ = ("json",)
+
+    def __init__(self, rows, texts, text: str):
+        super().__init__(answers_object(rows, texts))
+        self.json = text
+
+
+def encode_reply(payload: dict) -> bytes:
+    """The reply body for *payload*: ``json.dumps(payload,
+    sort_keys=True)`` as UTF-8, byte for byte.
+
+    When ``payload["answers"]`` is a :class:`RenderedAnswers` and
+    ``"answers"`` is the first key in sorted order (it is in every
+    query reply), its stored text is spliced in and only the rest of
+    the payload is encoded.
+    """
+    answers = payload.get("answers")
+    if type(answers) is not RenderedAnswers or min(payload) != "answers":
+        return json.dumps(payload, sort_keys=True).encode()
+    rest = json.dumps(
+        {key: value for key, value in payload.items() if key != "answers"},
+        sort_keys=True,
+    )
+    tail = "}" if rest == "{}" else ", " + rest[1:]
+    return f'{{"answers": {answers.json}{tail}'.encode()
 
 
 def _check_config(dataset: "Dataset", sips, planner, maintain) -> None:
@@ -767,7 +800,7 @@ class QueryService:
         the same answers as source text.  The bit-identity tests compare
         these fields against a direct :meth:`repro.core.engine.Engine.query`.
         """
-        return _rendered(
+        return answers_object(
             [atom.ground_key() for atom in answers],
             [str(atom) for atom in answers],
         )
@@ -776,17 +809,21 @@ class QueryService:
         self, dataset: Dataset, goal: Atom, result: QueryResult
     ) -> dict:
         # A prepared transform shape hands over rows and text it already
-        # holds (on a call-table hit, no atom exists at all).
+        # holds (on a call-table hit, no atom exists at all, and the
+        # entry's JSON text rides along for encode_reply to splice).
         rendered = result.rendered
+        if rendered is None:
+            answers = self.render_answers(result.answers)
+        elif result.answers_json is None:
+            answers = answers_object(*rendered)
+        else:
+            answers = RenderedAnswers(*rendered, result.answers_json)
         payload = {
             "dataset": dataset.name,
             "version": dataset.version,
             "goal": str(goal),
             "strategy": result.strategy,
-            "answers": (
-                self.render_answers(result.answers) if rendered is None
-                else _rendered(*rendered)
-            ),
+            "answers": answers,
             "partial": False,
             "sound": True,
             "complete": True,

@@ -19,7 +19,10 @@ serving contract end to end, in two phases.
 4. answers and ``stats`` on the hit are identical to the miss, and the
    hit's ``answers`` serialise byte-identically
    (``json.dumps(sort_keys=True)``) — a hit renders stored text, never
-   the atoms the miss rendered;
+   the atoms the miss rendered; one more table hit read over a raw
+   socket has a body that is its own ``json.dumps(sort_keys=True)``
+   byte for byte (the entry's stored answers JSON is spliced in, not
+   re-encoded) with the miss's ``answers``;
 5. an ``/update`` adding an edge on a component the goal never probed
    patches the shape and keeps its call-table entry: the next reply is
    still a ``table_hit`` with the same ``stats`` and ``seminaive.runs``
@@ -33,8 +36,8 @@ serving contract end to end, in two phases.
    ``serve.connections`` stays below ``serve.requests`` in ``/metrics``;
 8. over raw sockets, a malformed request line (400) and a chunked
    ``POST`` (411) each get a JSON ``{"error": ...}`` reply with
-   ``Connection: close`` and a hang-up, and ``/health`` still answers
-   afterwards;
+   ``Connection: close`` and a hang-up, ``HEAD /health`` gets its head
+   only (a 501 with no body), and ``/health`` still answers afterwards;
 9. SIGTERM, sent while that connection is still open and idle, stops
    the server with exit code 0 and no traceback on stderr.
 
@@ -209,6 +212,45 @@ def check_protocol_errors(port: int) -> None:
         assert isinstance(json.loads(body).get("error"), str), (label, reply)
 
 
+def raw_reply(port: int, request: bytes) -> tuple[bytes, bytes]:
+    """``(head, body)`` of the one reply to *request*, read on a raw
+    connection until the server hangs up."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10.0) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    head, _, body = reply.partition(b"\r\n\r\n")
+    return head, body
+
+
+def check_raw_table_hit(port: int, goal: str, miss: dict) -> None:
+    """A table hit read off the wire: its body is canonical JSON byte
+    for byte, and its ``answers`` are the miss's."""
+    body = json.dumps({"dataset": "t1", "goal": goal}).encode()
+    head, reply = raw_reply(port, (
+        b"POST /query HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n"
+        b"Content-Type: application/json\r\n"
+        + f"Content-Length: {len(body)}\r\n\r\n".encode() + body
+    ))
+    assert head.startswith(b"HTTP/1.1 200 "), head
+    assert b"\r\nContent-Length: %d\r\n" % len(reply) in head + b"\r\n", head
+    payload = json.loads(reply)
+    assert payload["table_hit"] is True, payload
+    assert reply == json.dumps(payload, sort_keys=True).encode(), (
+        "a spliced table-hit body must equal json.dumps(sort_keys=True)"
+    )
+    assert payload["answers"] == miss["answers"], "raw hit answers must match"
+
+
+def check_head_request(port: int) -> None:
+    """``HEAD`` is not served: a 501 head with no body, then a hang-up."""
+    head, body = raw_reply(port, b"HEAD /health HTTP/1.1\r\nHost: smoke\r\n\r\n")
+    assert head.startswith(b"HTTP/1.1 501 "), head
+    assert b"connection: close" in head.lower(), head
+    assert body == b"", f"a HEAD reply carried {len(body)} body bytes"
+
+
 def run_threaded_phase() -> "str | None":
     """The single-process contract; non-None return is the failure."""
     server = ServerProcess()
@@ -248,8 +290,11 @@ def run_threaded_phase() -> "str | None":
         for name in FLAT_ON_HIT:
             print(f"  {name} = {after[name]}")
 
+        check_raw_table_hit(server.port, goal, first)
+        print("[threaded] raw table-hit body is canonical JSON with the miss's answers")
+
         cache = client.metrics()["cache"]
-        assert cache["hits"] == 1 and cache["misses"] == 1, cache
+        assert cache["hits"] == 2 and cache["misses"] == 1, cache
         print(f"[threaded] cache totals: {cache}")
 
         # An /update on a component the goal never probed patches the
@@ -315,10 +360,12 @@ def run_threaded_phase() -> "str | None":
         )
 
         check_protocol_errors(server.port)
+        check_head_request(server.port)
         assert client.health()["status"] == "ok"
         print(
             "[threaded] malformed request line and chunked POST: JSON "
-            "errors with Connection: close; /health still answers"
+            "errors with Connection: close; HEAD /health: head only; "
+            "/health still answers"
         )
     except (AssertionError, ServeError, OSError) as failure:
         err = server.kill_for_diagnosis()
