@@ -16,6 +16,17 @@ connect.  This module scales ``repro.serve`` across cores with
   the single-process ones), publishes every dataset version as a
   shared-memory snapshot (:func:`~repro.core.snapshot.freeze_database`),
   and routes ``/query`` / ``/prepare`` round-robin to the workers;
+* who answers what: a ``/query`` whose goal text and config a worker
+  already answered from its call table, at the dataset's published
+  version, is answered by the dispatcher from its copy of that reply
+  (``serve.dispatcher_hits``) and reaches no worker.  Misses, budgeted
+  requests, maintained and materialised shapes and ``/prepare`` go to a
+  worker.  The copies are dropped when the dataset publishes a new
+  version and bounded like a call table (``CALL_TABLE_MAX_ROWS``, least
+  recently used out first);
+* queries are served at the **highest published** version: an
+  ``/update`` whose version is still being frozen has not returned, so
+  the previous version answers meanwhile;
 * there is no dispatcher thread: the HTTP request thread itself takes
   its slot's lock, sends on the worker's pipe and waits for the reply
   there, so a request crosses no thread handoff on its way;
@@ -23,7 +34,9 @@ connect.  This module scales ``repro.serve`` across cores with
   carries a spec ``{name, version, shm, size}`` resolved at send time;
   a worker seeing an unknown version attaches the named block,
   decodes the database straight out of shared memory (the serialized
-  bytes are never copied between processes), and installs it;
+  bytes are never copied between processes), and installs it; a block
+  retired before the worker attached it gets the request resent with
+  the current spec;
 * workers that die (OOM-killed, crashed, ``kill -9`` in the tests) are
   detected at the pipe, respawned, and the in-flight request is retried
   once on the fresh worker — counted under ``serve.workers.crashed`` /
@@ -61,13 +74,18 @@ import multiprocessing
 import os
 import threading
 import time
+from collections import OrderedDict
+from operator import itemgetter
 
-from ..core.snapshot import SharedSnapshot, freeze_database, load_database
+from ..core import prepare as prepare_module
+from ..core.snapshot import (
+    SharedSnapshot, SnapshotError, freeze_database, load_database,
+)
 from ..datalog.parser import parse_program
 from ..errors import ReproError
 from ..obs import ThreadSafeMetrics, get_metrics, merge_snapshots, set_metrics
 from .cache import DEFAULT_MAX_ENTRIES
-from .service import QueryService, budget_from_payload
+from .service import QueryService, RenderedAnswers, budget_from_payload
 
 __all__ = ["WorkerPool", "PooledService", "WorkerPoolError"]
 
@@ -84,6 +102,12 @@ class WorkerPoolError(ReproError):
 
 # --- worker side --------------------------------------------------------------
 
+class _Retired(Exception):
+    """The spec's shared block was unlinked before this worker attached
+    it: newer versions were published meanwhile, so the dispatcher
+    resends the request with its current spec."""
+
+
 def _ensure_dataset(service: QueryService, installed: dict, spec) -> None:
     """Install the dataset version named by *spec*, if not already.
 
@@ -98,7 +122,10 @@ def _ensure_dataset(service: QueryService, installed: dict, spec) -> None:
     name, version = spec["name"], spec["version"]
     if installed.get(name) == version:
         return
-    snapshot = SharedSnapshot.attach(spec["shm"], spec["size"])
+    try:
+        snapshot = SharedSnapshot.attach(spec["shm"], spec["size"])
+    except SnapshotError as exc:
+        raise _Retired(str(exc)) from None
     try:
         database, header = load_database(snapshot.data)
     finally:
@@ -169,6 +196,8 @@ def _worker_main(conn, index: int, config: dict) -> None:
                     "ok": False, "status": 400,
                     "error": f"unknown worker op {op!r}",
                 }
+        except _Retired as exc:
+            reply = {"ok": False, "status": 503, "error": str(exc), "retired": True}
         except ReproError as exc:
             reply = {"ok": False, "status": 400, "error": str(exc)}
         except Exception as exc:  # noqa: BLE001 - worker must not die on a bad request
@@ -299,9 +328,12 @@ class WorkerPool:
         back as error replies.
 
         A worker that dies is respawned and the message is sent once
-        more.  One that stays silent until *timeout* is killed and
-        respawned — its late reply would otherwise answer the next
-        request on this slot — and the request fails.
+        more.  One that finds the spec's block already retired (two
+        newer versions were published since the spec was resolved) gets
+        the message again with a freshly resolved spec.  One that stays
+        silent until *timeout* is killed and respawned — its late reply
+        would otherwise answer the next request on this slot — and the
+        request fails.
         """
         deadline = time.monotonic() + timeout
         if not slot.lock.acquire(timeout=timeout):
@@ -310,7 +342,8 @@ class WorkerPool:
                 "error": f"worker {slot.index} stayed busy for {timeout}s",
             }
         try:
-            for attempt in range(2):
+            deaths = 0
+            while True:
                 if self._stop:
                     return _SHUTTING_DOWN
                 message = {"op": op, "payload": payload, "spec": None}
@@ -323,15 +356,23 @@ class WorkerPool:
                     slot.conn.send(message)
                     # A dead worker's pipe reads EOF: poll wakes up.
                     if slot.conn.poll(max(0.0, deadline - time.monotonic())):
-                        return slot.conn.recv()
+                        reply = slot.conn.recv()
+                        if not reply.get("retired"):
+                            return reply
+                        continue  # resend, naming the current block
                 except (EOFError, OSError):  # the worker died
                     if self._stop:
                         return _SHUTTING_DOWN
                     self._respawn(slot)
-                    if attempt == 0:
-                        obs = get_metrics()
-                        if obs.enabled:
-                            obs.incr("serve.workers.retries")
+                    deaths += 1
+                    if deaths == 2:
+                        return {
+                            "ok": False, "status": 503,
+                            "error": "worker died twice serving this request",
+                        }
+                    obs = get_metrics()
+                    if obs.enabled:
+                        obs.incr("serve.workers.retries")
                     continue
                 self._respawn(slot, crashed=False)
                 return {
@@ -339,10 +380,6 @@ class WorkerPool:
                     "error": f"worker {slot.index} did not answer within "
                     f"{timeout}s and was restarted",
                 }
-            return {
-                "ok": False, "status": 503,
-                "error": "worker died twice serving this request",
-            }
         finally:
             slot.lock.release()
 
@@ -399,7 +436,8 @@ class PooledService:
     ``prepare`` / ``datasets`` / ``metrics_payload`` / ``health_payload``
     / ``close``).  Mutations run on the wrapped in-process service (the
     authority for versions and fingerprints), then publish a
-    shared-memory snapshot; reads are dispatched to the pool.
+    shared-memory snapshot; reads are dispatched to the pool, except
+    repeated table hits, which the dispatcher answers itself.
     """
 
     def __init__(
@@ -414,7 +452,13 @@ class PooledService:
         if self._service.registry is not None:
             registry_path = str(self._service.registry.root)
         self._lock = threading.Lock()
+        # Per dataset, (version, block) pairs in version order: queries
+        # go to the highest published version.
         self._snapshots: dict[str, list] = {}
+        # Worker table hits mirrored here, keyed (dataset, version, goal
+        # text, config), least recently used first; guarded by _lock.
+        self._hits: "OrderedDict[tuple, dict]" = OrderedDict()
+        self._hit_rows = 0
         self.pool = WorkerPool(
             processes,
             config={"max_cached": max_cached, "registry": registry_path},
@@ -459,11 +503,13 @@ class PooledService:
 
     # --- publication ----------------------------------------------------------
     def _publish(self, name: str) -> None:
-        """Freeze the current dataset version into shared memory.
+        """Freeze the current dataset version into shared memory and
+        drop the dataset's mirrored hits.
 
-        Keeps the newest two blocks per dataset: a request dispatched
-        just before this publish may still carry the previous block's
-        name, so it survives one generation before being unlinked.
+        Keeps the two highest versions' blocks per dataset: a request
+        dispatched just before this publish may still carry the previous
+        block's name, so it survives one generation before being
+        unlinked (a worker that finds it gone is sent the current spec).
         """
         dataset = self._service.dataset(name)
         snapshot = freeze_database(
@@ -480,36 +526,93 @@ class PooledService:
         with self._lock:
             history = self._snapshots.setdefault(name, [])
             history.append((dataset.version, snapshot))
+            history.sort(key=itemgetter(0))  # concurrent publishes may cross
             while len(history) > 2:
                 _, retired = history.pop(0)
                 retired.close()
                 retired.unlink()
+            for key in [key for key in self._hits if key[0] == name]:
+                self._hit_rows -= self._hits.pop(key)["answers"]["count"]
 
     def _spec(self, name: str) -> dict:
-        dataset = self._service.dataset(name)
+        """The highest published version of *name*: an ``/update`` still
+        freezing its version has not returned, so serving the previous
+        one is linearizable."""
         with self._lock:
-            history = self._snapshots.get(name) or []
-            for version, snapshot in reversed(history):
-                if version == dataset.version:
-                    return {
-                        "name": name,
-                        "version": version,
-                        "shm": snapshot.name,
-                        "size": snapshot.size,
-                    }
+            history = self._snapshots.get(name)
+            if history:
+                version, snapshot = history[-1]
+                return {
+                    "name": name,
+                    "version": version,
+                    "shm": snapshot.name,
+                    "size": snapshot.size,
+                }
         raise ReproError(
             f"dataset {name!r} has no published snapshot"
-        )  # pragma: no cover - publish always follows load/update
+        )  # pragma: no cover - only a query racing the first /load of name
 
     # --- dispatched requests --------------------------------------------------
     def query(self, dataset_name: str, goal, budget=None, **config) -> dict:
+        """Answer from the mirrored worker table hits when the goal text
+        and config were already a table hit at the published version;
+        otherwise dispatch to a worker (budgeted requests always are)."""
+        started = time.perf_counter()
+        if self._closed:
+            raise WorkerPoolError("worker pool is shut down")
         self._service.dataset(dataset_name)  # fail fast on unknown names
         payload = {
             "goal": str(goal),
             "config": {k: v for k, v in config.items() if v is not None},
             "budget": _budget_payload(budget),
         }
-        return self.pool.submit("query", payload, dataset=dataset_name)
+        if payload["budget"] is not None:
+            return self.pool.submit("query", payload, dataset=dataset_name)
+        goal_key = (payload["goal"], tuple(sorted(payload["config"].items())))
+        with self._lock:
+            history = self._snapshots.get(dataset_name)
+            key = (dataset_name, history[-1][0] if history else None) + goal_key
+            stored = self._hits.get(key)
+            if stored is not None:
+                self._hits.move_to_end(key)
+        if stored is None:
+            reply = self.pool.submit("query", payload, dataset=dataset_name)
+            if reply["table_hit"] and type(reply["answers"]) is RenderedAnswers:
+                self._mirror((dataset_name, reply["version"]) + goal_key, reply)
+            return reply
+        reply = _fresh(stored)
+        elapsed = time.perf_counter() - started
+        reply["elapsed_ms"] = elapsed * 1000.0
+        obs = get_metrics()
+        if obs.enabled:
+            obs.incr("serve.queries")
+            obs.incr(f"serve.strategy.{reply['strategy']}")
+            obs.incr("prepare.table_hits")
+            obs.incr("serve.dispatcher_hits")
+            obs.observe("serve.request_seconds", elapsed)
+        return reply
+
+    def _mirror(self, key: tuple, reply: dict) -> None:
+        """Keep a copy of a worker's table-hit *reply* under *key* if its
+        version is still the published one, evicting least recently used
+        hits while rows plus entries exceed ``CALL_TABLE_MAX_ROWS``."""
+        rows = reply["answers"]["count"]
+        bound = prepare_module.CALL_TABLE_MAX_ROWS
+        if rows >= bound:
+            return
+        stored = _fresh(reply)
+        with self._lock:
+            history = self._snapshots.get(key[0])
+            if not history or history[-1][0] != key[1]:
+                return
+            old = self._hits.pop(key, None)
+            if old is not None:
+                self._hit_rows -= old["answers"]["count"]
+            self._hits[key] = stored
+            self._hit_rows += rows
+            while self._hit_rows + len(self._hits) > bound:
+                _, gone = self._hits.popitem(last=False)
+                self._hit_rows -= gone["answers"]["count"]
 
     def prepare(self, dataset_name: str, goal, **config) -> dict:
         self._service.dataset(dataset_name)
@@ -581,10 +684,22 @@ class PooledService:
         with self._lock:
             histories = list(self._snapshots.values())
             self._snapshots.clear()
+            self._hits.clear()
+            self._hit_rows = 0
         for history in histories:
             for _, snapshot in history:
                 snapshot.close()
                 snapshot.unlink()
+
+
+def _fresh(reply: dict) -> dict:
+    """A copy of a table-hit *reply* sharing no mutable part with it."""
+    answers = reply["answers"]
+    return {
+        **reply,
+        "answers": RenderedAnswers(answers["rows"], answers["atoms"], answers.json),
+        "stats": dict(reply["stats"]),
+    }
 
 
 def _budget_payload(budget) -> "dict | None":

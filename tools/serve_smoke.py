@@ -53,8 +53,11 @@ serving contract end to end, in two phases.
    the same goal sent 2 × workers + 1 times is a ``table_hit`` at least
    once, and every reply's ``answers`` serialise byte-identically to the
    first (miss) reply's — each worker's own call table never disagrees
-   with another's — and every reply carries the same ``rows`` after an
-   ``/update`` (workers re-prepare against the new snapshot);
+   with another's; once a worker hit is mirrored the dispatcher answers
+   the goal itself (``serve.dispatcher_hits`` ≥ 1), and one more repeat
+   read over a raw socket is a dispatcher hit whose body carries the
+   miss's ``answers`` bytes; every reply carries the same ``rows`` after
+   an ``/update`` (workers re-prepare against the new snapshot);
 4. a **restarted** server on the same registry directory serves its
    first request with **zero** transform/compile work (warm start);
 5. SIGTERM lands while queries are in flight — the server still exits
@@ -226,7 +229,7 @@ def raw_reply(port: int, request: bytes) -> tuple[bytes, bytes]:
 
 def check_raw_table_hit(port: int, goal: str, miss: dict) -> None:
     """A table hit read off the wire: its body is canonical JSON byte
-    for byte, and its ``answers`` are the miss's."""
+    for byte, and its ``answers`` are the miss's, byte for byte."""
     body = json.dumps({"dataset": "t1", "goal": goal}).encode()
     head, reply = raw_reply(port, (
         b"POST /query HTTP/1.1\r\nHost: smoke\r\nConnection: close\r\n"
@@ -240,7 +243,9 @@ def check_raw_table_hit(port: int, goal: str, miss: dict) -> None:
     assert reply == json.dumps(payload, sort_keys=True).encode(), (
         "a spliced table-hit body must equal json.dumps(sort_keys=True)"
     )
-    assert payload["answers"] == miss["answers"], "raw hit answers must match"
+    assert reply.startswith(b'{"answers": ' + serialised(miss["answers"]).encode()), (
+        "raw hit answers must be the miss's bytes"
+    )
 
 
 def check_head_request(port: int) -> None:
@@ -444,6 +449,18 @@ def run_multiproc_phase() -> "str | None":
         print(
             f"[multiproc] per-worker call tables agree: {hits} table hits in "
             f"{len(replies)} replies, entries per worker {tables}"
+        )
+        # A worker's table hit is mirrored: the dispatcher answers the
+        # goal from then on, without a worker round trip.
+        dispatcher_hits = client.counter("serve.dispatcher_hits")
+        assert dispatcher_hits >= 1, "no repeated goal was answered by the dispatcher"
+        check_raw_table_hit(server.port, goal, first)
+        assert client.counter("serve.dispatcher_hits") == dispatcher_hits + 1, (
+            "the raw-socket repeat must be a dispatcher hit"
+        )
+        print(
+            f"[multiproc] serve.dispatcher_hits={dispatcher_hits + 1}; a raw "
+            "dispatcher-hit body carries the miss's answers bytes"
         )
 
         info = client.update(
