@@ -1,7 +1,7 @@
 """ASCII rendering of benchmark tables and series.
 
 The benchmark scripts print the same rows/series the experiment index in
-DESIGN.md describes; this module keeps the formatting in one place so the
+docs/THEORY.md describes; this module keeps the formatting in one place so the
 output of every bench looks alike (and EXPERIMENTS.md can quote it
 verbatim).
 """

@@ -400,7 +400,10 @@ def _cmd_lint(args) -> int:
 
 def _cmd_why(args) -> int:
     engine = _load(args.file, args.facts)
-    text = engine.why(args.goal)
+    try:
+        text = engine.why(args.goal)
+    except ValueError as exc:  # an open goal: a usage error, not "not derivable"
+        raise ReproError(str(exc)) from None
     print(text)
     return 0 if "not derivable" not in text else 1
 

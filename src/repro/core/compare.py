@@ -10,7 +10,7 @@ strategies on a (program, query, database) triple and compares:
 * **answers** — Alexander ``ans_*`` facts vs the union of OLDT table
   answers, per ``(predicate, adornment)``.
 
-Caveat (documented in DESIGN.md): OLDT tables are keyed by *variants*, so
+Caveat (docs/THEORY.md, "Why rectification matters"): OLDT tables are keyed by *variants*, so
 a call pattern with a repeated variable (``p(X, X)``) is a distinct table
 that the positional adornment normalisation cannot express.  Such bodies
 do not occur in the standard workload suite; the checker reports any

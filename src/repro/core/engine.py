@@ -209,9 +209,13 @@ class Engine:
     def why(self, goal: Atom | str) -> str:
         """A proof tree for a ground goal, rendered as indented ASCII.
 
-        Runs a provenance-tracking evaluation (first derivation of every
-        fact is recorded) and reconstructs the goal's proof.  Returns a
-        "not derivable" message when the goal does not hold.
+        Runs one semi-naive evaluation and reads the goal's proof off the
+        round stamps it leaves on the model, searching only the facts the
+        proof needs (:mod:`repro.engine.provenance`).  Returns a "not
+        derivable" message when the goal does not hold.
+
+        Raises:
+            ValueError: when *goal* is not ground.
         """
         from ..engine.provenance import format_proof, traced_fixpoint
 

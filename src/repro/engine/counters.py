@@ -5,7 +5,7 @@ top-down (SLD, OLDT, QSQR) — reports its work through a single
 :class:`EvaluationStats` record, so the benchmark harness can compare
 "inference counts" across strategies the way the paper's theorems do.
 
-Counter semantics (normative; see DESIGN.md "Metrics"):
+Counter semantics (normative; see docs/THEORY.md "Metrics"):
 
 * ``inferences``   — successful rule applications: a full body match that
   produces a head instantiation (bottom-up), or a resolution step that

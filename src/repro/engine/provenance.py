@@ -1,13 +1,18 @@
-"""Provenance-tracking evaluation: proof trees for derived facts.
+"""Provenance: proof trees for derived facts.
 
-The engines answer *what* is derivable; this module also records *why*.
-:func:`traced_fixpoint` runs a stratified semi-naive evaluation that
-remembers, for every derived fact, its **first derivation** — the rule
-instance and the body facts that fired it.  Because the semi-naive delta
-discipline only ever consumes facts from strictly earlier rounds (and the
-stratified driver only consumes completed lower strata), the recorded
-derivation graph is acyclic, so proof trees can be reconstructed without
-cycle checks.
+The engines answer *what* is derivable; this module also answers *why*.
+:func:`traced_fixpoint` runs the one bottom-up evaluator,
+:func:`~repro.engine.seminaive.seminaive_fixpoint`, and reads each derived
+fact's proof **on demand** off the round stamps it leaves on the model
+(``docs/ARCHITECTURE.md``, "Round-stamped relations").  A rule *fires* for
+``p(row)`` stamped ``s`` when its head instantiates to ``row`` and its body
+matches with ``p``'s own dependency component read through
+``rows_before(s)`` and every other predicate in full.  The round that
+derived the row made such a firing, and its children are stamped earlier or
+lie in earlier components, so every proof is well-founded.  A fact's
+derivation is the shallowest of each rule's first firing, the first in
+program rule order on ties, memoised per fact.  Facts of the input database
+and of the program are leaves, even where a rule could also derive them.
 
 ``repro-datalog why program.dl "anc(a, c)"`` prints these trees from the
 command line.
@@ -16,16 +21,17 @@ command line.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator
 
 from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant
+from ..datalog.unify import match_atom
 from ..facts.database import Database
-from ..facts.relation import Relation
 from .counters import EvaluationStats
 from .matching import CompiledRule, compile_rule, match_body
+from .seminaive import seminaive_fixpoint
 
 __all__ = ["Derivation", "ProofNode", "TracedEvaluation", "traced_fixpoint", "format_proof"]
 
@@ -75,183 +81,110 @@ class ProofNode:
 
 class TracedEvaluation:
     """The result of a traced run: the completed database plus, for each
-    derived fact, its first derivation."""
+    derived fact, its derivation, found on first request."""
 
     def __init__(
         self,
+        program: Program,
         database: Database,
-        derivations: Mapping[Fact, Derivation],
-        edb_facts: frozenset[Fact],
+        asserted: frozenset[Fact],
         stats: EvaluationStats,
     ):
         self.database = database
-        self._derivations = dict(derivations)
-        self._edb_facts = edb_facts
         self.stats = stats
+        self._asserted = asserted
+        self._scc_of = program.dependency_graph.scc_of
+        self._rules: dict[str, list[CompiledRule]] = {}
+        for rule in program.proper_rules:
+            self._rules.setdefault(rule.head.predicate, []).append(compile_rule(rule))
+        self._derivations: dict[Fact, tuple[Derivation | None, int]] = {}
 
     def holds(self, atom: Atom) -> bool:
         return self.database.has_fact(atom)
 
     def derivation_of(self, atom: Atom) -> Derivation | None:
-        return self._derivations.get((atom.predicate, atom.ground_key()))
+        return self._derive((atom.predicate, atom.ground_key()))[0]
 
     def proof(self, atom: Atom) -> ProofNode | None:
         """The proof tree of a ground atom, or None when it does not hold."""
-        fact = (atom.predicate, atom.ground_key())
-        if fact in self._edb_facts and fact not in self._derivations:
-            return ProofNode(fact=fact, rule=None)
-        if fact not in self._derivations:
+        if not self.holds(atom):
             return None
-        return self._build(fact)
+        return self._build((atom.predicate, atom.ground_key()))
 
     def _build(self, fact: Fact) -> ProofNode:
-        derivation = self._derivations.get(fact)
+        derivation, _ = self._derive(fact)
         if derivation is None:
             return ProofNode(fact=fact, rule=None)
         children = [self._build(child) for child in derivation.positive]
-        return ProofNode(
-            fact=fact,
-            rule=derivation.rule,
-            children=children,
-            negative=derivation.negative,
-        )
+        return ProofNode(fact, derivation.rule, children, derivation.negative)
+
+    def _derive(self, fact: Fact) -> tuple[Derivation | None, int]:
+        """*fact*'s derivation and its proof's depth; ``(None, 1)`` for an
+        asserted fact or one that does not hold."""
+        known = self._derivations.get(fact)
+        if known is not None:
+            return known
+        derivation, depth = None, 1
+        predicate, row = fact
+        if fact not in self._asserted and predicate in self.database:
+            relation = self.database.relation(predicate)
+            if row in relation:
+                # Where a component reads only complete inputs, all its rules
+                # fire in one pass and the stamps cannot rank them; the
+                # shallowest proof is the one a stratum's rounds reach first.
+                for candidate in self._firings(predicate, row, relation.stamp_of(row)):
+                    height = 1
+                    for child in candidate.positive:  # a loop, not max(): stack depth
+                        height = max(height, 1 + self._derive(child)[1])
+                    if derivation is None or height < depth:
+                        derivation, depth = candidate, height
+        self._derivations[fact] = (derivation, depth)
+        return derivation, depth
+
+    def _firings(self, predicate: str, row: tuple, cutoff: int) -> Iterator[Derivation]:
+        """Each rule's first firing for ``predicate(row)``, in program rule
+        order, reading same-component rows stamped before *cutoff*."""
+        component = self._scc_of[predicate]
+        database = self.database
+
+        def view(position: int, name: str):
+            if name not in database:
+                return None
+            relation = database.relation(name)
+            return relation.rows_before(cutoff) if name in component else relation
+
+        head = Atom(predicate, tuple(Constant(value) for value in row))
+        for compiled in self._rules[predicate]:
+            substitution = match_atom(compiled.rule.head, head)
+            if substitution is None:
+                continue
+            seed = {var: term.value for var, term in substitution.items()}
+            for binding in match_body(compiled, view, EvaluationStats(), seed):
+                positive: list[Fact] = []
+                negative: list[Fact] = []
+                for literal in compiled.body:
+                    values = tuple(
+                        arg.value if isinstance(arg, Constant) else binding[arg]
+                        for arg in literal.source.atom.args
+                    )
+                    (positive if literal.positive else negative).append((literal.predicate, values))
+                yield Derivation(compiled.rule, tuple(positive), tuple(negative))
+                break
 
 
-def _literal_fact(literal, binding) -> Fact:
-    row = [None] * (
-        len(literal.constants) + len(literal.binders) + len(literal.filters)
-    )
-    for column, value in literal.constants:
-        row[column] = value
-    for column, var in literal.binders + literal.filters:
-        row[column] = binding[var]
-    return (literal.predicate, tuple(row))
+def traced_fixpoint(program: Program, database: Database | None = None) -> TracedEvaluation:
+    """Evaluate *program* with :func:`~repro.engine.seminaive.seminaive_fixpoint`
+    and return the model with on-demand proofs.
 
-
-def traced_fixpoint(
-    program: Program, database: Database | None = None
-) -> TracedEvaluation:
-    """Stratified semi-naive evaluation that records first derivations.
-
-    Uses per-round snapshots like :mod:`repro.engine.seminaive`; the
-    recorded derivation of each fact only references facts from earlier
-    rounds or lower strata, so proofs are well-founded.
+    Raises:
+        StratificationError: when *program* is not stratifiable.
     """
-    stats = EvaluationStats()
-    working = database.copy() if database is not None else Database()
-    working.add_atoms(program.facts)
-    edb_facts = frozenset(
-        (atom.predicate, atom.ground_key()) for atom in working.all_atoms()
-    )
-    derivations: dict[Fact, Derivation] = {}
-    arities = program.arities
-    stratification = stratify(program)
-    for stratum in stratification.strata:
-        _trace_stratum(stratum, working, derivations, arities, stats)
-    return TracedEvaluation(working, derivations, edb_facts, stats)
-
-
-def _trace_stratum(
-    stratum: Program,
-    working: Database,
-    derivations: dict[Fact, Derivation],
-    arities: Mapping[str, int],
-    stats: EvaluationStats,
-) -> None:
-    derived = stratum.idb_predicates
-    for predicate in derived:
-        working.relation(predicate, arities[predicate])
-    compiled_rules = [compile_rule(rule) for rule in stratum.proper_rules]
-
-    def full_view(position: int, predicate: str) -> Relation | None:
-        try:
-            return working.relation(predicate)
-        except KeyError:
-            return None
-
-    def record(compiled: CompiledRule, binding, head_fact: Fact) -> None:
-        if head_fact in derivations:
-            return
-        positive = []
-        negative = []
-        for literal in compiled.body:
-            fact = _literal_fact(literal, binding)
-            if literal.positive:
-                positive.append(fact)
-            else:
-                negative.append(fact)
-        derivations[head_fact] = Derivation(
-            rule=compiled.rule,
-            positive=tuple(positive),
-            negative=tuple(negative),
-        )
-
-    # Round 0 (one T_P application), then delta rounds; facts are merged
-    # only at round boundaries so the recorded derivations reference
-    # earlier rounds exclusively.
-    delta: dict[str, Relation] = {
-        predicate: Relation(predicate, arities[predicate])
-        for predicate in derived
-    }
-    stats.iterations += 1
-    for compiled in compiled_rules:
-        for binding in match_body(compiled, full_view, stats):
-            stats.inferences += 1
-            row = compiled.head_tuple(binding)
-            head_fact = (compiled.head_predicate, row)
-            if row not in working.relation(compiled.head_predicate):
-                delta[compiled.head_predicate].add(row)
-                record(compiled, binding, head_fact)
-    for predicate in derived:
-        for row in delta[predicate]:
-            if working.add(predicate, row):
-                stats.facts_derived += 1
-
-    while any(delta[predicate] for predicate in derived):
-        stats.iterations += 1
-        old: dict[str, Relation] = {}
-        for predicate in derived:
-            snapshot = Relation(predicate, arities[predicate])
-            delta_rows = delta[predicate].rows()
-            for row in working.relation(predicate):
-                if row not in delta_rows:
-                    snapshot.add(row)
-            old[predicate] = snapshot
-        new_delta: dict[str, Relation] = {
-            predicate: Relation(predicate, arities[predicate])
-            for predicate in derived
-        }
-        for compiled in compiled_rules:
-            positions = [
-                index
-                for index, literal in enumerate(compiled.body)
-                if literal.positive and literal.predicate in derived
-            ]
-            for position in positions:
-                literal = compiled.body[position]
-                delta_relation = delta[literal.predicate]
-                if not delta_relation:
-                    continue
-
-                def view(pos: int, predicate: str) -> Relation | None:
-                    if pos == position:
-                        return delta_relation
-                    if pos > position and predicate in derived:
-                        return old.get(predicate)
-                    return full_view(pos, predicate)
-
-                for binding in match_body(compiled, view, stats):
-                    stats.inferences += 1
-                    row = compiled.head_tuple(binding)
-                    head_fact = (compiled.head_predicate, row)
-                    if row not in working.relation(compiled.head_predicate):
-                        new_delta[compiled.head_predicate].add(row)
-                        record(compiled, binding, head_fact)
-        for predicate in derived:
-            for row in new_delta[predicate]:
-                if working.add(predicate, row):
-                    stats.facts_derived += 1
-        delta = new_delta
+    stratify(program)
+    asserted = {(atom.predicate, atom.ground_key()) for atom in program.facts}
+    for relation in database.relations() if database is not None else ():
+        asserted.update((relation.name, row) for row in relation)
+    model, stats = seminaive_fixpoint(program, database)
+    return TracedEvaluation(program, model, frozenset(asserted), stats)
 
 
 def format_proof(node: ProofNode, indent: str = "") -> str:

@@ -195,18 +195,13 @@ def _affected_predicates(
     query identically before and after the update, so the cache can
     migrate it to the new dataset version instead of dropping it.
     """
-    dependents: dict[str, set[str]] = {}
-    for rule in program.proper_rules:
-        for literal in rule.body:
-            dependents.setdefault(literal.predicate, set()).add(
-                rule.head.predicate
-            )
+    successors = program.dependency_graph.successors
     affected = set(updated)
     frontier = set(updated)
     while frontier:
         next_frontier: set[str] = set()
         for predicate in frontier:
-            for head in dependents.get(predicate, ()):
+            for head in successors.get(predicate, ()):
                 if head not in affected:
                     affected.add(head)
                     next_frontier.add(head)

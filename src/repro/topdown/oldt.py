@@ -22,7 +22,7 @@ Implementation: a worklist ("SLG-lite") rendering of OLDT's search forest.
   *nested, completed* OLDT evaluation — sound for stratified programs,
   where the nested subquery cannot depend on any in-flight table.
 
-Counter semantics (matching DESIGN.md):
+Counter semantics (matching docs/THEORY.md "Metrics"):
 
 * ``inferences``  — successful program-clause resolutions, EDB fact
   resolutions, and answer-clause resolutions (answer replay).

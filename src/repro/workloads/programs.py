@@ -314,8 +314,8 @@ def win_game(graph: str = "chain", **graph_params) -> Scenario:
 
     ``win(X) :- move(X,Y), not win(Y)`` depends negatively on itself; the
     test suite uses this scenario to check that the analysis layer rejects
-    it and the engines refuse it cleanly (well-founded semantics is out of
-    scope; see DESIGN.md future work).
+    it and the stratified engines refuse it cleanly; the well-founded
+    engine evaluates it (``repro.engine.wellfounded``, docs/THEORY.md §6).
     """
     graph_params.setdefault("n", 8)
     edges = make_edges(graph, **graph_params)

@@ -55,6 +55,31 @@ class TestQueryCommand:
         assert "error:" in capsys.readouterr().err
 
 
+class TestWhyCommand:
+    def test_derivable_goal_prints_its_proof_tree(self, program_file, capsys):
+        code = main(["why", program_file, "anc(a, c)"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines() == [
+            "anc(a, c)   [rule: anc(X, Y) :- par(X, Z), anc(Z, Y).]",
+            "  par(a, b)   [fact]",
+            "  anc(b, c)   [rule: anc(X, Y) :- par(X, Y).]",
+            "    par(b, c)   [fact]",
+        ]
+
+    def test_underivable_goal_exits_one(self, program_file, capsys):
+        code = main(["why", program_file, "anc(d, a)"])
+        assert code == 1
+        assert capsys.readouterr().out.strip() == "anc(d, a) is not derivable"
+
+    def test_open_goal_is_a_usage_error(self, program_file, capsys):
+        code = main(["why", program_file, "anc(a, X)"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.strip() == "error: why() needs a ground goal, got anc(a, X)"
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
 class TestUpdateCommand:
     def test_update_requires_at_least_one_operation(self, capsys):
         code = main(["update", "db"])

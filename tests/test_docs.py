@@ -91,6 +91,37 @@ class TestOrphanCheck:
         capsys.readouterr()
 
 
+class TestDocstringCheck:
+    def test_missing_markdown_named_in_a_docstring_is_reported(self, tmp_path, monkeypatch):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "docs" / "REAL.md").write_text("ok\n", encoding="utf-8")
+        (tmp_path / "TOP.md").write_text("ok\n", encoding="utf-8")
+        package = tmp_path / "src" / "pkg"
+        package.mkdir(parents=True)
+        (package / "mod.py").write_text(
+            '"""See REAL.md, docs/REAL.md and TOP.md."""\n\n'
+            'def f():\n    """Semantics in GONE.md."""\n\n'
+            'NOTE = "NOT_A_DOCSTRING.md"\n',
+            encoding="utf-8",
+        )
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        problems: list[str] = []
+        assert check_docs.check_docstrings(problems) == 4
+        assert problems == ["src/pkg/mod.py:3: docstring names missing GONE.md"]
+
+    def test_docstring_check_runs_by_default_only(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "docs").mkdir()
+        (tmp_path / "README.md").write_text("no index\n", encoding="utf-8")
+        (tmp_path / "docs" / "TUTORIAL.md").write_text("", encoding="utf-8")
+        (tmp_path / "src").mkdir()
+        (tmp_path / "src" / "mod.py").write_text('"""See GONE.md."""\n', encoding="utf-8")
+        monkeypatch.setattr(check_docs, "REPO_ROOT", tmp_path)
+        monkeypatch.setattr(check_docs, "TUTORIAL", tmp_path / "docs" / "TUTORIAL.md")
+        assert check_docs.main([]) == 1
+        assert check_docs.main(["--links"]) == 0
+        capsys.readouterr()
+
+
 class TestBlockExtraction:
     def test_python_blocks_found_with_line_numbers(self):
         text = "intro\n```python\nx = 1\n```\n```bash\nls\n```\n```python\ny = x\n```\n"
@@ -128,6 +159,11 @@ class TestRepositoryDocs:
         problems: list[str] = []
         checked = check_docs.check_orphans(problems)
         assert checked > 0
+        assert problems == []
+
+    def test_src_docstrings_name_only_existing_docs(self):
+        problems: list[str] = []
+        assert check_docs.check_docstrings(problems) > 0
         assert problems == []
 
     def test_tutorial_examples_run(self):

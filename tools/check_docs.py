@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation checks: intra-repo links and runnable tutorial examples.
 
-Two independent checks, both fast enough for every CI run:
+Independent checks, all fast enough for every CI run:
 
 * **Links** — every relative markdown link in the repo's top-level and
   ``docs/`` markdown files must point at a file (or directory) that
@@ -16,10 +16,13 @@ Two independent checks, both fast enough for every CI run:
 * **Orphans** — every page in ``docs/`` must be reachable from
   ``README.md`` (the documentation index); a page nothing links to is
   dead weight that silently drifts out of date.
+* **Docstrings** — every ``*.md`` file a docstring under ``src/`` names
+  must exist at the repo root or under ``docs/``: those references are
+  plain text, invisible to the link check.
 
 Usage::
 
-    python tools/check_docs.py            # all checks
+    python tools/check_docs.py            # all checks; the only run with docstrings
     python tools/check_docs.py --links    # links only
     python tools/check_docs.py --tutorial # tutorial only
     python tools/check_docs.py --orphans  # orphaned docs pages only
@@ -30,6 +33,7 @@ Exit code 0 iff every requested check passed.
 from __future__ import annotations
 
 import argparse
+import ast
 import re
 import sys
 import pathlib
@@ -45,6 +49,7 @@ TUTORIAL = REPO_ROOT / "docs" / "TUTORIAL.md"
 LINK_PATTERN = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FENCE_PATTERN = re.compile(r"^```(\w*)\s*$")
 EXTERNAL_PREFIXES = ("http://", "https://", "mailto:")
+MARKDOWN_NAME = re.compile(r"[\w./-]+\.md\b")
 
 # Task scaffolding quoting *other* repositories verbatim — their relative
 # links point into those repos, not this one.
@@ -95,6 +100,27 @@ def check_orphans(problems: list[str]) -> int:
                 f"docs/{page.name}: orphaned page — not linked from README.md"
             )
     return len(pages)
+
+
+def check_docstrings(problems: list[str]) -> int:
+    """Every ``*.md`` name in a ``src/**/*.py`` docstring must exist at
+    the repo root or under ``docs/``; returns the number of names seen."""
+    checked = 0
+    for path in sorted((REPO_ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(
+                node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+            ):
+                continue
+            docstring = ast.get_docstring(node, clean=False)
+            for name in MARKDOWN_NAME.findall(docstring or ""):
+                checked += 1
+                if not any((base / name).exists() for base in (REPO_ROOT, REPO_ROOT / "docs")):
+                    relative = path.relative_to(REPO_ROOT)
+                    line = getattr(node, "lineno", 1)
+                    problems.append(f"{relative}:{line}: docstring names missing {name}")
+    return checked
 
 
 def python_blocks(text: str) -> list[tuple[int, str]]:
@@ -157,6 +183,9 @@ def main(argv: list[str] | None = None) -> int:
     if run_orphans:
         count = check_orphans(problems)
         print(f"check_docs: {count} docs pages checked for README reachability")
+    if not selected:
+        count = check_docstrings(problems)
+        print(f"check_docs: {count} markdown names in src/ docstrings checked")
     if run_tutorial:
         count = check_tutorial(problems)
         print(f"check_docs: {count} tutorial examples executed")
