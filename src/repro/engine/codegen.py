@@ -1,8 +1,8 @@
-"""Generated rule kernels: slot IR -> Python source -> shape memo.
+"""Generated rule kernels: kernel shape -> Python source -> shape memo.
 
-:func:`generate` turns the *shape* of the slot form
-:func:`repro.engine.kernel.compile_kernel` lowers a rule to (``prelude`` /
-``levels`` / ``head``, with names and constants taken out) into one Python
+:func:`generate` turns a rule's kernel *shape*, the slot form
+:func:`repro.engine.matching.compile_rule_ordered` lowers it to (``prelude``
+/ ``levels`` / ``head``, with names and constants taken out), into one Python
 generator function: a ``for`` loop per scan level, slots as locals,
 writes, checks, tests and the head tuple inlined.  Each body position's
 relation is resolved through the :data:`~repro.engine.matching.RelationView`
@@ -185,10 +185,10 @@ def _render(shape: tuple) -> str:
     return "\n".join(lines) + "\n"
 
 
-def generate(shape: tuple, args: list) -> tuple:
+def generate(shape: tuple, args: tuple) -> tuple:
     """``(run, source, compiled)`` for one kernel's *shape* and the
     values *args* of its ``A0, A1, ...`` (both from
-    :func:`repro.engine.kernel.compile_kernel`).
+    :func:`repro.engine.matching.compile_rule_ordered`).
 
     *run* is ``run(view, stats, checkpoint) -> iterator of head tuples``,
     *source* its text (one per shape, in :mod:`linecache` so tracebacks

@@ -18,12 +18,17 @@ its statistics-driven order instead.  Either way the compiled rule
 enumerates the same fact set — ordering only changes how much work the
 index-nested-loop join does (see ``docs/ARCHITECTURE.md``, "The matcher/
 planner contract").
+
+The same pass also lowers the rule for the generated kernels every
+bottom-up engine runs: it numbers the variables as slots and builds the
+kernel *shape* and its arguments (:class:`CompiledRule`), so
+:func:`repro.engine.kernel.compile_kernel` only looks the shape up.  The
+compiled records are named tuples: immutable, and cheap to build.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..datalog.atoms import Literal
 from ..datalog.builtins import BUILTIN_PREDICATES, evaluate_builtin, is_builtin
@@ -64,9 +69,12 @@ __all__ = [
 # schedulers reuse one _RoundView per delta variant across rounds).
 RelationView = Callable[[int, str], "Relation | None"]
 
+# Builds a named tuple from a tuple of all its fields, in C: the class's
+# generated ``__new__`` is a Python call that costs more than the tuple.
+_record = tuple.__new__
 
-@dataclass(frozen=True, slots=True)
-class CompiledLiteral:
+
+class CompiledLiteral(NamedTuple):
     """One body literal in matcher form.
 
     Attributes:
@@ -78,6 +86,7 @@ class CompiledLiteral:
         filters: (column, variable) pairs where the variable occurred
             earlier in this literal (equality filter within the row).
         source: the original literal, for diagnostics.
+        builtin: True for a built-in comparison.
     """
 
     predicate: str
@@ -98,52 +107,40 @@ class CompiledLiteral:
         return self.builtin or not self.positive
 
 
-@dataclass(frozen=True, slots=True)
-class CompiledRule:
+class CompiledRule(NamedTuple):
     """A rule with its body ordered for left-to-right evaluation.
 
     ``head_pattern`` entries are either ``("c", value)`` or
     ``("v", Variable)``; building a head tuple from a complete binding is a
     single comprehension.
+
+    ``shape`` and ``arguments`` are the rule's kernel, lowered in the same
+    walk over the body: ``shape`` is ``(prelude, levels, head)`` with
+    body positions, columns and slot numbers only, the key
+    :func:`repro.engine.codegen.generate` renders source from, and
+    ``arguments`` the predicate names and constants bound to that
+    source's ``A0, A1, ...``.  Slots number the variables in order of
+    first binding.  A prelude test or a level's trailing test is
+    ``(position, builtin, positive, template)``, its template the slot
+    per column (``None`` for a constant); a level is ``(position,
+    constant columns, bound probe, writes, checks, tests)``, the last
+    three as ``(column, slot)`` pairs; the head is a template.  The
+    arguments follow rendering order: per test its predicate then its
+    constants; per level the scan's, then its tests'; then the head's.
     """
 
     rule: Rule
     head_predicate: str
     head_pattern: tuple[tuple[str, object], ...]
     body: tuple[CompiledLiteral, ...]
+    shape: tuple
+    arguments: tuple
 
     def head_tuple(self, binding: Mapping[Variable, object]) -> tuple:
         return tuple(
             value if kind == "c" else binding[value]
             for kind, value in self.head_pattern
         )
-
-
-def _compile_literal(literal: Literal, bound: set[str]) -> CompiledLiteral:
-    """Classify the literal's columns; a positive literal's variable
-    names are added to *bound*."""
-    atom = literal.atom
-    binders: list[tuple[int, Variable]] = []
-    # Constants and repeated variables are the rare cases.
-    constants: tuple[tuple[int, object], ...] = ()
-    filters: tuple[tuple[int, Variable], ...] = ()
-    seen_here: set[str] = set()  # names: str hashes without a Python call
-    for column, arg in enumerate(atom.args):
-        if isinstance(arg, Constant):
-            constants += ((column, arg.value),)
-        elif arg.name in seen_here:
-            filters += ((column, arg),)
-        else:
-            seen_here.add(arg.name)
-            binders.append((column, arg))
-    if literal.positive:
-        bound |= seen_here
-    # Positional, as for the other per-literal and per-rule records of
-    # the lowering: a keyword call costs a third more per object.
-    return CompiledLiteral(
-        atom.predicate, literal.positive, constants, tuple(binders), filters,
-        literal, atom.predicate in BUILTIN_PREDICATES,
-    )
 
 
 def order_body(
@@ -245,21 +242,104 @@ def compile_rule_ordered(
     whose test literals are fully bound at their position (true of any
     order :func:`compile_rule` ever produced, which is the only source
     of serialized plans).
+
+    One walk over *ordered* classifies each literal's columns for
+    :func:`match_body` and lowers the rule for
+    :func:`repro.engine.kernel.compile_kernel`: the slots, the kernel
+    shape and its arguments (see :class:`CompiledRule`).
+
+    Raises:
+        SafetyError: when a head variable, or a variable of a test
+            literal, is not bound by a positive literal before it.
     """
-    bound: set[str] = set()
-    body = tuple([_compile_literal(literal, bound) for literal in ordered])
+    slots: dict[str, int] = {}  # variable name -> slot
+    args: list = []
+    body: list[CompiledLiteral] = []
+    prelude: list[tuple] = []
+    levels: list[tuple] = []  # each level's last item: its tests, a list
+    tests = prelude
+    for position, literal in enumerate(ordered):
+        atom = literal.atom
+        predicate = atom.predicate
+        # Classify the columns.  Constants and repeated variables are the
+        # rare cases.
+        binders: list[tuple[int, Variable]] = []
+        constants: tuple[tuple[int, object], ...] = ()
+        filters: tuple[tuple[int, Variable], ...] = ()
+        seen_here: set[str] = set()  # names: str hashes without a Python call
+        for column, arg in enumerate(atom.args):
+            if isinstance(arg, Constant):
+                constants += ((column, arg.value),)
+            elif arg.name in seen_here:
+                filters += ((column, arg),)
+            else:
+                seen_here.add(arg.name)
+                binders.append((column, arg))
+        positive = literal.positive
+        builtin = predicate in BUILTIN_PREDICATES
+        body.append(_record(CompiledLiteral, (
+            predicate, positive, constants, tuple(binders), filters,
+            literal, builtin,
+        )))
+        args.append(predicate)
+        if constants:
+            args.extend([value for _, value in constants])
+        if builtin or not positive:
+            template: list = [None] * len(atom.args)
+            for column, var in binders:
+                slot = slots.get(var.name)
+                if slot is None:
+                    raise SafetyError(
+                        f"test literal {literal} of rule {rule} has unbound "
+                        f"variable {var.name} at its position"
+                    )
+                template[column] = slot
+            for column, var in filters:
+                template[column] = slots[var.name]
+            tests.append((position, builtin, positive, tuple(template)))
+            continue
+        bound: list[tuple[int, int]] = []
+        writes: list[tuple[int, int]] = []
+        for column, var in binders:
+            slot = slots.get(var.name)
+            if slot is None:
+                slots[var.name] = slot = len(slots)
+                writes.append((column, slot))
+            else:
+                bound.append((column, slot))
+        checks: tuple[tuple[int, int], ...] = ()
+        if filters:
+            checks = tuple([(column, slots[var.name]) for column, var in filters])
+        tests = []
+        levels.append((
+            position, tuple([column for column, _ in constants]),
+            tuple(bound), tuple(writes), checks, tests,
+        ))
     head_pattern: list[tuple[str, object]] = []
+    head: list[int | None] = []
     for arg in rule.head.args:
         if isinstance(arg, Constant):
             head_pattern.append(("c", arg.value))
+            head.append(None)
+            args.append(arg.value)
         else:
-            if arg.name not in bound:
+            slot = slots.get(arg.name)
+            if slot is None:
                 raise SafetyError(
                     f"head variable {arg} of rule {rule} does not occur "
                     "in any positive body literal"
                 )
             head_pattern.append(("v", arg))
-    return CompiledRule(rule, rule.head.predicate, tuple(head_pattern), body)
+            head.append(slot)
+    shape = (
+        tuple(prelude),
+        tuple([(*level[:5], tuple(level[5])) for level in levels]),
+        tuple(head),
+    )
+    return _record(CompiledRule, (
+        rule, rule.head.predicate, tuple(head_pattern), tuple(body),
+        shape, tuple(args),
+    ))
 
 
 def delta_first(

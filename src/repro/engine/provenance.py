@@ -71,12 +71,19 @@ class ProofNode:
         return Atom(predicate, tuple(Constant(value) for value in row))
 
     def depth(self) -> int:
-        if not self.children:
-            return 1
-        return 1 + max(child.depth() for child in self.children)
+        deepest, stack = 0, [(self, 1)]  # explicit stack: proofs run deep
+        while stack:
+            node, level = stack.pop()
+            deepest = max(deepest, level)
+            stack.extend((child, level + 1) for child in node.children)
+        return deepest
 
     def size(self) -> int:
-        return 1 + sum(child.size() for child in self.children)
+        count, stack = 0, [self]
+        while stack:
+            count += 1
+            stack.extend(stack.pop().children)
+        return count
 
 
 class TracedEvaluation:
@@ -112,19 +119,56 @@ class TracedEvaluation:
         return self._build((atom.predicate, atom.ground_key()))
 
     def _build(self, fact: Fact) -> ProofNode:
-        derivation, _ = self._derive(fact)
-        if derivation is None:
-            return ProofNode(fact=fact, rule=None)
-        children = [self._build(child) for child in derivation.positive]
-        return ProofNode(fact, derivation.rule, children, derivation.negative)
+        self._derive(fact)
+        built: list[ProofNode] = []
+        stack = [(fact, built)]  # (fact, the children list it joins)
+        while stack:
+            fact, siblings = stack.pop()
+            derivation = self._derivations[fact][0]
+            if derivation is None:
+                siblings.append(ProofNode(fact=fact, rule=None))
+                continue
+            node = ProofNode(fact, derivation.rule, [], derivation.negative)
+            siblings.append(node)
+            stack.extend((child, node.children) for child in reversed(derivation.positive))
+        return built[0]
 
     def _derive(self, fact: Fact) -> tuple[Derivation | None, int]:
         """*fact*'s derivation and its proof's depth; ``(None, 1)`` for an
+        asserted fact or one that does not hold.
+
+        A proof is as deep as the chain of rounds that derived it, so the
+        search keeps its own stack of ``[fact, firings, candidate, next
+        child, height, best, depth]`` frames rather than Python's.
+        """
+        memo = self._derivations
+        if fact not in memo:
+            stack = [[fact, self._candidates(fact), None, 0, 1, None, 1]]
+            while stack:
+                frame = stack[-1]
+                candidate = frame[2]
+                if candidate is not None and frame[3] < len(candidate.positive):
+                    child = candidate.positive[frame[3]]
+                    known = memo.get(child)
+                    if known is None:
+                        stack.append([child, self._candidates(child), None, 0, 1, None, 1])
+                    else:
+                        frame[4] = max(frame[4], 1 + known[1])
+                        frame[3] += 1
+                    continue
+                if candidate is not None and (frame[5] is None or frame[4] < frame[6]):
+                    frame[5], frame[6] = candidate, frame[4]
+                frame[2] = next(frame[1], None)
+                if frame[2] is not None:
+                    frame[3], frame[4] = 0, 1
+                    continue
+                memo[frame[0]] = (frame[5], frame[6])
+                stack.pop()
+        return memo[fact]
+
+    def _candidates(self, fact: Fact) -> Iterator[Derivation]:
+        """The firings :meth:`_derive` ranks for *fact*: none for an
         asserted fact or one that does not hold."""
-        known = self._derivations.get(fact)
-        if known is not None:
-            return known
-        derivation, depth = None, 1
         predicate, row = fact
         if fact not in self._asserted and predicate in self.database:
             relation = self.database.relation(predicate)
@@ -132,14 +176,8 @@ class TracedEvaluation:
                 # Where a component reads only complete inputs, all its rules
                 # fire in one pass and the stamps cannot rank them; the
                 # shallowest proof is the one a stratum's rounds reach first.
-                for candidate in self._firings(predicate, row, relation.stamp_of(row)):
-                    height = 1
-                    for child in candidate.positive:  # a loop, not max(): stack depth
-                        height = max(height, 1 + self._derive(child)[1])
-                    if derivation is None or height < depth:
-                        derivation, depth = candidate, height
-        self._derivations[fact] = (derivation, depth)
-        return derivation, depth
+                return self._firings(predicate, row, relation.stamp_of(row))
+        return iter(())
 
     def _firings(self, predicate: str, row: tuple, cutoff: int) -> Iterator[Derivation]:
         """Each rule's first firing for ``predicate(row)``, in program rule
@@ -188,17 +226,24 @@ def traced_fixpoint(program: Program, database: Database | None = None) -> Trace
 
 
 def format_proof(node: ProofNode, indent: str = "") -> str:
-    """Render a proof tree as indented ASCII."""
+    """Render a proof tree as indented ASCII: each node's line, then its
+    children's trees one level in, then its absent negative facts."""
     lines = []
-    label = str(node.atom())
-    if node.rule is None:
-        lines.append(f"{indent}{label}   [fact]")
-    else:
-        lines.append(f"{indent}{label}   [rule: {node.rule}]")
-    child_indent = indent + "  "
-    for child in node.children:
-        lines.append(format_proof(child, child_indent))
-    for predicate, row in node.negative:
-        atom = Atom(predicate, tuple(Constant(value) for value in row))
-        lines.append(f"{child_indent}not {atom}   [absent]")
+    stack: list = [(node, indent)]  # (node, its indent) or (None, a finished line)
+    while stack:
+        node, text = stack.pop()
+        if node is None:
+            lines.append(text)
+            continue
+        indent = text
+        label = str(node.atom())
+        if node.rule is None:
+            lines.append(f"{indent}{label}   [fact]")
+        else:
+            lines.append(f"{indent}{label}   [rule: {node.rule}]")
+        child_indent = indent + "  "
+        for predicate, row in reversed(node.negative):
+            atom = Atom(predicate, tuple(Constant(value) for value in row))
+            stack.append((None, f"{child_indent}not {atom}   [absent]"))
+        stack.extend((child, child_indent) for child in reversed(node.children))
     return "\n".join(lines)

@@ -478,10 +478,14 @@ def _membership_run(rule, kind: str, interpreted: bool, limit: "int | None"):
             relation.add(row)
     compiled = compile_rule(rule)
     kernel = compile_kernel(compiled)
+    # A level with no writes and no checks is a membership probe.
+    probed = [
+        (position, compiled.body[position].predicate)
+        for position, _, _, writes, checks, _ in kernel.shape[1]
+        if not writes and not checks
+    ]
     recorders = {
-        (scan.position, scan.predicate): _ProbeRecorder(database.relation(scan.predicate).arity)
-        for scan, _ in kernel.levels
-        if not scan.writes and not scan.checks
+        where: _ProbeRecorder(database.relation(where[1]).arity) for where in probed
     }
     stats = EvaluationStats()
     checkpoint = ensure_checkpoint(

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.datalog.parser import parse_program
-from repro.datalog.terms import Variable
 from repro.engine.counters import EvaluationStats
 from repro.engine.kernel import RuleKernel, compile_kernel
-from repro.engine.matching import CompiledLiteral, compile_rule, match_body
+from repro.engine.matching import compile_rule, compile_rule_ordered, match_body
 from repro.errors import SafetyError
 from repro.facts.database import Database
 from repro.obs import collect
@@ -28,63 +27,54 @@ def _view(database: Database):
 
 
 class TestCompilation:
+    # A level is (position, constant columns, bound probe, writes, checks,
+    # tests); a test is (position, builtin, positive, slot template).
     def test_slot_numbering_follows_first_occurrence(self):
         kernel = _kernel("p(X, Y) :- e(X, Z), e(Z, Y).")
-        assert kernel.slot_count == 3  # X=0, Z=1, Y=2
-        first, second = (scan for scan, _ in kernel.levels)
-        assert first.writes == ((0, 0), (1, 1))
-        assert first.bound_probe == ()
-        assert second.bound_probe == ((0, 1),)  # Z already bound
-        assert second.writes == ((1, 2),)
-        assert kernel.head == ((False, 0), (False, 2))
+        prelude, (first, second), head = kernel.shape
+        assert prelude == ()
+        assert first == (0, (), (), ((0, 0), (1, 1)), (), ())  # X=0, Z=1
+        assert second == (1, (), ((0, 1),), ((1, 2),), (), ())  # Z bound, Y=2
+        assert head == (0, 2)
+        assert kernel.arguments == ("e", "e")
 
     def test_constants_become_const_probe(self):
         kernel = _kernel("p(X) :- e(a, X).")
-        (scan, _), = kernel.levels
-        assert scan.const_probe == ((0, "a"),)
-        assert scan.writes == ((1, 0),)
+        (level,) = kernel.shape[1]
+        assert level[1] == (0,) and level[3] == ((1, 0),)
+        assert kernel.arguments == ("e", "a")
 
     def test_repeated_variable_becomes_check(self):
         kernel = _kernel("p(X) :- e(X, X).")
-        (scan, _), = kernel.levels
-        assert scan.writes == ((0, 0),)
-        assert scan.checks == ((1, 0),)
+        (level,) = kernel.shape[1]
+        assert level[3] == ((0, 0),)
+        assert level[4] == ((1, 0),)
 
     def test_constant_head_argument(self):
         kernel = _kernel("p(a, X) :- e(X).")
-        assert kernel.head == ((True, "a"), (False, 0))
+        assert kernel.shape[2] == (None, 0)
+        assert kernel.arguments == ("e", "a")
 
     def test_negative_literal_becomes_trailing_test(self):
         kernel = _kernel("p(X) :- e(X), not q(X).")
-        (scan, tests), = kernel.levels
-        assert scan.predicate == "e"
-        (test,) = tests
-        assert test.predicate == "q"
-        assert not test.positive and not test.builtin
-        assert test.values == ((False, 0),)
+        (level,) = kernel.shape[1]
+        assert level[0] == 0 and kernel.arguments[0] == "e"
+        (test,) = level[5]
+        assert test == (1, False, False, (0,))
+        assert kernel.arguments == ("e", "q")
 
     def test_builtin_becomes_trailing_test(self):
         kernel = _kernel("p(X, Y) :- e(X, Y), X < Y.")
-        (scan, tests), = kernel.levels
-        (test,) = tests
-        assert test.builtin and test.predicate == "lt"
-        assert test.values == ((False, 0), (False, 1))
+        (level,) = kernel.shape[1]
+        (test,) = level[5]
+        assert test == (1, True, True, (0, 1))
+        assert kernel.arguments == ("e", "lt")
 
     def test_unbound_test_variable_is_rejected(self):
-        program = parse_program("p(X) :- e(X), not q(X).")
-        compiled = compile_rule(program.proper_rules[0], None)
-        source = compiled.body[1].source
-        broken = CompiledLiteral(
-            predicate="q",
-            positive=False,
-            constants=(),
-            binders=((0, Variable("Unbound")),),
-            filters=(),
-            source=source,
-        )
-        object.__setattr__(compiled, "body", (compiled.body[0], broken))
+        rule = parse_program("p(X) :- e(X), not q(X).").proper_rules[0]
+        positive, negative = rule.body
         with pytest.raises(SafetyError):
-            compile_kernel(compiled)
+            compile_rule_ordered(rule, (negative, positive))
 
     def test_obs_counters(self):
         program = parse_program("p(X, Y) :- e(X, Z), e(Z, Y).")

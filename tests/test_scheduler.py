@@ -218,9 +218,10 @@ class TestScheduleIsPinned:
         base = _benchmark_rulebases()[4]
         result = Engine.from_source(base.text).query(base.goal_text)
         assert result.answers
-        # The lower stratum and the rewritten goal stratum are scheduled;
-        # nothing is analysed twice, whether compared by identity or by rules.
-        assert len(analysed) == len(set(analysed)) == 2
+        # One program, the lower stratum plus the rewritten goal stratum,
+        # is scheduled; nothing is analysed twice, whether compared by
+        # identity or by rules.
+        assert len(analysed) == len(set(analysed)) == 1
         program = parse_program(base.text)
         assert program.dependency_graph is program.dependency_graph
         build_schedule(program), build_schedule(program), stratify(program)
