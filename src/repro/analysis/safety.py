@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..datalog.builtins import BUILTIN_PREDICATES
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Variable
 from ..errors import SafetyError
@@ -42,26 +43,32 @@ def check_rule_safety(rule: Rule) -> list[SafetyViolation]:
     Built-in comparison literals never bind: like negative literals,
     their variables must occur in some positive ordinary literal.
     """
-    from ..datalog.builtins import is_builtin
-
-    positive_vars: set[Variable] = set()
+    # The terms the positive ordinary literals hold (constants too: only
+    # variables are looked up), and the literals that only test.
+    held: set = set()
+    tests: list = []
     for literal in rule.body:
-        if literal.positive and not is_builtin(literal.predicate):
-            positive_vars.update(literal.variables())
+        if literal.positive and literal.atom.predicate not in BUILTIN_PREDICATES:
+            held.update(literal.atom.args)
+        else:
+            tests.append(literal)
+    if held.issuperset(rule.head.args) and all(
+        held.issuperset(literal.atom.args) for literal in tests
+    ):
+        return []  # every term is held: the common case, in one pass
     violations: list[SafetyViolation] = []
     for var in rule.head.variables():
-        if var not in positive_vars:
+        if var not in held:
             violations.append(SafetyViolation(rule, var, "head"))
-    for literal in rule.body:
-        if literal.negative or is_builtin(literal.predicate):
-            place = (
-                f"negative literal {literal}"
-                if literal.negative
-                else f"builtin literal {literal}"
-            )
-            for var in literal.variables():
-                if var not in positive_vars:
-                    violations.append(SafetyViolation(rule, var, place))
+    for literal in tests:
+        place = (
+            f"negative literal {literal}"
+            if literal.negative
+            else f"builtin literal {literal}"
+        )
+        for var in literal.variables():
+            if var not in held:
+                violations.append(SafetyViolation(rule, var, place))
     # Deduplicate (a variable may repeat within a literal) preserving order.
     unique: list[SafetyViolation] = []
     seen: set[tuple[Variable, str]] = set()

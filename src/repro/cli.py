@@ -34,6 +34,7 @@ from .datalog.parser import parse_program, parse_query
 from .datalog.pretty import format_bindings, format_program
 from .engine.budget import EvaluationBudget
 from .errors import REMOVED_SETTINGS, BudgetExceededError, ReproError
+from .facts.io import load_facts, load_source
 from .transform.alexander import alexander_templates
 from .transform.magic import magic_sets
 from .transform.supplementary import supplementary_magic_sets
@@ -290,12 +291,12 @@ def _budget_from_args(args) -> EvaluationBudget | None:
 
 
 def _load(path: str, fact_files: list[str] | None = None) -> Engine:
-    engine = Engine.from_file(path, check_safety=False)
-    from .facts.io import load_facts
-
+    with open(path, "r", encoding="utf-8") as handle:
+        program, database = load_source(handle.read())
     for fact_file in fact_files or []:
-        load_facts(fact_file, into=engine.database)
-    return engine
+        load_facts(fact_file, into=database)
+    # The engine checks the fact files' arities against the rules.
+    return Engine(program, database, check_safety=False)
 
 
 def _cmd_query(args) -> int:

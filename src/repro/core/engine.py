@@ -23,9 +23,10 @@ from typing import Iterable, Mapping
 
 from ..analysis.safety import require_safe
 from ..datalog.atoms import Atom
-from ..datalog.parser import parse_program, parse_query
+from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..facts.database import Database
+from ..facts.io import check_arities, load_source
 from ..transform.sips import Sips, named_sips
 from .strategy import QueryResult, available_strategies, run_strategy
 
@@ -51,18 +52,32 @@ class Engine:
             database: extensional facts; the engine keeps its own copy.
             check_safety: validate range restriction up front (recommended;
                 unsafe rules would fail later with poorer messages).
+
+        Raises:
+            ProgramError: when a predicate is used with two arities across
+                the rules, the embedded facts and *database*.
         """
         if check_safety:
             require_safe(program)
-        self._database = database.copy() if database is not None else Database()
-        self._database.add_atoms(program.facts)
+        database = database.copy() if database is not None else Database()
+        check_arities(program, database)
+        database.add_atoms(program.facts)
+        self._database = database
         self._program = program.without_facts()
 
     # --- constructors --------------------------------------------------------
     @classmethod
     def from_source(cls, text: str, check_safety: bool = True) -> "Engine":
-        """Build an engine from Datalog source text."""
-        return cls(parse_program(text), check_safety=check_safety)
+        """Build an engine from Datalog source text.
+
+        The facts go straight into relation rows (:func:`repro.facts.io.load_source`,
+        which also checks every predicate's arity), and the engine keeps
+        that database itself rather than a copy.
+        """
+        rules, database = load_source(text)
+        engine = cls(rules, check_safety=check_safety)
+        engine._database = database  # the loaded rows themselves, not a copy
+        return engine
 
     @classmethod
     def from_file(cls, path, check_safety: bool = True) -> "Engine":

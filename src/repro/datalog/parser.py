@@ -28,7 +28,14 @@ from .builtins import INFIX_OPERATORS
 from .rules import Program, Rule
 from .terms import Constant, Term, Variable
 
-__all__ = ["parse_program", "parse_rule", "parse_atom", "parse_query", "tokenize"]
+__all__ = [
+    "parse_program",
+    "parse_source",
+    "parse_rule",
+    "parse_atom",
+    "parse_query",
+    "tokenize",
+]
 
 # The scanner: skipped text (whitespace, line comments), then one token
 # in the group.  The group cannot fail after a maximal skip -- ``\S``
@@ -74,6 +81,11 @@ def _kind(token: str) -> str | None:
     if first == '"' and _STRING.fullmatch(token):
         return "STRING"
     return None
+
+
+# The value of a token that denotes no constant (a variable, punctuation,
+# ``not``, the end of input).
+_NO_VALUE = object()
 
 
 def _unquote(token: str) -> str:
@@ -128,6 +140,9 @@ class _Parser:
         # token -> the term it denotes: a repeated token costs one lookup.
         # Per text; nothing is remembered between calls.
         self._terms: dict[str, Term] = {}
+        # token -> the constant value it denotes (never None), or
+        # _NO_VALUE: the same per-text cache for the rows of ground facts.
+        self._values: dict[str, object] = {}
         self._anon_counter = 0
 
     def _fail(self, message: str, position: int | None = None) -> NoReturn:
@@ -239,16 +254,93 @@ class _Parser:
             self._expected("DOT", self._position)
         return Rule(head, tuple(body))
 
-    def parse_program(self) -> Program:
+    def _new_value(self, token: str) -> object:
+        kind = _kind(token)
+        if kind == "IDENT":
+            value: object = token
+        elif kind == "INTEGER":
+            value = int(token)
+        elif kind == "STRING":
+            value = _unquote(token)
+        else:
+            value = _NO_VALUE
+        self._values[token] = value
+        return value
+
+    def parse_fact_row(self, rows: dict[str, list[tuple]]) -> bool:
+        """Append the value tuple of a ground fact ``p(c1, ..., cn).`` or
+        ``p.`` at the cursor to ``rows[p]``.
+
+        Returns False, with the cursor unmoved, for any other statement:
+        :meth:`parse_rule` reads it, and reports any syntax error there.
+        """
+        tokens = self._tokens
+        values = self._values
+        predicate = tokens[self._position]
+        position = self._position + 1
+        if tokens[position] == "(":
+            found = []
+            while True:
+                token = tokens[position + 1]
+                value = values.get(token)
+                if value is None:
+                    value = self._new_value(token)
+                if value is _NO_VALUE:
+                    return False
+                found.append(value)
+                position += 2
+                if tokens[position] != ",":
+                    break
+            if tokens[position] != ")":
+                return False
+            position += 1
+            row = tuple(found)
+        else:
+            row = ()
+        if tokens[position] != ".":
+            return False
+        # An identifier is the one token whose value is its own text.
+        value = values.get(predicate)
+        if value is None:
+            value = self._new_value(predicate)
+        if value != predicate:
+            return False
+        found = rows.get(predicate)
+        if found is None:
+            rows[predicate] = [row]
+        else:
+            found.append(row)
+        self._position = position + 1
+        return True
+
+    def parse_statements(self, rows: "dict[str, list[tuple]] | None" = None) -> list[Rule]:
+        """Every statement of the text, in order.  Given *rows*, ground
+        facts go there as value tuples instead of into the rule list."""
         rules: list[Rule] = []
         while not self.exhausted:
-            rules.append(self.parse_rule())
-        return Program(rules)
+            if rows is None or not self.parse_fact_row(rows):
+                rules.append(self.parse_rule())
+        return rules
 
 
 def parse_program(text: str) -> Program:
     """Parse Datalog source text into a :class:`Program`."""
-    return _Parser(text).parse_program()
+    return Program(_Parser(text).parse_statements())
+
+
+def parse_source(text: str) -> tuple[list[Rule], dict[str, list[tuple]]]:
+    """Parse Datalog source text into its rules and its ground facts' rows.
+
+    Returns ``(rules, rows)``: every statement that is not a ground fact,
+    in text order, and per predicate the value tuples of its ground facts,
+    in text order -- what :func:`parse_program` +
+    :meth:`Database.add_atoms <repro.facts.database.Database.add_atoms>`
+    would store, with no atom built.  Raises exactly the errors
+    :func:`parse_program` raises on malformed text.
+    """
+    rows: dict[str, list[tuple]] = {}
+    rules = _Parser(text).parse_statements(rows)
+    return rules, rows
 
 
 def parse_rule(text: str) -> Rule:

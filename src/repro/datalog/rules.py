@@ -185,12 +185,13 @@ class Program:
         """Arity of every predicate; raises on inconsistent use."""
         seen: dict[str, int] = {}
         for rule in self._rules:
-            for atom in (rule.head, *(lit.atom for lit in rule.body)):
-                prior = seen.setdefault(atom.predicate, atom.arity)
-                if prior != atom.arity:
+            for atom in (rule.head, *[lit.atom for lit in rule.body]):
+                arity = len(atom.args)
+                prior = seen.setdefault(atom.predicate, arity)
+                if prior != arity:
                     raise ProgramError(
                         f"predicate {atom.predicate} used with arities "
-                        f"{prior} and {atom.arity}"
+                        f"{prior} and {arity}"
                     )
         return seen
 
@@ -209,7 +210,10 @@ class Program:
         return Program(self._rules + tuple(extra))
 
     def without_facts(self) -> "Program":
-        """A new program containing only the proper rules."""
+        """The program of only the proper rules: this one when it embeds
+        no fact."""
+        if len(self.proper_rules) == len(self._rules):
+            return self
         return Program(self.proper_rules)
 
     def __str__(self) -> str:

@@ -39,6 +39,12 @@ class Variable:
 
     name: str
 
+    def __hash__(self) -> int:
+        # The name's own hash (equal names, equal variables): the
+        # generated hash builds a one-tuple per call, and the analyses
+        # and rewritings hash variables in every set they build.
+        return hash(self.name)
+
     def __repr__(self) -> str:
         return f"Variable({self.name!r})"
 

@@ -1,6 +1,13 @@
-"""Loading and saving extensional databases.
+"""Loading source text as rules plus relation rows (``load_source``), and
+loading and saving extensional databases.
 
-Two interchange formats:
+:func:`load_source` is the one reader of Datalog source text that keeps
+its facts apart from its rules: ground facts go straight into relation
+rows, never becoming atoms.  Every load entry point (``Engine.from_source``,
+``QueryService.load``, :func:`load_facts`) reads through it and checks
+each predicate's arity across facts, rules and the database it extends.
+
+Two interchange formats for databases:
 
 * **facts format** — plain Datalog facts, one per line (``par(a, b).``);
   round-trips through the library's own parser, so whatever
@@ -16,13 +23,16 @@ All functions accept paths or open text handles.
 from __future__ import annotations
 
 import re
-from typing import TextIO
+from typing import Mapping, TextIO
 
-from ..datalog.parser import parse_program
-from ..errors import ParseError
+from ..datalog.parser import parse_source
+from ..datalog.rules import Program
+from ..errors import ParseError, ProgramError
 from .database import Database
 
 __all__ = [
+    "load_source",
+    "check_arities",
     "load_facts",
     "save_facts",
     "load_delimited",
@@ -42,6 +52,77 @@ def _open_for_write(target) -> tuple[TextIO, bool]:
     return open(target, "w", encoding="utf-8"), True
 
 
+def _arity_clash(predicate: str, first: int, second: int) -> ProgramError:
+    # The wording of Program.arities, so every clash reads the same.
+    return ProgramError(
+        f"predicate {predicate} used with arities {first} and {second}"
+    )
+
+
+def check_arities(program: Program, database: Database) -> None:
+    """Raise :class:`ProgramError` when *database* stores a predicate of
+    *program* (rules or embedded facts) with another arity, or when
+    *program* itself uses one predicate with two arities."""
+    arities = program.arities
+    for relation in database.relations():
+        known = arities.get(relation.name)
+        if known is not None and known != relation.arity:
+            raise _arity_clash(relation.name, known, relation.arity)
+
+
+def _add_rows(
+    database: Database,
+    rows: dict[str, list[tuple]],
+    arities: Mapping[str, int],
+) -> None:
+    """Insert :func:`~repro.datalog.parser.parse_source` *rows* into
+    *database*, after checking every predicate's arity against its other
+    rows, *arities* and *database*: a clash raises before anything is
+    inserted."""
+    for predicate, found in rows.items():
+        arity = len(found[0])
+        if len(set(map(len, found))) > 1:
+            other = next(len(row) for row in found if len(row) != arity)
+            raise _arity_clash(predicate, arity, other)
+        known = arities.get(predicate)
+        if known is None:
+            known = database.arity_of(predicate)
+        if known is not None and known != arity:
+            raise _arity_clash(predicate, known, arity)
+    for predicate, found in rows.items():
+        database.relation(predicate, len(found[0])).add_all(found)
+
+
+def load_source(
+    text: str,
+    program: Program | None = None,
+    into: Database | None = None,
+) -> tuple[Program, Database]:
+    """Read Datalog source text into its rules and its facts' rows.
+
+    Returns ``(rules, database)``: a :class:`Program` of *program*'s rules
+    followed by the text's proper rules, and *into* (a new database when
+    omitted) holding the text's ground facts as rows, in text order.
+    The rules and rows are those of ``parse_program(text)`` split by
+    ``without_facts()`` and ``add_atoms(facts)``, built without an atom
+    per fact.
+
+    Raises:
+        ParseError: on malformed text (the errors of ``parse_program``).
+        ProgramError: when a predicate is used with two arities anywhere
+            in the text, *program* and *into*; nothing is inserted then.
+    """
+    statements, rows = parse_source(text)
+    if program is not None and program.rules:
+        statements[:0] = program.rules
+    rules = Program(statements)
+    database = into if into is not None else Database()
+    if into is not None:
+        check_arities(rules, database)
+    _add_rows(database, rows, rules.arities)
+    return rules, database
+
+
 def load_facts(source, into: Database | None = None) -> Database:
     """Read a facts file (Datalog ground facts) into a database.
 
@@ -51,18 +132,20 @@ def load_facts(source, into: Database | None = None) -> Database:
 
     Raises:
         ParseError: on malformed input or non-fact statements.
+        ProgramError: when a predicate's facts have two arities, or one
+            other than *into*'s; nothing is inserted then.
     """
     handle, owned = _open_for_read(source)
     try:
-        program = parse_program(handle.read())
+        statements, rows = parse_source(handle.read())
     finally:
         if owned:
             handle.close()
-    if program.proper_rules:
-        offender = program.proper_rules[0]
-        raise ParseError(f"facts file contains a rule: {offender}")
+    program = Program(statements)  # refuses a body-less non-ground rule
+    if program.rules:
+        raise ParseError(f"facts file contains a rule: {program.rules[0]}")
     database = into if into is not None else Database()
-    database.add_atoms(program.facts)
+    _add_rows(database, rows, {})
     return database
 
 

@@ -56,12 +56,13 @@ from ..core.prepare import (
 from ..core.snapshot import database_fingerprint
 from ..core.strategy import QueryResult, available_strategies, run_strategy
 from ..datalog.atoms import Atom
-from ..datalog.parser import parse_program, parse_query
+from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..engine.budget import EvaluationBudget
 from ..engine.planner import resolve_planner
 from ..errors import BudgetExceededError, ReproError, UnpreparableStrategyError
 from ..facts.database import Database
+from ..facts.io import load_source
 from ..obs import get_metrics
 from ..transform.sips import named_sips
 from .cache import DEFAULT_MAX_ENTRIES, PreparedQueryCache
@@ -318,20 +319,16 @@ class QueryService:
                     "load requires non-empty program or facts text"
                 )
             if extend:
-                rules = list(current.program.rules)
+                program = current.program
                 database = current.database.copy()
                 version = current.version + 1
             else:
-                rules = []
+                program = Program(())
                 database = Database()
                 version = current.version + 1 if current is not None else 1
             for text in (program_text, facts_text):
-                if not text:
-                    continue
-                parsed = parse_program(text)
-                database.add_atoms(parsed.facts)
-                rules.extend(parsed.without_facts().rules)
-            program = Program(tuple(rules))
+                if text:
+                    program, database = load_source(text, program, database)
             dataset = Dataset(
                 name=name,
                 program=program,

@@ -18,9 +18,9 @@ from typing import Mapping
 
 from ..datalog.atoms import Atom, Literal
 from ..datalog.rules import Program, Rule
-from ..datalog.terms import Constant, Variable
+from ..datalog.terms import Constant
 from ..errors import TransformError
-from .common import Adornment, adorned_name, adornment_for
+from .common import Adornment, adorned_name, adornment_for, head_bound_variables
 from .sips import Sips, left_to_right
 
 __all__ = ["AdornedRule", "AdornedProgram", "adorn_program", "query_adornment"]
@@ -165,33 +165,29 @@ def _adorn_rule(
     sips: Sips,
 ) -> AdornedRule:
     predicate, adornment = head_key
-    if len(adornment) != rule.head.arity:
+    head = rule.head
+    if len(adornment) != len(head.args):
         raise TransformError(
-            f"adornment {adornment} does not fit head {rule.head}"
+            f"adornment {adornment} does not fit head {head}"
         )
-    bound: set[Variable] = {
-        arg
-        for arg, flag in zip(rule.head.args, adornment)
-        if flag == "b" and isinstance(arg, Variable)
-    }
-    ordered = sips(rule.body, frozenset(bound))
+    head_bound = head_bound_variables(head, adornment)
+    bound: set = set(head_bound)
     new_body: list[Literal] = []
     body_adornments: list[tuple[str, Adornment] | None] = []
-    for literal in ordered:
-        if literal.predicate in idb:
-            literal_adornment = adornment_for(literal.atom, bound)
-            key = (literal.predicate, literal_adornment)
-            renamed = Atom(name_for(key), literal.atom.args)
-            new_body.append(Literal(renamed, literal.positive))
+    for literal in sips(rule.body, head_bound):
+        atom = literal.atom
+        if atom.predicate in idb:
+            key = (atom.predicate, adornment_for(atom, bound))
+            new_body.append(Literal(Atom(name_for(key), atom.args), literal.positive))
             body_adornments.append(key)
         else:
             new_body.append(literal)
             body_adornments.append(None)
         if literal.positive:
-            bound.update(literal.variables())
-    new_head = Atom(name_for(head_key), rule.head.args)
+            # Constants join the set too: adornment_for tests them first.
+            bound.update(atom.args)
     return AdornedRule(
-        rule=Rule(new_head, tuple(new_body)),
+        rule=Rule(Atom(name_for(head_key), head.args), tuple(new_body)),
         head_predicate=predicate,
         head_adornment=adornment,
         body_adornments=tuple(body_adornments),

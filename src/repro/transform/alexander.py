@@ -36,13 +36,14 @@ from __future__ import annotations
 
 from ..datalog.atoms import Atom, Literal
 from ..datalog.rules import Program, Rule
-from ..datalog.terms import Constant, Variable
+from ..datalog.terms import Constant
 from ..errors import TransformError
 from .adorn import AdornedProgram, AdornedRule, adorn_program
 from .common import (
     TransformedProgram,
     bound_args,
-    carried_variables,
+    continuation_variables,
+    head_bound_variables,
     observe_transform,
     prefixed_name,
 )
@@ -131,60 +132,39 @@ def _rewrite_rule(
     rule = adorned_rule.rule
     head = rule.head
     body = rule.body
-    state = Atom(
-        call_name(head.predicate),
-        bound_args(head, adorned_rule.head_adornment),
-    )
+    adornment = adorned_rule.head_adornment
+    # The state literal opens every template of its position; it is
+    # built once and shared by them.
+    state = Literal(Atom(call_name(head.predicate), bound_args(head, adornment)))
     answer_head = Atom(ans_name(head.predicate), head.args)
-    produced: list[Rule] = []
-
     if not body:
-        produced.append(Rule(answer_head, (Literal(state),)))
-        return produced
+        return [Rule(answer_head, (state,))]
 
-    def cont_name(i: int) -> str:
-        fresh = prefixed_name(f"cont_{rule_index}_{i}", head.predicate, taken)
-        taken.add(fresh)
-        return fresh
-
-    bound: set[Variable] = {
-        arg
-        for arg, flag in zip(head.args, adorned_rule.head_adornment)
-        if flag == "b" and isinstance(arg, Variable)
-    }
-
+    last = len(body) - 1
+    carried = (
+        continuation_variables(head, body, head_bound_variables(head, adornment))
+        if last
+        else []
+    )
+    produced: list[Rule] = []
     for position, (literal, key) in enumerate(
         zip(body, adorned_rule.body_adornments)
     ):
-        is_last = position == len(body) - 1
-        if (
-            key is not None
-            and literal.positive
-            and literal.predicate in adorned_idb
-        ):
+        atom = literal.atom
+        if key is not None and literal.positive and atom.predicate in adorned_idb:
             # Emit the problem-generation template and resolve against the
             # solution predicate.
-            _, literal_adornment = key
-            call_head = Atom(
-                call_name(literal.predicate),
-                bound_args(literal.atom, literal_adornment),
-            )
-            produced.append(Rule(call_head, (Literal(state),)))
-            resolvent = Literal(
-                Atom(ans_name(literal.predicate), literal.atom.args),
-                literal.positive,
-            )
+            call_head = Atom(call_name(atom.predicate), bound_args(atom, key[1]))
+            produced.append(Rule(call_head, (state,)))
+            literal = Literal(Atom(ans_name(atom.predicate), atom.args))
+        if position == last:
+            produced.append(Rule(answer_head, (state, literal)))
         else:
-            resolvent = literal
-        if literal.positive:
-            bound.update(literal.variables())
-        if is_last:
-            produced.append(Rule(answer_head, (Literal(state), resolvent)))
-        else:
-            carried = carried_variables(bound, body[position + 1 :], head)
-            next_state = Atom(cont_name(position + 1), carried)
-            produced.append(Rule(next_state, (Literal(state), resolvent)))
-            state = next_state
+            name = prefixed_name(f"cont_{rule_index}_{position + 1}", head.predicate, taken)
+            taken.add(name)
+            next_state = Atom(name, carried[position])
+            produced.append(Rule(next_state, (state, literal)))
+            state = Literal(next_state)
     return produced
 
 

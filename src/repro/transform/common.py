@@ -10,7 +10,8 @@ and the correspondence checker.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from operator import attrgetter
+from typing import Container, Iterable, Mapping, Sequence
 
 from ..datalog.atoms import Atom, Literal
 from ..datalog.rules import Program, Rule
@@ -23,9 +24,10 @@ __all__ = [
     "adornment_for",
     "bound_args",
     "free_args",
+    "head_bound_variables",
     "adorned_name",
     "prefixed_name",
-    "carried_variables",
+    "continuation_variables",
     "observe_transform",
     "TransformedProgram",
 ]
@@ -63,13 +65,11 @@ def adornment_for(atom: Atom, bound_vars: frozenset[Variable] | set[Variable]) -
 
 def bound_args(atom: Atom, adornment: Adornment) -> tuple[Term, ...]:
     """The argument terms at the bound positions of *adornment*."""
-    if len(adornment) != atom.arity:
+    if len(adornment) != len(atom.args):
         raise TransformError(
             f"adornment {adornment} does not fit {atom.predicate}/{atom.arity}"
         )
-    return tuple(
-        arg for arg, flag in zip(atom.args, adornment) if flag == "b"
-    )
+    return tuple([arg for arg, flag in zip(atom.args, adornment) if flag == "b"])
 
 
 def free_args(atom: Atom, adornment: Adornment) -> tuple[Term, ...]:
@@ -79,44 +79,71 @@ def free_args(atom: Atom, adornment: Adornment) -> tuple[Term, ...]:
     )
 
 
-def adorned_name(predicate: str, adornment: Adornment, taken: Iterable[str]) -> str:
+def head_bound_variables(head: Atom, adornment: Adornment) -> frozenset[Variable]:
+    """The variables at the bound positions of *adornment* in *head*."""
+    return frozenset(
+        [
+            arg
+            for arg, flag in zip(head.args, adornment)
+            if flag == "b" and isinstance(arg, Variable)
+        ]
+    )
+
+
+def adorned_name(predicate: str, adornment: Adornment, taken: Container[str]) -> str:
     """A collision-free name for ``predicate`` adorned with ``adornment``.
 
     Zero-arity predicates get the adornment suffix ``0`` so the name stays
-    distinct from the plain predicate.
+    distinct from the plain predicate.  *taken* is probed, not copied.
     """
     suffix = adornment if adornment else "0"
     candidate = f"{predicate}__{suffix}"
-    taken_set = set(taken)
-    while candidate in taken_set:
+    while candidate in taken:
         candidate += "_"
     return candidate
 
 
-def prefixed_name(prefix: str, base: str, taken: Iterable[str]) -> str:
-    """A collision-free ``prefix__base`` name (e.g. ``magic__anc__bf``)."""
+def prefixed_name(prefix: str, base: str, taken: Container[str]) -> str:
+    """A collision-free ``prefix__base`` name (e.g. ``magic__anc__bf``);
+    *taken* is probed, not copied."""
     candidate = f"{prefix}__{base}"
-    taken_set = set(taken)
-    while candidate in taken_set:
+    while candidate in taken:
         candidate += "_"
     return candidate
 
 
-def carried_variables(
-    already_bound: set[Variable],
-    remaining_literals: Sequence[Literal],
+def continuation_variables(
     head: Atom,
-) -> tuple[Variable, ...]:
-    """Variables a supplementary/continuation predicate must carry.
+    body: Sequence[Literal],
+    head_bound: Iterable[Variable],
+) -> list[tuple[Variable, ...]]:
+    """The variables each supplementary/continuation predicate carries.
 
-    These are the variables bound so far that are still *needed*: they
-    occur in a later body literal or in the head.  Sorted by name for a
-    deterministic argument layout.
+    Entry ``i`` (one per body position but the last) lists the variables
+    bound after ``body[:i + 1]`` -- in *head_bound* or in a positive
+    literal there -- that are still *needed*: they occur in the head or
+    in ``body[i + 1:]``.  Sorted by name for a deterministic argument
+    layout.  One backward pass finds each variable's last use and one
+    forward pass its first binding, so no position rescans the body.
     """
-    needed: set[Variable] = set(head.variables())
-    for literal in remaining_literals:
-        needed.update(literal.variables())
-    return tuple(sorted(already_bound & needed, key=lambda v: v.name))
+    end = len(body)
+    last_use: dict[Variable, int] = dict.fromkeys(head.variables(), end)
+    for position in range(end - 1, -1, -1):
+        for var in body[position].variables():
+            last_use.setdefault(var, position)
+    first_bound: dict[Variable, int] = dict.fromkeys(head_bound, -1)
+    for position, literal in enumerate(body):
+        if literal.positive:
+            for var in literal.variables():
+                first_bound.setdefault(var, position)
+    spans = [
+        (var, first_bound[var], last_use[var])
+        for var in sorted(first_bound, key=attrgetter("name"))
+    ]
+    return [
+        tuple([var for var, bound, used in spans if bound <= position < used])
+        for position in range(end - 1)
+    ]
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,11 @@ def left_to_right(
     body: Sequence[Literal], bound: frozenset[Variable]
 ) -> tuple[Literal, ...]:
     """Program order for binding literals; tests delayed until bound."""
+    for literal in body:
+        if _is_test(literal):
+            break
+    else:
+        return tuple(body)  # nothing to delay
     positives = [lit for lit in body if not _is_test(lit)]
     negatives = [lit for lit in body if _is_test(lit)]
     return _place_negatives(positives, negatives, bound)

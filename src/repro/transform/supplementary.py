@@ -10,7 +10,7 @@ re-evaluates.  For an adorned rule ``r: p_a(t) :- L1, ..., Ln`` it emits::
 where ``sup_r_0`` is identified with the rule's magic guard
 ``magic_p_a(t^b)`` (as in BR87), and ``Vi`` is the set of variables bound
 after ``L1..Li`` that are still needed by a later literal or by the head
-(:func:`carried_variables`).
+(:func:`~repro.transform.common.continuation_variables`).
 
 Up to predicate renaming this is the Alexander method's continuation
 structure — the supplementary predicates are the Alexander ``cont``
@@ -23,13 +23,14 @@ from __future__ import annotations
 
 from ..datalog.atoms import Atom, Literal
 from ..datalog.rules import Program, Rule
-from ..datalog.terms import Constant, Variable
+from ..datalog.terms import Constant
 from ..errors import TransformError
 from .adorn import AdornedProgram, AdornedRule, adorn_program
 from .common import (
     TransformedProgram,
     bound_args,
-    carried_variables,
+    continuation_variables,
+    head_bound_variables,
     observe_transform,
     prefixed_name,
 )
@@ -100,57 +101,38 @@ def _rewrite_rule(
     rule = adorned_rule.rule
     head = rule.head
     body = rule.body
-    head_magic = Atom(
-        magic_name(head.predicate),
-        bound_args(head, adorned_rule.head_adornment),
-    )
-    produced: list[Rule] = []
-
-    bound: set[Variable] = {
-        arg
-        for arg, flag in zip(head.args, adorned_rule.head_adornment)
-        if flag == "b" and isinstance(arg, Variable)
-    }
-
+    adornment = adorned_rule.head_adornment
+    # sup_r_0 is identified with the magic predicate itself (as in BR87):
+    # the initial supplementary state is the magic guard literal.  Each
+    # state literal is built once and shared by the rules it guards.
+    sup = Literal(Atom(magic_name(head.predicate), bound_args(head, adornment)))
     if not body:
         # Degenerate: a rule with an empty body (ground head) just needs
         # the magic guard.
-        produced.append(Rule(head, (Literal(head_magic),)))
-        return produced
+        return [Rule(head, (sup,))]
 
-    def sup_name(i: int) -> str:
-        fresh = prefixed_name(f"sup_{rule_index}_{i}", head.predicate, taken)
-        taken.add(fresh)
-        return fresh
-
-    # sup_r_0 is identified with the magic predicate itself (as in BR87):
-    # the initial supplementary state is the magic guard literal.
-    sup_atom = head_magic
-
+    last = len(body) - 1
+    carried = (
+        continuation_variables(head, body, head_bound_variables(head, adornment))
+        if last
+        else []
+    )
+    produced: list[Rule] = []
     for position, (literal, key) in enumerate(
         zip(body, adorned_rule.body_adornments)
     ):
-        is_last = position == len(body) - 1
-        if (
-            key is not None
-            and literal.positive
-            and literal.predicate in adorned_idb
-        ):
-            _, literal_adornment = key
-            magic_head = Atom(
-                magic_name(literal.predicate),
-                bound_args(literal.atom, literal_adornment),
-            )
-            produced.append(Rule(magic_head, (Literal(sup_atom),)))
-        if literal.positive:
-            bound.update(literal.variables())
-        if is_last:
-            produced.append(Rule(head, (Literal(sup_atom), literal)))
+        atom = literal.atom
+        if key is not None and literal.positive and atom.predicate in adorned_idb:
+            magic_head = Atom(magic_name(atom.predicate), bound_args(atom, key[1]))
+            produced.append(Rule(magic_head, (sup,)))
+        if position == last:
+            produced.append(Rule(head, (sup, literal)))
         else:
-            carried = carried_variables(bound, body[position + 1 :], head)
-            next_sup = Atom(sup_name(position + 1), carried)
-            produced.append(Rule(next_sup, (Literal(sup_atom), literal)))
-            sup_atom = next_sup
+            name = prefixed_name(f"sup_{rule_index}_{position + 1}", head.predicate, taken)
+            taken.add(name)
+            next_sup = Atom(name, carried[position])
+            produced.append(Rule(next_sup, (sup, literal)))
+            sup = Literal(next_sup)
     return produced
 
 

@@ -1,6 +1,8 @@
-"""Tests for the advisory end-to-end gate's set merge (tools/e2e_gate.py)."""
+"""Tests for the advisory end-to-end gate (tools/e2e_gate.py): its set
+merge, and its runs against a stub runner."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -52,3 +54,87 @@ def test_traced_and_untraced_sets_do_not_mix():
 def test_nothing_to_merge_is_an_error():
     with pytest.raises(ValueError):
         e2e_gate.merge_sets([])
+
+
+# --- the gate's runs, against a stub runner --------------------------------------
+
+_STUB = """
+import json, pathlib, sys
+args = sys.argv[1:]
+if "--compare" in args:
+    sys.exit(0)
+if {dies!r}:
+    print("Traceback: boom", file=sys.stderr)
+    sys.exit(3)
+seed = args[args.index("--seed") + 1]
+results = pathlib.Path(__file__).parent / "results"
+results.mkdir(exist_ok=True)
+document = {{
+    "env": {{"commit": None, "cpus": 2, "seed": int(seed), "seconds": 1.0}},
+    "trace": False,
+    "sets": [{{"cold-rulebase": {{"op_p50_ms": 1.0}}}}],
+    "ops": {{}},
+    "degraded": {{}},
+}}
+(results / f"sets-seed{{seed}}.json").write_text(json.dumps(document))
+"""
+
+
+def _stub_tree(root: pathlib.Path, dies: bool = False) -> pathlib.Path:
+    runner = root / "benchmarks" / "e2e" / "run.py"
+    runner.parent.mkdir(parents=True)
+    runner.write_text(_STUB.format(dies=dies))
+    return root
+
+
+def _fake_git(base_tree_dies: bool):
+    def git(*args):
+        if args[0] == "merge-base":
+            return "b" * 40
+        if args[0] == "rev-parse":
+            return "h" * 40
+        if args[:2] == ("worktree", "add"):
+            _stub_tree(pathlib.Path(args[3]), dies=base_tree_dies)
+        return ""
+
+    return git
+
+
+def test_each_document_records_cpus_python_and_its_commit(tmp_path, monkeypatch, capsys):
+    import os
+    import platform
+
+    monkeypatch.setattr(e2e_gate, "REPO", _stub_tree(tmp_path / "head"))
+    monkeypatch.setattr(e2e_gate, "git", _fake_git(base_tree_dies=False))
+    out = tmp_path / "out"
+    assert e2e_gate.main(["--pairs", "2", "--seconds", "1", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert printed.index("pair 1/2 (base)") < printed.index("pair 1/2 (head)")
+    assert printed.index("pair 2/2 (head)") < printed.index("pair 2/2 (base)")
+    for side, commit in (("base", "b" * 40), ("head", "h" * 40)):
+        document = json.loads((out / f"{side}.json").read_text())
+        assert document["gate"] == {
+            "side": side,
+            "commit": commit,
+            "cpus": len(os.sched_getaffinity(0)),
+            "python": platform.python_version(),
+        }
+        assert len(document["sets"]) == 2
+
+
+def test_a_dying_run_is_reported_and_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(e2e_gate, "REPO", _stub_tree(tmp_path / "head"))
+    monkeypatch.setattr(e2e_gate, "git", _fake_git(base_tree_dies=True))
+    out = tmp_path / "out"
+    assert e2e_gate.main(["--pairs", "2", "--seconds", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback (most recent call last)" not in err
+    assert "pair 1/2 (base)" in err and "exit status 3" in err
+    assert "Traceback: boom" in err and "/base" in err
+    assert not (out / "base.json").exists()
+
+
+def test_run_set_raises_run_died_with_the_tree_and_pair(tmp_path):
+    tree = _stub_tree(tmp_path / "tree", dies=True)
+    with pytest.raises(e2e_gate.RunDied, match="pair 3/5 .head., exit status 3"):
+        e2e_gate.run_set(tree, 1, 1.0, "pair 3/5 (head)")

@@ -894,6 +894,20 @@ class TestBadInputIsA400:
         assert "must be a string" in str(bad.value)
         assert client.health()["datasets"] == []
 
+    def test_load_with_an_arity_clash_is_a_400_and_keeps_the_dataset(self, live_server):
+        _, client = live_server
+        client.load("d", "q(X) :- p(X).", "p(a).")
+        for payload in (
+            {"dataset": "e", "program": "q(X) :- p(X).", "facts": "p(a, b)."},
+            {"dataset": "d", "facts": "p(a, b).", "extend": True},
+        ):
+            with pytest.raises(ServeError) as clash:
+                client._request("/load", payload)
+            assert clash.value.status == 400
+            assert "predicate p used with arities 1 and 2" in str(clash.value)
+        assert [d["name"] for d in client.health()["datasets"]] == ["d"]
+        assert client.query("d", "q(X)?")["answers"]["rows"] == [["a"]]
+
     def test_update_dataset_must_be_a_string(self, live_server):
         _, client = live_server
         with pytest.raises(ServeError) as bad:

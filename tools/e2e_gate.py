@@ -14,7 +14,11 @@ in odd ones.  Each side's sets are concatenated into one document of the
     python3 benchmarks/e2e/run.py --compare OUT/base.json OUT/head.json
 
 (1 when a bounded metric regressed or a count differs).  The machine's
-``cpus`` and Python version are printed first.
+``cpus`` and Python version are printed first, and each document's
+``gate`` record holds them with that side's commit SHA.  When a run dies
+(an exit status other than 0 or 1, or no result file), the gate prints
+the tree, the pair, the exit status and the tail of its stderr, and
+exits 2.
 
 Usage::
 
@@ -63,7 +67,12 @@ def merge_sets(documents: list) -> dict:
     }
 
 
-def run_set(tree: Path, seed: int, seconds: float) -> dict:
+class RunDied(Exception):
+    """A benchmark run exited with a status other than 0 or 1, or wrote
+    no result file; the message names the tree, the pair and the status."""
+
+
+def run_set(tree: Path, seed: int, seconds: float, pair: str = "") -> dict:
     """One set of every workload in *tree*; its result document."""
     done = subprocess.run(
         [sys.executable, str(RUNNER), "--seed", str(seed), "--seconds", str(seconds)],
@@ -72,12 +81,39 @@ def run_set(tree: Path, seed: int, seconds: float) -> dict:
     print(done.stdout, end="", flush=True)
     path = tree / "benchmarks" / "e2e" / "results" / f"sets-seed{seed}.json"
     if done.returncode not in (0, 1) or not path.exists():
-        raise RuntimeError(f"benchmark run in {tree} died:\n{done.stderr[-2000:]}")
+        raise RunDied(
+            f"benchmark run died: tree {tree}, {pair or 'one set'}, exit status "
+            f"{done.returncode}; stderr ends:\n{done.stderr[-2000:]}"
+        )
     if done.returncode:
         print(f"# failed ops in {tree}", flush=True)
     document = json.loads(path.read_text(encoding="utf-8"))
     path.unlink()  # so a later run that dies cannot leave this one behind
     return document
+
+
+def measure(
+    trees: dict, commits: dict, pairs: int, seed: int, seconds: float, out: Path
+) -> dict:
+    """Run *pairs* alternating pairs of sets in the ``base`` and ``head``
+    *trees*, write ``OUT/base.json`` and ``OUT/head.json``, and return
+    their paths by side.  Raises :class:`RunDied` when a run dies."""
+    documents: dict = {"base": [], "head": []}
+    for pair in range(pairs):
+        order = ("base", "head") if pair % 2 == 0 else ("head", "base")
+        for side in order:
+            label = f"pair {pair + 1}/{pairs} ({side})"
+            print(f"# {label}: {trees[side]}", flush=True)
+            documents[side].append(run_set(trees[side], seed, seconds, label))
+    host = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version()}
+    paths = {}
+    for side, sets in documents.items():
+        document = merge_sets(sets)
+        document["gate"] = {"side": side, "commit": commits[side], **host}
+        paths[side] = out / f"{side}.json"
+        paths[side].write_text(json.dumps(document, indent=1, sort_keys=True) + "\n",
+                               encoding="utf-8")
+    return paths
 
 
 def git(*args: str) -> str:
@@ -99,28 +135,21 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 1")
     print(f"# cpus {len(os.sched_getaffinity(0))}, python {platform.python_version()}",
           flush=True)
-    base = git("merge-base", args.base, "HEAD")
+    commits = {"base": git("merge-base", args.base, "HEAD"), "head": git("rev-parse", "HEAD")}
     out = Path(args.out).resolve()
     out.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="e2e-gate-"))
     worktree = scratch / "base"
-    git("worktree", "add", "--detach", str(worktree), base)
-    sides = {"base": worktree, "head": REPO}
-    documents: dict = {"base": [], "head": []}
+    git("worktree", "add", "--detach", str(worktree), commits["base"])
     try:
-        for pair in range(args.pairs):
-            order = ("base", "head") if pair % 2 == 0 else ("head", "base")
-            for side in order:
-                print(f"# pair {pair + 1}/{args.pairs}: {side} ({sides[side]})", flush=True)
-                documents[side].append(run_set(sides[side], args.seed, args.seconds))
+        paths = measure({"base": worktree, "head": REPO}, commits,
+                        args.pairs, args.seed, args.seconds, out)
+    except RunDied as died:
+        print(f"e2e_gate: {died}", file=sys.stderr, flush=True)
+        return 2
     finally:
         git("worktree", "remove", "--force", str(worktree))
         shutil.rmtree(scratch, ignore_errors=True)
-    paths = {}
-    for side, sets in documents.items():
-        paths[side] = out / f"{side}.json"
-        paths[side].write_text(json.dumps(merge_sets(sets), indent=1, sort_keys=True) + "\n",
-                               encoding="utf-8")
     compared = subprocess.run(
         [sys.executable, str(RUNNER), "--compare", str(paths["base"]), str(paths["head"])],
         cwd=REPO,
