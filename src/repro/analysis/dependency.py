@@ -19,6 +19,7 @@ from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from ..datalog.rules import Program
+from ..errors import StratificationError
 
 __all__ = ["DependencyGraph", "RecursionKind"]
 
@@ -46,16 +47,27 @@ class DependencyGraph:
         # this object, and a reference back would make every program a
         # reference cycle for the collector to find.
         self._rules = program.proper_rules
+        # One walk: the nodes, each edge's polarity and each node's
+        # direct dependents.
         # (body predicate, head predicate) -> some occurrence is negated
         polarity: dict[tuple[str, str], bool] = {}
-        for rule in self._rules:
+        out: dict[str, set[str]] = {}
+        for rule in program.rules:
             head = rule.head.predicate
+            if head not in out:
+                out[head] = set()
             for literal in rule.body:
-                key = (literal.atom.predicate, head)
+                body = literal.atom.predicate
+                key = (body, head)
                 if not polarity.get(key):
                     polarity[key] = not literal.positive
+                targets = out.get(body)
+                if targets is None:
+                    targets = out[body] = set()
+                targets.add(head)
         self._polarity = polarity
-        self._nodes = program.predicates
+        self._out = out
+        self._nodes = frozenset(out)
 
     @property
     def nodes(self) -> frozenset[str]:
@@ -74,10 +86,11 @@ class DependencyGraph:
     @cached_property
     def successors(self) -> Mapping[str, frozenset[str]]:
         """``successors[q]`` = head predicates depending directly on ``q``."""
-        result: dict[str, set[str]] = {node: set() for node in self._nodes}
-        for source, target in self._polarity:
-            result[source].add(target)
-        return {node: frozenset(out) for node, out in result.items()}
+        return {node: frozenset(out) for node, out in self._out.items()}
+
+    def has_edge(self, source: str, target: str) -> bool:
+        """True iff *source* occurs in the body of a rule for *target*."""
+        return (source, target) in self._polarity
 
     @cached_property
     def predecessors(self) -> Mapping[str, frozenset[str]]:
@@ -101,53 +114,51 @@ class DependencyGraph:
         final consumers come first.  Iterative Tarjan so deep programs
         don't hit the recursion limit.
         """
-        index_counter = 0
         indexes: dict[str, int] = {}
         lowlinks: dict[str, int] = {}
         on_stack: set[str] = set()
         stack: list[str] = []
         components: list[frozenset[str]] = []
-        successors = self.successors
+        out = self._out
 
-        for root in sorted(self._nodes):
+        for root in sorted(out):
             if root in indexes:
                 continue
-            work: list[tuple[str, Iterator[str]]] = [
-                (root, iter(sorted(successors[root])))
-            ]
-            indexes[root] = lowlinks[root] = index_counter
-            index_counter += 1
+            indexes[root] = lowlinks[root] = len(indexes)
             stack.append(root)
             on_stack.add(root)
+            work: list[tuple[str, Iterator[str]]] = [(root, iter(sorted(out[root])))]
             while work:
-                node, child_iter = work[-1]
-                advanced = False
-                for child in child_iter:
+                node, children = work[-1]
+                for child in children:
                     if child not in indexes:
-                        indexes[child] = lowlinks[child] = index_counter
-                        index_counter += 1
+                        indexes[child] = lowlinks[child] = len(indexes)
                         stack.append(child)
                         on_stack.add(child)
-                        work.append((child, iter(sorted(successors[child]))))
-                        advanced = True
+                        work.append((child, iter(sorted(out[child]))))
                         break
-                    if child in on_stack:
-                        lowlinks[node] = min(lowlinks[node], indexes[child])
-                if advanced:
-                    continue
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlinks[parent] = min(lowlinks[parent], lowlinks[node])
-                if lowlinks[node] == indexes[node]:
-                    component: set[str] = set()
-                    while True:
-                        member = stack.pop()
-                        on_stack.discard(member)
-                        component.add(member)
-                        if member == node:
-                            break
-                    components.append(frozenset(component))
+                    if child in on_stack and indexes[child] < lowlinks[node]:
+                        lowlinks[node] = indexes[child]
+                else:
+                    work.pop()
+                    low = lowlinks[node]
+                    if work:
+                        parent = work[-1][0]
+                        if low < lowlinks[parent]:
+                            lowlinks[parent] = low
+                    if low == indexes[node]:
+                        if stack[-1] == node:  # the common case: a singleton
+                            stack.pop()
+                            on_stack.discard(node)
+                            components.append(frozenset((node,)))
+                            continue
+                        start = len(stack) - 1
+                        while stack[start] != node:
+                            start -= 1
+                        members = stack[start:]
+                        del stack[start:]
+                        on_stack.difference_update(members)
+                        components.append(frozenset(members))
         return tuple(components)
 
     @cached_property
@@ -188,6 +199,44 @@ class DependencyGraph:
             if sum(literal.predicate in component for literal in rule.body) > 1:
                 heads.add(rule.head.predicate)
         return frozenset(heads)
+
+    def stratum_numbers(self) -> dict[str, int]:
+        """The least stratum number of every predicate.
+
+        A predicate's number is at least that of each predicate its rules
+        read, plus one when the read is negated: one pass over the
+        components in dependency order, every member of a component
+        sharing its number.
+
+        Raises:
+            StratificationError: when a negated read lies on a cycle.
+        """
+        incoming: dict[str, list[tuple[str, bool]]] = {}
+        for (source, target), negative in self._polarity.items():
+            edges = incoming.get(target)
+            if edges is None:
+                incoming[target] = [(source, negative)]
+            else:
+                edges.append((source, negative))
+        numbers: dict[str, int] = {}
+        for component in reversed(self.sccs):  # dependencies first
+            number = 0
+            cyclic: list[str] = []
+            for member in component:
+                for source, negative in incoming.get(member, ()):
+                    if source in component:
+                        if negative:
+                            cyclic.append(member)
+                    elif numbers[source] + negative > number:
+                        number = numbers[source] + negative
+            if cyclic:
+                raise StratificationError(
+                    "program is not stratifiable: cycle through "
+                    f"negation involving {min(cyclic)}"
+                )
+            for member in component:
+                numbers[member] = number
+        return numbers
 
     def condensation_order(self) -> tuple[frozenset[str], ...]:
         """SCCs in dependency order: every SCC after all it depends on.

@@ -42,41 +42,17 @@ class Stratification:
         return self.stratum_of.get(predicate, 0)
 
 
-def _stratum_numbers(program: Program) -> dict[str, int]:
-    """Assign stratum numbers by fixpoint; raise if not stratifiable.
-
-    The classical iteration: ``stratum(p) >= stratum(q)`` for positive
-    edges ``q -> p`` and ``stratum(p) >= stratum(q) + 1`` for negative
-    edges.  The number of predicates bounds the stratum, so exceeding it
-    means a negative cycle.
-    """
-    numbers: dict[str, int] = {pred: 0 for pred in program.predicates}
-    limit = len(numbers) + 1
-    changed = True
-    while changed:
-        changed = False
-        for rule in program.proper_rules:
-            head = rule.head.predicate
-            for literal in rule.body:
-                required = numbers[literal.predicate] + (0 if literal.positive else 1)
-                if numbers[head] < required:
-                    numbers[head] = required
-                    if numbers[head] > limit:
-                        raise StratificationError(
-                            "program is not stratifiable: cycle through "
-                            f"negation involving {head}"
-                        )
-                    changed = True
-    return numbers
-
-
 def stratify(program: Program) -> Stratification:
     """Stratify *program*.
+
+    The stratum numbers come from the condensation of the program's
+    dependency graph (:meth:`DependencyGraph.stratum_numbers`), the one
+    the component schedule reads too.
 
     Raises:
         StratificationError: when the program has a cycle through negation.
     """
-    numbers = _stratum_numbers(program)
+    numbers = program.dependency_graph.stratum_numbers()
     # Compact stratum numbers of predicates that actually head rules.
     used = sorted({numbers[rule.head.predicate] for rule in program.proper_rules})
     remap = {old: new for new, old in enumerate(used)}

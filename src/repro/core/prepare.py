@@ -511,7 +511,9 @@ class PreparedQuery:
         )
         return _transform_call_summary(self.transformed, completed)
 
-    def partial_answers(self, partial: "Database | None", goal: "Atom | str | None" = None) -> tuple[Atom, ...]:
+    def partial_answers(
+        self, partial: "Database | None", goal: "Atom | str | None" = None
+    ) -> tuple[Atom, ...]:
         """The goal's answers present in a budget-trip *partial* database.
 
         Bottom-up evaluation is inflationary, so every answer found is

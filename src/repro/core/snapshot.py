@@ -69,10 +69,10 @@ from contextlib import contextmanager
 from ..datalog.parser import parse_program, parse_query
 from ..datalog.rules import Program
 from ..engine.counters import EvaluationStats
-from ..engine.kernel import compile_kernel
 from ..engine.matching import compile_rule_ordered
-from ..engine.prepared import CompiledComponent, CompiledFixpoint
+from ..engine.prepared import CompiledFixpoint
 from ..engine.scheduler import build_schedule
+from ..engine.seminaive import lower_component
 from ..errors import ReproError
 from ..facts.database import Database
 from ..obs import get_metrics
@@ -393,9 +393,9 @@ def load_database(data) -> tuple[Database, dict]:
 def _plan_permutations(fixpoint: CompiledFixpoint) -> list[list[int]]:
     """Each rule's compiled body order, as indices into its textual body.
 
-    The permutation is recovered through ``CompiledLiteral.source`` —
-    the compiler threads the original literal objects through, so an
-    identity scan maps every compiled position back to its textual one.
+    The permutation is recovered through ``CompiledRule.ordered`` —
+    the compiler keeps the original literal objects, so an identity
+    scan maps every compiled position back to its textual one.
     Storing the order explicitly is what lets :func:`load_prepared`
     rebuild identical join plans without re-running the planner.
     """
@@ -410,7 +410,7 @@ def _plan_permutations(fixpoint: CompiledFixpoint) -> list[list[int]]:
             continue
         position_of = {id(literal): i for i, literal in enumerate(rule.body)}
         permutations.append(
-            [position_of[id(cl.source)] for cl in compiled.body]
+            [position_of[id(literal)] for literal in compiled.ordered]
         )
     return permutations
 
@@ -439,9 +439,7 @@ def _rehydrate_fixpoint(program: Program, plans) -> CompiledFixpoint:
         ordered = tuple(rule.body[index] for index in permutation)
         compiled_by_rule[rule] = compile_rule_ordered(rule, ordered)
     return CompiledFixpoint(program, tuple(
-        CompiledComponent(component, tuple(
-            compile_kernel(compiled_by_rule[rule]) for rule in component.rules
-        ))
+        lower_component(component, [compiled_by_rule[rule] for rule in component.rules])
         for component in build_schedule(program).components
     ))
 
@@ -552,8 +550,9 @@ def load_prepared(data):
     """Rebuild a :class:`~repro.core.prepare.PreparedQuery` from bytes.
 
     The result is bit-identical to the shape that was dumped: same base
-    fact set in the same insertion order, same join plans, same cache key — so ``execute()`` returns the same
-    answers with the same counters (pinned over seeded random programs
+    fact set in the same insertion order, same join plans, same cache
+    key — so ``execute()`` returns the same answers with the same
+    counters (pinned over seeded random programs
     by ``tests/test_snapshot.py``).
     """
     header, payload = parse_snapshot(data)

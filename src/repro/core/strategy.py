@@ -35,7 +35,8 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.counters import EvaluationStats
-from ..engine.seminaive import seminaive_fixpoint
+from ..engine.scheduler import build_schedule
+from ..engine.seminaive import run_schedule
 from ..engine.stratified import stratified_fixpoint
 from ..errors import ReproError, TransformError
 from ..facts.database import Database
@@ -349,28 +350,35 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
             raise TransformError(
                 f"query predicate {query.predicate} not defined in any stratum"
             )
-        lower = tuple(
-            rule
-            for stratum in stratification.strata[:query_stratum]
-            for rule in stratum.rules
-        )
         target = stratification.strata[query_stratum]
-        edb = frozenset(
-            (program.predicates | working.predicates()) - target.idb_predicates
-        )
+        # The program's predicates are its rules' (the graph stratify()
+        # read) and its facts' (already in *working*).
+        graph = rules_only.dependency_graph
+        edb = frozenset((graph.nodes | working.predicates()) - target.idb_predicates)
         transformed = transform(target, query, sips, edb)
-        # One fixpoint over the lower strata and the rewritten stratum:
-        # the SCC schedule closes every component a negative literal
-        # reads before any component that reads it, and evaluates the
-        # very components the stratum-by-stratum run would, so every
+        # One fixpoint over the lower strata and the rewritten stratum,
+        # run on *working* itself.  The lower strata's components come
+        # from the condensation stratify() read, and close before the
+        # rewritten stratum's, so the run evaluates the very components
+        # the stratum-by-stratum run would, in a dependency order: every
         # count is the same, and a budget trip leaves a sound prefix.
-        completed, _ = seminaive_fixpoint(
-            Program(lower + transformed.evaluation_program().rules),
-            working,
-            stats,
-            planner=planner,
-            budget=checkpoint,
-        )
+        numbers = stratification.stratum_of
+        bound = numbers[query.predicate]
+        arities = rules_only.arities
+        components = []
+        for component in build_schedule(rules_only).components:
+            if numbers[component.rules[0].head.predicate] < bound:
+                components.append(component)
+                for predicate in component.derived:
+                    working.relation(predicate, arities[predicate])
+        components += build_schedule(transformed.program).components
+        for rule in transformed.program.rules:
+            working.relation(rule.head.predicate, len(rule.head.args))
+        working.add_atoms(transformed.seeds)
+        if checkpoint is not None:
+            checkpoint.bind(working)
+        run_schedule(components, working, stats, planner, checkpoint)
+        completed = working
 
         answers = _sorted_answers(query, completed.match(transformed.goal))
         stats.answers = len(answers)

@@ -19,15 +19,20 @@ enumerates the same fact set — ordering only changes how much work the
 index-nested-loop join does (see ``docs/ARCHITECTURE.md``, "The matcher/
 planner contract").
 
-The same pass also lowers the rule for the generated kernels every
-bottom-up engine runs: it numbers the variables as slots and builds the
-kernel *shape* and its arguments (:class:`CompiledRule`), so
+Compiling a rule lowers it for the generated kernels every bottom-up
+engine runs, in one walk over the ordered body: it numbers the variables
+as slots and builds the kernel *shape*, its arguments and the positions
+it reads (:class:`CompiledRule`), so
 :func:`repro.engine.kernel.compile_kernel` only looks the shape up.  The
-compiled records are named tuples: immutable, and cheap to build.
+matcher's per-literal records are built only when something asks for
+them (:func:`match_body`, :func:`delta_first`, maintenance, the
+well-founded engine, snapshots and ``explain``).  The compiled records
+are named tuples: cheap to build.
 """
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..datalog.atoms import Literal
@@ -65,8 +70,11 @@ __all__ = [
 # answered None may later answer an *empty* relation (maintain.propagate
 # creates head relations while it enumerates) — both mean "no rows".  The
 # relation's *contents* may change during the execution; each probe reads
-# them afresh.  Between executions a view may be re-pointed freely (the
-# schedulers reuse one _RoundView per delta variant across rounds).
+# them afresh.  Between executions a view may be re-pointed freely: the
+# semi-naive loop binds each delta variant's view once per component, as
+# the ``get`` of a dict holding every position the kernel reads (so the
+# predicate argument is only ``get``'s default, never returned), and
+# re-points the delta position between rounds.
 RelationView = Callable[[int, str], "Relation | None"]
 
 # Builds a named tuple from a tuple of all its fields, in C: the class's
@@ -107,15 +115,21 @@ class CompiledLiteral(NamedTuple):
         return self.builtin or not self.positive
 
 
-class CompiledRule(NamedTuple):
+class _LoweredRule(NamedTuple):
+    rule: Rule
+    head_predicate: str
+    ordered: tuple[Literal, ...]
+    shape: tuple
+    arguments: tuple
+    reads: tuple[tuple[int, str, bool], ...]
+    lead: str | None
+
+
+class CompiledRule(_LoweredRule):
     """A rule with its body ordered for left-to-right evaluation.
 
-    ``head_pattern`` entries are either ``("c", value)`` or
-    ``("v", Variable)``; building a head tuple from a complete binding is a
-    single comprehension.
-
-    ``shape`` and ``arguments`` are the rule's kernel, lowered in the same
-    walk over the body: ``shape`` is ``(prelude, levels, head)`` with
+    ``ordered`` is the body in that order.  ``shape`` and ``arguments``
+    are the rule's kernel: ``shape`` is ``(prelude, levels, head)`` with
     body positions, columns and slot numbers only, the key
     :func:`repro.engine.codegen.generate` renders source from, and
     ``arguments`` the predicate names and constants bound to that
@@ -127,20 +141,58 @@ class CompiledRule(NamedTuple):
     three as ``(column, slot)`` pairs; the head is a template.  The
     arguments follow rendering order: per test its predicate then its
     constants; per level the scan's, then its tests'; then the head's.
+    ``reads`` lists ``(position, predicate, positive)`` for every body
+    position that reads a relation (every literal but the built-ins), in
+    body order: the positions a :data:`RelationView` is asked for.
+    ``lead`` is the predicate of the first scan level when no test runs
+    before it (``None`` otherwise): a run whose lead relation has no
+    rows probes nothing and charges nothing, so the fixpoint loops skip
+    it.
+
+    The interpreted matcher's form — ``body``, one
+    :class:`CompiledLiteral` per position, and ``head_pattern``, whose
+    entries are ``("c", value)`` or ``("v", Variable)`` — is built on
+    first use and kept: the fixpoint engines run the kernel and never
+    ask for it.
     """
 
-    rule: Rule
-    head_predicate: str
-    head_pattern: tuple[tuple[str, object], ...]
-    body: tuple[CompiledLiteral, ...]
-    shape: tuple
-    arguments: tuple
+    @cached_property
+    def body(self) -> tuple[CompiledLiteral, ...]:
+        return tuple([_compiled_literal(literal) for literal in self.ordered])
+
+    @cached_property
+    def head_pattern(self) -> tuple[tuple[str, object], ...]:
+        return tuple([
+            ("c", arg.value) if isinstance(arg, Constant) else ("v", arg)
+            for arg in self.rule.head.args
+        ])
 
     def head_tuple(self, binding: Mapping[Variable, object]) -> tuple:
         return tuple(
             value if kind == "c" else binding[value]
             for kind, value in self.head_pattern
         )
+
+
+def _compiled_literal(literal: Literal) -> CompiledLiteral:
+    """*literal*'s columns classified as constants, binders and filters."""
+    binders: list[tuple[int, Variable]] = []
+    constants: list[tuple[int, object]] = []
+    filters: list[tuple[int, Variable]] = []
+    seen: set[Variable] = set()
+    for column, arg in enumerate(literal.atom.args):
+        if isinstance(arg, Constant):
+            constants.append((column, arg.value))
+        elif arg in seen:
+            filters.append((column, arg))
+        else:
+            seen.add(arg)
+            binders.append((column, arg))
+    predicate = literal.atom.predicate
+    return CompiledLiteral(
+        predicate, literal.positive, tuple(constants), tuple(binders),
+        tuple(filters), literal, predicate in BUILTIN_PREDICATES,
+    )
 
 
 def order_body(
@@ -166,13 +218,16 @@ def order_body(
         SafetyError: when some test literal has a variable that occurs
             in no binding literal.
     """
+    for literal in body:
+        if not literal.positive or literal.atom.predicate in BUILTIN_PREDICATES:
+            break
+    else:  # no test: nothing to place
+        return tuple(body if positives is None else positives)
     negatives = [
         lit
         for lit in body
         if not lit.positive or lit.atom.predicate in BUILTIN_PREDICATES
     ]
-    if not negatives:
-        return tuple(body if positives is None else positives)
     if positives is None:
         positives = [
             lit for lit in body if lit.positive and not is_builtin(lit.predicate)
@@ -243,10 +298,11 @@ def compile_rule_ordered(
     order :func:`compile_rule` ever produced, which is the only source
     of serialized plans).
 
-    One walk over *ordered* classifies each literal's columns for
-    :func:`match_body` and lowers the rule for
+    One walk over *ordered* lowers the rule for
     :func:`repro.engine.kernel.compile_kernel`: the slots, the kernel
-    shape and its arguments (see :class:`CompiledRule`).
+    shape, its arguments and the positions it reads (see
+    :class:`CompiledRule`).  The matcher's per-literal records are left
+    to the first consumer that asks for them.
 
     Raises:
         SafetyError: when a head variable, or a variable of a test
@@ -254,72 +310,69 @@ def compile_rule_ordered(
     """
     slots: dict[str, int] = {}  # variable name -> slot
     args: list = []
-    body: list[CompiledLiteral] = []
+    reads: list[tuple[int, str, bool]] = []
     prelude: list[tuple] = []
-    levels: list[tuple] = []  # each level's last item: its tests, a list
+    levels: list[tuple] = []
+    level = None  # the open level's first five items; its tests follow
     tests = prelude
     for position, literal in enumerate(ordered):
         atom = literal.atom
         predicate = atom.predicate
-        # Classify the columns.  Constants and repeated variables are the
-        # rare cases.
-        binders: list[tuple[int, Variable]] = []
-        constants: tuple[tuple[int, object], ...] = ()
-        filters: tuple[tuple[int, Variable], ...] = ()
-        seen_here: set[str] = set()  # names: str hashes without a Python call
-        for column, arg in enumerate(atom.args):
-            if isinstance(arg, Constant):
-                constants += ((column, arg.value),)
-            elif arg.name in seen_here:
-                filters += ((column, arg),)
-            else:
-                seen_here.add(arg.name)
-                binders.append((column, arg))
         positive = literal.positive
-        builtin = predicate in BUILTIN_PREDICATES
-        body.append(_record(CompiledLiteral, (
-            predicate, positive, constants, tuple(binders), filters,
-            literal, builtin,
-        )))
         args.append(predicate)
-        if constants:
-            args.extend([value for _, value in constants])
+        builtin = predicate in BUILTIN_PREDICATES
+        if not builtin:
+            reads.append((position, predicate, positive))
         if builtin or not positive:
-            template: list = [None] * len(atom.args)
-            for column, var in binders:
-                slot = slots.get(var.name)
+            template: list = []
+            for arg in atom.args:
+                if isinstance(arg, Constant):
+                    template.append(None)
+                    args.append(arg.value)
+                    continue
+                slot = slots.get(arg.name)
                 if slot is None:
                     raise SafetyError(
                         f"test literal {literal} of rule {rule} has unbound "
-                        f"variable {var.name} at its position"
+                        f"variable {arg.name} at its position"
                     )
-                template[column] = slot
-            for column, var in filters:
-                template[column] = slots[var.name]
+                template.append(slot)
             tests.append((position, builtin, positive, tuple(template)))
             continue
+        if level is not None:
+            levels.append((*level, tuple(tests)))
+        # Classify the columns.  Constants and repeated variables are the
+        # rare cases.
+        constants: tuple[int, ...] = ()
+        checks: tuple[tuple[int, int], ...] = ()
         bound: list[tuple[int, int]] = []
         writes: list[tuple[int, int]] = []
-        for column, var in binders:
-            slot = slots.get(var.name)
-            if slot is None:
-                slots[var.name] = slot = len(slots)
-                writes.append((column, slot))
+        seen_here: list[str] = []
+        column = 0
+        for arg in atom.args:
+            if isinstance(arg, Constant):
+                constants += (column,)
+                args.append(arg.value)
             else:
-                bound.append((column, slot))
-        checks: tuple[tuple[int, int], ...] = ()
-        if filters:
-            checks = tuple([(column, slots[var.name]) for column, var in filters])
+                name = arg.name
+                if name in seen_here:
+                    checks += ((column, slots[name]),)
+                else:
+                    seen_here.append(name)
+                    slot = slots.get(name)
+                    if slot is None:
+                        slots[name] = slot = len(slots)
+                        writes.append((column, slot))
+                    else:
+                        bound.append((column, slot))
+            column += 1
         tests = []
-        levels.append((
-            position, tuple([column for column, _ in constants]),
-            tuple(bound), tuple(writes), checks, tests,
-        ))
-    head_pattern: list[tuple[str, object]] = []
+        level = (position, constants, tuple(bound), tuple(writes), checks)
+    if level is not None:
+        levels.append((*level, tuple(tests)))
     head: list[int | None] = []
     for arg in rule.head.args:
         if isinstance(arg, Constant):
-            head_pattern.append(("c", arg.value))
             head.append(None)
             args.append(arg.value)
         else:
@@ -329,16 +382,12 @@ def compile_rule_ordered(
                     f"head variable {arg} of rule {rule} does not occur "
                     "in any positive body literal"
                 )
-            head_pattern.append(("v", arg))
             head.append(slot)
-    shape = (
-        tuple(prelude),
-        tuple([(*level[:5], tuple(level[5])) for level in levels]),
-        tuple(head),
-    )
+    lead = ordered[levels[0][0]].atom.predicate if levels and not prelude else None
     return _record(CompiledRule, (
-        rule, rule.head.predicate, tuple(head_pattern), tuple(body),
-        shape, tuple(args),
+        rule, rule.head.predicate, tuple(ordered),
+        (tuple(prelude), tuple(levels), tuple(head)), tuple(args),
+        tuple(reads), lead,
     ))
 
 

@@ -55,17 +55,16 @@ from ..facts.database import Database
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
-from .kernel import RuleKernel, compile_kernel
+from .kernel import RuleKernel
 from .matching import compile_rule
 from .scheduler import (
-    Component,
     build_schedule,
     component_planner,
     full_view,
     observe_schedule,
     start_run,
 )
-from .seminaive import run_components
+from .seminaive import CompiledComponent, lower_component, run_components
 
 __all__ = [
     "CompiledComponent",
@@ -75,14 +74,6 @@ __all__ = [
     "record_footprint",
     "run_fixpoint",
 ]
-
-
-@dataclass(frozen=True)
-class CompiledComponent:
-    """One schedule component with its rules compiled and lowered."""
-
-    component: Component
-    kernels: tuple[RuleKernel, ...]
 
 
 @dataclass(frozen=True)
@@ -141,10 +132,9 @@ def compile_fixpoint(
         components = []
         for component in build_schedule(program).components:
             active = component_planner(planner, stats_db, component)
-            components.append(CompiledComponent(component, tuple(
-                compile_kernel(compile_rule(rule, active))
-                for rule in component.rules
-            )))
+            components.append(lower_component(
+                component, [compile_rule(rule, active) for rule in component.rules]
+            ))
         compiled = CompiledFixpoint(program, tuple(components))
     if obs.enabled:
         obs.incr("prepare.fixpoints_compiled")
@@ -184,10 +174,7 @@ def run_fixpoint(
     working, checkpoint = start_run(program, database, stats, budget, extra_facts)
     components = compiled.components
     observe_schedule(get_metrics(), [cc.component for cc in components])
-    run_components(
-        ((cc.component, cc.kernels) for cc in components),
-        working, stats, checkpoint,
-    )
+    run_components(components, working, stats, checkpoint)
     return working, stats
 
 
@@ -235,10 +222,11 @@ def record_footprint(
     full = full_view(completed)
     scratch = EvaluationStats()
     for kernel in compiled.kernels if predicates else ():
-        for position, literal in enumerate(kernel.compiled.body):
-            if literal.builtin or literal.predicate not in predicates:
+        ordered = kernel.compiled.ordered
+        for position, name, _ in kernel.compiled.reads:
+            if name not in predicates:
                 continue
-            recorder = _ProbeRecorder(literal.source.atom.arity)
+            recorder = _ProbeRecorder(ordered[position].atom.arity)
 
             def view(at: int, predicate: str, position=position, recorder=recorder):
                 return recorder if at == position else full(at, predicate)
@@ -246,7 +234,7 @@ def record_footprint(
             for _ in kernel.run(view, scratch, None):
                 pass
             if recorder.keys:
-                slot = (literal.predicate, recorder.columns)
+                slot = (name, recorder.columns)
                 footprint[slot] = footprint.get(slot, frozenset()) | recorder.keys
     return footprint
 

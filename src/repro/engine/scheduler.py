@@ -52,7 +52,7 @@ derivable (the iteration is inflationary).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program, Rule
@@ -60,6 +60,7 @@ from ..facts.database import Database
 from ..facts.relation import Relation
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
+from .matching import _record
 from .planner import JoinPlanner
 
 __all__ = [
@@ -70,8 +71,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(NamedTuple):
     """One rule-bearing SCC of the program's dependency graph.
 
     Attributes:
@@ -116,9 +116,12 @@ def build_schedule(program: Program) -> Schedule:
     scc_of = graph.scc_of
     rules_of: dict[frozenset[str], list[Rule]] = {}  # SCC -> rules, program order
     for rule in program.proper_rules:
-        rules_of.setdefault(scc_of[rule.head.predicate], []).append(rule)
-    idb = program.idb_predicates
-    successors = graph.successors
+        scc = scc_of[rule.head.predicate]
+        rules = rules_of.get(scc)
+        if rules is None:
+            rules_of[scc] = [rule]
+        else:
+            rules.append(rule)
     components: list[Component] = []
     for scc in graph.condensation_order():
         rules = rules_of.get(scc)
@@ -128,8 +131,9 @@ def build_schedule(program: Program) -> Schedule:
             recursive = True
         else:
             (predicate,) = scc
-            recursive = predicate in successors[predicate]
-        components.append(Component(scc, scc & idb, recursive, tuple(rules)))
+            recursive = graph.has_edge(predicate, predicate)
+        # Every member of a rule-bearing SCC heads a rule: it is derived.
+        components.append(_record(Component, (scc, scc, recursive, tuple(rules))))
     return Schedule(tuple(components))
 
 
@@ -161,12 +165,10 @@ def component_planner(
 
 def full_view(database: Database):
     """A RelationView reading every position from *database*."""
+    get = database.get
 
     def view(position: int, predicate: str) -> Relation | None:
-        try:
-            return database.relation(predicate)
-        except KeyError:
-            return None
+        return get(predicate)
 
     return view
 
@@ -217,10 +219,16 @@ def single_pass(
     The component's single predicate never occurs in its own rule bodies
     (that would make it recursive), so inserting heads directly as they
     are enumerated is equivalent to the collect-then-merge discipline.
+    A kernel whose lead relation (:class:`~repro.engine.matching.CompiledRule`)
+    has no rows is not run: it would probe nothing.
     """
+    get = working.get
     view = full_view(working)
     for kernel in kernels:
-        target = working.relation(kernel.head_predicate)
+        lead = kernel.compiled.lead
+        if lead is not None and not get(lead):
+            continue
+        target = get(kernel.head_predicate)
         for row in kernel.run(view, stats, checkpoint):
             stats.inferences += 1
             if target.add(row):

@@ -39,19 +39,29 @@ derived.  Lower-component IDB relations are complete by then, so they
 are read as plain full relations: rules get fewer delta variants, and
 probes hit the concrete :class:`~repro.facts.relation.Relation` fast
 paths.  Inside a local fixpoint the per-round ``for rule: for
-position:`` sweep is replaced by a precomputed **delta agenda** — an
-index from each delta predicate to the ``(kernel, position)`` variants
-it can fire — so a round touches only the rules a non-empty delta can
-feed (the rest are counted by ``scheduler.agenda_skipped``).
+position:`` sweep is replaced by a **delta agenda** — an index from
+each delta predicate to the ``(kernel, position)`` variants it can fire,
+built in the pass that lowers the component's rules
+(:func:`lower_component`) — so a round touches only the rules a
+non-empty delta can feed (the rest are counted by
+``scheduler.agenda_skipped``).
+
+Each delta variant's :data:`~repro.engine.matching.RelationView` is
+**bound once per component**: a dict from every body position its
+kernel reads to that position's relation — full, old, or the delta —
+whose ``get`` the kernel calls, so resolving a position costs no Python
+call.  A round only re-points the delta position.  A run whose lead
+relation (:class:`~repro.engine.matching.CompiledRule`) has no rows is
+skipped: it would probe no row, charge nothing and derive nothing.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from ..datalog.rules import Program
 from ..facts.database import Database
-from ..facts.relation import Relation, StampedView
+from ..facts.relation import Relation
 from ..obs import get_metrics
 from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
@@ -68,46 +78,55 @@ from .scheduler import (
     start_run,
 )
 
-__all__ = ["seminaive_fixpoint", "run_components", "merge_round"]
+__all__ = [
+    "CompiledComponent",
+    "lower_component",
+    "merge_round",
+    "run_components",
+    "run_schedule",
+    "seminaive_fixpoint",
+]
 
 
-def _variant_positions(compiled: CompiledRule, derived: frozenset[str]) -> list[int]:
-    """Body positions holding a positive literal of a derived predicate."""
-    return [
-        index
-        for index, literal in enumerate(compiled.body)
-        if literal.positive and literal.predicate in derived
-    ]
+class CompiledComponent(NamedTuple):
+    """One schedule component with its rules compiled and lowered.
+
+    Attributes:
+        component: the schedule component.
+        kernels: its rules' kernels, in rule order.
+        agenda: a recursive component's delta agenda, ``(predicate,
+            ((kernel, position), ...))`` sorted by predicate: every
+            body position that reads a same-component predicate
+            positively is one delta variant, fired when that
+            predicate's delta is non-empty.  Empty for a non-recursive
+            component.
+    """
+
+    component: Component
+    kernels: tuple[RuleKernel, ...]
+    agenda: tuple = ()
 
 
-class _RoundView:
-    """The three-way full/delta/old relation view for one delta variant."""
-
-    __slots__ = ("database", "delta_position", "delta_relation", "old", "derived")
-
-    def __init__(
-        self,
-        database: Database,
-        delta_position: int,
-        delta_relation: Relation,
-        old: Mapping[str, StampedView],
-        derived: frozenset[str],
-    ):
-        self.database = database
-        self.delta_position = delta_position
-        self.delta_relation = delta_relation
-        self.old = old
-        self.derived = derived
-
-    def __call__(self, position: int, predicate: str):
-        if position == self.delta_position:
-            return self.delta_relation
-        if position > self.delta_position and predicate in self.derived:
-            return self.old.get(predicate)
-        try:
-            return self.database.relation(predicate)
-        except KeyError:
-            return None
+def lower_component(
+    component: Component, compiled_rules: Iterable[CompiledRule]
+) -> CompiledComponent:
+    """*component* with *compiled_rules* (its rules, in order) lowered to
+    kernels, and its delta agenda built in the same pass."""
+    kernels = []
+    variants: dict[str, list] = {}
+    recursive = component.recursive
+    derived = component.derived
+    for compiled in compiled_rules:
+        kernel = compile_kernel(compiled)
+        kernels.append(kernel)
+        if recursive:
+            for position, predicate, positive in compiled.reads:
+                if positive and predicate in derived:
+                    variants.setdefault(predicate, []).append((kernel, position))
+    agenda = tuple(
+        (predicate, tuple(variants[predicate])) for predicate in sorted(variants)
+    )
+    return CompiledComponent(component, tuple(kernels), agenda)
 
 
 def seminaive_fixpoint(
@@ -145,30 +164,44 @@ def seminaive_fixpoint(
     """
     stats = stats if stats is not None else EvaluationStats()
     working, checkpoint = start_run(program, database, stats, budget)
-    schedule = build_schedule(program)
-    observe_schedule(get_metrics(), schedule.components)
-
-    def compiled():
-        # Lazily, so each component plans against the materialised
-        # relations of the components below it.
-        for component in schedule.components:
-            active = component_planner(planner, working, component)
-            yield component, [
-                compile_kernel(compile_rule(rule, active))
-                for rule in component.rules
-            ]
-
-    run_components(compiled(), working, stats, checkpoint)
+    run_schedule(build_schedule(program).components, working, stats, planner, checkpoint)
     return working, stats
 
 
+def run_schedule(
+    components: Sequence[Component],
+    working: Database,
+    stats: EvaluationStats,
+    planner: "JoinPlanner | str | None",
+    checkpoint: "Checkpoint | None",
+) -> None:
+    """Lower and close *components*, dependencies first, over *working*.
+
+    Each component is planned when it is reached, against the relations
+    the components before it materialised, then lowered
+    (:func:`lower_component`) and run (:func:`run_components`).
+    *working* must already hold every derived relation
+    (:func:`~repro.engine.scheduler.start_run`).
+    """
+    observe_schedule(get_metrics(), components)
+
+    def lowered():
+        for component in components:
+            active = component_planner(planner, working, component)
+            yield lower_component(
+                component, [compile_rule(rule, active) for rule in component.rules]
+            )
+
+    run_components(lowered(), working, stats, checkpoint)
+
+
 def run_components(
-    components: Iterable[tuple[Component, Sequence[RuleKernel]]],
+    components: Iterable[CompiledComponent],
     working: Database,
     stats: EvaluationStats,
     checkpoint: "Checkpoint | None",
 ) -> None:
-    """Close each ``(component, kernels)`` in turn, in schedule order.
+    """Close each lowered component in turn, in schedule order.
 
     This is the run half of the compile/run split: a prepared query
     (:mod:`repro.engine.prepared`) passes its precompiled components and
@@ -178,16 +211,16 @@ def run_components(
     """
     obs = get_metrics()
     with obs.timer("seminaive"):
-        for component, kernels in components:
-            if not component.recursive:
+        for lowered in components:
+            if not lowered.component.recursive:
                 if checkpoint is not None:
                     checkpoint.check_round()
                 stats.iterations += 1
                 with obs.timer("round"):
-                    single_pass(kernels, working, stats, checkpoint)
+                    single_pass(lowered.kernels, working, stats, checkpoint)
             else:
                 rounds = _component_seminaive(
-                    component, kernels, working, stats, checkpoint, obs,
+                    lowered, working, stats, checkpoint, obs,
                 )
                 if obs.enabled:
                     obs.observe("scheduler.component_rounds", rounds)
@@ -197,39 +230,48 @@ def run_components(
 
 
 def _component_seminaive(
-    component: Component,
-    kernels: Sequence[RuleKernel],
+    lowered: CompiledComponent,
     working: Database,
     stats: EvaluationStats,
     checkpoint: Checkpoint | None,
     obs,
 ) -> int:
     """Local semi-naive fixpoint of one recursive component, restricted
-    to ``component.derived``; lower-component predicates read full
+    to its derived predicates; lower-component predicates read full
     concrete relations at every position.  Returns the number of local
     rounds.
     """
-    derived = component.derived
-    relations = {predicate: working.relation(predicate) for predicate in derived}
+    derived = lowered.component.derived
+    get = working.get
+    relations = {predicate: get(predicate) for predicate in derived}
     # One old view per predicate; each delta round advances its cutoff.
     old = {predicate: relations[predicate].rows_before(0) for predicate in derived}
 
-    # The delta agenda: delta predicate -> the (kernel, position)
-    # variants a non-empty delta of that predicate can fire.  Computed
-    # once; rounds iterate only the agenda buckets with work to do.  Each
-    # entry's round view is reused: rounds rebind its delta in place.
-    agenda_map: dict[str, list] = {}
-    for kernel in kernels:
-        compiled = kernel.compiled
-        for position in _variant_positions(compiled, derived):
-            view = _RoundView(working, position, None, old, derived)
-            agenda_map.setdefault(
-                compiled.body[position].predicate, []
-            ).append((kernel, view))
-    agenda = tuple(
-        (predicate, tuple(agenda_map[predicate]))
-        for predicate in sorted(agenda_map)
-    )
+    # Round 0 reads every position in full.  Each delta variant is bound
+    # once: a dict from each position its kernel reads to the full
+    # relation before its delta position and the old view at later
+    # same-component positions; rounds re-point only the delta position.
+    view = full_view(working)
+    agenda = []
+    for predicate, variants in lowered.agenda:
+        entries = []
+        for kernel, delta_position in variants:
+            compiled = kernel.compiled
+            reads = {}
+            for position, name, _ in compiled.reads:
+                if position > delta_position and name in derived:
+                    reads[position] = old[name]
+                else:
+                    reads[position] = get(name)
+            # The lead reads a full relation, unless it is the delta.
+            lead = compiled.lead
+            if lead is not None and compiled.shape[1][0][0] == delta_position:
+                lead = None
+            entries.append((
+                kernel.run, reads, delta_position, lead,
+                kernel.head_predicate, relations[kernel.head_predicate].contains,
+            ))
+        agenda.append((predicate, entries))
 
     # --- local round 0: one application against the full database -------
     # Facts are merged only at the round boundary; merging mid-round
@@ -242,11 +284,21 @@ def _component_seminaive(
     # of round k+1 is then exactly the rows stamped <= k, read through a
     # zero-copy rows_before() filter.
     stamp = 1
-    view = full_view(working)
     heads: dict[str, dict] = {}
     with obs.timer("round"):
-        for kernel in kernels:
-            _collect(kernel, view, relations, heads, stats, checkpoint)
+        for kernel in lowered.kernels:
+            lead = kernel.compiled.lead
+            if lead is not None and not get(lead):
+                continue
+            head = kernel.head_predicate
+            known = relations[head].contains
+            bucket = heads.get(head)
+            if bucket is None:
+                bucket = heads[head] = {}
+            for row in kernel.run(view, stats, checkpoint):
+                stats.inferences += 1
+                if not known(row):
+                    bucket[row] = None
         delta = merge_round(heads, relations.__getitem__, stamp, stats)
     if obs.enabled:
         obs.observe("seminaive.delta_rows", sum(map(len, delta.values())))
@@ -268,9 +320,17 @@ def _component_seminaive(
                 if delta_relation is None:
                     skipped += len(entries)
                     continue
-                for kernel, round_view in entries:
-                    round_view.delta_relation = delta_relation
-                    _collect(kernel, round_view, relations, heads, stats, checkpoint)
+                for run, reads, delta_position, lead, head, known in entries:
+                    reads[delta_position] = delta_relation
+                    if lead is not None and not get(lead):
+                        continue
+                    bucket = heads.get(head)
+                    if bucket is None:
+                        bucket = heads[head] = {}
+                    for row in run(reads.get, stats, checkpoint):
+                        stats.inferences += 1
+                        if not known(row):
+                            bucket[row] = None
             # Merge after the round so all variants of the round read a
             # consistent full view.
             stamp += 1
@@ -281,20 +341,6 @@ def _component_seminaive(
                 obs.incr("scheduler.agenda_skipped", skipped)
             obs.observe("seminaive.delta_rows", sum(map(len, delta.values())))
     return rounds
-
-
-def _collect(kernel, view, relations, heads, stats, checkpoint) -> None:
-    """Run *kernel* once, collecting the heads not yet in the full
-    relation into ``heads[predicate]``, a ``{row: None}`` dict."""
-    predicate = kernel.head_predicate
-    target = relations[predicate]
-    bucket = heads.get(predicate)
-    if bucket is None:
-        bucket = heads[predicate] = {}
-    for row in kernel.run(view, stats, checkpoint):
-        stats.inferences += 1
-        if row not in target:
-            bucket[row] = None
 
 
 def merge_round(

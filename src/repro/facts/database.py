@@ -7,7 +7,7 @@ also accumulate IDB facts into a working copy of it.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program
@@ -73,6 +73,13 @@ class Database:
         return sum(1 for atom in atoms if self.add_atom(atom))
 
     # --- queries -------------------------------------------------------------------
+    @property
+    def get(self) -> Callable[[str], "Relation | None"]:
+        """``get(predicate)``: the relation for *predicate*, or ``None``;
+        never creates one.  It is the mapping's own ``get``, so a caller
+        that keeps it pays no Python call per lookup."""
+        return self._relations.get
+
     def __contains__(self, predicate: str) -> bool:
         return predicate in self._relations
 

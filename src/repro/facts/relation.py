@@ -32,7 +32,7 @@ stamp and default to 0, so plain EDB use pays nothing.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 __all__ = ["Relation", "StampedView"]
 
@@ -233,6 +233,14 @@ class Relation:
     def __contains__(self, row: tuple) -> bool:
         return row in self._tuples
 
+    @property
+    def contains(self) -> Callable[[tuple], bool]:
+        """``contains(row)`` is ``row in relation``: the row store's own
+        test, so a caller that keeps it pays no Python call per row.  It
+        stays valid for the relation's life (the store is mutated in
+        place, never replaced)."""
+        return self._tuples.__contains__
+
     def __len__(self) -> int:
         return len(self._tuples)
 
@@ -255,26 +263,20 @@ class Relation:
             self._indexes[column] = index
         return index
 
-    def _scan_snapshot(self) -> tuple:
-        """The full-tuple snapshot, cached per :attr:`version`.
+    def scan(self) -> tuple:
+        """All rows as a snapshot tuple, cached per :attr:`version`.
 
-        Full scans are the hottest unselective probe the engines issue
-        (every unbound first literal of a rule); within one fixpoint round
-        the relation does not change, so repeated scans reuse one copy
+        Identical contents and order to ``lookup({})`` — the rule kernels
+        use this to iterate a plain tuple instead of a generator.  Full
+        scans are the hottest unselective probe the engines issue (every
+        unbound first literal of a rule); within one fixpoint round the
+        relation does not change, so repeated scans reuse one copy
         instead of re-materialising the whole tuple set each time.
         """
         if self._scan_version != self._version:
             self._scan_cache = tuple(self._tuples)
             self._scan_version = self._version
         return self._scan_cache  # type: ignore[return-value]
-
-    def scan(self) -> tuple:
-        """All rows as a snapshot tuple (cached per :attr:`version`).
-
-        Identical contents and order to ``lookup({})`` — the rule kernels
-        use this to iterate a plain tuple instead of a generator.
-        """
-        return self._scan_snapshot()
 
     def probe_plan(self, column: int) -> tuple:
         """``(posting getter, stamp getter, cutoff)`` for probes of *column*.
@@ -288,7 +290,10 @@ class Relation:
         at that moment.  A plain relation filters nothing: its stamp getter is
         ``None``.
         """
-        return self._index_for(column).get, None, 0
+        index = self._indexes.get(column)
+        if index is None:
+            index = self._index_for(column)
+        return index.get, None, 0
 
     def lookup(self, bound: Mapping[int, object]) -> Iterator[tuple]:
         """Yield tuples matching the bound columns.
@@ -306,7 +311,7 @@ class Relation:
         nor skip rows that were present when the probe started.
         """
         if not bound:
-            yield from self._scan_snapshot()
+            yield from self.scan()
             return
         best_column = None
         best_posting: list[tuple] | None = None

@@ -60,7 +60,7 @@ from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..engine.budget import EvaluationBudget
 from ..engine.planner import resolve_planner
-from ..errors import BudgetExceededError, ReproError, UnpreparableStrategyError
+from ..errors import BudgetExceededError, ReproError
 from ..facts.database import Database
 from ..facts.io import load_source
 from ..obs import get_metrics

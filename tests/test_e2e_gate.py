@@ -113,6 +113,7 @@ def test_each_document_records_cpus_python_and_its_commit(tmp_path, monkeypatch,
     assert printed.index("pair 2/2 (head)") < printed.index("pair 2/2 (base)")
     for side, commit in (("base", "b" * 40), ("head", "h" * 40)):
         document = json.loads((out / f"{side}.json").read_text())
+        slowdown = document["gate"].pop("slowdown")
         assert document["gate"] == {
             "side": side,
             "commit": commit,
@@ -120,6 +121,8 @@ def test_each_document_records_cpus_python_and_its_commit(tmp_path, monkeypatch,
             "python": platform.python_version(),
         }
         assert len(document["sets"]) == 2
+        # One calibrated machine slowdown per pair for each side.
+        assert len(slowdown) == 2 and all(0 < value < 100 for value in slowdown)
 
 
 def test_a_dying_run_is_reported_and_exits_2(tmp_path, monkeypatch, capsys):

@@ -167,7 +167,8 @@ GOLDEN_ERRORS = [
     (parse_program, ":- p.", "expected IDENT, found ':-' at line 1, column 1", 1, 1),
     (parse_program, "p(a)?", "expected DOT, found '?' at line 1, column 5", 1, 5),
     (parse_program, "p(a)\n.\nq(b,,c).", "expected a term, found ',' at line 3, column 5", 3, 5),
-    (parse_program, "p(a). % fine\n\n\n   q(a) r(b).", "expected DOT, found 'r' at line 4, column 9", 4, 9),
+    (parse_program, "p(a). % fine\n\n\n   q(a) r(b).",
+     "expected DOT, found 'r' at line 4, column 9", 4, 9),
     (parse_program, "x == y.", "expected DOT, found '=' at line 1, column 3", 1, 3),
     (parse_program, "p :- x == y.", "expected a term, found '=' at line 1, column 9", 1, 9),
     (parse_rule, "p(a)", "expected DOT, found end of input", None, None),
@@ -176,7 +177,8 @@ GOLDEN_ERRORS = [
     (parse_atom, "p(a) q", "trailing input after atom: 'q' at line 1, column 6", 1, 6),
     (parse_atom, "p(a).", "trailing input after atom: '.' at line 1, column 5", 1, 5),
     (parse_atom, "", "expected IDENT, found end of input", None, None),
-    (parse_query, "anc(a, X)? extra", "trailing input after query: 'extra' at line 1, column 12", 1, 12),
+    (parse_query, "anc(a, X)? extra",
+     "trailing input after query: 'extra' at line 1, column 12", 1, 12),
     (parse_query, "anc(a, X).?", "trailing input after query: '?' at line 1, column 11", 1, 11),
     (parse_query, "anc(a, X) ? .", "trailing input after query: '.' at line 1, column 13", 1, 13),
     (parse_query, "@", "unexpected character '@' at line 1, column 1", 1, 1),

@@ -221,23 +221,23 @@ class TestDiscardIncrementalMaintenance:
 class TestScanCache:
     def test_snapshot_reused_while_unchanged(self):
         relation = Relation("e", 1, [("a",), ("b",)])
-        first = relation._scan_snapshot()
-        assert relation._scan_snapshot() is first
+        first = relation.scan()
+        assert relation.scan() is first
 
     def test_snapshot_invalidated_by_add_and_discard(self):
         relation = Relation("e", 1, [("a",)])
-        first = relation._scan_snapshot()
+        first = relation.scan()
         relation.add(("b",))
-        second = relation._scan_snapshot()
+        second = relation.scan()
         assert second is not first and set(second) == {("a",), ("b",)}
         relation.discard(("a",))
-        assert set(relation._scan_snapshot()) == {("b",)}
+        assert set(relation.scan()) == {("b",)}
 
     def test_duplicate_add_keeps_cache(self):
         relation = Relation("e", 1, [("a",)])
-        first = relation._scan_snapshot()
+        first = relation.scan()
         relation.add(("a",))  # no effective mutation
-        assert relation._scan_snapshot() is first
+        assert relation.scan() is first
 
 
 class TestCountFastPath:

@@ -19,6 +19,7 @@ from repro.engine import seminaive
 from repro.engine.counters import EvaluationStats
 from repro.engine.naive import naive_fixpoint
 from repro.engine.reference import reference_model
+from repro.engine.scheduler import build_schedule
 from repro.engine.seminaive import seminaive_fixpoint
 from repro.facts.database import Database
 from repro.transform.alexander import alexander_templates
@@ -197,31 +198,65 @@ def test_old_view_is_full_minus_the_current_delta(monkeypatch, case):
     round's (non-empty) delta and every later derived position reads the
     full relation minus that predicate's current delta."""
     program, database = case()
+    derived_of = {
+        predicate: component.derived
+        for component in build_schedule(program).components
+        for predicate in component.derived
+    }
+    live: dict = {}  # the delta relations the current round reads
     current: dict[str, frozenset] = {}
     round_deltas: list[frozenset] = []
     checked = []
+    runs: list = []
     merge_round = seminaive.merge_round
-    round_view = seminaive._RoundView.__call__
+    compile_kernel = seminaive.compile_kernel
+    start_run = seminaive.start_run
+
+    def recording_start(*args):
+        working, checkpoint = start_run(*args)
+        runs.append(working)
+        return working, checkpoint
 
     def recording_merge(heads, relation_of, stamp, stats):
         delta = merge_round(heads, relation_of, stamp, stats)
+        live.clear()
+        live.update(delta)
         current.clear()
         current.update((p, frozenset(rows)) for p, rows in delta.items())
         round_deltas.append(frozenset(delta))
         return delta
 
-    def recording_view(self, position, predicate):
-        relation = round_view(self, position, predicate)
-        if position == self.delta_position:
-            assert relation and frozenset(relation) == current[predicate]
-        elif position > self.delta_position and predicate in self.derived:
-            full = frozenset(self.database.relation(predicate))
-            assert frozenset(relation) == full - current.get(predicate, frozenset())
-            checked.append(predicate)
-        return relation
+    def recording_compile(compiled):
+        kernel = compile_kernel(compiled)
+        derived = derived_of[kernel.head_predicate]
 
+        def run(view, stats, checkpoint):
+            # The view is a pure function of its arguments for the whole
+            # run, so asking every read position first changes nothing.
+            reads = [
+                (position, predicate, view(position, predicate))
+                for position, predicate, positive in compiled.reads if positive
+            ]
+            deltas = [
+                position for position, predicate, relation in reads
+                if relation is live.get(predicate)
+            ]
+            if deltas:  # a delta variant in a delta round
+                (delta_position,) = deltas
+                for position, predicate, relation in reads:
+                    if position == delta_position:
+                        assert relation and frozenset(relation) == current[predicate]
+                    elif position > delta_position and predicate in derived:
+                        full = frozenset(runs[-1].relation(predicate))
+                        assert frozenset(relation) == full - current.get(predicate, frozenset())
+                        checked.append(predicate)
+            return kernel.run(view, stats, checkpoint)
+
+        return kernel._replace(run=run)
+
+    monkeypatch.setattr(seminaive, "start_run", recording_start)
     monkeypatch.setattr(seminaive, "merge_round", recording_merge)
-    monkeypatch.setattr(seminaive._RoundView, "__call__", recording_view)
+    monkeypatch.setattr(seminaive, "compile_kernel", recording_compile)
     stats = EvaluationStats()
     model, _ = seminaive_fixpoint(program, database, stats)
     assert checked

@@ -4,8 +4,9 @@
 Runs a curated, fast subset of the experiment suite (T1 correspondence,
 T3 magic family, F1 chain scaling, F4 serving prepared-cache parity, F5
 streaming-maintenance parity, A2 naive-vs-seminaive, A7
-planner-vs-textual join order), cross-checks answers exactly as the full benches do, and compares the
-deterministic inference counts against the committed baseline
+planner-vs-textual join order), cross-checks answers exactly as the full
+benches do, and compares the deterministic inference counts against the
+committed baseline
 (``benchmarks/baselines/bench_ci_baseline.json``).  Every run writes a
 schema-versioned JSON artifact (``BENCH_ci.json``) with wall-clock
 timings, counter totals, and a metrics snapshot, so CI can archive a

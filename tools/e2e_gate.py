@@ -15,7 +15,11 @@ in odd ones.  Each side's sets are concatenated into one document of the
 
 (1 when a bounded metric regressed or a count differs).  The machine's
 ``cpus`` and Python version are printed first, and each document's
-``gate`` record holds them with that side's commit SHA.  When a run dies
+``gate`` record holds them with that side's commit SHA and its
+``slowdown``: per pair, the machine's calibrated slowdown around that
+side's set (the benchmark harness's calibration kernel, timed just
+before and just after the set; 1.0 is the harness's reference speed),
+so a pair run on a slowed machine can be told apart.  When a run dies
 (an exit status other than 0 or 1, or no result file), the gate prints
 the tree, the pair, the exit status and the tail of its stderr, and
 exits 2.
@@ -39,6 +43,9 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 RUNNER = Path("benchmarks") / "e2e" / "run.py"
+# The benchmark harness of this checkout, imported (never changed) for
+# its calibration kernel.
+HARNESS = REPO / "benchmarks" / "e2e"
 
 
 def merge_sets(documents: list) -> dict:
@@ -92,6 +99,17 @@ def run_set(tree: Path, seed: int, seconds: float, pair: str = "") -> dict:
     return document
 
 
+def machine_slowdown() -> float:
+    """The machine's calibrated slowdown now: the benchmark harness's
+    ``slowdown_now()`` (1.0 = the harness's reference speed)."""
+    for path in (HARNESS, HARNESS.parent.parent / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import harness
+
+    return harness.slowdown_now()
+
+
 def measure(
     trees: dict, commits: dict, pairs: int, seed: int, seconds: float, out: Path
 ) -> dict:
@@ -99,17 +117,22 @@ def measure(
     *trees*, write ``OUT/base.json`` and ``OUT/head.json``, and return
     their paths by side.  Raises :class:`RunDied` when a run dies."""
     documents: dict = {"base": [], "head": []}
+    slowdowns: dict = {"base": [], "head": []}
     for pair in range(pairs):
         order = ("base", "head") if pair % 2 == 0 else ("head", "base")
         for side in order:
             label = f"pair {pair + 1}/{pairs} ({side})"
             print(f"# {label}: {trees[side]}", flush=True)
+            before = machine_slowdown()
             documents[side].append(run_set(trees[side], seed, seconds, label))
+            slowdowns[side].append(round((before + machine_slowdown()) / 2, 3))
     host = {"cpus": len(os.sched_getaffinity(0)), "python": platform.python_version()}
     paths = {}
     for side, sets in documents.items():
         document = merge_sets(sets)
-        document["gate"] = {"side": side, "commit": commits[side], **host}
+        document["gate"] = {
+            "side": side, "commit": commits[side], **host, "slowdown": slowdowns[side],
+        }
         paths[side] = out / f"{side}.json"
         paths[side].write_text(json.dumps(document, indent=1, sort_keys=True) + "\n",
                                encoding="utf-8")
