@@ -77,7 +77,6 @@ def measure(
     scenario: Scenario,
     strategy: str,
     query_index: int = 0,
-    planner=None,
     budget=None,
 ) -> Measurement:
     """Run one strategy on one scenario query; divergence becomes a row.
@@ -87,9 +86,6 @@ def measure(
     tripped.
 
     Args:
-        planner: optional join-planner spec forwarded to
-            :func:`repro.core.strategy.run_strategy` (the A7 ablation
-            flips this between ``None`` and ``"greedy"``).
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             (or a running :class:`~repro.engine.budget.Checkpoint`, which
             lets one wall clock bound a whole sweep — the CI gate does
@@ -100,12 +96,7 @@ def measure(
     start = time.perf_counter()
     try:
         result = run_strategy(
-            strategy,
-            scenario.program,
-            query,
-            scenario.database,
-            planner=planner,
-            budget=budget,
+            strategy, scenario.program, query, scenario.database, budget=budget
         )
     except BudgetExceededError:
         return Measurement(

@@ -115,13 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("left_to_right", "most_bound_first"),
         help="SIPS for the transformation strategies",
     )
-    query.add_argument(
-        "--planner",
-        action="store_const",
-        const="greedy",
-        default=None,
-        help="enable cost-based join planning (same answers, fewer joins)",
-    )
     for setting in REMOVED_SETTINGS:
         query.add_argument(
             f"--{setting}", nargs="?", action=_Removed, help=argparse.SUPPRESS
@@ -306,7 +299,6 @@ def _cmd_query(args) -> int:
         goal,
         strategy=args.strategy,
         sips=args.sips,
-        planner=args.planner,
         budget=_budget_from_args(args),
     )
     print(format_bindings(goal, result.answers, limit=args.limit))
@@ -339,7 +331,7 @@ def _cmd_explain(args) -> int:
 
 def _print_kernels(engine: Engine, goal) -> None:
     """What a prepared (served) *goal* executes: each transformed rule,
-    its planned body order, and the generated kernel with the values its
+    its compiled body order, and the generated kernel with the values its
     factory arguments are bound to."""
     prepared = engine.prepare(goal)
     for kernel in prepared.fixpoint.kernels:

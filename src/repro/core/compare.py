@@ -102,40 +102,19 @@ def check_correspondence(
     program: Program,
     query: Atom,
     database: Database | None = None,
-    planner=None,
     budget=None,
 ) -> Correspondence:
     """Run Alexander (bottom-up) and OLDT on the same query and compare.
 
     Args:
-        planner: optional join-planner spec (e.g. ``"greedy"``) applied to
-            *both* sides.  Planning must not disturb the correspondence:
-            bottom-up it only reorders joins within a rule body, top-down
-            it only permutes runs of extensional literals, so the
-            call/answer sets are provably unchanged — running the checker
-            with a planner pins exactly that.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`,
             applied to *each side independently* — every run gets the
             budget's full allowance, so all four limits stay meaningful
             (a shared clock would leave the counter limits watching the
             wrong side's statistics).
     """
-    alexander = run_strategy(
-        "alexander",
-        program,
-        query,
-        database,
-        planner=planner,
-        budget=budget,
-    )
-    oldt = run_strategy(
-        "oldt",
-        program,
-        query,
-        database,
-        planner=planner,
-        budget=budget,
-    )
+    alexander = run_strategy("alexander", program, query, database, budget=budget)
+    oldt = run_strategy("oldt", program, query, database, budget=budget)
 
     alexander_calls = alexander.calls
     oldt_calls = oldt.calls

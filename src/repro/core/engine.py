@@ -119,7 +119,7 @@ class Engine:
         relation = self._database.relation(atom.predicate)
         return relation.discard(atom.ground_key())
 
-    def incremental(self, planner: "str | None" = None, budget=None):
+    def incremental(self, budget=None):
         """A continuously materialised view of this engine's program.
 
         Returns an :class:`repro.engine.incremental.IncrementalEngine`
@@ -130,9 +130,7 @@ class Engine:
         """
         from ..engine.incremental import IncrementalEngine
 
-        return IncrementalEngine(
-            self._program, self._database, planner=planner, budget=budget
-        )
+        return IncrementalEngine(self._program, self._database, budget=budget)
 
     # --- querying ----------------------------------------------------------------
     def query(
@@ -140,7 +138,6 @@ class Engine:
         goal: Atom | str,
         strategy: str = DEFAULT_STRATEGY,
         sips: "Sips | str | None" = None,
-        planner: "str | None" = None,
         budget=None,
     ) -> QueryResult:
         """Evaluate *goal* under *strategy*.
@@ -150,9 +147,6 @@ class Engine:
             strategy: one of :func:`available_strategies`.
             sips: optional SIPS name or function for the transformation
                 strategies.
-            planner: optional join-planner spec (``"greedy"``) enabling
-                cost-based body ordering; answers are identical, only
-                the join work changes (see ``docs/ARCHITECTURE.md``).
             budget: optional :class:`repro.engine.budget.EvaluationBudget`
                 bounding the evaluation; exhaustion raises
                 :class:`repro.errors.BudgetExceededError` carrying the
@@ -163,13 +157,7 @@ class Engine:
         if isinstance(sips, str):
             sips = named_sips(sips)
         return run_strategy(
-            strategy,
-            self._program,
-            goal,
-            self._database,
-            sips,
-            planner=planner,
-            budget=budget,
+            strategy, self._program, goal, self._database, sips, budget=budget
         )
 
     def prepare(
@@ -177,14 +165,13 @@ class Engine:
         goal: Atom | str,
         strategy: str = DEFAULT_STRATEGY,
         sips: "Sips | str | None" = None,
-        planner: "str | None" = None,
         budget=None,
         maintain: "str | None" = None,
     ):
         """Prepare *goal*'s shape for repeated execution.
 
-        Runs the shape-dependent pipeline (stratify, transform, plan,
-        compile) once and returns a
+        Runs the shape-dependent pipeline (stratify, transform, compile)
+        once and returns a
         :class:`repro.core.prepare.PreparedQuery` whose
         :meth:`~repro.core.prepare.PreparedQuery.execute` answers any
         goal with the same predicate and adornment — different constants
@@ -207,7 +194,6 @@ class Engine:
             self._database,
             strategy=strategy,
             sips=sips,
-            planner=planner,
             budget=budget,
             maintain=maintain,
         )

@@ -1,23 +1,23 @@
 """Prepared queries: run the query pipeline once, execute it many times.
 
 Every call to :func:`repro.core.strategy.run_strategy` re-parses,
-re-adorns, re-transforms, re-plans, and re-compiles — work that depends
+re-adorns, re-transforms, and re-compiles — work that depends
 only on the *shape* of the query (predicate + binding pattern), not on
 its constants.  This module is the pure "prepare" half of that pipeline:
 
 * :func:`prepare_query` runs everything shape-dependent — stratification,
   lower-strata materialisation, the Alexander/magic/supplementary
-  rewriting, join planning, rule compilation, kernel lowering — and
+  rewriting, rule compilation, kernel lowering — and
   returns an immutable-ish :class:`PreparedQuery`.
 * :meth:`PreparedQuery.execute` evaluates a compatible goal (same
   predicate, same adornment, any constants) by injecting a fresh seed
   fact and running the precompiled fixpoint
   (:mod:`repro.engine.prepared`).  No parse, no adorn, no transform, no
-  plan, no compile — observable as flat ``transform.*`` / ``planner.*`` /
-  ``kernel.*`` counters across executions.
+  compile — observable as flat ``transform.*`` / ``kernel.*`` counters
+  across executions.
 * :func:`prepared_cache_key` canonicalises the identity the query
-  service caches on: (program fingerprint, strategy, SIPS, planner,
-  maintain, goal predicate, goal adornment).
+  service caches on: (program fingerprint, strategy, SIPS, maintain,
+  goal predicate, goal adornment).
 
 Three preparation modes cover the strategy spectrum:
 
@@ -278,7 +278,6 @@ def prepared_cache_key(
     goal: Atom,
     strategy: str,
     sips: "Sips | str | None" = None,
-    planner: "str | None" = None,
     maintain: "str | None" = None,
 ) -> tuple:
     """The identity a prepared query is reusable under.
@@ -299,7 +298,6 @@ def prepared_cache_key(
         program_fingerprint(program),
         strategy,
         _sips_label(sips),
-        planner or "",
         maintain or "",
         predicate,
         adornment,
@@ -335,9 +333,8 @@ class PreparedQuery:
             or full materialisation); execution stats never include them.
         patchable: the base predicates of the source program that the
             rewritten stratum reads — the ones call-table footprints
-            record and :meth:`patch` may update (transform mode only).
-            ``None`` when the shape cannot be patched: a join plan cut
-            against base statistics.
+            record and :meth:`patch` may update (transform mode only;
+            ``None`` in the other modes).
     """
 
     strategy: str
@@ -486,7 +483,7 @@ class PreparedQuery:
         )
         answers = self._matching(completed, goal, transformed_goal)
         stats.answers = len(answers)
-        footprint = record_footprint(self.fixpoint, completed, self.patchable or frozenset())
+        footprint = record_footprint(self.fixpoint, completed, self.patchable)
         rows = tuple(atom.ground_key() for atom in answers)
         texts = tuple(map(str, answers))
         self.table.put(key, rows, texts, stats.copy(), footprint, generation)
@@ -586,7 +583,7 @@ class PreparedQuery:
         stratum materialised into the base.
 
         Raises:
-            ReproError: when ``patchable is None``.
+            ReproError: on a shape that is not in transform mode.
         """
         if self.patchable is None:
             raise ReproError(
@@ -628,7 +625,6 @@ def prepare_query(
     database: "Database | None" = None,
     strategy: str = "alexander",
     sips: "Sips | str | None" = None,
-    planner: "str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
     maintain: "str | None" = None,
 ) -> PreparedQuery:
@@ -645,8 +641,6 @@ def prepare_query(
             names raise :class:`UnpreparableStrategyError`.
         sips: optional SIPS name or function for the transform
             strategies.
-        planner: optional join-planner spec the compiled plan is
-            specialised to (part of the cache key).
         budget: optional budget bounding *preparation itself* (the
             lower-strata or full materialisation); execution budgets are
             passed to :meth:`PreparedQuery.execute` per run.
@@ -683,7 +677,7 @@ def prepare_query(
     else:
         sips_fn = sips if sips is not None else left_to_right
 
-    key = prepared_cache_key(program, goal, strategy, sips, planner, maintain)
+    key = prepared_cache_key(program, goal, strategy, sips, maintain)
     if maintain is None:
         # A maintained engine keeps asserted derived facts itself.
         program, database = _bridge_stored_facts(program, database)
@@ -700,9 +694,7 @@ def prepare_query(
             # *is* the engine's initial materialisation.  The engine
             # keeps the budget as its per-operation allowance, covering
             # the build now and every apply_update later.
-            engine = IncrementalEngine(
-                program, database, planner=planner, budget=budget
-            )
+            engine = IncrementalEngine(program, database, budget=budget)
             prepare_stats.merge(engine.stats)
             prepared = PreparedQuery(
                 strategy=strategy,
@@ -721,7 +713,6 @@ def prepare_query(
                     working,
                     prepare_stats,
                     engine=strategy,
-                    planner=planner,
                     budget=budget,
                 )
             prepared = PreparedQuery(
@@ -746,7 +737,7 @@ def prepare_query(
             )
         else:
             prepared = _prepare_transform(
-                strategy, rules_only, goal, working, sips_fn, planner,
+                strategy, rules_only, goal, working, sips_fn,
                 budget, key, prepare_stats,
                 edb_extra=program.predicates,
             )
@@ -762,7 +753,6 @@ def _prepare_transform(
     goal: Atom,
     working: Database,
     sips_fn: Sips,
-    planner,
     budget,
     key: tuple,
     prepare_stats: EvaluationStats,
@@ -793,13 +783,7 @@ def _prepare_transform(
         )
     )
     if lower.proper_rules:
-        working, _ = stratified_fixpoint(
-            lower,
-            working,
-            prepare_stats,
-            planner=planner,
-            budget=budget,
-        )
+        working, _ = stratified_fixpoint(lower, working, prepare_stats, budget=budget)
     target = stratification.strata[query_stratum]
     edb = frozenset(
         (edb_extra | working.predicates()) - target.idb_predicates
@@ -811,17 +795,15 @@ def _prepare_transform(
         # registry loads of serialized shapes (snapshot rehydration
         # reuses the serialized rewriting instead of re-transforming).
         obs.incr("prepare.transforms")
-    fixpoint = compile_fixpoint(transformed.program, working, planner=planner)
-    patchable = None
-    if not planner:
-        base_predicates = rules_only.edb_predicates
-        patchable = frozenset(
-            literal.predicate
-            for rule in transformed.program.proper_rules
-            for literal in rule.body
-            if literal.predicate in base_predicates
-            and literal.predicate not in BUILTIN_PREDICATES
-        )
+    fixpoint = compile_fixpoint(transformed.program)
+    base_predicates = rules_only.edb_predicates
+    patchable = frozenset(
+        literal.predicate
+        for rule in transformed.program.proper_rules
+        for literal in rule.body
+        if literal.predicate in base_predicates
+        and literal.predicate not in BUILTIN_PREDICATES
+    )
     return PreparedQuery(
         strategy=strategy,
         mode="transform",

@@ -21,10 +21,11 @@ Three design rules govern the format:
   same inference counters.  That is why every constant reloads as the
   value *and type* that was stored (``1``, ``1.0`` and ``True`` keep
   separate value-table entries), why relation rows are written in
-  insertion order (enumeration order survives the trip), and why join
-  plans are stored as explicit body permutations (reloading never
-  re-runs the planner — ``planner.rules_planned`` and
-  ``transform.rewritings`` stay flat).
+  insertion order (enumeration order survives the trip), and why the
+  rewritten rules are stored as text in their original order (reloading
+  lowers each rule in the order :func:`~repro.engine.matching.compile_rule`
+  derives from the rule alone, and never re-runs the rewriting —
+  ``transform.rewritings`` stays flat).
 * **Versioned, rejected loudly.**  The header carries a format version
   and a value-table encoding version; a mismatch on either — or a byte
   order / item size the reader cannot honour — raises
@@ -49,8 +50,8 @@ attach by name and decode straight out of the shared buffer.
 Observability: ``snapshot.dumps`` / ``snapshot.loads`` /
 ``snapshot.bytes`` count serialization work, ``snapshot.shared.*`` the
 shared-memory lifecycle.  Rehydrating a prepared shape re-lowers its
-kernels (``kernel.rules_compiled`` moves) but runs **zero** transform,
-planning, or fixpoint compilation — ``prepare.transforms`` and
+kernels (``kernel.rules_compiled`` moves) but runs **zero** transform
+or fixpoint compilation — ``prepare.transforms`` and
 ``prepare.compiles`` stay flat, which is exactly what the cross-process
 registry exists to buy.
 """
@@ -67,12 +68,8 @@ from array import array
 from contextlib import contextmanager
 
 from ..datalog.parser import parse_program, parse_query
-from ..datalog.rules import Program
 from ..engine.counters import EvaluationStats
-from ..engine.matching import compile_rule_ordered
-from ..engine.prepared import CompiledFixpoint
-from ..engine.scheduler import build_schedule
-from ..engine.seminaive import lower_component
+from ..engine.prepared import lower_fixpoint
 from ..errors import ReproError
 from ..facts.database import Database
 from ..obs import get_metrics
@@ -94,7 +91,7 @@ __all__ = [
 ]
 
 SNAPSHOT_MAGIC = b"RPQS"
-SNAPSHOT_FORMAT_VERSION = 3
+SNAPSHOT_FORMAT_VERSION = 4
 VALUE_TABLE_FORMAT_VERSION = 1
 
 _ITEMSIZE = array("q").itemsize  # 8 on every supported platform
@@ -390,60 +387,6 @@ def load_database(data) -> tuple[Database, dict]:
 
 # --- prepared queries --------------------------------------------------------
 
-def _plan_permutations(fixpoint: CompiledFixpoint) -> list[list[int]]:
-    """Each rule's compiled body order, as indices into its textual body.
-
-    The permutation is recovered through ``CompiledRule.ordered`` —
-    the compiler keeps the original literal objects, so an identity
-    scan maps every compiled position back to its textual one.
-    Storing the order explicitly is what lets :func:`load_prepared`
-    rebuild identical join plans without re-running the planner.
-    """
-    compiled_by_rule = {
-        id(kernel.compiled.rule): kernel.compiled for kernel in fixpoint.kernels
-    }
-    permutations = []
-    for rule in fixpoint.program.rules:
-        compiled = compiled_by_rule.get(id(rule))
-        if compiled is None:
-            permutations.append(list(range(len(rule.body))))
-            continue
-        position_of = {id(literal): i for i, literal in enumerate(rule.body)}
-        permutations.append(
-            [position_of[id(literal)] for literal in compiled.ordered]
-        )
-    return permutations
-
-
-def _rehydrate_fixpoint(program: Program, plans) -> CompiledFixpoint:
-    """Rebuild a :class:`CompiledFixpoint` from serialized plans.
-
-    Kernels are re-lowered (their closures cannot be serialized) in the
-    stored body orders, so every probe is bit-identical.  No planner, no
-    transform, no
-    :func:`~repro.engine.prepared.compile_fixpoint` — the
-    ``prepare.transforms`` / ``prepare.compiles`` counters stay flat.
-    """
-    if len(plans) != len(program.rules):
-        raise SnapshotFormatError(
-            f"snapshot carries {len(plans)} join plans for "
-            f"{len(program.rules)} rules"
-        )
-    compiled_by_rule = {}
-    for rule, permutation in zip(program.rules, plans):
-        if sorted(permutation) != list(range(len(rule.body))):
-            raise SnapshotFormatError(
-                f"snapshot join plan {permutation} is not a permutation "
-                f"of the body of {rule}"
-            )
-        ordered = tuple(rule.body[index] for index in permutation)
-        compiled_by_rule[rule] = compile_rule_ordered(rule, ordered)
-    return CompiledFixpoint(program, tuple(
-        lower_component(component, [compiled_by_rule[rule] for rule in component.rules])
-        for component in build_schedule(program).components
-    ))
-
-
 def _predicate_map(mapping) -> dict:
     return {name: list(pair) for name, pair in mapping.items()}
 
@@ -463,7 +406,6 @@ def dump_prepared(prepared) -> bytes:
             "be serialized; re-prepare with maintain=None to snapshot"
         )
     header, blocks = _database_header(prepared.base)
-    fixpoint = prepared.fixpoint
     meta = {
         "strategy": prepared.strategy,
         "mode": prepared.mode,
@@ -472,8 +414,6 @@ def dump_prepared(prepared) -> bytes:
         "key": list(prepared.key),
         "prepare_stats": prepared.prepare_stats.as_dict(),
     }
-    if prepared.patchable is not None:
-        meta["patchable"] = sorted(prepared.patchable)
     if prepared.transformed is not None:
         transformed = prepared.transformed
         meta["transformed"] = {
@@ -486,8 +426,7 @@ def dump_prepared(prepared) -> bytes:
             "answer_predicates": _predicate_map(transformed.answer_predicates),
             "original_query": str(transformed.original_query),
         }
-    if fixpoint is not None:
-        meta["fixpoint"] = {"plans": _plan_permutations(fixpoint)}
+        meta["fixpoint"] = {"patchable": sorted(prepared.patchable)}
     header["kind"] = "prepared"
     header["byteorder"] = sys.byteorder
     header["itemsize"] = _ITEMSIZE
@@ -500,8 +439,7 @@ def _decode_prepared(meta: dict, base: Database):
     over the decoded *base*."""
     from .prepare import PreparedQuery  # local: prepare imports engine layers
 
-    fixpoint_meta = meta.get("fixpoint")
-    transformed = None
+    transformed = fixpoint = patchable = None
     if meta.get("transformed") is not None:
         spec = meta["transformed"]
         program = parse_program("\n".join(spec["rules"]))
@@ -521,17 +459,13 @@ def _decode_prepared(meta: dict, base: Database):
             original_query=parse_query(spec["original_query"]),
             kind=spec["kind"],
         )
-    fixpoint = None
-    if fixpoint_meta is not None:
-        if transformed is None:
-            raise SnapshotFormatError(
-                "prepared snapshot has a fixpoint but no transformed program"
-            )
-        fixpoint = _rehydrate_fixpoint(
-            transformed.program, fixpoint_meta["plans"]
-        )
+        # Kernels cannot be serialized: each rule is lowered again, in the
+        # order compile_rule derives from the rule, with no transform and
+        # no compile_fixpoint (prepare.transforms / prepare.compiles stay
+        # flat).
+        fixpoint = lower_fixpoint(program)
+        patchable = frozenset(meta["fixpoint"]["patchable"])
     stats = EvaluationStats(**meta.get("prepare_stats", {}))
-    patchable = meta.get("patchable")
     return PreparedQuery(
         strategy=meta["strategy"],
         mode=meta["mode"],
@@ -542,7 +476,7 @@ def _decode_prepared(meta: dict, base: Database):
         transformed=transformed,
         fixpoint=fixpoint,
         prepare_stats=stats,
-        patchable=frozenset(patchable) if patchable is not None else None,
+        patchable=patchable,
     )
 
 
@@ -550,7 +484,7 @@ def load_prepared(data):
     """Rebuild a :class:`~repro.core.prepare.PreparedQuery` from bytes.
 
     The result is bit-identical to the shape that was dumped: same base
-    fact set in the same insertion order, same join plans, same cache
+    fact set in the same insertion order, same rule body orders, same cache
     key — so ``execute()`` returns the same answers with the same
     counters (pinned over seeded random programs
     by ``tests/test_snapshot.py``).

@@ -2,14 +2,13 @@
 
 Every evaluation method in the library — bottom-up, top-down, and
 transformation-based — is exposed as a *strategy*: a function taking
-``(program, query, database, planner)`` and returning a
+``(program, query, database, budget)`` and returning a
 :class:`QueryResult` whose ``answers`` are ground instances of the
 original query atom and whose ``stats`` use the shared counter semantics.
 The benchmark harness and the CLI enumerate strategies through
-:func:`available_strategies` / :func:`run_strategy`.  The ``planner``
-argument (e.g. ``"greedy"``) enables cost-based join ordering
-(:mod:`repro.engine.planner`) in every strategy that joins; plain SLD
-ignores it.
+:func:`available_strategies` / :func:`run_strategy`.  Every strategy
+joins a rule body in textual order (tests at their earliest bound
+point), the order the SIPS gave the rewriting.
 
 Transformation strategies follow the *structured* pipeline for stratified
 negation: only the query predicate's stratum is rewritten, with the
@@ -220,17 +219,11 @@ def _bottom_up(engine: str):
         program: Program,
         query: Atom,
         database: Database | None,
-        planner=None,
         budget=None,
     ) -> QueryResult:
         stats = EvaluationStats()
         completed, _ = stratified_fixpoint(
-            program,
-            database,
-            stats,
-            engine=engine,
-            planner=planner,
-            budget=budget,
+            program, database, stats, engine=engine, budget=budget
         )
         answers = _sorted_answers(query, completed.match(query))
         stats.answers = len(answers)
@@ -245,11 +238,8 @@ def _sld(
     program: Program,
     query: Atom,
     database: Database | None,
-    planner=None,
     budget=None,
 ) -> QueryResult:
-    # Plain SLD resolves one tuple at a time in clause-text order; there is
-    # no set-oriented join to plan, so `planner` is accepted and ignored.
     engine = SLDEngine(program, database, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
     return QueryResult(
@@ -261,10 +251,9 @@ def _oldt(
     program: Program,
     query: Atom,
     database: Database | None,
-    planner=None,
     budget=None,
 ) -> QueryResult:
-    engine = OLDTEngine(program, database, planner=planner, budget=budget)
+    engine = OLDTEngine(program, database, budget=budget)
     raw = engine.query(query)
     answers = _sorted_answers(query, raw)
     return QueryResult(
@@ -303,10 +292,9 @@ def _qsqr(
     program: Program,
     query: Atom,
     database: Database | None,
-    planner=None,
     budget=None,
 ) -> QueryResult:
-    engine = QSQREngine(program, database, planner=planner, budget=budget)
+    engine = QSQREngine(program, database, budget=budget)
     answers = _sorted_answers(query, engine.query(query))
     return QueryResult(
         strategy="qsqr", query=query, answers=answers, stats=engine.stats
@@ -318,7 +306,6 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
         program: Program,
         query: Atom,
         database: Database | None,
-        planner=None,
         budget=None,
     ) -> QueryResult:
         stats = EvaluationStats()
@@ -377,7 +364,7 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
         working.add_atoms(transformed.seeds)
         if checkpoint is not None:
             checkpoint.bind(working)
-        run_schedule(components, working, stats, planner, checkpoint)
+        run_schedule(components, working, stats, checkpoint)
         completed = working
 
         answers = _sorted_answers(query, completed.match(transformed.goal))
@@ -411,7 +398,7 @@ def _transform_call_summary(
 _STRATEGIES: dict[
     str,
     Callable[
-        [Program, Atom, "Database | None", object, object], QueryResult
+        [Program, Atom, "Database | None", object], QueryResult
     ],
 ] = {
     "naive": _bottom_up("naive"),
@@ -436,7 +423,6 @@ def run_strategy(
     query: Atom,
     database: Database | None = None,
     sips: Sips | None = None,
-    planner=None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
 ) -> QueryResult:
     """Evaluate *query* on *program* + *database* under strategy *name*.
@@ -444,9 +430,6 @@ def run_strategy(
     Args:
         sips: optional SIPS override, honoured by the transformation
             strategies only (A1 ablation).
-        planner: optional join-planner spec (e.g. ``"greedy"``) enabling
-            cost-based body ordering (:mod:`repro.engine.planner`); the
-            ``sld`` strategy accepts and ignores it.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             bounding the evaluation; every strategy honours it.  Passing a
             running :class:`~repro.engine.budget.Checkpoint` instead makes
@@ -466,8 +449,6 @@ def run_strategy(
             "alexander": alexander_templates,
         }[name]
         return _transform_strategy(name, transform, sips)(
-            program, query, database, planner, budget,
+            program, query, database, budget,
         )
-    return _STRATEGIES[name](
-        program, query, database, planner, budget,
-    )
+    return _STRATEGIES[name](program, query, database, budget)

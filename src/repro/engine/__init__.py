@@ -4,7 +4,6 @@ from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
 from .incremental import IncrementalEngine
 from .naive import naive_fixpoint
-from .planner import JoinPlan, JoinPlanner, resolve_planner
 from .provenance import (
     Derivation,
     ProofNode,
@@ -32,7 +31,4 @@ __all__ = [
     "alternating_fixpoint",
     "WellFoundedModel",
     "IncrementalEngine",
-    "JoinPlan",
-    "JoinPlanner",
-    "resolve_planner",
 ]

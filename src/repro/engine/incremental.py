@@ -53,14 +53,12 @@ from .budget import EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
 from .maintain import (
     DEFAULT_MAINTENANCE,
-    MaintainedRule,
     compile_maintenance,
     delete_dred,
     propagate,
     resolve_maintenance,
 )
 from .matching import compile_rule
-from .planner import JoinPlanner
 from .seminaive import seminaive_fixpoint
 
 __all__ = ["IncrementalEngine"]
@@ -81,10 +79,6 @@ class IncrementalEngine:
     Args:
         program: a negation-free program; embedded facts are loaded.
         database: extensional facts; copied, never mutated.
-        planner: optional join-planner spec (e.g. ``"greedy"``).  The
-            initial materialisation plans as usual; the delta-continuation
-            rules are then compiled against the *materialised* database,
-            so IDB statistics are real sizes rather than unknowns.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             applied *per operation*: the initial materialisation and each
             subsequent mutation gets a fresh checkpoint (a long-lived
@@ -103,7 +97,6 @@ class IncrementalEngine:
         self,
         program: Program,
         database: Database | None = None,
-        planner: "JoinPlanner | str | None" = None,
         budget: "EvaluationBudget | None" = None,
         maintenance: str = DEFAULT_MAINTENANCE,
     ):
@@ -116,7 +109,6 @@ class IncrementalEngine:
                     )
         self._maintenance = resolve_maintenance(maintenance)
         self._program = program.without_facts()
-        self._planner_spec = planner
         self._budget = budget
         self._poisoned = False
         self.stats = EvaluationStats()
@@ -136,13 +128,11 @@ class IncrementalEngine:
         """The model of *base* built anew and the executors compiled
         for it."""
         self._working, _ = seminaive_fixpoint(
-            self._program,
-            base,
-            op_stats,
-            planner=self._planner_spec,
-            budget=self._budget,
+            self._program, base, op_stats, budget=self._budget
         )
-        self._rules = self._compile_for(self._working)
+        self._rules = compile_maintenance(
+            [compile_rule(rule) for rule in self._program.proper_rules]
+        )
 
     def _rematerialise(self) -> None:
         """:meth:`_materialise` the current base facts, poisoning the
@@ -161,23 +151,6 @@ class IncrementalEngine:
             raise
         finally:
             self.stats.merge(op_stats)
-
-    def _compile_for(self, working: Database) -> list[MaintainedRule]:
-        """The maintenance executors, planned against the materialised
-        *working* database.  With a planner spec there is no ``unknown``
-        set: once materialised, every IDB relation has its real
-        cardinality."""
-        spec = self._planner_spec
-        if isinstance(spec, JoinPlanner):
-            active: JoinPlanner | None = spec
-        elif spec is None or spec is False:
-            active = None
-        else:
-            active = JoinPlanner(working)
-        compiled = [
-            compile_rule(rule, active) for rule in self._program.proper_rules
-        ]
-        return compile_maintenance(compiled)
 
     def _ensure_usable(self) -> None:
         if self._poisoned:

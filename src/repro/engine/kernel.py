@@ -3,9 +3,9 @@
 :func:`repro.engine.matching.match_body` enumerates rule-body matches with
 recursive generators over ``dict[Variable, value]`` bindings, copying the
 binding dict for every probed row.  That copy is pure overhead: once the
-body order is fixed (by :func:`~repro.engine.matching.compile_rule`, with
-or without a planner), which variables are bound at each position is known
-*statically*.  :func:`~repro.engine.matching.compile_rule_ordered` resolves
+body order is fixed (by :func:`~repro.engine.matching.compile_rule`),
+which variables are bound at each position is known *statically*.
+:func:`~repro.engine.matching.compile_rule_ordered` resolves
 it in the same walk that classifies the body's columns, and leaves the
 result on the :class:`~repro.engine.matching.CompiledRule` as the kernel's
 *shape*, the IR of this module:
@@ -87,7 +87,7 @@ def compile_kernel(compiled: CompiledRule) -> RuleKernel:
     """The kernel of *compiled*: its shape's generated function, bound
     to its arguments.
 
-    The body order is taken as-is (the planner already ran, if any);
+    The body order is taken as-is;
     :func:`~repro.engine.matching.compile_rule_ordered` already lowered
     it, so this is one shape-memo probe and one factory call.
     """

@@ -12,12 +12,8 @@ Negative literals are checked by absence once all their variables are
 bound; the compiler orders them after the positive literals that bind
 them (a safety analysis elsewhere guarantees such an order exists).
 
-Positive literals join in textual order by default; passing a
-:class:`repro.engine.planner.JoinPlanner` to :func:`compile_rule` swaps in
-its statistics-driven order instead.  Either way the compiled rule
-enumerates the same fact set — ordering only changes how much work the
-index-nested-loop join does (see ``docs/ARCHITECTURE.md``, "The matcher/
-planner contract").
+Positive literals join in textual order: the order the rewriting's SIPS
+emitted them in, which is the order Seki's correspondence is stated for.
 
 Compiling a rule lowers it for the generated kernels every bottom-up
 engine runs, in one walk over the ordered body: it numbers the variables
@@ -33,7 +29,7 @@ are named tuples: cheap to build.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import TYPE_CHECKING, Callable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from ..datalog.atoms import Literal
 from ..datalog.builtins import BUILTIN_PREDICATES, evaluate_builtin, is_builtin
@@ -42,9 +38,6 @@ from ..datalog.terms import Constant, Variable
 from ..errors import SafetyError
 from ..facts.relation import Relation
 from .counters import EvaluationStats
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .planner import JoinPlanner
 
 __all__ = [
     "CompiledLiteral",
@@ -196,9 +189,7 @@ def _compiled_literal(literal: Literal) -> CompiledLiteral:
 
 
 def order_body(
-    body: Sequence[Literal],
-    rule: Rule | None = None,
-    positives: Sequence[Literal] | None = None,
+    body: Sequence[Literal], rule: Rule | None = None
 ) -> tuple[Literal, ...]:
     """Order body literals so every *test* literal is fully bound.
 
@@ -208,12 +199,6 @@ def order_body(
     their given relative order (the transformations in this library emit
     bodies in binding-propagation order already).
 
-    Args:
-        positives: optional explicit ordering of the positive
-            non-built-in literals (a permutation of them, typically from
-            :class:`repro.engine.planner.JoinPlanner`); textual order
-            when omitted.
-
     Raises:
         SafetyError: when some test literal has a variable that occurs
             in no binding literal.
@@ -222,16 +207,15 @@ def order_body(
         if not literal.positive or literal.atom.predicate in BUILTIN_PREDICATES:
             break
     else:  # no test: nothing to place
-        return tuple(body if positives is None else positives)
+        return tuple(body)
     negatives = [
         lit
         for lit in body
         if not lit.positive or lit.atom.predicate in BUILTIN_PREDICATES
     ]
-    if positives is None:
-        positives = [
-            lit for lit in body if lit.positive and not is_builtin(lit.predicate)
-        ]
+    positives = [
+        lit for lit in body if lit.positive and not is_builtin(lit.predicate)
+    ]
     available: set[Variable] = set()
     ordered: list[Literal] = []
     pending = list(negatives)
@@ -265,21 +249,13 @@ def order_body(
     return tuple(ordered)
 
 
-def compile_rule(rule: Rule, planner: "JoinPlanner | None" = None) -> CompiledRule:
-    """Compile a rule for bottom-up matching.
+def compile_rule(rule: Rule) -> CompiledRule:
+    """Compile a rule for bottom-up matching, its body in
+    :func:`order_body` order.
 
     The head must be range-restricted: every head variable must occur in
     some positive body literal.
-
-    Args:
-        planner: optional :class:`repro.engine.planner.JoinPlanner`; when
-            given, positive literals are joined in its cost-based order
-            instead of textual order.  Tests keep their earliest-bound
-            placement either way, and the derived fact set is identical —
-            only the enumeration work changes.
     """
-    if planner is not None:
-        return compile_rule_ordered(rule, planner.order_body(rule))
     return compile_rule_ordered(rule, order_body(rule.body, rule))
 
 
@@ -288,15 +264,10 @@ def compile_rule_ordered(
 ) -> CompiledRule:
     """Compile *rule* with its body in the given, already-decided order.
 
-    The snapshot layer (:mod:`repro.core.snapshot`) serializes each
-    compiled rule's body order as an explicit permutation; reloading
-    must reproduce that exact order without consulting a planner or
-    re-deriving test placement — any re-derivation would make the
-    reloaded plan merely equivalent where the format promises
-    bit-identity.  *ordered* must be a permutation of ``rule.body``
-    whose test literals are fully bound at their position (true of any
-    order :func:`compile_rule` ever produced, which is the only source
-    of serialized plans).
+    :func:`compile_rule` passes :func:`order_body`'s order;
+    :func:`delta_first` passes a maintenance variant's.  *ordered* must
+    be a permutation of the rule's body whose test literals are fully
+    bound at their position.
 
     One walk over *ordered* lowers the rule for
     :func:`repro.engine.kernel.compile_kernel`: the slots, the kernel
@@ -425,7 +396,7 @@ def delta_first(
         bound |= body[index].variables
     tests = [index for index, literal in enumerate(body) if literal.is_test]
     positives = [lead] + [body[index].source for index in order[1:]]
-    ordered = order_body([body[index].source for index in tests], rule, positives)
+    ordered = order_body(positives + [body[index].source for index in tests], rule)
     # Positives come back in the order given; each test is matched back to
     # its position by identity, so repeated literals stay distinguishable.
     leads = iter(order)

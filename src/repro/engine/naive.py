@@ -23,10 +23,8 @@ from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
 from .kernel import RuleKernel, compile_kernel
 from .matching import compile_rule
-from .planner import JoinPlanner
 from .scheduler import (
     build_schedule,
-    component_planner,
     full_view,
     observe_schedule,
     single_pass,
@@ -61,7 +59,6 @@ def naive_fixpoint(
     program: Program,
     database: Database | None = None,
     stats: EvaluationStats | None = None,
-    planner: "JoinPlanner | str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint naively, component by component.
@@ -74,9 +71,6 @@ def naive_fixpoint(
         program: rules to evaluate; embedded ground facts are loaded too.
         database: extensional facts; copied, never mutated.
         stats: optional counter record to accumulate into.
-        planner: optional join planner (``"greedy"`` or a
-            :class:`repro.engine.planner.JoinPlanner`); rule bodies are
-            compiled in its cost-based order instead of textual order.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             (or an already-running checkpoint, for nested evaluation);
             exhaustion raises
@@ -94,11 +88,7 @@ def naive_fixpoint(
     observe_schedule(obs, schedule.components)
     with obs.timer("naive"):
         for component in schedule.components:
-            active = component_planner(planner, working, component)
-            kernels = [
-                compile_kernel(compile_rule(rule, active))
-                for rule in component.rules
-            ]
+            kernels = [compile_kernel(compile_rule(rule)) for rule in component.rules]
             if not component.recursive:
                 if checkpoint is not None:
                     checkpoint.check_round()

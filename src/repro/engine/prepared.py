@@ -1,7 +1,7 @@
-"""Precompiled fixpoints: plan and compile once, evaluate many times.
+"""Precompiled fixpoints: compile once, evaluate many times.
 
-Every bottom-up entry point in the library re-resolves its planner,
-re-compiles its rules, and re-lowers them to kernels on every call.  For
+Every bottom-up entry point in the library re-compiles its rules and
+re-lowers them to kernels on every call.  For
 a one-shot CLI evaluation that is invisible; for a long-lived query
 service answering the same query shape thousands of times it is pure
 overhead — and it is exactly the overhead the Alexander/magic family
@@ -11,25 +11,19 @@ specific and expensive to rebuild.
 This module splits evaluation into its two natural halves:
 
 * :func:`compile_fixpoint` does everything that depends only on the
-  *rules* (and, for cost-based planning, on the base relation
-  statistics): scheduling (:func:`repro.engine.scheduler.build_schedule`),
-  join planning, rule compilation, and kernel lowering.  The result is an
-  immutable :class:`CompiledFixpoint`.
+  *rules*: scheduling (:func:`repro.engine.scheduler.build_schedule`),
+  rule compilation, and kernel lowering (:func:`lower_fixpoint`).  The
+  result is an immutable :class:`CompiledFixpoint`.
 * :func:`run_fixpoint` evaluates a :class:`CompiledFixpoint` against a
   database — any number of times, each run with its own working copy,
   :class:`~repro.engine.counters.EvaluationStats`, and budget
-  checkpoint.  Nothing is re-planned or re-compiled.
+  checkpoint.  Nothing is re-compiled.
 
 The run discipline is byte-for-byte the one-shot engine's own: both
 drive :func:`repro.engine.seminaive.run_components`, so derived fact
 sets and counters are identical to calling
 :func:`~repro.engine.seminaive.seminaive_fixpoint` directly (pinned by
-``tests/test_prepare.py``).  One deliberate difference: with a planner
-spec, the one-shot path plans each component against the relation
-statistics *after* lower components materialised, while a compiled
-fixpoint plans every component up front against base statistics only
-(the IDB sizes are unknowable before the first run).  Plans may differ;
-answers never do.
+``tests/test_prepare.py``).
 
 ``extra_facts`` is how prepared queries inject their per-request seed
 facts (the magic/call seed carrying the query's bound constants) without
@@ -57,13 +51,7 @@ from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
 from .kernel import RuleKernel
 from .matching import compile_rule
-from .scheduler import (
-    build_schedule,
-    component_planner,
-    full_view,
-    observe_schedule,
-    start_run,
-)
+from .scheduler import build_schedule, full_view, observe_schedule, start_run
 from .seminaive import CompiledComponent, lower_component, run_components
 
 __all__ = [
@@ -71,6 +59,7 @@ __all__ = [
     "CompiledFixpoint",
     "compile_fixpoint",
     "footprint_touches",
+    "lower_fixpoint",
     "record_footprint",
     "run_fixpoint",
 ]
@@ -102,45 +91,37 @@ class CompiledFixpoint:
         return len(self.kernels)
 
 
+def lower_fixpoint(program: Program) -> CompiledFixpoint:
+    """*program*'s schedule with every rule compiled in
+    :func:`~repro.engine.matching.compile_rule` order and lowered to
+    kernels.  Counts nothing: a shape rehydrated from a snapshot
+    (:mod:`repro.core.snapshot`) is lowered here too, and must leave
+    ``prepare.compiles`` flat."""
+    return CompiledFixpoint(program, tuple(
+        lower_component(component, [compile_rule(rule) for rule in component.rules])
+        for component in build_schedule(program).components
+    ))
+
+
 def compile_fixpoint(
-    program: Program,
-    database: "Database | None" = None,
-    planner=None,
+    program: Program, database: "Database | None" = None
 ) -> CompiledFixpoint:
     """Compile *program* for repeated semi-naive evaluation.
 
     Args:
         program: rules to compile; embedded facts are kept on the
             returned object and loaded afresh by every run.
-        database: base facts used *only* for planner statistics (when a
-            planner spec is given); never mutated, never retained.
-        planner: optional join-planner spec (``"greedy"``).  Plans are
-            cut against *database*'s base statistics with every IDB
-            predicate unknown — see the module docstring for how this
-            differs from the interleaved one-shot planning.
+        database: unused.  Accepted, positionally too, for callers that
+            still pass the base facts.
     """
     obs = get_metrics()
-    # Planner statistics read the base facts as every run will see them
-    # at round zero: database plus the program's embedded facts.  Without
-    # a planner nothing reads them, and the copy is skipped.
-    stats_db = Database()
-    if planner is not None and planner is not False:
-        if database is not None:
-            stats_db = database.copy()
-        stats_db.add_atoms(program.facts)
     with obs.timer("compile_fixpoint"):
-        components = []
-        for component in build_schedule(program).components:
-            active = component_planner(planner, stats_db, component)
-            components.append(lower_component(
-                component, [compile_rule(rule, active) for rule in component.rules]
-            ))
-        compiled = CompiledFixpoint(program, tuple(components))
+        compiled = lower_fixpoint(program)
     if obs.enabled:
         obs.incr("prepare.fixpoints_compiled")
         # The canonical "compilation actually ran" counter the
         # cross-process shape registry drives to zero on its hit path
-        # (snapshot rehydration re-lowers kernels but never comes here).
+        # (snapshot rehydration lowers kernels but never comes here).
         obs.incr("prepare.compiles")
     return compiled
 

@@ -6,7 +6,7 @@ evaluation that does none of that to check them against.
 :func:`reference_model` is it: per stratum, it applies T_P naively and
 globally — every rule against the whole database, until a round derives
 nothing — with the interpreted matcher
-(:func:`~repro.engine.matching.match_body`), no planner and no kernels.
+(:func:`~repro.engine.matching.match_body`) and no kernels.
 
 It also returns the counts a semi-naive run must report.  Semi-naive
 evaluation enumerates every rule instantiation that holds in the final

@@ -17,11 +17,9 @@ evaluates them one at a time:
 * a **recursive** component runs a *local* semi-naive fixpoint in which
   only same-component predicates count as "derived".  Lower-component
   IDB relations are complete, so they are read as plain full relations:
-  rules get fewer delta variants, probes hit the concrete
+  rules get fewer delta variants, and probes hit the concrete
   :class:`~repro.facts.relation.Relation` fast paths instead of stamped
-  views, and — when a planner spec is passed — the *materialised*
-  statistics of lower components feed the join planner, extending the
-  per-stratum argument :mod:`repro.engine.stratified` already makes.
+  views.
 
 Inside each local fixpoint, the per-round ``for rule: for position:``
 sweep is replaced by a precomputed **delta agenda** — an index from each
@@ -61,13 +59,11 @@ from ..facts.relation import Relation
 from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
 from .matching import _record
-from .planner import JoinPlanner
 
 __all__ = [
     "Component",
     "Schedule",
     "build_schedule",
-    "component_planner",
 ]
 
 
@@ -135,32 +131,6 @@ def build_schedule(program: Program) -> Schedule:
         # Every member of a rule-bearing SCC heads a rule: it is derived.
         components.append(_record(Component, (scc, scc, recursive, tuple(rules))))
     return Schedule(tuple(components))
-
-
-def component_planner(
-    planner: "JoinPlanner | str | bool | None",
-    database: Database,
-    component: Component,
-) -> JoinPlanner | None:
-    """Resolve a planner spec for one component's compilation.
-
-    Mirrors :func:`repro.engine.planner.resolve_planner`, but the
-    ``unknown`` set shrinks to the component's own predicates: everything
-    in lower components is materialised by the time the component is
-    planned, so the planner reads their *real* statistics instead of the
-    small-IDB default.  A caller-supplied :class:`JoinPlanner` instance
-    is used unchanged for every component (its configuration is the
-    caller's business).
-    """
-    if planner is None or planner is False:
-        return None
-    if isinstance(planner, JoinPlanner):
-        return planner
-    if planner is True or planner == "greedy":
-        return JoinPlanner(database, unknown=component.derived)
-    raise ValueError(
-        f"unknown planner {planner!r}; use None, 'greedy', or a JoinPlanner"
-    )
 
 
 def full_view(database: Database):

@@ -67,11 +67,9 @@ from .budget import Checkpoint, EvaluationBudget
 from .counters import EvaluationStats
 from .kernel import RuleKernel, compile_kernel
 from .matching import CompiledRule, compile_rule
-from .planner import JoinPlanner
 from .scheduler import (
     Component,
     build_schedule,
-    component_planner,
     full_view,
     observe_schedule,
     single_pass,
@@ -133,7 +131,6 @@ def seminaive_fixpoint(
     program: Program,
     database: Database | None = None,
     stats: EvaluationStats | None = None,
-    planner: "JoinPlanner | str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate *program* to fixpoint with the semi-naive delta discipline.
@@ -142,13 +139,6 @@ def seminaive_fixpoint(
         program: rules to evaluate; embedded ground facts are loaded too.
         database: extensional facts; copied, never mutated.
         stats: optional counter record to accumulate into.
-        planner: optional join planner (``"greedy"`` or a
-            :class:`repro.engine.planner.JoinPlanner`); rule bodies are
-            compiled in its cost-based order, each component planned
-            against the relation statistics after the components below
-            it materialised.  Delta variants are built over the
-            *planned* body positions, so the discipline's exactly-once
-            guarantee is unaffected.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             (or an already-running checkpoint, for nested evaluation);
             checked at every component boundary and local round and
@@ -164,7 +154,7 @@ def seminaive_fixpoint(
     """
     stats = stats if stats is not None else EvaluationStats()
     working, checkpoint = start_run(program, database, stats, budget)
-    run_schedule(build_schedule(program).components, working, stats, planner, checkpoint)
+    run_schedule(build_schedule(program).components, working, stats, checkpoint)
     return working, stats
 
 
@@ -172,14 +162,12 @@ def run_schedule(
     components: Sequence[Component],
     working: Database,
     stats: EvaluationStats,
-    planner: "JoinPlanner | str | None",
     checkpoint: "Checkpoint | None",
 ) -> None:
     """Lower and close *components*, dependencies first, over *working*.
 
-    Each component is planned when it is reached, against the relations
-    the components before it materialised, then lowered
-    (:func:`lower_component`) and run (:func:`run_components`).
+    Each component is lowered (:func:`lower_component`) when it is
+    reached and run (:func:`run_components`).
     *working* must already hold every derived relation
     (:func:`~repro.engine.scheduler.start_run`).
     """
@@ -187,9 +175,8 @@ def run_schedule(
 
     def lowered():
         for component in components:
-            active = component_planner(planner, working, component)
             yield lower_component(
-                component, [compile_rule(rule, active) for rule in component.rules]
+                component, [compile_rule(rule) for rule in component.rules]
             )
 
     run_components(lowered(), working, stats, checkpoint)

@@ -33,7 +33,6 @@ def stratified_fixpoint(
     database: Database | None = None,
     stats: EvaluationStats | None = None,
     engine: str = "seminaive",
-    planner: "str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
 ) -> tuple[Database, EvaluationStats]:
     """Evaluate a stratifiable program, stratum by stratum.
@@ -44,11 +43,6 @@ def stratified_fixpoint(
         stats: optional counter record to accumulate into.
         engine: ``"seminaive"`` (default) or ``"naive"`` — the per-stratum
             fixpoint engine (the A2 ablation flips this).
-        planner: optional join-planner spec forwarded to each per-stratum
-            fixpoint; passed as a *spec* (e.g. ``"greedy"``) so every
-            stratum plans against the database completed by the strata
-            below it — lower-stratum IDB relations are then materialised
-            and their real statistics inform the plan.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             (or an already-running checkpoint).  One checkpoint spans all
             strata — the clock and counters accumulate across the whole
@@ -72,13 +66,7 @@ def stratified_fixpoint(
     with obs.timer("stratified"):
         for index, stratum in enumerate(stratification.strata):
             with obs.timer(f"stratum{index}"):
-                working, _ = fixpoint(
-                    stratum,
-                    working,
-                    stats,
-                    planner=planner,
-                    budget=checkpoint,
-                )
+                working, _ = fixpoint(stratum, working, stats, budget=checkpoint)
     if obs.enabled:
         obs.observe("stratified.strata", len(stratification.strata))
     return working, stats

@@ -33,8 +33,7 @@ from .budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from .counters import EvaluationStats
 from .kernel import compile_kernel
 from .matching import compile_rule
-from .planner import JoinPlanner
-from .scheduler import Schedule, build_schedule, component_planner
+from .scheduler import Schedule, build_schedule
 
 __all__ = ["WellFoundedModel", "alternating_fixpoint"]
 
@@ -81,7 +80,6 @@ def _gamma(
     base: Database,
     oracle: Database,
     stats: EvaluationStats,
-    planner: "JoinPlanner | str | None" = None,
     checkpoint: Checkpoint | None = None,
 ) -> Database:
     """Γ(oracle): least fixpoint with negation decided against *oracle*.
@@ -119,11 +117,7 @@ def _gamma(
     # well-founded-true, so the caller binds its underestimate instead —
     # the partial result it can stand behind.
     for component in schedule.components:
-        active_planner = component_planner(planner, working, component)
-        kernels = [
-            compile_kernel(compile_rule(rule, active_planner))
-            for rule in component.rules
-        ]
+        kernels = [compile_kernel(compile_rule(rule)) for rule in component.rules]
         changed = True
         while changed:
             if checkpoint is not None:
@@ -145,7 +139,6 @@ def _gamma(
 def alternating_fixpoint(
     program: Program,
     database: Database | None = None,
-    planner: "str | None" = None,
     budget: "EvaluationBudget | Checkpoint | None" = None,
 ) -> WellFoundedModel:
     """Compute the well-founded model of *program* over *database*.
@@ -153,9 +146,6 @@ def alternating_fixpoint(
     Args:
         program: the (possibly non-stratifiable) program.
         database: extensional facts; copied, never mutated.
-        planner: optional join-planner spec (e.g. ``"greedy"``) forwarded
-            to every Γ computation; each Γ plans against its own working
-            database.
         budget: optional :class:`repro.engine.budget.EvaluationBudget`
             (or a running checkpoint) spanning the whole alternation.  On
             a trip the partial database attached to the error is the
@@ -184,12 +174,12 @@ def alternating_fixpoint(
             with obs.timer("gamma"):
                 overestimate = _gamma(
                     rules_only, schedule, base, underestimate, stats,
-                    planner=planner, checkpoint=checkpoint,
+                    checkpoint=checkpoint,
                 )
             with obs.timer("gamma"):
                 next_underestimate = _gamma(
                     rules_only, schedule, base, overestimate, stats,
-                    planner=planner, checkpoint=checkpoint,
+                    checkpoint=checkpoint,
                 )
             if next_underestimate == underestimate:
                 break

@@ -28,6 +28,10 @@ REMOVED_SETTINGS = {
         "dependency component, the former 'scc' (same answers and counts); "
         "omit the setting, or use `serve --processes N` for multi-core"
     ),
+    "planner": (
+        "planner was removed: rule bodies always join in the SIPS order the "
+        "rewriting emits (same answers and inferences); omit the setting"
+    ),
 }
 
 # The one message every surface (HTTP /query and /prepare, prepare_query,

@@ -1,4 +1,4 @@
-"""In-memory relations with per-column hash indexes and join statistics.
+"""In-memory relations with per-column hash indexes.
 
 A :class:`Relation` stores ground facts as plain Python tuples of constant
 *values* (not :class:`~repro.datalog.terms.Constant` objects); the engines
@@ -7,16 +7,8 @@ column and maintained incrementally afterwards — on :meth:`add` *and* on
 :meth:`discard` — so the join machinery can probe any bound column in
 expected O(1) and bulk deletion stays linear in the rows removed.
 
-Relations also expose the cheap statistics the join planner
-(:mod:`repro.engine.planner`) costs literal orders with: cardinality
-(``len``), distinct values per column (:meth:`Relation.distinct_count`),
-and exact posting-list sizes for constant probes
-(:meth:`Relation.postings_size`).  Distinct-value sets are built lazily
-per column and maintained incrementally on both mutations (a column whose
-index is not materialised cannot prove a value vanished, so only that
-column's distinct set is dropped on removal).  The :attr:`version`
-counter bumps on every effective mutation, letting a cached plan detect
-stale statistics.
+The :attr:`~Relation.version` counter bumps on every effective mutation;
+the cached full-scan snapshot is keyed on it.
 
 For the semi-naive engines every row also carries an **insertion stamp**:
 the *round* the relation was marked with when the row arrived
@@ -45,7 +37,6 @@ class Relation:
         "arity",
         "_tuples",
         "_indexes",
-        "_distinct",
         "_version",
         "_stamps",
         "_round",
@@ -63,8 +54,6 @@ class Relation:
         self._tuples: dict[tuple, None] = {}
         # column -> value -> list of tuples having that value in the column.
         self._indexes: dict[int, dict[object, list[tuple]]] = {}
-        # column -> set of distinct values (lazy, incremental on add).
-        self._distinct: dict[int, set] = {}
         self._version = 0
         # row -> insertion round; rows from round 0 are omitted (stamp 0).
         self._stamps: dict[tuple, int] = {}
@@ -96,8 +85,6 @@ class Relation:
         self._tuples[row] = None
         for column, index in self._indexes.items():
             index.setdefault(row[column], []).append(row)
-        for column, values in self._distinct.items():
-            values.add(row[column])
         if self._round:
             self._stamps[row] = self._round
         self._version += 1
@@ -105,7 +92,7 @@ class Relation:
 
     def merge(self, rows: Iterable[tuple], stamp: int) -> int:
         """``mark_round(stamp)`` plus an :meth:`add` loop over *rows*, in one
-        call: the same rows, posting-list order, distinct sets, stamps and
+        call: the same rows, posting-list order, stamps and
         :attr:`version` (also when a wrong-arity row raises part way);
         returns the number of new rows.  The semi-naive loops merge each
         round's new facts with it at the round boundary."""
@@ -113,7 +100,6 @@ class Relation:
         tuples = self._tuples
         arity = self.arity
         indexes = tuple(self._indexes.items())
-        distinct = tuple(self._distinct.items())
         stamps = self._stamps if stamp else None
         added = 0
         try:
@@ -125,8 +111,6 @@ class Relation:
                 tuples[row] = None
                 for column, index in indexes:
                     index.setdefault(row[column], []).append(row)
-                for column, values in distinct:
-                    values.add(row[column])
                 if stamps is not None:
                     stamps[row] = stamp
                 added += 1
@@ -147,12 +131,9 @@ class Relation:
     def discard(self, row: tuple) -> bool:
         """Remove *row* if present; returns True iff it was present.
 
-        Live posting lists and distinct sets are maintained *in place*:
-        the row is removed from each materialised column index, and a
-        distinct value disappears only when its posting list empties.  A
-        distinct set for a column with no live index cannot tell whether
-        the value survives elsewhere, so only that set is dropped (it is
-        rebuilt lazily).  Bulk deletion — the incremental engine removes
+        Live posting lists are maintained *in place*: the row is removed
+        from each materialised column index, and a value's posting list
+        is dropped when it empties.  Bulk deletion — the incremental engine removes
         many facts in a row — is therefore linear in the rows removed
         instead of rebuilding every index per deletion.
         """
@@ -171,12 +152,6 @@ class Relation:
                 pass
             if not posting:
                 del index[value]
-                distinct = self._distinct.get(column)
-                if distinct is not None:
-                    distinct.discard(value)
-        for column in list(self._distinct):
-            if column not in self._indexes:
-                del self._distinct[column]
         self._version += 1
         return True
 
@@ -185,7 +160,6 @@ class Relation:
             self._version += 1
         self._tuples.clear()
         self._indexes.clear()
-        self._distinct.clear()
         self._stamps.clear()
         self._round = 0
         self._scan_cache = None
@@ -339,66 +313,18 @@ class Relation:
             return len(self._tuples)
         if len(bound) == 1:
             ((column, value),) = bound.items()
-            return self.postings_size(column, value)
+            return len(self._index_for(column).get(value, ()))
         return sum(1 for _ in self.lookup(bound))
 
-    # --- statistics -------------------------------------------------------------
     @property
     def version(self) -> int:
-        """A counter bumped on every effective mutation.
-
-        Plans and other derived artifacts cache this to detect that their
-        statistics went stale.
-        """
+        """A counter bumped on every effective mutation."""
         return self._version
-
-    def distinct_count(self, column: int) -> int:
-        """Number of distinct values in *column*.
-
-        The distinct-value set is materialised lazily on first use and
-        then maintained incrementally by :meth:`add` and (for indexed
-        columns) :meth:`discard`; removal from an unindexed column drops
-        the set, so the first call after such a removal recomputes.
-        """
-        if not 0 <= column < self.arity:
-            raise IndexError(
-                f"relation {self.name}/{self.arity} has no column {column}"
-            )
-        values = self._distinct.get(column)
-        if values is None:
-            values = {row[column] for row in self._tuples}
-            self._distinct[column] = values
-        return len(values)
-
-    def postings_size(self, column: int, value: object) -> int:
-        """Exact number of tuples holding *value* in *column* (index probe)."""
-        return len(self._index_for(column).get(value, ()))
-
-    def statistics(self) -> dict:
-        """A JSON-ready snapshot: size, version, distinct count per column.
-
-        ``distinct`` keys are strings — JSON objects cannot have integer
-        keys, so emitting them as ints made the snapshot change shape
-        under a ``json.dumps``/``loads`` round-trip.
-        """
-        return {
-            "name": self.name,
-            "arity": self.arity,
-            "size": len(self._tuples),
-            "version": self._version,
-            "distinct": {
-                str(column): self.distinct_count(column)
-                for column in range(self.arity)
-            },
-        }
 
     def copy(self) -> "Relation":
         clone = Relation(self.name, self.arity)
         clone._tuples = dict(self._tuples)
-        # Carry the version over: a copy holds the same tuples, so callers
-        # caching (version, statistics) pairs must not see it reset to 0 —
-        # a fresher copy reporting an *older* version defeats staleness
-        # detection in the planner.
+        # Carry the version over: a copy holds the same tuples.
         clone._version = self._version
         # Stamps are deliberately NOT copied: they are evaluation-local
         # (a copy is the fresh starting state of the next evaluation, so

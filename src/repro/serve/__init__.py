@@ -7,9 +7,9 @@ web framework in the dependency set.  The layers:
 * :mod:`repro.serve.cache` — :class:`PreparedQueryCache`, a locked LRU
   of :class:`repro.core.prepare.PreparedQuery` objects keyed by dataset
   version and :func:`repro.core.prepare.prepared_cache_key`.  A hit
-  skips parse/adorn/transform/plan/compile entirely (``serve.prepared.hits``
-  vs flat ``transform.*`` / ``planner.*`` counters — the serve smoke CI
-  job asserts exactly this).
+  skips parse/adorn/transform/compile entirely (``serve.prepared.hits``
+  vs flat ``transform.*`` / ``prepare.compiles`` counters — the serve
+  smoke CI job asserts exactly this).
 * :mod:`repro.serve.service` — :class:`QueryService`, the HTTP-free
   core: named, versioned datasets, per-request budgets with
   sound-partial degradation, direct-execution fallback for the

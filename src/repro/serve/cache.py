@@ -1,7 +1,7 @@
 """The prepared-query LRU cache behind the serving layer.
 
 One entry is one :class:`repro.core.prepare.PreparedQuery` — a fully
-transformed, planned, and compiled query shape.  Entries are keyed by
+transformed and compiled query shape.  Entries are keyed by
 ``(dataset, version) + prepared_cache_key(...)``, so a dataset reload
 (which bumps the version) naturally strands the old version's entries;
 :meth:`PreparedQueryCache.drop_dataset` evicts them eagerly on reload

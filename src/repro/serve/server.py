@@ -432,7 +432,7 @@ class _Handler(BaseHTTPRequestHandler):
         for field, message in REMOVED_SETTINGS.items():
             if field in payload:
                 raise ReproError(message)
-        for field in ("strategy", "sips", "planner", "maintain"):
+        for field in ("strategy", "sips", "maintain"):
             value = cls._string(payload, field)
             if value is not None:
                 config[field] = value

@@ -59,7 +59,6 @@ from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..engine.budget import EvaluationBudget
-from ..engine.planner import resolve_planner
 from ..errors import BudgetExceededError, ReproError
 from ..facts.database import Database
 from ..facts.io import load_source
@@ -174,16 +173,15 @@ def encode_reply(payload: dict) -> bytes:
     return f'{{"answers": {answers.json}{tail}'.encode()
 
 
-def _check_config(dataset: "Dataset", sips, planner, maintain) -> None:
+def _check_config(sips, maintain) -> None:
     """An unknown option *value* is the client's error (a 400), not the
     ``ValueError`` the engine layers raise for it (a 500)."""
     check_maintain(maintain)
-    try:
-        if isinstance(sips, str):
+    if isinstance(sips, str):
+        try:
             named_sips(sips)
-        resolve_planner(planner, dataset.database, dataset.program)
-    except ValueError as exc:
-        raise ReproError(str(exc)) from None
+        except ValueError as exc:
+            raise ReproError(str(exc)) from None
 
 
 def _affected_predicates(
@@ -463,11 +461,11 @@ class QueryService:
             # 3. Migrate the cache: maintained shapes that were actually
             # patched, and frozen shapes outside the affected cone,
             # answer identically against the new version; everything
-            # else is stale unless it is a transform shape that can be
-            # patched.  A maintained shape *not* in the patched set raced
-            # in between the patch snapshot and here — it was prepared
-            # against the pre-update database and must be dropped, not
-            # migrated.
+            # else is stale unless it is a transform shape whose lower
+            # strata the update leaves alone: that one is patched.  A
+            # maintained shape *not* in the patched set raced in between
+            # the patch snapshot and here — it was prepared against the
+            # pre-update database and must be dropped, not migrated.
             updated = {atom.predicate for atom in (*add_atoms, *remove_atoms)}
             affected = _affected_predicates(dataset.program, updated)
             # A transform shape's base holds its lower strata, complete:
@@ -483,9 +481,7 @@ class QueryService:
                 if prepared.mode == "transform":
                     if prepared.query.predicate not in affected:
                         return True
-                    if prepared.patchable is None or updated & idb or (
-                        lower & prepared.base.predicates()
-                    ):
+                    if updated & idb or lower & prepared.base.predicates():
                         return False
                     entries_kept, entries_invalidated = prepared.patch(database, changed)
                     patched += 1
@@ -572,23 +568,23 @@ class QueryService:
 
     # --- preparation ----------------------------------------------------------
     def _cache_key(
-        self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
+        self, dataset: Dataset, goal: Atom, strategy: str, sips,
         maintain: "str | None" = None,
     ) -> tuple:
         return (dataset.name, dataset.version) + prepared_cache_key(
-            dataset.program, goal, strategy, sips, planner, maintain,
+            dataset.program, goal, strategy, sips, maintain,
         )
 
     def _build_prepared(
         self, dataset: Dataset, goal: Atom, key: tuple, strategy: str,
-        sips, planner, budget=None, maintain: "str | None" = None,
+        sips, budget=None, maintain: "str | None" = None,
     ):
         """The cache-miss factory: registry consult, then a real prepare.
 
         When a :class:`~repro.serve.registry.ShapeRegistry` is attached
         and the shape is serializable (anything but maintained), a
         registry hit deserializes the shape another process already
-        built — no transform, no planning, no fixpoint compilation.  A
+        built — no transform and no fixpoint compilation.  A
         miss prepares from scratch and saves the result back, so the
         *next* process (or a restarted server) hits.  The registry key
         is the library-level part of *key* (``key[2:]``, dropping the
@@ -608,7 +604,6 @@ class QueryService:
             dataset.database,
             strategy=strategy,
             sips=sips,
-            planner=planner,
             budget=budget,
             maintain=maintain,
         )
@@ -622,7 +617,6 @@ class QueryService:
         goal: "Atom | str",
         strategy: str = DEFAULT_STRATEGY,
         sips: "str | None" = None,
-        planner: "str | None" = None,
         maintain: "str | None" = None,
     ) -> dict:
         """Prepare (or re-use) a query shape; the ``/prepare`` endpoint.
@@ -638,8 +632,8 @@ class QueryService:
         dataset = self.dataset(dataset_name)
         if isinstance(goal, str):
             goal = parse_query(goal)
-        _check_config(dataset, sips, planner, maintain)
-        key = self._cache_key(dataset, goal, strategy, sips, planner, maintain)
+        _check_config(sips, maintain)
+        key = self._cache_key(dataset, goal, strategy, sips, maintain)
         if strategy in UNPREPARABLE_STRATEGIES:
             # Surface the library error without caching anything.
             prepare_query(dataset.program, goal, dataset.database, strategy)
@@ -648,7 +642,7 @@ class QueryService:
         prepared, hit = self.cache.get_or_prepare(
             key,
             lambda: self._build_prepared(
-                dataset, goal, key, strategy, sips, planner, maintain=maintain,
+                dataset, goal, key, strategy, sips, maintain=maintain,
             ),
         )
         return {
@@ -675,7 +669,6 @@ class QueryService:
         goal: "Atom | str",
         strategy: str = DEFAULT_STRATEGY,
         sips: "str | None" = None,
-        planner: "str | None" = None,
         budget: "EvaluationBudget | None" = None,
         maintain: "str | None" = None,
     ) -> dict:
@@ -696,19 +689,17 @@ class QueryService:
                 f"unknown strategy {strategy!r}; choose from "
                 f"{available_strategies()}"
             )
-        _check_config(dataset, sips, planner, maintain)
+        _check_config(sips, maintain)
         if obs.enabled:
             obs.incr("serve.queries")
             obs.incr(f"serve.strategy.{strategy}")
 
         payload: dict
         if strategy in UNPREPARABLE_STRATEGIES:
-            payload = self._query_direct(
-                dataset, goal, strategy, sips, planner, budget,
-            )
+            payload = self._query_direct(dataset, goal, strategy, sips, budget)
         else:
             payload = self._query_prepared(
-                dataset, goal, strategy, sips, planner, budget, maintain,
+                dataset, goal, strategy, sips, budget, maintain,
             )
         elapsed = time.perf_counter() - started
         payload["elapsed_ms"] = elapsed * 1000.0
@@ -717,10 +708,10 @@ class QueryService:
         return payload
 
     def _query_prepared(
-        self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
+        self, dataset: Dataset, goal: Atom, strategy: str, sips,
         budget, maintain: "str | None" = None,
     ) -> dict:
-        key = self._cache_key(dataset, goal, strategy, sips, planner, maintain)
+        key = self._cache_key(dataset, goal, strategy, sips, maintain)
         try:
             # The request budget governs whatever work this request
             # actually does: on a miss that includes preparation (lower
@@ -728,7 +719,7 @@ class QueryService:
             prepared, hit = self.cache.get_or_prepare(
                 key,
                 lambda: self._build_prepared(
-                    dataset, goal, key, strategy, sips, planner,
+                    dataset, goal, key, strategy, sips,
                     budget=budget, maintain=maintain,
                 ),
             )
@@ -756,8 +747,7 @@ class QueryService:
         return payload
 
     def _query_direct(
-        self, dataset: Dataset, goal: Atom, strategy: str, sips, planner,
-        budget,
+        self, dataset: Dataset, goal: Atom, strategy: str, sips, budget,
     ) -> dict:
         obs = get_metrics()
         if obs.enabled:
@@ -769,7 +759,6 @@ class QueryService:
                 goal,
                 dataset.database,
                 sips=sips,
-                planner=planner,
                 budget=budget,
             )
         except BudgetExceededError as exc:

@@ -96,7 +96,6 @@ class OLDTEngine:
         database: Database | None = None,
         max_steps: int = DEFAULT_MAX_STEPS,
         tabling: str = "variant",
-        planner: "object | None" = None,
         budget: "EvaluationBudget | Checkpoint | None" = None,
     ):
         """Args:
@@ -106,13 +105,6 @@ class OLDTEngine:
                 call is answered by any existing table whose call pattern
                 subsumes it, creating fewer tables at the cost of
                 filtering more general answers).
-            planner: optional join-planner spec (e.g. ``"greedy"`` or a
-                :class:`repro.engine.planner.JoinPlanner`).  Clause bodies
-                are ordered by
-                :meth:`~repro.engine.planner.JoinPlanner.order_clause_goals`,
-                which only permutes runs of consecutive extensional
-                literals — tabled calls and tests are boundaries, so the
-                generated call patterns and answers are unchanged.
             budget: optional :class:`repro.engine.budget.EvaluationBudget`
                 (or a running checkpoint, shared with nested negation
                 evaluations).  ``max_iterations`` bounds scheduler steps,
@@ -129,9 +121,6 @@ class OLDTEngine:
         self._database.add_atoms(program.facts)
         self._max_steps = max_steps
         self._tabling = tabling
-        from ..engine.planner import resolve_planner
-
-        self._planner = resolve_planner(planner, self._database, program)
         self._tables: dict[tuple, _Table] = {}
         self._worklist: list[_Process] = []
         # Ground negation-as-failure results (stratified => stable).
@@ -249,12 +238,7 @@ class OLDTEngine:
             # Bodies are normalised so test literals (negation, built-ins)
             # come after the literals that bind them — the order the
             # adornment pass uses too, keeping call patterns aligned.
-            if self._planner is not None:
-                ordered = self._planner.order_clause_goals(
-                    fresh.body, fresh, tabled=self._program.idb_predicates
-                )
-            else:
-                ordered = order_body(fresh.body, fresh)
+            ordered = order_body(fresh.body, fresh)
             goals = tuple(unifier.apply_literal(lit) for lit in ordered)
             self._enqueue(_Process(table, template, goals))
         return table
@@ -398,7 +382,6 @@ class OLDTEngine:
                 self._program,
                 self._database,
                 self._max_steps,
-                planner=self._planner,
                 budget=self._checkpoint,
             )
             holds = not nested.query(atom)
@@ -416,12 +399,9 @@ def oldt_query(
     goal: Atom,
     database: Database | None = None,
     max_steps: int = DEFAULT_MAX_STEPS,
-    planner: "object | None" = None,
     budget: "EvaluationBudget | None" = None,
 ) -> tuple[list[Atom], EvaluationStats]:
     """Convenience wrapper: run one OLDT query and return answers + stats."""
-    engine = OLDTEngine(
-        program, database, max_steps=max_steps, planner=planner, budget=budget
-    )
+    engine = OLDTEngine(program, database, max_steps=max_steps, budget=budget)
     answers = engine.query(goal)
     return answers, engine.stats

@@ -61,16 +61,9 @@ class QSQREngine:
         self,
         program: Program,
         database: Database | None = None,
-        planner: "object | None" = None,
         budget: "EvaluationBudget | Checkpoint | None" = None,
     ):
         """Args:
-            planner: optional join-planner spec (e.g. ``"greedy"``); clause
-                bodies are ordered by
-                :meth:`~repro.engine.planner.JoinPlanner.order_clause_goals`,
-                which only permutes runs of consecutive extensional
-                literals, so the subqueries raised and answers tabled are
-                unchanged.
             budget: optional :class:`repro.engine.budget.EvaluationBudget`
                 (or a running checkpoint, shared with nested negation
                 evaluations).  ``max_iterations`` bounds outer QSQR
@@ -82,9 +75,6 @@ class QSQREngine:
         self._program = program
         self._database = database.copy() if database is not None else Database()
         self._database.add_atoms(program.facts)
-        from ..engine.planner import resolve_planner
-
-        self._planner = resolve_planner(planner, self._database, program)
         arities = program.arities
         self._answers: dict[str, Relation] = {
             predicate: Relation(predicate, arities[predicate])
@@ -208,13 +198,7 @@ class QSQREngine:
         envs: list[_Env] = [head_env]
         from ..engine.matching import order_body
 
-        if self._planner is not None:
-            ordered = self._planner.order_clause_goals(
-                fresh.body, fresh, tabled=self._program.idb_predicates
-            )
-        else:
-            ordered = order_body(fresh.body, fresh)
-        for literal in ordered:
+        for literal in order_body(fresh.body, fresh):
             if not envs:
                 return
             if is_builtin(literal.predicate):
@@ -320,7 +304,6 @@ class QSQREngine:
             nested = QSQREngine(
                 self._program,
                 self._database,
-                planner=self._planner,
                 budget=self._checkpoint,
             )
             ground = Atom(atom.predicate, tuple(Constant(v) for v in probe))
@@ -356,10 +339,9 @@ def qsqr_query(
     program: Program,
     goal: Atom,
     database: Database | None = None,
-    planner: "object | None" = None,
     budget: "EvaluationBudget | None" = None,
 ) -> tuple[list[Atom], EvaluationStats]:
     """Convenience wrapper: run one QSQR query and return answers + stats."""
-    engine = QSQREngine(program, database, planner=planner, budget=budget)
+    engine = QSQREngine(program, database, budget=budget)
     answers = engine.query(goal)
     return answers, engine.stats

@@ -304,11 +304,10 @@ class TestPatch:
             assert shape.patchable == frozenset({"p", "r"})
             loaded = load_prepared(dump_prepared(shape))
             assert loaded.patchable == shape.patchable
-        for config in ({"planner": "greedy"}, {"strategy": "seminaive"}):
-            shape = prepare_query(program, "top(1, X)?", **config)
-            assert shape.patchable is None
-            with pytest.raises(ReproError, match="cannot be patched"):
-                shape.patch(Database(), {})
+        shape = prepare_query(program, "top(1, X)?", strategy="seminaive")
+        assert shape.patchable is None
+        with pytest.raises(ReproError, match="cannot be patched"):
+            shape.patch(Database(), {})
 
     def test_a_run_a_patch_overtook_does_not_store(self):
         table = CallTable()

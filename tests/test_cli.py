@@ -166,7 +166,6 @@ class TestQueryHelpSnapshot:
         "--facts",
         "--strategy",
         "--sips",
-        "--planner",
         "--stats",
         "--limit",
         "--timeout",
@@ -224,7 +223,9 @@ class TestSchedulerFlag:
 
 
 class TestRemovedSettingFlags:
-    @pytest.mark.parametrize("setting", ["executor", "scheduler", "workers"])
+    @pytest.mark.parametrize(
+        "setting", ["executor", "scheduler", "workers", "planner"]
+    )
     @pytest.mark.parametrize("value", [["kernel"], ["scc"], ["2"], []])
     def test_removed_flag_is_an_argparse_error_with_its_message(
         self, program_file, capsys, setting, value

@@ -13,7 +13,7 @@ from repro.obs import collect
 
 def _kernel(source: str, index: int = 0) -> RuleKernel:
     program = parse_program(source)
-    return compile_kernel(compile_rule(program.proper_rules[index], None))
+    return compile_kernel(compile_rule(program.proper_rules[index]))
 
 
 def _view(database: Database):
@@ -78,7 +78,7 @@ class TestCompilation:
 
     def test_obs_counters(self):
         program = parse_program("p(X, Y) :- e(X, Z), e(Z, Y).")
-        compiled = compile_rule(program.proper_rules[0], None)
+        compiled = compile_rule(program.proper_rules[0])
         with collect() as metrics:
             compile_kernel(compiled)
         assert metrics.counters["kernel.rules_compiled"] == 1
@@ -107,7 +107,7 @@ class TestExecution:
         database.add("p", ("b", "c"))
         database.add("p", ("c", "d"))
         for rule in program.proper_rules:
-            compiled = compile_rule(rule, None)
+            compiled = compile_rule(rule)
             kernel = compile_kernel(compiled)
             kernel_stats = EvaluationStats()
             interp_stats = EvaluationStats()

@@ -176,13 +176,32 @@ class TestPooledDifferential:
         )
 
     def test_unknown_option_value_is_a_client_error(self, pooled):
-        from repro.errors import ReproError
+        from repro.errors import REMOVED_SETTINGS, ReproError
 
         pooled.load("bad", program_text=CHAIN)
-        with pytest.raises(ReproError, match="unknown planner 'bogus'"):
-            pooled.query("bad", "anc(0, X)?", planner="bogus")
         with pytest.raises(ReproError, match="unknown SIPS 'bogus'"):
             pooled.prepare("bad", "anc(0, X)?", sips="bogus")
+        # The removed planner setting is a 400 naming the change.
+        with collect(ThreadSafeMetrics()):
+            server = create_server(port=0, service=pooled, install_metrics=False)
+            thread = threading.Thread(
+                target=server.serve_forever, kwargs={"poll_interval": 0.05},
+                daemon=True,
+            )
+            thread.start()
+            client = ServeClient(f"http://127.0.0.1:{server.port}", timeout=30.0)
+            try:
+                for path in ("/query", "/prepare"):
+                    payload = {"dataset": "bad", "goal": "anc(0, X)?", "planner": "bogus"}
+                    with pytest.raises(ServeError) as bad:
+                        client._request(path, payload)
+                    assert bad.value.status == 400
+                    assert REMOVED_SETTINGS["planner"] in str(bad.value)
+            finally:
+                client.close()
+                server.shutdown()
+                server.server_close()
+                thread.join(timeout=5.0)
 
 
 class TestRegistryWarmsAcrossProcesses:

@@ -265,7 +265,7 @@ class TestCacheKey:
         base = prepared_cache_key(ancestor_program, goal, "alexander")
         assert base != prepared_cache_key(ancestor_program, goal, "magic")
         assert base != prepared_cache_key(
-            ancestor_program, goal, "alexander", planner="greedy"
+            ancestor_program, goal, "alexander", sips="most_bound_first"
         )
         assert base != prepared_cache_key(
             ancestor_program, goal, "alexander", maintain="dred"

@@ -62,9 +62,8 @@ class TestRelationBasics:
         assert len(relation) == 1 and len(clone) == 2
 
     def test_copy_preserves_version(self):
-        # A copy holds the same tuples, so statistics cached against the
-        # source's version must stay valid; a reset to 0 made fresh
-        # copies look *older* than any cached plan.
+        # A copy holds the same tuples: it must not look *older* than
+        # its source.
         relation = Relation("p", 1)
         relation.add(("a",))
         relation.add(("b",))
@@ -125,35 +124,6 @@ class TestLookup:
 
 
 class TestStatistics:
-    def test_distinct_count_per_column(self):
-        relation = Relation("e", 2, [("a", "b"), ("a", "c"), ("b", "c")])
-        assert relation.distinct_count(0) == 2
-        assert relation.distinct_count(1) == 2
-
-    def test_distinct_count_maintained_on_add(self):
-        relation = Relation("e", 2, [("a", "b")])
-        assert relation.distinct_count(0) == 1  # build the distinct set
-        relation.add(("b", "b"))
-        assert relation.distinct_count(0) == 2
-        relation.add(("b", "c"))  # duplicate column-0 value
-        assert relation.distinct_count(0) == 2
-
-    def test_distinct_count_rebuilt_after_discard(self):
-        relation = Relation("e", 2, [("a", "b"), ("b", "c")])
-        assert relation.distinct_count(0) == 2
-        relation.discard(("b", "c"))
-        assert relation.distinct_count(0) == 1
-
-    def test_distinct_count_out_of_range(self):
-        with pytest.raises(IndexError):
-            Relation("p", 1).distinct_count(1)
-
-    def test_postings_size(self):
-        relation = Relation("e", 2, [("a", "b"), ("a", "c"), ("b", "c")])
-        assert relation.postings_size(0, "a") == 2
-        assert relation.postings_size(0, "zz") == 0
-        assert relation.postings_size(1, "c") == 2
-
     def test_version_bumps_on_mutation_only(self):
         relation = Relation("p", 1)
         v0 = relation.version
@@ -165,46 +135,23 @@ class TestStatistics:
         relation.discard(("a",))
         assert relation.version > v1
 
-    def test_statistics_snapshot(self):
-        relation = Relation("e", 2, [("a", "b"), ("a", "c")])
-        stats = relation.statistics()
-        assert stats["name"] == "e"
-        assert stats["size"] == 2
-        assert stats["distinct"] == {"0": 1, "1": 2}
-
-    def test_statistics_survive_json_round_trip(self):
-        # "JSON-ready" means json.dumps/loads must not change the shape;
-        # integer distinct keys used to come back as strings.
-        import json
-
-        relation = Relation("e", 2, [("a", "b"), ("a", "c")])
-        stats = relation.statistics()
-        assert json.loads(json.dumps(stats)) == stats
-
 
 class TestDiscardIncrementalMaintenance:
     def test_posting_lists_shrink_in_place(self):
         relation = Relation("e", 2, [("a", "b"), ("a", "c"), ("b", "c")])
-        assert relation.postings_size(0, "a") == 2  # materialise the index
+        assert relation.count({0: "a"}) == 2  # materialise the index
         relation.discard(("a", "b"))
-        assert relation.postings_size(0, "a") == 1
+        assert relation.count({0: "a"}) == 1
         assert sorted(relation.lookup({0: "a"})) == [("a", "c")]
 
     def test_empty_posting_removes_distinct_value(self):
         relation = Relation("e", 2, [("a", "b"), ("b", "c")])
-        assert relation.postings_size(0, "a") == 1
-        assert relation.distinct_count(0) == 2
+        assert relation.count({0: "a"}) == 1  # materialise the index
         relation.discard(("a", "b"))
-        assert relation.distinct_count(0) == 1
-        assert relation.postings_size(0, "a") == 0
-
-    def test_unindexed_column_distinct_set_dropped(self):
-        relation = Relation("e", 2, [("a", "b"), ("b", "b")])
-        assert relation.distinct_count(1) == 1  # distinct set, no index
-        relation.discard(("a", "b"))
-        # The set cannot prove "b" vanished without column 1's index; it
-        # must be rebuilt, not guessed.
-        assert relation.distinct_count(1) == 1
+        assert relation.count({0: "a"}) == 0
+        assert list(relation.lookup({0: "a"})) == []
+        assert "a" not in relation._indexes[0]
+        assert relation.count({0: "b"}) == 1
 
     def test_indexed_lookup_tolerates_mid_iteration_delete(self):
         # The incremental engine deletes while a probe is suspended; the
@@ -374,7 +321,6 @@ def _state(relation):
         list(relation),
         relation.scan(),
         {c: list(index.items()) for c, index in relation._indexes.items()},
-        {c: set(values) for c, values in relation._distinct.items()},
         dict(relation._stamps),
         relation.version,
         relation.round,
@@ -396,7 +342,6 @@ merge_rows = st.tuples(st.integers(0, 4), st.integers(0, 4))
     initial=st.lists(merge_rows, max_size=12),
     start_round=st.integers(0, 3),
     indexed=st.sets(st.integers(0, 1)),
-    distinct=st.sets(st.integers(0, 1)),
     advance=st.integers(0, 3),
     batch=st.lists(
         st.one_of(merge_rows, merge_rows, merge_rows, st.tuples(st.integers(0, 4))),
@@ -404,16 +349,14 @@ merge_rows = st.tuples(st.integers(0, 4), st.integers(0, 4))
     ),
 )
 def test_merge_equals_mark_round_plus_add_loop(
-    initial, start_round, indexed, distinct, advance, batch
+    initial, start_round, indexed, advance, batch
 ):
     def build():
         relation = Relation("r", 2)
         relation.mark_round(start_round)
         relation.add_all(initial)
         for column in indexed:
-            relation.postings_size(column, 0)
-        for column in distinct:
-            relation.distinct_count(column)
+            relation.count({column: 0})
         return relation
 
     stamp = start_round + advance

@@ -717,7 +717,6 @@ class TestBadInputIsA400:
     @pytest.mark.parametrize(
         "field, said",
         [
-            ("planner", "unknown planner 'bogus'"),
             ("sips", "unknown SIPS 'bogus'; choose from"),
         ],
     )
@@ -735,9 +734,7 @@ class TestBadInputIsA400:
         _, client = live_server
         client.load("chain", chain_source())
         with pytest.raises(ServeError) as bad:
-            client.query(
-                "chain", "anc(0, X)?", strategy="oldt", planner="bogus"
-            )
+            client.query("chain", "anc(0, X)?", strategy="oldt", sips="bogus")
         assert bad.value.status == 400
 
     @pytest.mark.parametrize("path", ["/query", "/prepare"])
@@ -778,14 +775,16 @@ class TestBadInputIsA400:
                 service.close()
 
     @pytest.mark.parametrize("processes", [0, 1], ids=["threaded", "pooled"])
-    @pytest.mark.parametrize("setting", ["executor", "scheduler", "workers"])
+    @pytest.mark.parametrize(
+        "setting", ["executor", "scheduler", "workers", "planner"]
+    )
     def test_removed_setting_is_a_400_with_its_message(self, processes, setting):
         service = PooledService(processes=processes) if processes else None
         try:
             with serving(service) as (_, client):
                 client.load("chain", chain_source())
                 for path in ("/query", "/prepare"):
-                    for value in ("kernel", "scc", "global", 2, None):
+                    for value in ("kernel", "scc", "global", "greedy", 2, None):
                         payload = {
                             "dataset": "chain", "goal": "anc(0, X)?",
                             setting: value,
@@ -847,7 +846,7 @@ class TestBadInputIsA400:
         with pytest.raises(TypeError, match="storage"):
             service.query("chain", "anc(0, X)?", storage="tuples")
 
-    @pytest.mark.parametrize("setting", ["executor", "scheduler"])
+    @pytest.mark.parametrize("setting", ["executor", "scheduler", "planner"])
     def test_library_knob_keywords_are_gone(self, service, setting):
         with pytest.raises(TypeError, match=setting):
             service.query("chain", "anc(0, X)?", **{setting: "kernel"})
@@ -863,7 +862,7 @@ class TestBadInputIsA400:
             ("dataset", ["chain"]),
             ("dataset", 7),
             ("sips", 5),
-            ("planner", {"greedy": True}),
+            ("sips", ["left_to_right"]),
             ("strategy", 1),
             ("maintain", ["dred"]),
         ],
@@ -915,7 +914,5 @@ class TestBadInputIsA400:
         assert bad.value.status == 400
 
     def test_the_service_rejects_unknown_values_too(self, service):
-        with pytest.raises(ReproError, match="unknown planner"):
-            service.query("chain", "anc(0, X)?", planner="bogus")
         with pytest.raises(ReproError, match="unknown SIPS"):
             service.prepare("chain", "anc(0, X)?", sips="bogus")

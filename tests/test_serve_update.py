@@ -488,9 +488,6 @@ class TestServiceUpdate:
         [
             # asserting a derived fact
             (GRAPH_SOURCE, "path(a, X)?", {}, {"add": ["path(a, z)"]}),
-            # a plan was cut on old statistics
-            (GRAPH_SOURCE, "path(a, X)?", {"planner": "greedy"},
-             {"add": ["edge(d, e)"]}),
             # edge feeds the lower stratum materialised into the base
             (GRAPH_SOURCE + "far(X) :- node(X), not path(a, X).\nnode(e).",
              "far(X)?", {}, {"add": ["edge(d, e)"]}),

@@ -7,8 +7,8 @@ registry, so two properties are load-bearing:
 * **bit-identity** — a round-tripped database holds exactly the
   original fact set, every constant with its original type, in the
   original insertion order; a round-tripped prepared shape answers
-  exactly like the original with identical compiled join plans, doing
-  zero transform / planning / fixpoint-compilation work on load;
+  exactly like the original with identical compiled body orders, doing
+  zero transform / fixpoint-compilation work on load;
 * **fail-closed versioning** — a bumped format or value-table version, a
   corrupt header, or a truncated payload raises
   :class:`~repro.core.snapshot.SnapshotFormatError` with a clear
@@ -187,9 +187,7 @@ class TestPreparedRoundTrip:
             "p(X, Y) :- e(X, Y).\n"
             "p(X, Z) :- e(X, Y), p(Y, Z), f(X, Z).\n"
         )
-        prepared = prepare_query(
-            program, "p(a, Y)?", strategy="magic", planner="greedy"
-        )
+        prepared = prepare_query(program, "p(a, Y)?", strategy="magic")
         assert prepared.fixpoint is not None
         restored = load_prepared(dump_prepared(prepared))
         original = {
@@ -222,7 +220,6 @@ class TestPreparedRoundTrip:
         assert counters.get("prepare.transforms", 0) == 0
         assert counters.get("prepare.compiles", 0) == 0
         assert counters.get("transform.rewritings", 0) == 0
-        assert counters.get("planner.rules_planned", 0) == 0
         assert counters.get("snapshot.loads", 0) >= 1
 
     def test_equal_values_of_different_types_keep_their_types(self):
@@ -253,8 +250,8 @@ def _version_1(header: dict, payload: bytes) -> bytes:
     )
 
 
-def _without_plans(meta: dict) -> None:
-    meta["fixpoint"].pop("plans")
+def _without_patchable(meta: dict) -> None:
+    meta["fixpoint"].pop("patchable")
 
 
 def _without_strategy(meta: dict) -> None:
@@ -266,7 +263,7 @@ def _fixpoint_as_list(meta: dict) -> None:
 
 
 MALFORMED_META = {
-    "no-plans": _without_plans,
+    "no-patchable": _without_patchable,
     "no-strategy": _without_strategy,
     "fixpoint-list": _fixpoint_as_list,
 }
@@ -471,6 +468,39 @@ class TestShapeRegistry:
             load_prepared(bytes(data))
         # A fresh service over the same registry skips the entry and
         # prepares from scratch, with the same answers.
+        with collect(Metrics()) as metrics:
+            restarted = QueryService(registry=tmp_path)
+            restarted.load("db", self.PROGRAM)
+            assert restarted.query("db", "p(a, X)?")["answers"] == expected
+        counters = metrics.snapshot()["counters"]
+        assert counters["serve.registry.rejected"] == 1
+        assert counters.get("serve.registry.hits", 0) == 0
+        assert counters["prepare.transforms"] == 1
+
+    def test_version_3_entry_with_join_plans_is_skipped_and_re_prepared(
+        self, tmp_path
+    ):
+        """A version-3 entry — body permutations in ``fixpoint.plans``,
+        ``patchable`` optional beside it — is rejected and prepared
+        afresh."""
+        from repro.core.snapshot import _assemble, parse_snapshot
+        from repro.serve import QueryService
+
+        with collect(Metrics()):
+            warm = QueryService(registry=tmp_path)
+            warm.load("db", self.PROGRAM)
+            expected = warm.query("db", "p(a, X)?")["answers"]
+        (path,) = tmp_path.glob("*.rpqs")
+        header, payload = parse_snapshot(path.read_bytes())
+        meta = header["prepared"]
+        rules = meta["transformed"]["rules"]
+        meta["patchable"] = meta["fixpoint"].pop("patchable")
+        meta["fixpoint"]["plans"] = [[] for _ in rules]
+        data = bytearray(_assemble(header, [bytes(payload)]))
+        data[4:6] = struct.pack("<H", 3)
+        path.write_bytes(bytes(data))
+        with pytest.raises(SnapshotFormatError, match="version 3"):
+            load_prepared(bytes(data))
         with collect(Metrics()) as metrics:
             restarted = QueryService(registry=tmp_path)
             restarted.load("db", self.PROGRAM)

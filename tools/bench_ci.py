@@ -3,9 +3,8 @@
 
 Runs a curated, fast subset of the experiment suite (T1 correspondence,
 T3 magic family, F1 chain scaling, F4 serving prepared-cache parity, F5
-streaming-maintenance parity, A2 naive-vs-seminaive, A7
-planner-vs-textual join order), cross-checks answers exactly as the full
-benches do, and compares the deterministic inference counts against the
+streaming-maintenance parity, A2 naive-vs-seminaive), cross-checks
+answers exactly as the full benches do, and compares the deterministic inference counts against the
 committed baseline
 (``benchmarks/baselines/bench_ci_baseline.json``).  Every run writes a
 schema-versioned JSON artifact (``BENCH_ci.json``) with wall-clock
@@ -185,67 +184,6 @@ def _run_a2(failures: list[str], budget=None) -> list[dict]:
     return entries
 
 
-def _run_a7(failures: list[str], budget=None) -> list[dict]:
-    """Join-planning smoke: identical models, never more attempts, and a
-    >=2x attempt reduction on the cross-product-shaped adversarial body."""
-    from repro.datalog.parser import parse_program
-    from repro.engine.planner import JoinPlanner
-    from repro.engine.seminaive import seminaive_fixpoint
-    from repro.facts.database import Database
-
-    variants = (
-        ("textbook", "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- par(X,Z), anc(Z,Y)."),
-        ("crossprod", "anc(X,Y) :- par(X,Y).\nanc(X,Y) :- anc(W,Y), par(X,Z), par(Z,W)."),
-    )
-    database = Database()
-    for i in range(24):
-        database.add("par", (f"n{i}", f"n{i + 1}"))
-
-    entries = []
-    for label, rules in variants:
-        program = parse_program(rules)
-        stats_by_mode = {}
-        completed_by_mode = {}
-        for mode in ("textual", "planned"):
-            planner = (
-                JoinPlanner(database, unknown=program.idb_predicates)
-                if mode == "planned"
-                else None
-            )
-            start = time.perf_counter()
-            completed, stats = seminaive_fixpoint(
-                program, database, planner=planner, budget=budget
-            )
-            elapsed = time.perf_counter() - start
-            stats_by_mode[mode] = stats
-            completed_by_mode[mode] = completed
-            entries.append(
-                {
-                    "id": f"a7/{label}/{mode}",
-                    "variant": label,
-                    "mode": mode,
-                    "inferences": stats.inferences,
-                    "attempts": stats.attempts,
-                    "facts": stats.facts_derived,
-                    "seconds": elapsed,
-                }
-            )
-        if completed_by_mode["textual"] != completed_by_mode["planned"]:
-            failures.append(f"a7/{label}: planned evaluation derived a different model")
-        textual, planned = stats_by_mode["textual"], stats_by_mode["planned"]
-        if planned.attempts > textual.attempts:
-            failures.append(
-                f"a7/{label}: planner attempted more rows "
-                f"({planned.attempts} > {textual.attempts})"
-            )
-        if label == "crossprod" and textual.attempts < 2 * max(planned.attempts, 1):
-            failures.append(
-                f"a7/{label}: expected >=2x attempt reduction, got "
-                f"{textual.attempts} vs {planned.attempts}"
-            )
-    return entries
-
-
 def load_bench_module(name: str):
     """Import ``benchmarks/<name>.py`` by path.
 
@@ -297,7 +235,6 @@ CHECK_GROUPS = {
     "f4": _run_f4,
     "f5": _run_f5,
     "a2": _run_a2,
-    "a7": _run_a7,
 }
 
 

@@ -13,7 +13,7 @@ serving contract end to end, in two phases.
    ``/metrics`` the ``serve.prepared.hits`` counter rising while
    ``transform.rewritings`` / ``prepare.fixpoints_compiled`` /
    ``kernel.rules_compiled`` stay **flat** (the hit path did zero
-   parse/adorn/transform/plan/compile work) — and a *table* hit too:
+   parse/adorn/transform/compile work) — and a *table* hit too:
    ``table_hit`` in the payload, ``seminaive.runs`` flat (the repeated
    goal was answered from the shape's completed calls, no fixpoint);
 4. answers and ``stats`` on the hit are identical to the miss, and the
@@ -94,14 +94,13 @@ BOOT_DEADLINE_SECONDS = 30.0
 CHAIN_LENGTH = 200
 
 # Counters that must stay flat across a prepared-cache hit: any movement
-# means the second request re-entered the parse/transform/plan/compile
+# means the second request re-entered the parse/transform/compile
 # pipeline the cache exists to skip.
 FLAT_ON_HIT = (
     "transform.rewritings",
     "prepare.builds",
     "prepare.fixpoints_compiled",
     "kernel.rules_compiled",
-    "planner.rules_planned",
     # ... and the repeated goal is a table hit: no fixpoint either.
     "seminaive.runs",
 )
