@@ -219,16 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     serve.add_argument(
-        "--registry",
-        default=None,
-        metavar="DIR",
-        help=(
-            "directory for the cross-process prepared-shape registry; "
-            "shapes prepared by any worker (or a previous run) are "
-            "loaded instead of recompiled"
-        ),
-    )
-    serve.add_argument(
         "--verbose", action="store_true", help="log every request to stderr"
     )
 
@@ -414,14 +404,10 @@ def _cmd_serve(args) -> int:
 
     if args.processes and args.processes > 0:
         service = PooledService(
-            processes=args.processes,
-            max_cached=args.max_cached,
-            registry=args.registry,
+            processes=args.processes, max_cached=args.max_cached
         )
     else:
-        service = QueryService(
-            max_cached=args.max_cached, registry=args.registry
-        )
+        service = QueryService(max_cached=args.max_cached)
     for spec in args.load:
         name, _, path = spec.partition("=")
         if not name or not path:

@@ -328,7 +328,6 @@ class PreparedQuery:
             ``base`` aliases its materialised database.
         table: the completed top-level calls (used in transform mode
             only; the other modes already answer by lookup).
-        key: the :func:`prepared_cache_key` tuple.
         prepare_stats: counters accumulated while preparing (lower-strata
             or full materialisation); execution stats never include them.
         patchable: the base predicates of the source program that the
@@ -342,7 +341,6 @@ class PreparedQuery:
     query: Atom
     adornment: str
     base: Database
-    key: tuple
     transformed: "TransformedProgram | None" = None
     fixpoint: "CompiledFixpoint | None" = None
     engine: "IncrementalEngine | None" = None
@@ -677,7 +675,6 @@ def prepare_query(
     else:
         sips_fn = sips if sips is not None else left_to_right
 
-    key = prepared_cache_key(program, goal, strategy, sips, maintain)
     if maintain is None:
         # A maintained engine keeps asserted derived facts itself.
         program, database = _bridge_stored_facts(program, database)
@@ -702,7 +699,6 @@ def prepare_query(
                 query=goal,
                 adornment=adornment,
                 base=engine.database,
-                key=key,
                 engine=engine,
                 prepare_stats=prepare_stats,
             )
@@ -721,7 +717,6 @@ def prepare_query(
                 query=goal,
                 adornment=adornment,
                 base=working,
-                key=key,
                 prepare_stats=prepare_stats,
             )
         elif goal.predicate not in rules_only.idb_predicates:
@@ -732,13 +727,12 @@ def prepare_query(
                 query=goal,
                 adornment=adornment,
                 base=working,
-                key=key,
                 prepare_stats=prepare_stats,
             )
         else:
             prepared = _prepare_transform(
                 strategy, rules_only, goal, working, sips_fn,
-                budget, key, prepare_stats,
+                budget, prepare_stats,
                 edb_extra=program.predicates,
             )
     if obs.enabled:
@@ -754,7 +748,6 @@ def _prepare_transform(
     working: Database,
     sips_fn: Sips,
     budget,
-    key: tuple,
     prepare_stats: EvaluationStats,
     edb_extra: frozenset[str],
 ) -> PreparedQuery:
@@ -791,9 +784,6 @@ def _prepare_transform(
     transformed = _TRANSFORMS[strategy](target, goal, sips_fn, edb)
     obs = get_metrics()
     if obs.enabled:
-        # Like prepare.compiles: flat across cache hits *and* across
-        # registry loads of serialized shapes (snapshot rehydration
-        # reuses the serialized rewriting instead of re-transforming).
         obs.incr("prepare.transforms")
     fixpoint = compile_fixpoint(transformed.program)
     base_predicates = rules_only.edb_predicates
@@ -810,7 +800,6 @@ def _prepare_transform(
         query=goal,
         adornment=query_adornment(goal),
         base=working,
-        key=key,
         transformed=transformed,
         fixpoint=fixpoint,
         prepare_stats=prepare_stats,

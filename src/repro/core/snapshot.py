@@ -1,31 +1,24 @@
-"""Serialized prepared shapes: a versioned, pickle-free binary format.
+"""Database snapshots: a versioned, pickle-free binary format.
 
-The serving layer's prepared-query cache (:mod:`repro.serve.cache`)
-lives inside one process.  This module is what lets prepared shapes
-cross process boundaries — to worker processes of the multiprocess
-server (:mod:`repro.serve.pool`), to an on-disk shape registry
-(:mod:`repro.serve.registry`), and into
-:mod:`multiprocessing.shared_memory` blocks that workers attach without
-copying the byte payload.
+The multiprocess server (:mod:`repro.serve.pool`) keeps every dataset
+in the dispatcher and hands each published version to its workers as a
+snapshot of the facts in one :mod:`multiprocessing.shared_memory`
+block, which workers attach and decode without copying the byte
+payload.
 
 Three design rules govern the format:
 
-* **Pickle-free.**  Pickle would happily serialize a
-  :class:`~repro.core.prepare.PreparedQuery`, but loading a pickle
-  executes whatever the bytes say — unacceptable for an on-disk registry
-  shared between processes, and brittle across refactors.  The format
-  here is a versioned header (JSON, UTF-8) plus raw column blocks;
-  loading never constructs anything but the library's own value types.
-* **Bit-identity, not equivalence.**  A reloaded shape must answer
-  byte-for-byte like the original: same answers, same enumeration order,
-  same inference counters.  That is why every constant reloads as the
-  value *and type* that was stored (``1``, ``1.0`` and ``True`` keep
-  separate value-table entries), why relation rows are written in
-  insertion order (enumeration order survives the trip), and why the
-  rewritten rules are stored as text in their original order (reloading
-  lowers each rule in the order :func:`~repro.engine.matching.compile_rule`
-  derives from the rule alone, and never re-runs the rewriting —
-  ``transform.rewritings`` stays flat).
+* **Pickle-free.**  Loading a pickle executes whatever the bytes say —
+  unacceptable for a block any process on the host may write, and
+  brittle across refactors.  The format here is a versioned header
+  (JSON, UTF-8) plus raw column blocks; loading never constructs
+  anything but the library's own value types.
+* **Bit-identity, not equivalence.**  A reloaded database must answer
+  byte-for-byte like the original: same answers, same enumeration
+  order, same inference counters.  That is why every constant reloads
+  as the value *and type* that was stored (``1``, ``1.0`` and ``True``
+  keep separate value-table entries) and why relation rows are written
+  in insertion order (enumeration order survives the trip).
 * **Versioned, rejected loudly.**  The header carries a format version
   and a value-table encoding version; a mismatch on either — or a byte
   order / item size the reader cannot honour — raises
@@ -49,16 +42,11 @@ attach by name and decode straight out of the shared buffer.
 
 Observability: ``snapshot.dumps`` / ``snapshot.loads`` /
 ``snapshot.bytes`` count serialization work, ``snapshot.shared.*`` the
-shared-memory lifecycle.  Rehydrating a prepared shape re-lowers its
-kernels (``kernel.rules_compiled`` moves) but runs **zero** transform
-or fixpoint compilation — ``prepare.transforms`` and
-``prepare.compiles`` stay flat, which is exactly what the cross-process
-registry exists to buy.
+shared-memory lifecycle.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import secrets
 import struct
@@ -67,13 +55,9 @@ import threading
 from array import array
 from contextlib import contextmanager
 
-from ..datalog.parser import parse_program, parse_query
-from ..engine.counters import EvaluationStats
-from ..engine.prepared import lower_fixpoint
 from ..errors import ReproError
 from ..facts.database import Database
 from ..obs import get_metrics
-from ..transform.common import TransformedProgram
 
 __all__ = [
     "SNAPSHOT_MAGIC",
@@ -83,11 +67,8 @@ __all__ = [
     "SnapshotFormatError",
     "dump_database",
     "load_database",
-    "dump_prepared",
-    "load_prepared",
     "SharedSnapshot",
     "freeze_database",
-    "database_fingerprint",
 ]
 
 SNAPSHOT_MAGIC = b"RPQS"
@@ -99,8 +80,8 @@ _PREFIX = struct.Struct("<4sHHI")
 
 
 class SnapshotError(ReproError):
-    """A value or shape this format cannot represent (e.g. a maintained
-    shape, whose live engine has no serialized form)."""
+    """A value this format cannot represent, or a shared block that no
+    longer exists."""
 
 
 class SnapshotFormatError(SnapshotError):
@@ -195,25 +176,6 @@ def _decode_values(table: list) -> list:
     return values
 
 
-def database_fingerprint(database: "Database | None") -> str:
-    """An order-independent digest of a database's decoded fact set.
-
-    Keys the cross-process shape registry together with the prepared
-    cache key: two datasets with the same rules *and* the same facts may
-    share serialized shapes, any difference must not.
-    """
-    digest = hashlib.sha256()
-    if database is None:
-        return digest.hexdigest()
-    for name in sorted(database.predicates()):
-        relation = database.relation(name)
-        digest.update(f"{name}/{relation.arity}\x00".encode("utf-8"))
-        for row in sorted(repr(row) for row in relation):
-            digest.update(row.encode("utf-8"))
-            digest.update(b"\x01")
-    return digest.hexdigest()
-
-
 # --- databases ---------------------------------------------------------------
 
 def _database_header(database: Database) -> tuple[dict, list[bytes]]:
@@ -272,14 +234,14 @@ def parse_snapshot(data) -> tuple[dict, memoryview]:
     if fmt != SNAPSHOT_FORMAT_VERSION:
         raise SnapshotFormatError(
             f"snapshot format version {fmt} is not supported (this build "
-            f"reads version {SNAPSHOT_FORMAT_VERSION}); re-prepare and "
-            "re-save the shape"
+            f"reads version {SNAPSHOT_FORMAT_VERSION}); dump it again with "
+            "this build"
         )
     if table_fmt != VALUE_TABLE_FORMAT_VERSION:
         raise SnapshotFormatError(
             f"snapshot value-table encoding version {table_fmt} is not "
             f"supported (this build reads version "
-            f"{VALUE_TABLE_FORMAT_VERSION}); re-prepare and re-save the shape"
+            f"{VALUE_TABLE_FORMAT_VERSION}); dump it again with this build"
         )
     body_start = _PREFIX.size + header_len
     if len(view) < body_start:
@@ -359,8 +321,8 @@ def dump_database(database: Database, extra: "dict | None" = None) -> bytes:
 
     *extra* is an arbitrary JSON-able mapping stored under the header's
     ``"extra"`` key — the multiprocess server uses it to ship the
-    dataset's program text, name, version, and data fingerprint in the
-    same shared-memory block as the facts.
+    dataset's program text, name and version in the same shared-memory
+    block as the facts.
     """
     header, blocks = _database_header(database)
     header["kind"] = "database"
@@ -385,135 +347,6 @@ def load_database(data) -> tuple[Database, dict]:
     return database, header
 
 
-# --- prepared queries --------------------------------------------------------
-
-def _predicate_map(mapping) -> dict:
-    return {name: list(pair) for name, pair in mapping.items()}
-
-
-def dump_prepared(prepared) -> bytes:
-    """Serialize a :class:`~repro.core.prepare.PreparedQuery` to bytes.
-
-    Transform and materialised shapes only: a maintained shape holds a
-    live :class:`~repro.engine.incremental.IncrementalEngine` whose
-    DRed bookkeeping has no serialized form, so it raises
-    :class:`SnapshotError` — callers (the shape registry) simply skip
-    persisting those.
-    """
-    if prepared.mode == "maintained":
-        raise SnapshotError(
-            "maintained shapes hold a live incremental engine and cannot "
-            "be serialized; re-prepare with maintain=None to snapshot"
-        )
-    header, blocks = _database_header(prepared.base)
-    meta = {
-        "strategy": prepared.strategy,
-        "mode": prepared.mode,
-        "query": str(prepared.query),
-        "adornment": prepared.adornment,
-        "key": list(prepared.key),
-        "prepare_stats": prepared.prepare_stats.as_dict(),
-    }
-    if prepared.transformed is not None:
-        transformed = prepared.transformed
-        meta["transformed"] = {
-            "kind": transformed.kind,
-            "rules": [str(rule) for rule in transformed.program.rules],
-            "goal": str(transformed.goal),
-            "seeds": [str(seed) for seed in transformed.seeds],
-            "answer_predicate": transformed.answer_predicate,
-            "call_predicates": _predicate_map(transformed.call_predicates),
-            "answer_predicates": _predicate_map(transformed.answer_predicates),
-            "original_query": str(transformed.original_query),
-        }
-        meta["fixpoint"] = {"patchable": sorted(prepared.patchable)}
-    header["kind"] = "prepared"
-    header["byteorder"] = sys.byteorder
-    header["itemsize"] = _ITEMSIZE
-    header["prepared"] = meta
-    return _assemble(header, blocks)
-
-
-def _decode_prepared(meta: dict, base: Database):
-    """The :class:`~repro.core.prepare.PreparedQuery` *meta* describes,
-    over the decoded *base*."""
-    from .prepare import PreparedQuery  # local: prepare imports engine layers
-
-    transformed = fixpoint = patchable = None
-    if meta.get("transformed") is not None:
-        spec = meta["transformed"]
-        program = parse_program("\n".join(spec["rules"]))
-        transformed = TransformedProgram(
-            program=program,
-            goal=parse_query(spec["goal"]),
-            seeds=tuple(parse_query(text) for text in spec["seeds"]),
-            answer_predicate=spec["answer_predicate"],
-            call_predicates={
-                name: tuple(pair)
-                for name, pair in spec["call_predicates"].items()
-            },
-            answer_predicates={
-                name: tuple(pair)
-                for name, pair in spec["answer_predicates"].items()
-            },
-            original_query=parse_query(spec["original_query"]),
-            kind=spec["kind"],
-        )
-        # Kernels cannot be serialized: each rule is lowered again, in the
-        # order compile_rule derives from the rule, with no transform and
-        # no compile_fixpoint (prepare.transforms / prepare.compiles stay
-        # flat).
-        fixpoint = lower_fixpoint(program)
-        patchable = frozenset(meta["fixpoint"]["patchable"])
-    stats = EvaluationStats(**meta.get("prepare_stats", {}))
-    return PreparedQuery(
-        strategy=meta["strategy"],
-        mode=meta["mode"],
-        query=parse_query(meta["query"]),
-        adornment=meta["adornment"],
-        base=base,
-        key=tuple(meta["key"]),
-        transformed=transformed,
-        fixpoint=fixpoint,
-        prepare_stats=stats,
-        patchable=patchable,
-    )
-
-
-def load_prepared(data):
-    """Rebuild a :class:`~repro.core.prepare.PreparedQuery` from bytes.
-
-    The result is bit-identical to the shape that was dumped: same base
-    fact set in the same insertion order, same rule body orders, same cache
-    key — so ``execute()`` returns the same answers with the same
-    counters (pinned over seeded random programs
-    by ``tests/test_snapshot.py``).
-    """
-    header, payload = parse_snapshot(data)
-    if header.get("kind") != "prepared":
-        raise SnapshotFormatError(
-            f"snapshot kind {header.get('kind')!r} is not a prepared shape"
-        )
-    meta = header.get("prepared")
-    if not isinstance(meta, dict):
-        raise SnapshotFormatError("prepared snapshot is missing its metadata")
-    base = _decode_relations(header, payload)
-    try:
-        prepared = _decode_prepared(meta, base)
-    except SnapshotError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError, ReproError) as exc:
-        # A header that parses but whose metadata lacks a field or holds
-        # the wrong type: as unloadable as a truncated file.
-        raise SnapshotFormatError(
-            f"prepared snapshot metadata is malformed: {exc!r}"
-        ) from None
-    obs = get_metrics()
-    if obs.enabled:
-        obs.incr("snapshot.loads")
-    return prepared
-
-
 # --- shared memory -----------------------------------------------------------
 
 class SharedSnapshot:
@@ -522,7 +355,7 @@ class SharedSnapshot:
     The parent process :meth:`create`\\ s the block (one copy of the
     serialized bytes into the shared buffer); workers :meth:`attach` by
     name and hand :attr:`data` — a memoryview directly over the shared
-    buffer — to :func:`load_database` / :func:`load_prepared`, so the
+    buffer — to :func:`load_database`, so the
     byte payload itself is never copied between processes.
 
     Lifetime discipline: the creator owns :meth:`unlink`; attachers only

@@ -12,8 +12,8 @@ This module splits evaluation into its two natural halves:
 
 * :func:`compile_fixpoint` does everything that depends only on the
   *rules*: scheduling (:func:`repro.engine.scheduler.build_schedule`),
-  rule compilation, and kernel lowering (:func:`lower_fixpoint`).  The
-  result is an immutable :class:`CompiledFixpoint`.
+  rule compilation, and kernel lowering.  The result is an immutable
+  :class:`CompiledFixpoint`.
 * :func:`run_fixpoint` evaluates a :class:`CompiledFixpoint` against a
   database — any number of times, each run with its own working copy,
   :class:`~repro.engine.counters.EvaluationStats`, and budget
@@ -59,7 +59,6 @@ __all__ = [
     "CompiledFixpoint",
     "compile_fixpoint",
     "footprint_touches",
-    "lower_fixpoint",
     "record_footprint",
     "run_fixpoint",
 ]
@@ -91,18 +90,6 @@ class CompiledFixpoint:
         return len(self.kernels)
 
 
-def lower_fixpoint(program: Program) -> CompiledFixpoint:
-    """*program*'s schedule with every rule compiled in
-    :func:`~repro.engine.matching.compile_rule` order and lowered to
-    kernels.  Counts nothing: a shape rehydrated from a snapshot
-    (:mod:`repro.core.snapshot`) is lowered here too, and must leave
-    ``prepare.compiles`` flat."""
-    return CompiledFixpoint(program, tuple(
-        lower_component(component, [compile_rule(rule) for rule in component.rules])
-        for component in build_schedule(program).components
-    ))
-
-
 def compile_fixpoint(
     program: Program, database: "Database | None" = None
 ) -> CompiledFixpoint:
@@ -116,12 +103,14 @@ def compile_fixpoint(
     """
     obs = get_metrics()
     with obs.timer("compile_fixpoint"):
-        compiled = lower_fixpoint(program)
+        compiled = CompiledFixpoint(program, tuple(
+            lower_component(
+                component, [compile_rule(rule) for rule in component.rules]
+            )
+            for component in build_schedule(program).components
+        ))
     if obs.enabled:
         obs.incr("prepare.fixpoints_compiled")
-        # The canonical "compilation actually ran" counter the
-        # cross-process shape registry drives to zero on its hit path
-        # (snapshot rehydration lowers kernels but never comes here).
         obs.incr("prepare.compiles")
     return compiled
 

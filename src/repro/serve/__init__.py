@@ -24,9 +24,6 @@ web framework in the dependency set.  The layers:
   socket client the tests, benchmarks, and smoke job share: one
   persistent connection per calling thread, with bounded retry across
   worker-restart windows.
-* :mod:`repro.serve.registry` — :class:`ShapeRegistry`, the on-disk
-  store of serialized prepared shapes shared across processes and
-  server restarts.
 * :mod:`repro.serve.pool` — :class:`WorkerPool` / :class:`PooledService`,
   the multiprocess backend (``repro serve --processes N``): pre-forked
   workers, shared-memory dataset snapshots, crash-restart, merged
@@ -38,7 +35,6 @@ See ``docs/SERVING.md`` for the endpoint reference and operational notes.
 from .cache import CacheEntry, PreparedQueryCache
 from .client import ServeClient
 from .pool import PooledService, WorkerPool, WorkerPoolError
-from .registry import ShapeRegistry
 from .server import ReproServer, create_server, run_server
 from .service import Dataset, QueryService
 
@@ -46,7 +42,6 @@ __all__ = [
     "CacheEntry",
     "PreparedQueryCache",
     "ServeClient",
-    "ShapeRegistry",
     "PooledService",
     "WorkerPool",
     "WorkerPoolError",

@@ -49,12 +49,9 @@ connect.  This module scales ``repro.serve`` across cores with
   :func:`~repro.obs.metrics.merge_snapshots` (dispatcher first, then
   workers by slot index, so order-sensitive fields are deterministic).
 
-Workers share prepared shapes through the on-disk
-:class:`~repro.serve.registry.ShapeRegistry`: the first worker to
-prepare a shape saves its serialized form, and every other worker (and
-every restarted server) loads it instead of re-transforming and
-re-compiling — the smoke job asserts the second worker's first request
-does zero ``prepare.transforms`` / ``prepare.compiles`` work.
+Each worker prepares the shapes it is asked for itself, as a restarted
+server does: the rewriting is fixed by the goal's adornment, so
+preparing a shape again costs no more than loading a saved copy would.
 
 Shared-memory lifetime: the dispatcher owns every block.  Publishing a
 new dataset version keeps the previous block alive briefly (an in-flight
@@ -132,10 +129,7 @@ def _ensure_dataset(service: QueryService, installed: dict, spec) -> None:
         snapshot.close()
     extra = header.get("extra") or {}
     program = parse_program(extra.get("program", "")).without_facts()
-    service.install(
-        name, program, database, version,
-        data_fingerprint=extra.get("data_fingerprint") or None,
-    )
+    service.install(name, program, database, version)
     installed[name] = version
 
 
@@ -149,8 +143,7 @@ def _worker_main(conn, index: int, config: dict) -> None:
     """
     set_metrics(ThreadSafeMetrics())
     service = QueryService(
-        max_cached=config.get("max_cached", DEFAULT_MAX_ENTRIES),
-        registry=config.get("registry"),
+        max_cached=config.get("max_cached", DEFAULT_MAX_ENTRIES)
     )
     installed: dict[str, int] = {}
     while True:
@@ -444,13 +437,9 @@ class PooledService:
         self,
         processes: int = DEFAULT_PROCESSES,
         max_cached: int = DEFAULT_MAX_ENTRIES,
-        registry=None,
         start_method: str = "spawn",
     ):
-        self._service = QueryService(max_cached=max_cached, registry=registry)
-        registry_path = None
-        if self._service.registry is not None:
-            registry_path = str(self._service.registry.root)
+        self._service = QueryService(max_cached=max_cached)
         self._lock = threading.Lock()
         # Per dataset, (version, block) pairs in version order: queries
         # go to the highest published version.
@@ -461,7 +450,7 @@ class PooledService:
         self._hit_rows = 0
         self.pool = WorkerPool(
             processes,
-            config={"max_cached": max_cached, "registry": registry_path},
+            config={"max_cached": max_cached},
             spec_provider=self._spec,
             start_method=start_method,
         )
@@ -471,10 +460,6 @@ class PooledService:
     @property
     def cache(self):
         return self._service.cache
-
-    @property
-    def registry(self):
-        return self._service.registry
 
     def dataset(self, name: str):
         return self._service.dataset(name)
@@ -520,7 +505,6 @@ class PooledService:
                 ),
                 "dataset": dataset.name,
                 "version": dataset.version,
-                "data_fingerprint": dataset.data_fingerprint,
             },
         )
         with self._lock:
@@ -553,17 +537,21 @@ class PooledService:
         )  # pragma: no cover - only a query racing the first /load of name
 
     # --- dispatched requests --------------------------------------------------
-    def query(self, dataset_name: str, goal, budget=None, **config) -> dict:
+    def query(
+        self, dataset_name: str, goal, strategy=None, sips=None, budget=None,
+        maintain=None,
+    ) -> dict:
         """Answer from the mirrored worker table hits when the goal text
         and config were already a table hit at the published version;
-        otherwise dispatch to a worker (budgeted requests always are)."""
+        otherwise dispatch to a worker (budgeted requests always are).
+        A ``None`` setting is left to the worker's default."""
         started = time.perf_counter()
         if self._closed:
             raise WorkerPoolError("worker pool is shut down")
         self._service.dataset(dataset_name)  # fail fast on unknown names
         payload = {
             "goal": str(goal),
-            "config": {k: v for k, v in config.items() if v is not None},
+            "config": _config(strategy, sips, maintain),
             "budget": _budget_payload(budget),
         }
         if payload["budget"] is not None:
@@ -614,12 +602,11 @@ class PooledService:
                 _, gone = self._hits.popitem(last=False)
                 self._hit_rows -= gone["answers"]["count"]
 
-    def prepare(self, dataset_name: str, goal, **config) -> dict:
+    def prepare(
+        self, dataset_name: str, goal, strategy=None, sips=None, maintain=None,
+    ) -> dict:
         self._service.dataset(dataset_name)
-        payload = {
-            "goal": str(goal),
-            "config": {k: v for k, v in config.items() if v is not None},
-        }
+        payload = {"goal": str(goal), "config": _config(strategy, sips, maintain)}
         return self.pool.submit("prepare", payload, dataset=dataset_name)
 
     # --- introspection / lifecycle --------------------------------------------
@@ -652,8 +639,6 @@ class PooledService:
                 "table_entries": [stats["table_entries"] for stats in caches],
             },
         }
-        if self.registry is not None and hasattr(self.registry, "stats"):
-            payload["registry"] = self.registry.stats()
         return payload
 
     def health_payload(self) -> dict:
@@ -690,6 +675,13 @@ class PooledService:
             for _, snapshot in history:
                 snapshot.close()
                 snapshot.unlink()
+
+
+def _config(strategy, sips, maintain) -> dict:
+    """The settings a dispatched request forwards: the non-``None`` ones,
+    in the order the HTTP layer reads them."""
+    config = {"strategy": strategy, "sips": sips, "maintain": maintain}
+    return {name: value for name, value in config.items() if value is not None}
 
 
 def _fresh(reply: dict) -> dict:

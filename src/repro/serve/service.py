@@ -42,7 +42,6 @@ import json
 import threading
 import time
 from dataclasses import dataclass
-from functools import cached_property
 
 from ..core.prepare import (
     UNPREPARABLE_STRATEGIES,
@@ -53,7 +52,6 @@ from ..core.prepare import (
     prepared_cache_key,
     program_fingerprint,
 )
-from ..core.snapshot import database_fingerprint
 from ..core.strategy import QueryResult, available_strategies, run_strategy
 from ..datalog.atoms import Atom
 from ..datalog.parser import parse_query
@@ -229,14 +227,6 @@ class Dataset:
     version: int
     fingerprint: str
 
-    @cached_property
-    def data_fingerprint(self) -> str:
-        """Order-independent digest of the fact set
-        (:func:`~repro.core.snapshot.database_fingerprint`), computed on
-        first read; keys the cross-process shape registry, where the
-        in-memory version counter means nothing to other processes."""
-        return database_fingerprint(self.database)
-
     def info(self) -> dict:
         return {
             "name": self.name,
@@ -257,29 +247,13 @@ class QueryService:
     version they started with).
     """
 
-    def __init__(
-        self,
-        max_cached: int = DEFAULT_MAX_ENTRIES,
-        registry=None,
-    ):
+    def __init__(self, max_cached: int = DEFAULT_MAX_ENTRIES):
         """Args:
             max_cached: prepared-query cache capacity.
-            registry: optional cross-process shape registry — a
-                :class:`~repro.serve.registry.ShapeRegistry` or a
-                directory path to open one at.  With a registry, cache
-                misses first try to *load* a serialized shape (saved by
-                any process, any lifetime) before preparing from
-                scratch, and freshly prepared non-maintained shapes are
-                saved back.
         """
         self._lock = threading.Lock()
         self._datasets: dict[str, Dataset] = {}
         self.cache = PreparedQueryCache(max_cached)
-        if registry is not None and not hasattr(registry, "load"):
-            from .registry import ShapeRegistry
-
-            registry = ShapeRegistry(registry)
-        self.registry = registry
 
     # --- datasets -------------------------------------------------------------
     def load(
@@ -520,7 +494,6 @@ class QueryService:
         program: Program,
         database: Database,
         version: int,
-        data_fingerprint: "str | None" = None,
     ) -> Dataset:
         """Install an already-built dataset under an explicit *version*.
 
@@ -540,8 +513,6 @@ class QueryService:
             version=version,
             fingerprint=program_fingerprint(program),
         )
-        if data_fingerprint is not None:
-            dataset.data_fingerprint = data_fingerprint
         with self._lock:
             self._datasets[name] = dataset
         self.cache.drop_dataset(name)
@@ -575,42 +546,6 @@ class QueryService:
             dataset.program, goal, strategy, sips, maintain,
         )
 
-    def _build_prepared(
-        self, dataset: Dataset, goal: Atom, key: tuple, strategy: str,
-        sips, budget=None, maintain: "str | None" = None,
-    ):
-        """The cache-miss factory: registry consult, then a real prepare.
-
-        When a :class:`~repro.serve.registry.ShapeRegistry` is attached
-        and the shape is serializable (anything but maintained), a
-        registry hit deserializes the shape another process already
-        built — no transform and no fixpoint compilation.  A
-        miss prepares from scratch and saves the result back, so the
-        *next* process (or a restarted server) hits.  The registry key
-        is the library-level part of *key* (``key[2:]``, dropping the
-        dataset name/version) widened with the dataset's data
-        fingerprint, because the serialized shape embeds its execution
-        base.
-        """
-        registry = self.registry
-        shareable = registry is not None and maintain is None
-        if shareable:
-            prepared = registry.load(key[2:], dataset.data_fingerprint)
-            if prepared is not None:
-                return prepared
-        prepared = prepare_query(
-            dataset.program,
-            goal,
-            dataset.database,
-            strategy=strategy,
-            sips=sips,
-            budget=budget,
-            maintain=maintain,
-        )
-        if shareable:
-            registry.save(key[2:], dataset.data_fingerprint, prepared)
-        return prepared
-
     def prepare(
         self,
         dataset_name: str,
@@ -641,8 +576,9 @@ class QueryService:
         started = time.perf_counter()
         prepared, hit = self.cache.get_or_prepare(
             key,
-            lambda: self._build_prepared(
-                dataset, goal, key, strategy, sips, maintain=maintain,
+            lambda: prepare_query(
+                dataset.program, goal, dataset.database, strategy=strategy,
+                sips=sips, maintain=maintain,
             ),
         )
         return {
@@ -718,9 +654,9 @@ class QueryService:
             # strata / full materialisation), on a hit only execution.
             prepared, hit = self.cache.get_or_prepare(
                 key,
-                lambda: self._build_prepared(
-                    dataset, goal, key, strategy, sips,
-                    budget=budget, maintain=maintain,
+                lambda: prepare_query(
+                    dataset.program, goal, dataset.database, strategy=strategy,
+                    sips=sips, budget=budget, maintain=maintain,
                 ),
             )
         except BudgetExceededError as exc:
@@ -818,15 +754,12 @@ class QueryService:
         """The ``/metrics`` body (minus the server's in-flight gauge).
 
         The HTTP layer delegates here so a pooled service can override
-        it with a cross-process merge of every worker's registry.
+        it with a cross-process merge of every worker's metrics.
         """
-        payload = {
+        return {
             "metrics": get_metrics().snapshot(),
             "cache": self.cache.metrics(),
         }
-        if self.registry is not None and hasattr(self.registry, "stats"):
-            payload["registry"] = self.registry.stats()
-        return payload
 
     def health_payload(self) -> dict:
         """The ``/health`` body; pooled services add worker liveness."""

@@ -19,7 +19,6 @@ from repro import workloads
 from repro.core import prepare as prepare_module
 from repro.core.engine import Engine
 from repro.core.prepare import TRANSFORM_STRATEGIES, CallTable, prepare_query
-from repro.core.snapshot import dump_prepared, load_prepared
 from repro.datalog.atoms import Atom
 from repro.datalog.parser import parse_program, parse_query
 from repro.datalog.terms import Constant, Variable
@@ -302,8 +301,6 @@ class TestPatch:
             shape = prepare_query(program, "top(1, X)?", strategy=strategy)
             # low is materialised into the base: not a base predicate.
             assert shape.patchable == frozenset({"p", "r"})
-            loaded = load_prepared(dump_prepared(shape))
-            assert loaded.patchable == shape.patchable
         shape = prepare_query(program, "top(1, X)?", strategy="seminaive")
         assert shape.patchable is None
         with pytest.raises(ReproError, match="cannot be patched"):
@@ -336,17 +333,3 @@ class TestPatch:
             assert result.answers == expected.answers
             assert result.stats.as_dict() == expected.stats.as_dict()
 
-
-def test_the_table_is_never_serialised():
-    prepared = prepare_query(ANCESTOR, "anc(1, X)?")
-    before = dump_prepared(prepared)
-    first = prepared.execute("anc(2, X)?")
-    for _ in range(100):
-        assert prepared.execute("anc(2, X)?").table_hit
-    assert dump_prepared(prepared) == before
-    loaded = load_prepared(before)
-    assert loaded.table.size() == (0, 0)
-    result = loaded.execute("anc(2, X)?")
-    assert not result.table_hit
-    assert result.answers == first.answers
-    assert result.stats.as_dict() == first.stats.as_dict()

@@ -222,6 +222,14 @@ class TestSchedulerFlag:
         assert "'scc'" in err and "serve --processes N" in err
 
 
+class TestServeFlags:
+    def test_registry_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--registry", str(tmp_path)])
+        assert excinfo.value.code == 2
+        assert "--registry" in capsys.readouterr().err
+
+
 class TestRemovedSettingFlags:
     @pytest.mark.parametrize(
         "setting", ["executor", "scheduler", "workers", "planner"]

@@ -26,7 +26,6 @@ import repro.engine.kernel as kernel_module
 from repro import Engine
 from repro.cli import main as cli_main
 from repro.core.prepare import prepare_query
-from repro.core.snapshot import dump_prepared, load_prepared
 from repro.datalog.atoms import Atom, Literal
 from repro.datalog.builtins import is_builtin
 from repro.datalog.parser import parse_program, parse_query
@@ -718,24 +717,6 @@ class TestDebuggability:
         ) == counters["kernel.rules_compiled"] == 1
         assert second.counters["kernel.shape_cache_hits"] == 1
         assert "kernel.shapes_compiled" not in second.counters
-
-    def test_snapshot_stores_plans_and_reload_regenerates(self):
-        program = parse_program(random_source(3))
-        prepared = prepare_query(program, "p0(c0, Y)?", strategy="alexander")
-        data = dump_prepared(prepared)
-        assert b"def factory" not in data and b"stats.attempts" not in data
-        with collect() as metrics:
-            restored = load_prepared(data)
-        assert metrics.counters["kernel.rules_compiled"] == (
-            metrics.counters["kernel.shape_cache_hits"]
-        )
-        assert dump_prepared(restored) == data
-
-        for ours, theirs in zip(prepared.fixpoint.kernels, restored.fixpoint.kernels):
-            assert ours.run.__code__ is theirs.run.__code__
-            assert ours.source == theirs.source
-        goal = "p0(c1, Y)?"
-        assert restored.execute(goal).answers == prepared.execute(goal).answers
 
     def test_explain_show_kernels(self, tmp_path, capsys):
         path = tmp_path / "anc.dl"

@@ -4,9 +4,8 @@ The single-process threaded service is the oracle: everything the
 :class:`~repro.serve.pool.PooledService` serves through worker
 processes — answers, stats, update semantics — must be **bit-identical**
 to a direct in-process :class:`~repro.core.engine.Engine.query`.  The
-pool adds shared-memory dataset transport, snapshot decode, registry
-warm-starts, and crash-restart failover; none of that may perturb a
-single row.
+pool adds shared-memory dataset transport, snapshot decode, and
+crash-restart failover; none of that may perturb a single row.
 
 Also covered here: worker-death failover over real HTTP (SIGKILL a
 worker mid-run, queries keep succeeding, restarts are counted) and the
@@ -202,53 +201,6 @@ class TestPooledDifferential:
                 server.shutdown()
                 server.server_close()
                 thread.join(timeout=5.0)
-
-
-class TestRegistryWarmsAcrossProcesses:
-    def test_second_worker_first_request_is_cold_start_free(self, tmp_path):
-        """Round-robin sends one request to each worker; the second
-        worker's first request must load the first worker's serialized
-        shape instead of re-transforming — exactly one preparation
-        in the whole pool."""
-        with collect(ThreadSafeMetrics()):
-            service = PooledService(processes=2, registry=tmp_path)
-            try:
-                service.load("chain", program_text=CHAIN)
-                first = service.query("chain", "anc(0, X)?")
-                second = service.query("chain", "anc(0, X)?")
-                assert first["answers"] == second["answers"]
-                counters = service.metrics_payload()["metrics"]["counters"]
-                assert counters.get("prepare.transforms", 0) == 1
-                assert counters.get("prepare.compiles", 0) == 1
-                assert counters.get("serve.registry.hits", 0) == 1
-                assert counters.get("serve.registry.saves", 0) == 1
-            finally:
-                service.close()
-
-    def test_restart_warm_starts_from_registry(self, tmp_path):
-        with collect(ThreadSafeMetrics()):
-            service = PooledService(processes=1, registry=tmp_path)
-            try:
-                service.load("chain", program_text=CHAIN)
-                service.query("chain", "anc(0, X)?")
-            finally:
-                service.close()
-        # A fresh pool (fresh processes, same registry dir) serving the
-        # same facts: its first request loads, never transforms.
-        with collect(ThreadSafeMetrics()):
-            service = PooledService(processes=1, registry=tmp_path)
-            try:
-                service.load("chain", program_text=CHAIN)
-                result = service.query("chain", "anc(0, X)?")
-                assert result["answers"]["rows"] == direct_rows(
-                    CHAIN, "anc(0, X)?"
-                )
-                counters = service.metrics_payload()["metrics"]["counters"]
-                assert counters.get("prepare.transforms", 0) == 0
-                assert counters.get("prepare.compiles", 0) == 0
-                assert counters.get("serve.registry.hits", 0) == 1
-            finally:
-                service.close()
 
 
 class TestWorkerDeathFailover:

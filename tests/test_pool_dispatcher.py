@@ -243,6 +243,31 @@ class TestDispatcherHits:
             assert time.monotonic() - started < 1.0
 
 
+def test_an_unknown_keyword_is_a_type_error_at_the_call(monkeypatch):
+    service = PooledService(processes=1)
+    try:
+        service.load("d", program_text="p(1, 2). q(X, Y) :- p(X, Y).")
+        sent = []
+
+        def submit(op, payload, dataset):
+            sent.append((op, payload))
+            return {}
+
+        monkeypatch.setattr(service.pool, "submit", submit)
+        with pytest.raises(TypeError, match="strategy_typo"):
+            service.query("d", "p(1, X)?", strategy_typo="x")
+        with pytest.raises(TypeError, match="strategy_typo"):
+            service.prepare("d", "p(1, X)?", strategy_typo="x")
+        assert sent == []
+        # Only the settings given are forwarded.
+        service.prepare("d", "q(1, X)?", strategy="seminaive")
+        assert sent == [
+            ("prepare", {"goal": "q(1, X)?", "config": {"strategy": "seminaive"}})
+        ]
+    finally:
+        service.close()
+
+
 _ELAPSED = re.compile(rb'"elapsed_ms": [^,]+, ')
 
 

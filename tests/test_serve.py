@@ -842,6 +842,10 @@ class TestBadInputIsA400:
             if service is not None:
                 service.close()
 
+    def test_library_registry_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="registry"):
+            QueryService(registry=tmp_path)
+
     def test_library_storage_keyword_is_gone(self, service):
         with pytest.raises(TypeError, match="storage"):
             service.query("chain", "anc(0, X)?", storage="tuples")

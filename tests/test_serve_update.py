@@ -295,32 +295,6 @@ class TestServiceUpdate:
         assert after["version"] == 2
         assert rows(after) == [["a", "b"]]
 
-    def test_update_leaves_the_data_fingerprint_to_its_first_reader(
-        self, service, monkeypatch
-    ):
-        from repro.core.snapshot import database_fingerprint
-        from repro.serve import service as service_module
-
-        computed = []
-
-        def counting(database):
-            computed.append(database)
-            return database_fingerprint(database)
-
-        monkeypatch.setattr(service_module, "database_fingerprint", counting)
-        service.query("g", "path(a, X)?")
-        info = service.update("g", add=["edge(d, e)"], remove=["edge(b, c)"])
-        service.query("g", "path(a, X)?")
-        assert computed == []
-        dataset = service.dataset("g")
-        assert info["facts"] == 5 == sum(
-            len(dataset.database.rows(p)) for p in dataset.database.predicates()
-        )
-        fingerprint = dataset.data_fingerprint
-        assert dataset.data_fingerprint == fingerprint  # computed once
-        assert computed == [dataset.database]
-        assert fingerprint == database_fingerprint(dataset.database)
-
     def test_maintained_shape_is_patched_and_stays_warm(self, service):
         first = service.query(
             "g", "path(a, X)?", strategy="seminaive", maintain="dred"
