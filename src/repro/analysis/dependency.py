@@ -100,6 +100,19 @@ class DependencyGraph:
             result[target].add(source)
         return {node: frozenset(incoming) for node, incoming in result.items()}
 
+    def closure(self, predicates, downstream: bool) -> frozenset[str]:
+        """*predicates* plus every predicate derived from them
+        (*downstream*) or that they read (upstream), transitively."""
+        step = self.successors if downstream else self.predecessors
+        reached = set(predicates)
+        frontier = list(reached)
+        while frontier:
+            for predicate in step.get(frontier.pop(), ()):
+                if predicate not in reached:
+                    reached.add(predicate)
+                    frontier.append(predicate)
+        return frozenset(reached)
+
     def depends_negatively(self, head: str, body: str) -> bool:
         """True iff some rule for *head* contains ``not body(...)``."""
         return self._polarity.get((body, head), False)

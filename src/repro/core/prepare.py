@@ -62,6 +62,8 @@ a base-fact update can :meth:`PreparedQuery.patch` the shape instead of
 dropping it: the base is swapped for the updated one and only the
 entries whose footprint matches a changed row are invalidated
 (``tests/test_call_tables.py``, ``tests/test_serve_update.py``).
+Whether an update keeps, patches or drops a shape is decided by
+:meth:`PreparedQuery.on_update` from what the shape recorded.
 """
 
 from __future__ import annotations
@@ -331,9 +333,13 @@ class PreparedQuery:
         prepare_stats: counters accumulated while preparing (lower-strata
             or full materialisation); execution stats never include them.
         patchable: the base predicates of the source program that the
-            rewritten stratum reads — the ones call-table footprints
-            record and :meth:`patch` may update (transform mode only;
-            ``None`` in the other modes).
+            rewritten stratum reads and no stratum of :attr:`cone`
+            materialised into the base does — the ones call-table
+            footprints record and :meth:`patch` may update (transform
+            mode only; ``None`` in the other modes).
+        cone: the goal predicate and every predicate it transitively
+            reads in the source program; an update naming none of them
+            cannot change an answer (transform mode only).
     """
 
     strategy: str
@@ -346,6 +352,7 @@ class PreparedQuery:
     engine: "IncrementalEngine | None" = None
     prepare_stats: EvaluationStats = field(default_factory=EvaluationStats)
     patchable: "frozenset[str] | None" = None
+    cone: "frozenset[str] | None" = None
     table: CallTable = field(
         default_factory=CallTable, repr=False, compare=False
     )
@@ -528,6 +535,42 @@ class PreparedQuery:
         return self._matching(partial, goal, transformed_goal)
 
     # --- maintenance ----------------------------------------------------------
+    def on_update(
+        self,
+        database: Database,
+        changed: "dict[str, list[tuple]]",
+        add: "tuple | list",
+        remove: "tuple | list",
+    ) -> tuple[str, int, int]:
+        """Carry this shape across a base-fact update of *add*/*remove*
+        facts: *database* is the updated dataset, *changed* the raw rows
+        that really changed, per predicate.  Returns ``(decision, kept,
+        invalidated)``: *decision* is ``"kept"``, ``"patched"`` or
+        ``"dropped"``, the counts are the call-table entries a patch kept
+        and invalidated.
+
+        A maintained shape applies the delta (:meth:`apply_update`).  A
+        transform shape is kept when the update names no predicate of its
+        :attr:`cone`, patched (:meth:`patch`) when every one it names is
+        :attr:`patchable`, and dropped otherwise.  A frozen full model
+        reads everything: dropped.  After an exception, drop the shape.
+        """
+        if self.mode == "maintained":
+            self.apply_update(add=add, remove=remove)
+            return "patched", 0, 0
+        if self.mode != "transform":
+            return "dropped", 0, 0
+        touched = {atom.predicate for atom in (*add, *remove)} & self.cone
+        if not touched:
+            return "kept", 0, 0
+        if not touched <= self.patchable:
+            return "dropped", 0, 0
+        kept, invalidated = self.patch(
+            database,
+            {predicate: rows for predicate, rows in changed.items() if predicate in touched},
+        )
+        return "patched", kept, invalidated
+
     def apply_update(
         self,
         add: "tuple | list" = (),
@@ -577,8 +620,7 @@ class PreparedQuery:
         A kept entry is what a fresh run would return, answers and
         counters alike: that run issues the same probes and reads the
         same postings.  The caller guarantees that every changed
-        predicate is a base predicate of the source program feeding no
-        stratum materialised into the base.
+        predicate is :attr:`patchable` (:meth:`on_update` checks it).
 
         Raises:
             ReproError: on a shape that is not in transform mode.
@@ -675,6 +717,7 @@ def prepare_query(
     else:
         sips_fn = sips if sips is not None else left_to_right
 
+    source = program
     if maintain is None:
         # A maintained engine keeps asserted derived facts itself.
         program, database = _bridge_stored_facts(program, database)
@@ -734,6 +777,9 @@ def prepare_query(
                 strategy, rules_only, goal, working, sips_fn,
                 budget, prepare_stats,
                 edb_extra=program.predicates,
+                cone=source.dependency_graph.closure(
+                    {goal.predicate}, downstream=False
+                ),
             )
     if obs.enabled:
         obs.incr("prepare.builds")
@@ -750,13 +796,15 @@ def _prepare_transform(
     budget,
     prepare_stats: EvaluationStats,
     edb_extra: frozenset[str],
+    cone: frozenset[str],
 ) -> PreparedQuery:
     """The structured transform pipeline, stopped just short of running.
 
     Mirrors :func:`repro.core.strategy._transform_strategy` exactly —
     materialise strata strictly below the goal predicate's, rewrite its
     stratum against the rest as EDB — but compiles the rewritten stratum
-    instead of evaluating it.
+    instead of evaluating it.  *cone* is what the goal reads in the
+    source program.
     """
     stratification = stratify(rules_only)
     query_stratum = None
@@ -787,12 +835,20 @@ def _prepare_transform(
         obs.incr("prepare.transforms")
     fixpoint = compile_fixpoint(transformed.program)
     base_predicates = rules_only.edb_predicates
+    # What the cone's lower strata read is materialised into the base.
+    frozen = {
+        literal.predicate
+        for rule in lower.proper_rules
+        if rule.head.predicate in cone
+        for literal in rule.body
+    }
     patchable = frozenset(
         literal.predicate
         for rule in transformed.program.proper_rules
         for literal in rule.body
         if literal.predicate in base_predicates
         and literal.predicate not in BUILTIN_PREDICATES
+        and literal.predicate not in frozen
     )
     return PreparedQuery(
         strategy=strategy,
@@ -804,4 +860,5 @@ def _prepare_transform(
         fixpoint=fixpoint,
         prepare_stats=prepare_stats,
         patchable=patchable,
+        cone=cone,
     )

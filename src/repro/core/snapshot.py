@@ -336,7 +336,7 @@ def dump_database(database: Database, extra: "dict | None" = None) -> bytes:
 def load_database(data) -> tuple[Database, dict]:
     """Decode snapshot *data* back into a database; returns ``(db, header)``."""
     header, payload = parse_snapshot(data)
-    if header.get("kind") not in ("database", "prepared"):
+    if header.get("kind") != "database":
         raise SnapshotFormatError(
             f"snapshot kind {header.get('kind')!r} is not a database dump"
         )

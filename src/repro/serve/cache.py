@@ -144,8 +144,7 @@ class PreparedQueryCache:
 
     def drop_entry(self, key: tuple) -> bool:
         """Evict the entry under *key*, if present; returns whether it
-        was.  The update path uses it to discard maintained shapes after
-        a failed patch, so nothing keeps serving a half-applied state."""
+        was."""
         with self._lock:
             if self._entries.pop(key, None) is None:
                 return False
@@ -163,8 +162,8 @@ class PreparedQueryCache:
 
     def entries_for(self, dataset: str) -> list[tuple[tuple, PreparedQuery]]:
         """A snapshot of every ``(key, prepared)`` scoped to *dataset*,
-        without touching LRU order or counters — the update path uses it
-        to find maintained shapes to patch."""
+        without touching LRU order or counters — the shapes an update
+        decides on."""
         with self._lock:
             return [
                 (key, entry.prepared)
@@ -182,25 +181,19 @@ class PreparedQueryCache:
         """Migrate *dataset*'s entries from *old_version* to *new_version*.
 
         An incremental update (:meth:`QueryService.update`) bumps the
-        dataset version like a reload, but unlike a reload most prepared
-        shapes stay valid — maintained shapes were patched in place and
-        shapes untouched by the update answer identically.  For each
-        entry scoped to *dataset* at *old_version*, ``keep(key,
-        prepared)`` decides: keep → the entry is re-keyed to
-        *new_version* preserving its LRU position and hit counts; drop →
-        evicted.  Returns ``(kept, dropped)``.
+        dataset version like a reload, but the shapes it kept or patched
+        stay valid.  Each entry scoped to *dataset* at *old_version* for
+        which ``keep(key, prepared)`` holds is re-keyed to *new_version*,
+        keeping its LRU position and hit counts; the others are evicted.
+        Returns ``(kept, dropped)``.
 
         Entries already at *new_version* are **kept as they are**: the
-        update path publishes the new version before migrating the
-        cache, so a concurrent request can legitimately insert a
-        freshly prepared new-version shape in that window — discarding
-        it (as this method once did) silently threw away valid work and
-        broke the accounting.  When a migrating old-version entry
-        collides with such a fresh insertion, exactly one survives (the
-        one already placed) and the other is booked as dropped — never
-        a silent overwrite, which would leak an entry past every
-        counter.  Entries at any *older* version are stale leftovers
-        and are always dropped.
+        new version is published before the cache migrates, so a
+        concurrent request may insert a freshly prepared shape in that
+        window.  When a migrating entry collides with one, the one
+        already placed survives and the other is booked as dropped —
+        never a silent overwrite, which would leak an entry past every
+        counter.  Entries at any *older* version are always dropped.
         """
         with self._lock:
             kept = dropped = 0

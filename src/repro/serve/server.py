@@ -17,11 +17,11 @@ Endpoints::
     POST /prepare   {"dataset", "goal", "strategy"?, config...}
     POST /query     {"dataset", "goal", "strategy"?, "budget"?, config...}
 
-``/update`` is the incremental mutation path: maintained prepared
+``/update`` is the incremental mutation path: each cached shape is
+kept, patched in place or dropped by what it reads, and maintained
 shapes (``"maintain": "dred"`` in ``/prepare`` or ``/query``; any
-other value is a 400 naming ``"dred"``) are patched in place and
-unaffected cache entries migrate to the new dataset version instead of
-being dropped — see :meth:`repro.serve.service.QueryService.update`.
+other value is a 400 naming ``"dred"``) are always patched — see
+:meth:`repro.serve.service.QueryService.update`.
 
 Error contract: malformed requests and library errors
 (:class:`~repro.errors.ReproError`) are 400 with ``{"error": ...}``; a

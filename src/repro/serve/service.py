@@ -27,11 +27,10 @@ Dataset versioning is what makes caching sound: prepared queries
 snapshot their base database, so any mutation goes through
 :meth:`QueryService.load` — which bumps the dataset version (changing
 every cache key) and eagerly drops the stale version's entries — or
-through :meth:`QueryService.update`, the incremental path: maintained
-shapes (prepared with ``maintain="dred"``) have the delta applied to their
-live materialisation, frozen shapes outside the update's affected cone
-are migrated to the new version untouched, and only shapes the update
-could actually change are dropped.  Sustained update traffic therefore
+through :meth:`QueryService.update`, the incremental path: each cached
+shape decides for itself whether it is kept, patched or dropped
+(:meth:`repro.core.prepare.PreparedQuery.on_update`), and the survivors
+are re-keyed to the new version.  Sustained update traffic therefore
 keeps the cache warm instead of cold-starting every shape after every
 mutation.
 """
@@ -41,7 +40,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..core.prepare import (
     UNPREPARABLE_STRATEGIES,
@@ -182,28 +181,10 @@ def _check_config(sips, maintain) -> None:
             raise ReproError(str(exc)) from None
 
 
-def _affected_predicates(
-    program: Program, updated: "set[str]"
-) -> frozenset[str]:
-    """The affected cone of an update: the updated predicates plus every
-    predicate transitively derivable from them (body → head closure).
-
-    A prepared shape whose goal lies outside this cone answers every
-    query identically before and after the update, so the cache can
-    migrate it to the new dataset version instead of dropping it.
-    """
-    successors = program.dependency_graph.successors
-    affected = set(updated)
-    frontier = set(updated)
-    while frontier:
-        next_frontier: set[str] = set()
-        for predicate in frontier:
-            for head in successors.get(predicate, ()):
-                if head not in affected:
-                    affected.add(head)
-                    next_frontier.add(head)
-        frontier = next_frontier
-    return frozenset(affected)
+def _affected_predicates(program: Program, updated: "set[str]") -> frozenset[str]:
+    """The updated predicates plus every predicate derived from them: an
+    ``/update`` reply's ``affected_predicates``."""
+    return program.dependency_graph.closure(updated, downstream=True)
 
 
 @dataclass
@@ -327,23 +308,14 @@ class QueryService:
         endpoint.
 
         Unlike :meth:`load` — which installs a fresh dataset and drops
-        every prepared shape — an update patches in place and keeps the
-        cache warm:
-
-        1. **maintained** shapes at the current version have the delta
-           applied to their live materialisation (removals first, then
-           insertions, each as one batched maintenance pass);
-        2. the dataset's own database is patched and re-published under
-           ``version + 1`` (so future preparations see the new facts);
-        3. cache entries are *migrated* instead of flushed: maintained
-           shapes patched in step 1 and shapes whose answers cannot
-           depend on the updated predicates (outside the affected cone —
-           the updated predicates plus their transitive dependents) are
-           re-keyed to the new version, and so are transform shapes
-           inside the cone that can be patched (see ``keep`` below);
-           the other entries inside the cone are dropped, as is any
-           maintained shape that raced into the cache after step 1's
-           snapshot (it was prepared against the pre-update database).
+        every prepared shape — an update keeps the cache warm.  It builds
+        the new database, asks every shape cached at the current version
+        what the update does to it (:meth:`PreparedQuery.on_update`:
+        kept, patched or dropped), publishes the database under
+        ``version + 1`` and re-keys the shapes that were kept or patched
+        to it; every other entry of the dataset is dropped.  If a shape's
+        decision raises, every entry of the dataset is dropped, nothing
+        is published and the error propagates.
 
         *add*/*remove* are fact texts (``"edge(a, b)"``), each of the
         arity its predicate has in the dataset.  Removals must target
@@ -386,30 +358,6 @@ class QueryService:
                         f"{atom.predicate} has arity {arity} in dataset "
                         f"{name!r}"
                     )
-            # 1. Patch maintained shapes in place (their per-shape lock
-            # serialises against in-flight executions).  A failure
-            # mid-loop leaves the already-patched shapes one delta ahead
-            # of a dataset whose version will never be bumped, so every
-            # maintained shape is dropped before re-raising — nothing may
-            # keep serving a half-applied state.
-            patched_keys: set[tuple] = set()
-            try:
-                for key, prepared in self.cache.entries_for(name):
-                    if (
-                        key[1] == dataset.version
-                        and prepared.mode == "maintained"
-                    ):
-                        prepared.apply_update(
-                            add=add_atoms, remove=remove_atoms
-                        )
-                        patched_keys.add(key)
-            except BaseException:
-                for key, prepared in self.cache.entries_for(name):
-                    if prepared.mode == "maintained":
-                        self.cache.drop_entry(key)
-                raise
-            patched = len(patched_keys)
-            # 2. Publish the patched dataset under a new version.
             database = dataset.database.copy()
             removed = added = 0
             changed: dict[str, list[tuple]] = {}
@@ -424,50 +372,35 @@ class QueryService:
                 if database.add_atom(atom):
                     added += 1
                     changed.setdefault(atom.predicate, []).append(atom.ground_key())
-            version = dataset.version + 1
-            self._datasets[name] = Dataset(
-                name=name,
-                program=dataset.program,
-                database=database,
-                version=version,
-                fingerprint=dataset.fingerprint,
-            )
-            # 3. Migrate the cache: maintained shapes that were actually
-            # patched, and frozen shapes outside the affected cone,
-            # answer identically against the new version; everything
-            # else is stale unless it is a transform shape whose lower
-            # strata the update leaves alone: that one is patched.  A
-            # maintained shape *not* in the patched set raced in between
-            # the patch snapshot and here — it was prepared against the
-            # pre-update database and must be dropped, not migrated.
-            updated = {atom.predicate for atom in (*add_atoms, *remove_atoms)}
-            affected = _affected_predicates(dataset.program, updated)
-            # A transform shape's base holds its lower strata, complete:
-            # an update reaching one (or asserting a derived fact) needs
-            # a fresh preparation.
-            lower = affected & idb
-            table_kept = table_invalidated = 0
-
-            def keep(key: tuple, prepared: PreparedQuery) -> bool:
-                nonlocal patched, table_kept, table_invalidated
-                if prepared.mode == "maintained":
-                    return key in patched_keys
-                if prepared.mode == "transform":
-                    if prepared.query.predicate not in affected:
-                        return True
-                    if updated & idb or lower & prepared.base.predicates():
-                        return False
-                    entries_kept, entries_invalidated = prepared.patch(database, changed)
-                    patched += 1
+            # One decision per shape at the current version.  A shape that
+            # raises may leave others one delta ahead of a dataset that is
+            # never bumped: every entry goes before the error propagates.
+            survivors: dict[tuple, PreparedQuery] = {}
+            patched = table_kept = table_invalidated = 0
+            try:
+                for key, prepared in self.cache.entries_for(name):
+                    if key[1] != dataset.version:
+                        continue
+                    decision, entries_kept, entries_invalidated = prepared.on_update(
+                        database, changed, add_atoms, remove_atoms
+                    )
+                    if decision != "dropped":
+                        survivors[key] = prepared
+                    patched += decision == "patched"
                     table_kept += entries_kept
                     table_invalidated += entries_invalidated
-                    return True
-                # Frozen full-model shapes depend on everything.
-                return not affected
-
+            except BaseException:
+                self.cache.drop_dataset(name)
+                raise
+            version = dataset.version + 1
+            self._datasets[name] = replace(dataset, database=database, version=version)
+            # An entry the loop never saw (a shape prepared against the
+            # old facts that raced in) is dropped with the rest.
             kept, dropped = self.cache.rekey_dataset(
-                name, dataset.version, version, keep
+                name, dataset.version, version,
+                lambda key, prepared: survivors.get(key) is prepared,
             )
+        updated = {atom.predicate for atom in (*add_atoms, *remove_atoms)}
         if obs.enabled:
             obs.incr("serve.updates")
             obs.incr("maintain.update_adds", len(add_atoms))
@@ -477,7 +410,7 @@ class QueryService:
             {
                 "added": added,
                 "removed": removed,
-                "affected_predicates": sorted(affected),
+                "affected_predicates": sorted(_affected_predicates(dataset.program, updated)),
                 "cache_entries_patched": patched,
                 "cache_entries_kept": kept,
                 "cache_entries_dropped": dropped,

@@ -52,6 +52,22 @@ unsafe(X) :- bad(X).
 unsafe(X) :- e(X, Y), bad(Y).
 ok(X, Y) :- reach(X, Y), tag(Y), not unsafe(Y).
 """
+# e feeds the lower stratum of unsafe and is read by ok's stratum too.
+SHARED_SOURCE = """
+e(1, 2). e(2, 3). e(3, 4). e(4, 5). bad(4). tag(3). tag(5).
+unsafe(X) :- bad(X).
+unsafe(X) :- e(X, Y), bad(Y).
+ok(X, Y) :- e(X, Y), tag(Y), not unsafe(X).
+"""
+# unsafe is a stratum below ok's that ok never reads, fed by e and bad;
+# f and tag are read by ok's stratum only.
+SIDE_SOURCE = """
+e(1, 2). e(2, 3). bad(3). f(1, 2). f(2, 3). f(3, 1). tag(2). tag(3). gone(1).
+unsafe(X) :- e(X, Y), bad(Y).
+hidden(X) :- gone(X).
+ok(X, Y) :- f(X, Y), tag(Y), not hidden(Y).
+ok(X, Y) :- f(X, Z), ok(Z, Y).
+"""
 
 
 def rows(payload):
@@ -465,6 +481,11 @@ class TestServiceUpdate:
             # edge feeds the lower stratum materialised into the base
             (GRAPH_SOURCE + "far(X) :- node(X), not path(a, X).\nnode(e).",
              "far(X)?", {}, {"add": ["edge(d, e)"]}),
+            # e is read by ok's stratum and feeds unsafe below it
+            (SHARED_SOURCE, "ok(2, X)?", {}, {"add": ["e(2, 4)"]}),
+            # a frozen full model
+            (SHARED_SOURCE, "ok(2, X)?", {"strategy": "seminaive"},
+             {"add": ["e(2, 4)"]}),
         ],
     )
     def test_shapes_that_cannot_be_patched_are_dropped(
@@ -524,7 +545,9 @@ def _update_scenarios() -> list:
         }
         rules = "\n".join(str(rule) for rule in scenario.program.rules)
         scenarios.append((rules, facts, scenario.query(0).predicate))
-    for source, goal in ((NEGATED_SOURCE, "r"), (STRATIFIED_SOURCE, "ok")):
+    for source, goal in (
+        (NEGATED_SOURCE, "r"), (STRATIFIED_SOURCE, "ok"), (SHARED_SOURCE, "ok"),
+    ):
         program = parse_program(source)
         facts = {(atom.predicate, atom.ground_key()) for atom in program.facts}
         rules = "\n".join(str(rule) for rule in program.proper_rules)
@@ -775,3 +798,103 @@ class TestHttpUpdate:
         assert "+1 -1 facts" in out
         assert "affected: edge, path" in out
         assert rows(client.query("g", "path(a, X)?")) == [["a", "b"]]
+
+
+# --- one decision per shape --------------------------------------------------
+def test_a_failed_shape_decision_publishes_nothing(service, monkeypatch):
+    """A shape whose decision raises after another shape already took the
+    delta: the version stays, every entry of the dataset is dropped, and
+    the next queries re-prepare against the unchanged facts."""
+    maintained = {"strategy": "seminaive", "maintain": "dred"}
+    service.query("g", "path(a, X)?", **maintained)
+    service.query("g", "path(a, X)?")
+
+    def boom(self, database, changed):
+        raise RuntimeError("patch exploded")
+
+    monkeypatch.setattr("repro.core.prepare.PreparedQuery.patch", boom)
+    with pytest.raises(RuntimeError, match="patch exploded"):
+        service.update("g", remove=["edge(b, c)"])
+    monkeypatch.undo()
+    assert service.dataset("g").version == 1
+    assert service.cache.entries_for("g") == []
+    for config in (maintained, {}):
+        reply = service.query("g", "path(a, X)?", **config)
+        assert not reply["cache_hit"] and reply["version"] == 1
+        assert rows(reply) == [["a", "b"], ["a", "c"], ["a", "d"]]
+
+
+def test_an_update_beside_the_goal_cone_patches_the_shape():
+    """A derived fact asserted outside the goal's cone, and a base fact
+    feeding only a lower stratum the goal never reads, leave the shape to
+    be patched for what it does read."""
+    service = QueryService()
+    service.load("s", SIDE_SOURCE)
+    service.query("s", "ok(1, X)?")
+    update = {"add": ["f(3, 2)", "unsafe(2)", "e(3, 1)"], "remove": ["bad(3)"]}
+    info = service.update("s", **update)
+    assert info["cache_entries_patched"] == 1
+    assert info["cache_entries_dropped"] == 0
+    fresh = QueryService()
+    fresh.load("s", SIDE_SOURCE)
+    fresh.update("s", **update)
+    for goal in ("ok(1, X)?", "ok(3, X)?"):
+        reply = service.query("s", goal)
+        assert reply["cache_hit"]
+        expected = fresh.query("s", goal)
+        assert (reply["answers"], reply["stats"]) == (
+            expected["answers"], expected["stats"],
+        )
+
+
+@settings(
+    max_examples=40, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    scenario=st.sampled_from([(GRAPH_SOURCE, "path"), (SIDE_SOURCE, "ok")]),
+    strategy=st.sampled_from(["alexander", "magic", "supplementary"]),
+    data=st.data(),
+)
+def test_updates_anywhere_in_the_program_equal_a_fresh_service(
+    scenario, strategy, data
+):
+    """Like the property above, but an update may assert a fact of any
+    derived predicate and name any base predicate, in or beside the goal's
+    cone, so shapes are kept, patched and dropped by what they read."""
+    source, goal_predicate = scenario
+    program = parse_program(source)
+    rules = "\n".join(str(rule) for rule in program.proper_rules)
+    facts = {(atom.predicate, atom.ground_key()) for atom in program.facts}
+    domain = sorted({value for _, row in facts for value in row}, key=str)
+    predicates = sorted(program.predicates)
+    live = QueryService()
+    live.load("d", source)
+    live.query("d", f"{goal_predicate}({domain[0]}, X)?", strategy=strategy)
+    for _ in range(data.draw(st.integers(3, 8))):
+        add, remove = [], []
+        for _ in range(data.draw(st.integers(1, 3))):
+            predicate = data.draw(st.sampled_from(predicates))
+            row = tuple(
+                data.draw(st.sampled_from(domain))
+                for _ in range(program.arities[predicate])
+            )
+            if predicate in program.idb_predicates or data.draw(st.booleans()):
+                add.append((predicate, row))
+            else:
+                remove.append((predicate, row))
+        live.update(
+            "d",
+            add=[_fact(*fact) for fact in add],
+            remove=[_fact(*fact) for fact in remove],
+        )
+        facts = (facts - set(remove)) | set(add)
+        goal = f"{goal_predicate}({data.draw(st.sampled_from(domain))}, X)?"
+        fresh = QueryService()
+        fresh.load(
+            "d", rules + "\n" + "".join(_fact(*f) + ".\n" for f in sorted(facts, key=repr))
+        )
+        served = live.query("d", goal, strategy=strategy)
+        expected = fresh.query("d", goal, strategy=strategy)
+        assert served["answers"] == expected["answers"], goal
+        assert served["stats"] == expected["stats"], goal

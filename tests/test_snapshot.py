@@ -186,6 +186,14 @@ class TestVersionGating:
         with pytest.raises(SnapshotFormatError, match="repeats 1.0"):
             load_database(_assemble(header, [bytes(payload)]))
 
+    def test_a_prepared_shape_dump_is_not_a_database(self):
+        from repro.core.snapshot import _assemble
+
+        header, payload = parse_snapshot(self._dump())
+        header["kind"] = "prepared"
+        with pytest.raises(SnapshotFormatError, match="'prepared' is not a database dump"):
+            load_database(_assemble(header, [bytes(payload)]))
+
 # --- shared memory ------------------------------------------------------------
 
 class TestSharedSnapshot:
