@@ -3,7 +3,8 @@
 
 Runs a curated, fast subset of the experiment suite (T1 correspondence,
 T3 magic family, F1 chain scaling, F4 serving prepared-cache parity, F5
-streaming-maintenance parity, A2 naive-vs-seminaive), cross-checks
+streaming-maintenance parity, A2 naive-vs-seminaive, T6 stratified
+negation: cold and prepared), cross-checks
 answers exactly as the full benches do, and compares the deterministic inference counts against the
 committed baseline
 (``benchmarks/baselines/bench_ci_baseline.json``).  Every run writes a
@@ -50,7 +51,9 @@ from repro.engine.budget import EvaluationBudget, ensure_checkpoint  # noqa: E40
 from repro.engine.counters import EvaluationStats  # noqa: E402
 from repro.errors import BudgetExceededError  # noqa: E402
 from repro.obs import BenchArtifact, collect  # noqa: E402
-from repro.workloads import ancestor, same_generation  # noqa: E402
+from repro.workloads import (  # noqa: E402
+    ancestor, bill_of_materials, same_generation, unreachable,
+)
 
 BASELINE_SCHEMA = "repro-bench-baseline/1"
 BENCH_DIR = REPO_ROOT / "benchmarks"
@@ -184,6 +187,60 @@ def _run_a2(failures: list[str], budget=None) -> list[dict]:
     return entries
 
 
+def _run_t6(failures: list[str], budget=None) -> list[dict]:
+    """Stratified-negation smoke: every bottom-up and transform strategy
+    agrees on programs with lower strata, and a prepared Alexander shape
+    (preparation plus one execution) counts what the cold query does."""
+    from repro.core.prepare import prepare_query
+
+    scenarios = [
+        ("unreach-chain10", unreachable(graph="chain", n=10)),
+        ("bom-d4", bill_of_materials(depth=4)),
+    ]
+    entries = []
+    for label, scenario in scenarios:
+        measurements = [
+            measure(scenario, strategy, budget=budget)
+            for strategy in ("naive", "seminaive", "magic", "supplementary", "alexander")
+        ]
+        try:
+            assert_same_answers(measurements)
+        except AssertionError as error:
+            failures.append(f"t6/{label}: {error}")
+        for measurement in measurements:
+            record = measurement_record(measurement)
+            record["id"] = f"t6/{label}/{measurement.strategy}"
+            entries.append(record)
+        cold = measurements[-1]
+        query = scenario.query(0)
+        start = time.perf_counter()
+        prepared = prepare_query(
+            scenario.program, query, scenario.database, "alexander", budget=budget
+        )
+        result = prepared.execute(budget=budget)
+        elapsed = time.perf_counter() - start
+        stats = prepared.prepare_stats.copy().merge(result.stats)
+        if result.answer_rows != cold.result.answer_rows:
+            failures.append(f"t6/{label}: prepared and cold alexander answers differ")
+        if stats.as_dict() != cold.result.stats.as_dict():
+            failures.append(
+                f"t6/{label}: prepared alexander counts {stats} differ from "
+                f"the cold query's {cold.result.stats}"
+            )
+        entries.append(
+            {
+                "id": f"t6/{label}/alexander/prepared",
+                "query": str(query),
+                "answers": len(result.answers),
+                "inferences": stats.inferences,
+                "attempts": stats.attempts,
+                "facts": stats.facts_derived,
+                "seconds": elapsed,
+            }
+        )
+    return entries
+
+
 def load_bench_module(name: str):
     """Import ``benchmarks/<name>.py`` by path.
 
@@ -235,6 +292,7 @@ CHECK_GROUPS = {
     "f4": _run_f4,
     "f5": _run_f5,
     "a2": _run_a2,
+    "t6": _run_t6,
 }
 
 
