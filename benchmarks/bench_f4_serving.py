@@ -181,7 +181,7 @@ def run_latency_series():
             goal = f"{query}?"
             for clients in CLIENT_COUNTS:
                 # Cold: empty cache, every client pays the pipeline at once.
-                service.cache.clear()
+                service.cache.drop_dataset(label)
                 with ThreadPoolExecutor(max_workers=clients) as pool:
                     cold = [
                         latency

@@ -4,8 +4,11 @@ A program is *stratifiable* when its dependency graph has no cycle through
 a negative edge.  :func:`stratify` assigns each predicate a stratum number
 such that a predicate's positive dependencies are in the same or a lower
 stratum and its negative dependencies are in a strictly lower stratum,
-then splits the program into per-stratum sub-programs evaluated in order
-by :mod:`repro.engine.stratified`.
+then splits the program into per-stratum sub-programs.  The
+transformation strategies rewrite the goal's stratum alone
+(:func:`repro.core.strategy.plan_transform`); evaluation needs no split,
+since one scheduled fixpoint closes the lower strata first
+(:mod:`repro.engine.stratified`).
 """
 
 from __future__ import annotations

@@ -22,11 +22,12 @@ its constants.  This module is the pure "prepare" half of that pipeline:
 Three preparation modes cover the strategy spectrum:
 
 * **transform** (``alexander``, ``magic``, ``supplementary``) — the full
-  pipeline above.  Strata strictly below the query predicate's are
-  materialised once at prepare time and the completed database is kept
-  as the execution base (valid as long as the underlying database is
-  unchanged — the serving layer versions its datasets and re-prepares
-  after every load).
+  pipeline above, planned by the cold query's own
+  :func:`~repro.core.strategy.plan_transform`.  Strata strictly below
+  the query predicate's are closed once at prepare time, in place on the
+  one working copy, which is kept as the execution base (valid as long
+  as the underlying database is unchanged — the serving layer versions
+  its datasets and re-prepares after every load).
 * **materialised** (``naive``, ``seminaive``, and any purely extensional
   goal) — bottom-up evaluation is query-independent, so preparation
   materialises the full model once and execution is a lookup.
@@ -74,17 +75,17 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import partial
 
-from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
 from ..datalog.builtins import BUILTIN_PREDICATES
 from ..datalog.parser import parse_query
 from ..datalog.rules import Program
 from ..datalog.terms import Constant
-from ..engine.budget import Checkpoint, EvaluationBudget
+from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.counters import EvaluationStats
 from ..engine.incremental import IncrementalEngine
 from ..engine.prepared import CompiledFixpoint, compile_fixpoint, run_fixpoint
 from ..engine.prepared import footprint_touches, record_footprint
+from ..engine.seminaive import run_schedule
 from ..engine.stratified import stratified_fixpoint
 from ..errors import (
     MAINTAIN_DRED_ONLY,
@@ -95,14 +96,11 @@ from ..errors import (
 from ..facts.database import Database
 from ..obs import get_metrics
 from ..transform.adorn import query_adornment
-from ..transform.alexander import alexander_templates
 from ..transform.common import TransformedProgram, bound_args
-from ..transform.magic import magic_sets
 from ..transform.sips import Sips, left_to_right, named_sips
-from ..transform.supplementary import supplementary_magic_sets
 from .strategy import (
-    QueryResult, _bridge_stored_facts, _sorted_answers, _transform_call_summary,
-    check_goal_arity,
+    TRANSFORMS, QueryResult, _bridge_stored_facts, _sorted_answers,
+    _transform_call_summary, check_goal_arity, plan_transform,
 )
 
 __all__ = [
@@ -117,16 +115,9 @@ __all__ = [
     "UNPREPARABLE_STRATEGIES",
 ]
 
-TRANSFORM_STRATEGIES = frozenset({"alexander", "magic", "supplementary"})
+TRANSFORM_STRATEGIES = frozenset(TRANSFORMS)
 MATERIALISED_STRATEGIES = frozenset({"naive", "seminaive"})
 UNPREPARABLE_STRATEGIES = frozenset({"sld", "oldt", "qsqr"})
-
-_TRANSFORMS = {
-    "alexander": alexander_templates,
-    "magic": magic_sets,
-    "supplementary": supplementary_magic_sets,
-}
-
 
 # Most answer rows (plus one per entry) a shape's call table may hold.
 CALL_TABLE_MAX_ROWS = 65_536
@@ -776,7 +767,6 @@ def prepare_query(
             prepared = _prepare_transform(
                 strategy, rules_only, goal, working, sips_fn,
                 budget, prepare_stats,
-                edb_extra=program.predicates,
                 cone=source.dependency_graph.closure(
                     {goal.predicate}, downstream=False
                 ),
@@ -795,41 +785,22 @@ def _prepare_transform(
     sips_fn: Sips,
     budget,
     prepare_stats: EvaluationStats,
-    edb_extra: frozenset[str],
     cone: frozenset[str],
 ) -> PreparedQuery:
-    """The structured transform pipeline, stopped just short of running.
-
-    Mirrors :func:`repro.core.strategy._transform_strategy` exactly —
-    materialise strata strictly below the goal predicate's, rewrite its
-    stratum against the rest as EDB — but compiles the rewritten stratum
-    instead of evaluating it.  *cone* is what the goal reads in the
+    """The structured transform pipeline (:func:`plan_transform`),
+    stopped just short of running the rewritten stratum: the strata below
+    it are closed in *working* itself, which becomes the base, and the
+    rewritten stratum is compiled.  *cone* is what the goal reads in the
     source program.
     """
-    stratification = stratify(rules_only)
-    query_stratum = None
-    for index, stratum in enumerate(stratification.strata):
-        if goal.predicate in stratum.idb_predicates:
-            query_stratum = index
-            break
-    if query_stratum is None:
-        raise TransformError(
-            f"query predicate {goal.predicate} not defined in any stratum"
-        )
-    lower = Program(
-        tuple(
-            rule
-            for stratum in stratification.strata[:query_stratum]
-            for rule in stratum.rules
-        )
+    lower, transformed = plan_transform(
+        rules_only, goal, working, TRANSFORMS[strategy], sips_fn
     )
-    if lower.proper_rules:
-        working, _ = stratified_fixpoint(lower, working, prepare_stats, budget=budget)
-    target = stratification.strata[query_stratum]
-    edb = frozenset(
-        (edb_extra | working.predicates()) - target.idb_predicates
-    )
-    transformed = _TRANSFORMS[strategy](target, goal, sips_fn, edb)
+    if lower:
+        checkpoint = ensure_checkpoint(budget, prepare_stats)
+        if checkpoint is not None:
+            checkpoint.bind(working)
+        run_schedule(lower, working, prepare_stats, checkpoint)
     obs = get_metrics()
     if obs.enabled:
         obs.incr("prepare.transforms")
@@ -838,7 +809,8 @@ def _prepare_transform(
     # What the cone's lower strata read is materialised into the base.
     frozen = {
         literal.predicate
-        for rule in lower.proper_rules
+        for component in lower
+        for rule in component.rules
         if rule.head.predicate in cone
         for literal in rule.body
     }

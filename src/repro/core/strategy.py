@@ -34,10 +34,10 @@ from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant, Variable
 from ..engine.budget import Checkpoint, EvaluationBudget, ensure_checkpoint
 from ..engine.counters import EvaluationStats
-from ..engine.scheduler import build_schedule
+from ..engine.scheduler import Component, build_schedule
 from ..engine.seminaive import run_schedule
 from ..engine.stratified import stratified_fixpoint
-from ..errors import ReproError, TransformError
+from ..errors import ReproError
 from ..facts.database import Database
 from ..topdown.oldt import OLDTEngine
 from ..topdown.qsqr import QSQREngine
@@ -301,6 +301,56 @@ def _qsqr(
     )
 
 
+#: The rewritings, by strategy name: the transformation strategies, their
+#: SIPS override and prepared shapes all read this one table.
+TRANSFORMS = {
+    "magic": magic_sets,
+    "supplementary": supplementary_magic_sets,
+    "alexander": alexander_templates,
+}
+
+
+def plan_transform(
+    rules: Program, goal: Atom, working: Database, transform, sips: Sips
+) -> tuple[list[Component], TransformedProgram]:
+    """The structured pipeline's plan for *goal* over *rules*.
+
+    *rules* is stratified once: *goal*'s stratum is rewritten by
+    *transform* under *sips*, with every other predicate of *rules* and
+    of *working* counting as extensional, and the strata below it are
+    returned as their components of the one condensation of *rules*
+    (:func:`~repro.engine.scheduler.build_schedule`), dependencies first.
+    Running those components before the rewritten stratum's closes every
+    lower predicate the rewritten rules read.  Each lower derived
+    predicate gets an empty relation in *working*.  *goal*'s predicate
+    must head a rule of *rules*.
+
+    Raises:
+        StratificationError: when *rules* has no stratification.
+    """
+    stratification = stratify(rules)
+    numbers = stratification.stratum_of
+    bound = numbers[goal.predicate]
+    target = next(
+        stratum for stratum in stratification.strata
+        if numbers[stratum.rules[0].head.predicate] == bound
+    )
+    # The program's predicates are its rules' (the graph stratify() read)
+    # and its facts' (already in *working*).
+    edb = frozenset(
+        (rules.dependency_graph.nodes | working.predicates()) - target.idb_predicates
+    )
+    transformed = transform(target, goal, sips, edb)
+    arities = rules.arities
+    lower = []
+    for component in build_schedule(rules).components:
+        if numbers[component.rules[0].head.predicate] < bound:
+            lower.append(component)
+            for predicate in component.derived:
+                working.relation(predicate, arities[predicate])
+    return lower, transformed
+
+
 def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
     def run(
         program: Program,
@@ -324,50 +374,25 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
                 strategy=name, query=query, answers=answers, stats=stats
             )
 
-        # Structured pipeline: rewrite the query predicate's stratum with
-        # the strata below it as EDB.  stratify() refuses a program with
-        # no stratification and picks the stratum.
-        stratification = stratify(rules_only)
-        query_stratum = None
-        for index, stratum in enumerate(stratification.strata):
-            if query.predicate in stratum.idb_predicates:
-                query_stratum = index
-                break
-        if query_stratum is None:
-            raise TransformError(
-                f"query predicate {query.predicate} not defined in any stratum"
-            )
-        target = stratification.strata[query_stratum]
-        # The program's predicates are its rules' (the graph stratify()
-        # read) and its facts' (already in *working*).
-        graph = rules_only.dependency_graph
-        edb = frozenset((graph.nodes | working.predicates()) - target.idb_predicates)
-        transformed = transform(target, query, sips, edb)
+        lower, transformed = plan_transform(
+            rules_only, query, working, transform, sips
+        )
         # One fixpoint over the lower strata and the rewritten stratum,
-        # run on *working* itself.  The lower strata's components come
-        # from the condensation stratify() read, and close before the
-        # rewritten stratum's, so the run evaluates the very components
-        # the stratum-by-stratum run would, in a dependency order: every
-        # count is the same, and a budget trip leaves a sound prefix.
-        numbers = stratification.stratum_of
-        bound = numbers[query.predicate]
-        arities = rules_only.arities
-        components = []
-        for component in build_schedule(rules_only).components:
-            if numbers[component.rules[0].head.predicate] < bound:
-                components.append(component)
-                for predicate in component.derived:
-                    working.relation(predicate, arities[predicate])
-        components += build_schedule(transformed.program).components
+        # run on *working* itself.  The lower components close before the
+        # rewritten stratum's, so every count is what materialising the
+        # lower strata first would give, and a budget trip leaves a sound
+        # prefix.
         for rule in transformed.program.rules:
             working.relation(rule.head.predicate, len(rule.head.args))
         working.add_atoms(transformed.seeds)
         if checkpoint is not None:
             checkpoint.bind(working)
-        run_schedule(components, working, stats, checkpoint)
-        completed = working
+        run_schedule(
+            lower + list(build_schedule(transformed.program).components),
+            working, stats, checkpoint,
+        )
 
-        answers = _sorted_answers(query, completed.match(transformed.goal))
+        answers = _sorted_answers(query, working.match(transformed.goal))
         stats.answers = len(answers)
         return QueryResult(
             strategy=name,
@@ -375,7 +400,7 @@ def _transform_strategy(name: str, transform, sips: Sips = left_to_right):
             answers=answers,
             stats=stats,
             transformed=transformed,
-            call_summary=partial(_transform_call_summary, transformed, completed),
+            call_summary=partial(_transform_call_summary, transformed, working),
         )
 
     return run
@@ -406,9 +431,10 @@ _STRATEGIES: dict[
     "sld": _sld,
     "oldt": _oldt,
     "qsqr": _qsqr,
-    "magic": _transform_strategy("magic", magic_sets),
-    "supplementary": _transform_strategy("supplementary", supplementary_magic_sets),
-    "alexander": _transform_strategy("alexander", alexander_templates),
+    **{
+        name: _transform_strategy(name, transform)
+        for name, transform in TRANSFORMS.items()
+    },
 }
 
 
@@ -442,13 +468,8 @@ def run_strategy(
         )
     check_goal_arity(query, program, database)
     program, database = _bridge_stored_facts(program, database)
-    if sips is not None and name in ("magic", "supplementary", "alexander"):
-        transform = {
-            "magic": magic_sets,
-            "supplementary": supplementary_magic_sets,
-            "alexander": alexander_templates,
-        }[name]
-        return _transform_strategy(name, transform, sips)(
+    if sips is not None and name in TRANSFORMS:
+        return _transform_strategy(name, TRANSFORMS[name], sips)(
             program, query, database, budget,
         )
     return _STRATEGIES[name](program, query, database, budget)

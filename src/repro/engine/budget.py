@@ -22,8 +22,8 @@ fact present is genuinely derivable), and the :class:`EvaluationStats`
 accumulated to that point.  Callers get graceful degradation instead of a
 lost worker; the bench harness turns trips into ``diverged`` rows.
 
-Nested evaluations (stratified → per-stratum fixpoint, transformation
-strategies → semi-naive) share one checkpoint so the budget governs the
+Nested evaluations (transformation strategies → semi-naive, OLDT/QSQR →
+nested negation engines) share one checkpoint so the budget governs the
 *whole* evaluation: engine entry points accept either an
 :class:`EvaluationBudget` (a fresh checkpoint is started) or an
 already-running :class:`Checkpoint` (the clock and counters keep

@@ -6,10 +6,10 @@ nothing new.  Kept as the A2-ablation baseline for the semi-naive engine;
 all production paths use :mod:`repro.engine.seminaive`, and the
 interpreted correctness oracle is :mod:`repro.engine.reference`.
 
-Negation is *not* handled here (a run of a single stratum must be
-negation-free or have its negative literals refer only to relations that
-are already complete); :mod:`repro.engine.stratified` layers strata on top
-of either fixpoint engine.
+Negative literals read the full relation: the component schedule closes
+every component a rule negates before the rule's own, so on a
+stratifiable program each negated relation is complete when it is read
+(:mod:`repro.engine.stratified` refuses any other program).
 """
 
 from __future__ import annotations

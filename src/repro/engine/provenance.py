@@ -2,7 +2,8 @@
 
 The engines answer *what* is derivable; this module also answers *why*.
 :func:`traced_fixpoint` runs the one bottom-up evaluator,
-:func:`~repro.engine.seminaive.seminaive_fixpoint`, and reads each derived
+:func:`~repro.engine.seminaive.seminaive_fixpoint` (through
+:func:`~repro.engine.stratified.stratified_fixpoint`), and reads each derived
 fact's proof **on demand** off the round stamps it leaves on the model
 (``docs/ARCHITECTURE.md``, "Round-stamped relations").  A rule *fires* for
 ``p(row)`` stamped ``s`` when its head instantiates to ``row`` and its body
@@ -23,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from ..analysis.stratify import stratify
 from ..datalog.atoms import Atom
 from ..datalog.rules import Program, Rule
 from ..datalog.terms import Constant
@@ -31,7 +31,7 @@ from ..datalog.unify import match_atom
 from ..facts.database import Database
 from .counters import EvaluationStats
 from .matching import CompiledRule, compile_rule, match_body
-from .seminaive import seminaive_fixpoint
+from .stratified import stratified_fixpoint
 
 __all__ = ["Derivation", "ProofNode", "TracedEvaluation", "traced_fixpoint", "format_proof"]
 
@@ -211,17 +211,16 @@ class TracedEvaluation:
 
 
 def traced_fixpoint(program: Program, database: Database | None = None) -> TracedEvaluation:
-    """Evaluate *program* with :func:`~repro.engine.seminaive.seminaive_fixpoint`
+    """Evaluate *program* with :func:`~repro.engine.stratified.stratified_fixpoint`
     and return the model with on-demand proofs.
 
     Raises:
         StratificationError: when *program* is not stratifiable.
     """
-    stratify(program)
     asserted = {(atom.predicate, atom.ground_key()) for atom in program.facts}
     for relation in database.relations() if database is not None else ():
         asserted.update((relation.name, row) for row in relation)
-    model, stats = seminaive_fixpoint(program, database)
+    model, stats = stratified_fixpoint(program, database)
     return TracedEvaluation(program, model, frozenset(asserted), stats)
 
 

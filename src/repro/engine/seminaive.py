@@ -27,9 +27,10 @@ per predicate whose cutoff advances each round.  A round therefore
 allocates nothing for a predicate whose delta is empty and inserts each
 new fact once: per-round overhead is O(|delta|), not O(|full|).
 
-Negative literals read the full view: within a stratum they only mention
-relations completed by earlier strata, so their contents never change
-during the fixpoint (enforced by :mod:`repro.engine.stratified`).
+Negative literals read the full view: on a stratifiable program they only
+mention relations of earlier components, closed before the component
+that reads them, so their contents never change while it runs
+(:mod:`repro.engine.stratified` refuses any other program).
 
 Evaluation is SCC-scheduled (:mod:`repro.engine.scheduler`): the program
 is condensed into dependency components, each non-recursive component

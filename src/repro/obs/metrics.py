@@ -6,7 +6,7 @@ produces:
 * **timers** — monotonic (``time.perf_counter``) wall-clock spans opened
   with :meth:`Metrics.timer`.  Timers nest: a timer opened while another
   is active records under the slash-joined path of the active stack
-  (``"stratified/stratum0/seminaive"``), so one registry captures the
+  (``"prepare/seminaive/round"``), so one registry captures the
   whole call tree of a structured evaluation.
 * **counters** — monotonically increasing integers
   (:meth:`Metrics.incr`); :meth:`Metrics.fold_stats` folds a whole

@@ -32,14 +32,13 @@ web framework in the dependency set.  The layers:
 See ``docs/SERVING.md`` for the endpoint reference and operational notes.
 """
 
-from .cache import CacheEntry, PreparedQueryCache
+from .cache import PreparedQueryCache
 from .client import ServeClient
 from .pool import PooledService, WorkerPool, WorkerPoolError
 from .server import ReproServer, create_server, run_server
 from .service import Dataset, QueryService
 
 __all__ = [
-    "CacheEntry",
     "PreparedQueryCache",
     "ServeClient",
     "PooledService",

@@ -34,31 +34,21 @@ on.  Every entry enters through exactly one counted miss and leaves
 through exactly one counted eviction (LRU pressure) or drop (explicit
 invalidation), so ``entries == misses - evictions - drops`` holds at
 every instant — the stress test pins this under concurrent
-``get_or_prepare`` / ``rekey_dataset`` / ``drop_entry`` traffic.
+``get_or_prepare`` / ``rekey_dataset`` / ``drop_dataset`` traffic.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Callable
 
 from ..core.prepare import PreparedQuery
 from ..obs import get_metrics
 
-__all__ = ["CacheEntry", "PreparedQueryCache", "DEFAULT_MAX_ENTRIES"]
+__all__ = ["PreparedQueryCache", "DEFAULT_MAX_ENTRIES"]
 
 DEFAULT_MAX_ENTRIES = 64
-
-
-@dataclass
-class CacheEntry:
-    """One cached shape plus its usage accounting."""
-
-    key: tuple
-    prepared: PreparedQuery
-    hits: int = 0
 
 
 class PreparedQueryCache:
@@ -74,7 +64,7 @@ class PreparedQueryCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.races = 0
@@ -101,14 +91,13 @@ class PreparedQueryCache:
         """
         obs = get_metrics()
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
+            cached = self._entries.get(key)
+            if cached is not None:
                 self._entries.move_to_end(key)
-                entry.hits += 1
                 self.hits += 1
                 if obs.enabled:
                     obs.incr("serve.prepared.hits")
-                return entry.prepared, True
+                return cached, True
         prepared = factory()
         with self._lock:
             existing = self._entries.get(key)
@@ -118,17 +107,16 @@ class PreparedQueryCache:
                 # served from cache, so it is a hit — plus a race event
                 # recording the preparation this thread wasted.
                 self._entries.move_to_end(key)
-                existing.hits += 1
                 self.hits += 1
                 self.races += 1
                 if obs.enabled:
                     obs.incr("serve.prepared.hits")
                     obs.incr("serve.prepared.races")
-                return existing.prepared, True
+                return existing, True
             self.misses += 1
             if obs.enabled:
                 obs.incr("serve.prepared.misses")
-            self._entries[key] = CacheEntry(key=key, prepared=prepared)
+            self._entries[key] = prepared
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.evictions += 1
@@ -139,17 +127,7 @@ class PreparedQueryCache:
     def peek(self, key: tuple) -> "PreparedQuery | None":
         """The entry under *key* without touching LRU order or counters."""
         with self._lock:
-            entry = self._entries.get(key)
-            return entry.prepared if entry is not None else None
-
-    def drop_entry(self, key: tuple) -> bool:
-        """Evict the entry under *key*, if present; returns whether it
-        was."""
-        with self._lock:
-            if self._entries.pop(key, None) is None:
-                return False
-            self._count_drops(1)
-            return True
+            return self._entries.get(key)
 
     def _count_drops(self, count: int) -> None:
         """Book *count* explicit removals (callers hold the lock)."""
@@ -166,8 +144,8 @@ class PreparedQueryCache:
         decides on."""
         with self._lock:
             return [
-                (key, entry.prepared)
-                for key, entry in self._entries.items()
+                (key, prepared)
+                for key, prepared in self._entries.items()
                 if key[0] == dataset
             ]
 
@@ -184,7 +162,7 @@ class PreparedQueryCache:
         dataset version like a reload, but the shapes it kept or patched
         stay valid.  Each entry scoped to *dataset* at *old_version* for
         which ``keep(key, prepared)`` holds is re-keyed to *new_version*,
-        keeping its LRU position and hit counts; the others are evicted.
+        keeping its LRU position; the others are evicted.
         Returns ``(kept, dropped)``.
 
         Entries already at *new_version* are **kept as they are**: the
@@ -197,10 +175,10 @@ class PreparedQueryCache:
         """
         with self._lock:
             kept = dropped = 0
-            migrated: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
-            for key, entry in self._entries.items():
+            migrated: "OrderedDict[tuple, PreparedQuery]" = OrderedDict()
+            for key, prepared in self._entries.items():
                 if key[0] != dataset:
-                    migrated[key] = entry
+                    migrated[key] = prepared
                     continue
                 if key[1] == new_version:
                     if key in migrated:
@@ -209,17 +187,16 @@ class PreparedQueryCache:
                         # placement stands, this copy is dropped.
                         dropped += 1
                         continue
-                    migrated[key] = entry
+                    migrated[key] = prepared
                     kept += 1
                     continue
-                if key[1] == old_version and keep(key, entry.prepared):
+                if key[1] == old_version and keep(key, prepared):
                     new_key = (key[0], new_version) + key[2:]
                     if new_key in migrated:
                         # A fresh new-version insertion got there first.
                         dropped += 1
                         continue
-                    entry.key = new_key
-                    migrated[new_key] = entry
+                    migrated[new_key] = prepared
                     kept += 1
                 else:
                     dropped += 1
@@ -239,11 +216,6 @@ class PreparedQueryCache:
                 del self._entries[key]
             self._count_drops(len(stale))
             return len(stale)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._count_drops(len(self._entries))
-            self._entries.clear()
 
     def stats(self) -> dict[str, int]:
         """Exact totals for the ``/metrics`` payload.
@@ -267,9 +239,7 @@ class PreparedQueryCache:
         cached shapes' tables of completed calls
         (:class:`~repro.core.prepare.CallTable`) hold right now."""
         with self._lock:
-            tables = [
-                entry.prepared.table.size() for entry in self._entries.values()
-            ]
+            tables = [prepared.table.size() for prepared in self._entries.values()]
         return {
             **self.stats(),
             "table_entries": sum(entries for entries, _ in tables),

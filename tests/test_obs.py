@@ -165,15 +165,23 @@ class TestCollect:
         assert any(path.startswith("qsqr") for path in timer_paths)
         assert snapshot["histograms"]["seminaive.delta_rows"]["count"] >= 1
 
-    def test_stratified_records_per_stratum(self, stratified_source):
+    def test_stratified_records_one_scheduled_run(self, stratified_source):
+        from repro.analysis.stratify import stratify
         from repro.datalog import parse_program
+        from repro.engine.scheduler import build_schedule
         from repro.engine.stratified import stratified_fixpoint
 
         program = parse_program(stratified_source)
+        assert len(stratify(program).strata) >= 2
         with collect() as metrics:
             stratified_fixpoint(program)
-        assert "stratified/stratum0" in metrics.timers
-        assert metrics.histograms["stratified.strata"].last >= 2
+        # Every stratum runs inside one scheduled semi-naive fixpoint.
+        assert metrics.counters["seminaive.runs"] == 1
+        assert metrics.timers["seminaive"].count == 1
+        assert not any(path.startswith("stratified") for path in metrics.timers)
+        components = metrics.histograms["scheduler.components"]
+        assert components.count == 1
+        assert components.last == len(build_schedule(program).components)
 
     def test_wellfounded_records_alternations(self):
         from repro.datalog import parse_program

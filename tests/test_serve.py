@@ -206,22 +206,24 @@ class TestPreparedQueryCache:
         assert kept == 1 and dropped == 1  # version-1 leftover dropped
         assert cache.peek(("db", 4, "b")) is not None
 
-    def test_drop_and_clear_are_counted(self):
+    def test_dataset_drops_are_counted(self):
         cache = PreparedQueryCache(8)
         cache.get_or_prepare(("db", 1, "a"), self._prepared)
-        cache.get_or_prepare(("db", 1, "b"), self._prepared)
-        assert cache.drop_entry(("db", 1, "a"))
-        assert not cache.drop_entry(("db", 1, "a"))  # absent: not counted
-        cache.clear()
+        cache.get_or_prepare(("db", 2, "b"), self._prepared)
+        cache.get_or_prepare(("other", 1, "a"), self._prepared)
+        assert cache.drop_dataset("db") == 2  # every version of the dataset
+        assert cache.drop_dataset("db") == 0  # absent: not counted
+        assert cache.peek(("other", 1, "a")) is not None
+        assert cache.drop_dataset("other") == 1
         stats = cache.stats()
-        assert stats["drops"] == 2  # one explicit drop + one cleared entry
+        assert stats["drops"] == 3
         assert stats["entries"] == 0
         assert stats["entries"] == (
             stats["misses"] - stats["evictions"] - stats["drops"]
         )
 
     def test_accounting_invariants_under_concurrent_stress(self):
-        """Hammer get_or_prepare / rekey_dataset / drop_entry from many
+        """Hammer get_or_prepare / rekey_dataset / drop_dataset from many
         threads; the conservation laws must hold at the end (and the
         final entry census must reconcile with the counters exactly)."""
         cache = PreparedQueryCache(16)
@@ -255,10 +257,8 @@ class TestPreparedQueryCache:
                 time.sleep(0.001)
 
         def dropper():
-            for i in range(200):
-                with lock:
-                    v = version[0]
-                cache.drop_entry(("db", v, f"shape-{i % 24}"))
+            for _ in range(200):
+                cache.drop_dataset("db")
 
         threads = (
             [threading.Thread(target=querier, args=(w,)) for w in range(4)]
